@@ -25,7 +25,7 @@ from typing import Optional
 
 from .digraph import ClosedWalkProfile, Digraph, walk_profile
 from .errors import BoundInapplicableError
-from .spectrum import eigenvalues
+from .spectrum import Spectrum, eigenvalues
 
 DEFAULT_TOL = 1e-8
 
@@ -192,10 +192,20 @@ class BoundReport:
         }
 
 
-def bound_chain_report(d: Digraph, tol: float = DEFAULT_TOL) -> BoundReport:
-    """Evaluate every bound plus rho and energy and check their orderings."""
-    profile = walk_profile(d)
-    spec = eigenvalues(d)
+def bound_chain_report(
+    d: Digraph,
+    tol: float = DEFAULT_TOL,
+    *,
+    profile: Optional[ClosedWalkProfile] = None,
+    spectrum: Optional[Spectrum] = None,
+) -> BoundReport:
+    """Evaluate every bound plus rho and energy and check their orderings.
+
+    ``profile`` and ``spectrum``, when given, must be ``walk_profile(d)``
+    and ``eigenvalues(d)``; they save recomputing them.
+    """
+    profile = walk_profile(d) if profile is None else profile
+    spec = eigenvalues(d) if spectrum is None else spectrum
     n, a = d.n, d.arc_count
     notes: list[str] = []
 

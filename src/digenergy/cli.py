@@ -87,10 +87,10 @@ class AnalysisDocument:
 def build_analysis_document(d: Digraph, tol: float) -> AnalysisDocument:
     profile = walk_profile(d)
     spec = eigenvalues(d)
-    report = bounds_mod.bound_chain_report(d, tol=tol)
+    report = bounds_mod.bound_chain_report(d, tol=tol, profile=profile, spectrum=spec)
     warnings = list(report.notes)
     try:
-        coulson = coulson_energy(d) if d.n else 0.0
+        coulson = coulson_energy(d, spectrum=spec)
     except PurelyImaginaryEigenvalueError as exc:
         coulson = None
         warnings.append(f"coulson integral skipped: {exc}")
@@ -209,9 +209,10 @@ def _cmd_coulson(args) -> int:
     except (EdgeListParseError, DigraphValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    spectral = eigenvalues(d).energy
+    spec = eigenvalues(d)
+    spectral = spec.energy
     try:
-        integral = coulson_energy(d, rel_tol=args.rel_tol)
+        integral = coulson_energy(d, rel_tol=args.rel_tol, spectrum=spec)
     except PurelyImaginaryEigenvalueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -149,8 +149,12 @@ class _Ctx:
         return walk_profile(self.d)
 
     @cached_property
+    def charpoly(self):
+        return characteristic_polynomial(self.d)
+
+    @cached_property
     def spectrum(self):
-        return eigenvalues(self.d)
+        return eigenvalues(self.d, self.charpoly)
 
     @cached_property
     def symmetrization(self):
@@ -319,7 +323,7 @@ _check_dominance_chain.check_name = "dominance_chain"
 
 
 def _check_charpoly_reduction_invariance(ctx: _Ctx):
-    p1 = characteristic_polynomial(ctx.d).coeffs
+    p1 = ctx.charpoly.coeffs
     p2 = characteristic_polynomial(ctx.reduced).coeffs
     if p1 != p2:
         gap = max(abs(a - b) for a, b in zip(p1, p2))
@@ -335,7 +339,7 @@ def _check_coulson_match(ctx: _Ctx):
         if abs(z.real) <= 1e-6 and abs(z) > 1e-6:
             return "skip"
     try:
-        integral = coulson_energy(ctx.d, rel_tol=1e-6)
+        integral = coulson_energy(ctx.d, rel_tol=1e-6, spectrum=spec)
     except PurelyImaginaryEigenvalueError:
         return "skip"
     diff = abs(integral - spec.energy) / max(1.0, spec.energy)

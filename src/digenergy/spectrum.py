@@ -10,10 +10,11 @@ pairs before any derived quantity is computed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -25,6 +26,9 @@ from .errors import EigensolverError, PurelyImaginaryEigenvalueError
 _SNAP_REL = 1e-10
 # Residual gate |phi(z)| / (1 + rho)^n above which the solver result is rejected.
 _RESIDUAL_GATE = 1e-6
+# Entries of each exact-charpoly memo: exhaustive n=5 has 718 distinct
+# characteristic polynomials, so one exhaustive run never evicts.
+_MEMO_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -52,7 +56,8 @@ class Spectrum:
     """Eigenvalue multiset with the derived radius/energy/moment sums.
 
     Eigenvalues are sorted by (Re desc, Im desc) and non-real values occur
-    in exact conjugate pairs.
+    in exact conjugate pairs.  ``charpoly`` is the exact polynomial they
+    were certified against.
     """
 
     eigenvalues: tuple[complex, ...]
@@ -60,6 +65,7 @@ class Spectrum:
     energy: float
     sum_re_sq: float
     sum_im_sq: float
+    charpoly: CharPoly
 
 
 @dataclass(frozen=True)
@@ -205,7 +211,7 @@ def _square_free_decomposition(coeffs: Sequence[int]) -> list[tuple[tuple[int, .
     return out
 
 
-def _roots_from_decomposition(decomp, n: int) -> np.ndarray:
+def _roots_from_decomposition(decomp, n: int) -> tuple[complex, ...]:
     """Assemble the n-root multiset; each factor root is simple, so the
     refinement converges to machine precision regardless of multiplicity."""
     roots: list[complex] = []
@@ -220,7 +226,21 @@ def _roots_from_decomposition(decomp, n: int) -> np.ndarray:
     if len(roots) != n:
         raise EigensolverError(
             f"square-free decomposition yielded {len(roots)} roots, expected {n}")
-    return np.array(roots, dtype=complex)
+    return tuple(roots)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _repeated_roots(coeffs: tuple[int, ...]) -> Optional[tuple[complex, ...]]:
+    """All roots of a polynomial with a repeated root, from its exact
+    square-free decomposition; None when it is square-free.
+
+    A pure function of the exact coefficients, so it is memoized: digraphs
+    that share a characteristic polynomial share this work.
+    """
+    decomp = _square_free_decomposition(coeffs)
+    if len(decomp) == 1 and decomp[0][1] == 1:
+        return None
+    return _roots_from_decomposition(decomp, len(coeffs) - 1)
 
 
 def _pair_conjugates(values: np.ndarray) -> list[complex]:
@@ -256,17 +276,18 @@ def _pair_conjugates(values: np.ndarray) -> list[complex]:
     return out
 
 
-def eigenvalues(d: Digraph) -> Spectrum:
+def eigenvalues(d: Digraph, poly: Optional[CharPoly] = None) -> Spectrum:
     """All n eigenvalues with certified backward error.
 
     QR eigenvalues are refined against the exact characteristic polynomial
     and rejected (EigensolverError) if any residual |phi(z)| exceeds the
     gate of 1e-6 * (1 + rho)^n; in practice residuals sit far below 1e-8
-    after refinement.
+    after refinement.  ``poly``, when given, must be
+    ``characteristic_polynomial(d)``; it saves recomputing it.
     """
     n = d.n
     if n == 0:
-        return Spectrum((), 0.0, 0.0, 0.0, 0.0)
+        return Spectrum((), 0.0, 0.0, 0.0, 0.0, CharPoly((1,)))
     a = adjacency_matrix(d).astype(float)
     try:
         if d.is_symmetric:
@@ -275,9 +296,10 @@ def eigenvalues(d: Digraph) -> Spectrum:
             vals = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"QR iteration failed: {exc}") from exc
-    poly = characteristic_polynomial(d)
-    decomp = _square_free_decomposition(poly.coeffs)
-    if len(decomp) == 1 and decomp[0][1] == 1:
+    if poly is None:
+        poly = characteristic_polynomial(d)
+    repeated = _repeated_roots(poly.coeffs)
+    if repeated is None:
         # Square-free spectrum: refine the QR values directly.
         vals = _aberth_refine(poly.coeffs, np.asarray(vals, dtype=complex))
     else:
@@ -285,7 +307,7 @@ def eigenvalues(d: Digraph) -> Spectrum:
         # factor, which sidesteps the sqrt(eps) accuracy floor of polishing
         # multiple roots on the full polynomial.  The QR values stay as a
         # consistency reference.
-        exact = _roots_from_decomposition(decomp, n)
+        exact = np.array(repeated, dtype=complex)
         qr = np.asarray(vals, dtype=complex)
         spread = max(
             float(np.min(np.abs(qr - z))) for z in exact
@@ -293,7 +315,7 @@ def eigenvalues(d: Digraph) -> Spectrum:
         if spread > 1e-2 * (1.0 + float(np.max(np.abs(exact)))):
             raise EigensolverError(
                 f"QR values and exact-polynomial roots disagree by {spread:.3e}",
-                partial=tuple(exact),
+                partial=repeated,
             )
         vals = exact
     paired = _pair_conjugates(vals)
@@ -311,6 +333,7 @@ def eigenvalues(d: Digraph) -> Spectrum:
         energy=float(sum(abs(z.real) for z in paired)),
         sum_re_sq=float(sum(z.real * z.real for z in paired)),
         sum_im_sq=float(sum(z.imag * z.imag for z in paired)),
+        charpoly=poly,
     )
 
 
@@ -355,6 +378,10 @@ class _Integrand:
     ascending coefficient array of phi doubles as the descending array of
     phi(ix)/(ix)^n, and likewise for N, which keeps every evaluation free
     of overflow.
+
+    phi must have phi(0) != 0 (see ``coulson_energy``), so that the
+    absolute-coefficient scale is at least 1 on both branches and every
+    small |phi(ix)| is a pole, i.e. an eigenvalue on the imaginary axis.
     """
 
     def __init__(self, coeffs: Sequence[int]):
@@ -392,12 +419,9 @@ class _Integrand:
         return out
 
     def _guard(self, den: np.ndarray, scale: np.ndarray, x: np.ndarray) -> None:
-        # Nodes essentially at x = 0 are excluded: a vanishing denominator
-        # there means a zero eigenvalue, which is not a pole of the ratio.
-        xarr = np.asarray(x)
-        bad = (np.abs(den) <= _POLE_REL * np.maximum(scale, 1.0)) & (np.abs(xarr) >= 1e-9)
+        bad = np.abs(den) <= _POLE_REL * scale
         if np.any(bad):
-            raise PurelyImaginaryEigenvalueError(float(xarr[bad][0]))
+            raise PurelyImaginaryEigenvalueError(float(x[bad][0]))
 
 
 def _gl_panel(f, a: float, b: float, rule) -> float:
@@ -416,27 +440,41 @@ def _adaptive_gl(f, a: float, b: float, tol: float, depth: int = 0) -> float:
     return _adaptive_gl(f, a, mid, tol / 2.0, depth + 1) + _adaptive_gl(f, mid, b, tol / 2.0, depth + 1)
 
 
-def coulson_energy(d: Digraph, rel_tol: float = 1e-6) -> float:
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _coulson_integral(coeffs: tuple[int, ...], rel_tol: float) -> float:
+    """The energy integral of the polynomial ``coeffs`` (ascending, exact,
+    monic, nonzero constant term); memoized like ``_repeated_roots``."""
+    f = _Integrand(coeffs)
+    half_pi = math.pi / 2.0
+    estimate = _gl_panel(f, -half_pi, half_pi, _GL_HI)
+    tol_abs = 0.25 * rel_tol * max(1.0, abs(estimate))
+    total = _adaptive_gl(f, -half_pi, 0.0, tol_abs, 0) + _adaptive_gl(f, 0.0, half_pi, tol_abs, 0)
+    return total / math.pi
+
+
+def coulson_energy(d: Digraph, rel_tol: float = 1e-6, *, spectrum: Optional[Spectrum] = None) -> float:
     """Energy via the integral (1/pi) * int (n - i x phi'(ix)/phi(ix)) dx.
 
     Evaluated with the substitution x = tan(theta) and adaptive
     Gauss-Legendre panels on (-pi/2, pi/2).  Raises
     PurelyImaginaryEigenvalueError when an eigenvalue sits on the imaginary
     axis away from zero (the integrand then has a pole on the path).
+    ``spectrum``, when given, must be ``eigenvalues(d)``; it saves
+    recomputing it.
+
+    The exact factor x^k of phi is divided out first: zero eigenvalues add
+    nothing to the energy and leave the integrand unchanged, but they make
+    |phi(ix)| ~ |x|^k so small near x = 0 that it would read as a pole.
     """
     if not (0.0 < rel_tol < 1.0):
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     if d.n == 0:
         return 0.0
-    spec = eigenvalues(d)
+    spec = eigenvalues(d) if spectrum is None else spectrum
     guard = 1e-9 * (1.0 + spec.rho)
     for z in spec.eigenvalues:
         if abs(z.real) <= guard and abs(z) > guard:
             raise PurelyImaginaryEigenvalueError(z.imag)
-    poly = characteristic_polynomial(d)
-    f = _Integrand(poly.coeffs)
-    half_pi = math.pi / 2.0
-    estimate = _gl_panel(f, -half_pi, half_pi, _GL_HI)
-    tol_abs = 0.25 * rel_tol * max(1.0, abs(estimate))
-    total = _adaptive_gl(f, -half_pi, 0.0, tol_abs, 0) + _adaptive_gl(f, 0.0, half_pi, tol_abs, 0)
-    return total / math.pi
+    coeffs = spec.charpoly.coeffs
+    zeros = next(k for k, c in enumerate(coeffs) if c)
+    return _coulson_integral(coeffs[zeros:], rel_tol)

@@ -7,6 +7,7 @@ from digenergy import (
     ClosedWalkProfile,
     Digraph,
     bound_chain_report,
+    eigenvalues,
     energy,
     energy_upper_mcclelland,
     energy_upper_radius,
@@ -159,6 +160,11 @@ class TestChainReport:
         d = bound_chain_report(K3).to_dict()
         assert d["energy"] == pytest.approx(4.0)
         assert d["walk_dominated"] is True
+
+    def test_precomputed_profile_and_spectrum(self):
+        for d in (K3, C3, STAR, Digraph(0)):
+            given = bound_chain_report(d, profile=walk_profile(d), spectrum=eigenvalues(d))
+            assert given == bound_chain_report(d)
 
 
 class TestFaultInjection:

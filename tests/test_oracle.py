@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -125,3 +126,10 @@ class TestVerifyAll:
                          count=40, p=0.5, seed=2)
         stats = rep.checks_run["coulson_match"]
         assert stats.passed + stats.failed + stats.skipped == 40
+
+    def test_exhaustive_n4_report_is_byte_stable(self):
+        # Pinned so that memoizing or batching the harness cannot change
+        # the report silently; the elapsed time is the one varying field.
+        body = {k: v for k, v in verify_all(4).to_dict().items() if k != "elapsed_seconds"}
+        digest = hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
+        assert digest == "72725c05134611eeb06497a84e4da536f9373538810de387eb9cb398b8de77a2"

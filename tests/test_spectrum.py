@@ -7,21 +7,26 @@ from hypothesis import strategies as st
 
 from digenergy import (
     Digraph,
+    Graph,
     PurelyImaginaryEigenvalueError,
     characteristic_polynomial,
     coulson_energy,
     eigenvalues,
     energy,
+    enumerate_digraphs,
+    from_graph,
     moment_identities,
+    random_digraph,
     spectral_radius,
     walk_profile,
 )
-from digenergy.spectrum import _square_free_decomposition
+from digenergy.spectrum import _coulson_integral, _repeated_roots, _square_free_decomposition
 
 from families import (
     complete_graph,
     directed_cycle,
     directed_path,
+    path_graph,
     petersen_graph,
     star_graph,
     sym,
@@ -221,3 +226,52 @@ class TestCoulson:
 
     def test_empty_digraph(self):
         assert coulson_energy(Digraph(3)) == pytest.approx(0.0, abs=1e-12)
+
+    def test_many_zero_eigenvalues_are_not_poles(self):
+        # x^10 (x^2 - 3): |phi(ix)| ~ |x|^10 near 0 must not read as a pole.
+        d = from_graph(Graph(12, [(0, 1), (0, 2), (0, 3)]))
+        assert coulson_energy(d) == pytest.approx(2 * math.sqrt(3), rel=1e-6)
+
+
+def _clear_memos():
+    _repeated_roots.cache_clear()
+    _coulson_integral.cache_clear()
+
+
+class TestExactMemo:
+    """Per-polynomial work is memoized; no result may depend on the memo."""
+
+    CORPUS = list(enumerate_digraphs(3)) + [random_digraph(8, p, seed)
+                                            for p in (0.2, 0.4) for seed in range(10)]
+
+    def test_precomputed_poly_is_bit_identical(self):
+        for d in self.CORPUS:
+            poly = characteristic_polynomial(d)
+            eigenvalues(d, poly)
+            warm = eigenvalues(d, poly)
+            _clear_memos()
+            cold = eigenvalues(d)
+            assert repr(warm) == repr(cold)
+
+    def test_coulson_with_spectrum_matches_cold_call(self):
+        for d in self.CORPUS:
+            spec = eigenvalues(d)
+            try:
+                coulson_energy(d, spectrum=spec)
+            except PurelyImaginaryEigenvalueError:
+                continue
+            warm = coulson_energy(d, spectrum=spec)
+            _clear_memos()
+            assert coulson_energy(d) == warm
+
+    def test_relabelings_share_the_memo(self):
+        d = sym(path_graph(4))
+        perm = (2, 0, 3, 1)
+        relabeled = Digraph(4, [(perm[i], perm[j]) for i, j in d.arcs])
+        assert relabeled != d
+        coulson_energy(d)
+        roots_hits = _repeated_roots.cache_info().hits
+        integral_hits = _coulson_integral.cache_info().hits
+        coulson_energy(relabeled)
+        assert _repeated_roots.cache_info().hits > roots_hits
+        assert _coulson_integral.cache_info().hits > integral_hits
