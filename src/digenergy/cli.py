@@ -99,8 +99,8 @@ def build_analysis_document(d: Digraph, tol: float) -> AnalysisDocument:
         profile=profile,
         spectrum=spec,
         bounds=report,
-        verdict_rho=equality_verdict_rho_lower(d),
-        verdict_energy=equality_verdict_energy_upper(d),
+        verdict_rho=equality_verdict_rho_lower(d, profile=profile),
+        verdict_energy=equality_verdict_energy_upper(d, profile=profile),
         coulson=coulson,
         warnings=tuple(warnings),
     )

@@ -4,7 +4,7 @@ The compiled extension (built from ``_kernels_c.pyx``) is used when it is
 importable and the instance is small enough for its fixed-width arithmetic
 (n <= 64 for bitmask kernels, n <= 12 for the int64 characteristic
 polynomial).  Everything else, and every call when the extension is absent,
-goes to the pure-Python twins in ``_kernels_py``.  Set ``DIGENERGY_PURE=1``
+goes to the Python twins in ``_kernels_py``.  Set ``DIGENERGY_PURE=1``
 in the environment to force the pure backend.
 
 Both backends take adjacency bitmask rows as plain Python ints and return

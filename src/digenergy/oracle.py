@@ -354,7 +354,9 @@ def _check_equality_iff_rho(ctx: _Ctx):
     profile = ctx.profile
     _, _, ratio = _inline_rho_lowers(profile, ctx.d.n)
     numeric = abs(ratio - ctx.spectrum.rho) <= IFF_TOL
-    predicted = equality_verdict_rho_lower(ctx.d).predicted_equality
+    predicted = equality_verdict_rho_lower(
+        ctx.d, profile=profile, reduced=ctx.reduced
+    ).predicted_equality
     if predicted != numeric:
         return [(float(predicted), float(numeric), abs(ratio - ctx.spectrum.rho))]
     return []
@@ -366,7 +368,7 @@ def _check_equality_iff_energy(ctx: _Ctx):
     profile, n = ctx.profile, ctx.d.n
     _, _, _, _, f_ratio = _inline_energy_uppers(profile, n, ctx.spectrum.rho)
     numeric = abs(f_ratio - ctx.spectrum.energy) <= IFF_TOL
-    predicted = equality_verdict_energy_upper(ctx.d).predicted_equality
+    predicted = equality_verdict_energy_upper(ctx.d, profile=profile).predicted_equality
     if predicted != numeric:
         return [(float(predicted), float(numeric), abs(f_ratio - ctx.spectrum.energy))]
     return []

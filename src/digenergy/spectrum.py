@@ -29,6 +29,8 @@ _RESIDUAL_GATE = 1e-6
 # Entries of each exact-charpoly memo: exhaustive n=5 has 718 distinct
 # characteristic polynomials, so one exhaustive run never evicts.
 _MEMO_SIZE = 4096
+# The prime modulus of the square-free certificate (a Mersenne prime).
+_CERT_PRIME = 2 ** 61 - 1
 
 
 @dataclass(frozen=True)
@@ -138,7 +140,7 @@ def _aberth_refine(coeffs: Sequence[int], roots: np.ndarray, max_sweeps: int = 2
 # --- exact square-free decomposition (Yun's algorithm over rationals) -------
 
 
-def _frac_trim(p: list[Fraction]) -> list[Fraction]:
+def _trim(p: list) -> list:
     while p and p[-1] == 0:
         p.pop()
     return p
@@ -158,11 +160,11 @@ def _frac_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], 
         if coeff:
             for j in range(len(b)):
                 a[k + j] -= coeff * b[j]
-    return _frac_trim(q), _frac_trim(a[: len(b) - 1])
+    return _trim(q), _trim(a[: len(b) - 1])
 
 
 def _frac_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _frac_trim(a[:]), _frac_trim(b[:])
+    a, b = _trim(a[:]), _trim(b[:])
     while b:
         _, r = _frac_divmod(a, b)
         a, b = b, r
@@ -183,10 +185,38 @@ def _frac_to_int_primitive(p: list[Fraction]) -> tuple[int, ...]:
     return tuple(ints)
 
 
+def _coprime_to_derivative_mod_q(coeffs: Sequence[int]) -> bool:
+    """Whether gcd(p mod q, p' mod q) is a nonzero constant, q = 2^61 - 1.
+
+    Euclid's algorithm over the field Z/qZ, on ascending coefficient lists.
+    """
+    q = _CERT_PRIME
+    a = _trim([c % q for c in coeffs])
+    b = _trim([k * c % q for k, c in enumerate(coeffs)][1:])
+    while b:
+        inv = pow(b[-1], -1, q)
+        db = len(b) - 1
+        for k in range(len(a) - 1, db - 1, -1):
+            f = a[k] * inv % q
+            if f:
+                off = k - db
+                for j in range(db):
+                    a[off + j] = (a[off + j] - f * b[j]) % q
+        a, b = b, _trim(a[:db])
+    return len(a) == 1
+
+
 def _square_free_decomposition(coeffs: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
-    """coeffs (ascending, exact) = product of factor**multiplicity with every
-    factor square-free; Yun's algorithm over exact rationals."""
-    if len(coeffs) <= 2:
+    """coeffs (ascending, exact, monic) = product of factor**multiplicity
+    with every factor square-free; Yun's algorithm over exact rationals.
+
+    A trivial gcd(p, p') modulo the prime q = 2^61 - 1 certifies at once
+    that p is square-free: a repeated factor f^2 of a monic integer p can be
+    taken monic and integral (Gauss's lemma), so it stays a repeated factor
+    of the same degree mod q and divides p' mod q.  Only a nontrivial gcd
+    mod q (a repeated root, or q dividing the discriminant) runs Yun.
+    """
+    if len(coeffs) <= 2 or _coprime_to_derivative_mod_q(coeffs):
         return [(tuple(coeffs), 1)]
     p = [Fraction(c) for c in coeffs]
     dp = _frac_deriv(p)
@@ -195,8 +225,8 @@ def _square_free_decomposition(coeffs: Sequence[int]) -> list[tuple[tuple[int, .
         return [(tuple(coeffs), 1)]
     b, _ = _frac_divmod(p, g)
     c, _ = _frac_divmod(dp, g)
-    d = _frac_trim([x - y for x, y in
-                    zip(c + [Fraction(0)] * len(b), _frac_deriv(b) + [Fraction(0)] * len(c))])
+    d = _trim([x - y for x, y in
+               zip(c + [Fraction(0)] * len(b), _frac_deriv(b) + [Fraction(0)] * len(c))])
     out = []
     mult = 1
     while len(b) > 1:
@@ -205,8 +235,8 @@ def _square_free_decomposition(coeffs: Sequence[int]) -> list[tuple[tuple[int, .
             out.append((_frac_to_int_primitive(a), mult))
         b, _ = _frac_divmod(b, a)
         c, _ = _frac_divmod(d, a)
-        d = _frac_trim([x - y for x, y in
-                        zip(c + [Fraction(0)] * len(b), _frac_deriv(b) + [Fraction(0)] * len(c))])
+        d = _trim([x - y for x, y in
+                   zip(c + [Fraction(0)] * len(b), _frac_deriv(b) + [Fraction(0)] * len(c))])
         mult += 1
     return out
 

@@ -23,6 +23,7 @@ from .digraph import (
     ClosedWalkProfile,
     Digraph,
     Graph,
+    _bits,
     cycle_arc_reduction,
     underlying_graph_if_symmetric,
     walk_profile,
@@ -90,12 +91,6 @@ def _bipartition_masks(g: Graph, comp: tuple[int, ...]) -> Optional[tuple[int, i
     return side[0], side[1]
 
 
-def _mask_vertices(mask: int):
-    while mask:
-        yield (mask & -mask).bit_length() - 1
-        mask &= mask - 1
-
-
 def _component_semiregular(g: Graph, comp: tuple[int, ...]) -> Optional[tuple[int, int]]:
     """(r1, r2) with r1 >= r2 for one connected component, degrees constant
     per side of its bipartition; None otherwise."""
@@ -104,7 +99,7 @@ def _component_semiregular(g: Graph, comp: tuple[int, ...]) -> Optional[tuple[in
         return None
     pair = []
     for side in sides:
-        degs = {g.degrees[v] for v in _mask_vertices(side)}
+        degs = {g.degrees[v] for v in _bits(side)}
         if len(degs) > 1:
             return None
         pair.append(degs.pop() if degs else 0)
@@ -126,23 +121,15 @@ def is_semiregular_bipartite(g: Graph) -> Optional[tuple[int, int]]:
         return (0, 0)
     if any(deg == 0 for deg in g.degrees):
         return None
-    per_comp = []
+    pairs = set()
     for comp in g.component_vertex_sets():
-        sides = _bipartition_masks(g, comp)
-        if sides is None:
+        pair = _component_semiregular(g, comp)
+        if pair is None:
             return None
-        pair = []
-        for side in sides:
-            degs = {g.degrees[v] for v in _mask_vertices(side)}
-            if len(degs) > 1:
-                return None
-            pair.append(degs.pop())
-        per_comp.append(tuple(pair))
-    # Orient each component's (dX, dY) so the global parts have constant degree.
-    for candidate in (per_comp[0], per_comp[0][::-1]):
-        if all(p == candidate or p[::-1] == candidate for p in per_comp):
-            return (max(candidate), min(candidate))
-    return None
+        pairs.add(pair)
+    # Each component can be oriented on its own, so the global parts have
+    # constant degree exactly when every component has the same sorted pair.
+    return pairs.pop() if len(pairs) == 1 else None
 
 
 def is_strongly_regular(g: Graph) -> Optional[tuple[int, int, int, int]]:
@@ -189,7 +176,7 @@ def _average_two_degrees(g: Graph) -> dict[int, Fraction]:
     for v in range(g.n):
         if degs[v] == 0:
             continue
-        t = sum(degs[w] for w in _mask_vertices(g.neighbor_masks[v]))
+        t = sum(degs[w] for w in _bits(g.neighbor_masks[v]))
         ratios[v] = Fraction(t, degs[v])
     return ratios
 
@@ -219,7 +206,7 @@ def is_pseudo_semiregular_bipartite(g: Graph) -> Optional[tuple[float, float]]:
             return None
         pair = []
         for side in sides:
-            vals = {ratios[v] for v in _mask_vertices(side)}
+            vals = {ratios[v] for v in _bits(side)}
             if len(vals) > 1:
                 return None
             pair.append(vals.pop())
@@ -262,16 +249,23 @@ def _classify_equality_components(
     return first
 
 
-def equality_verdict_rho_lower(d: Digraph) -> StructureVerdict:
+def equality_verdict_rho_lower(
+    d: Digraph,
+    *,
+    profile: Optional[ClosedWalkProfile] = None,
+    reduced: Optional[Digraph] = None,
+) -> StructureVerdict:
     """Does the walk-ratio radius bound hold with equality?
 
     True exactly when, after removing the arcs on no cycle, the digraph is
     symmetric and every edge-bearing component of its graph is r-regular or
     (r1, r2)-semiregular bipartite with r^2 = r1 r2 = sum t2^2 / sum c2^2.
+    ``profile`` and ``reduced``, when given, must be ``walk_profile(d)`` and
+    ``cycle_arc_reduction(d)``; they save recomputing them.
     """
-    reduced = cycle_arc_reduction(d)
+    reduced = cycle_arc_reduction(d) if reduced is None else reduced
     removed = tuple(sorted(d.arcs - reduced.arcs))
-    profile = walk_profile(d)
+    profile = walk_profile(d) if profile is None else profile
     g = underlying_graph_if_symmetric(reduced)
     if g is None:
         return StructureVerdict(KIND_NONE, (), False, removed)
@@ -289,7 +283,9 @@ def _srg_nontrivial_eigenvalues(params: tuple[int, int, int, int]) -> tuple[floa
     return ((lam - mu) + root) / 2.0, ((lam - mu) - root) / 2.0
 
 
-def equality_verdict_energy_upper(d: Digraph) -> StructureVerdict:
+def equality_verdict_energy_upper(
+    d: Digraph, *, profile: Optional[ClosedWalkProfile] = None
+) -> StructureVerdict:
     """Does the walk-ratio energy bound hold with equality?
 
     True exactly for symmetric digraphs of: the empty graph, the complete
@@ -298,6 +294,8 @@ def equality_verdict_energy_upper(d: Digraph) -> StructureVerdict:
     sqrt((a - q)/(n - 1)); additionally (graph corollary) a connected
     non-bipartite pseudo-regular graph with exactly three distinct
     eigenvalues p and +-sqrt((2m - p^2)/(n - 1)) where p > sqrt(m/n).
+    ``profile``, when given, must be ``walk_profile(d)``; it saves
+    recomputing it.
     """
     if d.n == 0:
         return StructureVerdict(KIND_EMPTY, (0,), True)
@@ -312,7 +310,7 @@ def equality_verdict_energy_upper(d: Digraph) -> StructureVerdict:
     if all(deg == 1 for deg in g.degrees):
         return StructureVerdict(KIND_PERFECT_MATCHING_UNION, (n // 2,), True)
 
-    profile = walk_profile(d)
+    profile = walk_profile(d) if profile is None else profile
     a = profile.a
     q = profile.sum_t2_sq / profile.sum_c2_sq if profile.sum_c2_sq else 0.0
 

@@ -7,11 +7,15 @@ from digenergy import (
     CHECK_NAMES,
     Digraph,
     UnknownCheckError,
+    cycle_arc_reduction,
     enumerate_digraphs,
+    equality_verdict_energy_upper,
+    equality_verdict_rho_lower,
     inject_fault,
     random_digraph,
     serialize_edge_list,
     verify_all,
+    walk_profile,
 )
 
 from families import complete_graph, sym
@@ -133,3 +137,22 @@ class TestVerifyAll:
         body = {k: v for k, v in verify_all(4).to_dict().items() if k != "elapsed_seconds"}
         digest = hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
         assert digest == "72725c05134611eeb06497a84e4da536f9373538810de387eb9cb398b8de77a2"
+
+
+class TestVerdictsTakePrecomputedPieces:
+    """The harness passes its walk profile and cycle-arc reduction to the
+    equality verdicts; the verdicts must not depend on where they came from."""
+
+    CORPUS = list(enumerate_digraphs(3)) + [random_digraph(6, p, seed)
+                                            for p in (0.3, 0.6) for seed in range(10)]
+
+    def test_rho_lower(self):
+        for d in self.CORPUS:
+            given = equality_verdict_rho_lower(
+                d, profile=walk_profile(d), reduced=cycle_arc_reduction(d))
+            assert given == equality_verdict_rho_lower(d)
+
+    def test_energy_upper(self):
+        for d in self.CORPUS:
+            given = equality_verdict_energy_upper(d, profile=walk_profile(d))
+            assert given == equality_verdict_energy_upper(d)

@@ -20,7 +20,13 @@ from digenergy import (
     spectral_radius,
     walk_profile,
 )
-from digenergy.spectrum import _coulson_integral, _repeated_roots, _square_free_decomposition
+from digenergy import spectrum as spectrum_mod
+from digenergy.spectrum import (
+    _coprime_to_derivative_mod_q,
+    _coulson_integral,
+    _repeated_roots,
+    _square_free_decomposition,
+)
 
 from families import (
     complete_graph,
@@ -85,6 +91,105 @@ class TestCharPoly:
         assert p(0) == -2
 
 
+def _reference_charpoly(n, out_masks):
+    """Faddeev-LeVerrier on nested lists of Python ints: the exact reference
+    for the numpy recurrence."""
+    if n == 0:
+        return [1]
+    a = [[(out_masks[i] >> j) & 1 for j in range(n)] for i in range(n)]
+    rng = range(n)
+    m = [row[:] for row in a]
+    cs = [0] * (n + 1)  # cs[k] is the coefficient of x**(n-k)
+    cs[0] = 1
+    cs[1] = -sum(m[i][i] for i in rng)
+    for k in range(2, n + 1):
+        ck = cs[k - 1]
+        t = [[m[i][j] + (ck if i == j else 0) for j in rng] for i in rng]
+        m = [
+            [sum(a[i][l] * t[l][j] for l in rng if a[i][l]) for j in rng]
+            for i in rng
+        ]
+        tr = sum(m[i][i] for i in rng)
+        q, r = divmod(-tr, k)
+        assert r == 0
+        cs[k] = q
+    return [cs[n - k] for k in range(n + 1)]
+
+
+def _poly_mul(*factors):
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, x in enumerate(out):
+            for j, y in enumerate(f):
+                prod[i + j] += x * y
+        out = prod
+    return tuple(out)
+
+
+def _power(f, k):
+    return _poly_mul(*[f] * k)
+
+
+def _root_power(root, k):
+    """(x - root)^k, ascending."""
+    return _power((-root, 1), k)
+
+
+def _transitive_tournament(n):
+    return Digraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+# Orders on both sides of the int64/object switch of the charpoly recurrence:
+# int64 is proven safe in advance up to n = 12; past that the recurrence
+# checks its values step by step.  At n = 64, J - I and the transitive
+# tournament move to Python ints part way through; the directed cycle
+# stays on int64 throughout.
+CLOSED_FORM_ORDERS = (0, 1, 2, 12, 13, 16, 32, 64)
+
+RANDOM_CORPUS = [random_digraph(n, p, seed)
+                 for n in range(1, 21) for p in (0.1, 0.3, 0.6) for seed in (1, 2)]
+
+
+class TestCharPolyExactness:
+    """The numpy recurrence is exact and returns plain ints at every order."""
+
+    @pytest.mark.parametrize("n", CLOSED_FORM_ORDERS)
+    def test_complete_digraph(self, n):
+        coeffs = characteristic_polynomial(sym(complete_graph(n))).coeffs
+        want = (1,) if n == 0 else _poly_mul(_root_power(n - 1, 1), _root_power(-1, n - 1))
+        assert coeffs == want
+        assert all(type(c) is int for c in coeffs)
+
+    @pytest.mark.parametrize("n", CLOSED_FORM_ORDERS)
+    def test_directed_cycle(self, n):
+        d = directed_cycle(n) if n >= 2 else Digraph(n)
+        coeffs = characteristic_polynomial(d).coeffs
+        # x^n - 1; the orders 0 and 1 have no cycle and give x^n.
+        want = (-1,) + (0,) * (n - 1) + (1,) if n >= 2 else (0,) * n + (1,)
+        assert coeffs == want
+        assert all(type(c) is int for c in coeffs)
+
+    @pytest.mark.parametrize("n", CLOSED_FORM_ORDERS)
+    def test_transitive_tournament_is_nilpotent(self, n):
+        coeffs = characteristic_polynomial(_transitive_tournament(n)).coeffs
+        assert coeffs == (0,) * n + (1,)
+        assert all(type(c) is int for c in coeffs)
+
+    def test_matches_python_int_reference(self):
+        for d in RANDOM_CORPUS:
+            coeffs = characteristic_polynomial(d).coeffs
+            assert list(coeffs) == _reference_charpoly(d.n, d.out_masks)
+            assert all(type(c) is int for c in coeffs)
+
+    def test_matches_reference_after_moving_to_python_ints(self):
+        # Dense enough that the recurrence leaves int64 part way through.
+        d = random_digraph(48, 0.5, 1)
+        coeffs = characteristic_polynomial(d).coeffs
+        assert list(coeffs) == _reference_charpoly(d.n, d.out_masks)
+        assert all(type(c) is int for c in coeffs)
+
+
 class TestSquareFreeDecomposition:
     def test_square_free_passthrough(self):
         assert _square_free_decomposition((-1, 0, 0, 1)) == [((-1, 0, 0, 1), 1)]
@@ -97,6 +202,55 @@ class TestSquareFreeDecomposition:
 
     def test_mixed(self):
         assert _square_free_decomposition((-2, -3, 0, 1)) == [((-2, 1), 1), ((1, 1), 2)]
+
+
+def _rational_yun(coeffs, monkeypatch):
+    """The decomposition with the modular certificate switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(spectrum_mod, "_coprime_to_derivative_mod_q", lambda c: False)
+        return _square_free_decomposition(coeffs)
+
+
+REPEATED_ROOT_POLYS = [
+    _poly_mul(_root_power(2, 2), _root_power(-1, 1)),
+    _poly_mul(_power((1, 0, 1), 2), _root_power(0, 3)),
+    _poly_mul(_root_power(3, 1), _power((-2, 0, 1), 3), _root_power(-1, 4)),
+    _power((-1, -1, 1), 2),
+    _root_power(0, 9),
+    # The characteristic polynomial of J - I at n = 20: (x - 19)(x + 1)^19.
+    _poly_mul(_root_power(19, 1), _root_power(-1, 19)),
+]
+
+
+class TestModularCertificate:
+    """A trivial gcd(p, p') mod 2^61 - 1 short-cuts Yun; nothing else may change."""
+
+    def test_matches_rational_yun_on_charpolys(self, monkeypatch):
+        square_free = 0
+        for d in RANDOM_CORPUS:
+            coeffs = characteristic_polynomial(d).coeffs
+            got = _square_free_decomposition(coeffs)
+            assert got == _rational_yun(coeffs, monkeypatch)
+            square_free += got == [(coeffs, 1)]
+        assert 0 < square_free < len(RANDOM_CORPUS)
+
+    @pytest.mark.parametrize("coeffs", REPEATED_ROOT_POLYS)
+    def test_repeated_roots_are_never_certified(self, coeffs, monkeypatch):
+        assert not _coprime_to_derivative_mod_q(coeffs)
+        got = _square_free_decomposition(coeffs)
+        assert got == _rational_yun(coeffs, monkeypatch)
+        assert max(mult for _, mult in got) > 1
+
+    def test_square_free_but_not_mod_q_falls_back_to_yun(self):
+        # x (x - q) is square-free over Q but x^2 mod q.
+        q = spectrum_mod._CERT_PRIME
+        coeffs = (0, -q, 1)
+        assert not _coprime_to_derivative_mod_q(coeffs)
+        assert _square_free_decomposition(coeffs) == [(coeffs, 1)]
+
+    def test_square_free_certified(self):
+        assert _coprime_to_derivative_mod_q((-1, 0, 0, 1))
+        assert _coprime_to_derivative_mod_q(characteristic_polynomial(directed_cycle(64)).coeffs)
 
 
 class TestEigenvalues:
