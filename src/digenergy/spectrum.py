@@ -6,6 +6,10 @@ The floating eigenvalues come from Hessenberg reduction + implicitly shifted
 QR (LAPACK via numpy), are refined by Aberth-Ehrlich iteration against the
 exact integer characteristic polynomial, and are forced into exact conjugate
 pairs before any derived quantity is computed.
+
+The Coulson integral is an independent route to the energy: adaptive
+Gauss-Legendre quadrature that evaluates the integrand once per refinement
+level, over all panels of that level, with a fixed panel budget.
 """
 
 from __future__ import annotations
@@ -215,14 +219,26 @@ def _square_free_decomposition(coeffs: Sequence[int]) -> list[tuple[tuple[int, .
     taken monic and integral (Gauss's lemma), so it stays a repeated factor
     of the same degree mod q and divides p' mod q.  Only a nontrivial gcd
     mod q (a repeated root, or q dividing the discriminant) runs Yun.
+
+    A factor x^k with k >= 2 (zero eigenvalues, common in sparse digraphs)
+    is split off exactly first and the certificate is run on the monic
+    cofactor c: when c is square-free the result is Yun's own
+    ``[(c, 1), (x, k)]``, or ``[(x, n)]`` for p = x^n.
     """
-    if len(coeffs) <= 2 or _coprime_to_derivative_mod_q(coeffs):
-        return [(tuple(coeffs), 1)]
+    coeffs = tuple(coeffs)
+    k = next(i for i, c in enumerate(coeffs) if c)
+    if k < 2:
+        if len(coeffs) <= 2 or _coprime_to_derivative_mod_q(coeffs):
+            return [(coeffs, 1)]
+    elif k == len(coeffs) - 1:
+        return [((0, 1), k)]
+    elif len(coeffs) - k <= 2 or _coprime_to_derivative_mod_q(coeffs[k:]):
+        return [(coeffs[k:], 1), ((0, 1), k)]
     p = [Fraction(c) for c in coeffs]
     dp = _frac_deriv(p)
     g = _frac_gcd(p, dp)
     if len(g) == 1:
-        return [(tuple(coeffs), 1)]
+        return [(coeffs, 1)]
     b, _ = _frac_divmod(p, g)
     c, _ = _frac_divmod(dp, g)
     d = _trim([x - y for x, y in
@@ -396,6 +412,12 @@ def moment_identities(d: Digraph) -> MomentIdentities:
 _GL_LO = np.polynomial.legendre.leggauss(8)
 _GL_HI = np.polynomial.legendre.leggauss(16)
 _POLE_REL = 1e-13
+# Depth at which a panel (width pi / 2^49) is accepted whatever its error.
+_MAX_DEPTH = 48
+# Panels one quadrature may evaluate.  Polynomials from the harness and from
+# `analyze` use at most about 100; only a pole between the nodes, which
+# refinement never resolves, comes near this.
+_MAX_PANELS = 2048
 
 
 class _Integrand:
@@ -454,41 +476,95 @@ class _Integrand:
             raise PurelyImaginaryEigenvalueError(float(x[bad][0]))
 
 
-def _gl_panel(f, a: float, b: float, rule) -> float:
-    nodes, weights = rule
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * float(np.dot(weights, f(mid + half * nodes)))
+def _panel_sums(weights: np.ndarray, values: np.ndarray, halves: np.ndarray) -> np.ndarray:
+    """Gauss-Legendre sums of the panels whose node values are the rows of
+    ``values``.  One ``np.dot`` per row keeps each sum bit-identical to a
+    panel evaluated on its own, whatever the number of panels."""
+    return halves * np.array([np.dot(weights, row) for row in values])
 
 
-def _adaptive_gl(f, a: float, b: float, tol: float, depth: int = 0) -> float:
-    coarse = _gl_panel(f, a, b, _GL_LO)
-    fine = _gl_panel(f, a, b, _GL_HI)
-    if abs(fine - coarse) <= tol or depth >= 48:
-        return fine
-    mid = 0.5 * (a + b)
-    return _adaptive_gl(f, a, mid, tol / 2.0, depth + 1) + _adaptive_gl(f, mid, b, tol / 2.0, depth + 1)
+def _level_synchronous_gl(f, a: float, b: float, rel_tol: float) -> float:
+    """Adaptive Gauss-Legendre quadrature of f over (a, b), one refinement
+    level at a time.
+
+    The halves of (a, b) form level 0.  A panel is accepted when its 8- and
+    16-node sums agree within the tolerance of its level, or at depth
+    ``_MAX_DEPTH``; every other panel is split in two for the next level,
+    with the tolerance halved.  Level 0 starts from
+    ``0.25 * rel_tol * max(1, |16-node sum over (a, b)|)``.  All nodes of a
+    level, and the whole-interval estimate with level 0, go to f in one
+    call.  The accepted 16-node sums are added pairwise in the order of the
+    binary panel tree, sibling by sibling, so the result does not depend on
+    how many panels share a call.
+
+    Raises PurelyImaginaryEigenvalueError when the next level would take
+    the panel count past ``_MAX_PANELS``, at the midpoint of the panel of
+    the last level (all of its panels are equally narrow) whose two sums
+    disagree most: a pole between the nodes keeps refinement going there.
+    """
+    lo_nodes, lo_weights = _GL_LO
+    hi_nodes, hi_weights = _GL_HI
+    nodes = np.concatenate([lo_nodes, hi_nodes])
+    n_lo, n_hi = len(lo_nodes), len(hi_nodes)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    left, right = np.array([a, mid]), np.array([mid, b])
+    levels: list[tuple[np.ndarray, np.ndarray]] = []  # (fine sums, accepted) per level
+    panels = 0
+    depth = 0
+    while True:
+        mids = 0.5 * (left + right)
+        halves = 0.5 * (right - left)
+        x = (mids[:, None] + halves[:, None] * nodes).ravel()
+        if depth == 0:
+            x = np.concatenate([mid + half * hi_nodes, x])
+        values = f(x)
+        if depth == 0:
+            estimate = half * float(np.dot(hi_weights, values[:n_hi]))
+            tol = 0.25 * rel_tol * max(1.0, abs(estimate))
+            values = values[n_hi:]
+        values = values.reshape(len(mids), -1)
+        coarse = _panel_sums(lo_weights, values[:, :n_lo], halves)
+        fine = _panel_sums(hi_weights, values[:, n_lo:], halves)
+        error = np.abs(fine - coarse)
+        accepted = (error <= tol) | (depth >= _MAX_DEPTH)
+        levels.append((fine, accepted))
+        panels += len(mids)
+        split = ~accepted
+        if not split.any():
+            break
+        if panels + 2 * int(split.sum()) > _MAX_PANELS:
+            worst = int(np.argmax(np.where(split, error, -1.0)))
+            raise PurelyImaginaryEigenvalueError(float(np.tan(mids[worst])))
+        left = np.stack([left[split], mids[split]], axis=1).ravel()
+        right = np.stack([mids[split], right[split]], axis=1).ravel()
+        tol /= 2.0
+        depth += 1
+    sums = levels[-1][0]
+    for fine, accepted in reversed(levels[:-1]):
+        total = fine.copy()
+        total[~accepted] = sums[0::2] + sums[1::2]
+        sums = total
+    return float(sums[0] + sums[1])
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _coulson_integral(coeffs: tuple[int, ...], rel_tol: float) -> float:
     """The energy integral of the polynomial ``coeffs`` (ascending, exact,
     monic, nonzero constant term); memoized like ``_repeated_roots``."""
-    f = _Integrand(coeffs)
     half_pi = math.pi / 2.0
-    estimate = _gl_panel(f, -half_pi, half_pi, _GL_HI)
-    tol_abs = 0.25 * rel_tol * max(1.0, abs(estimate))
-    total = _adaptive_gl(f, -half_pi, 0.0, tol_abs, 0) + _adaptive_gl(f, 0.0, half_pi, tol_abs, 0)
-    return total / math.pi
+    return _level_synchronous_gl(_Integrand(coeffs), -half_pi, half_pi, rel_tol) / math.pi
 
 
 def coulson_energy(d: Digraph, rel_tol: float = 1e-6, *, spectrum: Optional[Spectrum] = None) -> float:
     """Energy via the integral (1/pi) * int (n - i x phi'(ix)/phi(ix)) dx.
 
     Evaluated with the substitution x = tan(theta) and adaptive
-    Gauss-Legendre panels on (-pi/2, pi/2).  Raises
-    PurelyImaginaryEigenvalueError when an eigenvalue sits on the imaginary
-    axis away from zero (the integrand then has a pole on the path).
+    Gauss-Legendre panels on (-pi/2, pi/2), one refinement level at a time
+    (see ``_level_synchronous_gl``).  Raises PurelyImaginaryEigenvalueError
+    when an eigenvalue sits on the imaginary axis away from zero (the
+    integrand then has a pole on the path): found on the spectrum, at a node
+    of the quadrature, or when refinement near the pole uses up
+    ``_MAX_PANELS``.
     ``spectrum``, when given, must be ``eigenvalues(d)``; it saves
     recomputing it.
 

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -189,6 +190,17 @@ class TestCharPolyExactness:
         assert list(coeffs) == _reference_charpoly(d.n, d.out_masks)
         assert all(type(c) is int for c in coeffs)
 
+    def test_sink_rows_after_moving_to_python_ints(self):
+        # The digraph above with two sinks added, one inside the vertex
+        # order and one last: rows without out-neighbours in the product
+        # on Python ints, which this digraph also enters.  A sink adds a
+        # factor x to the characteristic polynomial.
+        d = random_digraph(48, 0.5, 1)
+        arcs = [(i + (i >= 20), j + (j >= 20)) for i, j in d.arcs] + [(0, 20), (3, 20), (7, 49)]
+        coeffs = characteristic_polynomial(Digraph(50, arcs)).coeffs
+        assert coeffs == (0, 0) + characteristic_polynomial(d).coeffs
+        assert all(type(c) is int for c in coeffs)
+
 
 class TestSquareFreeDecomposition:
     def test_square_free_passthrough(self):
@@ -202,6 +214,12 @@ class TestSquareFreeDecomposition:
 
     def test_mixed(self):
         assert _square_free_decomposition((-2, -3, 0, 1)) == [((-2, 1), 1), ((1, 1), 2)]
+
+    def test_zero_eigenvalues_split_off(self):
+        # x^3 (x^2 - 2) and x^2 (x - 1)
+        assert _square_free_decomposition((0, 0, 0, -2, 0, 1)) == [((-2, 0, 1), 1), ((0, 1), 3)]
+        assert _square_free_decomposition((0, 0, -1, 1)) == [((-1, 1), 1), ((0, 1), 2)]
+        assert _square_free_decomposition((0, -2, 0, 1)) == [((0, -2, 0, 1), 1)]
 
 
 def _rational_yun(coeffs, monkeypatch):
@@ -219,6 +237,13 @@ REPEATED_ROOT_POLYS = [
     _root_power(0, 9),
     # The characteristic polynomial of J - I at n = 20: (x - 19)(x + 1)^19.
     _poly_mul(_root_power(19, 1), _root_power(-1, 19)),
+]
+
+
+# Symmetric digraphs of sparse random graphs, at orders of `analyze`.
+SPARSE_SYMMETRIC_CORPUS = [
+    from_graph(Graph(n, [(i, j) for i, j in random_digraph(n, p, seed).arcs if i < j]))
+    for n in (16, 32) for p in (0.08, 0.15) for seed in (1, 2, 3)
 ]
 
 
@@ -240,6 +265,18 @@ class TestModularCertificate:
         got = _square_free_decomposition(coeffs)
         assert got == _rational_yun(coeffs, monkeypatch)
         assert max(mult for _, mult in got) > 1
+
+    def test_matches_rational_yun_on_sparse_symmetric_charpolys(self, monkeypatch):
+        # Sparse graphs have many zero eigenvalues; the certificate then
+        # runs on the cofactor of x^k.
+        split_off = 0
+        for d in SPARSE_SYMMETRIC_CORPUS:
+            coeffs = characteristic_polynomial(d).coeffs
+            got = _square_free_decomposition(coeffs)
+            assert got == _rational_yun(coeffs, monkeypatch)
+            k = next(i for i, c in enumerate(coeffs) if c)
+            split_off += k >= 2 and got == [(coeffs[k:], 1), ((0, 1), k)]
+        assert split_off > 0
 
     def test_square_free_but_not_mod_q_falls_back_to_yun(self):
         # x (x - q) is square-free over Q but x^2 mod q.
@@ -385,6 +422,102 @@ class TestCoulson:
         # x^10 (x^2 - 3): |phi(ix)| ~ |x|^10 near 0 must not read as a pole.
         d = from_graph(Graph(12, [(0, 1), (0, 2), (0, 3)]))
         assert coulson_energy(d) == pytest.approx(2 * math.sqrt(3), rel=1e-6)
+
+
+class _PanelBudgetExceeded(Exception):
+    pass
+
+
+def _reference_coulson(coeffs, rel_tol=1e-6, max_panels=math.inf):
+    """The depth-first recursive quadrature, one integrand call per panel
+    and rule: the reference for the level-synchronous one.  Raises
+    _PanelBudgetExceeded when it would evaluate more than ``max_panels``
+    panels."""
+    f = spectrum_mod._Integrand(coeffs)
+    panels = 0
+
+    def panel(a, b, rule):
+        nodes, weights = rule
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        return half * float(np.dot(weights, f(mid + half * nodes)))
+
+    def adaptive(a, b, tol, depth):
+        nonlocal panels
+        panels += 1
+        if panels > max_panels:
+            raise _PanelBudgetExceeded
+        coarse = panel(a, b, spectrum_mod._GL_LO)
+        fine = panel(a, b, spectrum_mod._GL_HI)
+        if abs(fine - coarse) <= tol or depth >= 48:
+            return fine
+        mid = 0.5 * (a + b)
+        return adaptive(a, mid, tol / 2.0, depth + 1) + adaptive(mid, b, tol / 2.0, depth + 1)
+
+    half_pi = math.pi / 2.0
+    estimate = panel(-half_pi, half_pi, spectrum_mod._GL_HI)
+    tol = 0.25 * rel_tol * max(1.0, abs(estimate))
+    return (adaptive(-half_pi, 0.0, tol, 0) + adaptive(0.0, half_pi, tol, 0)) / math.pi
+
+
+def _integral_input(d):
+    """The polynomial ``coulson_energy`` integrates: x^k divided out."""
+    coeffs = characteristic_polynomial(d).coeffs
+    return coeffs[next(k for k, c in enumerate(coeffs) if c):]
+
+
+COULSON_CORPORA = {
+    "n8": [random_digraph(8, p, s) for p in (0.2, 0.4) for s in range(50)],
+    # The first 50 samples of verify_all(10, mode="random", p=0.3, seed=10**6).
+    "verify-random-n10": [random_digraph(10, 0.3, 1_000_000 + k) for k in range(50)],
+    "n32": [random_digraph(32, p, 1) for p in (0.3, 0.4, 0.5)],
+}
+
+# Eigenvalues on the imaginary axis: (x^2 + 1)(x^2 + 4), x^6 + 1,
+# (x^2 + 1)(x^2 + 9), x^4 - 1 (its poles cancel in the real part), x^2 + 1.
+POLE_POLYS = [(4, 0, 5, 0, 1), (1, 0, 0, 0, 0, 0, 1), (9, 0, 10, 0, 1), (-1, 0, 0, 0, 1), (1, 0, 1)]
+
+
+def _outcomes(coeffs):
+    """What the reference (stopped past the panel budget) and the
+    level-synchronous quadrature return, with "raises" for a pole."""
+    def outcome(integral):
+        try:
+            return integral()
+        except (PurelyImaginaryEigenvalueError, _PanelBudgetExceeded):
+            return "raises"
+    want = outcome(lambda: _reference_coulson(coeffs, max_panels=spectrum_mod._MAX_PANELS))
+    got = outcome(lambda: _coulson_integral.__wrapped__(coeffs, 1e-6))
+    return want, got
+
+
+class TestLevelSynchronousQuadrature:
+    """One integrand call per refinement level returns exactly what the
+    recursive quadrature returns, raises exactly when it raises or would
+    pass the panel budget, and a pole cannot make it run away."""
+
+    @pytest.mark.parametrize("corpus", sorted(COULSON_CORPORA))
+    def test_bit_identical_to_reference(self, corpus):
+        values = 0
+        for d in COULSON_CORPORA[corpus]:
+            want, got = _outcomes(_integral_input(d))
+            assert got == want
+            values += want != "raises"
+        assert values >= 0.9 * len(COULSON_CORPORA[corpus])
+
+    def test_poles_raise_exactly_when_reference_raises(self):
+        outcomes = [_outcomes(coeffs) for coeffs in POLE_POLYS]
+        assert [got == "raises" for _, got in outcomes] == [want == "raises" for want, _ in outcomes]
+        assert [got == "raises" for _, got in outcomes] == [True, True, True, False, False]
+
+    def test_pole_between_nodes_hits_panel_budget(self):
+        # The integrand guard never fires on (x^2 + 1)(x^2 + 4): refinement
+        # closes in on the pole without a node landing on it.
+        started = time.perf_counter()
+        with pytest.raises(PurelyImaginaryEigenvalueError) as exc:
+            _coulson_integral.__wrapped__((4, 0, 5, 0, 1), 1e-6)
+        assert time.perf_counter() - started < 1.0
+        assert min(abs(abs(exc.value.x) - 1.0), abs(abs(exc.value.x) - 2.0)) < 1e-3
 
 
 def _clear_memos():
