@@ -114,9 +114,7 @@ def charpoly_from_masks(n: int, out_masks):
     too large, against the measured max|M_{k-1}|.  A priori
     |c_k| <= C(n, k) r^k and max|M_k| <= 2^n r^k, so int64 is certain for
     n <= 12; in practice the values stay far smaller (below 2^46 on random
-    digraphs and tournaments up to n = 32).  On Python ints the product
-    ``A T`` is formed as row sums of T over each vertex's out-neighbours,
-    which skips the multiplications by the zeros of A.
+    digraphs and tournaments up to n = 32).
     """
     if n == 0:
         return [1]
@@ -132,21 +130,10 @@ def charpoly_from_masks(n: int, out_masks):
         if m.dtype != object and bound + abs(c) >= limit:
             bound = int(np.abs(m).max())
             if bound + abs(c) >= limit:
-                m = m.astype(object)
-                cols = np.nonzero(a)[1]
-                degree = a.sum(axis=1)
-                busy = degree > 0
-                starts = (np.cumsum(degree) - degree)[busy]
+                a, m = a.astype(object), m.astype(object)
         t = m.copy()
         t[diag, diag] += c
-        if m.dtype == object:
-            # Row i of A T is the sum of the rows of T at the out-neighbours
-            # of i; rows without out-neighbours stay 0 (``reduceat`` would
-            # return a row of T for an empty segment).
-            m = np.zeros_like(t)
-            m[busy] = np.add.reduceat(t[cols], starts, axis=0)
-        else:
-            m = a @ t
+        m = a @ t
         bound = r * (bound + abs(c))
         q, rem = divmod(-int(m.trace()), k)
         assert rem == 0, "Faddeev-LeVerrier trace not divisible"

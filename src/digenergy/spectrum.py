@@ -492,10 +492,9 @@ def _level_synchronous_gl(f, a: float, b: float, rel_tol: float) -> float:
     ``_MAX_DEPTH``; every other panel is split in two for the next level,
     with the tolerance halved.  Level 0 starts from
     ``0.25 * rel_tol * max(1, |16-node sum over (a, b)|)``.  All nodes of a
-    level, and the whole-interval estimate with level 0, go to f in one
-    call.  The accepted 16-node sums are added pairwise in the order of the
-    binary panel tree, sibling by sibling, so the result does not depend on
-    how many panels share a call.
+    level go to f in one call.  The accepted 16-node sums are added
+    pairwise in the order of the binary panel tree, sibling by sibling, so
+    the result does not depend on how many panels share a call.
 
     Raises PurelyImaginaryEigenvalueError when the next level would take
     the panel count past ``_MAX_PANELS``, at the midpoint of the panel of
@@ -505,8 +504,10 @@ def _level_synchronous_gl(f, a: float, b: float, rel_tol: float) -> float:
     lo_nodes, lo_weights = _GL_LO
     hi_nodes, hi_weights = _GL_HI
     nodes = np.concatenate([lo_nodes, hi_nodes])
-    n_lo, n_hi = len(lo_nodes), len(hi_nodes)
+    n_lo = len(lo_nodes)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    estimate = half * float(np.dot(hi_weights, f(mid + half * hi_nodes)))
+    tol = 0.25 * rel_tol * max(1.0, abs(estimate))
     left, right = np.array([a, mid]), np.array([mid, b])
     levels: list[tuple[np.ndarray, np.ndarray]] = []  # (fine sums, accepted) per level
     panels = 0
@@ -514,15 +515,7 @@ def _level_synchronous_gl(f, a: float, b: float, rel_tol: float) -> float:
     while True:
         mids = 0.5 * (left + right)
         halves = 0.5 * (right - left)
-        x = (mids[:, None] + halves[:, None] * nodes).ravel()
-        if depth == 0:
-            x = np.concatenate([mid + half * hi_nodes, x])
-        values = f(x)
-        if depth == 0:
-            estimate = half * float(np.dot(hi_weights, values[:n_hi]))
-            tol = 0.25 * rel_tol * max(1.0, abs(estimate))
-            values = values[n_hi:]
-        values = values.reshape(len(mids), -1)
+        values = f((mids[:, None] + halves[:, None] * nodes).ravel()).reshape(len(mids), -1)
         coarse = _panel_sums(lo_weights, values[:, :n_lo], halves)
         fine = _panel_sums(hi_weights, values[:, n_lo:], halves)
         error = np.abs(fine - coarse)

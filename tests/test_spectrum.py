@@ -192,9 +192,9 @@ class TestCharPolyExactness:
 
     def test_sink_rows_after_moving_to_python_ints(self):
         # The digraph above with two sinks added, one inside the vertex
-        # order and one last: rows without out-neighbours in the product
-        # on Python ints, which this digraph also enters.  A sink adds a
-        # factor x to the characteristic polynomial.
+        # order and one last: zero rows of A in the product on Python ints,
+        # which this digraph also enters.  A sink adds a factor x to the
+        # characteristic polynomial.
         d = random_digraph(48, 0.5, 1)
         arcs = [(i + (i >= 20), j + (j >= 20)) for i, j in d.arcs] + [(0, 20), (3, 20), (7, 49)]
         coeffs = characteristic_polynomial(Digraph(50, arcs)).coeffs
@@ -474,8 +474,13 @@ COULSON_CORPORA = {
 }
 
 # Eigenvalues on the imaginary axis: (x^2 + 1)(x^2 + 4), x^6 + 1,
-# (x^2 + 1)(x^2 + 9), x^4 - 1 (its poles cancel in the real part), x^2 + 1.
-POLE_POLYS = [(4, 0, 5, 0, 1), (1, 0, 0, 0, 0, 0, 1), (9, 0, 10, 0, 1), (-1, 0, 0, 0, 1), (1, 0, 1)]
+# (x^2 + 1)(x^2 + 9).
+GUARDED_POLE_POLYS = [(4, 0, 5, 0, 1), (1, 0, 0, 0, 0, 0, 1), (9, 0, 10, 0, 1)]
+# x^4 - 1 and x^2 + 1 have their poles at x = +-1, the midpoints of the two
+# level-0 panels.  Both rules are symmetric about a panel midpoint, so the
+# odd singularity cancels in both sums and neither quadrature raises: a
+# known defect, recorded as FOUND in CHANGES.md.
+MIDPOINT_POLE_POLYS = [(-1, 0, 0, 0, 1), (1, 0, 1)]
 
 
 def _outcomes(coeffs):
@@ -505,10 +510,21 @@ class TestLevelSynchronousQuadrature:
             values += want != "raises"
         assert values >= 0.9 * len(COULSON_CORPORA[corpus])
 
-    def test_poles_raise_exactly_when_reference_raises(self):
-        outcomes = [_outcomes(coeffs) for coeffs in POLE_POLYS]
-        assert [got == "raises" for _, got in outcomes] == [want == "raises" for want, _ in outcomes]
-        assert [got == "raises" for _, got in outcomes] == [True, True, True, False, False]
+    @pytest.mark.parametrize("coeffs", GUARDED_POLE_POLYS + MIDPOINT_POLE_POLYS)
+    def test_poles_raise_exactly_when_reference_raises(self, coeffs):
+        want, got = _outcomes(coeffs)
+        assert (got == "raises") == (want == "raises")
+
+    @pytest.mark.parametrize("coeffs", GUARDED_POLE_POLYS)
+    def test_poles_raise(self, coeffs):
+        _, got = _outcomes(coeffs)
+        assert got == "raises"
+
+    @pytest.mark.xfail(reason="a pole at a panel midpoint cancels in both rules (FOUND in CHANGES.md)")
+    @pytest.mark.parametrize("coeffs", MIDPOINT_POLE_POLYS)
+    def test_midpoint_poles_raise(self, coeffs):
+        _, got = _outcomes(coeffs)
+        assert got == "raises"
 
     def test_pole_between_nodes_hits_panel_budget(self):
         # The integrand guard never fires on (x^2 + 1)(x^2 + 4): refinement
