@@ -12,19 +12,24 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import bounds as bounds_mod
-from .digraph import Digraph, parse_edge_list, serialize_edge_list, walk_profile
+from .digraph import Digraph, parse_edge_list, serialize_edge_list
 from .errors import (
     DigraphValidationError,
     EdgeListParseError,
     PurelyImaginaryEigenvalueError,
     UnknownCheckError,
 )
-from .oracle import CHECK_NAMES, EXHAUSTIVE_MAX_N, RANDOM_MAX_N, random_digraph, verify_all
+from .oracle import (
+    CHECK_NAMES,
+    EXHAUSTIVE_MAX_N,
+    RANDOM_MAX_N,
+    Analysis,
+    random_digraph,
+    verify_all,
+)
 from .spectrum import coulson_energy, eigenvalues
-from .structure import equality_verdict_energy_upper, equality_verdict_rho_lower
 
 
 def _fmt(value) -> str:
@@ -41,69 +46,10 @@ def _bold(text: str) -> str:
     return f"\x1b[1m{text}\x1b[0m" if _use_color() else text
 
 
-@dataclass
-class AnalysisDocument:
-    """Everything the analyze command reports for one digraph."""
-
-    digraph: Digraph
-    profile: object
-    spectrum: object
-    bounds: object
-    verdict_rho: object
-    verdict_energy: object
-    coulson: float | None
-    warnings: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "digraph": {
-                "n": self.digraph.n,
-                "arc_count": self.digraph.arc_count,
-                "arcs": [list(a) for a in self.digraph.sorted_arcs],
-            },
-            "profile": {
-                "c2_seq": list(self.profile.c2_seq),
-                "t2_seq": list(self.profile.t2_seq),
-                "c2_total": self.profile.c2_total,
-                "sum_c2_sq": self.profile.sum_c2_sq,
-                "sum_t2_sq": self.profile.sum_t2_sq,
-                "arc_count": self.profile.a,
-            },
-            "spectrum": {
-                "eigenvalues": [[z.real, z.imag] for z in self.spectrum.eigenvalues],
-                "rho": self.spectrum.rho,
-                "energy": self.spectrum.energy,
-            },
-            "bounds": self.bounds.to_dict(),
-            "verdicts": {
-                "radius_lower": self.verdict_rho.to_dict(),
-                "energy_upper": self.verdict_energy.to_dict(),
-            },
-            "coulson_energy": self.coulson,
-            "warnings": list(self.warnings),
-        }
-
-
-def build_analysis_document(d: Digraph, tol: float) -> AnalysisDocument:
-    profile = walk_profile(d)
-    spec = eigenvalues(d)
-    report = bounds_mod.bound_chain_report(d, tol=tol, profile=profile, spectrum=spec)
-    warnings = list(report.notes)
-    try:
-        coulson = coulson_energy(d, spectrum=spec)
-    except PurelyImaginaryEigenvalueError as exc:
-        coulson = None
-        warnings.append(f"coulson integral skipped: {exc}")
-    return AnalysisDocument(
-        digraph=d,
-        profile=profile,
-        spectrum=spec,
-        bounds=report,
-        verdict_rho=equality_verdict_rho_lower(d, profile=profile),
-        verdict_energy=equality_verdict_energy_upper(d, profile=profile),
-        coulson=coulson,
-        warnings=tuple(warnings),
-    )
+def build_analysis_document(d: Digraph, tol: float) -> Analysis:
+    """The analysis the ``analyze`` command reports; its pieces are computed
+    as the report reads them."""
+    return Analysis(d, tol)
 
 
 def _render_verdict(v) -> str:
@@ -113,8 +59,8 @@ def _render_verdict(v) -> str:
     return f"{head}  equality={'yes' if v.predicted_equality else 'no'}{extra}"
 
 
-def _render_analysis(doc: AnalysisDocument) -> str:
-    d, prof, spec, rep = doc.digraph, doc.profile, doc.spectrum, doc.bounds
+def _render_analysis(doc: Analysis) -> str:
+    d, prof, spec, rep = doc.d, doc.profile, doc.spectrum, doc.bounds
     lines = []
     lines.append(_bold("digraph") + f"   n={d.n}  arcs={d.arc_count}")
     if d.arc_count:

@@ -164,9 +164,6 @@ class SccPartition:
     component_id: tuple[int, ...]
     component_count: int
 
-    def members(self, cid: int) -> tuple[int, ...]:
-        return tuple(v for v, c in enumerate(self.component_id) if c == cid)
-
 
 def _bits(mask: int):
     while mask:

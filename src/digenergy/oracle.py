@@ -1,7 +1,11 @@
-"""Exhaustive and randomized verification harness.
+"""Per-digraph analysis and the exhaustive and randomized verification
+harness.
 
-Enumerates labeled loop-free digraphs (or samples them reproducibly),
-evaluates a registry of named checks on each one, and reports every
+``Analysis`` memoizes every quantity of one digraph (profile, spectrum,
+bounds, equality verdicts, Coulson integral) and is the one record that
+both the ``analyze`` command and the harness read.  The harness enumerates
+labeled loop-free digraphs (or samples them reproducibly), evaluates a
+registry of named checks on the ``Analysis`` of each one, and reports every
 violation with the offending digraph serialized in the edge-list format.
 The checks recompute each bound formula inline from profile integers, so a
 drifted formula in ``bounds`` is caught directly and not merely when an
@@ -137,10 +141,20 @@ class VerificationReport:
         }
 
 
-class _Ctx:
-    """Per-digraph lazy cache so each quantity is computed at most once."""
+class Analysis:
+    """Everything the library computes for one digraph, each piece at most
+    once.
 
-    def __init__(self, d: Digraph, tol: float):
+    A lazy memo: the closed-walk profile, the exact characteristic
+    polynomial, the certified spectrum, the geometric symmetrization, the
+    cycle-arc reduction, the edge-list text, the bound chain at ``tol``,
+    both equality verdicts and the Coulson integral (rel_tol 1e-6) are
+    computed on first use and shared by every later reader.  The
+    verification checks and the ``analyze`` command both read one, and
+    ``to_dict()`` is the ``analyze --json`` document.
+    """
+
+    def __init__(self, d: Digraph, tol: float = bounds_mod.DEFAULT_TOL):
         self.d = d
         self.tol = tol
 
@@ -168,12 +182,74 @@ class _Ctx:
     def text(self):
         return serialize_edge_list(self.d)
 
+    @cached_property
+    def bounds(self):
+        return bounds_mod.bound_chain_report(
+            self.d, tol=self.tol, profile=self.profile, spectrum=self.spectrum)
+
+    @cached_property
+    def verdict_rho(self):
+        return equality_verdict_rho_lower(self.d, profile=self.profile, reduced=self.reduced)
+
+    @cached_property
+    def verdict_energy(self):
+        return equality_verdict_energy_upper(self.d, profile=self.profile)
+
+    @cached_property
+    def _coulson(self) -> tuple[Optional[float], Optional[str]]:
+        try:
+            return coulson_energy(self.d, rel_tol=1e-6, spectrum=self.spectrum), None
+        except PurelyImaginaryEigenvalueError as exc:
+            return None, str(exc)
+
+    @property
+    def coulson(self) -> Optional[float]:
+        """The Coulson integral, or None when a pole lies on its path."""
+        return self._coulson[0]
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        """The bound chain's notes, then the pole that skipped the integral."""
+        pole = self._coulson[1]
+        skipped = (f"coulson integral skipped: {pole}",) if pole is not None else ()
+        return tuple(self.bounds.notes) + skipped
+
+    def to_dict(self) -> dict:
+        d, profile, spec = self.d, self.profile, self.spectrum
+        return {
+            "digraph": {
+                "n": d.n,
+                "arc_count": d.arc_count,
+                "arcs": [list(a) for a in d.sorted_arcs],
+            },
+            "profile": {
+                "c2_seq": list(profile.c2_seq),
+                "t2_seq": list(profile.t2_seq),
+                "c2_total": profile.c2_total,
+                "sum_c2_sq": profile.sum_c2_sq,
+                "sum_t2_sq": profile.sum_t2_sq,
+                "arc_count": profile.a,
+            },
+            "spectrum": {
+                "eigenvalues": [[z.real, z.imag] for z in spec.eigenvalues],
+                "rho": spec.rho,
+                "energy": spec.energy,
+            },
+            "bounds": self.bounds.to_dict(),
+            "verdicts": {
+                "radius_lower": self.verdict_rho.to_dict(),
+                "energy_upper": self.verdict_energy.to_dict(),
+            },
+            "coulson_energy": self.coulson,
+            "warnings": list(self.warnings),
+        }
+
 
 # Each check returns a list of (lhs, rhs, gap) violations, or the string
 # "skip" when its precondition does not apply to the digraph.
 
 
-def _check_walk_rowsum(ctx: _Ctx):
+def _check_walk_rowsum(ctx: Analysis):
     rows = np.asarray(ctx.symmetrization).sum(axis=1)
     out = []
     for i, c in enumerate(ctx.profile.c2_seq):
@@ -184,7 +260,7 @@ def _check_walk_rowsum(ctx: _Ctx):
 _check_walk_rowsum.check_name = "walk_rowsum"
 
 
-def _check_walk_sum_identity(ctx: _Ctx):
+def _check_walk_sum_identity(ctx: Analysis):
     lhs = sum(ctx.profile.t2_seq)
     rhs = ctx.profile.sum_c2_sq
     return [] if lhs == rhs else [(float(lhs), float(rhs), float(abs(lhs - rhs)))]
@@ -192,7 +268,7 @@ def _check_walk_sum_identity(ctx: _Ctx):
 _check_walk_sum_identity.check_name = "walk_sum_identity"
 
 
-def _check_symmetrization_radius(ctx: _Ctx):
+def _check_symmetrization_radius(ctx: Analysis):
     out = []
     s = np.asarray(ctx.symmetrization, dtype=float)
     if s.size == 0:
@@ -211,7 +287,7 @@ def _check_symmetrization_radius(ctx: _Ctx):
 _check_symmetrization_radius.check_name = "symmetrization_radius"
 
 
-def _check_moment_difference(ctx: _Ctx):
+def _check_moment_difference(ctx: Analysis):
     spec = ctx.spectrum
     residual = (spec.sum_re_sq - spec.sum_im_sq) - ctx.profile.c2_total
     if abs(residual) > 1e-8:
@@ -221,7 +297,7 @@ def _check_moment_difference(ctx: _Ctx):
 _check_moment_difference.check_name = "moment_difference"
 
 
-def _check_moment_total(ctx: _Ctx):
+def _check_moment_total(ctx: Analysis):
     spec = ctx.spectrum
     total = spec.sum_re_sq + spec.sum_im_sq
     if total > ctx.profile.a + 1e-8:
@@ -238,7 +314,7 @@ def _inline_rho_lowers(profile, n):
     return mean, rms, ratio
 
 
-def _check_rho_chain(ctx: _Ctx):
+def _check_rho_chain(ctx: Analysis):
     out = []
     profile, n, tol = ctx.profile, ctx.d.n, ctx.tol
     mean_i, rms_i, ratio_i = _inline_rho_lowers(profile, n)
@@ -271,7 +347,7 @@ def _inline_energy_uppers(profile, n, rho):
     return mc, f(rho), f(mean), f(rms), f(ratio)
 
 
-def _check_energy_bounds(ctx: _Ctx):
+def _check_energy_bounds(ctx: Analysis):
     out = []
     profile, n, tol = ctx.profile, ctx.d.n, ctx.tol
     spec = ctx.spectrum
@@ -298,7 +374,7 @@ def _check_energy_bounds(ctx: _Ctx):
 _check_energy_bounds.check_name = "energy_bounds"
 
 
-def _check_dominance_chain(ctx: _Ctx):
+def _check_dominance_chain(ctx: Analysis):
     profile, n, tol = ctx.profile, ctx.d.n, ctx.tol
     if profile.a * n >= profile.c2_total ** 2:
         return "skip"
@@ -322,7 +398,7 @@ def _check_dominance_chain(ctx: _Ctx):
 _check_dominance_chain.check_name = "dominance_chain"
 
 
-def _check_charpoly_reduction_invariance(ctx: _Ctx):
+def _check_charpoly_reduction_invariance(ctx: Analysis):
     p1 = ctx.charpoly.coeffs
     p2 = characteristic_polynomial(ctx.reduced).coeffs
     if p1 != p2:
@@ -333,14 +409,13 @@ def _check_charpoly_reduction_invariance(ctx: _Ctx):
 _check_charpoly_reduction_invariance.check_name = "charpoly_reduction_invariance"
 
 
-def _check_coulson_match(ctx: _Ctx):
+def _check_coulson_match(ctx: Analysis):
     spec = ctx.spectrum
     for z in spec.eigenvalues:
         if abs(z.real) <= 1e-6 and abs(z) > 1e-6:
             return "skip"
-    try:
-        integral = coulson_energy(ctx.d, rel_tol=1e-6, spectrum=spec)
-    except PurelyImaginaryEigenvalueError:
+    integral = ctx.coulson
+    if integral is None:
         return "skip"
     diff = abs(integral - spec.energy) / max(1.0, spec.energy)
     if diff > 1e-6:
@@ -350,13 +425,10 @@ def _check_coulson_match(ctx: _Ctx):
 _check_coulson_match.check_name = "coulson_match"
 
 
-def _check_equality_iff_rho(ctx: _Ctx):
-    profile = ctx.profile
-    _, _, ratio = _inline_rho_lowers(profile, ctx.d.n)
+def _check_equality_iff_rho(ctx: Analysis):
+    _, _, ratio = _inline_rho_lowers(ctx.profile, ctx.d.n)
     numeric = abs(ratio - ctx.spectrum.rho) <= IFF_TOL
-    predicted = equality_verdict_rho_lower(
-        ctx.d, profile=profile, reduced=ctx.reduced
-    ).predicted_equality
+    predicted = ctx.verdict_rho.predicted_equality
     if predicted != numeric:
         return [(float(predicted), float(numeric), abs(ratio - ctx.spectrum.rho))]
     return []
@@ -364,11 +436,11 @@ def _check_equality_iff_rho(ctx: _Ctx):
 _check_equality_iff_rho.check_name = "equality_iff_rho"
 
 
-def _check_equality_iff_energy(ctx: _Ctx):
+def _check_equality_iff_energy(ctx: Analysis):
     profile, n = ctx.profile, ctx.d.n
     _, _, _, _, f_ratio = _inline_energy_uppers(profile, n, ctx.spectrum.rho)
     numeric = abs(f_ratio - ctx.spectrum.energy) <= IFF_TOL
-    predicted = equality_verdict_energy_upper(ctx.d, profile=profile).predicted_equality
+    predicted = ctx.verdict_energy.predicted_equality
     if predicted != numeric:
         return [(float(predicted), float(numeric), abs(f_ratio - ctx.spectrum.energy))]
     return []
@@ -444,7 +516,7 @@ def verify_all(
     started = time.monotonic()
     for d in source:
         checked += 1
-        ctx = _Ctx(d, tol)
+        ctx = Analysis(d, tol)
         if d.arc_count and d.n:
             prof = ctx.profile
             if prof.sum_t2_sq > prof.a * prof.sum_c2_sq:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from digenergy import (
@@ -177,6 +177,7 @@ class TestScc:
         assert scc.component_id == (0, 0, 1)
 
     @given(digraphs())
+    @example(Digraph(70))  # wider than one 64-bit word: 70 singletons in vertex order
     @settings(max_examples=100)
     def test_matches_reachability_oracle(self, d):
         got = strongly_connected_components(d)

@@ -5,9 +5,14 @@ import pytest
 
 from digenergy import (
     CHECK_NAMES,
+    Analysis,
     Digraph,
+    PurelyImaginaryEigenvalueError,
     UnknownCheckError,
+    bound_chain_report,
+    coulson_energy,
     cycle_arc_reduction,
+    eigenvalues,
     enumerate_digraphs,
     equality_verdict_energy_upper,
     equality_verdict_rho_lower,
@@ -17,8 +22,10 @@ from digenergy import (
     verify_all,
     walk_profile,
 )
+from digenergy import oracle as oracle_mod
+from digenergy import spectrum as spectrum_mod
 
-from families import complete_graph, sym
+from families import complete_graph, directed_cycle, sym
 
 
 class TestEnumeration:
@@ -156,3 +163,61 @@ class TestVerdictsTakePrecomputedPieces:
         for d in self.CORPUS:
             given = equality_verdict_energy_upper(d, profile=walk_profile(d))
             assert given == equality_verdict_energy_upper(d)
+
+
+class TestAnalysis:
+    """``Analysis`` is a memo: its document equals the one built from cold
+    calls, and each piece is computed once however often it is read."""
+
+    CORPUS = TestVerdictsTakePrecomputedPieces.CORPUS + [directed_cycle(4)]
+    TOL = 1e-8
+
+    def _cold_document(self, d):
+        profile = walk_profile(d)
+        spec = eigenvalues(d)
+        report = bound_chain_report(d, tol=self.TOL)
+        warnings = list(report.notes)
+        try:
+            coulson = coulson_energy(d)
+        except PurelyImaginaryEigenvalueError as exc:
+            coulson = None
+            warnings.append(f"coulson integral skipped: {exc}")
+        return {
+            "digraph": {"n": d.n, "arc_count": d.arc_count,
+                        "arcs": [list(a) for a in sorted(d.arcs)]},
+            "profile": {"c2_seq": list(profile.c2_seq), "t2_seq": list(profile.t2_seq),
+                        "c2_total": profile.c2_total, "sum_c2_sq": profile.sum_c2_sq,
+                        "sum_t2_sq": profile.sum_t2_sq, "arc_count": profile.a},
+            "spectrum": {"eigenvalues": [[z.real, z.imag] for z in spec.eigenvalues],
+                         "rho": spec.rho, "energy": spec.energy},
+            "bounds": report.to_dict(),
+            "verdicts": {"radius_lower": equality_verdict_rho_lower(d).to_dict(),
+                         "energy_upper": equality_verdict_energy_upper(d).to_dict()},
+            "coulson_energy": coulson,
+            "warnings": warnings,
+        }
+
+    def test_document_equals_cold_calls(self):
+        for d in self.CORPUS:
+            assert Analysis(d, self.TOL).to_dict() == self._cold_document(d)
+
+    def test_charpoly_and_spectrum_computed_once(self, monkeypatch):
+        calls = []
+
+        def counting(fn):
+            def wrapper(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+            return wrapper
+
+        charpoly = counting(spectrum_mod.characteristic_polynomial)
+        for module in (oracle_mod, spectrum_mod):
+            monkeypatch.setattr(module, "characteristic_polynomial", charpoly)
+        monkeypatch.setattr(oracle_mod, "eigenvalues", counting(spectrum_mod.eigenvalues))
+        for d in self.CORPUS:
+            calls.clear()
+            analysis = Analysis(d, self.TOL)
+            first = analysis.to_dict()
+            assert analysis.to_dict() == first
+            assert analysis.charpoly == analysis.spectrum.charpoly
+            assert sorted(calls) == ["characteristic_polynomial", "eigenvalues"]
