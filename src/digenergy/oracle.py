@@ -24,6 +24,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .digraph import (
+    MAX_VERTICES,
     Digraph,
     adjacency_matrix,
     cycle_arc_reduction,
@@ -71,10 +72,11 @@ def random_digraph(n: int, p: float, seed: int) -> Digraph:
 
     Reproducible across platforms: a SplitMix64 stream seeded with ``seed``
     draws one 64-bit word per ordered pair (lexicographic order) and the
-    arc is included iff the word is below floor(p * 2^64).
+    arc is included iff the word is below floor(p * 2^64).  ``n`` is at
+    most ``MAX_VERTICES``.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    if not 1 <= n <= MAX_VERTICES:
+        raise ValueError(f"need 1 <= n <= {MAX_VERTICES}, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"need 0 <= p <= 1, got {p}")
     threshold = int(p * (1 << 64))
@@ -152,11 +154,19 @@ class Analysis:
     computed on first use and shared by every later reader.  The
     verification checks and the ``analyze`` command both read one, and
     ``to_dict()`` is the ``analyze --json`` document.
+
+    ``spectra`` maps the coefficients of each characteristic polynomial to
+    the spectrum certified for it, and may be shared by the analyses of one
+    run: the first digraph with a given polynomial certifies its spectrum
+    and stores it, and later ones take it from there (see ``eigenvalues``).
+    The default is a fresh dict, so the spectrum is the digraph's own.
     """
 
-    def __init__(self, d: Digraph, tol: float = bounds_mod.DEFAULT_TOL):
+    def __init__(self, d: Digraph, tol: float = bounds_mod.DEFAULT_TOL,
+                 spectra: Optional[dict] = None):
         self.d = d
         self.tol = tol
+        self._spectra = {} if spectra is None else spectra
 
     @cached_property
     def profile(self):
@@ -168,7 +178,10 @@ class Analysis:
 
     @cached_property
     def spectrum(self):
-        return eigenvalues(self.d, self.charpoly)
+        poly = self.charpoly
+        spec = eigenvalues(self.d, poly, self._spectra.get(poly.coeffs))
+        self._spectra[poly.coeffs] = spec
+        return spec
 
     @cached_property
     def symmetrization(self):
@@ -485,6 +498,13 @@ def verify_all(
     ``mode="random"`` samples ``count`` digraphs with arc probability ``p``
     from seeds seed, seed+1, ... (n <= 12).  Reports are deterministic for
     a fixed configuration, including violation order.
+
+    The digraphs of one call share their certified spectra: each distinct
+    characteristic polynomial is certified once, on the first digraph that
+    has it, and later digraphs with that polynomial reuse its spectrum
+    (after checking their own QR values against a repeated root).  The
+    sharing ends with the call, so a report depends only on its
+    configuration.
     """
     if checks is None:
         selected = list(CHECK_NAMES)
@@ -512,11 +532,12 @@ def verify_all(
     stats = {name: CheckStats() for name in selected}
     violations: list[Violation] = []
     inapplicable: list[str] = []
+    spectra: dict = {}
     checked = 0
     started = time.monotonic()
     for d in source:
         checked += 1
-        ctx = Analysis(d, tol)
+        ctx = Analysis(d, tol, spectra)
         if d.arc_count and d.n:
             prof = ctx.profile
             if prof.sum_t2_sq > prof.a * prof.sum_c2_sq:

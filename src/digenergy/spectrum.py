@@ -30,8 +30,10 @@ from .errors import EigensolverError, PurelyImaginaryEigenvalueError
 _SNAP_REL = 1e-10
 # Residual gate |phi(z)| / (1 + rho)^n above which the solver result is rejected.
 _RESIDUAL_GATE = 1e-6
-# Entries of each exact-charpoly memo: exhaustive n=5 has 718 distinct
-# characteristic polynomials, so one exhaustive run never evicts.
+# Entries of each memo.  Exhaustive n=5 has 718 distinct characteristic
+# polynomials, so one exhaustive run never evicts from the memos keyed on
+# coefficients; the charpoly memo, keyed on the adjacency, holds all 4,096
+# digraphs of n=4.
 _MEMO_SIZE = 4096
 # The prime modulus of the square-free certificate (a Mersenne prime).
 _CERT_PRIME = 2 ** 61 - 1
@@ -92,9 +94,16 @@ def characteristic_polynomial(d: Digraph) -> CharPoly:
     """Exact integer characteristic polynomial of the adjacency matrix.
 
     Computed by the Faddeev-LeVerrier recurrence; arbitrary-precision
-    integers make the result exact at any order.
+    integers make the result exact at any order.  Memoized on the
+    adjacency (``d.n``, ``d.out_masks``): the result is exact, so a hit
+    returns what a cold call would.
     """
-    return CharPoly(tuple(kernels.charpoly_from_masks(d.n, d.out_masks)))
+    return _charpoly_of_masks(d.n, d.out_masks)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _charpoly_of_masks(n: int, out_masks: tuple[int, ...]) -> CharPoly:
+    return CharPoly(tuple(kernels.charpoly_from_masks(n, out_masks)))
 
 
 def _poly_arrays(coeffs: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -322,7 +331,32 @@ def _pair_conjugates(values: np.ndarray) -> list[complex]:
     return out
 
 
-def eigenvalues(d: Digraph, poly: Optional[CharPoly] = None) -> Spectrum:
+def _qr_values(d: Digraph) -> np.ndarray:
+    """Floating eigenvalues of the adjacency matrix from LAPACK: the
+    symmetric solver for symmetric digraphs, Hessenberg QR otherwise."""
+    a = adjacency_matrix(d).astype(float)
+    try:
+        if d.is_symmetric:
+            return np.linalg.eigvalsh(a).astype(complex)
+        return np.linalg.eigvals(a)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"QR iteration failed: {exc}") from exc
+
+
+def _check_spread(qr: np.ndarray, repeated: tuple[complex, ...]) -> None:
+    """Raise EigensolverError unless every exact root lies within
+    1e-2 * (1 + rho) of one of the digraph's QR values."""
+    exact = np.array(repeated, dtype=complex)
+    spread = max(float(np.min(np.abs(qr - z))) for z in exact)
+    if spread > 1e-2 * (1.0 + float(np.max(np.abs(exact)))):
+        raise EigensolverError(
+            f"QR values and exact-polynomial roots disagree by {spread:.3e}",
+            partial=repeated,
+        )
+
+
+def eigenvalues(d: Digraph, poly: Optional[CharPoly] = None,
+                certified: Optional[Spectrum] = None) -> Spectrum:
     """All n eigenvalues with certified backward error.
 
     QR eigenvalues are refined against the exact characteristic polynomial
@@ -330,40 +364,36 @@ def eigenvalues(d: Digraph, poly: Optional[CharPoly] = None) -> Spectrum:
     gate of 1e-6 * (1 + rho)^n; in practice residuals sit far below 1e-8
     after refinement.  ``poly``, when given, must be
     ``characteristic_polynomial(d)``; it saves recomputing it.
+
+    ``certified``, when given, must be a spectrum this function returned
+    for another digraph with the same characteristic polynomial; it is
+    returned in place of a new one.  With a repeated root, this digraph's
+    QR values are still checked against the exact roots first; a
+    square-free spectrum needs no numeric work.  Refinement starts from
+    the QR values, so a spectrum certified for another digraph can differ
+    from this digraph's own in the last bits.
     """
     n = d.n
     if n == 0:
         return Spectrum((), 0.0, 0.0, 0.0, 0.0, CharPoly((1,)))
-    a = adjacency_matrix(d).astype(float)
-    try:
-        if d.is_symmetric:
-            vals = np.linalg.eigvalsh(a).astype(complex)
-        else:
-            vals = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"QR iteration failed: {exc}") from exc
     if poly is None:
         poly = characteristic_polynomial(d)
     repeated = _repeated_roots(poly.coeffs)
+    if certified is not None:
+        if repeated is not None:
+            _check_spread(_qr_values(d), repeated)
+        return certified
+    vals = _qr_values(d)
     if repeated is None:
         # Square-free spectrum: refine the QR values directly.
-        vals = _aberth_refine(poly.coeffs, np.asarray(vals, dtype=complex))
+        vals = _aberth_refine(poly.coeffs, vals)
     else:
         # Repeated eigenvalues: every root is simple inside its square-free
         # factor, which sidesteps the sqrt(eps) accuracy floor of polishing
         # multiple roots on the full polynomial.  The QR values stay as a
         # consistency reference.
-        exact = np.array(repeated, dtype=complex)
-        qr = np.asarray(vals, dtype=complex)
-        spread = max(
-            float(np.min(np.abs(qr - z))) for z in exact
-        )
-        if spread > 1e-2 * (1.0 + float(np.max(np.abs(exact)))):
-            raise EigensolverError(
-                f"QR values and exact-polynomial roots disagree by {spread:.3e}",
-                partial=repeated,
-            )
-        vals = exact
+        _check_spread(vals, repeated)
+        vals = np.array(repeated, dtype=complex)
     paired = _pair_conjugates(vals)
     paired.sort(key=lambda z: (-z.real, -z.imag))
     rho = max((abs(z) for z in paired), default=0.0)

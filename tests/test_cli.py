@@ -3,11 +3,12 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
 import digenergy
-from digenergy import parse_edge_list
+from digenergy import MAX_VERTICES, parse_edge_list, random_digraph, serialize_edge_list
 from digenergy.cli import main
 
 K3_TEXT = "3\n0 1\n0 2\n1 0\n1 2\n2 0\n2 1\n"
@@ -16,12 +17,12 @@ C4_TEXT = "4\n0 1\n1 2\n2 3\n3 0\n"
 _SRC = str(pathlib.Path(digenergy.__file__).resolve().parent.parent)
 
 
-def run_cli(args, stdin=""):
+def run_cli(args, stdin="", timeout=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
         [sys.executable, "-m", "digenergy", *args],
-        input=stdin, capture_output=True, text=True, env=env,
+        input=stdin, capture_output=True, text=True, env=env, timeout=timeout,
     )
     return proc
 
@@ -150,6 +151,31 @@ class TestRandom:
     def test_bad_flags(self):
         proc = run_cli(["random", "3", "1.5", "1"])
         assert proc.returncode == 2
+
+
+class TestVertexCap:
+    """Orders above MAX_VERTICES are usage errors, raised before any work
+    of that size: without the cap these inputs allocate tens of gigabytes
+    or run until killed."""
+
+    @pytest.mark.parametrize("header", ["100000", "1000000000"])
+    def test_huge_header_fails_fast(self, header):
+        started = time.perf_counter()
+        proc = run_cli(["analyze", "-"], stdin=f"{header}\n0 1\n", timeout=10)
+        assert time.perf_counter() - started < 1.0
+        assert proc.returncode == 2
+        assert proc.stderr.count("\n") == 1
+        assert f"exceeds the cap of {MAX_VERTICES}" in proc.stderr
+
+    def test_random_above_cap(self):
+        proc = run_cli(["random", "100000", "0.5", "1"], timeout=10)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+
+    def test_cap_parses(self):
+        d = random_digraph(MAX_VERTICES, 0.05, 1)
+        assert parse_edge_list(serialize_edge_list(d)) == d
 
 
 class TestMainEntry:

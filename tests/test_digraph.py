@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from digenergy import (
+    MAX_VERTICES,
     Digraph,
     DigraphValidationError,
     EdgeListParseError,
@@ -63,6 +64,13 @@ class TestParse:
     def test_empty_input(self):
         with pytest.raises(EdgeListParseError):
             parse_edge_list("")
+
+    def test_vertex_cap_checked_on_header(self):
+        # The header is rejected before the malformed arc line is reached.
+        with pytest.raises(EdgeListParseError) as exc:
+            parse_edge_list(f"{MAX_VERTICES + 1}\n0 1\nnope\n")
+        assert exc.value.line == 1
+        assert parse_edge_list(f"{MAX_VERTICES}\n0 1\n").n == MAX_VERTICES
 
     def test_empty_digraph_is_legal(self):
         assert parse_edge_list("0\n").n == 0

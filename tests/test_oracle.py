@@ -5,11 +5,14 @@ import pytest
 
 from digenergy import (
     CHECK_NAMES,
+    MAX_VERTICES,
     Analysis,
     Digraph,
+    EigensolverError,
     PurelyImaginaryEigenvalueError,
     UnknownCheckError,
     bound_chain_report,
+    characteristic_polynomial,
     coulson_energy,
     cycle_arc_reduction,
     eigenvalues,
@@ -72,6 +75,11 @@ class TestRandomDigraph:
             random_digraph(0, 0.5, 1)
         with pytest.raises(ValueError):
             random_digraph(3, 1.5, 1)
+
+    def test_vertex_cap(self):
+        assert random_digraph(MAX_VERTICES, 0.0, 1).n == MAX_VERTICES
+        with pytest.raises(ValueError):
+            random_digraph(MAX_VERTICES + 1, 0.5, 1)
 
 
 class TestVerifyAll:
@@ -144,6 +152,16 @@ class TestVerifyAll:
         body = {k: v for k, v in verify_all(4).to_dict().items() if k != "elapsed_seconds"}
         digest = hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
         assert digest == "72725c05134611eeb06497a84e4da536f9373538810de387eb9cb398b8de77a2"
+
+    def test_random_n10_report_is_byte_stable(self):
+        # Almost every charpoly of this corpus is distinct, so it pins the
+        # spectra certified per digraph, where the n = 4 pin mostly pins
+        # shared ones.
+        body = {k: v for k, v in verify_all(10, mode="random", count=200, p=0.3,
+                                            seed=1000000).to_dict().items()
+                if k != "elapsed_seconds"}
+        digest = hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
+        assert digest == "20db5d51a57424dc8c0c559a03058abb965f56dc344b5d46368850d6adf0a5aa"
 
 
 class TestVerdictsTakePrecomputedPieces:
@@ -221,3 +239,60 @@ class TestAnalysis:
             assert analysis.to_dict() == first
             assert analysis.charpoly == analysis.spectrum.charpoly
             assert sorted(calls) == ["characteristic_polynomial", "eigenvalues"]
+
+
+class TestSharedSpectra:
+    """Analyses that share a ``spectra`` dict, as the digraphs of one
+    ``verify_all`` call do, certify each characteristic polynomial once."""
+
+    def test_exhaustive_n4_matches_cold_calls(self):
+        spectra = {}
+        first = set()
+        for d in enumerate_digraphs(4):
+            spec = Analysis(d, spectra=spectra).spectrum
+            cold = eigenvalues(d)
+            assert spec.charpoly == characteristic_polynomial(d)
+            assert len(spec.eigenvalues) == len(cold.eigenvalues)
+            for z, w in zip(spec.eigenvalues, cold.eigenvalues):
+                assert abs(z - w) <= 1e-12
+            assert abs(spec.rho - cold.rho) <= 1e-12
+            assert abs(spec.energy - cold.energy) <= 1e-12
+            if spec.charpoly.coeffs not in first:
+                first.add(spec.charpoly.coeffs)
+                assert repr(spec) == repr(cold)
+        assert len(first) == len(spectra) == 46
+
+    def test_hit_returns_the_certified_spectrum(self):
+        spectra = {}
+        # x^3 (repeated root) and x^3 - 1 (square-free), two digraphs each.
+        pairs = [(Digraph(3), Digraph(3, [(0, 1)])),
+                 (directed_cycle(3), Digraph(3, [(1, 0), (0, 2), (2, 1)]))]
+        for first, second in pairs:
+            spec = Analysis(first, spectra=spectra).spectrum
+            assert Analysis(second, spectra=spectra).spectrum is spec
+
+    def test_square_free_hit_does_no_numeric_work(self, monkeypatch):
+        spectra = {}
+        Analysis(directed_cycle(3), spectra=spectra).spectrum
+
+        def forbidden(*args):
+            raise AssertionError("numeric work on a square-free hit")
+
+        monkeypatch.setattr(spectrum_mod, "_qr_values", forbidden)
+        monkeypatch.setattr(spectrum_mod, "_aberth_refine", forbidden)
+        relabeled = Digraph(3, [(1, 0), (0, 2), (2, 1)])
+        assert Analysis(relabeled, spectra=spectra).spectrum.charpoly.coeffs == (-1, 0, 0, 1)
+
+    def test_repeated_root_hit_checks_its_own_qr_values(self, monkeypatch):
+        # Both digraphs have x^3; the second one's QR values are moved far
+        # from 0, so the shared roots must be rejected for it.
+        spectra = {}
+        Analysis(Digraph(3), spectra=spectra).spectrum
+        qr_values = spectrum_mod._qr_values
+        monkeypatch.setattr(spectrum_mod, "_qr_values", lambda d: qr_values(d) + 100.0)
+        with pytest.raises(EigensolverError, match="disagree"):
+            Analysis(Digraph(3, [(0, 1)]), spectra=spectra).spectrum
+
+    def test_default_is_not_shared(self):
+        d = directed_cycle(3)
+        assert Analysis(d).spectrum is not Analysis(d).spectrum

@@ -12,6 +12,7 @@ from digenergy import (
     PurelyImaginaryEigenvalueError,
     characteristic_polynomial,
     coulson_energy,
+    cycle_arc_reduction,
     eigenvalues,
     energy,
     enumerate_digraphs,
@@ -23,6 +24,7 @@ from digenergy import (
 )
 from digenergy import spectrum as spectrum_mod
 from digenergy.spectrum import (
+    _charpoly_of_masks,
     _coprime_to_derivative_mod_q,
     _coulson_integral,
     _repeated_roots,
@@ -537,6 +539,7 @@ class TestLevelSynchronousQuadrature:
 
 
 def _clear_memos():
+    _charpoly_of_masks.cache_clear()
     _repeated_roots.cache_clear()
     _coulson_integral.cache_clear()
 
@@ -578,3 +581,25 @@ class TestExactMemo:
         coulson_energy(relabeled)
         assert _repeated_roots.cache_info().hits > roots_hits
         assert _coulson_integral.cache_info().hits > integral_hits
+
+    def test_charpoly_memo_serves_relabelings_and_reductions(self):
+        # The path P4 plus an isolated vertex 4.
+        d = Digraph(5, sym(path_graph(4)).arcs)
+        _clear_memos()
+        poly = characteristic_polynomial(d)
+        # Reversing the path is an automorphism: a new digraph object with
+        # the same adjacency.
+        perm = (3, 2, 1, 0, 4)
+        relabeled = Digraph(5, [(perm[i], perm[j]) for i, j in d.arcs])
+        assert relabeled is not d and relabeled == d
+        hits = _charpoly_of_masks.cache_info().hits
+        assert characteristic_polynomial(relabeled) is poly
+        assert _charpoly_of_masks.cache_info().hits == hits + 1
+        # Arcs into the sink 4 lie on no cycle, so the reduction is d again.
+        tailed = Digraph(5, list(d.arcs) + [(0, 4), (3, 4)])
+        assert characteristic_polynomial(tailed) == poly
+        hits = _charpoly_of_masks.cache_info().hits
+        reduced = cycle_arc_reduction(tailed)
+        assert reduced == d
+        assert characteristic_polynomial(reduced) is poly
+        assert _charpoly_of_masks.cache_info().hits == hits + 1
