@@ -23,9 +23,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
-from .digraph import ClosedWalkProfile, Digraph, walk_profile
+from .digraph import ClosedWalkProfile
 from .errors import BoundInapplicableError
-from .spectrum import Spectrum, eigenvalues
+from .spectrum import Spectrum
 
 DEFAULT_TOL = 1e-8
 
@@ -102,11 +102,10 @@ def energy_upper_mcclelland(profile: ClosedWalkProfile, n: int) -> float:
     return math.sqrt(n * (profile.a + profile.c2_total) / 2.0) + _fault("energy_upper_mcclelland")
 
 
-def energy_upper_radius(d: Digraph) -> float:
-    """Energy bound rho + sqrt((n-1)(a - rho^2)) using the computed radius."""
-    spec = eigenvalues(d)
-    a = d.arc_count
-    return _f_energy(spec.rho, d.n, a) + _fault("energy_upper_radius")
+def energy_upper_radius(profile: ClosedWalkProfile, n: int, rho: float) -> float:
+    """Energy bound f(rho) = rho + sqrt((n-1)(a - rho^2)) at the spectral
+    radius ``rho``."""
+    return _f_energy(rho, n, profile.a) + _fault("energy_upper_radius")
 
 
 def energy_upper_walk_mean(profile: ClosedWalkProfile, n: int) -> float:
@@ -193,20 +192,14 @@ class BoundReport:
 
 
 def bound_chain_report(
-    d: Digraph,
-    tol: float = DEFAULT_TOL,
-    *,
-    profile: Optional[ClosedWalkProfile] = None,
-    spectrum: Optional[Spectrum] = None,
+    profile: ClosedWalkProfile, spectrum: Spectrum, tol: float = DEFAULT_TOL
 ) -> BoundReport:
     """Evaluate every bound plus rho and energy and check their orderings.
 
-    ``profile`` and ``spectrum``, when given, must be ``walk_profile(d)``
-    and ``eigenvalues(d)``; they save recomputing them.
+    n and a come from ``profile``.  ``spectrum`` may be one certified for
+    another digraph with the same characteristic polynomial.
     """
-    profile = walk_profile(d) if profile is None else profile
-    spec = eigenvalues(d) if spectrum is None else spectrum
-    n, a = d.n, d.arc_count
+    n, a = profile.n, profile.a
     notes: list[str] = []
 
     def attempt(fn, *args):
@@ -220,7 +213,7 @@ def bound_chain_report(
     rms = attempt(rho_lower_walk_rms, profile, n)
     ratio = rho_lower_walk_ratio(profile)
     e_mc = attempt(energy_upper_mcclelland, profile, n)
-    e_radius = _f_energy(spec.rho, n, a) + _fault("energy_upper_radius")
+    e_radius = energy_upper_radius(profile, n, spectrum.rho)
     e_mean = attempt(energy_upper_walk_mean, profile, n)
     e_rms = attempt(energy_upper_walk_rms, profile, n)
     e_ratio = attempt(energy_upper_walk_ratio, profile, n)
@@ -232,12 +225,12 @@ def bound_chain_report(
         ok &= leq_tol(mean, rms, tol)
     if rms is not None and profile.c2_total > 0:
         ok &= leq_tol(rms, ratio, tol)
-    ok &= leq_tol(ratio, spec.rho, tol)
+    ok &= leq_tol(ratio, spectrum.rho, tol)
     if mean is not None:
-        ok &= leq_tol(mean, spec.rho, tol)
-    ok &= leq_tol(spec.energy, e_radius, tol)
+        ok &= leq_tol(mean, spectrum.rho, tol)
+    ok &= leq_tol(spectrum.energy, e_radius, tol)
     if e_ratio is not None:
-        ok &= leq_tol(spec.energy, e_ratio, tol)
+        ok &= leq_tol(spectrum.energy, e_ratio, tol)
     if dominated and None not in (e_ratio, e_rms, e_mean):
         ok &= leq_tol(e_ratio, e_rms, tol) and leq_tol(e_rms, e_mean, tol)
 
@@ -245,8 +238,8 @@ def bound_chain_report(
         n=n,
         arc_count=a,
         c2_total=profile.c2_total,
-        rho=spec.rho,
-        energy=spec.energy,
+        rho=spectrum.rho,
+        energy=spectrum.energy,
         rho_lower_walk_mean=mean,
         rho_lower_walk_rms=rms,
         rho_lower_walk_ratio=ratio,

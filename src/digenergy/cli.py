@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -91,18 +92,23 @@ def _render_analysis(doc: Analysis) -> str:
     return "\n".join(lines)
 
 
-def _read_input(path: str | None) -> str:
-    if path is None or path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+def _load_digraph(path: str | None) -> Digraph | None:
+    """The digraph in the edge-list file ``path`` (stdin for None or "-");
+    None, after one ``error:`` line on stderr, when it cannot be read,
+    decoded or parsed."""
+    try:
+        if path is None or path == "-":
+            return parse_edge_list(sys.stdin.read())
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_edge_list(fh.read())
+    except (EdgeListParseError, DigraphValidationError, OSError, UnicodeDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
 
 
 def _cmd_analyze(args) -> int:
-    try:
-        d = parse_edge_list(_read_input(args.input))
-    except (EdgeListParseError, DigraphValidationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    d = _load_digraph(args.input)
+    if d is None:
         return 2
     doc = build_analysis_document(d, tol=args.tol)
     if args.json:
@@ -150,15 +156,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_coulson(args) -> int:
-    try:
-        d = parse_edge_list(_read_input(args.input))
-    except (EdgeListParseError, DigraphValidationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    d = _load_digraph(args.input)
+    if d is None:
         return 2
     spec = eigenvalues(d)
     spectral = spec.energy
     try:
-        integral = coulson_energy(d, rel_tol=args.rel_tol, spectrum=spec)
+        integral = coulson_energy(spec, rel_tol=args.rel_tol)
     except PurelyImaginaryEigenvalueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -179,13 +183,33 @@ def _cmd_random(args) -> int:
     return 0
 
 
+def _checked_float(text: str, accept, expected: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # every accept() rejects nan, which float() also parses
+    if not accept(value):
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return value
+
+
+def _tol_arg(text: str) -> float:
+    """argparse type of --tol: a finite tolerance >= 0."""
+    return _checked_float(text, lambda v: math.isfinite(v) and v >= 0.0, "a finite number >= 0")
+
+
+def _rel_tol_arg(text: str) -> float:
+    """argparse type of --rel-tol: a relative tolerance in (0, 1)."""
+    return _checked_float(text, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="digenergy",
         description="Digraph spectra, energy, walk-based spectral bounds, and their verification.",
     )
     parser.add_argument("--json", action="store_true", help="emit JSON instead of tables")
-    parser.add_argument("--tol", type=float, default=bounds_mod.DEFAULT_TOL,
+    parser.add_argument("--tol", type=_tol_arg, default=bounds_mod.DEFAULT_TOL,
                         help="comparison tolerance for bound orderings (default 1e-8)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -208,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_coulson = sub.add_parser("coulson", help="energy via the Coulson-type integral")
     p_coulson.add_argument("input", nargs="?", default=None)
-    p_coulson.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-6)
+    p_coulson.add_argument("--rel-tol", dest="rel_tol", type=_rel_tol_arg, default=1e-6)
     p_coulson.set_defaults(func=_cmd_coulson)
 
     p_random = sub.add_parser("random", help="emit a reproducible random digraph")

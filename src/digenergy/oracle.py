@@ -145,15 +145,17 @@ class VerificationReport:
 
 class Analysis:
     """Everything the library computes for one digraph, each piece at most
-    once.
+    once; the entry point for every per-digraph result.
 
     A lazy memo: the closed-walk profile, the exact characteristic
     polynomial, the certified spectrum, the geometric symmetrization, the
     cycle-arc reduction, the edge-list text, the bound chain at ``tol``,
     both equality verdicts and the Coulson integral (rel_tol 1e-6) are
-    computed on first use and shared by every later reader.  The
-    verification checks and the ``analyze`` command both read one, and
-    ``to_dict()`` is the ``analyze --json`` document.
+    computed on first use and shared by every later reader.  The functions
+    behind them take their pieces as arguments; this class is the one place
+    that wires pieces to results.  The verification checks and the
+    ``analyze`` command both read one, and ``to_dict()`` is the
+    ``analyze --json`` document.
 
     ``spectra`` maps the coefficients of each characteristic polynomial to
     the spectrum certified for it, and may be shared by the analyses of one
@@ -197,21 +199,20 @@ class Analysis:
 
     @cached_property
     def bounds(self):
-        return bounds_mod.bound_chain_report(
-            self.d, tol=self.tol, profile=self.profile, spectrum=self.spectrum)
+        return bounds_mod.bound_chain_report(self.profile, self.spectrum, self.tol)
 
     @cached_property
     def verdict_rho(self):
-        return equality_verdict_rho_lower(self.d, profile=self.profile, reduced=self.reduced)
+        return equality_verdict_rho_lower(self.d, self.profile, self.reduced)
 
     @cached_property
     def verdict_energy(self):
-        return equality_verdict_energy_upper(self.d, profile=self.profile)
+        return equality_verdict_energy_upper(self.d, self.profile)
 
     @cached_property
     def _coulson(self) -> tuple[Optional[float], Optional[str]]:
         try:
-            return coulson_energy(self.d, rel_tol=1e-6, spectrum=self.spectrum), None
+            return coulson_energy(self.spectrum), None
         except PurelyImaginaryEigenvalueError as exc:
             return None, str(exc)
 
@@ -368,7 +369,7 @@ def _check_energy_bounds(ctx: Analysis):
     mc = bounds_mod.energy_upper_mcclelland(profile, n)
     e_mean = bounds_mod.energy_upper_walk_mean(profile, n)
     e_rms = bounds_mod.energy_upper_walk_rms(profile, n)
-    radius = bounds_mod._f_energy(spec.rho, n, profile.a) + bounds_mod._fault("energy_upper_radius")
+    radius = bounds_mod.energy_upper_radius(profile, n, spec.rho)
     try:
         e_ratio = bounds_mod.energy_upper_walk_ratio(profile, n)
     except BoundInapplicableError:

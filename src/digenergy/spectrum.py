@@ -578,8 +578,9 @@ def _coulson_integral(coeffs: tuple[int, ...], rel_tol: float) -> float:
     return _level_synchronous_gl(_Integrand(coeffs), -half_pi, half_pi, rel_tol) / math.pi
 
 
-def coulson_energy(d: Digraph, rel_tol: float = 1e-6, *, spectrum: Optional[Spectrum] = None) -> float:
-    """Energy via the integral (1/pi) * int (n - i x phi'(ix)/phi(ix)) dx.
+def coulson_energy(spectrum: Spectrum, rel_tol: float = 1e-6) -> float:
+    """Energy via the integral (1/pi) * int (n - i x phi'(ix)/phi(ix)) dx,
+    with phi the characteristic polynomial ``spectrum`` was certified against.
 
     Evaluated with the substitution x = tan(theta) and adaptive
     Gauss-Legendre panels on (-pi/2, pi/2), one refinement level at a time
@@ -587,9 +588,7 @@ def coulson_energy(d: Digraph, rel_tol: float = 1e-6, *, spectrum: Optional[Spec
     when an eigenvalue sits on the imaginary axis away from zero (the
     integrand then has a pole on the path): found on the spectrum, at a node
     of the quadrature, or when refinement near the pole uses up
-    ``_MAX_PANELS``.
-    ``spectrum``, when given, must be ``eigenvalues(d)``; it saves
-    recomputing it.
+    ``_MAX_PANELS``.  The empty spectrum has energy 0.
 
     The exact factor x^k of phi is divided out first: zero eigenvalues add
     nothing to the energy and leave the integrand unchanged, but they make
@@ -597,13 +596,12 @@ def coulson_energy(d: Digraph, rel_tol: float = 1e-6, *, spectrum: Optional[Spec
     """
     if not (0.0 < rel_tol < 1.0):
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    if d.n == 0:
+    if not spectrum.eigenvalues:
         return 0.0
-    spec = eigenvalues(d) if spectrum is None else spectrum
-    guard = 1e-9 * (1.0 + spec.rho)
-    for z in spec.eigenvalues:
+    guard = 1e-9 * (1.0 + spectrum.rho)
+    for z in spectrum.eigenvalues:
         if abs(z.real) <= guard and abs(z) > guard:
             raise PurelyImaginaryEigenvalueError(z.imag)
-    coeffs = spec.charpoly.coeffs
+    coeffs = spectrum.charpoly.coeffs
     zeros = next(k for k, c in enumerate(coeffs) if c)
     return _coulson_integral(coeffs[zeros:], rel_tol)

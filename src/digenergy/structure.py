@@ -19,15 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .digraph import (
-    ClosedWalkProfile,
-    Digraph,
-    Graph,
-    _bits,
-    cycle_arc_reduction,
-    underlying_graph_if_symmetric,
-    walk_profile,
-)
+from .digraph import ClosedWalkProfile, Digraph, Graph, _bits, underlying_graph_if_symmetric
 
 EQUALITY_TOL = 1e-7
 
@@ -250,22 +242,17 @@ def _classify_equality_components(
 
 
 def equality_verdict_rho_lower(
-    d: Digraph,
-    *,
-    profile: Optional[ClosedWalkProfile] = None,
-    reduced: Optional[Digraph] = None,
+    d: Digraph, profile: ClosedWalkProfile, reduced: Digraph
 ) -> StructureVerdict:
     """Does the walk-ratio radius bound hold with equality?
 
     True exactly when, after removing the arcs on no cycle, the digraph is
     symmetric and every edge-bearing component of its graph is r-regular or
     (r1, r2)-semiregular bipartite with r^2 = r1 r2 = sum t2^2 / sum c2^2.
-    ``profile`` and ``reduced``, when given, must be ``walk_profile(d)`` and
-    ``cycle_arc_reduction(d)``; they save recomputing them.
+    ``profile`` is the walk profile of ``d`` and ``reduced`` its cycle-arc
+    reduction (``d`` without the arcs that lie on no cycle).
     """
-    reduced = cycle_arc_reduction(d) if reduced is None else reduced
     removed = tuple(sorted(d.arcs - reduced.arcs))
-    profile = walk_profile(d) if profile is None else profile
     g = underlying_graph_if_symmetric(reduced)
     if g is None:
         return StructureVerdict(KIND_NONE, (), False, removed)
@@ -283,9 +270,7 @@ def _srg_nontrivial_eigenvalues(params: tuple[int, int, int, int]) -> tuple[floa
     return ((lam - mu) + root) / 2.0, ((lam - mu) - root) / 2.0
 
 
-def equality_verdict_energy_upper(
-    d: Digraph, *, profile: Optional[ClosedWalkProfile] = None
-) -> StructureVerdict:
+def equality_verdict_energy_upper(d: Digraph, profile: ClosedWalkProfile) -> StructureVerdict:
     """Does the walk-ratio energy bound hold with equality?
 
     True exactly for symmetric digraphs of: the empty graph, the complete
@@ -294,8 +279,7 @@ def equality_verdict_energy_upper(
     sqrt((a - q)/(n - 1)); additionally (graph corollary) a connected
     non-bipartite pseudo-regular graph with exactly three distinct
     eigenvalues p and +-sqrt((2m - p^2)/(n - 1)) where p > sqrt(m/n).
-    ``profile``, when given, must be ``walk_profile(d)``; it saves
-    recomputing it.
+    ``profile`` is the walk profile of ``d``.
     """
     if d.n == 0:
         return StructureVerdict(KIND_EMPTY, (0,), True)
@@ -310,7 +294,6 @@ def equality_verdict_energy_upper(
     if all(deg == 1 for deg in g.degrees):
         return StructureVerdict(KIND_PERFECT_MATCHING_UNION, (n // 2,), True)
 
-    profile = walk_profile(d) if profile is None else profile
     a = profile.a
     q = profile.sum_t2_sq / profile.sum_c2_sq if profile.sum_c2_sq else 0.0
 

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from digenergy import (
+    Analysis,
     Digraph,
     PurelyImaginaryEigenvalueError,
     coulson_energy,
@@ -17,8 +18,6 @@ from digenergy import (
     energy_upper_walk_ratio,
     energy_upper_walk_rms,
     enumerate_digraphs,
-    equality_verdict_energy_upper,
-    equality_verdict_rho_lower,
     inject_fault,
     is_strongly_regular,
     rho_lower_walk_mean,
@@ -101,7 +100,7 @@ def test_criterion_2_fixtures_exact():
     if abs(walk_ratio(prof3) - 4.0) > 1e-9:
         failures.append("triangle walk ratio")
     for fn, args in (
-        (energy_upper_radius, (k3,)),
+        (energy_upper_radius, (prof3, 3, spec3.rho)),
         (energy_upper_walk_mean, (prof3, 3)),
         (energy_upper_walk_rms, (prof3, 3)),
         (energy_upper_walk_ratio, (prof3, 3)),
@@ -123,7 +122,7 @@ def test_criterion_2_fixtures_exact():
         failures.append("star radius")
     if abs(rho_lower_walk_ratio(profs) - spec_s.rho) > 1e-9:
         failures.append("star ratio equality")
-    verdict = equality_verdict_rho_lower(star)
+    verdict = Analysis(star).verdict_rho
     if not (verdict.kind == "SEMIREGULAR_BIPARTITE" and verdict.params == (2, 1)
             and verdict.predicted_equality):
         failures.append("star verdict")
@@ -173,7 +172,7 @@ def test_criterion_4_coulson_integral():
         skipped += rep.checks_run["coulson_match"].skipped
     raised = False
     try:
-        coulson_energy(directed_cycle(4))
+        coulson_energy(eigenvalues(directed_cycle(4)))
     except PurelyImaginaryEigenvalueError:
         raised = True
     ok = violations == 0 and raised
@@ -184,14 +183,14 @@ def test_criterion_4_coulson_integral():
 def _radius_equality_holds(d, tol=1e-7):
     prof = walk_profile(d)
     gap = abs(rho_lower_walk_ratio(prof) - eigenvalues(d).rho)
-    verdict = equality_verdict_rho_lower(d)
+    verdict = Analysis(d).verdict_rho
     return gap <= tol and verdict.predicted_equality
 
 
 def _energy_equality_holds(d, tol=1e-7):
     prof = walk_profile(d)
     gap = abs(energy_upper_walk_ratio(prof, d.n) - eigenvalues(d).energy) if d.n else 0.0
-    verdict = equality_verdict_energy_upper(d)
+    verdict = Analysis(d).verdict_energy
     return gap <= tol and verdict.predicted_equality
 
 
@@ -217,7 +216,7 @@ def test_criterion_5_equality_families():
             d = sym(complete_bipartite(r1, r2))
             if not _radius_equality_holds(d):
                 failures.append(f"bipartite {r1},{r2}")
-            v = equality_verdict_rho_lower(_with_pendant_arc(d))
+            v = Analysis(_with_pendant_arc(d)).verdict_rho
             if not (v.predicted_equality and v.extra_noncycle_arcs):
                 failures.append(f"bipartite+arc {r1},{r2}")
             if not _radius_equality_holds(_with_pendant_arc(d)):
@@ -238,7 +237,7 @@ def test_criterion_5_equality_families():
         d = sym(g)
         prof = walk_profile(d)
         gap = energy_upper_walk_ratio(prof, d.n) - eigenvalues(d).energy
-        verdict = equality_verdict_energy_upper(d)
+        verdict = Analysis(d).verdict_energy
         if is_strongly_regular(g) != params:
             failures.append(f"{name} srg params")
         if verdict.predicted_equality or gap <= 1e-7:

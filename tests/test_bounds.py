@@ -18,6 +18,7 @@ from digenergy import (
     rho_lower_walk_mean,
     rho_lower_walk_ratio,
     rho_lower_walk_rms,
+    spectral_radius,
     walk_profile,
     walk_ratio,
 )
@@ -28,6 +29,10 @@ from families import complete_graph, directed_cycle, star_graph, sym
 
 def prof(d):
     return walk_profile(d)
+
+
+def report(d):
+    return bound_chain_report(prof(d), eigenvalues(d))
 
 
 K3 = sym(complete_graph(3))
@@ -80,9 +85,9 @@ class TestEnergyUpperBounds:
         assert energy_upper_mcclelland(prof(Digraph(3)), 3) == 0.0
 
     def test_radius_form(self):
-        assert energy_upper_radius(K2) == pytest.approx(2.0, abs=1e-12)
-        assert energy_upper_radius(K3) == pytest.approx(4.0, abs=1e-12)
-        assert energy_upper_radius(C3) == pytest.approx(3.0, abs=1e-12)
+        assert energy_upper_radius(prof(K2), 2, spectral_radius(K2)) == pytest.approx(2.0, abs=1e-12)
+        assert energy_upper_radius(prof(K3), 3, spectral_radius(K3)) == pytest.approx(4.0, abs=1e-12)
+        assert energy_upper_radius(prof(C3), 3, spectral_radius(C3)) == pytest.approx(3.0, abs=1e-12)
 
     def test_walk_mean_form(self):
         assert energy_upper_walk_mean(prof(K3), 3) == pytest.approx(4.0, abs=1e-12)
@@ -125,7 +130,7 @@ class TestFMonotonicity:
 
 class TestChainReport:
     def test_sym_triangle(self):
-        rep = bound_chain_report(K3)
+        rep = report(K3)
         assert rep.walk_dominated is True  # 6*3 < 36
         assert rep.chain_ok is True
         for value in (rep.energy_upper_radius, rep.energy_upper_walk_mean,
@@ -133,7 +138,7 @@ class TestChainReport:
             assert value == pytest.approx(4.0, abs=1e-9)
 
     def test_directed_triangle(self):
-        rep = bound_chain_report(C3)
+        rep = report(C3)
         assert rep.walk_dominated is False
         assert rep.rho_lower_walk_mean == 0.0
         assert rep.rho_lower_walk_rms == 0.0
@@ -141,7 +146,7 @@ class TestChainReport:
         assert rep.chain_ok is True
 
     def test_sym_star(self):
-        rep = bound_chain_report(STAR)
+        rep = report(STAR)
         assert rep.walk_dominated is True  # 4*3 < 16
         assert rep.energy_upper_walk_ratio == pytest.approx(rep.energy_upper_walk_rms, abs=1e-12)
         assert rep.energy_upper_walk_ratio == pytest.approx(math.sqrt(2) + 2, abs=1e-9)
@@ -151,20 +156,15 @@ class TestChainReport:
         assert rep.chain_ok is True
 
     def test_empty_digraph_report(self):
-        rep = bound_chain_report(Digraph(0))
+        rep = report(Digraph(0))
         assert rep.rho == 0.0 and rep.energy == 0.0
         assert rep.rho_lower_walk_mean is None  # n = 0: mean undefined
         assert rep.notes
 
     def test_to_dict_roundtrips_values(self):
-        d = bound_chain_report(K3).to_dict()
+        d = report(K3).to_dict()
         assert d["energy"] == pytest.approx(4.0)
         assert d["walk_dominated"] is True
-
-    def test_precomputed_profile_and_spectrum(self):
-        for d in (K3, C3, STAR, Digraph(0)):
-            given = bound_chain_report(d, profile=walk_profile(d), spectrum=eigenvalues(d))
-            assert given == bound_chain_report(d)
 
 
 class TestFaultInjection:

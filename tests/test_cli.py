@@ -178,6 +178,41 @@ class TestVertexCap:
         assert parse_edge_list(serialize_edge_list(d)) == d
 
 
+class TestUsageErrors:
+    """Unreadable input and out-of-range numeric options exit 2 with one
+    message, never a traceback."""
+
+    @pytest.mark.parametrize("command", ["analyze", "coulson"])
+    def test_non_utf8_file(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff\xfe\n")
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["coulson", "--rel-tol", "0", "-"],
+        ["coulson", "--rel-tol", "1.5", "-"],
+        ["coulson", "--rel-tol", "nan", "-"],
+        ["--tol", "nan", "verify", "2"],
+        ["--tol", "-1", "verify", "2"],
+        ["--tol", "inf", "verify", "2"],
+        ["--tol", "abc", "analyze", "-"],
+    ])
+    def test_bad_numeric_option(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument --" in captured.err
+
+    def test_zero_tol_accepted(self, capsys):
+        assert main(["--tol", "0", "verify", "2"]) == 0
+        capsys.readouterr()
+
+
 class TestMainEntry:
     def test_main_returns_exit_code(self, capsys):
         assert main(["verify", "2"]) == 0

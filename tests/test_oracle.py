@@ -164,39 +164,23 @@ class TestVerifyAll:
         assert digest == "20db5d51a57424dc8c0c559a03058abb965f56dc344b5d46368850d6adf0a5aa"
 
 
-class TestVerdictsTakePrecomputedPieces:
-    """The harness passes its walk profile and cycle-arc reduction to the
-    equality verdicts; the verdicts must not depend on where they came from."""
-
-    CORPUS = list(enumerate_digraphs(3)) + [random_digraph(6, p, seed)
-                                            for p in (0.3, 0.6) for seed in range(10)]
-
-    def test_rho_lower(self):
-        for d in self.CORPUS:
-            given = equality_verdict_rho_lower(
-                d, profile=walk_profile(d), reduced=cycle_arc_reduction(d))
-            assert given == equality_verdict_rho_lower(d)
-
-    def test_energy_upper(self):
-        for d in self.CORPUS:
-            given = equality_verdict_energy_upper(d, profile=walk_profile(d))
-            assert given == equality_verdict_energy_upper(d)
-
-
 class TestAnalysis:
-    """``Analysis`` is a memo: its document equals the one built from cold
-    calls, and each piece is computed once however often it is read."""
+    """``Analysis`` is a memo: its document equals the one built from
+    independently computed pieces, and each piece is computed once however
+    often it is read."""
 
-    CORPUS = TestVerdictsTakePrecomputedPieces.CORPUS + [directed_cycle(4)]
+    CORPUS = (list(enumerate_digraphs(3))
+              + [random_digraph(6, p, seed) for p in (0.3, 0.6) for seed in range(10)]
+              + [directed_cycle(4)])
     TOL = 1e-8
 
     def _cold_document(self, d):
         profile = walk_profile(d)
         spec = eigenvalues(d)
-        report = bound_chain_report(d, tol=self.TOL)
+        report = bound_chain_report(profile, spec, self.TOL)
         warnings = list(report.notes)
         try:
-            coulson = coulson_energy(d)
+            coulson = coulson_energy(spec)
         except PurelyImaginaryEigenvalueError as exc:
             coulson = None
             warnings.append(f"coulson integral skipped: {exc}")
@@ -209,8 +193,10 @@ class TestAnalysis:
             "spectrum": {"eigenvalues": [[z.real, z.imag] for z in spec.eigenvalues],
                          "rho": spec.rho, "energy": spec.energy},
             "bounds": report.to_dict(),
-            "verdicts": {"radius_lower": equality_verdict_rho_lower(d).to_dict(),
-                         "energy_upper": equality_verdict_energy_upper(d).to_dict()},
+            "verdicts": {
+                "radius_lower": equality_verdict_rho_lower(d, profile, cycle_arc_reduction(d)).to_dict(),
+                "energy_upper": equality_verdict_energy_upper(d, profile).to_dict(),
+            },
             "coulson_energy": coulson,
             "warnings": warnings,
         }

@@ -396,34 +396,37 @@ class TestMomentIdentities:
 class TestCoulson:
     def test_sym_edge_is_two(self):
         # integrand reduces to 2/(1+x^2); the integral is exactly 2
-        assert coulson_energy(sym(complete_graph(2))) == pytest.approx(2.0, rel=1e-9)
+        assert coulson_energy(eigenvalues(sym(complete_graph(2)))) == pytest.approx(2.0, rel=1e-9)
 
     def test_sym_triangle_matches_energy(self):
         d = sym(complete_graph(3))
-        assert coulson_energy(d, rel_tol=1e-6) == pytest.approx(energy(d), rel=1e-6)
+        assert coulson_energy(eigenvalues(d), rel_tol=1e-6) == pytest.approx(energy(d), rel=1e-6)
 
     def test_directed_four_cycle_pole(self):
         with pytest.raises(PurelyImaginaryEigenvalueError) as exc:
-            coulson_energy(directed_cycle(4))
+            coulson_energy(eigenvalues(directed_cycle(4)))
         assert abs(abs(exc.value.x) - 1.0) < 1e-6
 
     def test_rel_tol_validated(self):
         with pytest.raises(ValueError):
-            coulson_energy(sym(complete_graph(2)), rel_tol=0.0)
+            coulson_energy(eigenvalues(sym(complete_graph(2))), rel_tol=0.0)
         with pytest.raises(ValueError):
-            coulson_energy(sym(complete_graph(2)), rel_tol=1.5)
+            coulson_energy(eigenvalues(sym(complete_graph(2))), rel_tol=1.5)
+        with pytest.raises(ValueError):
+            coulson_energy(eigenvalues(Digraph(0)), rel_tol=0.0)
 
     def test_zero_eigenvalue_is_not_a_pole(self):
         d = sym(star_graph(2))  # spectrum {sqrt(2), 0, -sqrt(2)}
-        assert coulson_energy(d) == pytest.approx(energy(d), rel=1e-6)
+        assert coulson_energy(eigenvalues(d)) == pytest.approx(energy(d), rel=1e-6)
 
     def test_empty_digraph(self):
-        assert coulson_energy(Digraph(3)) == pytest.approx(0.0, abs=1e-12)
+        assert coulson_energy(eigenvalues(Digraph(3))) == pytest.approx(0.0, abs=1e-12)
+        assert coulson_energy(eigenvalues(Digraph(0))) == 0.0
 
     def test_many_zero_eigenvalues_are_not_poles(self):
         # x^10 (x^2 - 3): |phi(ix)| ~ |x|^10 near 0 must not read as a pole.
         d = from_graph(Graph(12, [(0, 1), (0, 2), (0, 3)]))
-        assert coulson_energy(d) == pytest.approx(2 * math.sqrt(3), rel=1e-6)
+        assert coulson_energy(eigenvalues(d)) == pytest.approx(2 * math.sqrt(3), rel=1e-6)
 
 
 class _PanelBudgetExceeded(Exception):
@@ -563,22 +566,22 @@ class TestExactMemo:
         for d in self.CORPUS:
             spec = eigenvalues(d)
             try:
-                coulson_energy(d, spectrum=spec)
+                coulson_energy(spec)
             except PurelyImaginaryEigenvalueError:
                 continue
-            warm = coulson_energy(d, spectrum=spec)
+            warm = coulson_energy(spec)
             _clear_memos()
-            assert coulson_energy(d) == warm
+            assert coulson_energy(eigenvalues(d)) == warm
 
     def test_relabelings_share_the_memo(self):
         d = sym(path_graph(4))
         perm = (2, 0, 3, 1)
         relabeled = Digraph(4, [(perm[i], perm[j]) for i, j in d.arcs])
         assert relabeled != d
-        coulson_energy(d)
+        coulson_energy(eigenvalues(d))
         roots_hits = _repeated_roots.cache_info().hits
         integral_hits = _coulson_integral.cache_info().hits
-        coulson_energy(relabeled)
+        coulson_energy(eigenvalues(relabeled))
         assert _repeated_roots.cache_info().hits > roots_hits
         assert _coulson_integral.cache_info().hits > integral_hits
 

@@ -2,6 +2,7 @@ import pytest
 
 from digenergy import (
     Digraph,
+    cycle_arc_reduction,
     energy,
     energy_upper_walk_ratio,
     equality_verdict_energy_upper,
@@ -29,6 +30,14 @@ from families import (
     star_graph,
     sym,
 )
+
+
+def verdict_rho(d):
+    return equality_verdict_rho_lower(d, walk_profile(d), cycle_arc_reduction(d))
+
+
+def verdict_energy(d):
+    return equality_verdict_energy_upper(d, walk_profile(d))
 
 
 class TestIsRegular:
@@ -154,14 +163,14 @@ class TestRhoEqualityVerdict:
     def test_four_cycle_with_pendant_arc(self):
         base = sym(cycle_graph(4))
         d = Digraph(5, set(base.arcs) | {(0, 4)})
-        v = equality_verdict_rho_lower(d)
+        v = verdict_rho(d)
         assert v.predicted_equality is True
         assert v.extra_noncycle_arcs == ((0, 4),)
         assert v.kind == "R_REGULAR" and v.params == (2,)
         assert abs(rho_lower_walk_ratio(walk_profile(d)) - spectral_radius(d)) < 1e-9
 
     def test_sym_star(self):
-        v = equality_verdict_rho_lower(sym(star_graph(2)))
+        v = verdict_rho(sym(star_graph(2)))
         assert v.predicted_equality is True
         assert v.kind == "SEMIREGULAR_BIPARTITE" and v.params == (2, 1)
 
@@ -169,14 +178,14 @@ class TestRhoEqualityVerdict:
         # digon {0,1} plus a directed two-path closing a triangle; the
         # verdict must agree with the numerical comparison of both sides
         d = Digraph(3, [(0, 1), (1, 0), (1, 2), (2, 0)])
-        v = equality_verdict_rho_lower(d)
+        v = verdict_rho(d)
         gap = abs(rho_lower_walk_ratio(walk_profile(d)) - spectral_radius(d))
         assert v.predicted_equality == (gap <= 1e-7)
         assert v.predicted_equality is False
 
     def test_acyclic_is_empty_kind(self):
         d = Digraph(3, [(0, 1), (1, 2)])
-        v = equality_verdict_rho_lower(d)
+        v = verdict_rho(d)
         assert v.predicted_equality is True  # rho = 0 = degenerate bound
         assert v.kind == "EMPTY"
         assert v.extra_noncycle_arcs == ((0, 1), (1, 2))
@@ -186,11 +195,11 @@ class TestRhoEqualityVerdict:
         from digenergy import Graph, from_graph
 
         g = Graph(5, [(0, 1), (2, 3), (3, 4), (2, 4)])
-        v = equality_verdict_rho_lower(from_graph(g))
+        v = verdict_rho(from_graph(g))
         assert v.predicted_equality is False
 
     def test_matching_union_regular(self):
-        v = equality_verdict_rho_lower(sym(matching_graph(2)))
+        v = verdict_rho(sym(matching_graph(2)))
         assert v.predicted_equality is True
         assert v.kind == "R_REGULAR" and v.params == (1,)
 
@@ -205,30 +214,30 @@ class TestRhoEqualityVerdict:
         prof = walk_profile(d)
         assert prof.sum_t2_sq / prof.sum_c2_sq == 4.0
         assert abs(rho_lower_walk_ratio(prof) - spectral_radius(d)) < 1e-9
-        v = equality_verdict_rho_lower(d)
+        v = verdict_rho(d)
         assert v.predicted_equality is True
         assert v.kind == "R_REGULAR" and v.params == (2,)  # first edge component
 
 
 class TestEnergyEqualityVerdict:
     def test_complete_four(self):
-        v = equality_verdict_energy_upper(sym(complete_graph(4)))
+        v = verdict_energy(sym(complete_graph(4)))
         assert v.predicted_equality is True
         assert v.kind == "COMPLETE" and v.params == (4,)
 
     def test_two_disjoint_digons(self):
-        v = equality_verdict_energy_upper(sym(matching_graph(2)))
+        v = verdict_energy(sym(matching_graph(2)))
         assert v.predicted_equality is True
         assert v.kind == "PERFECT_MATCHING_UNION" and v.params == (2,)
 
     def test_empty(self):
-        v = equality_verdict_energy_upper(Digraph(4))
+        v = verdict_energy(Digraph(4))
         assert v.predicted_equality is True
         assert v.kind == "EMPTY"
 
     def test_pentagon_strict(self):
         d = sym(cycle_graph(5))
-        v = equality_verdict_energy_upper(d)
+        v = verdict_energy(d)
         assert v.predicted_equality is False
         assert v.kind == "STRONGLY_REGULAR" and v.params == (5, 2, 0, 1)
         bound = energy_upper_walk_ratio(walk_profile(d), 5)
@@ -236,27 +245,27 @@ class TestEnergyEqualityVerdict:
 
     def test_petersen_strict(self):
         d = sym(petersen_graph())
-        v = equality_verdict_energy_upper(d)
+        v = verdict_energy(d)
         assert v.predicted_equality is False
         assert v.kind == "STRONGLY_REGULAR" and v.params == (10, 3, 0, 1)
         bound = energy_upper_walk_ratio(walk_profile(d), 10)
         assert bound > energy(d) + 1e-3
 
     def test_asymmetric_is_none(self):
-        v = equality_verdict_energy_upper(directed_cycle(3))
+        v = verdict_energy(directed_cycle(3))
         assert v.predicted_equality is False
         assert v.kind == "NONE"
 
     def test_extra_arc_breaks_equality(self):
         base = sym(complete_graph(3))
         d = Digraph(4, set(base.arcs) | {(0, 3)})
-        v = equality_verdict_energy_upper(d)
+        v = verdict_energy(d)
         assert v.predicted_equality is False
 
     def test_complete_bipartite_balanced(self):
         # K_{2,2} = C4: SRG(4,2,0,2) with eigenvalues {2,0,0,-2}: moduli of
         # the non-Perron values differ from the target, so no equality
-        v = equality_verdict_energy_upper(sym(complete_bipartite(2, 2)))
+        v = verdict_energy(sym(complete_bipartite(2, 2)))
         assert v.predicted_equality is False
         assert v.kind == "STRONGLY_REGULAR"
 
@@ -277,6 +286,6 @@ class TestEnergyEqualityVerdict:
         prof = walk_profile(d)
         assert energy(d) == pytest.approx(36.0, abs=1e-8)
         assert energy_upper_walk_ratio(prof, 16) == pytest.approx(energy(d), abs=1e-7)
-        v = equality_verdict_energy_upper(d)
+        v = verdict_energy(d)
         assert v.predicted_equality is True
         assert v.kind == "STRONGLY_REGULAR" and v.params == (16, 6, 2, 2)
