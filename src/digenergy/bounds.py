@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .digraph import ClosedWalkProfile
@@ -171,24 +171,7 @@ class BoundReport:
     notes: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "arc_count": self.arc_count,
-            "c2_total": self.c2_total,
-            "rho": self.rho,
-            "energy": self.energy,
-            "rho_lower_walk_mean": self.rho_lower_walk_mean,
-            "rho_lower_walk_rms": self.rho_lower_walk_rms,
-            "rho_lower_walk_ratio": self.rho_lower_walk_ratio,
-            "energy_upper_mcclelland": self.energy_upper_mcclelland,
-            "energy_upper_radius": self.energy_upper_radius,
-            "energy_upper_walk_mean": self.energy_upper_walk_mean,
-            "energy_upper_walk_rms": self.energy_upper_walk_rms,
-            "energy_upper_walk_ratio": self.energy_upper_walk_ratio,
-            "walk_dominated": self.walk_dominated,
-            "chain_ok": self.chain_ok,
-            "notes": list(self.notes),
-        }
+        return {**asdict(self), "notes": list(self.notes)}
 
 
 def bound_chain_report(

@@ -1,7 +1,9 @@
 """Command-line front end: analyze, verify, coulson, random.
 
-Exit codes: 0 success / all checks passed, 1 verification or tolerance
-failure, 2 usage or configuration error (including unparseable input).
+Exit codes: 0 success / all checks passed; 1 verification or tolerance
+failure, or stdout closed before all output was written (a broken pipe,
+which prints no traceback); 2 usage or configuration error, including input
+that is not UTF-8 or does not parse, read from a file or stdin alike.
 Human output uses 9 significant digits; --json emits full-precision JSON.
 The NO_COLOR environment variable (or a non-tty stdout) disables styling.
 """
@@ -98,9 +100,11 @@ def _load_digraph(path: str | None) -> Digraph | None:
     decoded or parsed."""
     try:
         if path is None or path == "-":
-            return parse_edge_list(sys.stdin.read())
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_edge_list(fh.read())
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        return parse_edge_list(data.decode("utf-8"))
     except (EdgeListParseError, DigraphValidationError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
@@ -246,7 +250,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # The flush at exit would raise again: send what is left to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

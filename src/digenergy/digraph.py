@@ -93,10 +93,6 @@ class Graph:
             if not (0 <= i < n and 0 <= j < n):
                 raise DigraphValidationError(f"edge ({i},{j}) out of range for n={n}")
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     @cached_property
     def neighbor_masks(self) -> tuple[int, ...]:
         rows = [0] * self.n
@@ -108,9 +104,6 @@ class Graph:
     @cached_property
     def degrees(self) -> tuple[int, ...]:
         return tuple(m.bit_count() for m in self.neighbor_masks)
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(_bits(self.neighbor_masks[v]))
 
     def adjacency(self) -> np.ndarray:
         a = np.zeros((self.n, self.n), dtype=np.int64)
@@ -124,21 +117,10 @@ class Graph:
         seen = 0
         comps = []
         for start in range(self.n):
-            if (seen >> start) & 1:
-                continue
-            frontier = 1 << start
-            comp = 0
-            while frontier:
-                comp |= frontier
-                nxt = 0
-                m = frontier
-                while m:
-                    v = (m & -m).bit_length() - 1
-                    nxt |= self.neighbor_masks[v]
-                    m &= m - 1
-                frontier = nxt & ~comp
-            seen |= comp
-            comps.append(tuple(_bits(comp)))
+            if not (seen >> start) & 1:
+                comp = kernels.reach(start, self.neighbor_masks)
+                seen |= comp
+                comps.append(tuple(_bits(comp)))
         return tuple(comps)
 
 
@@ -266,7 +248,7 @@ def walk_profile(d: Digraph) -> ClosedWalkProfile:
 
 
 def strongly_connected_components(d: Digraph) -> SccPartition:
-    ids, count = kernels.scc_ids(d.n, d.out_masks)
+    ids, count = kernels.scc_ids(d.n, d.out_masks, d.in_masks)
     return SccPartition(component_id=tuple(ids), component_count=count)
 
 

@@ -1,11 +1,12 @@
 """The per-digraph hot kernels, on adjacency bitmask rows.
 
 ``out_masks[i]`` has bit ``j`` set iff the arc (i, j) is present.  The walk
-counts and the strong components run on Python integers, at any n.  The
-characteristic polynomial runs its matrix recurrence in numpy, on int64
-when a bound proves that no value can overflow and on Python integers
-(``dtype=object``) otherwise, so every result is exact at any size.  Every
-kernel returns plain Python ints.
+counts and the breadth-first layers run on Python integers, at any n.  Strong
+components come from reachability: the component of v is what v reaches
+along ``out_masks`` that also reaches v.  The characteristic polynomial runs
+its matrix recurrence in numpy, on int64 when a bound proves that no value
+can overflow and on Python integers (``dtype=object``) otherwise, so every
+result is exact at any size.  Every kernel returns plain Python ints.
 """
 
 from __future__ import annotations
@@ -35,67 +36,49 @@ def walk_counts(n: int, out_masks, in_masks):
     return c2, t2
 
 
-def scc_ids(n: int, out_masks):
-    """Strongly connected components via iterative Tarjan.
+def bfs_layers(start: int, masks):
+    """Breadth-first layers from ``start`` along the bitmask rows ``masks``.
 
-    Returns ``(ids, count)`` with component ids renumbered so that components
-    are ordered by their smallest member vertex.
+    Yields bitmasks: layer k holds the vertices at distance exactly k.
     """
-    UNSET = -1
-    index = [UNSET] * n
-    low = [0] * n
-    on_stack = [False] * n
-    comp = [UNSET] * n
-    stack: list[int] = []
-    counter = 0
-    n_comps = 0
+    seen = layer = 1 << start
+    while layer:
+        yield layer
+        nxt = 0
+        while layer:
+            low = layer & -layer
+            nxt |= masks[low.bit_length() - 1]
+            layer ^= low
+        layer = nxt & ~seen
+        seen |= layer
 
-    for root in range(n):
-        if index[root] != UNSET:
-            continue
-        # Frame: (vertex, remaining-successor mask).
-        frames = [(root, out_masks[root])]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while frames:
-            v, rem = frames[-1]
-            if rem:
-                w = (rem & -rem).bit_length() - 1
-                frames[-1] = (v, rem & (rem - 1))
-                if index[w] == UNSET:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    frames.append((w, out_masks[w]))
-                elif on_stack[w]:
-                    if index[w] < low[v]:
-                        low[v] = index[w]
-            else:
-                frames.pop()
-                if low[v] == index[v]:
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp[w] = n_comps
-                        if w == v:
-                            break
-                    n_comps += 1
-                if frames:
-                    u = frames[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
 
-    # Renumber so ids follow the smallest contained vertex.
-    remap = [UNSET] * n_comps
-    next_id = 0
+def reach(start: int, masks) -> int:
+    """Bitmask of the vertices reachable from ``start`` along ``masks``."""
+    seen = 0
+    for layer in bfs_layers(start, masks):
+        seen |= layer
+    return seen
+
+
+def scc_ids(n: int, out_masks, in_masks):
+    """Strongly connected components from reachability.
+
+    The component of v is what v reaches that also reaches v.  Returns
+    ``(ids, count)``; taking v as the smallest unassigned vertex orders the
+    ids by smallest member vertex.
+    """
+    ids = [-1] * n
+    count = 0
     for v in range(n):
-        if remap[comp[v]] == UNSET:
-            remap[comp[v]] = next_id
-            next_id += 1
-    return [remap[comp[v]] for v in range(n)], n_comps
+        if ids[v] < 0:
+            comp = reach(v, out_masks) & reach(v, in_masks)
+            while comp:
+                low = comp & -comp
+                ids[low.bit_length() - 1] = count
+                comp ^= low
+            count += 1
+    return ids, count
 
 
 def charpoly_from_masks(n: int, out_masks):

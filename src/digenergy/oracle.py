@@ -271,15 +271,11 @@ def _check_walk_rowsum(ctx: Analysis):
             out.append((float(c), float(rows[i]), abs(float(rows[i]) - c)))
     return out
 
-_check_walk_rowsum.check_name = "walk_rowsum"
-
 
 def _check_walk_sum_identity(ctx: Analysis):
     lhs = sum(ctx.profile.t2_seq)
     rhs = ctx.profile.sum_c2_sq
     return [] if lhs == rhs else [(float(lhs), float(rhs), float(abs(lhs - rhs)))]
-
-_check_walk_sum_identity.check_name = "walk_sum_identity"
 
 
 def _check_symmetrization_radius(ctx: Analysis):
@@ -298,8 +294,6 @@ def _check_symmetrization_radius(ctx: Analysis):
         out.append((rho_s, math.sqrt(rho_s2), abs(rho_s - math.sqrt(rho_s2))))
     return out
 
-_check_symmetrization_radius.check_name = "symmetrization_radius"
-
 
 def _check_moment_difference(ctx: Analysis):
     spec = ctx.spectrum
@@ -308,8 +302,6 @@ def _check_moment_difference(ctx: Analysis):
         return [(spec.sum_re_sq - spec.sum_im_sq, float(ctx.profile.c2_total), abs(residual))]
     return []
 
-_check_moment_difference.check_name = "moment_difference"
-
 
 def _check_moment_total(ctx: Analysis):
     spec = ctx.spectrum
@@ -317,8 +309,6 @@ def _check_moment_total(ctx: Analysis):
     if total > ctx.profile.a + 1e-8:
         return [(total, float(ctx.profile.a), total - ctx.profile.a)]
     return []
-
-_check_moment_total.check_name = "moment_total"
 
 
 def _inline_rho_lowers(profile, n):
@@ -348,8 +338,6 @@ def _check_rho_chain(ctx: Analysis):
         if not bounds_mod.leq_tol(low, rho, tol):
             out.append((low, rho, low - rho))
     return out
-
-_check_rho_chain.check_name = "rho_chain"
 
 
 def _inline_energy_uppers(profile, n, rho):
@@ -385,8 +373,6 @@ def _check_energy_bounds(ctx: Analysis):
             out.append((spec.energy, upper, spec.energy - upper))
     return out
 
-_check_energy_bounds.check_name = "energy_bounds"
-
 
 def _check_dominance_chain(ctx: Analysis):
     profile, n, tol = ctx.profile, ctx.d.n, ctx.tol
@@ -409,8 +395,6 @@ def _check_dominance_chain(ctx: Analysis):
         out.append((spec.energy, f_ratio, spec.energy - f_ratio))
     return out
 
-_check_dominance_chain.check_name = "dominance_chain"
-
 
 def _check_charpoly_reduction_invariance(ctx: Analysis):
     p1 = ctx.charpoly.coeffs
@@ -419,8 +403,6 @@ def _check_charpoly_reduction_invariance(ctx: Analysis):
         gap = max(abs(a - b) for a, b in zip(p1, p2))
         return [(float(p1[0]), float(p2[0]), float(gap))]
     return []
-
-_check_charpoly_reduction_invariance.check_name = "charpoly_reduction_invariance"
 
 
 def _check_coulson_match(ctx: Analysis):
@@ -436,8 +418,6 @@ def _check_coulson_match(ctx: Analysis):
         return [(integral, spec.energy, diff)]
     return []
 
-_check_coulson_match.check_name = "coulson_match"
-
 
 def _check_equality_iff_rho(ctx: Analysis):
     _, _, ratio = _inline_rho_lowers(ctx.profile, ctx.d.n)
@@ -446,8 +426,6 @@ def _check_equality_iff_rho(ctx: Analysis):
     if predicted != numeric:
         return [(float(predicted), float(numeric), abs(ratio - ctx.spectrum.rho))]
     return []
-
-_check_equality_iff_rho.check_name = "equality_iff_rho"
 
 
 def _check_equality_iff_energy(ctx: Analysis):
@@ -459,25 +437,20 @@ def _check_equality_iff_energy(ctx: Analysis):
         return [(float(predicted), float(numeric), abs(f_ratio - ctx.spectrum.energy))]
     return []
 
-_check_equality_iff_energy.check_name = "equality_iff_energy"
-
 
 _CHECKS = {
-    fn.check_name: fn
-    for fn in (
-        _check_walk_rowsum,
-        _check_walk_sum_identity,
-        _check_symmetrization_radius,
-        _check_moment_difference,
-        _check_moment_total,
-        _check_rho_chain,
-        _check_energy_bounds,
-        _check_dominance_chain,
-        _check_charpoly_reduction_invariance,
-        _check_coulson_match,
-        _check_equality_iff_rho,
-        _check_equality_iff_energy,
-    )
+    "walk_rowsum": _check_walk_rowsum,
+    "walk_sum_identity": _check_walk_sum_identity,
+    "symmetrization_radius": _check_symmetrization_radius,
+    "moment_difference": _check_moment_difference,
+    "moment_total": _check_moment_total,
+    "rho_chain": _check_rho_chain,
+    "energy_bounds": _check_energy_bounds,
+    "dominance_chain": _check_dominance_chain,
+    "charpoly_reduction_invariance": _check_charpoly_reduction_invariance,
+    "coulson_match": _check_coulson_match,
+    "equality_iff_rho": _check_equality_iff_rho,
+    "equality_iff_energy": _check_equality_iff_energy,
 }
 
 CHECK_NAMES: tuple[str, ...] = tuple(_CHECKS)

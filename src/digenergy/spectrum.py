@@ -35,6 +35,8 @@ _RESIDUAL_GATE = 1e-6
 # coefficients; the charpoly memo, keyed on the adjacency, holds all 4,096
 # digraphs of n=4.
 _MEMO_SIZE = 4096
+# Most Aberth-Ehrlich sweeps per refinement.
+_ABERTH_SWEEPS = 24
 # The prime modulus of the square-free certificate (a Mersenne prime).
 _CERT_PRIME = 2 ** 61 - 1
 
@@ -43,14 +45,10 @@ _CERT_PRIME = 2 ** 61 - 1
 class CharPoly:
     """Monic integer characteristic polynomial, coefficients ascending.
 
-    ``coeffs[k]`` multiplies x**k and ``coeffs[degree] == 1``.
+    ``coeffs[k]`` multiplies x**k and ``coeffs[-1] == 1``.
     """
 
     coeffs: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
     def __call__(self, z: complex) -> complex:
         acc = 0j
@@ -109,14 +107,11 @@ def _charpoly_of_masks(n: int, out_masks: tuple[int, ...]) -> CharPoly:
 def _poly_arrays(coeffs: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Descending-order float coefficient arrays for p and p'."""
     desc = np.array([float(c) for c in reversed(coeffs)])
-    n = len(coeffs) - 1
     dcoeffs = np.array([float(k * c) for k, c in enumerate(coeffs)][1:][::-1])
-    if n == 0:
-        dcoeffs = np.zeros(1)
     return desc, dcoeffs
 
 
-def _aberth_refine(coeffs: Sequence[int], roots: np.ndarray, max_sweeps: int = 24) -> np.ndarray:
+def _aberth_refine(coeffs: Sequence[int], roots: np.ndarray) -> np.ndarray:
     """Simultaneous Newton-style refinement of all roots of the exact
     polynomial, accepting a correction only when it reduces |p(z)|."""
     n = len(roots)
@@ -126,7 +121,7 @@ def _aberth_refine(coeffs: Sequence[int], roots: np.ndarray, max_sweeps: int = 2
     z = roots.astype(complex).copy()
     scale = 1.0 + float(np.max(np.abs(z)))
     pz = np.polyval(p_desc, z)
-    for _ in range(max_sweeps):
+    for _ in range(_ABERTH_SWEEPS):
         dpz = np.polyval(dp_desc, z)
         safe = np.abs(dpz) > 1e-300
         newton = np.zeros_like(z)

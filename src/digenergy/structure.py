@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import kernels
 from .digraph import ClosedWalkProfile, Digraph, Graph, _bits, underlying_graph_if_symmetric
 
 EQUALITY_TOL = 1e-7
@@ -62,39 +63,31 @@ def is_regular(g: Graph) -> Optional[int]:
 
 
 def _bipartition_masks(g: Graph, comp: tuple[int, ...]) -> Optional[tuple[int, int]]:
-    """Two-color one connected component; None if an odd cycle exists."""
-    color = {}
-    side = [0, 0]
-    stack = [(comp[0], 0)]
-    color[comp[0]] = 0
-    side[0] |= 1 << comp[0]
-    while stack:
-        v, c = stack.pop()
-        m = g.neighbor_masks[v]
-        while m:
-            w = (m & -m).bit_length() - 1
-            m &= m - 1
-            if w not in color:
-                color[w] = 1 - c
-                side[1 - c] |= 1 << w
-                stack.append((w, 1 - c))
-            elif color[w] == c:
-                return None
-    return side[0], side[1]
+    """Two-color one connected component by the parity of its breadth-first
+    layers, the side holding ``comp[0]`` first; None if an edge joins two
+    vertices of one side (an odd cycle exists)."""
+    sides = [0, 0]
+    for k, layer in enumerate(kernels.bfs_layers(comp[0], g.neighbor_masks)):
+        sides[k & 1] |= layer
+    for side in sides:
+        if any(g.neighbor_masks[v] & side for v in _bits(side)):
+            return None
+    return sides[0], sides[1]
 
 
-def _component_semiregular(g: Graph, comp: tuple[int, ...]) -> Optional[tuple[int, int]]:
-    """(r1, r2) with r1 >= r2 for one connected component, degrees constant
-    per side of its bipartition; None otherwise."""
+def _side_values(g: Graph, comp: tuple[int, ...], value) -> Optional[tuple]:
+    """(max, min) of ``value[v]`` over the two sides of one connected
+    component's bipartition, when it is constant on each side; None
+    otherwise.  An empty side counts as 0."""
     sides = _bipartition_masks(g, comp)
     if sides is None:
         return None
     pair = []
     for side in sides:
-        degs = {g.degrees[v] for v in _bits(side)}
-        if len(degs) > 1:
+        vals = {value[v] for v in _bits(side)}
+        if len(vals) > 1:
             return None
-        pair.append(degs.pop() if degs else 0)
+        pair.append(vals.pop() if vals else 0)
     return (max(pair), min(pair))
 
 
@@ -113,14 +106,11 @@ def is_semiregular_bipartite(g: Graph) -> Optional[tuple[int, int]]:
         return (0, 0)
     if any(deg == 0 for deg in g.degrees):
         return None
-    pairs = set()
-    for comp in g.component_vertex_sets():
-        pair = _component_semiregular(g, comp)
-        if pair is None:
-            return None
-        pairs.add(pair)
     # Each component can be oriented on its own, so the global parts have
     # constant degree exactly when every component has the same sorted pair.
+    # A component with no such pair adds None: either the set then holds two
+    # members, or None is the one that pops.
+    pairs = {_side_values(g, comp, g.degrees) for comp in g.component_vertex_sets()}
     return pairs.pop() if len(pairs) == 1 else None
 
 
@@ -141,23 +131,12 @@ def is_strongly_regular(g: Graph) -> Optional[tuple[int, int, int, int]]:
         return None  # complete graph excluded
     a = g.adjacency()
     a2 = a @ a
-    lam = mu = None
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            common = int(a2[i, j])
-            if a[i, j]:
-                if lam is None:
-                    lam = common
-                elif lam != common:
-                    return None
-            else:
-                if mu is None:
-                    mu = common
-                elif mu != common:
-                    return None
-    assert lam is not None and mu is not None
+    eye = np.eye(n, dtype=a.dtype)
+    # Both pairs exist: g has an edge and is not complete.
+    lam = int(a2[tuple(np.argwhere(a)[0])])
+    mu = int(a2[tuple(np.argwhere(a + eye == 0)[0])])
+    if not np.array_equal(a2, k * eye + lam * a + mu * (1 - eye - a)):
+        return None
     return (n, k, lam, mu)
 
 
@@ -191,22 +170,9 @@ def is_pseudo_semiregular_bipartite(g: Graph) -> Optional[tuple[float, float]]:
     if not comps:
         return None
     ratios = _average_two_degrees(g)
-    per_comp = []
-    for comp in comps:
-        sides = _bipartition_masks(g, comp)
-        if sides is None:
-            return None
-        pair = []
-        for side in sides:
-            vals = {ratios[v] for v in _bits(side)}
-            if len(vals) > 1:
-                return None
-            pair.append(vals.pop())
-        per_comp.append(tuple(pair))
-    for candidate in (per_comp[0], per_comp[0][::-1]):
-        if all(p == candidate or p[::-1] == candidate for p in per_comp):
-            return (float(max(candidate)), float(min(candidate)))
-    return None
+    pairs = {_side_values(g, comp, ratios) for comp in comps}
+    pair = pairs.pop() if len(pairs) == 1 else None
+    return None if pair is None else (float(pair[0]), float(pair[1]))
 
 
 def _classify_equality_components(
@@ -228,7 +194,7 @@ def _classify_equality_components(
             if first is None:
                 first = (KIND_R_REGULAR, (r,))
             continue
-        pair = _component_semiregular(g, comp)
+        pair = _side_values(g, comp, g.degrees)
         if pair is None:
             return None
         r1, r2 = pair

@@ -2,6 +2,8 @@
 
 from itertools import combinations
 
+from hypothesis import strategies as st
+
 from digenergy import Digraph, Graph, from_graph
 
 
@@ -67,3 +69,17 @@ def all_regular_graphs(n: int):
         degs = set(g.degrees) or {0}
         if len(degs) == 1:
             yield g
+
+
+@st.composite
+def graphs(draw, max_n: int = 10):
+    """Hypothesis strategy: a graph on at most max_n vertices.  Half the
+    draws keep only the edges across a random 2-coloring, so they are
+    bipartite."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    pairs = list(combinations(range(n), 2))
+    if draw(st.booleans()):
+        color = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        pairs = [(i, j) for i, j in pairs if color[i] != color[j]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(n, edges)

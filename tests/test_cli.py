@@ -17,12 +17,17 @@ C4_TEXT = "4\n0 1\n1 2\n2 3\n3 0\n"
 _SRC = str(pathlib.Path(digenergy.__file__).resolve().parent.parent)
 
 
-def run_cli(args, stdin="", timeout=None):
+def _cli_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def run_cli(args, stdin="", timeout=None):
+    """Run the CLI in a child process; ``stdin`` as bytes gives bytes output."""
     proc = subprocess.run(
         [sys.executable, "-m", "digenergy", *args],
-        input=stdin, capture_output=True, text=True, env=env, timeout=timeout,
+        input=stdin, capture_output=True, text=isinstance(stdin, str), env=_cli_env(), timeout=timeout,
     )
     return proc
 
@@ -191,6 +196,26 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["analyze", "coulson"])
+    @pytest.mark.parametrize("data", [b"3\n0 1\n# caf\xe9\n", b"\xff\xfe\n"],
+                             ids=["latin1-comment", "bad-header"])
+    def test_non_utf8_stdin_matches_file(self, tmp_path, command, data):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        from_stdin = run_cli([command, "-"], stdin=data)
+        from_file = run_cli([command, str(path)])
+        assert from_stdin.returncode == from_file.returncode == 2
+        assert from_stdin.stdout == b""
+        assert from_stdin.stderr == from_file.stderr.encode()
+        assert from_stdin.stderr.startswith(b"error: 'utf-8' codec can't decode")
+        assert from_stdin.stderr.count(b"\n") == 1
+
+    @pytest.mark.parametrize("command", ["analyze", "coulson"])
+    def test_utf8_comment_on_stdin_parses(self, command):
+        proc = run_cli([command, "-"], stdin="2\n0 1\n1 0\n# café ✓\n".encode())
+        assert proc.returncode == 0
+        assert proc.stderr == b""
+
     @pytest.mark.parametrize("argv", [
         ["coulson", "--rel-tol", "0", "-"],
         ["coulson", "--rel-tol", "1.5", "-"],
@@ -222,3 +247,17 @@ class TestMainEntry:
         assert run_cli(["verify", "2"]).returncode == 0      # pass
         assert run_cli(["coulson", "-"], stdin=C4_TEXT).returncode == 1  # failure
         assert run_cli(["verify", "99"]).returncode == 2     # usage
+
+
+class TestBrokenPipe:
+    def test_closed_stdout_exits_1_without_traceback(self):
+        # The read end of stdout is closed before the child gets its input,
+        # so its first write always meets a broken pipe.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "digenergy", "--json", "analyze", "-"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(),
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(K3_TEXT.encode(), timeout=60)
+        assert proc.returncode == 1
+        assert err == b""

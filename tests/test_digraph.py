@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +22,7 @@ from digenergy import (
     walk_profile,
 )
 
-from families import complete_graph, directed_cycle, directed_path, star_graph, sym
+from families import complete_graph, directed_cycle, directed_path, graphs, star_graph, sym
 
 
 @st.composite
@@ -191,6 +193,31 @@ class TestScc:
         got = strongly_connected_components(d)
         assert got.component_id == _reachability_partition(d)
         assert got.component_count == len(set(got.component_id))
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_directed_path_at_the_vertex_cap(self, reverse):
+        # The longest breadth-first sweep the cap allows: every vertex is its
+        # own component, and each one walks the rest of the path.
+        path = directed_path(MAX_VERTICES)
+        d = Digraph(MAX_VERTICES, ((j, i) for i, j in path.arcs)) if reverse else path
+        started = time.perf_counter()
+        scc = strongly_connected_components(d)
+        assert time.perf_counter() - started < 1.0
+        assert scc.component_id == tuple(range(MAX_VERTICES))
+        assert scc.component_count == MAX_VERTICES
+
+
+class TestConnectedComponents:
+    @given(graphs())
+    @example(Graph(70))  # wider than one 64-bit word: 70 singletons in vertex order
+    @example(Graph(70, ((i, i + 1) for i in range(69))))
+    @settings(max_examples=100)
+    def test_matches_reachability_oracle(self, g):
+        ids = _reachability_partition(from_graph(g))
+        expected = tuple(
+            tuple(v for v in range(g.n) if ids[v] == k) for k in range(len(set(ids)))
+        )
+        assert g.component_vertex_sets() == expected
 
 
 class TestCycleArcReduction:

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 from digenergy import (
     Digraph,
@@ -16,14 +17,17 @@ from digenergy import (
     spectral_radius,
     walk_profile,
 )
+from digenergy.structure import _bipartition_masks
 
 from families import (
+    all_graphs,
     all_regular_graphs,
     complete_bipartite,
     complete_graph,
     cycle_graph,
     directed_cycle,
     empty_graph,
+    graphs,
     matching_graph,
     path_graph,
     petersen_graph,
@@ -52,6 +56,37 @@ class TestIsRegular:
 
     def test_empty_is_zero_regular(self):
         assert is_regular(empty_graph(3)) == 0
+
+
+def _brute_force_bipartition(g, comp):
+    """The 2-coloring of a connected component with comp[0] on the first
+    side and no edge inside a side, found by trying every coloring; None if
+    there is none.  A connected graph has at most one."""
+    members = set(comp)
+    inside = [(i, j) for i, j in g.edges if i in members]
+    found = []
+    for bits in range(1 << (len(comp) - 1)):
+        second = {v for k, v in enumerate(comp[1:]) if (bits >> k) & 1}
+        if all((i in second) != (j in second) for i, j in inside):
+            found.append((sum(1 << v for v in members - second), sum(1 << v for v in second)))
+    assert len(found) <= 1
+    return found[0] if found else None
+
+
+class TestBipartitionMasks:
+    def _check(self, g):
+        for comp in g.component_vertex_sets():
+            assert _bipartition_masks(g, comp) == _brute_force_bipartition(g, comp)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_all_graphs_up_to_five(self, n):
+        for g in all_graphs(n):
+            self._check(g)
+
+    @given(graphs(max_n=10))
+    @settings(max_examples=100)
+    def test_random_graphs_up_to_ten(self, g):
+        self._check(g)
 
 
 class TestIsSemiregularBipartite:
