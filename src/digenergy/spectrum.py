@@ -456,6 +456,13 @@ class _Integrand:
     phi(ix)/(ix)^n, and likewise for N, which keeps every evaluation free
     of overflow.
 
+    Each branch takes one Horner pass over three stacked rows: phi, N
+    padded with one leading zero, and |phi| (the absolute coefficients) at
+    |y| or |u|.  Each step does per element exactly the multiply-add of
+    ``np.polyval``, so every value, guard decision and pole abscissa is bit
+    for bit what three ``np.polyval`` calls give, and a call allocates
+    O(3 x nodes).
+
     phi must have phi(0) != 0 (see ``coulson_energy``), so that the
     absolute-coefficient scale is at least 1 on both branches and every
     small |phi(ix)| is a pole, i.e. an eigenvalue on the imaginary axis.
@@ -463,14 +470,13 @@ class _Integrand:
 
     def __init__(self, coeffs: Sequence[int]):
         n = len(coeffs) - 1
-        self.n = n
         num = [(n - k) * c for k, c in enumerate(coeffs)][:n] or [0]
-        self.num_asc = np.array([float(c) for c in num])
-        self.den_asc = np.array([float(c) for c in coeffs])
-        self.num_desc = self.num_asc[::-1].copy()
-        self.den_desc = self.den_asc[::-1].copy()
-        self.abs_den_desc = np.abs(self.den_desc)
-        self.abs_den_asc = np.abs(self.den_asc)
+        num_asc = np.array([float(c) for c in num])
+        den_asc = np.array([float(c) for c in coeffs])
+        pad = np.zeros(n + 1 - len(num_asc))
+        den_desc = den_asc[::-1]
+        self.rows_desc = np.stack([den_desc, np.concatenate([pad, num_asc[::-1]]), np.abs(den_desc)])
+        self.rows_asc = np.stack([den_asc, np.concatenate([pad, num_asc]), np.abs(den_asc)])
 
     def __call__(self, theta: np.ndarray) -> np.ndarray:
         x = np.tan(theta)
@@ -479,17 +485,14 @@ class _Integrand:
         if np.any(small):
             xs = x[small]
             y = 1j * xs
-            den = np.polyval(self.den_desc, y)
-            num = np.polyval(self.num_desc, y)
-            scale = np.polyval(self.abs_den_desc, np.abs(xs))
+            den, num, scale = _horner(self.rows_desc, y, np.abs(xs))
             self._guard(den, scale, xs)
             out[small] = (num / den).real * (1.0 + xs * xs)
         if np.any(~small):
             xl = x[~small]
             u = 1.0 / (1j * xl)
-            den = np.polyval(self.den_asc, u)   # phi(ix) / (ix)^n
-            num = np.polyval(self.num_asc, u)   # N(ix) / (ix)^(n-1)
-            scale = np.polyval(self.abs_den_asc, np.abs(u))
+            # den = phi(ix) / (ix)^n, num = N(ix) / (ix)^(n-1)
+            den, num, scale = _horner(self.rows_asc, u, np.abs(u))
             self._guard(den, scale, xl)
             ratio = (num * u) / den             # restores the degree gap of one
             out[~small] = ratio.real * (1.0 + xl * xl)
@@ -501,11 +504,20 @@ class _Integrand:
             raise PurelyImaginaryEigenvalueError(float(x[bad][0]))
 
 
-def _panel_sums(weights: np.ndarray, values: np.ndarray, halves: np.ndarray) -> np.ndarray:
-    """Gauss-Legendre sums of the panels whose node values are the rows of
-    ``values``.  One ``np.dot`` per row keeps each sum bit-identical to a
-    panel evaluated on its own, whatever the number of panels."""
-    return halves * np.array([np.dot(weights, row) for row in values])
+def _horner(rows: np.ndarray, z: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first two rows of descending coefficients at z and the third at
+    the real r, in one complex Horner pass.  Like ``np.polyval`` it starts
+    from zero and does ``acc = acc * z + c`` per coefficient; the third
+    row's imaginary parts stay zero, so its real parts are the real
+    ``np.polyval`` values."""
+    at = np.empty((3, len(z)), dtype=complex)
+    at[:2] = z
+    at[2] = r
+    acc = np.zeros_like(at)
+    for c in rows.T:
+        acc *= at
+        acc += c[:, None]
+    return acc[0], acc[1], acc[2].real
 
 
 def _level_synchronous_gl(f, a: float, b: float, rel_tol: float) -> float:
@@ -517,9 +529,12 @@ def _level_synchronous_gl(f, a: float, b: float, rel_tol: float) -> float:
     ``_MAX_DEPTH``; every other panel is split in two for the next level,
     with the tolerance halved.  Level 0 starts from
     ``0.25 * rel_tol * max(1, |16-node sum over (a, b)|)``.  All nodes of a
-    level go to f in one call.  The accepted 16-node sums are added
-    pairwise in the order of the binary panel tree, sibling by sibling, so
-    the result does not depend on how many panels share a call.
+    level go to f in one call, and both sums of a panel come from one pass
+    over the rows of node values, one ``np.dot`` per row and rule, so each
+    sum is bit-identical to a panel evaluated on its own.  The accepted
+    16-node sums are added pairwise in the order of the binary panel tree,
+    sibling by sibling, so the result does not depend on how many panels
+    share a call.
 
     Raises PurelyImaginaryEigenvalueError when the next level would take
     the panel count past ``_MAX_PANELS``, at the midpoint of the panel of
@@ -541,8 +556,13 @@ def _level_synchronous_gl(f, a: float, b: float, rel_tol: float) -> float:
         mids = 0.5 * (left + right)
         halves = 0.5 * (right - left)
         values = f((mids[:, None] + halves[:, None] * nodes).ravel()).reshape(len(mids), -1)
-        coarse = _panel_sums(lo_weights, values[:, :n_lo], halves)
-        fine = _panel_sums(hi_weights, values[:, n_lo:], halves)
+        coarse = np.empty(len(mids))
+        fine = np.empty(len(mids))
+        for i, row in enumerate(values):
+            coarse[i] = np.dot(lo_weights, row[:n_lo])
+            fine[i] = np.dot(hi_weights, row[n_lo:])
+        coarse *= halves
+        fine *= halves
         error = np.abs(fine - coarse)
         accepted = (error <= tol) | (depth >= _MAX_DEPTH)
         levels.append((fine, accepted))
@@ -550,11 +570,14 @@ def _level_synchronous_gl(f, a: float, b: float, rel_tol: float) -> float:
         split = ~accepted
         if not split.any():
             break
-        if panels + 2 * int(split.sum()) > _MAX_PANELS:
+        opened = 2 * int(split.sum())
+        if panels + opened > _MAX_PANELS:
             worst = int(np.argmax(np.where(split, error, -1.0)))
             raise PurelyImaginaryEigenvalueError(float(np.tan(mids[worst])))
-        left = np.stack([left[split], mids[split]], axis=1).ravel()
-        right = np.stack([mids[split], right[split]], axis=1).ravel()
+        next_left, next_right = np.empty(opened), np.empty(opened)
+        next_left[0::2], next_left[1::2] = left[split], mids[split]
+        next_right[0::2], next_right[1::2] = mids[split], right[split]
+        left, right = next_left, next_right
         tol /= 2.0
         depth += 1
     sums = levels[-1][0]

@@ -219,6 +219,10 @@ class TestConnectedComponents:
         )
         assert g.component_vertex_sets() == expected
 
+    def test_swept_once_per_graph(self):
+        g = Graph(5, [(0, 1), (2, 3)])
+        assert g.component_vertex_sets() is g.component_vertex_sets()
+
 
 class TestCycleArcReduction:
     def test_digon_plus_tail(self):

@@ -1,4 +1,5 @@
 import math
+import random
 import time
 
 import numpy as np
@@ -539,6 +540,150 @@ class TestLevelSynchronousQuadrature:
             _coulson_integral.__wrapped__((4, 0, 5, 0, 1), 1e-6)
         assert time.perf_counter() - started < 1.0
         assert min(abs(abs(exc.value.x) - 1.0), abs(abs(exc.value.x) - 2.0)) < 1e-3
+
+
+def _reference_rows(coeffs, x):
+    """Per branch of ``_Integrand``, the abscissae x, the point z and the
+    real r it evaluates at, and phi(z), N(z) and the scale |phi|(r), by one
+    ``np.polyval`` call each: z = ix, r = |x| for |x| <= 1, and z = 1/(ix),
+    r = |z| with the reversed polynomials for |x| > 1."""
+    n = len(coeffs) - 1
+    num = [(n - k) * c for k, c in enumerate(coeffs)][:n] or [0]
+    num_asc = np.array([float(c) for c in num])
+    den_asc = np.array([float(c) for c in coeffs])
+    small = np.abs(x) <= 1.0
+    xs, xl = x[small], x[~small]
+    y, u = 1j * xs, 1.0 / (1j * xl)
+    branches = []
+    for xb, z, r, den, num in ((xs, y, np.abs(xs), den_asc[::-1], num_asc[::-1]),
+                               (xl, u, np.abs(u), den_asc, num_asc)):
+        branches.append((xb, z, r, np.polyval(den, z), np.polyval(num, z), np.polyval(np.abs(den), r)))
+    return small, branches
+
+
+def _reference_integrand(coeffs, theta):
+    """``_Integrand`` with three ``np.polyval`` calls per branch: the
+    reference the one-pass Horner integrand must match bit for bit."""
+    x = np.tan(theta)
+    small, branches = _reference_rows(coeffs, x)
+    out = np.empty_like(x)
+    for large, (where, (xb, z, _, den, num, scale)) in enumerate(zip((small, ~small), branches)):
+        bad = np.abs(den) <= spectrum_mod._POLE_REL * scale
+        if np.any(bad):
+            raise PurelyImaginaryEigenvalueError(float(xb[bad][0]))
+        out[where] = ((num * z if large else num) / den).real * (1.0 + xb * xb)
+    return out
+
+
+def _integrand_outcome(integrand, theta):
+    """The values of one call, or ("raises", abscissa) for a pole."""
+    try:
+        return integrand(theta)
+    except PurelyImaginaryEigenvalueError as exc:
+        return ("raises", exc.x)
+
+
+def _assert_same_integrand(coeffs, theta):
+    """Values, raise and abscissa of one call, and every Horner row of both
+    branches (the scale row decides only the guard), match the reference."""
+    want = _integrand_outcome(lambda t: _reference_integrand(coeffs, t), theta)
+    f = spectrum_mod._Integrand(coeffs)
+    got = _integrand_outcome(f, theta)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert not isinstance(got, tuple) and np.array_equal(got, want)
+    _, branches = _reference_rows(coeffs, np.tan(theta))
+    for rows, (_, z, r, *want_rows) in zip((f.rows_desc, f.rows_asc), branches):
+        for got_row, want_row in zip(spectrum_mod._horner(rows, z, r), want_rows):
+            assert np.array_equal(got_row, want_row)
+
+
+def _visited_nodes(coeffs):
+    """Every node array the quadrature of ``coeffs`` passes to the integrand."""
+    f = spectrum_mod._Integrand(coeffs)
+    seen = []
+
+    def record(theta):
+        seen.append(theta.copy())
+        return f(theta)
+
+    try:
+        spectrum_mod._level_synchronous_gl(record, -math.pi / 2, math.pi / 2, 1e-6)
+    except PurelyImaginaryEigenvalueError:
+        pass
+    return seen
+
+
+def _analyze_cli_n32(seed, block):
+    """The n = 32 digraphs of one ``analyze-cli`` benchmark block, drawn as
+    ``analyze_block`` in perfbench/worker.py draws them."""
+    rng = random.Random(f"analyze-cli:{seed}:{block}")
+    cells = [(n, kind, p) for n in (8, 12, 16) for kind in ("digraph", "symmetric") for p in (0.1, 0.3)]
+    cells += [(32, "symmetric", p) for p in (0.08, 0.3, 0.4, 0.5)]
+    cells += [(32, "digraph", p) for p in (0.3, 0.4, 0.5, 0.6)]
+    rng.shuffle(cells)
+    digraphs = []
+    for n, kind, p in cells:
+        if kind == "digraph":
+            arcs = [(i, j) for i in range(n) for j in range(n) if i != j and rng.random() < p]
+        else:
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+            arcs = edges + [(j, i) for i, j in edges]
+        if n == 32:
+            digraphs.append(Digraph(n, arcs))
+    return digraphs
+
+
+INTEGRAND_CORPORA = {**COULSON_CORPORA, "analyze-cli-n32": _analyze_cli_n32(1, 0)}
+
+
+class TestHornerIntegrand:
+    """The one-pass Horner integrand returns the bits of three
+    ``np.polyval`` calls per branch, and raises at the same abscissa."""
+
+    @pytest.mark.parametrize("corpus", sorted(INTEGRAND_CORPORA))
+    def test_every_visited_node_array(self, corpus):
+        for d in INTEGRAND_CORPORA[corpus]:
+            coeffs = _integral_input(d)
+            for theta in _visited_nodes(coeffs):
+                _assert_same_integrand(coeffs, theta)
+
+    @pytest.mark.parametrize("coeffs", GUARDED_POLE_POLYS)
+    def test_guarded_poles(self, coeffs):
+        for theta in _visited_nodes(coeffs):
+            _assert_same_integrand(coeffs, theta)
+        # A node on the pole at x = 1 (small branch, all three) or at x = 2
+        # or 3 (large branch, where the polynomial has it).
+        for x in (1.0, 2.0, 3.0):
+            theta = np.array([-0.3, 0.1, math.atan(x), 1.2])
+            _assert_same_integrand(coeffs, theta)
+        f = spectrum_mod._Integrand(coeffs)
+        assert _integrand_outcome(f, np.array([0.1, math.atan(1.0)]))[0] == "raises"
+
+    def test_one_branch_calls(self, monkeypatch):
+        # No double has a tangent of exactly 1, so the abscissae go in
+        # directly: |x| == 1 belongs to the small branch.
+        monkeypatch.setattr(np, "tan", lambda theta: np.array(theta, dtype=float))
+        cases = [
+            np.linspace(-1.0, 1.0, 41),
+            np.array([1.0, -1.0]),
+            np.array([-1.0, 0.5, 1.0]),
+            np.concatenate([np.linspace(-40.0, -1.0, 20), np.linspace(1.0, 40.0, 20)])[1:-1],
+            np.array([np.nextafter(1.0, 2.0), -np.nextafter(1.0, 2.0), 1e8]),
+            np.array([-1.0, np.nextafter(1.0, 2.0), 1.0, 3.5]),
+        ]
+        for d in COULSON_CORPORA["n8"][:20] + COULSON_CORPORA["n32"]:
+            coeffs = _integral_input(d)
+            for x in cases:
+                _assert_same_integrand(coeffs, x)
+
+    def test_concatenated_call_equals_per_panel_calls(self):
+        for d in COULSON_CORPORA["n8"][:20] + COULSON_CORPORA["n32"]:
+            f = spectrum_mod._Integrand(_integral_input(d))
+            for theta in _visited_nodes(_integral_input(d))[1:]:
+                panels = theta.reshape(-1, 24)
+                assert np.array_equal(f(theta), np.concatenate([f(p) for p in panels]))
 
 
 def _clear_memos():
