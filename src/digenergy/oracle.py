@@ -180,9 +180,9 @@ class Analysis:
 
     @cached_property
     def spectrum(self):
-        poly = self.charpoly
-        spec = eigenvalues(self.d, poly, self._spectra.get(poly.coeffs))
-        self._spectra[poly.coeffs] = spec
+        coeffs = self.charpoly.coeffs
+        spec = eigenvalues(self.d, certified=self._spectra.get(coeffs))
+        self._spectra[coeffs] = spec
         return spec
 
     @cached_property

@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -145,7 +144,7 @@ def _aberth_refine(coeffs: Sequence[int], roots: np.ndarray) -> np.ndarray:
     return z
 
 
-# --- exact square-free decomposition (Yun's algorithm over rationals) -------
+# --- exact square-free decomposition (Yun's algorithm over the integers) ----
 
 
 def _trim(p: list) -> list:
@@ -154,43 +153,43 @@ def _trim(p: list) -> list:
     return p
 
 
-def _frac_deriv(p: list[Fraction]) -> list[Fraction]:
+def _deriv(p: Sequence[int]) -> list[int]:
     return [k * c for k, c in enumerate(p)][1:]
 
 
-def _frac_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = a[:]
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
+def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
+    """(q, r) with lc(b)^e * a = q * b + r, e = max(0, deg a - deg b + 1)
+    and deg r < deg b; plain exact division when b is monic and divides a."""
+    a = list(a)
+    q = [0] * max(0, len(a) - len(b) + 1)
+    lead, db = b[-1], len(b) - 1
     for k in range(len(a) - len(b), -1, -1):
-        coeff = a[k + len(b) - 1] * inv_lead
+        coeff = a[k + db]
+        if lead != 1:
+            a = [lead * c for c in a]
+            q = [lead * c for c in q]
         q[k] = coeff
         if coeff:
-            for j in range(len(b)):
+            for j in range(db):
                 a[k + j] -= coeff * b[j]
-    return _trim(q), _trim(a[: len(b) - 1])
+    return _trim(q), _trim(a[:db])
 
 
-def _frac_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _trim(a[:]), _trim(b[:])
+def _monic_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """gcd(a, b) of integer polynomials whose gcd divides a monic one.
+
+    The last term of the primitive pseudo-remainder sequence (Brown &
+    Traub, 1971), made positive: a primitive divisor of a monic integer
+    polynomial has leading coefficient +-1 (Gauss's lemma).  Each divisor is
+    made primitive before it divides, which keeps the coefficients from
+    growing exponentially along the sequence.
+    """
+    a, b = _trim(list(a)), _trim(list(b))
     while b:
-        _, r = _frac_divmod(a, b)
-        a, b = b, r
-    if not a:
-        return [Fraction(1)]
-    lead = a[-1]
-    return [c / lead for c in a]
-
-
-def _frac_to_int_primitive(p: list[Fraction]) -> tuple[int, ...]:
-    denom = math.lcm(*(c.denominator for c in p))
-    ints = [int(c * denom) for c in p]
-    g = math.gcd(*(abs(c) for c in ints))
-    if g:
-        ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return tuple(ints)
+        content = math.gcd(*b)
+        b = [c // content for c in b]
+        a, b = b, _pseudo_divmod(a, b)[1]
+    return a if a[-1] > 0 else [-c for c in a]
 
 
 def _coprime_to_derivative_mod_q(coeffs: Sequence[int]) -> bool:
@@ -200,7 +199,7 @@ def _coprime_to_derivative_mod_q(coeffs: Sequence[int]) -> bool:
     """
     q = _CERT_PRIME
     a = _trim([c % q for c in coeffs])
-    b = _trim([k * c % q for k, c in enumerate(coeffs)][1:])
+    b = _trim([c % q for c in _deriv(coeffs)])
     while b:
         inv = pow(b[-1], -1, q)
         db = len(b) - 1
@@ -216,47 +215,35 @@ def _coprime_to_derivative_mod_q(coeffs: Sequence[int]) -> bool:
 
 def _square_free_decomposition(coeffs: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
     """coeffs (ascending, exact, monic) = product of factor**multiplicity
-    with every factor square-free; Yun's algorithm over exact rationals.
+    with every factor square-free; Yun's algorithm over the integers.
+
+    Every gcd Yun takes divides the monic p, so by Gauss's lemma it is a
+    monic integer polynomial (``_monic_gcd``), and every division is by a
+    monic divisor and exact in integers, p'/gcd(p, p') included.
 
     A trivial gcd(p, p') modulo the prime q = 2^61 - 1 certifies at once
-    that p is square-free: a repeated factor f^2 of a monic integer p can be
-    taken monic and integral (Gauss's lemma), so it stays a repeated factor
-    of the same degree mod q and divides p' mod q.  Only a nontrivial gcd
-    mod q (a repeated root, or q dividing the discriminant) runs Yun.
-
-    A factor x^k with k >= 2 (zero eigenvalues, common in sparse digraphs)
-    is split off exactly first and the certificate is run on the monic
-    cofactor c: when c is square-free the result is Yun's own
-    ``[(c, 1), (x, k)]``, or ``[(x, n)]`` for p = x^n.
+    that p is square-free: a repeated factor f^2 of p can be taken monic and
+    integral (Gauss's lemma), so it stays a repeated factor of the same
+    degree mod q and divides p' mod q.  Only a nontrivial gcd mod q (a
+    repeated root, or q dividing the discriminant) runs Yun.  On square-free
+    random digraphs the certificate takes about 0.8 ms at n = 32 and 2.5 ms
+    at n = 64, against about 3.4 ms and 171 ms for the integer gcd(p, p').
     """
     coeffs = tuple(coeffs)
-    k = next(i for i, c in enumerate(coeffs) if c)
-    if k < 2:
-        if len(coeffs) <= 2 or _coprime_to_derivative_mod_q(coeffs):
-            return [(coeffs, 1)]
-    elif k == len(coeffs) - 1:
-        return [((0, 1), k)]
-    elif len(coeffs) - k <= 2 or _coprime_to_derivative_mod_q(coeffs[k:]):
-        return [(coeffs[k:], 1), ((0, 1), k)]
-    p = [Fraction(c) for c in coeffs]
-    dp = _frac_deriv(p)
-    g = _frac_gcd(p, dp)
-    if len(g) == 1:
+    if _coprime_to_derivative_mod_q(coeffs):
         return [(coeffs, 1)]
-    b, _ = _frac_divmod(p, g)
-    c, _ = _frac_divmod(dp, g)
-    d = _trim([x - y for x, y in
-               zip(c + [Fraction(0)] * len(b), _frac_deriv(b) + [Fraction(0)] * len(c))])
+    # Step 0 divides out g = gcd(p, p'); step m >= 1 finds the factor of
+    # multiplicity m.
+    b, d = list(coeffs), _deriv(coeffs)
     out = []
-    mult = 1
+    mult = 0
     while len(b) > 1:
-        a = _frac_gcd(b, d)
-        if len(a) > 1:
-            out.append((_frac_to_int_primitive(a), mult))
-        b, _ = _frac_divmod(b, a)
-        c, _ = _frac_divmod(d, a)
-        d = _trim([x - y for x, y in
-                   zip(c + [Fraction(0)] * len(b), _frac_deriv(b) + [Fraction(0)] * len(c))])
+        a = _monic_gcd(b, d)
+        if mult and len(a) > 1:
+            out.append((tuple(a), mult))
+        b, c = _pseudo_divmod(b, a)[0], _pseudo_divmod(d, a)[0]
+        db = _deriv(b)
+        d = _trim([x - y for x, y in zip(c + [0] * len(db), db + [0] * len(c))])
         mult += 1
     return out
 
@@ -350,15 +337,13 @@ def _check_spread(qr: np.ndarray, repeated: tuple[complex, ...]) -> None:
         )
 
 
-def eigenvalues(d: Digraph, poly: Optional[CharPoly] = None,
-                certified: Optional[Spectrum] = None) -> Spectrum:
+def eigenvalues(d: Digraph, certified: Optional[Spectrum] = None) -> Spectrum:
     """All n eigenvalues with certified backward error.
 
     QR eigenvalues are refined against the exact characteristic polynomial
     and rejected (EigensolverError) if any residual |phi(z)| exceeds the
     gate of 1e-6 * (1 + rho)^n; in practice residuals sit far below 1e-8
-    after refinement.  ``poly``, when given, must be
-    ``characteristic_polynomial(d)``; it saves recomputing it.
+    after refinement.
 
     ``certified``, when given, must be a spectrum this function returned
     for another digraph with the same characteristic polynomial; it is
@@ -371,8 +356,7 @@ def eigenvalues(d: Digraph, poly: Optional[CharPoly] = None,
     n = d.n
     if n == 0:
         return Spectrum((), 0.0, 0.0, 0.0, 0.0, CharPoly((1,)))
-    if poly is None:
-        poly = characteristic_polynomial(d)
+    poly = characteristic_polynomial(d)
     repeated = _repeated_roots(poly.coeffs)
     if certified is not None:
         if repeated is not None:

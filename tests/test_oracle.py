@@ -25,6 +25,7 @@ from digenergy import (
     verify_all,
     walk_profile,
 )
+from digenergy import kernels as kernels_mod
 from digenergy import oracle as oracle_mod
 from digenergy import spectrum as spectrum_mod
 
@@ -206,25 +207,27 @@ class TestAnalysis:
             assert Analysis(d, self.TOL).to_dict() == self._cold_document(d)
 
     def test_charpoly_and_spectrum_computed_once(self, monkeypatch):
+        # ``eigenvalues`` reads the charpoly again, from the adjacency memo
+        # that ``Analysis.charpoly`` has just filled, so the recurrence runs
+        # once.
         calls = []
 
         def counting(fn):
-            def wrapper(*args):
+            def wrapper(*args, **kwargs):
                 calls.append(fn.__name__)
-                return fn(*args)
+                return fn(*args, **kwargs)
             return wrapper
 
-        charpoly = counting(spectrum_mod.characteristic_polynomial)
-        for module in (oracle_mod, spectrum_mod):
-            monkeypatch.setattr(module, "characteristic_polynomial", charpoly)
+        monkeypatch.setattr(kernels_mod, "charpoly_from_masks", counting(kernels_mod.charpoly_from_masks))
         monkeypatch.setattr(oracle_mod, "eigenvalues", counting(spectrum_mod.eigenvalues))
         for d in self.CORPUS:
+            spectrum_mod._charpoly_of_masks.cache_clear()
             calls.clear()
             analysis = Analysis(d, self.TOL)
             first = analysis.to_dict()
             assert analysis.to_dict() == first
-            assert analysis.charpoly == analysis.spectrum.charpoly
-            assert sorted(calls) == ["characteristic_polynomial", "eigenvalues"]
+            assert analysis.charpoly is analysis.spectrum.charpoly
+            assert sorted(calls) == ["charpoly_from_masks", "eigenvalues"]
 
 
 class TestSharedSpectra:

@@ -225,8 +225,9 @@ class TestSquareFreeDecomposition:
         assert _square_free_decomposition((0, -2, 0, 1)) == [((0, -2, 0, 1), 1)]
 
 
-def _rational_yun(coeffs, monkeypatch):
-    """The decomposition with the modular certificate switched off."""
+def _yun_without_certificate(coeffs, monkeypatch):
+    """The decomposition with the modular certificate switched off: Yun on
+    every polynomial, square-free or not."""
     with monkeypatch.context() as m:
         m.setattr(spectrum_mod, "_coprime_to_derivative_mod_q", lambda c: False)
         return _square_free_decomposition(coeffs)
@@ -240,6 +241,9 @@ REPEATED_ROOT_POLYS = [
     _root_power(0, 9),
     # The characteristic polynomial of J - I at n = 20: (x - 19)(x + 1)^19.
     _poly_mul(_root_power(19, 1), _root_power(-1, 19)),
+    # Two disjoint copies of a dense n = 32 digraph: q^2 with q of degree 32.
+    characteristic_polynomial(Digraph(64, [(i + k, j + k) for i, j in random_digraph(32, 0.3, 1).arcs
+                                           for k in (0, 32)])).coeffs,
 ]
 
 
@@ -251,14 +255,15 @@ SPARSE_SYMMETRIC_CORPUS = [
 
 
 class TestModularCertificate:
-    """A trivial gcd(p, p') mod 2^61 - 1 short-cuts Yun; nothing else may change."""
+    """A trivial gcd(p, p') mod 2^61 - 1 short-cuts Yun; nothing else may
+    change.  The reference is Yun with the certificate switched off."""
 
-    def test_matches_rational_yun_on_charpolys(self, monkeypatch):
+    def test_matches_yun_without_certificate_on_charpolys(self, monkeypatch):
         square_free = 0
         for d in RANDOM_CORPUS:
             coeffs = characteristic_polynomial(d).coeffs
             got = _square_free_decomposition(coeffs)
-            assert got == _rational_yun(coeffs, monkeypatch)
+            assert got == _yun_without_certificate(coeffs, monkeypatch)
             square_free += got == [(coeffs, 1)]
         assert 0 < square_free < len(RANDOM_CORPUS)
 
@@ -266,17 +271,18 @@ class TestModularCertificate:
     def test_repeated_roots_are_never_certified(self, coeffs, monkeypatch):
         assert not _coprime_to_derivative_mod_q(coeffs)
         got = _square_free_decomposition(coeffs)
-        assert got == _rational_yun(coeffs, monkeypatch)
+        assert got == _yun_without_certificate(coeffs, monkeypatch)
         assert max(mult for _, mult in got) > 1
 
-    def test_matches_rational_yun_on_sparse_symmetric_charpolys(self, monkeypatch):
-        # Sparse graphs have many zero eigenvalues; the certificate then
-        # runs on the cofactor of x^k.
+    def test_matches_yun_without_certificate_on_sparse_symmetric_charpolys(self, monkeypatch):
+        # Sparse graphs have many zero eigenvalues, a repeated root that the
+        # certificate rejects; Yun then returns x^k apart from a square-free
+        # cofactor on most of them.
         split_off = 0
         for d in SPARSE_SYMMETRIC_CORPUS:
             coeffs = characteristic_polynomial(d).coeffs
             got = _square_free_decomposition(coeffs)
-            assert got == _rational_yun(coeffs, monkeypatch)
+            assert got == _yun_without_certificate(coeffs, monkeypatch)
             k = next(i for i, c in enumerate(coeffs) if c)
             split_off += k >= 2 and got == [(coeffs[k:], 1), ((0, 1), k)]
         assert split_off > 0
@@ -291,6 +297,42 @@ class TestModularCertificate:
     def test_square_free_certified(self):
         assert _coprime_to_derivative_mod_q((-1, 0, 0, 1))
         assert _coprime_to_derivative_mod_q(characteristic_polynomial(directed_cycle(64)).coeffs)
+
+
+@st.composite
+def factored_polys(draw):
+    """A product of small monic integer factors of degree 1 or 2, each to a
+    random power, of total degree at most 12.  Factors may repeat or share
+    roots, so the drawn factorization is not the square-free one."""
+    factor = st.lists(st.integers(-3, 3), min_size=1, max_size=2).map(lambda c: tuple(c) + (1,))
+    powers = draw(st.lists(st.tuples(factor, st.integers(1, 4)), min_size=1, max_size=4)
+                  .filter(lambda fs: sum((len(f) - 1) * k for f, k in fs) <= 12))
+    return _poly_mul(*[_power(f, k) for f, k in powers])
+
+
+def _assert_square_free_decomposition(coeffs, decomp):
+    """The defining properties, checked without Yun: the product of the
+    factor powers is coeffs, the factors are monic with strictly increasing
+    multiplicities, and their product is square-free (certified mod q), so
+    each factor is square-free and the factors are pairwise coprime."""
+    assert _poly_mul(*[_power(f, k) for f, k in decomp]) == tuple(coeffs)
+    assert all(len(f) >= 2 and f[-1] == 1 for f, _ in decomp)
+    mults = [k for _, k in decomp]
+    assert mults == sorted(set(mults))
+    assert _coprime_to_derivative_mod_q(_poly_mul(*[f for f, _ in decomp]))
+
+
+class TestSquareFreeOracle:
+    """The decomposition against its definition, not against itself."""
+
+    @given(factored_polys())
+    @settings(max_examples=200, deadline=None)
+    def test_random_products(self, coeffs):
+        _assert_square_free_decomposition(coeffs, _square_free_decomposition(coeffs))
+
+    @pytest.mark.parametrize("coeffs", REPEATED_ROOT_POLYS)
+    def test_repeated_root_polys(self, coeffs):
+        _assert_square_free_decomposition(coeffs, _square_free_decomposition(coeffs))
 
 
 class TestEigenvalues:
@@ -698,11 +740,10 @@ class TestExactMemo:
     CORPUS = list(enumerate_digraphs(3)) + [random_digraph(8, p, seed)
                                             for p in (0.2, 0.4) for seed in range(10)]
 
-    def test_precomputed_poly_is_bit_identical(self):
+    def test_warm_memos_are_bit_identical(self):
         for d in self.CORPUS:
-            poly = characteristic_polynomial(d)
-            eigenvalues(d, poly)
-            warm = eigenvalues(d, poly)
+            eigenvalues(d)
+            warm = eigenvalues(d)
             _clear_memos()
             cold = eigenvalues(d)
             assert repr(warm) == repr(cold)
