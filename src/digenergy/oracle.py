@@ -207,7 +207,7 @@ class Analysis:
 
     @cached_property
     def verdict_energy(self):
-        return equality_verdict_energy_upper(self.d, self.profile)
+        return equality_verdict_energy_upper(self.d)
 
     @cached_property
     def _coulson(self) -> tuple[Optional[float], Optional[str]]:
@@ -284,9 +284,9 @@ def _check_symmetrization_radius(ctx: Analysis):
     if s.size == 0:
         return out
     s_vals = np.linalg.eigvalsh(s)
-    rho_s = float(np.max(np.abs(s_vals))) if len(s_vals) else 0.0
+    rho_s = float(np.max(np.abs(s_vals)))
     s2_vals = np.linalg.eigvalsh(s @ s)
-    rho_s2 = float(np.max(np.abs(s2_vals))) if len(s2_vals) else 0.0
+    rho_s2 = float(np.max(np.abs(s2_vals)))
     rho_a = ctx.spectrum.rho
     if rho_a < rho_s - 1e-9:
         out.append((rho_a, rho_s, rho_s - rho_a))

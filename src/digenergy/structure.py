@@ -8,7 +8,8 @@ of a graph whose edge-bearing components are each r-regular or
 The matching energy bound is attained exactly on symmetric digraphs of:
 the empty graph, the complete graph, a disjoint union of single edges
 covering every vertex, or a connected non-complete strongly regular graph
-whose two non-Perron eigenvalues share the modulus sqrt((a - q)/(n - 1)).
+whose two non-Perron eigenvalues share the modulus sqrt((a - q)/(n - 1)),
+that is, one with lam = mu.  Every fact here is decided in integers.
 """
 
 from __future__ import annotations
@@ -22,15 +23,11 @@ import numpy as np
 from . import kernels
 from .digraph import ClosedWalkProfile, Digraph, Graph, _bits, underlying_graph_if_symmetric
 
-EQUALITY_TOL = 1e-7
-
-KIND_NOT_APPLICABLE = "NOT_APPLICABLE"
 KIND_R_REGULAR = "R_REGULAR"
 KIND_SEMIREGULAR_BIPARTITE = "SEMIREGULAR_BIPARTITE"
 KIND_COMPLETE = "COMPLETE"
 KIND_PERFECT_MATCHING_UNION = "PERFECT_MATCHING_UNION"
 KIND_STRONGLY_REGULAR = "STRONGLY_REGULAR"
-KIND_PSEUDO_REGULAR = "PSEUDO_REGULAR"
 KIND_PSEUDO_SEMIREGULAR_BIPARTITE = "PSEUDO_SEMIREGULAR_BIPARTITE"
 KIND_EMPTY = "EMPTY"
 KIND_NONE = "NONE"
@@ -120,10 +117,10 @@ def is_strongly_regular(g: Graph) -> Optional[tuple[int, int, int, int]]:
     non-adjacent pair sharing mu; verified through the exact matrix
     identity A^2 = k I + lam A + mu (J - I - A)."""
     n = g.n
-    if n == 0 or not g.edges:
+    if not g.edges:
         return None
     k = is_regular(g)
-    if k is None or k == 0:
+    if k is None:
         return None
     if len(g.component_vertex_sets()) != 1:
         return None
@@ -229,26 +226,19 @@ def equality_verdict_rho_lower(
     return StructureVerdict(kind, params, True, removed)
 
 
-def _srg_nontrivial_eigenvalues(params: tuple[int, int, int, int]) -> tuple[float, float]:
-    n, k, lam, mu = params
-    disc = (lam - mu) ** 2 + 4 * (k - mu)
-    root = disc ** 0.5
-    return ((lam - mu) + root) / 2.0, ((lam - mu) - root) / 2.0
-
-
-def equality_verdict_energy_upper(d: Digraph, profile: ClosedWalkProfile) -> StructureVerdict:
+def equality_verdict_energy_upper(d: Digraph) -> StructureVerdict:
     """Does the walk-ratio energy bound hold with equality?
 
     True exactly for symmetric digraphs of: the empty graph, the complete
     graph, a perfect matching, or a connected non-complete strongly regular
-    graph whose two non-Perron eigenvalues both have modulus
-    sqrt((a - q)/(n - 1)); additionally (graph corollary) a connected
-    non-bipartite pseudo-regular graph with exactly three distinct
-    eigenvalues p and +-sqrt((2m - p^2)/(n - 1)) where p > sqrt(m/n).
-    ``profile`` is the walk profile of ``d``.
+    graph (n, k, lam, mu) with lam == mu.  The moduli of its two non-Perron
+    eigenvalues differ by |lam - mu|; when lam == mu, k(k - lam - 1) =
+    (n - k - 1) mu makes both sqrt(k - mu) = sqrt((a - q)/(n - 1)), the
+    bound's target (a = nk, q = k^2).  A connected pseudo-regular graph
+    with spectrum {p, +-b} (the graph corollary) is regular, because
+    A^2 = b^2 I + c d d^T forces every degree to D - (p - 1)/c, so it falls
+    under the strongly regular case.
     """
-    if d.n == 0:
-        return StructureVerdict(KIND_EMPTY, (0,), True)
     g = underlying_graph_if_symmetric(d)
     if g is None:
         return StructureVerdict(KIND_NONE, (), False)
@@ -259,55 +249,8 @@ def equality_verdict_energy_upper(d: Digraph, profile: ClosedWalkProfile) -> Str
         return StructureVerdict(KIND_COMPLETE, (n,), True)
     if all(deg == 1 for deg in g.degrees):
         return StructureVerdict(KIND_PERFECT_MATCHING_UNION, (n // 2,), True)
-
-    a = profile.a
-    q = profile.sum_t2_sq / profile.sum_c2_sq if profile.sum_c2_sq else 0.0
-
     srg = is_strongly_regular(g)
     if srg is not None:
-        target_sq = (a - q) / (n - 1)
-        if target_sq >= 0:
-            target = target_sq ** 0.5
-            r1, r2 = _srg_nontrivial_eigenvalues(srg)
-            if abs(abs(r1) - target) <= EQUALITY_TOL and abs(abs(r2) - target) <= EQUALITY_TOL:
-                return StructureVerdict(KIND_STRONGLY_REGULAR, srg, True)
-        return StructureVerdict(KIND_STRONGLY_REGULAR, srg, False)
-
-    pseudo = _pseudo_regular_three_eigenvalue_case(g)
-    if pseudo is not None:
-        return StructureVerdict(KIND_PSEUDO_REGULAR, (pseudo,), True)
+        _, _, lam, mu = srg
+        return StructureVerdict(KIND_STRONGLY_REGULAR, srg, lam == mu)
     return StructureVerdict(KIND_NONE, (), False)
-
-
-def _pseudo_regular_three_eigenvalue_case(g: Graph) -> Optional[float]:
-    """The graph-corollary equality shape: connected, non-bipartite,
-    pseudo-regular with average 2-degree p, spectrum clustering to exactly
-    the three values (p, +b, -b) with b = sqrt((2m - p^2)/(n - 1)) and
-    p > sqrt(m/n)."""
-    if len(g.component_vertex_sets()) != 1 or g.n < 2:
-        return None
-    if _bipartition_masks(g, g.component_vertex_sets()[0]) is not None:
-        return None  # bipartite excluded
-    p = is_pseudo_regular(g)
-    if p is None:
-        return None
-    m = len(g.edges)
-    n = g.n
-    vals = np.linalg.eigvalsh(g.adjacency().astype(float))
-    clusters: list[float] = []
-    for v in sorted(vals, reverse=True):
-        if not clusters or abs(v - clusters[-1]) > EQUALITY_TOL:
-            clusters.append(float(v))
-    if len(clusters) != 3:
-        return None
-    b_sq = (2 * m - p * p) / (n - 1)
-    if b_sq < 0:
-        return None
-    b = b_sq ** 0.5
-    if abs(clusters[0] - p) > EQUALITY_TOL:
-        return None
-    if abs(clusters[1] - b) > EQUALITY_TOL or abs(clusters[2] + b) > EQUALITY_TOL:
-        return None
-    if not p > (m / n) ** 0.5:
-        return None
-    return p

@@ -1,6 +1,6 @@
 """Graph and digraph builders shared across the test modules."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 from hypothesis import strategies as st
 
@@ -42,6 +42,47 @@ def petersen_graph() -> Graph:
         edges.append((i, i + 5))                # spokes
         edges.append((5 + i, 5 + (i + 2) % 5))  # inner pentagram
     return Graph(10, edges)
+
+
+def complement(g: Graph) -> Graph:
+    return Graph(g.n, set(combinations(range(g.n), 2)) - set(g.edges))
+
+
+def rook_graph(m: int) -> Graph:
+    """K_m x K_m: cells of an m x m board, adjacent in one row or column."""
+    cells = list(product(range(m), repeat=2))
+    return Graph(m * m, ((i, j) for (i, a), (j, b) in combinations(enumerate(cells), 2)
+                         if a[0] == b[0] or a[1] == b[1]))
+
+
+def shrikhande_graph() -> Graph:
+    """The Cayley graph on Z4 x Z4 with connection set +-(1,0), +-(0,1),
+    +-(1,1): SRG(16, 6, 2, 2), cospectral with the 4 x 4 rook's graph."""
+    cells = list(product(range(4), repeat=2))
+    steps = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
+    return Graph(16, ((i, j) for (i, a), (j, b) in combinations(enumerate(cells), 2)
+                      if ((a[0] - b[0]) % 4, (a[1] - b[1]) % 4) in steps))
+
+
+def clebsch_graph() -> Graph:
+    """The folded 5-cube: Z2^4, adjacent when differing in one coordinate
+    or in all four; SRG(16, 5, 0, 2)."""
+    return Graph(16, ((i, j) for i, j in combinations(range(16), 2)
+                      if bin(i ^ j).count("1") in (1, 4)))
+
+
+def triangular_graph(m: int) -> Graph:
+    """T(m), the line graph of K_m: SRG(m(m-1)/2, 2(m-2), m-2, 4)."""
+    pairs = list(combinations(range(m), 2))
+    return Graph(len(pairs), ((i, j) for (i, a), (j, b) in combinations(enumerate(pairs), 2)
+                              if set(a) & set(b)))
+
+
+def paley_graph(q: int) -> Graph:
+    """Paley graph on a prime q = 1 (mod 4): x ~ y when x - y is a nonzero
+    square mod q; SRG(q, (q-1)/2, (q-5)/4, (q-1)/4)."""
+    squares = {x * x % q for x in range(1, q)}
+    return Graph(q, ((i, j) for i, j in combinations(range(q), 2) if (j - i) % q in squares))
 
 
 def sym(g: Graph) -> Digraph:

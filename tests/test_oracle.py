@@ -196,7 +196,7 @@ class TestAnalysis:
             "bounds": report.to_dict(),
             "verdicts": {
                 "radius_lower": equality_verdict_rho_lower(d, profile, cycle_arc_reduction(d)).to_dict(),
-                "energy_upper": equality_verdict_energy_upper(d, profile).to_dict(),
+                "energy_upper": equality_verdict_energy_upper(d).to_dict(),
             },
             "coulson_energy": coulson,
             "warnings": warnings,

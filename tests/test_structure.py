@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from digenergy import (
+    Analysis,
     Digraph,
     cycle_arc_reduction,
     energy,
@@ -17,11 +18,14 @@ from digenergy import (
     spectral_radius,
     walk_profile,
 )
+from digenergy.oracle import _check_equality_iff_energy
 from digenergy.structure import _bipartition_masks
 
 from families import (
     all_graphs,
     all_regular_graphs,
+    clebsch_graph,
+    complement,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -29,10 +33,14 @@ from families import (
     empty_graph,
     graphs,
     matching_graph,
+    paley_graph,
     path_graph,
     petersen_graph,
+    rook_graph,
+    shrikhande_graph,
     star_graph,
     sym,
+    triangular_graph,
 )
 
 
@@ -41,7 +49,7 @@ def verdict_rho(d):
 
 
 def verdict_energy(d):
-    return equality_verdict_energy_upper(d, walk_profile(d))
+    return equality_verdict_energy_upper(d)
 
 
 class TestIsRegular:
@@ -308,19 +316,36 @@ class TestEnergyEqualityVerdict:
         # 4x4 rook's graph: SRG(16,6,2,2); with lam == mu the non-Perron
         # eigenvalues are +-sqrt(k - mu) = +-2, exactly the target modulus,
         # so this is a genuine equality case beyond complete/matching/empty
-        from itertools import product
-
-        from digenergy import Graph, from_graph
-
-        verts = list(product(range(4), repeat=2))
-        idx = {v: k for k, v in enumerate(verts)}
-        rook = Graph(16, ((idx[a], idx[b]) for a in verts for b in verts
-                          if a < b and (a[0] == b[0] or a[1] == b[1])))
+        rook = rook_graph(4)
         assert is_strongly_regular(rook) == (16, 6, 2, 2)
-        d = from_graph(rook)
+        d = sym(rook)
         prof = walk_profile(d)
         assert energy(d) == pytest.approx(36.0, abs=1e-8)
         assert energy_upper_walk_ratio(prof, 16) == pytest.approx(energy(d), abs=1e-7)
         v = verdict_energy(d)
         assert v.predicted_equality is True
         assert v.kind == "STRONGLY_REGULAR" and v.params == (16, 6, 2, 2)
+
+    @pytest.mark.parametrize("g,params", [
+        pytest.param(triangular_graph(7), (21, 10, 5, 4), id="T7"),
+        pytest.param(triangular_graph(8), (28, 12, 6, 4), id="T8"),
+        pytest.param(shrikhande_graph(), (16, 6, 2, 2), id="shrikhande"),
+        pytest.param(triangular_graph(6), (15, 8, 4, 4), id="T6"),
+        pytest.param(complement(clebsch_graph()), (16, 10, 6, 6), id="clebsch-complement"),
+        pytest.param(complement(rook_graph(4)), (16, 9, 4, 6), id="rook4-complement"),
+        pytest.param(paley_graph(13), (13, 6, 2, 3), id="paley13"),
+    ])
+    def test_strongly_regular_equality_iff_lam_equals_mu(self, g, params):
+        # lam > mu (T7, T8), lam == mu and lam < mu, each against the
+        # numeric test of the bound on the computed spectrum
+        d = sym(g)
+        v = verdict_energy(d)
+        assert v.kind == "STRONGLY_REGULAR" and v.params == params
+        numeric = abs(energy(d) - energy_upper_walk_ratio(walk_profile(d), g.n)) <= 1e-7
+        assert v.predicted_equality == numeric == (params[2] == params[3])
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_graph_up_to_five_matches_the_numeric_test(self, n):
+        violations = [g.edges for g in all_graphs(n)
+                      if _check_equality_iff_energy(Analysis(sym(g)))]
+        assert violations == []
