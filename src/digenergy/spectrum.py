@@ -8,8 +8,9 @@ exact integer characteristic polynomial, and are forced into exact conjugate
 pairs before any derived quantity is computed.
 
 The Coulson integral is an independent route to the energy: adaptive
-Gauss-Legendre quadrature that evaluates the integrand once per refinement
-level, over all panels of that level, with a fixed panel budget.
+Gauss-Legendre quadrature of its even integrand over half the path, from 16
+start panels, that evaluates the integrand once per refinement level, over
+all panels of that level, with a fixed panel budget.
 """
 
 from __future__ import annotations
@@ -421,12 +422,14 @@ def moment_identities(d: Digraph) -> MomentIdentities:
 _GL_LO = np.polynomial.legendre.leggauss(8)
 _GL_HI = np.polynomial.legendre.leggauss(16)
 _POLE_REL = 1e-13
-# Depth at which a panel (width pi / 2^49) is accepted whatever its error.
+# Depth of the 2^4 level-0 panels of (0, pi/2) (width pi / 2^5), and depth at
+# which a panel (width pi / 2^49) is accepted whatever its error.
+_START_DEPTH = 4
 _MAX_DEPTH = 48
-# Panels one quadrature may evaluate.  Polynomials from the harness and from
-# `analyze` use at most about 100; only a pole between the nodes, which
-# refinement never resolves, comes near this.
-_MAX_PANELS = 2048
+# Panels one quadrature of (0, pi/2) may evaluate, the 16 of level 0 included.
+# Polynomials from the harness and from `analyze` use at most about 50; only a
+# pole between the nodes, which refinement never resolves, comes near this.
+_MAX_PANELS = 1024
 
 
 class _Integrand:
@@ -504,49 +507,46 @@ def _horner(rows: np.ndarray, z: np.ndarray, r: np.ndarray) -> tuple[np.ndarray,
     return acc[0], acc[1], acc[2].real
 
 
-def _level_synchronous_gl(f, a: float, b: float, rel_tol: float) -> float:
-    """Adaptive Gauss-Legendre quadrature of f over (a, b), one refinement
-    level at a time.
+def _level_synchronous_gl(f, b: float, rel_tol: float) -> float:
+    """Integral of the even f over (-b, b): twice an adaptive
+    Gauss-Legendre quadrature over (0, b), one refinement level at a time.
 
-    The halves of (a, b) form level 0.  A panel is accepted when its 8- and
-    16-node sums agree within the tolerance of its level, or at depth
-    ``_MAX_DEPTH``; every other panel is split in two for the next level,
-    with the tolerance halved.  Level 0 starts from
-    ``0.25 * rel_tol * max(1, |16-node sum over (a, b)|)``.  All nodes of a
-    level go to f in one call, and both sums of a panel come from one pass
-    over the rows of node values, one ``np.dot`` per row and rule, so each
-    sum is bit-identical to a panel evaluated on its own.  The accepted
-    16-node sums are added pairwise in the order of the binary panel tree,
-    sibling by sibling, so the result does not depend on how many panels
-    share a call.
+    Level 0 is 16 equal panels of (0, b), depth 4 of a binary tree whose
+    depth-0 panels are the halves of (-b, b); their doubled 16-node sums
+    estimate the integral and set tol0 = 0.25 * rel_tol * max(1, |estimate|).
+    A panel at depth k is accepted when its 8- and 16-node sums agree
+    within tol0 / 2^k, a tolerance set by its width alone, or at depth
+    ``_MAX_DEPTH``; every other panel is split in two for the next level.
+    All nodes of a level go to f in one call, and each rule's panel sums
+    are one row-wise sum, bit-identical to a panel evaluated on its own.
+    The accepted 16-node sums are added pairwise in the order of the panel
+    tree, sibling by sibling, and the 16 level-0 totals by ``np.sum``, so
+    the result does not depend on how many panels share a call.
 
     Raises PurelyImaginaryEigenvalueError when the next level would take
     the panel count past ``_MAX_PANELS``, at the midpoint of the panel of
     the last level (all of its panels are equally narrow) whose two sums
     disagree most: a pole between the nodes keeps refinement going there.
+    A pole at a level-0 midpoint (theta an odd multiple of pi/64 on the
+    Coulson path) is not seen: both rules are symmetric about it, so the
+    odd singularity cancels in both sums.
     """
     lo_nodes, lo_weights = _GL_LO
     hi_nodes, hi_weights = _GL_HI
     nodes = np.concatenate([lo_nodes, hi_nodes])
     n_lo = len(lo_nodes)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    estimate = half * float(np.dot(hi_weights, f(mid + half * hi_nodes)))
-    tol = 0.25 * rel_tol * max(1.0, abs(estimate))
-    left, right = np.array([a, mid]), np.array([mid, b])
+    edges = np.linspace(0.0, b, 2 ** _START_DEPTH + 1)
+    left, right = edges[:-1], edges[1:]
     levels: list[tuple[np.ndarray, np.ndarray]] = []  # (fine sums, accepted) per level
-    panels = 0
-    depth = 0
+    panels, depth = 0, _START_DEPTH
     while True:
         mids = 0.5 * (left + right)
         halves = 0.5 * (right - left)
         values = f((mids[:, None] + halves[:, None] * nodes).ravel()).reshape(len(mids), -1)
-        coarse = np.empty(len(mids))
-        fine = np.empty(len(mids))
-        for i, row in enumerate(values):
-            coarse[i] = np.dot(lo_weights, row[:n_lo])
-            fine[i] = np.dot(hi_weights, row[n_lo:])
-        coarse *= halves
-        fine *= halves
+        coarse = halves * (values[:, :n_lo] * lo_weights).sum(axis=1)
+        fine = halves * (values[:, n_lo:] * hi_weights).sum(axis=1)
+        if not levels:  # the doubled level-0 sums estimate the integral
+            tol = 0.25 * rel_tol * max(1.0, abs(2.0 * float(np.sum(fine)))) / 2 ** _START_DEPTH
         error = np.abs(fine - coarse)
         accepted = (error <= tol) | (depth >= _MAX_DEPTH)
         levels.append((fine, accepted))
@@ -569,28 +569,28 @@ def _level_synchronous_gl(f, a: float, b: float, rel_tol: float) -> float:
         total = fine.copy()
         total[~accepted] = sums[0::2] + sums[1::2]
         sums = total
-    return float(sums[0] + sums[1])
+    return 2.0 * float(np.sum(sums))
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _coulson_integral(coeffs: tuple[int, ...], rel_tol: float) -> float:
-    """The energy integral of the polynomial ``coeffs`` (ascending, exact,
-    monic, nonzero constant term); memoized like ``_repeated_roots``."""
-    half_pi = math.pi / 2.0
-    return _level_synchronous_gl(_Integrand(coeffs), -half_pi, half_pi, rel_tol) / math.pi
+    """The energy integral of ``coeffs`` (ascending, exact, monic, nonzero
+    constant term), memoized like ``_repeated_roots``; its integrand is even,
+    since phi and N, real polynomials, take conjugate values at ix and -ix."""
+    return _level_synchronous_gl(_Integrand(coeffs), math.pi / 2.0, rel_tol) / math.pi
 
 
 def coulson_energy(spectrum: Spectrum, rel_tol: float = 1e-6) -> float:
     """Energy via the integral (1/pi) * int (n - i x phi'(ix)/phi(ix)) dx,
     with phi the characteristic polynomial ``spectrum`` was certified against.
 
-    Evaluated with the substitution x = tan(theta) and adaptive
-    Gauss-Legendre panels on (-pi/2, pi/2), one refinement level at a time
-    (see ``_level_synchronous_gl``).  Raises PurelyImaginaryEigenvalueError
-    when an eigenvalue sits on the imaginary axis away from zero (the
-    integrand then has a pole on the path): found on the spectrum, at a node
-    of the quadrature, or when refinement near the pole uses up
-    ``_MAX_PANELS``.  The empty spectrum has energy 0.
+    Evaluated with x = tan(theta) as twice the integral of the even
+    integrand over (0, pi/2) (see ``_level_synchronous_gl``).  Raises
+    PurelyImaginaryEigenvalueError when an eigenvalue sits on the imaginary
+    axis away from zero (the integrand then has a pole on the path): found
+    on the spectrum, or by the quadrature, at an x > 0, at a node or when
+    refinement near the pole uses up ``_MAX_PANELS``.  The empty spectrum
+    has energy 0.
 
     The exact factor x^k of phi is divided out first: zero eigenvalues add
     nothing to the energy and leave the integrand unchanged, but they make

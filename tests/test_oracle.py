@@ -206,6 +206,16 @@ class TestAnalysis:
         for d in self.CORPUS:
             assert Analysis(d, self.TOL).to_dict() == self._cold_document(d)
 
+    def test_coulson_quadrature_miss_digraph(self):
+        # From a random n = 10 benchmark round, where a quadrature over
+        # (-pi/2, pi/2) from two start panels missed the energy by 2.3e-6.
+        d = Digraph(10, [(0, 4), (0, 5), (0, 6), (0, 7), (0, 9), (1, 6), (1, 7), (2, 4), (2, 5),
+                         (2, 6), (2, 7), (3, 0), (3, 4), (3, 5), (4, 0), (4, 3), (5, 0), (5, 4),
+                         (5, 9), (7, 2), (7, 6), (7, 8), (8, 1), (8, 6), (8, 9), (9, 1), (9, 5),
+                         (9, 6), (9, 7), (9, 8)])
+        analysis = Analysis(d)
+        assert analysis.coulson == pytest.approx(analysis.spectrum.energy, rel=1e-10)
+
     def test_charpoly_and_spectrum_computed_once(self, monkeypatch):
         # ``eigenvalues`` reads the charpoly again, from the adjacency memo
         # that ``Analysis.charpoly`` has just filled, so the recurrence runs

@@ -478,7 +478,9 @@ class _PanelBudgetExceeded(Exception):
 
 def _reference_coulson(coeffs, rel_tol=1e-6, max_panels=math.inf):
     """The depth-first recursive quadrature, one integrand call per panel
-    and rule: the reference for the level-synchronous one.  Raises
+    and rule: the reference for the level-synchronous one.  Twice the
+    integral over (0, pi/2) from 16 equal start panels at depth 4, each
+    panel sum one row-wise sum, the 16 totals added by ``np.sum``.  Raises
     _PanelBudgetExceeded when it would evaluate more than ``max_panels``
     panels."""
     f = spectrum_mod._Integrand(coeffs)
@@ -488,7 +490,7 @@ def _reference_coulson(coeffs, rel_tol=1e-6, max_panels=math.inf):
         nodes, weights = rule
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
-        return half * float(np.dot(weights, f(mid + half * nodes)))
+        return half * (f(mid + half * nodes) * weights).sum()
 
     def adaptive(a, b, tol, depth):
         nonlocal panels
@@ -502,10 +504,11 @@ def _reference_coulson(coeffs, rel_tol=1e-6, max_panels=math.inf):
         mid = 0.5 * (a + b)
         return adaptive(a, mid, tol / 2.0, depth + 1) + adaptive(mid, b, tol / 2.0, depth + 1)
 
-    half_pi = math.pi / 2.0
-    estimate = panel(-half_pi, half_pi, spectrum_mod._GL_HI)
-    tol = 0.25 * rel_tol * max(1.0, abs(estimate))
-    return (adaptive(-half_pi, 0.0, tol, 0) + adaptive(0.0, half_pi, tol, 0)) / math.pi
+    edges = np.linspace(0.0, math.pi / 2.0, 17)
+    start = list(zip(edges[:-1], edges[1:]))
+    estimate = 2.0 * float(np.sum([panel(a, b, spectrum_mod._GL_HI) for a, b in start]))
+    tol = 0.25 * rel_tol * max(1.0, abs(estimate)) / 16
+    return 2.0 * float(np.sum([adaptive(a, b, tol, 4) for a, b in start])) / math.pi
 
 
 def _integral_input(d):
@@ -524,10 +527,9 @@ COULSON_CORPORA = {
 # Eigenvalues on the imaginary axis: (x^2 + 1)(x^2 + 4), x^6 + 1,
 # (x^2 + 1)(x^2 + 9).
 GUARDED_POLE_POLYS = [(4, 0, 5, 0, 1), (1, 0, 0, 0, 0, 0, 1), (9, 0, 10, 0, 1)]
-# x^4 - 1 and x^2 + 1 have their poles at x = +-1, the midpoints of the two
-# level-0 panels.  Both rules are symmetric about a panel midpoint, so the
-# odd singularity cancels in both sums and neither quadrature raises: a
-# known defect, recorded as FOUND in CHANGES.md.
+# x^4 - 1 and x^2 + 1 have their poles at x = +-1, theta = pi/4 on the half
+# path: a level-0 panel edge.  At a panel midpoint the odd singularity would
+# cancel in both rules, which are symmetric about it.
 MIDPOINT_POLE_POLYS = [(-1, 0, 0, 0, 1), (1, 0, 1)]
 
 
@@ -568,11 +570,23 @@ class TestLevelSynchronousQuadrature:
         _, got = _outcomes(coeffs)
         assert got == "raises"
 
-    @pytest.mark.xfail(reason="a pole at a panel midpoint cancels in both rules (FOUND in CHANGES.md)")
     @pytest.mark.parametrize("coeffs", MIDPOINT_POLE_POLYS)
     def test_midpoint_poles_raise(self, coeffs):
         _, got = _outcomes(coeffs)
         assert got == "raises"
+
+    @pytest.mark.parametrize("corpus", sorted(COULSON_CORPORA))
+    def test_within_1e_10_of_the_certified_energy(self, corpus):
+        values = 0
+        for d in COULSON_CORPORA[corpus]:
+            spec = eigenvalues(d)
+            try:
+                integral = coulson_energy(spec)
+            except PurelyImaginaryEigenvalueError:
+                continue
+            assert integral == pytest.approx(spec.energy, rel=1e-10)
+            values += 1
+        assert values >= 0.9 * len(COULSON_CORPORA[corpus])
 
     def test_pole_between_nodes_hits_panel_budget(self):
         # The integrand guard never fires on (x^2 + 1)(x^2 + 4): refinement
@@ -651,7 +665,7 @@ def _visited_nodes(coeffs):
         return f(theta)
 
     try:
-        spectrum_mod._level_synchronous_gl(record, -math.pi / 2, math.pi / 2, 1e-6)
+        spectrum_mod._level_synchronous_gl(record, math.pi / 2, 1e-6)
     except PurelyImaginaryEigenvalueError:
         pass
     return seen
@@ -691,6 +705,20 @@ class TestHornerIntegrand:
             for theta in _visited_nodes(coeffs):
                 _assert_same_integrand(coeffs, theta)
 
+    @pytest.mark.parametrize("corpus", sorted(INTEGRAND_CORPORA))
+    def test_even_on_every_visited_node_array(self, corpus):
+        # The quadrature integrates over theta > 0 only and doubles the sum.
+        for d in INTEGRAND_CORPORA[corpus]:
+            coeffs = _integral_input(d)
+            f = spectrum_mod._Integrand(coeffs)
+            for theta in _visited_nodes(coeffs):
+                want = _integrand_outcome(f, theta)
+                got = _integrand_outcome(f, -theta)
+                if isinstance(want, tuple):
+                    assert got == ("raises", -want[1])
+                else:
+                    assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("coeffs", GUARDED_POLE_POLYS)
     def test_guarded_poles(self, coeffs):
         for theta in _visited_nodes(coeffs):
@@ -723,7 +751,7 @@ class TestHornerIntegrand:
     def test_concatenated_call_equals_per_panel_calls(self):
         for d in COULSON_CORPORA["n8"][:20] + COULSON_CORPORA["n32"]:
             f = spectrum_mod._Integrand(_integral_input(d))
-            for theta in _visited_nodes(_integral_input(d))[1:]:
+            for theta in _visited_nodes(_integral_input(d)):
                 panels = theta.reshape(-1, 24)
                 assert np.array_equal(f(theta), np.concatenate([f(p) for p in panels]))
 
