@@ -18,6 +18,7 @@ the three f-based bounds are provably ordered:
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -29,25 +30,35 @@ from .spectrum import Spectrum
 
 DEFAULT_TOL = 1e-8
 
-# Test-only fault injection: named offsets added to bound outputs so the
-# verification harness can prove it notices a drifted formula.
-_FAULTS: dict[str, float] = {}
+# The bound functions ``inject_fault`` can drift.
+_BOUND_NAMES = (
+    "rho_lower_walk_mean", "rho_lower_walk_rms", "rho_lower_walk_ratio",
+    "energy_upper_mcclelland", "energy_upper_radius", "energy_upper_walk_mean",
+    "energy_upper_walk_rms", "energy_upper_walk_ratio",
+)
 
 
 @contextmanager
 def inject_fault(name: str, delta: float):
-    """Temporarily add ``delta`` to the named bound's output (testing aid)."""
-    _FAULTS[name] = _FAULTS.get(name, 0.0) + delta
+    """Temporarily add ``delta`` to the named bound's output (testing aid).
+
+    Swaps ``bounds.<name>`` for a wrapper while the block is open, so only
+    callers that look the bound up on this module at call time see the
+    drift.  Faults nest; not for concurrent use.
+    """
+    if name not in _BOUND_NAMES:
+        raise ValueError(f"unknown bound {name!r}; expected one of {', '.join(_BOUND_NAMES)}")
+    original = globals()[name]
+
+    @functools.wraps(original)
+    def drifted(*args, **kwargs):
+        return original(*args, **kwargs) + delta
+
+    globals()[name] = drifted
     try:
         yield
     finally:
-        _FAULTS[name] -= delta
-        if _FAULTS[name] == 0.0:
-            del _FAULTS[name]
-
-
-def _fault(name: str) -> float:
-    return _FAULTS.get(name, 0.0)
+        globals()[name] = original
 
 
 def leq_tol(lhs: float, rhs: float, tol: float = DEFAULT_TOL) -> bool:
@@ -63,21 +74,21 @@ def rho_lower_walk_mean(profile: ClosedWalkProfile, n: int) -> float:
     """Radius lower bound c2 / n."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return profile.c2_total / n + _fault("rho_lower_walk_mean")
+    return profile.c2_total / n
 
 
 def rho_lower_walk_rms(profile: ClosedWalkProfile, n: int) -> float:
     """Radius lower bound sqrt(sum c2_i^2 / n)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return math.sqrt(profile.sum_c2_sq / n) + _fault("rho_lower_walk_rms")
+    return math.sqrt(profile.sum_c2_sq / n)
 
 
 def rho_lower_walk_ratio(profile: ClosedWalkProfile) -> float:
     """Radius lower bound sqrt(sum t2_i^2 / sum c2_i^2); 0 when no digons."""
     if profile.sum_c2_sq == 0:
-        return 0.0 + _fault("rho_lower_walk_ratio")
-    return math.sqrt(profile.sum_t2_sq / profile.sum_c2_sq) + _fault("rho_lower_walk_ratio")
+        return 0.0
+    return math.sqrt(profile.sum_t2_sq / profile.sum_c2_sq)
 
 
 def walk_ratio(profile: ClosedWalkProfile) -> float:
@@ -99,13 +110,13 @@ def energy_upper_mcclelland(profile: ClosedWalkProfile, n: int) -> float:
     """McClelland-type bound sqrt(n (a + c2) / 2)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return math.sqrt(n * (profile.a + profile.c2_total) / 2.0) + _fault("energy_upper_mcclelland")
+    return math.sqrt(n * (profile.a + profile.c2_total) / 2.0)
 
 
 def energy_upper_radius(profile: ClosedWalkProfile, n: int, rho: float) -> float:
     """Energy bound f(rho) = rho + sqrt((n-1)(a - rho^2)) at the spectral
     radius ``rho``."""
-    return _f_energy(rho, n, profile.a) + _fault("energy_upper_radius")
+    return _f_energy(rho, n, profile.a)
 
 
 def energy_upper_walk_mean(profile: ClosedWalkProfile, n: int) -> float:
@@ -115,7 +126,7 @@ def energy_upper_walk_mean(profile: ClosedWalkProfile, n: int) -> float:
         raise ValueError(f"need n >= 1, got {n}")
     if profile.c2_total ** 2 > profile.a * n * n:
         raise ValueError("mean walk count exceeds sqrt(a); profile is not from a valid digraph")
-    return _f_energy(profile.c2_total / n, n, profile.a) + _fault("energy_upper_walk_mean")
+    return _f_energy(profile.c2_total / n, n, profile.a)
 
 
 def energy_upper_walk_rms(profile: ClosedWalkProfile, n: int) -> float:
@@ -124,7 +135,7 @@ def energy_upper_walk_rms(profile: ClosedWalkProfile, n: int) -> float:
         raise ValueError(f"need n >= 1, got {n}")
     if profile.sum_c2_sq > profile.a * n:
         raise ValueError("rms walk count exceeds sqrt(a); profile is not from a valid digraph")
-    return _f_energy(math.sqrt(profile.sum_c2_sq / n), n, profile.a) + _fault("energy_upper_walk_rms")
+    return _f_energy(math.sqrt(profile.sum_c2_sq / n), n, profile.a)
 
 
 def energy_upper_walk_ratio(profile: ClosedWalkProfile, n: int) -> float:
@@ -139,7 +150,7 @@ def energy_upper_walk_ratio(profile: ClosedWalkProfile, n: int) -> float:
     if profile.sum_t2_sq > profile.a * profile.sum_c2_sq:
         raise BoundInapplicableError(walk_ratio(profile), profile.a)
     q = walk_ratio(profile)
-    return _f_energy(math.sqrt(q), n, profile.a) + _fault("energy_upper_walk_ratio")
+    return _f_energy(math.sqrt(q), n, profile.a)
 
 
 @dataclass(frozen=True)

@@ -112,12 +112,9 @@ class Graph:
             a[j, i] = 1
         return a
 
+    @cached_property
     def component_vertex_sets(self) -> tuple[tuple[int, ...], ...]:
         """Connected components, ordered by smallest member vertex."""
-        return self._components
-
-    @cached_property
-    def _components(self) -> tuple[tuple[int, ...], ...]:
         seen = 0
         comps = []
         for start in range(self.n):

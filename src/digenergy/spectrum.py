@@ -1,5 +1,5 @@
 """Spectra of digraphs: exact characteristic polynomials, certified complex
-eigenvalues, spectral radius, energy, moment identities, and the
+eigenvalues with their radius, energy and second-moment sums, and the
 Coulson-type integral representation of the energy.
 
 The floating eigenvalues come from Hessenberg reduction + implicitly shifted
@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .digraph import Digraph, adjacency_matrix, walk_profile
+from .digraph import Digraph, adjacency_matrix
 from .errors import EigensolverError, PurelyImaginaryEigenvalueError
 
 # Eigenvalues with |Im| below this (scaled by 1 + rho) are snapped to real.
@@ -50,12 +50,6 @@ class CharPoly:
 
     coeffs: tuple[int, ...]
 
-    def __call__(self, z: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -72,20 +66,6 @@ class Spectrum:
     sum_re_sq: float
     sum_im_sq: float
     charpoly: CharPoly
-
-
-@dataclass(frozen=True)
-class MomentIdentities:
-    """Spectral moment sums and their gaps against the walk counts.
-
-    ``c2_residual`` is (sum Re^2 - sum Im^2) - c2 (identically ~0) and
-    ``arc_slack`` is a - (sum Re^2 + sum Im^2) (non-negative up to noise).
-    """
-
-    sum_re_sq: float
-    sum_im_sq: float
-    c2_residual: float
-    arc_slack: float
 
 
 def characteristic_polynomial(d: Digraph) -> CharPoly:
@@ -390,30 +370,6 @@ def eigenvalues(d: Digraph, certified: Optional[Spectrum] = None) -> Spectrum:
         sum_re_sq=float(sum(z.real * z.real for z in paired)),
         sum_im_sq=float(sum(z.imag * z.imag for z in paired)),
         charpoly=poly,
-    )
-
-
-def spectral_radius(d: Digraph) -> float:
-    """Maximum modulus over all eigenvalues."""
-    return eigenvalues(d).rho
-
-
-def energy(d: Digraph) -> float:
-    """Sum of |Re z| over the eigenvalues; equals the usual graph energy
-    when the digraph is the symmetric digraph of a graph."""
-    return eigenvalues(d).energy
-
-
-def moment_identities(d: Digraph) -> MomentIdentities:
-    """Moment sums against the walk counts: the sign-split second moments
-    satisfy sum Re^2 - sum Im^2 = c2 and sum Re^2 + sum Im^2 <= a."""
-    spec = eigenvalues(d)
-    prof = walk_profile(d)
-    return MomentIdentities(
-        sum_re_sq=spec.sum_re_sq,
-        sum_im_sq=spec.sum_im_sq,
-        c2_residual=(spec.sum_re_sq - spec.sum_im_sq) - prof.c2_total,
-        arc_slack=prof.a - (spec.sum_re_sq + spec.sum_im_sq),
     )
 
 

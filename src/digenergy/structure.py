@@ -107,7 +107,7 @@ def is_semiregular_bipartite(g: Graph) -> Optional[tuple[int, int]]:
     # constant degree exactly when every component has the same sorted pair.
     # A component with no such pair adds None: either the set then holds two
     # members, or None is the one that pops.
-    pairs = {_side_values(g, comp, g.degrees) for comp in g.component_vertex_sets()}
+    pairs = {_side_values(g, comp, g.degrees) for comp in g.component_vertex_sets}
     return pairs.pop() if len(pairs) == 1 else None
 
 
@@ -122,7 +122,7 @@ def is_strongly_regular(g: Graph) -> Optional[tuple[int, int, int, int]]:
     k = is_regular(g)
     if k is None:
         return None
-    if len(g.component_vertex_sets()) != 1:
+    if len(g.component_vertex_sets) != 1:
         return None
     if 2 * len(g.edges) == n * (n - 1):
         return None  # complete graph excluded
@@ -163,7 +163,7 @@ def is_pseudo_semiregular_bipartite(g: Graph) -> Optional[tuple[float, float]]:
     """(p1, p2) with p1 >= p2 if g is bipartite with the average 2-degree
     constant on each part; None otherwise.  Isolated vertices have no
     average 2-degree and are unconstrained."""
-    comps = [c for c in g.component_vertex_sets() if len(c) > 1 or g.degrees[c[0]] > 0]
+    comps = [c for c in g.component_vertex_sets if len(c) > 1 or g.degrees[c[0]] > 0]
     if not comps:
         return None
     ratios = _average_two_degrees(g)
@@ -180,7 +180,7 @@ def _classify_equality_components(
     compared exactly on integers).  Returns the first component's
     classification, or None if any component fails."""
     first: Optional[tuple[str, tuple]] = None
-    for comp in g.component_vertex_sets():
+    for comp in g.component_vertex_sets:
         if all(g.degrees[v] == 0 for v in comp):
             continue  # isolated vertices contribute nothing and always pass
         degs = {g.degrees[v] for v in comp}

@@ -3,12 +3,12 @@ import math
 import pytest
 
 from digenergy import (
+    Analysis,
     BoundInapplicableError,
     ClosedWalkProfile,
     Digraph,
     bound_chain_report,
     eigenvalues,
-    energy,
     energy_upper_mcclelland,
     energy_upper_radius,
     energy_upper_walk_mean,
@@ -18,13 +18,14 @@ from digenergy import (
     rho_lower_walk_mean,
     rho_lower_walk_ratio,
     rho_lower_walk_rms,
-    spectral_radius,
     walk_profile,
     walk_ratio,
 )
+from digenergy import bounds as bounds_mod
 from digenergy.bounds import _f_energy
 
 from families import complete_graph, directed_cycle, star_graph, sym
+from test_acceptance import BOUND_NAMES
 
 
 def prof(d):
@@ -85,9 +86,9 @@ class TestEnergyUpperBounds:
         assert energy_upper_mcclelland(prof(Digraph(3)), 3) == 0.0
 
     def test_radius_form(self):
-        assert energy_upper_radius(prof(K2), 2, spectral_radius(K2)) == pytest.approx(2.0, abs=1e-12)
-        assert energy_upper_radius(prof(K3), 3, spectral_radius(K3)) == pytest.approx(4.0, abs=1e-12)
-        assert energy_upper_radius(prof(C3), 3, spectral_radius(C3)) == pytest.approx(3.0, abs=1e-12)
+        assert energy_upper_radius(prof(K2), 2, eigenvalues(K2).rho) == pytest.approx(2.0, abs=1e-12)
+        assert energy_upper_radius(prof(K3), 3, eigenvalues(K3).rho) == pytest.approx(4.0, abs=1e-12)
+        assert energy_upper_radius(prof(C3), 3, eigenvalues(C3).rho) == pytest.approx(3.0, abs=1e-12)
 
     def test_walk_mean_form(self):
         assert energy_upper_walk_mean(prof(K3), 3) == pytest.approx(4.0, abs=1e-12)
@@ -104,8 +105,8 @@ class TestEnergyUpperBounds:
         assert energy_upper_walk_ratio(prof(K2), 2) == pytest.approx(2.0, abs=1e-12)
         bound = energy_upper_walk_ratio(prof(STAR), 3)
         assert bound == pytest.approx(math.sqrt(2) + 2, abs=1e-12)
-        assert bound >= energy(STAR)  # strict inequality case: E = 2*sqrt(2)
-        assert energy(STAR) == pytest.approx(2 * math.sqrt(2), abs=1e-12)
+        assert bound >= eigenvalues(STAR).energy  # strict inequality case: E = 2*sqrt(2)
+        assert eigenvalues(STAR).energy == pytest.approx(2 * math.sqrt(2), abs=1e-12)
 
     def test_inapplicable_ratio_raises(self):
         # hand-built inconsistent profile with q > a
@@ -168,16 +169,62 @@ class TestChainReport:
 
 
 class TestFaultInjection:
+    """``inject_fault`` swaps ``digenergy.bounds.<name>`` for a drifted
+    wrapper while its block is open, so the bounds are read through the
+    module here: a name imported before the block keeps the original."""
+
     def test_offsets_apply_and_clear(self):
-        base = rho_lower_walk_mean(prof(K3), 3)
+        base = bounds_mod.rho_lower_walk_mean(prof(K3), 3)
         with inject_fault("rho_lower_walk_mean", 1e-3):
-            assert rho_lower_walk_mean(prof(K3), 3) == pytest.approx(base + 1e-3)
-        assert rho_lower_walk_mean(prof(K3), 3) == pytest.approx(base)
+            assert bounds_mod.rho_lower_walk_mean(prof(K3), 3) == pytest.approx(base + 1e-3)
+            assert rho_lower_walk_mean(prof(K3), 3) == base
+        assert bounds_mod.rho_lower_walk_mean(prof(K3), 3) == pytest.approx(base)
 
     def test_nested_faults_accumulate(self):
-        base = energy_upper_mcclelland(prof(K3), 3)
+        base = bounds_mod.energy_upper_mcclelland(prof(K3), 3)
         with inject_fault("energy_upper_mcclelland", 1e-3):
             with inject_fault("energy_upper_mcclelland", 1e-3):
-                assert energy_upper_mcclelland(prof(K3), 3) == pytest.approx(base + 2e-3)
-            assert energy_upper_mcclelland(prof(K3), 3) == pytest.approx(base + 1e-3)
-        assert energy_upper_mcclelland(prof(K3), 3) == pytest.approx(base)
+                assert bounds_mod.energy_upper_mcclelland(prof(K3), 3) == pytest.approx(base + 2e-3)
+            assert bounds_mod.energy_upper_mcclelland(prof(K3), 3) == pytest.approx(base + 1e-3)
+        assert bounds_mod.energy_upper_mcclelland(prof(K3), 3) == pytest.approx(base)
+
+    def test_no_digon_branch_drifts(self):
+        with inject_fault("rho_lower_walk_ratio", 0.5):
+            assert bounds_mod.rho_lower_walk_ratio(prof(C3)) == 0.5
+
+    @pytest.mark.parametrize("name", BOUND_NAMES)
+    def test_original_restored_after_exit_and_after_raise(self, name):
+        original = getattr(bounds_mod, name)
+        with inject_fault(name, 1.0):
+            assert getattr(bounds_mod, name) is not original
+        assert getattr(bounds_mod, name) is original
+        with pytest.raises(RuntimeError):
+            with inject_fault(name, 1.0):
+                raise RuntimeError("inside the block")
+        assert getattr(bounds_mod, name) is original
+
+    @pytest.mark.parametrize("name", BOUND_NAMES)
+    def test_wrapper_keeps_the_bound_name(self, name):
+        with inject_fault(name, 1.0):
+            assert getattr(bounds_mod, name).__name__ == name
+
+    def test_chain_report_notes_name_the_drifted_bound(self):
+        # n = 0: the mean bound raises, and its note names it
+        with inject_fault("rho_lower_walk_mean", 1.0):
+            rep = report(Digraph(0))
+        assert rep.rho_lower_walk_mean is None
+        assert any(note.startswith("rho_lower_walk_mean: ") for note in rep.notes)
+
+    def test_fault_reaches_analysis_bounds(self):
+        base = Analysis(K3).bounds
+        with inject_fault("energy_upper_walk_ratio", 1.0):
+            drifted = Analysis(K3).bounds
+        assert drifted.energy_upper_walk_ratio == base.energy_upper_walk_ratio + 1.0
+        assert drifted.energy_upper_walk_rms == base.energy_upper_walk_rms
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(ValueError, match="rho_lower_walk_mean") as exc:
+            with inject_fault("rho_lower_walk_man", 1.0):
+                pass
+        for name in BOUND_NAMES:
+            assert name in str(exc.value)

@@ -217,11 +217,11 @@ class TestConnectedComponents:
         expected = tuple(
             tuple(v for v in range(g.n) if ids[v] == k) for k in range(len(set(ids)))
         )
-        assert g.component_vertex_sets() == expected
+        assert g.component_vertex_sets == expected
 
     def test_swept_once_per_graph(self):
         g = Graph(5, [(0, 1), (2, 3)])
-        assert g.component_vertex_sets() is g.component_vertex_sets()
+        assert g.component_vertex_sets is g.component_vertex_sets
 
 
 class TestCycleArcReduction:

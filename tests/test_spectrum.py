@@ -15,14 +15,12 @@ from digenergy import (
     coulson_energy,
     cycle_arc_reduction,
     eigenvalues,
-    energy,
     enumerate_digraphs,
     from_graph,
-    moment_identities,
     random_digraph,
-    spectral_radius,
     walk_profile,
 )
+import digenergy
 from digenergy import spectrum as spectrum_mod
 from digenergy.spectrum import (
     _charpoly_of_masks,
@@ -42,6 +40,14 @@ from families import (
     sym,
 )
 from test_digraph import digraphs
+
+
+def _horner(coeffs, z):
+    """The polynomial with ascending ``coeffs`` at ``z``."""
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
 
 
 class TestCharPoly:
@@ -89,10 +95,10 @@ class TestCharPoly:
         assert np.allclose(approx[::-1], [float(c) for c in exact], atol=1e-6)
 
     def test_evaluation(self):
-        p = characteristic_polynomial(sym(complete_graph(3)))
-        assert p(2) == 0
-        assert p(-1) == 0
-        assert p(0) == -2
+        coeffs = characteristic_polynomial(sym(complete_graph(3))).coeffs
+        assert _horner(coeffs, 2) == 0
+        assert _horner(coeffs, -1) == 0
+        assert _horner(coeffs, 0) == -2
 
 
 def _reference_charpoly(n, out_masks):
@@ -357,10 +363,10 @@ class TestEigenvalues:
         assert [z.real for z in spec.eigenvalues] == pytest.approx([2, -1, -1], abs=1e-12)
 
     def test_nilpotent_path(self):
-        assert energy(directed_path(3)) == 0.0
+        assert eigenvalues(directed_path(3)).energy == 0.0
 
     def test_star_radius(self):
-        assert spectral_radius(sym(star_graph(2))) == pytest.approx(math.sqrt(2), abs=1e-12)
+        assert eigenvalues(sym(star_graph(2))).rho == pytest.approx(math.sqrt(2), abs=1e-12)
 
     def test_sorted_by_re_desc_im_desc(self):
         spec = eigenvalues(directed_cycle(4))
@@ -380,7 +386,7 @@ class TestEigenvalues:
         if n == 0:
             return
         # residual certificate
-        worst = max(abs(poly(z)) for z in spec.eigenvalues)
+        worst = max(abs(_horner(poly.coeffs, z)) for z in spec.eigenvalues)
         assert worst / (1.0 + spec.rho) ** n <= 1e-8
         # zero trace; exact conjugate symmetry
         assert abs(sum(spec.eigenvalues)) <= 1e-9
@@ -403,37 +409,66 @@ class TestEigenvalues:
 
         for d in (sym(petersen_graph()), directed_cycle(5), sym(star_graph(3))):
             raw = np.linalg.eigvals(adjacency_matrix(d).astype(float))
-            assert energy(d) == pytest.approx(float(np.abs(raw.real).sum()), abs=1e-9)
+            assert eigenvalues(d).energy == pytest.approx(float(np.abs(raw.real).sum()), abs=1e-9)
+
+
+def _moment_gaps(d):
+    """(sum Re^2 - sum Im^2) - c2, identically ~0, and a - (sum Re^2 +
+    sum Im^2), non-negative up to noise."""
+    spec, prof = eigenvalues(d), walk_profile(d)
+    return ((spec.sum_re_sq - spec.sum_im_sq) - prof.c2_total,
+            prof.a - (spec.sum_re_sq + spec.sum_im_sq))
 
 
 class TestMomentIdentities:
     def test_sym_edge(self):
-        m = moment_identities(sym(complete_graph(2)))
-        assert m.sum_re_sq == pytest.approx(2.0, abs=1e-12)
-        assert m.sum_im_sq == pytest.approx(0.0, abs=1e-12)
-        assert m.c2_residual == pytest.approx(0.0, abs=1e-12)
-        assert m.arc_slack == pytest.approx(0.0, abs=1e-12)
+        d = sym(complete_graph(2))
+        spec = eigenvalues(d)
+        c2_residual, arc_slack = _moment_gaps(d)
+        assert spec.sum_re_sq == pytest.approx(2.0, abs=1e-12)
+        assert spec.sum_im_sq == pytest.approx(0.0, abs=1e-12)
+        assert c2_residual == pytest.approx(0.0, abs=1e-12)
+        assert arc_slack == pytest.approx(0.0, abs=1e-12)
 
     def test_directed_triangle(self):
-        m = moment_identities(directed_cycle(3))
-        assert m.sum_re_sq == pytest.approx(1.5, abs=1e-12)
-        assert m.sum_im_sq == pytest.approx(1.5, abs=1e-12)
-        assert m.c2_residual == pytest.approx(0.0, abs=1e-12)
-        assert m.arc_slack == pytest.approx(0.0, abs=1e-12)
+        d = directed_cycle(3)
+        spec = eigenvalues(d)
+        c2_residual, arc_slack = _moment_gaps(d)
+        assert spec.sum_re_sq == pytest.approx(1.5, abs=1e-12)
+        assert spec.sum_im_sq == pytest.approx(1.5, abs=1e-12)
+        assert c2_residual == pytest.approx(0.0, abs=1e-12)
+        assert arc_slack == pytest.approx(0.0, abs=1e-12)
 
     def test_digon_plus_tail_has_slack(self):
-        m = moment_identities(Digraph(3, [(0, 1), (1, 0), (1, 2)]))
-        assert m.c2_residual == pytest.approx(0.0, abs=1e-9)
-        assert m.arc_slack == pytest.approx(1.0, abs=1e-9)
+        c2_residual, arc_slack = _moment_gaps(Digraph(3, [(0, 1), (1, 0), (1, 2)]))
+        assert c2_residual == pytest.approx(0.0, abs=1e-9)
+        assert arc_slack == pytest.approx(1.0, abs=1e-9)
 
     @given(digraphs(max_n=5))
     @settings(max_examples=60, deadline=None)
     def test_identities_hold(self, d):
         if d.n == 0:
             return
-        m = moment_identities(d)
-        assert abs(m.c2_residual) <= 1e-8
-        assert m.arc_slack >= -1e-8
+        c2_residual, arc_slack = _moment_gaps(d)
+        assert abs(c2_residual) <= 1e-8
+        assert arc_slack >= -1e-8
+
+
+class TestPublicSurface:
+    @pytest.mark.parametrize("name", ["spectral_radius", "energy", "moment_identities",
+                                      "MomentIdentities"])
+    def test_deleted_wrappers_are_gone(self, name):
+        # a Spectrum carries rho, energy and the moment sums
+        assert not hasattr(digenergy, name)
+        assert not hasattr(spectrum_mod, name)
+        assert name not in digenergy.__all__
+
+    def test_charpoly_is_not_callable(self):
+        assert not callable(characteristic_polynomial(Digraph(2)))
+
+    def test_every_exported_name_resolves(self):
+        missing = [name for name in digenergy.__all__ if not hasattr(digenergy, name)]
+        assert missing == []
 
 
 class TestCoulson:
@@ -443,7 +478,7 @@ class TestCoulson:
 
     def test_sym_triangle_matches_energy(self):
         d = sym(complete_graph(3))
-        assert coulson_energy(eigenvalues(d), rel_tol=1e-6) == pytest.approx(energy(d), rel=1e-6)
+        assert coulson_energy(eigenvalues(d), rel_tol=1e-6) == pytest.approx(eigenvalues(d).energy, rel=1e-6)
 
     def test_directed_four_cycle_pole(self):
         with pytest.raises(PurelyImaginaryEigenvalueError) as exc:
@@ -460,7 +495,7 @@ class TestCoulson:
 
     def test_zero_eigenvalue_is_not_a_pole(self):
         d = sym(star_graph(2))  # spectrum {sqrt(2), 0, -sqrt(2)}
-        assert coulson_energy(eigenvalues(d)) == pytest.approx(energy(d), rel=1e-6)
+        assert coulson_energy(eigenvalues(d)) == pytest.approx(eigenvalues(d).energy, rel=1e-6)
 
     def test_empty_digraph(self):
         assert coulson_energy(eigenvalues(Digraph(3))) == pytest.approx(0.0, abs=1e-12)
