@@ -32,7 +32,7 @@ from .oracle import (
     random_digraph,
     verify_all,
 )
-from .spectrum import coulson_energy, eigenvalues
+from .spectrum import coulson_energy
 
 
 def _fmt(value) -> str:
@@ -163,7 +163,7 @@ def _cmd_coulson(args) -> int:
     d = _load_digraph(args.input)
     if d is None:
         return 2
-    spec = eigenvalues(d)
+    spec = Analysis(d).spectrum
     spectral = spec.energy
     try:
         integral = coulson_energy(spec, rel_tol=args.rel_tol)

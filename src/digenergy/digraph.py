@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -213,18 +213,30 @@ def serialize_edge_list(d: Digraph) -> str:
 
 def adjacency_matrix(d: Digraph) -> np.ndarray:
     """0-1 adjacency matrix with zero diagonal; entry (i,j)=1 iff (i,j) is an arc."""
-    a = np.zeros((d.n, d.n), dtype=np.int64)
-    for i, j in d.arcs:
-        a[i, j] = 1
+    return adjacency_matrices([d])[0]
+
+
+def adjacency_matrices(digraphs: Sequence[Digraph]) -> np.ndarray:
+    """The adjacency matrices of digraphs of one order n, from their arcs,
+    stacked as one ``(K, n, n)`` int64 array."""
+    orders = {d.n for d in digraphs}
+    if len(orders) > 1:
+        raise ValueError(f"digraphs of one order expected, got orders {sorted(orders)}")
+    n = orders.pop() if orders else 0
+    a = np.zeros((len(digraphs), n, n), dtype=np.int64)
+    index = [(k, i, j) for k, d in enumerate(digraphs) for i, j in d.arcs]
+    if index:
+        a[tuple(np.array(index).T)] = 1
     return a
 
 
 def geometric_symmetrization(m: np.ndarray) -> np.ndarray:
-    """Entrywise sqrt(m_ij * m_ji); symmetric, and 0-1 for 0-1 input."""
+    """Entrywise sqrt(m_ij * m_ji) of a square matrix, or of every matrix of
+    a ``(K, n, n)`` stack; symmetric, and 0-1 for 0-1 input."""
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    prod = m * m.T
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    prod = m * m.swapaxes(-1, -2)
     if np.issubdtype(prod.dtype, np.integer) and prod.max(initial=0) <= 1:
         return prod
     return np.sqrt(prod.astype(float))

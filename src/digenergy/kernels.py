@@ -4,9 +4,14 @@
 counts and the breadth-first layers run on Python integers, at any n.  Strong
 components come from reachability: the component of v is what v reaches
 along ``out_masks`` that also reaches v.  The characteristic polynomial runs
-its matrix recurrence in numpy, on int64 when a bound proves that no value
-can overflow and on Python integers (``dtype=object``) otherwise, so every
-result is exact at any size.  Every kernel returns plain Python ints.
+its matrix recurrence in numpy on a whole block of matrices at once (the
+verification harness works in blocks and hands it a block of digraphs and
+their cycle-arc reductions; a lone digraph is a block of one), on int64
+when a bound proves that no value can overflow and on Python integers
+(``dtype=object``) otherwise, so every result is exact at any size.  It is
+the one numeric layer built from the bit rows: the harness builds its QR
+and symmetrization stacks from the arcs, an independent route.  Every
+kernel returns plain Python ints.
 """
 
 from __future__ import annotations
@@ -81,46 +86,69 @@ def scc_ids(n: int, out_masks, in_masks):
     return ids, count
 
 
-def charpoly_from_masks(n: int, out_masks):
-    """Exact characteristic polynomial of the 0-1 adjacency matrix.
+def charpoly_from_masks(n: int, rows):
+    """Exact characteristic polynomials of a block of 0-1 adjacency matrices.
 
-    Faddeev-LeVerrier: ``M_1 = A``, ``c_k = -tr(M_k) / k`` and
-    ``M_k = A (M_{k-1} + c_{k-1} I)``.  Returns the n+1 coefficients in
-    ascending order (``coeffs[k]`` multiplies x**k; ``coeffs[n] == 1``) as
-    plain Python ints.
+    ``rows`` holds one ``out_masks`` tuple per matrix, all of order n; the
+    block is a stacked ``(K, n, n)`` array and each step of the
+    Faddeev-LeVerrier recurrence ``M_1 = A``, ``c_k = -tr(M_k) / k``,
+    ``M_k = A M_{k-1} + c_{k-1} A`` is one stacked matmul.  Returns, per
+    row, the n+1 coefficients in ascending order (``coeffs[k]`` multiplies
+    x**k; ``coeffs[n] == 1``) as plain Python ints.  The verification
+    harness works in blocks and calls it once per block, on the block's
+    digraphs and their cycle-arc reductions; a lone matrix is a block of
+    one.  It is the only stack built from bit rows: the harness builds its
+    QR and symmetrization stacks from the arcs.
 
-    The recurrence runs on int64 and moves to Python ints
+    The recurrence runs on int64 and moves the whole block to Python ints
     (``dtype=object``) before any value could overflow.  With r the largest
-    out-degree, a row of A holds at most r ones, so every partial sum of
-    ``A T`` is at most r max|T| and every partial sum of its trace at most
-    n r max|T|, where max|T| <= max|M_{k-1}| + |c_{k-1}|.  Each step needs
-    n r max|T| < 2^63.  It tests that against the proven bound
-    max|M_k| <= r (max|M_{k-1}| + |c_{k-1}|) and, only when that bound is
-    too large, against the measured max|M_{k-1}|.  A priori
+    out-degree in the block, a row of A holds at most r ones, so every
+    partial sum of ``A M + c A`` is at most r (max|M| + |c|) and every
+    partial sum of its trace at most n r (max|M| + |c|), with the maxima
+    over the block.  Each step needs n r (max|M_{k-1}| + max|c_{k-1}|) <
+    2^63.  It tests that against the proven bound
+    max|M_k| <= r (max|M_{k-1}| + max|c_{k-1}|) and, only when that bound
+    is too large, against the measured max|M_{k-1}|.  A priori
     |c_k| <= C(n, k) r^k and max|M_k| <= 2^n r^k, so int64 is certain for
     n <= 12; in practice the values stay far smaller (below 2^46 on random
     digraphs and tournaments up to n = 32).
     """
     if n == 0:
-        return [1]
-    r = max(mask.bit_count() for mask in out_masks)
+        return [[1] for _ in rows]
+    r = max(mask.bit_count() for masks in rows for mask in masks)
     limit = 2 ** 63 // (n * max(r, 1))
-    a = np.array([[(out_masks[i] >> j) & 1 for j in range(n)] for i in range(n)], dtype=np.int64)
-    diag = np.arange(n)
+    a = _matrix_stack(n, rows)
     m = a
     bound = 1  # proven upper bound on max|M_{k-1}|
-    cs = [1, -int(a.trace())]  # cs[k] is the coefficient of x**(n-k)
+    c = [-t for t in _traces(a).tolist()]
+    cs = [[1] * len(rows), c]  # cs[k][row] is the coefficient of x**(n-k)
     for k in range(2, n + 1):
-        c = cs[k - 1]
-        if m.dtype != object and bound + abs(c) >= limit:
+        cmax = max(map(abs, c))
+        if m.dtype != object and bound + cmax >= limit:
             bound = int(np.abs(m).max())
-            if bound + abs(c) >= limit:
+            if bound + cmax >= limit:
                 a, m = a.astype(object), m.astype(object)
-        t = m.copy()
-        t[diag, diag] += c
-        m = a @ t
-        bound = r * (bound + abs(c))
-        q, rem = divmod(-int(m.trace()), k)
-        assert rem == 0, "Faddeev-LeVerrier trace not divisible"
-        cs.append(q)
-    return cs[::-1]
+        m = a @ m
+        m += np.array(c, dtype=m.dtype)[:, None, None] * a
+        bound = r * (bound + cmax)
+        c = []
+        for t in _traces(m).tolist():
+            q, rem = divmod(-t, k)
+            assert rem == 0, "Faddeev-LeVerrier trace not divisible"
+            c.append(q)
+        cs.append(c)
+    return [list(coeffs) for coeffs in zip(*reversed(cs))]
+
+
+def _matrix_stack(n: int, rows) -> np.ndarray:
+    """The ``(K, n, n)`` int64 0-1 matrices of the bitmask rows, at any n."""
+    width = (n + 7) // 8
+    packed = b"".join(mask.to_bytes(width, "little") for masks in rows for mask in masks)
+    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), bitorder="little")
+    return bits.reshape(len(rows), n, 8 * width)[:, :, :n].astype(np.int64)
+
+
+def _traces(m: np.ndarray) -> np.ndarray:
+    """The trace of every matrix of a ``(K, n, n)`` stack."""
+    n = m.shape[-1]
+    return m.reshape(len(m), n * n)[:, ::n + 1].sum(axis=1)

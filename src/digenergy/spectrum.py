@@ -23,17 +23,19 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .digraph import Digraph, adjacency_matrix
+from .digraph import Digraph
 from .errors import EigensolverError, PurelyImaginaryEigenvalueError
 
 # Eigenvalues with |Im| below this (scaled by 1 + rho) are snapped to real.
 _SNAP_REL = 1e-10
 # Residual gate |phi(z)| / (1 + rho)^n above which the solver result is rejected.
 _RESIDUAL_GATE = 1e-6
-# Entries of each memo.  Exhaustive n=5 has 718 distinct characteristic
-# polynomials, so one exhaustive run never evicts from the memos keyed on
-# coefficients; the charpoly memo, keyed on the adjacency, holds all 4,096
-# digraphs of n=4.
+# Entries of each memo, both keyed on the coefficients of a characteristic
+# polynomial.  Exhaustive n=5 has 718 distinct characteristic polynomials,
+# so one exhaustive run never evicts.  The polynomials themselves are not
+# memoized: the harness works in blocks and computes those of a whole block
+# of digraphs and their cycle-arc reductions in one kernel call (a lone
+# digraph is a block of one), next to QR values from stacks built from arcs.
 _MEMO_SIZE = 4096
 # Most Aberth-Ehrlich sweeps per refinement.
 _ABERTH_SWEEPS = 24
@@ -71,17 +73,11 @@ class Spectrum:
 def characteristic_polynomial(d: Digraph) -> CharPoly:
     """Exact integer characteristic polynomial of the adjacency matrix.
 
-    Computed by the Faddeev-LeVerrier recurrence; arbitrary-precision
-    integers make the result exact at any order.  Memoized on the
-    adjacency (``d.n``, ``d.out_masks``): the result is exact, so a hit
-    returns what a cold call would.
+    Computed by the Faddeev-LeVerrier recurrence on a block of one (see
+    ``kernels.charpoly_from_masks``); arbitrary-precision integers make the
+    result exact at any order.
     """
-    return _charpoly_of_masks(d.n, d.out_masks)
-
-
-@functools.lru_cache(maxsize=_MEMO_SIZE)
-def _charpoly_of_masks(n: int, out_masks: tuple[int, ...]) -> CharPoly:
-    return CharPoly(tuple(kernels.charpoly_from_masks(n, out_masks)))
+    return CharPoly(tuple(kernels.charpoly_from_masks(d.n, [d.out_masks])[0]))
 
 
 def _poly_arrays(coeffs: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -294,23 +290,39 @@ def _pair_conjugates(values: np.ndarray) -> list[complex]:
     return out
 
 
-def _qr_values(d: Digraph) -> np.ndarray:
-    """Floating eigenvalues of the adjacency matrix from LAPACK: the
-    symmetric solver for symmetric digraphs, Hessenberg QR otherwise."""
-    a = adjacency_matrix(d).astype(float)
+def qr_values(a: np.ndarray) -> np.ndarray:
+    """Floating eigenvalues of an adjacency matrix, or of each matrix of a
+    ``(K, n, n)`` stack, from LAPACK: the symmetric solver for the
+    symmetric members and Hessenberg QR for the others, one stacked call
+    each.  The values of a matrix are the last axis of the result.
+
+    Each matrix's values are bit for bit those of the per-matrix call, as
+    complex: values that are all real have +0.0 imaginary parts, as the
+    per-matrix ``eigvals`` returns them.
+    """
+    a = np.asarray(a, dtype=float)
+    stack = a.reshape(math.prod(a.shape[:-2]), *a.shape[-2:])
+    out = np.empty(stack.shape[:2], dtype=complex)
+    symmetric = (stack == stack.transpose(0, 2, 1)).all(axis=(1, 2))
+    general = ~symmetric
     try:
-        if d.is_symmetric:
-            return np.linalg.eigvalsh(a).astype(complex)
-        return np.linalg.eigvals(a)
+        if symmetric.any():
+            out[symmetric] = np.linalg.eigvalsh(stack[symmetric])
+        if general.any():
+            values = np.linalg.eigvals(stack[general]).astype(complex)
+            real = (values.imag == 0.0).all(axis=1)
+            values[real] = values[real].real
+            out[general] = values
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"QR iteration failed: {exc}") from exc
+    return out.reshape(a.shape[:-1])
 
 
 def _check_spread(qr: np.ndarray, repeated: tuple[complex, ...]) -> None:
     """Raise EigensolverError unless every exact root lies within
     1e-2 * (1 + rho) of one of the digraph's QR values."""
     exact = np.array(repeated, dtype=complex)
-    spread = max(float(np.min(np.abs(qr - z))) for z in exact)
+    spread = float(np.abs(qr[None, :] - exact[:, None]).min(axis=1).max())
     if spread > 1e-2 * (1.0 + float(np.max(np.abs(exact)))):
         raise EigensolverError(
             f"QR values and exact-polynomial roots disagree by {spread:.3e}",
@@ -318,41 +330,43 @@ def _check_spread(qr: np.ndarray, repeated: tuple[complex, ...]) -> None:
         )
 
 
-def eigenvalues(d: Digraph, certified: Optional[Spectrum] = None) -> Spectrum:
-    """All n eigenvalues with certified backward error.
+def eigenvalues(poly: CharPoly, qr: np.ndarray, certified: Optional[Spectrum] = None) -> Spectrum:
+    """All n eigenvalues of a digraph with certified backward error, from
+    its exact characteristic polynomial ``poly`` and its n floating QR
+    values ``qr`` (a row of ``qr_values``).
 
-    QR eigenvalues are refined against the exact characteristic polynomial
-    and rejected (EigensolverError) if any residual |phi(z)| exceeds the
-    gate of 1e-6 * (1 + rho)^n; in practice residuals sit far below 1e-8
-    after refinement.
+    The QR values are refined against the exact polynomial and rejected
+    (EigensolverError) if any residual |phi(z)| exceeds the gate of
+    1e-6 * (1 + rho)^n; in practice residuals sit far below 1e-8 after
+    refinement.
 
     ``certified``, when given, must be a spectrum this function returned
     for another digraph with the same characteristic polynomial; it is
     returned in place of a new one.  With a repeated root, this digraph's
-    QR values are still checked against the exact roots first; a
-    square-free spectrum needs no numeric work.  Refinement starts from
-    the QR values, so a spectrum certified for another digraph can differ
-    from this digraph's own in the last bits.
+    QR values are still checked against the exact roots first; with a
+    square-free polynomial nothing is refined.  Refinement starts from the
+    QR values, so a spectrum certified for another digraph can differ from
+    this digraph's own in the last bits.
     """
-    n = d.n
+    n = len(poly.coeffs) - 1
+    if len(qr) != n:
+        raise ValueError(f"expected {n} QR values for a polynomial of degree {n}, got {len(qr)}")
     if n == 0:
-        return Spectrum((), 0.0, 0.0, 0.0, 0.0, CharPoly((1,)))
-    poly = characteristic_polynomial(d)
+        return Spectrum((), 0.0, 0.0, 0.0, 0.0, poly)
     repeated = _repeated_roots(poly.coeffs)
     if certified is not None:
         if repeated is not None:
-            _check_spread(_qr_values(d), repeated)
+            _check_spread(qr, repeated)
         return certified
-    vals = _qr_values(d)
     if repeated is None:
         # Square-free spectrum: refine the QR values directly.
-        vals = _aberth_refine(poly.coeffs, vals)
+        vals = _aberth_refine(poly.coeffs, qr)
     else:
         # Repeated eigenvalues: every root is simple inside its square-free
         # factor, which sidesteps the sqrt(eps) accuracy floor of polishing
         # multiple roots on the full polynomial.  The QR values stay as a
         # consistency reference.
-        _check_spread(vals, repeated)
+        _check_spread(qr, repeated)
         vals = np.array(repeated, dtype=complex)
     paired = _pair_conjugates(vals)
     paired.sort(key=lambda z: (-z.real, -z.imag))

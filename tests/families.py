@@ -1,10 +1,25 @@
-"""Graph and digraph builders shared across the test modules."""
+"""Graph and digraph builders shared across the test modules, and the
+spectrum of a lone digraph from its own pieces."""
 
 from itertools import combinations, product
 
 from hypothesis import strategies as st
 
-from digenergy import Digraph, Graph, from_graph
+from digenergy import (
+    Digraph,
+    Graph,
+    adjacency_matrix,
+    characteristic_polynomial,
+    eigenvalues,
+    from_graph,
+    qr_values,
+)
+
+
+def spectrum_of(d: Digraph):
+    """The certified spectrum of d from its per-digraph pieces, apart from
+    any block of the harness."""
+    return eigenvalues(characteristic_polynomial(d), qr_values(adjacency_matrix(d)))
 
 
 def complete_graph(n: int) -> Graph:

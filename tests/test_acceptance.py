@@ -11,7 +11,6 @@ from digenergy import (
     Digraph,
     PurelyImaginaryEigenvalueError,
     coulson_energy,
-    eigenvalues,
     energy_upper_mcclelland,
     energy_upper_radius,
     energy_upper_walk_mean,
@@ -37,6 +36,7 @@ from families import (
     matching_graph,
     petersen_graph,
     star_graph,
+    spectrum_of,
     sym,
 )
 
@@ -92,7 +92,7 @@ def test_criterion_2_fixtures_exact():
 
     k3 = sym(complete_graph(3))
     prof3 = walk_profile(k3)
-    spec3 = eigenvalues(k3)
+    spec3 = spectrum_of(k3)
     if abs(spec3.energy - 4.0) > 1e-9:
         failures.append("triangle energy")
     if abs(spec3.rho - 2.0) > 1e-9:
@@ -110,14 +110,14 @@ def test_criterion_2_fixtures_exact():
 
     k2 = sym(complete_graph(2))
     prof2 = walk_profile(k2)
-    if abs(eigenvalues(k2).energy - 2.0) > 1e-9:
+    if abs(spectrum_of(k2).energy - 2.0) > 1e-9:
         failures.append("edge energy")
     if abs(energy_upper_mcclelland(prof2, 2) - 2.0) > 1e-9:
         failures.append("edge mcclelland equality")
 
     star = sym(star_graph(2))
     profs = walk_profile(star)
-    spec_s = eigenvalues(star)
+    spec_s = spectrum_of(star)
     if abs(spec_s.rho - math.sqrt(2)) > 1e-9:
         failures.append("star radius")
     if abs(rho_lower_walk_ratio(profs) - spec_s.rho) > 1e-9:
@@ -129,7 +129,7 @@ def test_criterion_2_fixtures_exact():
 
     c3 = directed_cycle(3)
     profc = walk_profile(c3)
-    if abs(eigenvalues(c3).energy - 2.0) > 1e-9:
+    if abs(spectrum_of(c3).energy - 2.0) > 1e-9:
         failures.append("directed triangle energy")
     if any(abs(v) > 1e-9 for v in (rho_lower_walk_mean(profc, 3),
                                    rho_lower_walk_rms(profc, 3),
@@ -172,7 +172,7 @@ def test_criterion_4_coulson_integral():
         skipped += rep.checks_run["coulson_match"].skipped
     raised = False
     try:
-        coulson_energy(eigenvalues(directed_cycle(4)))
+        coulson_energy(spectrum_of(directed_cycle(4)))
     except PurelyImaginaryEigenvalueError:
         raised = True
     ok = violations == 0 and raised
@@ -182,14 +182,14 @@ def test_criterion_4_coulson_integral():
 
 def _radius_equality_holds(d, tol=1e-7):
     prof = walk_profile(d)
-    gap = abs(rho_lower_walk_ratio(prof) - eigenvalues(d).rho)
+    gap = abs(rho_lower_walk_ratio(prof) - spectrum_of(d).rho)
     verdict = Analysis(d).verdict_rho
     return gap <= tol and verdict.predicted_equality
 
 
 def _energy_equality_holds(d, tol=1e-7):
     prof = walk_profile(d)
-    gap = abs(energy_upper_walk_ratio(prof, d.n) - eigenvalues(d).energy) if d.n else 0.0
+    gap = abs(energy_upper_walk_ratio(prof, d.n) - spectrum_of(d).energy) if d.n else 0.0
     verdict = Analysis(d).verdict_energy
     return gap <= tol and verdict.predicted_equality
 
@@ -236,7 +236,7 @@ def test_criterion_5_equality_families():
                             ("petersen", petersen_graph(), (10, 3, 0, 1))):
         d = sym(g)
         prof = walk_profile(d)
-        gap = energy_upper_walk_ratio(prof, d.n) - eigenvalues(d).energy
+        gap = energy_upper_walk_ratio(prof, d.n) - spectrum_of(d).energy
         verdict = Analysis(d).verdict_energy
         if is_strongly_regular(g) != params:
             failures.append(f"{name} srg params")

@@ -8,7 +8,6 @@ from digenergy import (
     ClosedWalkProfile,
     Digraph,
     bound_chain_report,
-    eigenvalues,
     energy_upper_mcclelland,
     energy_upper_radius,
     energy_upper_walk_mean,
@@ -24,7 +23,7 @@ from digenergy import (
 from digenergy import bounds as bounds_mod
 from digenergy.bounds import _f_energy
 
-from families import complete_graph, directed_cycle, star_graph, sym
+from families import complete_graph, directed_cycle, spectrum_of, star_graph, sym
 from test_acceptance import BOUND_NAMES
 
 
@@ -33,7 +32,7 @@ def prof(d):
 
 
 def report(d):
-    return bound_chain_report(prof(d), eigenvalues(d))
+    return bound_chain_report(prof(d), spectrum_of(d))
 
 
 K3 = sym(complete_graph(3))
@@ -86,9 +85,9 @@ class TestEnergyUpperBounds:
         assert energy_upper_mcclelland(prof(Digraph(3)), 3) == 0.0
 
     def test_radius_form(self):
-        assert energy_upper_radius(prof(K2), 2, eigenvalues(K2).rho) == pytest.approx(2.0, abs=1e-12)
-        assert energy_upper_radius(prof(K3), 3, eigenvalues(K3).rho) == pytest.approx(4.0, abs=1e-12)
-        assert energy_upper_radius(prof(C3), 3, eigenvalues(C3).rho) == pytest.approx(3.0, abs=1e-12)
+        assert energy_upper_radius(prof(K2), 2, spectrum_of(K2).rho) == pytest.approx(2.0, abs=1e-12)
+        assert energy_upper_radius(prof(K3), 3, spectrum_of(K3).rho) == pytest.approx(4.0, abs=1e-12)
+        assert energy_upper_radius(prof(C3), 3, spectrum_of(C3).rho) == pytest.approx(3.0, abs=1e-12)
 
     def test_walk_mean_form(self):
         assert energy_upper_walk_mean(prof(K3), 3) == pytest.approx(4.0, abs=1e-12)
@@ -105,8 +104,8 @@ class TestEnergyUpperBounds:
         assert energy_upper_walk_ratio(prof(K2), 2) == pytest.approx(2.0, abs=1e-12)
         bound = energy_upper_walk_ratio(prof(STAR), 3)
         assert bound == pytest.approx(math.sqrt(2) + 2, abs=1e-12)
-        assert bound >= eigenvalues(STAR).energy  # strict inequality case: E = 2*sqrt(2)
-        assert eigenvalues(STAR).energy == pytest.approx(2 * math.sqrt(2), abs=1e-12)
+        assert bound >= spectrum_of(STAR).energy  # strict inequality case: E = 2*sqrt(2)
+        assert spectrum_of(STAR).energy == pytest.approx(2 * math.sqrt(2), abs=1e-12)
 
     def test_inapplicable_ratio_raises(self):
         # hand-built inconsistent profile with q > a

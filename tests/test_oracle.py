@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from digenergy import (
@@ -11,6 +12,7 @@ from digenergy import (
     EigensolverError,
     PurelyImaginaryEigenvalueError,
     UnknownCheckError,
+    adjacency_matrix,
     bound_chain_report,
     characteristic_polynomial,
     coulson_energy,
@@ -19,7 +21,9 @@ from digenergy import (
     enumerate_digraphs,
     equality_verdict_energy_upper,
     equality_verdict_rho_lower,
+    geometric_symmetrization,
     inject_fault,
+    qr_values,
     random_digraph,
     serialize_edge_list,
     verify_all,
@@ -29,7 +33,7 @@ from digenergy import kernels as kernels_mod
 from digenergy import oracle as oracle_mod
 from digenergy import spectrum as spectrum_mod
 
-from families import complete_graph, directed_cycle, sym
+from families import complete_graph, directed_cycle, spectrum_of, sym
 
 
 class TestEnumeration:
@@ -177,7 +181,7 @@ class TestAnalysis:
 
     def _cold_document(self, d):
         profile = walk_profile(d)
-        spec = eigenvalues(d)
+        spec = spectrum_of(d)
         report = bound_chain_report(profile, spec, self.TOL)
         warnings = list(report.notes)
         try:
@@ -217,9 +221,9 @@ class TestAnalysis:
         assert analysis.coulson == pytest.approx(analysis.spectrum.energy, rel=1e-10)
 
     def test_charpoly_and_spectrum_computed_once(self, monkeypatch):
-        # ``eigenvalues`` reads the charpoly again, from the adjacency memo
-        # that ``Analysis.charpoly`` has just filled, so the recurrence runs
-        # once.
+        # A lone analysis is a block of one: one kernel call computes the
+        # charpolys of the digraph and of its cycle-arc reduction, and
+        # ``eigenvalues`` takes that charpoly as it is.
         calls = []
 
         def counting(fn):
@@ -231,13 +235,28 @@ class TestAnalysis:
         monkeypatch.setattr(kernels_mod, "charpoly_from_masks", counting(kernels_mod.charpoly_from_masks))
         monkeypatch.setattr(oracle_mod, "eigenvalues", counting(spectrum_mod.eigenvalues))
         for d in self.CORPUS:
-            spectrum_mod._charpoly_of_masks.cache_clear()
             calls.clear()
             analysis = Analysis(d, self.TOL)
             first = analysis.to_dict()
             assert analysis.to_dict() == first
             assert analysis.charpoly is analysis.spectrum.charpoly
+            assert analysis.reduced_charpoly.coeffs == analysis.charpoly.coeffs
             assert sorted(calls) == ["charpoly_from_masks", "eigenvalues"]
+
+    def test_one_kernel_call_per_block(self, monkeypatch):
+        rows = []
+        kernel = kernels_mod.charpoly_from_masks
+
+        def counting(n, block_rows):
+            rows.append(len(block_rows))
+            return kernel(n, block_rows)
+
+        monkeypatch.setattr(kernels_mod, "charpoly_from_masks", counting)
+        block = oracle_mod.BLOCK_SIZE
+        verify_all(3, mode="random", count=2 * block + 1, p=0.5, seed=1)
+        assert len(rows) == 3
+        # Each block holds its digraphs and reductions, each adjacency once.
+        assert all(1 <= r <= 2 * block for r in rows) and rows[-1] <= 2
 
 
 class TestSharedSpectra:
@@ -249,7 +268,7 @@ class TestSharedSpectra:
         first = set()
         for d in enumerate_digraphs(4):
             spec = Analysis(d, spectra=spectra).spectrum
-            cold = eigenvalues(d)
+            cold = spectrum_of(d)
             assert spec.charpoly == characteristic_polynomial(d)
             assert len(spec.eigenvalues) == len(cold.eigenvalues)
             for z, w in zip(spec.eigenvalues, cold.eigenvalues):
@@ -270,15 +289,15 @@ class TestSharedSpectra:
             spec = Analysis(first, spectra=spectra).spectrum
             assert Analysis(second, spectra=spectra).spectrum is spec
 
-    def test_square_free_hit_does_no_numeric_work(self, monkeypatch):
+    def test_square_free_hit_does_no_refinement(self, monkeypatch):
         spectra = {}
         Analysis(directed_cycle(3), spectra=spectra).spectrum
 
         def forbidden(*args):
-            raise AssertionError("numeric work on a square-free hit")
+            raise AssertionError("refinement on a square-free hit")
 
-        monkeypatch.setattr(spectrum_mod, "_qr_values", forbidden)
         monkeypatch.setattr(spectrum_mod, "_aberth_refine", forbidden)
+        monkeypatch.setattr(spectrum_mod, "_check_spread", forbidden)
         relabeled = Digraph(3, [(1, 0), (0, 2), (2, 1)])
         assert Analysis(relabeled, spectra=spectra).spectrum.charpoly.coeffs == (-1, 0, 0, 1)
 
@@ -287,11 +306,80 @@ class TestSharedSpectra:
         # from 0, so the shared roots must be rejected for it.
         spectra = {}
         Analysis(Digraph(3), spectra=spectra).spectrum
-        qr_values = spectrum_mod._qr_values
-        monkeypatch.setattr(spectrum_mod, "_qr_values", lambda d: qr_values(d) + 100.0)
+        monkeypatch.setattr(oracle_mod, "qr_values", lambda a: qr_values(a) + 100.0)
         with pytest.raises(EigensolverError, match="disagree"):
             Analysis(Digraph(3, [(0, 1)]), spectra=spectra).spectrum
 
     def test_default_is_not_shared(self):
         d = directed_cycle(3)
         assert Analysis(d).spectrum is not Analysis(d).spectrum
+
+
+def _report_text(report) -> str:
+    return json.dumps({k: v for k, v in report.to_dict().items() if k != "elapsed_seconds"},
+                      sort_keys=True)
+
+
+BLOCK = oracle_mod.BLOCK_SIZE
+
+
+class TestBlocks:
+    """The harness takes its corpus in blocks of ``BLOCK_SIZE`` digraphs and
+    computes their numeric layers as stacks; its reports equal those of a
+    per-digraph run (blocks of one), across every block boundary."""
+
+    def _assert_equals_per_digraph_run(self, monkeypatch, n, **kwargs):
+        blocked = verify_all(n, **kwargs)
+        with monkeypatch.context() as m:
+            m.setattr(oracle_mod, "BLOCK_SIZE", 1)
+            reference = verify_all(n, **kwargs)
+        assert _report_text(blocked) == _report_text(reference)
+        for stats in blocked.checks_run.values():
+            assert stats.passed + stats.failed + stats.skipped == blocked.digraphs_checked
+        return blocked
+
+    @pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    def test_random_mode(self, monkeypatch, count):
+        report = self._assert_equals_per_digraph_run(monkeypatch, 4, mode="random", count=count,
+                                                     p=0.5, seed=7)
+        assert report.digraphs_checked == count
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_exhaustive_smaller_than_one_block(self, monkeypatch, n):
+        report = self._assert_equals_per_digraph_run(monkeypatch, n)
+        assert report.digraphs_checked == 2 ** (n * (n - 1))
+
+    def test_violation_order_across_blocks(self, monkeypatch):
+        with inject_fault("rho_lower_walk_mean", 1e-3):
+            report = self._assert_equals_per_digraph_run(
+                monkeypatch, 3, checks=["rho_chain"], mode="random", count=BLOCK + 1, p=0.5, seed=3)
+        assert len(report.violations) >= BLOCK + 1
+
+    @pytest.mark.parametrize("corpus", ["n4", "n10"])
+    def test_symmetrization_radii_equal_per_matrix_calls(self, corpus):
+        ds = (list(enumerate_digraphs(4)) if corpus == "n4"
+              else [random_digraph(10, 0.3, seed) for seed in range(400)])
+        for start in range(0, len(ds), BLOCK):
+            block = oracle_mod._Block(ds[start:start + BLOCK])
+            rho_s, rho_s2 = block.symmetrization_radii
+            want_s, want_s2 = [], []
+            for d in block.digraphs:
+                s = geometric_symmetrization(adjacency_matrix(d)).astype(float)
+                want_s.append(float(np.max(np.abs(np.linalg.eigvalsh(s)))))
+                want_s2.append(float(np.max(np.abs(np.linalg.eigvalsh(s @ s)))))
+            assert np.array_equal(rho_s, want_s) and np.array_equal(rho_s2, want_s2)
+
+    def test_block_pieces_equal_lone_pieces(self):
+        ds = [random_digraph(10, 0.3, seed) for seed in range(50)] + [Digraph(10)]
+        for analysis in oracle_mod._Block(ds).analyses(1e-8, {}):
+            d = analysis.d
+            assert analysis.charpoly == characteristic_polynomial(d)
+            assert analysis.reduced_charpoly == characteristic_polynomial(cycle_arc_reduction(d))
+            assert np.array_equal(analysis.symmetrization, geometric_symmetrization(adjacency_matrix(d)))
+            assert repr(analysis.spectrum) == repr(spectrum_of(d))
+
+    def test_one_order_per_block(self):
+        with pytest.raises(ValueError, match="one order"):
+            oracle_mod._Block([Digraph(2), Digraph(3)])
+        rho_s, rho_s2 = oracle_mod._Block([Digraph(0)]).symmetrization_radii
+        assert rho_s.tolist() == rho_s2.tolist() == [0.0]

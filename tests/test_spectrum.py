@@ -11,19 +11,23 @@ from digenergy import (
     Digraph,
     Graph,
     PurelyImaginaryEigenvalueError,
+    adjacency_matrix,
     characteristic_polynomial,
     coulson_energy,
     cycle_arc_reduction,
     eigenvalues,
     enumerate_digraphs,
     from_graph,
+    qr_values,
     random_digraph,
     walk_profile,
 )
 import digenergy
+from digenergy import kernels as kernels_mod
 from digenergy import spectrum as spectrum_mod
+from digenergy.digraph import adjacency_matrices
+from digenergy.oracle import _Block
 from digenergy.spectrum import (
-    _charpoly_of_masks,
     _coprime_to_derivative_mod_q,
     _coulson_integral,
     _repeated_roots,
@@ -37,6 +41,7 @@ from families import (
     path_graph,
     petersen_graph,
     star_graph,
+    spectrum_of,
     sym,
 )
 from test_digraph import digraphs
@@ -88,8 +93,6 @@ class TestCharPoly:
     def test_against_numpy(self, d):
         # Independent float route: numpy builds the polynomial from
         # the QR eigenvalues of the adjacency matrix.
-        from digenergy import adjacency_matrix
-
         exact = characteristic_polynomial(d).coeffs
         approx = np.poly(adjacency_matrix(d).astype(float)) if d.n else np.array([1.0])
         assert np.allclose(approx[::-1], [float(c) for c in exact], atol=1e-6)
@@ -150,6 +153,17 @@ def _transitive_tournament(n):
     return Digraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
+def _kernel_run(monkeypatch, n, rows):
+    """The block kernel's coefficients on ``rows``, and whether it moved
+    to Python ints."""
+    dtypes = []
+    traces = kernels_mod._traces
+    monkeypatch.setattr(kernels_mod, "_traces", lambda m: dtypes.append(m.dtype) or traces(m))
+    coeffs = kernels_mod.charpoly_from_masks(n, rows)
+    monkeypatch.setattr(kernels_mod, "_traces", traces)
+    return coeffs, object in dtypes
+
+
 # Orders on both sides of the int64/object switch of the charpoly recurrence:
 # int64 is proven safe in advance up to n = 12; past that the recurrence
 # checks its values step by step.  At n = 64, J - I and the transitive
@@ -192,11 +206,15 @@ class TestCharPolyExactness:
             assert list(coeffs) == _reference_charpoly(d.n, d.out_masks)
             assert all(type(c) is int for c in coeffs)
 
-    def test_matches_reference_after_moving_to_python_ints(self):
-        # Dense enough that the recurrence leaves int64 part way through.
+    def test_matches_reference_after_moving_to_python_ints(self, monkeypatch):
+        # Dense enough that the recurrence, on a block of one, leaves int64
+        # part way through.
         d = random_digraph(48, 0.5, 1)
+        block, moved = _kernel_run(monkeypatch, d.n, [d.out_masks])
+        assert moved
+        assert block == [_reference_charpoly(d.n, d.out_masks)]
         coeffs = characteristic_polynomial(d).coeffs
-        assert list(coeffs) == _reference_charpoly(d.n, d.out_masks)
+        assert list(coeffs) == block[0]
         assert all(type(c) is int for c in coeffs)
 
     def test_sink_rows_after_moving_to_python_ints(self):
@@ -209,6 +227,58 @@ class TestCharPolyExactness:
         coeffs = characteristic_polynomial(Digraph(50, arcs)).coeffs
         assert coeffs == (0, 0) + characteristic_polynomial(d).coeffs
         assert all(type(c) is int for c in coeffs)
+
+
+def _permutation_digraph(cycles, n):
+    return Digraph(n, [(c[k], c[(k + 1) % len(c)]) for c in cycles for k in range(len(c))])
+
+
+class TestBlockKernel:
+    """One kernel call on a block equals one call per row, on both sides of
+    the int64 guard, which is taken over the whole block."""
+
+    @staticmethod
+    def _assert_block_equals_rows(monkeypatch, n, rows):
+        block, _ = _kernel_run(monkeypatch, n, rows)
+        assert block == [kernels_mod.charpoly_from_masks(n, [masks])[0] for masks in rows]
+        assert all(type(c) is int for coeffs in block for c in coeffs)
+        return block
+
+    def test_orders_zero_and_one(self, monkeypatch):
+        assert self._assert_block_equals_rows(monkeypatch, 0, [(), ()]) == [[1], [1]]
+        assert self._assert_block_equals_rows(monkeypatch, 1, [(0,)]) == [[0, 1]]
+
+    def test_all_n3_digraphs(self, monkeypatch):
+        ds = list(enumerate_digraphs(3))
+        block = self._assert_block_equals_rows(monkeypatch, 3, [d.out_masks for d in ds])
+        assert block == [_reference_charpoly(3, d.out_masks) for d in ds]
+
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_random_digraphs(self, monkeypatch, n):
+        ds = [random_digraph(n, p, seed) for p in (0.1, 0.3, 0.6) for seed in range(20)]
+        block = self._assert_block_equals_rows(monkeypatch, n, [d.out_masks for d in ds])
+        assert block == [_reference_charpoly(n, d.out_masks) for d in ds]
+
+    def test_directed_path_and_permutation_matrix(self, monkeypatch):
+        # Nilpotent next to a root of unity: x^8 and (x^3 - 1)(x^2 - 1)(x^3 - 1).
+        path, perm = directed_path(8), _permutation_digraph([(0, 3, 6), (1, 7), (2, 4, 5)], 8)
+        block = self._assert_block_equals_rows(monkeypatch, 8, [path.out_masks, perm.out_masks])
+        assert block[0] == [0] * 8 + [1]
+        assert tuple(block[1]) == _poly_mul((-1, 0, 0, 1), (-1, 0, 1), (-1, 0, 0, 1))
+
+    @pytest.mark.parametrize("n", [13, 52])
+    def test_guard_is_taken_over_the_block(self, monkeypatch, n):
+        # J - I leaves int64 from n = 52 on, the directed cycle alone never
+        # does; in one block both move to Python ints, and both stay exact.
+        # n = 13 lies just past the order that int64 is proven safe for.
+        rows = [directed_cycle(n).out_masks, sym(complete_graph(n)).out_masks]
+        block, moved = _kernel_run(monkeypatch, n, rows)
+        alone = [_kernel_run(monkeypatch, n, [masks]) for masks in rows]
+        assert block == [coeffs[0] for coeffs, _ in alone]
+        assert moved == (n == 52)
+        assert [row_moved for _, row_moved in alone] == [False, n == 52]
+        assert block[0] == [-1] + [0] * (n - 1) + [1]
+        assert tuple(block[1]) == _poly_mul(_root_power(n - 1, 1), _root_power(-1, n - 1))
 
 
 class TestSquareFreeDecomposition:
@@ -343,13 +413,13 @@ class TestSquareFreeOracle:
 
 class TestEigenvalues:
     def test_sym_edge(self):
-        spec = eigenvalues(sym(complete_graph(2)))
+        spec = spectrum_of(sym(complete_graph(2)))
         assert spec.eigenvalues == (1, -1)
         assert spec.rho == pytest.approx(1.0, abs=1e-12)
         assert spec.energy == pytest.approx(2.0, abs=1e-12)
 
     def test_directed_triangle(self):
-        spec = eigenvalues(directed_cycle(3))
+        spec = spectrum_of(directed_cycle(3))
         want = sorted([1, complex(-0.5, math.sqrt(3) / 2), complex(-0.5, -math.sqrt(3) / 2)],
                       key=lambda z: (-z.real, -z.imag))
         assert all(abs(a - b) < 1e-12 for a, b in zip(spec.eigenvalues, want))
@@ -357,30 +427,30 @@ class TestEigenvalues:
         assert spec.energy == pytest.approx(2.0, abs=1e-12)
 
     def test_sym_triangle(self):
-        spec = eigenvalues(sym(complete_graph(3)))
+        spec = spectrum_of(sym(complete_graph(3)))
         assert spec.rho == pytest.approx(2.0, abs=1e-12)
         assert spec.energy == pytest.approx(4.0, abs=1e-12)
         assert [z.real for z in spec.eigenvalues] == pytest.approx([2, -1, -1], abs=1e-12)
 
     def test_nilpotent_path(self):
-        assert eigenvalues(directed_path(3)).energy == 0.0
+        assert spectrum_of(directed_path(3)).energy == 0.0
 
     def test_star_radius(self):
-        assert eigenvalues(sym(star_graph(2))).rho == pytest.approx(math.sqrt(2), abs=1e-12)
+        assert spectrum_of(sym(star_graph(2))).rho == pytest.approx(math.sqrt(2), abs=1e-12)
 
     def test_sorted_by_re_desc_im_desc(self):
-        spec = eigenvalues(directed_cycle(4))
+        spec = spectrum_of(directed_cycle(4))
         keys = [(-z.real, -z.imag) for z in spec.eigenvalues]
         assert keys == sorted(keys)
 
     def test_empty(self):
-        spec = eigenvalues(Digraph(0))
+        spec = spectrum_of(Digraph(0))
         assert spec.eigenvalues == () and spec.rho == 0.0
 
     @given(digraphs(max_n=6))
     @settings(max_examples=60, deadline=None)
     def test_residuals_and_structure(self, d):
-        spec = eigenvalues(d)
+        spec = spectrum_of(d)
         poly = characteristic_polynomial(d)
         n = d.n
         if n == 0:
@@ -400,22 +470,57 @@ class TestEigenvalues:
     def test_symmetric_spectra_real(self, d):
         if not d.is_symmetric:
             return
-        spec = eigenvalues(d)
+        spec = spectrum_of(d)
         assert all(z.imag == 0 for z in spec.eigenvalues)
 
     def test_energy_agrees_with_direct_eig(self):
         # Independent route: raw LAPACK eigenvalues, no refinement.
-        from digenergy import adjacency_matrix
-
         for d in (sym(petersen_graph()), directed_cycle(5), sym(star_graph(3))):
             raw = np.linalg.eigvals(adjacency_matrix(d).astype(float))
-            assert eigenvalues(d).energy == pytest.approx(float(np.abs(raw.real).sum()), abs=1e-9)
+            assert spectrum_of(d).energy == pytest.approx(float(np.abs(raw.real).sum()), abs=1e-9)
+
+
+def _per_matrix_qr_values(a):
+    """One LAPACK call on one matrix, as the stacked call must reproduce."""
+    if np.array_equal(a, a.T):
+        return np.linalg.eigvalsh(a).astype(complex)
+    return np.linalg.eigvals(a).astype(complex)
+
+
+STACK_CORPORA = {
+    "n4": list(enumerate_digraphs(4)),
+    "n10": [random_digraph(10, 0.3, seed) for seed in range(200)]
+           + [from_graph(Graph(10, [(i, j) for i, j in random_digraph(10, 0.3, seed).arcs if i < j]))
+              for seed in range(200)],
+}
+
+
+class TestStackedQrValues:
+    @pytest.mark.parametrize("corpus", sorted(STACK_CORPORA))
+    def test_stack_equals_per_matrix_calls(self, corpus):
+        a = adjacency_matrices(STACK_CORPORA[corpus]).astype(float)
+        stacked = qr_values(a)
+        assert stacked.shape == a.shape[:2] and stacked.dtype == complex
+        for k in range(len(a)):
+            want = _per_matrix_qr_values(a[k])
+            assert np.array_equal(stacked[k], want)
+            assert stacked[k].tobytes() == want.tobytes()  # signed zeros too
+            assert qr_values(a[k]).tobytes() == want.tobytes()
+
+    def test_empty_matrices(self):
+        assert qr_values(np.zeros((3, 0, 0))).shape == (3, 0)
+        assert qr_values(np.zeros((0, 0))).shape == (0,)
+
+    def test_eigenvalues_needs_one_value_per_root(self):
+        d = directed_cycle(3)
+        with pytest.raises(ValueError, match="expected 3 QR values"):
+            eigenvalues(characteristic_polynomial(d), qr_values(adjacency_matrix(directed_cycle(4))))
 
 
 def _moment_gaps(d):
     """(sum Re^2 - sum Im^2) - c2, identically ~0, and a - (sum Re^2 +
     sum Im^2), non-negative up to noise."""
-    spec, prof = eigenvalues(d), walk_profile(d)
+    spec, prof = spectrum_of(d), walk_profile(d)
     return ((spec.sum_re_sq - spec.sum_im_sq) - prof.c2_total,
             prof.a - (spec.sum_re_sq + spec.sum_im_sq))
 
@@ -423,7 +528,7 @@ def _moment_gaps(d):
 class TestMomentIdentities:
     def test_sym_edge(self):
         d = sym(complete_graph(2))
-        spec = eigenvalues(d)
+        spec = spectrum_of(d)
         c2_residual, arc_slack = _moment_gaps(d)
         assert spec.sum_re_sq == pytest.approx(2.0, abs=1e-12)
         assert spec.sum_im_sq == pytest.approx(0.0, abs=1e-12)
@@ -432,7 +537,7 @@ class TestMomentIdentities:
 
     def test_directed_triangle(self):
         d = directed_cycle(3)
-        spec = eigenvalues(d)
+        spec = spectrum_of(d)
         c2_residual, arc_slack = _moment_gaps(d)
         assert spec.sum_re_sq == pytest.approx(1.5, abs=1e-12)
         assert spec.sum_im_sq == pytest.approx(1.5, abs=1e-12)
@@ -474,37 +579,37 @@ class TestPublicSurface:
 class TestCoulson:
     def test_sym_edge_is_two(self):
         # integrand reduces to 2/(1+x^2); the integral is exactly 2
-        assert coulson_energy(eigenvalues(sym(complete_graph(2)))) == pytest.approx(2.0, rel=1e-9)
+        assert coulson_energy(spectrum_of(sym(complete_graph(2)))) == pytest.approx(2.0, rel=1e-9)
 
     def test_sym_triangle_matches_energy(self):
         d = sym(complete_graph(3))
-        assert coulson_energy(eigenvalues(d), rel_tol=1e-6) == pytest.approx(eigenvalues(d).energy, rel=1e-6)
+        assert coulson_energy(spectrum_of(d), rel_tol=1e-6) == pytest.approx(spectrum_of(d).energy, rel=1e-6)
 
     def test_directed_four_cycle_pole(self):
         with pytest.raises(PurelyImaginaryEigenvalueError) as exc:
-            coulson_energy(eigenvalues(directed_cycle(4)))
+            coulson_energy(spectrum_of(directed_cycle(4)))
         assert abs(abs(exc.value.x) - 1.0) < 1e-6
 
     def test_rel_tol_validated(self):
         with pytest.raises(ValueError):
-            coulson_energy(eigenvalues(sym(complete_graph(2))), rel_tol=0.0)
+            coulson_energy(spectrum_of(sym(complete_graph(2))), rel_tol=0.0)
         with pytest.raises(ValueError):
-            coulson_energy(eigenvalues(sym(complete_graph(2))), rel_tol=1.5)
+            coulson_energy(spectrum_of(sym(complete_graph(2))), rel_tol=1.5)
         with pytest.raises(ValueError):
-            coulson_energy(eigenvalues(Digraph(0)), rel_tol=0.0)
+            coulson_energy(spectrum_of(Digraph(0)), rel_tol=0.0)
 
     def test_zero_eigenvalue_is_not_a_pole(self):
         d = sym(star_graph(2))  # spectrum {sqrt(2), 0, -sqrt(2)}
-        assert coulson_energy(eigenvalues(d)) == pytest.approx(eigenvalues(d).energy, rel=1e-6)
+        assert coulson_energy(spectrum_of(d)) == pytest.approx(spectrum_of(d).energy, rel=1e-6)
 
     def test_empty_digraph(self):
-        assert coulson_energy(eigenvalues(Digraph(3))) == pytest.approx(0.0, abs=1e-12)
-        assert coulson_energy(eigenvalues(Digraph(0))) == 0.0
+        assert coulson_energy(spectrum_of(Digraph(3))) == pytest.approx(0.0, abs=1e-12)
+        assert coulson_energy(spectrum_of(Digraph(0))) == 0.0
 
     def test_many_zero_eigenvalues_are_not_poles(self):
         # x^10 (x^2 - 3): |phi(ix)| ~ |x|^10 near 0 must not read as a pole.
         d = from_graph(Graph(12, [(0, 1), (0, 2), (0, 3)]))
-        assert coulson_energy(eigenvalues(d)) == pytest.approx(2 * math.sqrt(3), rel=1e-6)
+        assert coulson_energy(spectrum_of(d)) == pytest.approx(2 * math.sqrt(3), rel=1e-6)
 
 
 class _PanelBudgetExceeded(Exception):
@@ -614,7 +719,7 @@ class TestLevelSynchronousQuadrature:
     def test_within_1e_10_of_the_certified_energy(self, corpus):
         values = 0
         for d in COULSON_CORPORA[corpus]:
-            spec = eigenvalues(d)
+            spec = spectrum_of(d)
             try:
                 integral = coulson_energy(spec)
             except PurelyImaginaryEigenvalueError:
@@ -792,7 +897,6 @@ class TestHornerIntegrand:
 
 
 def _clear_memos():
-    _charpoly_of_masks.cache_clear()
     _repeated_roots.cache_clear()
     _coulson_integral.cache_clear()
 
@@ -805,53 +909,58 @@ class TestExactMemo:
 
     def test_warm_memos_are_bit_identical(self):
         for d in self.CORPUS:
-            eigenvalues(d)
-            warm = eigenvalues(d)
+            spectrum_of(d)
+            warm = spectrum_of(d)
             _clear_memos()
-            cold = eigenvalues(d)
+            cold = spectrum_of(d)
             assert repr(warm) == repr(cold)
 
     def test_coulson_with_spectrum_matches_cold_call(self):
         for d in self.CORPUS:
-            spec = eigenvalues(d)
+            spec = spectrum_of(d)
             try:
                 coulson_energy(spec)
             except PurelyImaginaryEigenvalueError:
                 continue
             warm = coulson_energy(spec)
             _clear_memos()
-            assert coulson_energy(eigenvalues(d)) == warm
+            assert coulson_energy(spectrum_of(d)) == warm
 
     def test_relabelings_share_the_memo(self):
         d = sym(path_graph(4))
         perm = (2, 0, 3, 1)
         relabeled = Digraph(4, [(perm[i], perm[j]) for i, j in d.arcs])
         assert relabeled != d
-        coulson_energy(eigenvalues(d))
+        coulson_energy(spectrum_of(d))
         roots_hits = _repeated_roots.cache_info().hits
         integral_hits = _coulson_integral.cache_info().hits
-        coulson_energy(eigenvalues(relabeled))
+        coulson_energy(spectrum_of(relabeled))
         assert _repeated_roots.cache_info().hits > roots_hits
         assert _coulson_integral.cache_info().hits > integral_hits
 
-    def test_charpoly_memo_serves_relabelings_and_reductions(self):
+    def test_one_kernel_call_serves_relabelings_and_reductions(self, monkeypatch):
         # The path P4 plus an isolated vertex 4.
         d = Digraph(5, sym(path_graph(4)).arcs)
-        _clear_memos()
-        poly = characteristic_polynomial(d)
         # Reversing the path is an automorphism: a new digraph object with
         # the same adjacency.
         perm = (3, 2, 1, 0, 4)
         relabeled = Digraph(5, [(perm[i], perm[j]) for i, j in d.arcs])
         assert relabeled is not d and relabeled == d
-        hits = _charpoly_of_masks.cache_info().hits
-        assert characteristic_polynomial(relabeled) is poly
-        assert _charpoly_of_masks.cache_info().hits == hits + 1
         # Arcs into the sink 4 lie on no cycle, so the reduction is d again.
         tailed = Digraph(5, list(d.arcs) + [(0, 4), (3, 4)])
-        assert characteristic_polynomial(tailed) == poly
-        hits = _charpoly_of_masks.cache_info().hits
-        reduced = cycle_arc_reduction(tailed)
-        assert reduced == d
-        assert characteristic_polynomial(reduced) is poly
-        assert _charpoly_of_masks.cache_info().hits == hits + 1
+        assert cycle_arc_reduction(tailed) == d
+        calls = []
+        kernel = kernels_mod.charpoly_from_masks
+
+        def counting(n, rows):
+            calls.append(list(rows))
+            return kernel(n, rows)
+
+        monkeypatch.setattr(kernels_mod, "charpoly_from_masks", counting)
+        first, second, third = _Block([d, relabeled, tailed]).analyses(1e-8, {})
+        poly = first.charpoly
+        assert second.charpoly is poly and third.reduced_charpoly is poly
+        assert third.charpoly == poly == characteristic_polynomial(d)
+        # One kernel call, on each distinct adjacency once.
+        assert calls[0] == [d.out_masks, tailed.out_masks]
+        assert len(calls) == 2  # the second is characteristic_polynomial(d) above

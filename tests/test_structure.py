@@ -5,7 +5,6 @@ from digenergy import (
     Analysis,
     Digraph,
     cycle_arc_reduction,
-    eigenvalues,
     energy_upper_walk_ratio,
     equality_verdict_energy_upper,
     equality_verdict_rho_lower,
@@ -38,6 +37,7 @@ from families import (
     rook_graph,
     shrikhande_graph,
     star_graph,
+    spectrum_of,
     sym,
     triangular_graph,
 )
@@ -209,7 +209,7 @@ class TestRhoEqualityVerdict:
         assert v.predicted_equality is True
         assert v.extra_noncycle_arcs == ((0, 4),)
         assert v.kind == "R_REGULAR" and v.params == (2,)
-        assert abs(rho_lower_walk_ratio(walk_profile(d)) - eigenvalues(d).rho) < 1e-9
+        assert abs(rho_lower_walk_ratio(walk_profile(d)) - spectrum_of(d).rho) < 1e-9
 
     def test_sym_star(self):
         v = verdict_rho(sym(star_graph(2)))
@@ -221,7 +221,7 @@ class TestRhoEqualityVerdict:
         # verdict must agree with the numerical comparison of both sides
         d = Digraph(3, [(0, 1), (1, 0), (1, 2), (2, 0)])
         v = verdict_rho(d)
-        gap = abs(rho_lower_walk_ratio(walk_profile(d)) - eigenvalues(d).rho)
+        gap = abs(rho_lower_walk_ratio(walk_profile(d)) - spectrum_of(d).rho)
         assert v.predicted_equality == (gap <= 1e-7)
         assert v.predicted_equality is False
 
@@ -255,7 +255,7 @@ class TestRhoEqualityVerdict:
         d = from_graph(g)
         prof = walk_profile(d)
         assert prof.sum_t2_sq / prof.sum_c2_sq == 4.0
-        assert abs(rho_lower_walk_ratio(prof) - eigenvalues(d).rho) < 1e-9
+        assert abs(rho_lower_walk_ratio(prof) - spectrum_of(d).rho) < 1e-9
         v = verdict_rho(d)
         assert v.predicted_equality is True
         assert v.kind == "R_REGULAR" and v.params == (2,)  # first edge component
@@ -283,7 +283,7 @@ class TestEnergyEqualityVerdict:
         assert v.predicted_equality is False
         assert v.kind == "STRONGLY_REGULAR" and v.params == (5, 2, 0, 1)
         bound = energy_upper_walk_ratio(walk_profile(d), 5)
-        assert bound > eigenvalues(d).energy + 1e-3
+        assert bound > spectrum_of(d).energy + 1e-3
 
     def test_petersen_strict(self):
         d = sym(petersen_graph())
@@ -291,7 +291,7 @@ class TestEnergyEqualityVerdict:
         assert v.predicted_equality is False
         assert v.kind == "STRONGLY_REGULAR" and v.params == (10, 3, 0, 1)
         bound = energy_upper_walk_ratio(walk_profile(d), 10)
-        assert bound > eigenvalues(d).energy + 1e-3
+        assert bound > spectrum_of(d).energy + 1e-3
 
     def test_asymmetric_is_none(self):
         v = verdict_energy(directed_cycle(3))
@@ -319,8 +319,8 @@ class TestEnergyEqualityVerdict:
         assert is_strongly_regular(rook) == (16, 6, 2, 2)
         d = sym(rook)
         prof = walk_profile(d)
-        assert eigenvalues(d).energy == pytest.approx(36.0, abs=1e-8)
-        assert energy_upper_walk_ratio(prof, 16) == pytest.approx(eigenvalues(d).energy, abs=1e-7)
+        assert spectrum_of(d).energy == pytest.approx(36.0, abs=1e-8)
+        assert energy_upper_walk_ratio(prof, 16) == pytest.approx(spectrum_of(d).energy, abs=1e-7)
         v = verdict_energy(d)
         assert v.predicted_equality is True
         assert v.kind == "STRONGLY_REGULAR" and v.params == (16, 6, 2, 2)
@@ -340,7 +340,7 @@ class TestEnergyEqualityVerdict:
         d = sym(g)
         v = verdict_energy(d)
         assert v.kind == "STRONGLY_REGULAR" and v.params == params
-        numeric = abs(eigenvalues(d).energy - energy_upper_walk_ratio(walk_profile(d), g.n)) <= 1e-7
+        numeric = abs(spectrum_of(d).energy - energy_upper_walk_ratio(walk_profile(d), g.n)) <= 1e-7
         assert v.predicted_equality == numeric == (params[2] == params[3])
 
     @pytest.mark.parametrize("n", range(1, 6))
