@@ -271,11 +271,12 @@ def cycle_arc_reduction(d: Digraph) -> Digraph:
     An arc lies on a directed cycle iff both endpoints share a strong
     component, so this keeps exactly the intra-component arcs.  The result
     has the same geometric symmetrization and the same characteristic
-    polynomial as the input.
+    polynomial as the input.  A digraph that keeps every arc is returned
+    itself.
     """
-    scc = strongly_connected_components(d)
-    cid = scc.component_id
-    return Digraph(d.n, (arc for arc in d.arcs if cid[arc[0]] == cid[arc[1]]))
+    cid = strongly_connected_components(d).component_id
+    kept = [arc for arc in d.arcs if cid[arc[0]] == cid[arc[1]]]
+    return d if len(kept) == len(d.arcs) else Digraph(d.n, kept)
 
 
 def underlying_graph_if_symmetric(d: Digraph) -> Optional[Graph]:

@@ -36,7 +36,7 @@ from .digraph import (
     walk_profile,
 )
 from .errors import BoundInapplicableError, PurelyImaginaryEigenvalueError, UnknownCheckError
-from .spectrum import CharPoly, coulson_energy, eigenvalues, qr_values
+from .spectrum import CharPoly, Spectrum, certify_spectra, coulson_energies, qr_values, unwrap
 from .structure import equality_verdict_energy_upper, equality_verdict_rho_lower
 
 EXHAUSTIVE_MAX_N = 5
@@ -163,21 +163,28 @@ class _Block:
     stack, built from the arcs; from it the floating QR values and the
     geometric symmetrizations; and from those the spectral radii of S and
     S^2, one stacked ``eigvalsh`` each.  The charpoly stack and the QR and
-    S stacks thus come from two independent routes.
+    S stacks thus come from two independent routes.  From the charpolys and
+    the QR values come the certified spectra (one Aberth call per degree)
+    and from those the Coulson integrals (one quadrature), each member's
+    value or the exception that rejects it.
+
+    ``spectra`` is the run's dict of certified spectra (see ``Analysis``);
+    the block reads and fills it in member order.
     """
 
-    def __init__(self, digraphs: Sequence[Digraph]):
+    def __init__(self, digraphs: Sequence[Digraph], spectra: Optional[dict] = None):
         self.digraphs = list(digraphs)
         orders = {d.n for d in self.digraphs}
         if len(orders) != 1:
             raise ValueError(f"a block holds digraphs of one order, got orders {sorted(orders)}")
         (self.n,) = orders
+        self.certified = {} if spectra is None else spectra
 
-    def analyses(self, tol: float, spectra: dict) -> Iterator["Analysis"]:
+    def analyses(self, tol: float) -> Iterator["Analysis"]:
         """One ``Analysis`` per digraph, all reading this block, made as
         they are read, so that a block does not keep its analyses alive."""
         for index, d in enumerate(self.digraphs):
-            analysis = Analysis(d, tol, spectra)
+            analysis = Analysis(d, tol, self.certified)
             analysis._block, analysis._index = self, index
             yield analysis
 
@@ -191,6 +198,21 @@ class _Block:
         rows = list(dict.fromkeys(d.out_masks for d in self.digraphs + self.reductions))
         coeffs = kernels.charpoly_from_masks(self.n, rows)
         return {masks: CharPoly(tuple(c)) for masks, c in zip(rows, coeffs)}
+
+    @cached_property
+    def spectra(self) -> list:
+        """The certified ``Spectrum`` of each member, or its EigensolverError."""
+        polys = [self.charpolys[d.out_masks] for d in self.digraphs]
+        return certify_spectra(polys, self.qr, self.certified)
+
+    @cached_property
+    def coulson(self) -> list:
+        """The Coulson integral (rel_tol 1e-6) of each member, or the
+        exception that skips it: its PurelyImaginaryEigenvalueError, or the
+        EigensolverError of its spectrum."""
+        spectra = [s for s in self.spectra if isinstance(s, Spectrum)]
+        values = iter(coulson_energies(spectra, 1e-6))
+        return [next(values) if isinstance(s, Spectrum) else s for s in self.spectra]
 
     @cached_property
     def adjacency(self) -> np.ndarray:
@@ -228,16 +250,18 @@ class Analysis:
     ``analyze`` command both read one, and ``to_dict()`` is the
     ``analyze --json`` document.
 
-    The polynomials, QR values, symmetrization and radii come from a block
-    of digraphs (``_Block``) that computes each of them for all members at
-    once.  The harness builds one block per ``BLOCK_SIZE`` digraphs; a lone
-    ``Analysis(d)`` is a block of one.
+    The polynomials, QR values, symmetrization and radii, spectrum and
+    Coulson integral come from a block of digraphs (``_Block``) that
+    computes each of them for all members at once.  The harness builds one
+    block per ``BLOCK_SIZE`` digraphs; a lone ``Analysis(d)`` is a block of
+    one.
 
     ``spectra`` maps the coefficients of each characteristic polynomial to
     the spectrum certified for it, and may be shared by the analyses of one
     run: the first digraph with a given polynomial certifies its spectrum
-    and stores it, and later ones take it from there (see ``eigenvalues``).
-    The default is a fresh dict, so the spectrum is the digraph's own.
+    and stores it, and later ones take it from there (see
+    ``certify_spectra``).  The default is a fresh dict, so the spectrum is
+    the digraph's own.
     """
 
     _index = 0
@@ -250,7 +274,7 @@ class Analysis:
 
     @cached_property
     def _block(self) -> _Block:
-        return _Block([self.d])
+        return _Block([self.d], self._spectra)
 
     @cached_property
     def profile(self):
@@ -265,12 +289,8 @@ class Analysis:
         return self._block.charpolys[self.reduced.out_masks]
 
     @cached_property
-    def spectrum(self):
-        coeffs = self.charpoly.coeffs
-        spec = eigenvalues(self.charpoly, self._block.qr[self._index],
-                           certified=self._spectra.get(coeffs))
-        self._spectra[coeffs] = spec
-        return spec
+    def spectrum(self) -> Spectrum:
+        return unwrap(self._block.spectra[self._index])
 
     @cached_property
     def symmetrization(self):
@@ -305,7 +325,7 @@ class Analysis:
     @cached_property
     def _coulson(self) -> tuple[Optional[float], Optional[str]]:
         try:
-            return coulson_energy(self.spectrum), None
+            return unwrap(self._block.coulson[self._index]), None
         except PurelyImaginaryEigenvalueError as exc:
             return None, str(exc)
 
@@ -563,11 +583,11 @@ def verify_all(
     The corpus is taken in blocks of ``BLOCK_SIZE`` digraphs, in order,
     and each block computes its characteristic polynomials (of the digraphs
     and their cycle-arc reductions, from ``out_masks``), QR values and
-    symmetrization radii (from stacks built from the arcs) as stacked
-    arrays; the checks then run digraph by digraph.  A stacked result is
-    bit for bit the per-digraph one, so the report does not depend on the
-    block size, and a lone ``Analysis(d)`` is a block of one.  The corpus
-    is never held whole.
+    symmetrization radii (from stacks built from the arcs), certified
+    spectra and Coulson integrals as stacks; the checks then run digraph
+    by digraph.  A stacked result is bit for bit the per-digraph one, so
+    the report does not depend on the block size, and a lone
+    ``Analysis(d)`` is a block of one.  The corpus is never held whole.
 
     The digraphs of one call share their certified spectra: each distinct
     characteristic polynomial is certified once, on the first digraph that
@@ -606,7 +626,7 @@ def verify_all(
     checked = 0
     started = time.monotonic()
     while digraphs := list(itertools.islice(source, BLOCK_SIZE)):
-        for ctx in _Block(digraphs).analyses(tol, spectra):
+        for ctx in _Block(digraphs, spectra).analyses(tol):
             checked += 1
             if ctx.d.arc_count and ctx.d.n:
                 prof = ctx.profile

@@ -11,14 +11,20 @@ The Coulson integral is an independent route to the energy: adaptive
 Gauss-Legendre quadrature of its even integrand over half the path, from 16
 start panels, that evaluates the integrand once per refinement level, over
 all panels of that level, with a fixed panel budget.
+
+Both layers work on stacks, for a block of digraphs of one order
+(``certify_spectra`` and ``coulson_energies``): one Aberth call per degree
+refines the QR values of the square-free members and the roots of the
+factors of the others, and one quadrature integrates every distinct
+polynomial of the block.  Each row of a stack gets the bits it gets alone,
+and ``eigenvalues`` and ``coulson_energy`` are the blocks of one.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -31,11 +37,14 @@ _SNAP_REL = 1e-10
 # Residual gate |phi(z)| / (1 + rho)^n above which the solver result is rejected.
 _RESIDUAL_GATE = 1e-6
 # Entries of each memo, both keyed on the coefficients of a characteristic
-# polynomial.  Exhaustive n=5 has 718 distinct characteristic polynomials,
-# so one exhaustive run never evicts.  The polynomials themselves are not
-# memoized: the harness works in blocks and computes those of a whole block
-# of digraphs and their cycle-arc reductions in one kernel call (a lone
-# digraph is a block of one), next to QR values from stacks built from arcs.
+# polynomial (the roots of a repeated-root one, and the Coulson integral);
+# past it the oldest entry goes.  Exhaustive n=5 has 718 distinct
+# characteristic polynomials, so one exhaustive run never evicts.  A memo
+# is read for a whole block at once, and only the polynomials it misses go
+# to the stacked refinement or quadrature.  The polynomials themselves are
+# not memoized: the harness computes those of a whole block of digraphs
+# and their cycle-arc reductions in one kernel call (a lone digraph is a
+# block of one), next to QR values from stacks built from arcs.
 _MEMO_SIZE = 4096
 # Most Aberth-Ehrlich sweeps per refinement.
 _ABERTH_SWEEPS = 24
@@ -80,43 +89,69 @@ def characteristic_polynomial(d: Digraph) -> CharPoly:
     return CharPoly(tuple(kernels.charpoly_from_masks(d.n, [d.out_masks])[0]))
 
 
-def _poly_arrays(coeffs: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Descending-order float coefficient arrays for p and p'."""
-    desc = np.array([float(c) for c in reversed(coeffs)])
-    dcoeffs = np.array([float(k * c) for k, c in enumerate(coeffs)][1:][::-1])
-    return desc, dcoeffs
+def _horner_steps(rows: Sequence[Sequence[int]], width: int) -> np.ndarray:
+    """The float coefficients of each ascending integer row as a
+    ``(width, K, 1)`` array: step s holds every row's coefficient of
+    x^(width - 1 - s), highest first, as ``np.polyval`` takes them."""
+    desc = np.array([[float(c) for c in reversed(row)] for row in rows]).reshape(len(rows), width)
+    return desc.T[:, :, None]
 
 
-def _aberth_refine(coeffs: Sequence[int], roots: np.ndarray) -> np.ndarray:
-    """Simultaneous Newton-style refinement of all roots of the exact
-    polynomial, accepting a correction only when it reduces |p(z)|."""
-    n = len(roots)
-    if n == 0:
-        return roots
-    p_desc, dp_desc = _poly_arrays(coeffs)
-    z = roots.astype(complex).copy()
-    scale = 1.0 + float(np.max(np.abs(z)))
-    pz = np.polyval(p_desc, z)
+def _polyval_rows(steps: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Row k of the polynomials ``steps`` (see ``_horner_steps``) at the
+    points of row k of ``z``: ``np.polyval``'s Horner steps, so every value
+    is bit for bit what ``np.polyval`` returns for that row."""
+    acc = np.zeros_like(z)
+    for c in steps:
+        acc *= z
+        acc += c
+    return acc
+
+
+def _aberth_refine(rows: Sequence[Sequence[int]], roots: np.ndarray) -> np.ndarray:
+    """Simultaneous Newton-style refinement of all roots of each exact
+    polynomial of ``rows`` (ascending integer coefficients, all of one
+    degree m) from the matching row of the ``(K, m)`` stack ``roots``,
+    accepting a correction only when it reduces |p(z)|.
+
+    Each row stops at the first sweep that improves none of its roots or
+    moves them by at most 1e-15 * (1 + max|start|), and after
+    ``_ABERTH_SWEEPS`` at most; the rows still active sweep together.
+    Every operation acts on one row at a time, so a row refines to the same
+    bits in any stack, alone included.
+    """
+    z = np.array(roots, dtype=complex)
+    k, m = z.shape
+    if k == 0 or m == 0:
+        return z
+    p_steps = _horner_steps(rows, m + 1)
+    dp_steps = _horner_steps([_deriv(row) for row in rows], m)
+    scale = 1.0 + np.abs(z).max(axis=1)
+    pz = _polyval_rows(p_steps, z)
+    diagonal = np.arange(m)
+    active = np.arange(k)
     for _ in range(_ABERTH_SWEEPS):
-        dpz = np.polyval(dp_desc, z)
+        rows_at = slice(None) if len(active) == k else active  # views while all sweep
+        za, pa, sa = z[rows_at], pz[rows_at], scale[rows_at, None]
+        dpz = _polyval_rows(dp_steps[:, rows_at], za)
         safe = np.abs(dpz) > 1e-300
-        newton = np.zeros_like(z)
-        np.divide(pz, dpz, out=newton, where=safe)
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        tiny = np.abs(diff) < 1e-14 * scale
-        diff[tiny] = np.inf
-        repulsion = (1.0 / diff).sum(axis=1)
+        newton = np.zeros_like(za)
+        np.divide(pa, dpz, out=newton, where=safe)
+        diff = za[:, :, None] - za[:, None, :]
+        diff[:, diagonal, diagonal] = np.inf
+        diff[np.abs(diff) < 1e-14 * sa[:, :, None]] = np.inf
+        repulsion = (1.0 / diff).sum(axis=2)
         denom = 1.0 - newton * repulsion
         w = np.where(np.abs(denom) > 1e-12, newton / np.where(denom == 0, 1.0, denom), newton)
-        z_try = z - w
-        p_try = np.polyval(p_desc, z_try)
-        better = np.abs(p_try) < np.abs(pz)
-        if not np.any(better):
-            break
-        z = np.where(better, z_try, z)
-        pz = np.where(better, p_try, pz)
-        if np.max(np.abs(np.where(better, w, 0.0))) <= 1e-15 * scale:
+        z_try = za - w
+        p_try = _polyval_rows(p_steps[:, rows_at], z_try)
+        better = np.abs(p_try) < np.abs(pa)
+        z[rows_at] = np.where(better, z_try, za)
+        pz[rows_at] = np.where(better, p_try, pa)
+        # A row with no better root moved by 0 and stops too.
+        moved = np.abs(np.where(better, w, 0.0)).max(axis=1)
+        active = active[moved > 1e-15 * sa[:, 0]]
+        if not len(active):
             break
     return z
 
@@ -209,6 +244,11 @@ def _square_free_decomposition(coeffs: Sequence[int]) -> list[tuple[tuple[int, .
     coeffs = tuple(coeffs)
     if _coprime_to_derivative_mod_q(coeffs):
         return [(coeffs, 1)]
+    # p = x^k q with k >= 2 and q(0) != 0: when q passes the certificate,
+    # q is square-free and coprime to x, so p = q * x^k needs no Yun.
+    zeros = next(k for k, c in enumerate(coeffs) if c)
+    if zeros >= 2 and _coprime_to_derivative_mod_q(coeffs[zeros:]):
+        return ([(coeffs[zeros:], 1)] if len(coeffs) > zeros + 1 else []) + [((0, 1), zeros)]
     # Step 0 divides out g = gcd(p, p'); step m >= 1 finds the factor of
     # multiplicity m.
     b, d = list(coeffs), _deriv(coeffs)
@@ -225,36 +265,49 @@ def _square_free_decomposition(coeffs: Sequence[int]) -> list[tuple[tuple[int, .
     return out
 
 
-def _roots_from_decomposition(decomp, n: int) -> tuple[complex, ...]:
-    """Assemble the n-root multiset; each factor root is simple, so the
-    refinement converges to machine precision regardless of multiplicity."""
-    roots: list[complex] = []
-    for factor, mult in decomp:
-        deg = len(factor) - 1
-        if deg == 0:
-            continue
-        starts = np.roots([float(c) for c in reversed(factor)])
-        refined = _aberth_refine(factor, np.asarray(starts, dtype=complex))
-        for z in refined:
-            roots.extend([complex(z)] * mult)
-    if len(roots) != n:
-        raise EigensolverError(
-            f"square-free decomposition yielded {len(roots)} roots, expected {n}")
-    return tuple(roots)
+_ROOTS: dict[tuple[int, ...], Optional[tuple[complex, ...]]] = {}
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
-def _repeated_roots(coeffs: tuple[int, ...]) -> Optional[tuple[complex, ...]]:
-    """All roots of a polynomial with a repeated root, from its exact
-    square-free decomposition; None when it is square-free.
+def _remember(memo: dict, key, value) -> None:
+    """Store ``value`` under ``key``, evicting the oldest entry of a full memo."""
+    if len(memo) >= _MEMO_SIZE:
+        del memo[next(iter(memo))]
+    memo[key] = value
 
-    A pure function of the exact coefficients, so it is memoized: digraphs
-    that share a characteristic polynomial share this work.
+
+def _factor_roots(factors: Sequence[tuple[int, ...]]) -> dict[tuple[int, ...], np.ndarray]:
+    """The roots of each square-free factor: ``np.roots`` starts refined
+    against the exact factor, one Aberth call per degree."""
+    by_degree: dict[int, list] = {}
+    for factor in factors:
+        by_degree.setdefault(len(factor) - 1, []).append(factor)
+    refined = {}
+    for rows in by_degree.values():
+        starts = np.array([np.roots([float(c) for c in reversed(f)]) for f in rows], dtype=complex)
+        refined.update(zip(rows, _aberth_refine(rows, starts)))
+    return refined
+
+
+def _repeated_roots(polys: Iterable[tuple[int, ...]]) -> dict[tuple[int, ...], Optional[tuple[complex, ...]]]:
+    """For each polynomial with a repeated root, all its roots, from its
+    exact square-free decomposition, and None for each square-free one.
+
+    Each root is a simple root of its factor, so the refinement converges
+    to machine precision regardless of multiplicity.  The factors of all
+    the polynomials not yet memoized are refined together.  A pure function
+    of the exact coefficients, so it is memoized: digraphs that share a
+    characteristic polynomial share this work.
     """
-    decomp = _square_free_decomposition(coeffs)
-    if len(decomp) == 1 and decomp[0][1] == 1:
-        return None
-    return _roots_from_decomposition(decomp, len(coeffs) - 1)
+    polys = list(dict.fromkeys(polys))
+    out = {c: _ROOTS[c] for c in polys if c in _ROOTS}
+    decomps = {c: _square_free_decomposition(c) for c in polys if c not in out}
+    repeated = {c: dec for c, dec in decomps.items() if not (len(dec) == 1 and dec[0][1] == 1)}
+    refined = _factor_roots(list(dict.fromkeys(f for dec in repeated.values() for f, _ in dec)))
+    for c in decomps:
+        out[c] = (tuple(complex(z) for f, mult in repeated[c] for z in refined[f] for _ in range(mult))
+                  if c in repeated else None)
+        _remember(_ROOTS, c, out[c])
+    return out
 
 
 def _pair_conjugates(values: np.ndarray) -> list[complex]:
@@ -319,8 +372,11 @@ def qr_values(a: np.ndarray) -> np.ndarray:
 
 
 def _check_spread(qr: np.ndarray, repeated: tuple[complex, ...]) -> None:
-    """Raise EigensolverError unless every exact root lies within
-    1e-2 * (1 + rho) of one of the digraph's QR values."""
+    """Raise EigensolverError unless the exact roots are as many as the
+    digraph's QR values and each lies within 1e-2 * (1 + rho) of one."""
+    if len(repeated) != len(qr):
+        raise EigensolverError(
+            f"square-free decomposition yielded {len(repeated)} roots, expected {len(qr)}")
     exact = np.array(repeated, dtype=complex)
     spread = float(np.abs(qr[None, :] - exact[:, None]).min(axis=1).max())
     if spread > 1e-2 * (1.0 + float(np.max(np.abs(exact)))):
@@ -330,15 +386,113 @@ def _check_spread(qr: np.ndarray, repeated: tuple[complex, ...]) -> None:
         )
 
 
+def unwrap(outcome):
+    """One member's result of a stacked call: its value, or the exception
+    stored in its place, raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _new_spectra(polys: Sequence[CharPoly], qr: np.ndarray, roots: dict) -> list:
+    """The spectra of members that certify their polynomial, or their
+    EigensolverError: the square-free ones refine their QR values in one
+    Aberth call, and the others take the exact roots after the spread check.
+    """
+    count, n = qr.shape
+    out: list = [None] * count
+    values = np.empty((count, n), dtype=complex)
+    square_free = [k for k, p in enumerate(polys) if roots[p.coeffs] is None]
+    if square_free:
+        values[square_free] = _aberth_refine([polys[k].coeffs for k in square_free], qr[square_free])
+    for k, p in enumerate(polys):
+        if roots[p.coeffs] is not None:
+            try:
+                _check_spread(qr[k], roots[p.coeffs])
+            except EigensolverError as exc:
+                out[k] = exc
+                continue
+            values[k] = roots[p.coeffs]
+    ok = [k for k in range(count) if out[k] is None]
+    paired = [sorted(_pair_conjugates(values[k]), key=lambda z: (-z.real, -z.imag)) for k in ok]
+    at = np.array(paired, dtype=complex).reshape(len(ok), n)
+    residuals = np.abs(_polyval_rows(_horner_steps([polys[k].coeffs for k in ok], n + 1), at)).max(axis=1)
+    for k, vals, residual in zip(ok, paired, residuals.tolist()):
+        rho = max((abs(z) for z in vals), default=0.0)
+        if residual > _RESIDUAL_GATE * (1.0 + rho) ** n:
+            out[k] = EigensolverError(
+                f"eigenvalue residual {residual:.3e} exceeds gate for n={n}", partial=tuple(vals))
+            continue
+        out[k] = Spectrum(
+            eigenvalues=tuple(vals),
+            rho=rho,
+            energy=float(sum(abs(z.real) for z in vals)),
+            sum_re_sq=float(sum(z.real * z.real for z in vals)),
+            sum_im_sq=float(sum(z.imag * z.imag for z in vals)),
+            charpoly=polys[k],
+        )
+    return out
+
+
+def certify_spectra(polys: Sequence[CharPoly], qr: np.ndarray, certified: dict) -> list:
+    """The certified spectrum of each member of a block of digraphs of one
+    order n, from its exact characteristic polynomial and its row of the
+    ``(K, n)`` QR values, or in its place the EigensolverError that
+    rejects it (see ``eigenvalues``).
+
+    ``certified`` maps the coefficients of a polynomial to the spectrum
+    certified for it, and is honoured in member order.  A member whose
+    polynomial it holds takes that spectrum, after its own QR values are
+    checked against a repeated root.  Of the other members, the first with
+    a polynomial certifies it and stores it there, and later ones reuse it;
+    a rejected member stores nothing, so the next one with its polynomial
+    certifies its own.  The certifying members with a square-free
+    polynomial refine their QR values in one Aberth call.
+    """
+    if qr.shape[-1] == 0:
+        return [Spectrum((), 0.0, 0.0, 0.0, 0.0, p) for p in polys]
+    roots = _repeated_roots(p.coeffs for p in polys)
+    out: list = [None] * len(polys)
+    pending = list(range(len(polys)))
+    while pending:
+        first: dict = {}
+        later = []
+        for i in pending:
+            coeffs = polys[i].coeffs
+            if coeffs in certified:
+                try:
+                    if roots[coeffs] is not None:
+                        _check_spread(qr[i], roots[coeffs])
+                    out[i] = certified[coeffs]
+                except EigensolverError as exc:
+                    out[i] = exc
+            elif coeffs in first:
+                later.append(i)
+            else:
+                first[coeffs] = i
+        members = list(first.values())
+        for i, spec in zip(members, _new_spectra([polys[i] for i in members], qr[members], roots)):
+            out[i] = spec
+            if isinstance(spec, Spectrum):
+                certified[spec.charpoly.coeffs] = spec
+        pending = later
+    return out
+
+
 def eigenvalues(poly: CharPoly, qr: np.ndarray, certified: Optional[Spectrum] = None) -> Spectrum:
     """All n eigenvalues of a digraph with certified backward error, from
     its exact characteristic polynomial ``poly`` and its n floating QR
-    values ``qr`` (a row of ``qr_values``).
+    values ``qr`` (a row of ``qr_values``); ``certify_spectra`` on a block
+    of one.
 
-    The QR values are refined against the exact polynomial and rejected
-    (EigensolverError) if any residual |phi(z)| exceeds the gate of
-    1e-6 * (1 + rho)^n; in practice residuals sit far below 1e-8 after
-    refinement.
+    A square-free spectrum is the QR values refined by Aberth-Ehrlich
+    iteration against the exact polynomial.  With repeated eigenvalues,
+    every root is simple inside its square-free factor, which sidesteps the
+    sqrt(eps) accuracy floor of polishing multiple roots on the full
+    polynomial; the QR values must then lie near the exact roots.  The
+    values are paired into exact conjugates and rejected (EigensolverError)
+    if any residual |phi(z)| exceeds the gate of 1e-6 * (1 + rho)^n; in
+    practice residuals sit far below 1e-8 after refinement.
 
     ``certified``, when given, must be a spectrum this function returned
     for another digraph with the same characteristic polynomial; it is
@@ -351,40 +505,8 @@ def eigenvalues(poly: CharPoly, qr: np.ndarray, certified: Optional[Spectrum] = 
     n = len(poly.coeffs) - 1
     if len(qr) != n:
         raise ValueError(f"expected {n} QR values for a polynomial of degree {n}, got {len(qr)}")
-    if n == 0:
-        return Spectrum((), 0.0, 0.0, 0.0, 0.0, poly)
-    repeated = _repeated_roots(poly.coeffs)
-    if certified is not None:
-        if repeated is not None:
-            _check_spread(qr, repeated)
-        return certified
-    if repeated is None:
-        # Square-free spectrum: refine the QR values directly.
-        vals = _aberth_refine(poly.coeffs, qr)
-    else:
-        # Repeated eigenvalues: every root is simple inside its square-free
-        # factor, which sidesteps the sqrt(eps) accuracy floor of polishing
-        # multiple roots on the full polynomial.  The QR values stay as a
-        # consistency reference.
-        _check_spread(qr, repeated)
-        vals = np.array(repeated, dtype=complex)
-    paired = _pair_conjugates(vals)
-    paired.sort(key=lambda z: (-z.real, -z.imag))
-    rho = max((abs(z) for z in paired), default=0.0)
-    p_desc, _ = _poly_arrays(poly.coeffs)
-    residual = float(np.max(np.abs(np.polyval(p_desc, np.array(paired, dtype=complex)))))
-    if residual > _RESIDUAL_GATE * (1.0 + rho) ** n:
-        raise EigensolverError(
-            f"eigenvalue residual {residual:.3e} exceeds gate for n={n}", partial=tuple(paired)
-        )
-    return Spectrum(
-        eigenvalues=tuple(paired),
-        rho=rho,
-        energy=float(sum(abs(z.real) for z in paired)),
-        sum_re_sq=float(sum(z.real * z.real for z in paired)),
-        sum_im_sq=float(sum(z.imag * z.imag for z in paired)),
-        charpoly=poly,
-    )
+    spectra = {} if certified is None else {poly.coeffs: certified}
+    return unwrap(certify_spectra([poly], np.asarray(qr)[None], spectra)[0])
 
 
 # --- Coulson-type integral ---------------------------------------------------
@@ -397,13 +519,22 @@ _POLE_REL = 1e-13
 _START_DEPTH = 4
 _MAX_DEPTH = 48
 # Panels one quadrature of (0, pi/2) may evaluate, the 16 of level 0 included.
-# Polynomials from the harness and from `analyze` use at most about 50; only a
-# pole between the nodes, which refinement never resolves, comes near this.
+# Polynomials from the harness and from `analyze` use at most about 50 (200
+# random n = 10 digraphs, p = 0.3, peak at 38 to 40, the n = 8 to 32 cells
+# of the benchmark's `analyze-cli` at 46); only a pole between the nodes,
+# which refinement never resolves, comes near this.
 _MAX_PANELS = 1024
+# Panels of one level whose nodes go to the integrand in one call: 1,152
+# nodes, so the integrand's temporaries stay near 0.2 MB however many
+# polynomials share the quadrature (200 random n = 10 digraphs peak at
+# 1.41 MB of Python allocations in all, against 1.48 MB with 64 panels
+# and 1.31 MB with 32).
+_CHUNK_PANELS = 48
 
 
 class _Integrand:
-    """Real integrand of the energy integral, after x = tan(theta).
+    """Real integrands of the energy integrals of a stack of polynomials,
+    after x = tan(theta).
 
     With phi monic of degree n, n - i x phi'(ix)/phi(ix) equals
     N(ix)/phi(ix) where N(y) = sum_{k<n} (n - k) a_k y^k has degree
@@ -413,167 +544,228 @@ class _Integrand:
     phi(ix)/(ix)^n, and likewise for N, which keeps every evaluation free
     of overflow.
 
-    Each branch takes one Horner pass over three stacked rows: phi, N
-    padded with one leading zero, and |phi| (the absolute coefficients) at
-    |y| or |u|.  Each step does per element exactly the multiply-add of
+    Each polynomial has three Horner rows per branch: phi, N and |phi| (the
+    absolute coefficients, at |y| or |u|), descending for |x| <= 1 and
+    ascending for |x| > 1.  Rows are padded to one length with leading
+    zeros in Horner order, which keep the accumulator at +0 until the first
+    coefficient, so padding changes no bit.  A call takes one Horner pass
+    over all its nodes, each with the rows of its own polynomial and
+    branch; each step does per element exactly the multiply-add of
     ``np.polyval``, so every value, guard decision and pole abscissa is bit
-    for bit what three ``np.polyval`` calls give, and a call allocates
-    O(3 x nodes).
+    for bit what three ``np.polyval`` calls per branch give.
 
-    phi must have phi(0) != 0 (see ``coulson_energy``), so that the
+    Every phi must have phi(0) != 0 (see ``coulson_energy``), so that the
     absolute-coefficient scale is at least 1 on both branches and every
     small |phi(ix)| is a pole, i.e. an eigenvalue on the imaginary axis.
     """
 
-    def __init__(self, coeffs: Sequence[int]):
-        n = len(coeffs) - 1
-        num = [(n - k) * c for k, c in enumerate(coeffs)][:n] or [0]
-        num_asc = np.array([float(c) for c in num])
-        den_asc = np.array([float(c) for c in coeffs])
-        pad = np.zeros(n + 1 - len(num_asc))
-        den_desc = den_asc[::-1]
-        self.rows_desc = np.stack([den_desc, np.concatenate([pad, num_asc[::-1]]), np.abs(den_desc)])
-        self.rows_asc = np.stack([den_asc, np.concatenate([pad, num_asc]), np.abs(den_asc)])
+    def __init__(self, polys: Sequence[Sequence[int]]):
+        self.count = len(polys)
+        width = max(len(coeffs) for coeffs in polys)
+        rows = np.zeros((3, 2 * self.count, width))
+        for k, coeffs in enumerate(polys):
+            n = len(coeffs) - 1
+            num = np.array([float((n - j) * c) for j, c in enumerate(coeffs)][:n] or [0.0])
+            den = np.array([float(c) for c in coeffs])
+            rows[0, k, width - n - 1:] = den[::-1]
+            rows[1, k, width - len(num):] = num[::-1]
+            rows[0, self.count + k, width - n - 1:] = den
+            rows[1, self.count + k, width - len(num):] = num
+        rows[2] = np.abs(rows[0])
+        # One (3, 2K) table per Horner step: columns k < K hold the |x| <= 1
+        # rows of polynomial k, columns K + k its |x| > 1 rows.  Complex, as
+        # numpy casts a real coefficient before it adds it to a complex value.
+        self.steps = rows.transpose(2, 0, 1).astype(complex)
 
-    def __call__(self, theta: np.ndarray) -> np.ndarray:
+    def __call__(self, theta: np.ndarray, poly: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The integrand of polynomial ``poly[j]`` at each node ``theta[j]``,
+        the abscissae x = tan(theta), and the mask of the nodes where
+        |phi(ix)| reads as a pole (their values are void)."""
         x = np.tan(theta)
-        out = np.empty_like(x)
-        small = np.abs(x) <= 1.0
-        if np.any(small):
-            xs = x[small]
-            y = 1j * xs
-            den, num, scale = _horner(self.rows_desc, y, np.abs(xs))
-            self._guard(den, scale, xs)
-            out[small] = (num / den).real * (1.0 + xs * xs)
-        if np.any(~small):
-            xl = x[~small]
-            u = 1.0 / (1j * xl)
-            # den = phi(ix) / (ix)^n, num = N(ix) / (ix)^(n-1)
-            den, num, scale = _horner(self.rows_asc, u, np.abs(u))
-            self._guard(den, scale, xl)
-            ratio = (num * u) / den             # restores the degree gap of one
-            out[~small] = ratio.real * (1.0 + xl * xl)
-        return out
-
-    def _guard(self, den: np.ndarray, scale: np.ndarray, x: np.ndarray) -> None:
-        bad = np.abs(den) <= _POLE_REL * scale
-        if np.any(bad):
-            raise PurelyImaginaryEigenvalueError(float(x[bad][0]))
+        large = ~(np.abs(x) <= 1.0)
+        z = 1j * x
+        np.divide(1.0, z, out=z, where=large)  # u = 1/(ix) where |x| > 1
+        r = np.abs(x)
+        np.abs(z, out=r, where=large)
+        # den = phi(ix) or phi(ix) / (ix)^n, num = N(ix) or N(ix) / (ix)^(n-1)
+        den, num, scale = _horner(self.steps, z, r, poly + self.count * large)
+        pole = np.abs(den) <= _POLE_REL * scale
+        np.multiply(num, z, out=num, where=large)  # restores the degree gap of one
+        values = (num / np.where(pole, 1.0, den)).real * (1.0 + x * x)
+        return values, x, pole
 
 
-def _horner(rows: np.ndarray, z: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The first two rows of descending coefficients at z and the third at
-    the real r, in one complex Horner pass.  Like ``np.polyval`` it starts
-    from zero and does ``acc = acc * z + c`` per coefficient; the third
-    row's imaginary parts stay zero, so its real parts are the real
-    ``np.polyval`` values."""
+def _horner(steps: np.ndarray, z: np.ndarray, r: np.ndarray,
+            column: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first two rows of column ``column[j]`` of the tables ``steps``
+    (one ``(3, 2K)`` table per coefficient, highest first) at ``z[j]`` and
+    the third at the real ``r[j]``, in one complex Horner pass.  Like
+    ``np.polyval`` it starts from zero and does ``acc = acc * z + c`` per
+    coefficient; the third row's imaginary parts stay zero, so its real
+    parts are the real ``np.polyval`` values."""
     at = np.empty((3, len(z)), dtype=complex)
     at[:2] = z
     at[2] = r
     acc = np.zeros_like(at)
-    for c in rows.T:
+    coeffs = np.empty_like(at)
+    for table in steps:
         acc *= at
-        acc += c[:, None]
+        acc += table.take(column, axis=1, out=coeffs, mode="clip")  # unbuffered
     return acc[0], acc[1], acc[2].real
 
 
-def _level_synchronous_gl(f, b: float, rel_tol: float) -> float:
-    """Integral of the even f over (-b, b): twice an adaptive
-    Gauss-Legendre quadrature over (0, b), one refinement level at a time.
+def _level_synchronous_gl(f: _Integrand, b: float, rel_tol: float) -> list:
+    """Integral of each even integrand of ``f`` over (-b, b): twice an
+    adaptive Gauss-Legendre quadrature over (0, b), one refinement level at
+    a time for all of them.  Returns, per polynomial, the integral or the
+    PurelyImaginaryEigenvalueError that stopped it.
 
-    Level 0 is 16 equal panels of (0, b), depth 4 of a binary tree whose
-    depth-0 panels are the halves of (-b, b); their doubled 16-node sums
-    estimate the integral and set tol0 = 0.25 * rel_tol * max(1, |estimate|).
-    A panel at depth k is accepted when its 8- and 16-node sums agree
-    within tol0 / 2^k, a tolerance set by its width alone, or at depth
-    ``_MAX_DEPTH``; every other panel is split in two for the next level.
-    All nodes of a level go to f in one call, and each rule's panel sums
-    are one row-wise sum, bit-identical to a panel evaluated on its own.
-    The accepted 16-node sums are added pairwise in the order of the panel
-    tree, sibling by sibling, and the 16 level-0 totals by ``np.sum``, so
-    the result does not depend on how many panels share a call.
+    Level 0 is 16 equal panels of (0, b) per polynomial, depth 4 of a
+    binary tree whose depth-0 panels are the halves of (-b, b); their
+    doubled 16-node sums estimate the integral and set the polynomial's
+    tol0 = 0.25 * rel_tol * max(1, |estimate|).  A panel at depth k is
+    accepted when its 8- and 16-node sums agree within tol0 / 2^k, a
+    tolerance set by its width alone, or at depth ``_MAX_DEPTH``; every
+    other panel is split in two for the next level.  Each panel carries the
+    index of its polynomial, and the panels of one polynomial keep the
+    order they have in a quadrature of their own.  The nodes of a level go
+    to f ``_CHUNK_PANELS`` panels at a time, and each rule's panel sums are
+    one row-wise sum, bit-identical to a panel evaluated on its own.  The
+    accepted 16-node sums are added pairwise in the order of the panel
+    tree, sibling by sibling, and each polynomial's 16 level-0 totals by
+    ``np.sum``, so no result depends on which polynomials share the call.
 
-    Raises PurelyImaginaryEigenvalueError when the next level would take
-    the panel count past ``_MAX_PANELS``, at the midpoint of the panel of
-    the last level (all of its panels are equally narrow) whose two sums
-    disagree most: a pole between the nodes keeps refinement going there.
-    A pole at a level-0 midpoint (theta an odd multiple of pi/64 on the
-    Coulson path) is not seen: both rules are symmetric about it, so the
-    odd singularity cancels in both sums.
+    A polynomial stops with PurelyImaginaryEigenvalueError when one of its
+    nodes reads as a pole (at its first such node of the level with
+    |x| <= 1, else its first one), or when its next level would take its
+    panel count past ``_MAX_PANELS``, at the midpoint of the panel of its
+    last level (all of them are equally narrow) whose two sums disagree
+    most: a pole between the nodes keeps refinement going there.  A pole at
+    a level-0 midpoint (theta an odd multiple of pi/64 on the Coulson path)
+    is not seen: both rules are symmetric about it, so the odd singularity
+    cancels in both sums.
     """
     lo_nodes, lo_weights = _GL_LO
     hi_nodes, hi_weights = _GL_HI
     nodes = np.concatenate([lo_nodes, hi_nodes])
     n_lo = len(lo_nodes)
-    edges = np.linspace(0.0, b, 2 ** _START_DEPTH + 1)
-    left, right = edges[:-1], edges[1:]
+    start = 2 ** _START_DEPTH
+    edges = np.linspace(0.0, b, start + 1)
+    left, right = np.tile(edges[:-1], f.count), np.tile(edges[1:], f.count)
+    owner = np.repeat(np.arange(f.count), start)  # the polynomial of each panel
+    outcomes: list = [None] * f.count
     levels: list[tuple[np.ndarray, np.ndarray]] = []  # (fine sums, accepted) per level
-    panels, depth = 0, _START_DEPTH
-    while True:
+    panels = np.zeros(f.count, dtype=np.int64)
+    depth = _START_DEPTH
+    while len(owner):
         mids = 0.5 * (left + right)
         halves = 0.5 * (right - left)
-        values = f((mids[:, None] + halves[:, None] * nodes).ravel()).reshape(len(mids), -1)
-        coarse = halves * (values[:, :n_lo] * lo_weights).sum(axis=1)
-        fine = halves * (values[:, n_lo:] * hi_weights).sum(axis=1)
-        if not levels:  # the doubled level-0 sums estimate the integral
-            tol = 0.25 * rel_tol * max(1.0, abs(2.0 * float(np.sum(fine)))) / 2 ** _START_DEPTH
+        coarse, fine = np.empty(len(mids)), np.empty(len(mids))
+        poles: dict[int, float] = {}
+        for lo in range(0, len(mids), _CHUNK_PANELS):
+            chunk = slice(lo, lo + _CHUNK_PANELS)
+            theta = (mids[chunk, None] + halves[chunk, None] * nodes).ravel()
+            values, x, pole = f(theta, np.repeat(owner[chunk], len(nodes)))
+            values = values.reshape(-1, len(nodes))
+            coarse[chunk] = halves[chunk] * (values[:, :n_lo] * lo_weights).sum(axis=1)
+            fine[chunk] = halves[chunk] * (values[:, n_lo:] * hi_weights).sum(axis=1)
+            if pole.any():
+                for j in np.flatnonzero(pole).tolist():
+                    k, abscissa = int(owner[lo + j // len(nodes)]), float(x[j])
+                    if k not in poles or (abs(poles[k]) > 1.0 and abs(abscissa) <= 1.0):
+                        poles[k] = abscissa
+        if not levels:  # the doubled level-0 sums estimate the integrals
+            estimate = 2.0 * fine.reshape(f.count, start).sum(axis=1)
+            tol = 0.25 * rel_tol * np.fmax(1.0, np.abs(estimate)) / start
         error = np.abs(fine - coarse)
-        accepted = (error <= tol) | (depth >= _MAX_DEPTH)
+        accepted = (error <= tol[owner]) | (depth >= _MAX_DEPTH)
+        panels += np.bincount(owner, minlength=f.count)
+        over = panels + 2 * np.bincount(owner[~accepted], minlength=f.count) > _MAX_PANELS
+        for k in np.flatnonzero(over).tolist():
+            if k not in poles:
+                mine = np.flatnonzero(owner == k)
+                worst = mine[0] + int(np.argmax(np.where(accepted[mine], -1.0, error[mine])))
+                poles[k] = float(np.tan(mids[worst]))
+        if poles:  # a stopped polynomial opens no panel, and its sums are void
+            for k, x in poles.items():
+                outcomes[k] = PurelyImaginaryEigenvalueError(x)
+            stopped = np.zeros(f.count, dtype=bool)
+            stopped[list(poles)] = True
+            stopped = stopped[owner]
+            fine[stopped] = 0.0
+            accepted |= stopped
         levels.append((fine, accepted))
-        panels += len(mids)
         split = ~accepted
-        if not split.any():
-            break
-        opened = 2 * int(split.sum())
-        if panels + opened > _MAX_PANELS:
-            worst = int(np.argmax(np.where(split, error, -1.0)))
-            raise PurelyImaginaryEigenvalueError(float(np.tan(mids[worst])))
-        next_left, next_right = np.empty(opened), np.empty(opened)
+        next_left, next_right = np.empty(2 * int(split.sum())), np.empty(2 * int(split.sum()))
         next_left[0::2], next_left[1::2] = left[split], mids[split]
         next_right[0::2], next_right[1::2] = mids[split], right[split]
-        left, right = next_left, next_right
-        tol /= 2.0
+        left, right, owner = next_left, next_right, np.repeat(owner[split], 2)
+        tol = tol / 2.0
         depth += 1
+    if not levels:
+        return []
     sums = levels[-1][0]
     for fine, accepted in reversed(levels[:-1]):
         total = fine.copy()
         total[~accepted] = sums[0::2] + sums[1::2]
         sums = total
-    return 2.0 * float(np.sum(sums))
+    return [2.0 * float(np.sum(sums[k * start:(k + 1) * start])) if outcome is None else outcome
+            for k, outcome in enumerate(outcomes)]
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
-def _coulson_integral(coeffs: tuple[int, ...], rel_tol: float) -> float:
-    """The energy integral of ``coeffs`` (ascending, exact, monic, nonzero
-    constant term), memoized like ``_repeated_roots``; its integrand is even,
-    since phi and N, real polynomials, take conjugate values at ix and -ix."""
-    return _level_synchronous_gl(_Integrand(coeffs), math.pi / 2.0, rel_tol) / math.pi
+_INTEGRALS: dict[tuple[tuple[int, ...], float], float] = {}
+
+
+def coulson_energies(spectra: Sequence[Spectrum], rel_tol: float) -> list:
+    """The Coulson integral of each spectrum, or in its place the
+    PurelyImaginaryEigenvalueError that skips it (see ``coulson_energy``).
+
+    Every distinct polynomial not yet memoized is integrated in one
+    level-synchronous quadrature, with its own tolerance, panel budget and
+    pole.  An integral is a pure function of the exact coefficients and
+    ``rel_tol``, so it is memoized on them; a pole is not.
+    """
+    if not (0.0 < rel_tol < 1.0):
+        raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
+    out: list = [0.0] * len(spectra)
+    polys: dict[int, tuple[int, ...]] = {}
+    for i, spec in enumerate(spectra):
+        guard = 1e-9 * (1.0 + spec.rho)
+        pole = next((z for z in spec.eigenvalues if abs(z.real) <= guard and abs(z) > guard), None)
+        if pole is not None:
+            out[i] = PurelyImaginaryEigenvalueError(pole.imag)
+        elif spec.eigenvalues:
+            coeffs = spec.charpoly.coeffs
+            polys[i] = coeffs[next(k for k, c in enumerate(coeffs) if c):]
+    found = {c: _INTEGRALS[c, rel_tol] for c in polys.values() if (c, rel_tol) in _INTEGRALS}
+    todo = [c for c in dict.fromkeys(polys.values()) if c not in found]
+    if todo:
+        for c, value in zip(todo, _level_synchronous_gl(_Integrand(todo), math.pi / 2.0, rel_tol)):
+            if not isinstance(value, Exception):
+                value /= math.pi
+                _remember(_INTEGRALS, (c, rel_tol), value)
+            found[c] = value
+    for i, c in polys.items():
+        out[i] = found[c]
+    return out
 
 
 def coulson_energy(spectrum: Spectrum, rel_tol: float = 1e-6) -> float:
     """Energy via the integral (1/pi) * int (n - i x phi'(ix)/phi(ix)) dx,
-    with phi the characteristic polynomial ``spectrum`` was certified against.
+    with phi the characteristic polynomial ``spectrum`` was certified
+    against; ``coulson_energies`` on a block of one.
 
     Evaluated with x = tan(theta) as twice the integral of the even
-    integrand over (0, pi/2) (see ``_level_synchronous_gl``).  Raises
-    PurelyImaginaryEigenvalueError when an eigenvalue sits on the imaginary
-    axis away from zero (the integrand then has a pole on the path): found
-    on the spectrum, or by the quadrature, at an x > 0, at a node or when
-    refinement near the pole uses up ``_MAX_PANELS``.  The empty spectrum
-    has energy 0.
+    integrand over (0, pi/2) (see ``_level_synchronous_gl``); the integrand
+    is even, since phi and N, real polynomials, take conjugate values at ix
+    and -ix.  Raises PurelyImaginaryEigenvalueError when an eigenvalue sits
+    on the imaginary axis away from zero (the integrand then has a pole on
+    the path): found on the spectrum, or by the quadrature, at an x > 0, at
+    a node or when refinement near the pole uses up ``_MAX_PANELS``.  The
+    empty spectrum has energy 0.
 
     The exact factor x^k of phi is divided out first: zero eigenvalues add
     nothing to the energy and leave the integrand unchanged, but they make
     |phi(ix)| ~ |x|^k so small near x = 0 that it would read as a pole.
     """
-    if not (0.0 < rel_tol < 1.0):
-        raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    if not spectrum.eigenvalues:
-        return 0.0
-    guard = 1e-9 * (1.0 + spectrum.rho)
-    for z in spectrum.eigenvalues:
-        if abs(z.real) <= guard and abs(z) > guard:
-            raise PurelyImaginaryEigenvalueError(z.imag)
-    coeffs = spectrum.charpoly.coeffs
-    zeros = next(k for k, c in enumerate(coeffs) if c)
-    return _coulson_integral(coeffs[zeros:], rel_tol)
+    return unwrap(coulson_energies([spectrum], rel_tol)[0])

@@ -233,6 +233,15 @@ class TestCycleArcReduction:
         d = directed_cycle(3)
         assert cycle_arc_reduction(d) == d
 
+    def test_unchanged_digraph_is_returned_itself(self):
+        d = directed_cycle(4)
+        assert cycle_arc_reduction(d) is d
+
+    def test_sink_arc_gives_a_new_digraph(self):
+        d = Digraph(5, list(directed_cycle(4).arcs) + [(0, 4)])
+        r = cycle_arc_reduction(d)
+        assert r is not d and r.arcs == directed_cycle(4).arcs and r.n == 5
+
     def test_path_empties(self):
         assert cycle_arc_reduction(directed_path(3)).arc_count == 0
 

@@ -29,6 +29,7 @@ from digenergy import (
     verify_all,
     walk_profile,
 )
+from digenergy.bounds import DEFAULT_TOL
 from digenergy import kernels as kernels_mod
 from digenergy import oracle as oracle_mod
 from digenergy import spectrum as spectrum_mod
@@ -168,6 +169,20 @@ class TestVerifyAll:
         digest = hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
         assert digest == "20db5d51a57424dc8c0c559a03058abb965f56dc344b5d46368850d6adf0a5aa"
 
+    def test_random_n10_analysis_documents_are_byte_stable(self):
+        # The two report pins hold counts and violations only; this one pins
+        # the values: every spectrum, bound and Coulson integral of the same
+        # corpus, in blocks that share one dict of certified spectra, as
+        # verify_all takes them.
+        ds = [random_digraph(10, 0.3, 1_000_000 + k) for k in range(200)]
+        spectra = {}
+        docs = []
+        for start in range(0, len(ds), oracle_mod.BLOCK_SIZE):
+            block = oracle_mod._Block(ds[start:start + oracle_mod.BLOCK_SIZE], spectra)
+            docs += [a.to_dict() for a in block.analyses(DEFAULT_TOL)]
+        digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+        assert digest == "2522304c7965a7fd48be43f88bee50f38a9d76297a817b0fae8a857c52bfc8d2"
+
 
 class TestAnalysis:
     """``Analysis`` is a memo: its document equals the one built from
@@ -222,8 +237,8 @@ class TestAnalysis:
 
     def test_charpoly_and_spectrum_computed_once(self, monkeypatch):
         # A lone analysis is a block of one: one kernel call computes the
-        # charpolys of the digraph and of its cycle-arc reduction, and
-        # ``eigenvalues`` takes that charpoly as it is.
+        # charpolys of the digraph and of its cycle-arc reduction, and one
+        # ``certify_spectra`` call takes that charpoly as it is.
         calls = []
 
         def counting(fn):
@@ -233,7 +248,7 @@ class TestAnalysis:
             return wrapper
 
         monkeypatch.setattr(kernels_mod, "charpoly_from_masks", counting(kernels_mod.charpoly_from_masks))
-        monkeypatch.setattr(oracle_mod, "eigenvalues", counting(spectrum_mod.eigenvalues))
+        monkeypatch.setattr(oracle_mod, "certify_spectra", counting(spectrum_mod.certify_spectra))
         for d in self.CORPUS:
             calls.clear()
             analysis = Analysis(d, self.TOL)
@@ -241,7 +256,7 @@ class TestAnalysis:
             assert analysis.to_dict() == first
             assert analysis.charpoly is analysis.spectrum.charpoly
             assert analysis.reduced_charpoly.coeffs == analysis.charpoly.coeffs
-            assert sorted(calls) == ["charpoly_from_masks", "eigenvalues"]
+            assert sorted(calls) == ["certify_spectra", "charpoly_from_masks"]
 
     def test_one_kernel_call_per_block(self, monkeypatch):
         rows = []
@@ -371,12 +386,51 @@ class TestBlocks:
 
     def test_block_pieces_equal_lone_pieces(self):
         ds = [random_digraph(10, 0.3, seed) for seed in range(50)] + [Digraph(10)]
-        for analysis in oracle_mod._Block(ds).analyses(1e-8, {}):
+        for analysis in oracle_mod._Block(ds).analyses(1e-8):
             d = analysis.d
             assert analysis.charpoly == characteristic_polynomial(d)
             assert analysis.reduced_charpoly == characteristic_polynomial(cycle_arc_reduction(d))
             assert np.array_equal(analysis.symmetrization, geometric_symmetrization(adjacency_matrix(d)))
             assert repr(analysis.spectrum) == repr(spectrum_of(d))
+
+    @pytest.mark.parametrize("corpus", ["n4", "n10"])
+    def test_spectra_and_integrals_equal_blocks_of_one(self, corpus):
+        # Each member's certified spectrum and Coulson outcome, from blocks
+        # and from blocks of one that share the run's dict in the same
+        # order; the memos start empty for both.
+        ds = (list(enumerate_digraphs(4)) if corpus == "n4"
+              else [random_digraph(10, 0.3, 1_000_000 + k) for k in range(600)])
+
+        def text(outcome):
+            return f"{type(outcome).__name__}: {outcome}" if isinstance(outcome, Exception) else repr(outcome)
+
+        def outcomes(size):
+            spectrum_mod._ROOTS.clear()
+            spectrum_mod._INTEGRALS.clear()
+            spectra, out = {}, []
+            for start in range(0, len(ds), size):
+                block = oracle_mod._Block(ds[start:start + size], spectra)
+                out += [(text(s), text(c)) for s, c in zip(block.spectra, block.coulson)]
+            return out
+
+        blocked = outcomes(BLOCK)
+        assert blocked == outcomes(1)
+        assert any("Error" in c for _, c in blocked)
+
+    def test_exception_is_raised_by_its_own_member_only(self, monkeypatch):
+        # Members 0 and 1 have x^3; member 1's QR values are moved far from
+        # 0, so it alone is rejected, for its spectrum and its integral.
+        ds = [Digraph(3), Digraph(3, [(0, 1)]), directed_cycle(3)]
+        shift = np.array([[0.0], [100.0], [0.0]])
+        monkeypatch.setattr(oracle_mod, "qr_values", lambda a: qr_values(a) + shift)
+        first, second, third = oracle_mod._Block(ds).analyses(1e-8)
+        with pytest.raises(EigensolverError, match="disagree"):
+            second.spectrum
+        with pytest.raises(EigensolverError, match="disagree"):
+            second.coulson
+        assert first.spectrum.energy == 0.0 and first.coulson == 0.0
+        assert third.spectrum.energy == pytest.approx(2.0)
+        assert third.coulson == pytest.approx(2.0, rel=1e-6)
 
     def test_one_order_per_block(self):
         with pytest.raises(ValueError, match="one order"):

@@ -29,8 +29,6 @@ from digenergy.digraph import adjacency_matrices
 from digenergy.oracle import _Block
 from digenergy.spectrum import (
     _coprime_to_derivative_mod_q,
-    _coulson_integral,
-    _repeated_roots,
     _square_free_decomposition,
 )
 
@@ -363,6 +361,21 @@ class TestModularCertificate:
             split_off += k >= 2 and got == [(coeffs[k:], 1), ((0, 1), k)]
         assert split_off > 0
 
+    def test_zero_root_split_matches_yun(self, monkeypatch):
+        # p = x^k q, k >= 2, with q certified square-free skips Yun and
+        # returns [(q, 1), (x, k)], or [(x, k)] for q = 1.  Pinned on every
+        # distinct charpoly of n <= 4 and on seeded random ones.
+        polys = {characteristic_polynomial(d).coeffs for n in range(1, 5) for d in enumerate_digraphs(n)}
+        polys |= {characteristic_polynomial(random_digraph(n, p, seed)).coeffs
+                  for n in range(6, 13) for p in (0.1, 0.2, 0.3) for seed in range(20)}
+        split_off = 0
+        for coeffs in polys:
+            assert _square_free_decomposition(coeffs) == _yun_without_certificate(coeffs, monkeypatch)
+            k = next(i for i, c in enumerate(coeffs) if c)
+            split_off += (k >= 2 and not _coprime_to_derivative_mod_q(coeffs)
+                          and _coprime_to_derivative_mod_q(coeffs[k:]))
+        assert split_off > 100
+
     def test_square_free_but_not_mod_q_falls_back_to_yun(self):
         # x (x - q) is square-free over Q but x^2 mod q.
         q = spectrum_mod._CERT_PRIME
@@ -623,7 +636,7 @@ def _reference_coulson(coeffs, rel_tol=1e-6, max_panels=math.inf):
     panel sum one row-wise sum, the 16 totals added by ``np.sum``.  Raises
     _PanelBudgetExceeded when it would evaluate more than ``max_panels``
     panels."""
-    f = spectrum_mod._Integrand(coeffs)
+    f = _integrand_of(coeffs)
     panels = 0
 
     def panel(a, b, rule):
@@ -649,6 +662,30 @@ def _reference_coulson(coeffs, rel_tol=1e-6, max_panels=math.inf):
     estimate = 2.0 * float(np.sum([panel(a, b, spectrum_mod._GL_HI) for a, b in start]))
     tol = 0.25 * rel_tol * max(1.0, abs(estimate)) / 16
     return 2.0 * float(np.sum([adaptive(a, b, tol, 4) for a, b in start])) / math.pi
+
+
+def _integrand_of(coeffs):
+    """The integrand of one polynomial as a function of theta that raises
+    PurelyImaginaryEigenvalueError as the quadrature stops: at the first
+    pole node with |x| <= 1, else at the first pole node."""
+    f = spectrum_mod._Integrand([coeffs])
+
+    def integrand(theta):
+        values, x, pole = f(theta, np.zeros(len(theta), dtype=np.int64))
+        xs = x[pole]
+        if len(xs):
+            small = xs[np.abs(xs) <= 1.0]
+            raise PurelyImaginaryEigenvalueError(float((small if len(small) else xs)[0]))
+        return values
+    return integrand
+
+
+def _quadrature(coeffs, rel_tol=1e-6):
+    """The quadrature of one polynomial, past the memo: the integral, or
+    the PurelyImaginaryEigenvalueError raised."""
+    f = spectrum_mod._Integrand([coeffs])
+    (outcome,) = spectrum_mod._level_synchronous_gl(f, math.pi / 2, rel_tol)
+    return spectrum_mod.unwrap(outcome) / math.pi
 
 
 def _integral_input(d):
@@ -682,7 +719,7 @@ def _outcomes(coeffs):
         except (PurelyImaginaryEigenvalueError, _PanelBudgetExceeded):
             return "raises"
     want = outcome(lambda: _reference_coulson(coeffs, max_panels=spectrum_mod._MAX_PANELS))
-    got = outcome(lambda: _coulson_integral.__wrapped__(coeffs, 1e-6))
+    got = outcome(lambda: _quadrature(coeffs))
     return want, got
 
 
@@ -733,7 +770,7 @@ class TestLevelSynchronousQuadrature:
         # closes in on the pole without a node landing on it.
         started = time.perf_counter()
         with pytest.raises(PurelyImaginaryEigenvalueError) as exc:
-            _coulson_integral.__wrapped__((4, 0, 5, 0, 1), 1e-6)
+            _quadrature((4, 0, 5, 0, 1))
         assert time.perf_counter() - started < 1.0
         assert min(abs(abs(exc.value.x) - 1.0), abs(abs(exc.value.x) - 2.0)) < 1e-3
 
@@ -783,32 +820,37 @@ def _assert_same_integrand(coeffs, theta):
     """Values, raise and abscissa of one call, and every Horner row of both
     branches (the scale row decides only the guard), match the reference."""
     want = _integrand_outcome(lambda t: _reference_integrand(coeffs, t), theta)
-    f = spectrum_mod._Integrand(coeffs)
-    got = _integrand_outcome(f, theta)
+    got = _integrand_outcome(_integrand_of(coeffs), theta)
     if isinstance(want, tuple):
         assert got == want
     else:
         assert not isinstance(got, tuple) and np.array_equal(got, want)
     _, branches = _reference_rows(coeffs, np.tan(theta))
-    for rows, (_, z, r, *want_rows) in zip((f.rows_desc, f.rows_asc), branches):
-        for got_row, want_row in zip(spectrum_mod._horner(rows, z, r), want_rows):
+    steps = spectrum_mod._Integrand([coeffs]).steps
+    # Column 0 holds the |x| <= 1 rows of the one polynomial, column 1 the others.
+    for column, (_, z, r, *want_rows) in enumerate(branches):
+        got_rows = spectrum_mod._horner(steps, z, r, np.full(len(z), column))
+        for got_row, want_row in zip(got_rows, want_rows):
             assert np.array_equal(got_row, want_row)
+
+
+class _Recorder(spectrum_mod._Integrand):
+    """An integrand that keeps every node array it is called on."""
+
+    def __init__(self, polys):
+        super().__init__(polys)
+        self.seen = []
+
+    def __call__(self, theta, poly):
+        self.seen.append(theta.copy())
+        return super().__call__(theta, poly)
 
 
 def _visited_nodes(coeffs):
     """Every node array the quadrature of ``coeffs`` passes to the integrand."""
-    f = spectrum_mod._Integrand(coeffs)
-    seen = []
-
-    def record(theta):
-        seen.append(theta.copy())
-        return f(theta)
-
-    try:
-        spectrum_mod._level_synchronous_gl(record, math.pi / 2, 1e-6)
-    except PurelyImaginaryEigenvalueError:
-        pass
-    return seen
+    f = _Recorder([coeffs])
+    spectrum_mod._level_synchronous_gl(f, math.pi / 2, 1e-6)
+    return f.seen
 
 
 def _analyze_cli_n32(seed, block):
@@ -850,7 +892,7 @@ class TestHornerIntegrand:
         # The quadrature integrates over theta > 0 only and doubles the sum.
         for d in INTEGRAND_CORPORA[corpus]:
             coeffs = _integral_input(d)
-            f = spectrum_mod._Integrand(coeffs)
+            f = _integrand_of(coeffs)
             for theta in _visited_nodes(coeffs):
                 want = _integrand_outcome(f, theta)
                 got = _integrand_outcome(f, -theta)
@@ -868,7 +910,7 @@ class TestHornerIntegrand:
         for x in (1.0, 2.0, 3.0):
             theta = np.array([-0.3, 0.1, math.atan(x), 1.2])
             _assert_same_integrand(coeffs, theta)
-        f = spectrum_mod._Integrand(coeffs)
+        f = _integrand_of(coeffs)
         assert _integrand_outcome(f, np.array([0.1, math.atan(1.0)]))[0] == "raises"
 
     def test_one_branch_calls(self, monkeypatch):
@@ -890,15 +932,15 @@ class TestHornerIntegrand:
 
     def test_concatenated_call_equals_per_panel_calls(self):
         for d in COULSON_CORPORA["n8"][:20] + COULSON_CORPORA["n32"]:
-            f = spectrum_mod._Integrand(_integral_input(d))
+            f = _integrand_of(_integral_input(d))
             for theta in _visited_nodes(_integral_input(d)):
                 panels = theta.reshape(-1, 24)
                 assert np.array_equal(f(theta), np.concatenate([f(p) for p in panels]))
 
 
 def _clear_memos():
-    _repeated_roots.cache_clear()
-    _coulson_integral.cache_clear()
+    spectrum_mod._ROOTS.clear()
+    spectrum_mod._INTEGRALS.clear()
 
 
 class TestExactMemo:
@@ -926,17 +968,23 @@ class TestExactMemo:
             _clear_memos()
             assert coulson_energy(spectrum_of(d)) == warm
 
-    def test_relabelings_share_the_memo(self):
+    def test_relabelings_share_the_memo(self, monkeypatch):
         d = sym(path_graph(4))
         perm = (2, 0, 3, 1)
         relabeled = Digraph(4, [(perm[i], perm[j]) for i, j in d.arcs])
         assert relabeled != d
-        coulson_energy(spectrum_of(d))
-        roots_hits = _repeated_roots.cache_info().hits
-        integral_hits = _coulson_integral.cache_info().hits
-        coulson_energy(spectrum_of(relabeled))
-        assert _repeated_roots.cache_info().hits > roots_hits
-        assert _coulson_integral.cache_info().hits > integral_hits
+        integral = coulson_energy(spectrum_of(d))
+        coeffs = characteristic_polynomial(d).coeffs
+        assert spectrum_mod._ROOTS[coeffs] is None
+        assert spectrum_mod._INTEGRALS[coeffs, 1e-6] == integral
+
+        def forbidden(*args):
+            raise AssertionError("a memo hit recomputed")
+
+        # Both memos serve the relabeling: no decomposition, no quadrature.
+        monkeypatch.setattr(spectrum_mod, "_square_free_decomposition", forbidden)
+        monkeypatch.setattr(spectrum_mod, "_level_synchronous_gl", forbidden)
+        assert coulson_energy(spectrum_of(relabeled)) == integral
 
     def test_one_kernel_call_serves_relabelings_and_reductions(self, monkeypatch):
         # The path P4 plus an isolated vertex 4.
@@ -957,10 +1005,177 @@ class TestExactMemo:
             return kernel(n, rows)
 
         monkeypatch.setattr(kernels_mod, "charpoly_from_masks", counting)
-        first, second, third = _Block([d, relabeled, tailed]).analyses(1e-8, {})
+        first, second, third = _Block([d, relabeled, tailed]).analyses(1e-8)
         poly = first.charpoly
         assert second.charpoly is poly and third.reduced_charpoly is poly
         assert third.charpoly == poly == characteristic_polynomial(d)
         # One kernel call, on each distinct adjacency once.
         assert calls[0] == [d.out_masks, tailed.out_masks]
         assert len(calls) == 2  # the second is characteristic_polynomial(d) above
+
+
+def _reference_aberth(coeffs, roots):
+    """The refinement of one polynomial with ``np.polyval``, as it ran one
+    polynomial at a time: the reference for the stacked one.  Returns the
+    roots and the number of sweeps it ran."""
+    p_desc = np.array([float(c) for c in reversed(coeffs)])
+    dp_desc = np.array([float(k * c) for k, c in enumerate(coeffs)][1:][::-1])
+    z = np.array(roots, dtype=complex)
+    scale = 1.0 + float(np.max(np.abs(z)))
+    pz = np.polyval(p_desc, z)
+    for sweep in range(1, spectrum_mod._ABERTH_SWEEPS + 1):
+        dpz = np.polyval(dp_desc, z)
+        newton = np.zeros_like(z)
+        np.divide(pz, dpz, out=newton, where=np.abs(dpz) > 1e-300)
+        diff = z[:, None] - z[None, :]
+        np.fill_diagonal(diff, np.inf)
+        diff[np.abs(diff) < 1e-14 * scale] = np.inf
+        denom = 1.0 - newton * (1.0 / diff).sum(axis=1)
+        w = np.where(np.abs(denom) > 1e-12, newton / np.where(denom == 0, 1.0, denom), newton)
+        z_try = z - w
+        p_try = np.polyval(p_desc, z_try)
+        better = np.abs(p_try) < np.abs(pz)
+        if not np.any(better):
+            break
+        z = np.where(better, z_try, z)
+        pz = np.where(better, p_try, pz)
+        if np.max(np.abs(np.where(better, w, 0.0))) <= 1e-15 * scale:
+            break
+    return z, sweep
+
+
+def _square_free_charpolys_and_qr(ds):
+    rows, starts = [], []
+    for d in ds:
+        coeffs = characteristic_polynomial(d).coeffs
+        if _square_free_decomposition(coeffs) == [(coeffs, 1)]:
+            rows.append(coeffs)
+            starts.append(qr_values(adjacency_matrix(d)))
+    return rows, np.array(starts)
+
+
+class TestStackedAberth:
+    """A stacked refinement gives every row the bits it gets in a stack of
+    one, and a stack of one the bits of the per-polynomial loop."""
+
+    def _assert_rows_as_alone(self, rows, starts):
+        stacked = spectrum_mod._aberth_refine(rows, starts)
+        sweeps = []
+        for k, row in enumerate(rows):
+            alone = spectrum_mod._aberth_refine([row], starts[k:k + 1])
+            want, ran = _reference_aberth(row, starts[k])
+            assert np.array_equal(stacked[k], alone[0]) and np.array_equal(alone[0], want)
+            sweeps.append(ran)
+        return sweeps
+
+    def test_rows_that_stop_at_different_sweeps(self):
+        rows, starts = _square_free_charpolys_and_qr(
+            [random_digraph(10, 0.3, 1_000_000 + k) for k in range(40)])
+        # Starts moved off the roots by up to 1e-2 take more sweeps.
+        starts[::3] += np.linspace(1e-6, 1e-2, len(starts[::3]))[:, None] * (1 + 1j)
+        sweeps = self._assert_rows_as_alone(rows, starts)
+        assert len(set(sweeps)) >= 3
+
+    def test_linear_factors(self):
+        rows = [(-2, 1), (3, 1), (0, 1), (7, 1)]
+        starts = np.array([[2.1], [-2.9 + 0.1j], [0.05], [-7.0]], dtype=complex)
+        self._assert_rows_as_alone(rows, starts)
+
+    def test_rows_of_every_degree_of_a_block(self):
+        # One call per degree: the factors of repeated-root polynomials and
+        # of sparse symmetric charpolys, from their np.roots starts.
+        polys = REPEATED_ROOT_POLYS + [characteristic_polynomial(d).coeffs for d in SPARSE_SYMMETRIC_CORPUS]
+        factors = list(dict.fromkeys(f for coeffs in polys for f, _ in _square_free_decomposition(coeffs)))
+        degrees = [len(f) - 1 for f in factors]
+        assert len(set(degrees)) >= 8 and min(degrees) == 1 and max(degrees) == 32
+        refined = spectrum_mod._factor_roots(factors)
+        for f in factors:
+            start = np.roots([float(c) for c in reversed(f)]).astype(complex)
+            assert np.array_equal(refined[f], spectrum_mod._aberth_refine([f], start[None])[0])
+            assert np.array_equal(refined[f], _reference_aberth(f, start)[0])
+
+    def test_repeated_roots_of_a_block_equal_one_at_a_time(self):
+        polys = REPEATED_ROOT_POLYS + [characteristic_polynomial(d).coeffs for d in SPARSE_SYMMETRIC_CORPUS]
+        _clear_memos()
+        together = spectrum_mod._repeated_roots(polys)
+        for coeffs in polys:
+            _clear_memos()
+            assert spectrum_mod._repeated_roots([coeffs])[coeffs] == together[coeffs]
+
+    def test_empty_stack(self):
+        assert spectrum_mod._aberth_refine([], np.empty((0, 3))).shape == (0, 3)
+
+
+# Polynomials of degree 1 to 10 with phi(0) != 0, among them one that uses up
+# its panel budget, one with a pole at a node and the charpoly of the random
+# n = 10 digraph whose integral once missed its tolerance.
+_SEED9 = Digraph(10, [(0, 4), (0, 5), (0, 6), (0, 7), (0, 9), (1, 6), (1, 7), (2, 4), (2, 5), (2, 6),
+                      (2, 7), (3, 0), (3, 4), (3, 5), (4, 0), (4, 3), (5, 0), (5, 4), (5, 9), (7, 2),
+                      (7, 6), (7, 8), (8, 1), (8, 6), (8, 9), (9, 1), (9, 5), (9, 6), (9, 7), (9, 8)])
+STACKED_COULSON_POLYS = (
+    [(2, 1), (-1, 0, 1), (4, 0, 5, 0, 1), (-1, 0, 0, 0, 1), _integral_input(_SEED9), (1,),
+     _poly_mul(*[_root_power(r, 1) for r in (1, -2, 3, -4, 5, -6)])]
+    + [_integral_input(random_digraph(n, 0.4, seed)) for n in range(3, 11) for seed in range(3)]
+)
+
+
+def _outcome_text(outcome):
+    return f"{type(outcome).__name__}: {outcome}" if isinstance(outcome, Exception) else outcome
+
+
+class TestStackedCoulson:
+    """One quadrature over many polynomials gives each of them what a
+    quadrature of its own gives: the same value, or the same pole."""
+
+    def _one_call(self, polys):
+        f = spectrum_mod._Integrand(polys)
+        return [_outcome_text(o) for o in spectrum_mod._level_synchronous_gl(f, math.pi / 2, 1e-6)]
+
+    def test_one_call_equals_calls_of_one(self):
+        polys = STACKED_COULSON_POLYS
+        assert {len(c) - 1 for c in polys} >= set(range(1, 11))
+        together = self._one_call(polys)
+        alone = [self._one_call([coeffs])[0] for coeffs in polys]
+        assert together == alone
+        poles = [o for o in together if isinstance(o, str)]
+        assert len(poles) == 2 and all("pole" in o for o in poles)
+
+    def test_poles_leave_their_neighbours_unchanged(self):
+        poles = [(4, 0, 5, 0, 1), (-1, 0, 0, 0, 1)]
+        others = [c for c in STACKED_COULSON_POLYS if c not in poles]
+        with_poles = dict(zip(STACKED_COULSON_POLYS, self._one_call(STACKED_COULSON_POLYS)))
+        assert [with_poles[c] for c in others] == self._one_call(others)
+
+    def test_energies_of_spectra_equal_calls_of_one(self):
+        ds = ([directed_cycle(4), Digraph(0), Digraph(5), _SEED9, sym(path_graph(4))]
+              + [random_digraph(n, 0.4, seed) for n in range(3, 11) for seed in range(4)])
+        spectra = [spectrum_of(d) for d in ds]
+        _clear_memos()
+        together = [_outcome_text(o) for o in spectrum_mod.coulson_energies(spectra, 1e-6)]
+        alone = []
+        for spec in spectra:
+            _clear_memos()
+            try:
+                alone.append(coulson_energy(spec))
+            except PurelyImaginaryEigenvalueError as exc:
+                alone.append(_outcome_text(exc))
+        assert together == alone
+        assert together[:3] == [_outcome_text(PurelyImaginaryEigenvalueError(1.0)), 0.0, 0.0]
+
+    def test_a_pole_with_x_at_most_1_is_reported_first(self):
+        # As a quadrature of its own checks its |x| <= 1 nodes first: a level
+        # with pole nodes on both sides of x = 1 stops at the first of those.
+        class Poles:
+            count = 2
+
+            def __call__(self, theta, poly):
+                x = np.full(len(theta), 0.25)
+                pole = np.zeros(len(theta), dtype=bool)
+                for k in range(self.count):
+                    first = np.flatnonzero(poly == k)[0]
+                    x[first + 3], x[first + 7], x[first + 9] = 4.0 + k, 0.5 + k / 4, 0.75
+                    pole[[first + 3, first + 7, first + 9]] = True
+                return np.zeros(len(theta)), x, pole
+
+        outcomes = spectrum_mod._level_synchronous_gl(Poles(), math.pi / 2, 1e-6)
+        assert [o.x for o in outcomes] == [0.5, 0.75]
