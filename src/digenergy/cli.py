@@ -1,9 +1,10 @@
 """Command-line front end: analyze, verify, coulson, random.
 
 Exit codes: 0 success / all checks passed; 1 verification or tolerance
-failure, or stdout closed before all output was written (a broken pipe,
-which prints no traceback); 2 usage or configuration error, including input
-that is not UTF-8 or does not parse, read from a file or stdin alike.
+failure, a spectrum the eigensolver rejects (one ``error:`` line on
+stderr), or stdout closed before all output was written (a broken pipe);
+2 usage or configuration error, including input that is not UTF-8 or does
+not parse, read from a file or stdin alike.  No exit prints a traceback.
 Human output uses 9 significant digits; --json emits full-precision JSON.
 The NO_COLOR environment variable (or a non-tty stdout) disables styling.
 """
@@ -21,6 +22,7 @@ from .digraph import Digraph, parse_edge_list, serialize_edge_list
 from .errors import (
     DigraphValidationError,
     EdgeListParseError,
+    EigensolverError,
     PurelyImaginaryEigenvalueError,
     UnknownCheckError,
 )
@@ -254,6 +256,9 @@ def main(argv=None) -> int:
         status = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return status
+    except EigensolverError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # The flush at exit would raise again: send what is left to devnull.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

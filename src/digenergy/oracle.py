@@ -36,7 +36,7 @@ from .digraph import (
     walk_profile,
 )
 from .errors import BoundInapplicableError, PurelyImaginaryEigenvalueError, UnknownCheckError
-from .spectrum import CharPoly, Spectrum, certify_spectra, coulson_energies, qr_values, unwrap
+from .spectrum import CharPoly, Memo, Spectrum, certify_spectra, coulson_energies, qr_values, unwrap
 from .structure import equality_verdict_energy_upper, equality_verdict_rho_lower
 
 EXHAUSTIVE_MAX_N = 5
@@ -168,23 +168,23 @@ class _Block:
     and from those the Coulson integrals (one quadrature), each member's
     value or the exception that rejects it.
 
-    ``spectra`` is the run's dict of certified spectra (see ``Analysis``);
-    the block reads and fills it in member order.
+    ``memo`` is the run's store of per-polynomial work (see ``Memo``): the
+    block reads and fills it, its spectra in member order.
     """
 
-    def __init__(self, digraphs: Sequence[Digraph], spectra: Optional[dict] = None):
+    def __init__(self, digraphs: Sequence[Digraph], memo: Memo):
         self.digraphs = list(digraphs)
         orders = {d.n for d in self.digraphs}
         if len(orders) != 1:
             raise ValueError(f"a block holds digraphs of one order, got orders {sorted(orders)}")
         (self.n,) = orders
-        self.certified = {} if spectra is None else spectra
+        self.memo = memo
 
     def analyses(self, tol: float) -> Iterator["Analysis"]:
         """One ``Analysis`` per digraph, all reading this block, made as
         they are read, so that a block does not keep its analyses alive."""
         for index, d in enumerate(self.digraphs):
-            analysis = Analysis(d, tol, self.certified)
+            analysis = Analysis(d, tol)
             analysis._block, analysis._index = self, index
             yield analysis
 
@@ -203,7 +203,7 @@ class _Block:
     def spectra(self) -> list:
         """The certified ``Spectrum`` of each member, or its EigensolverError."""
         polys = [self.charpolys[d.out_masks] for d in self.digraphs]
-        return certify_spectra(polys, self.qr, self.certified)
+        return certify_spectra(polys, self.qr, self.memo)
 
     @cached_property
     def coulson(self) -> list:
@@ -211,7 +211,7 @@ class _Block:
         exception that skips it: its PurelyImaginaryEigenvalueError, or the
         EigensolverError of its spectrum."""
         spectra = [s for s in self.spectra if isinstance(s, Spectrum)]
-        values = iter(coulson_energies(spectra, 1e-6))
+        values = iter(coulson_energies(spectra, 1e-6, self.memo))
         return [next(values) if isinstance(s, Spectrum) else s for s in self.spectra]
 
     @cached_property
@@ -253,28 +253,20 @@ class Analysis:
     The polynomials, QR values, symmetrization and radii, spectrum and
     Coulson integral come from a block of digraphs (``_Block``) that
     computes each of them for all members at once.  The harness builds one
-    block per ``BLOCK_SIZE`` digraphs; a lone ``Analysis(d)`` is a block of
-    one.
-
-    ``spectra`` maps the coefficients of each characteristic polynomial to
-    the spectrum certified for it, and may be shared by the analyses of one
-    run: the first digraph with a given polynomial certifies its spectrum
-    and stores it, and later ones take it from there (see
-    ``certify_spectra``).  The default is a fresh dict, so the spectrum is
-    the digraph's own.
+    block per ``BLOCK_SIZE`` digraphs, all sharing the run's ``Memo``; a
+    lone ``Analysis(d)`` is a block of one with a fresh ``Memo``, so its
+    spectrum is the digraph's own.
     """
 
     _index = 0
 
-    def __init__(self, d: Digraph, tol: float = bounds_mod.DEFAULT_TOL,
-                 spectra: Optional[dict] = None):
+    def __init__(self, d: Digraph, tol: float = bounds_mod.DEFAULT_TOL):
         self.d = d
         self.tol = tol
-        self._spectra = {} if spectra is None else spectra
 
     @cached_property
     def _block(self) -> _Block:
-        return _Block([self.d], self._spectra)
+        return _Block([self.d], Memo())
 
     @cached_property
     def profile(self):
@@ -589,12 +581,12 @@ def verify_all(
     the report does not depend on the block size, and a lone
     ``Analysis(d)`` is a block of one.  The corpus is never held whole.
 
-    The digraphs of one call share their certified spectra: each distinct
-    characteristic polynomial is certified once, on the first digraph that
-    has it, and later digraphs with that polynomial reuse its spectrum
-    (after checking their own QR values against a repeated root).  The
-    sharing ends with the call, so a report depends only on its
-    configuration.
+    The blocks of one call share one ``Memo``: each distinct
+    characteristic polynomial is decomposed, certified and integrated once,
+    the first digraph with it certifies its spectrum, and later digraphs
+    with that polynomial reuse the spectrum (after checking their own QR
+    values against a repeated root).  The memo ends with the call, so a
+    report depends only on its configuration.
     """
     if checks is None:
         selected = list(CHECK_NAMES)
@@ -622,11 +614,11 @@ def verify_all(
     stats = {name: CheckStats() for name in selected}
     violations: list[Violation] = []
     inapplicable: list[str] = []
-    spectra: dict = {}
+    memo = Memo()
     checked = 0
     started = time.monotonic()
     while digraphs := list(itertools.islice(source, BLOCK_SIZE)):
-        for ctx in _Block(digraphs, spectra).analyses(tol):
+        for ctx in _Block(digraphs, memo).analyses(tol):
             checked += 1
             if ctx.d.arc_count and ctx.d.n:
                 prof = ctx.profile

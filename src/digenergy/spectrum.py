@@ -18,13 +18,18 @@ refines the QR values of the square-free members and the roots of the
 factors of the others, and one quadrature integrates every distinct
 polynomial of the block.  Each row of a stack gets the bits it gets alone,
 and ``eigenvalues`` and ``coulson_energy`` are the blocks of one.
+
+The work done per distinct polynomial (its exact roots, certified spectrum
+and Coulson integral) is kept in a ``Memo`` that the caller owns: one per
+verification run, and a fresh one for a lone digraph.  The module keeps no
+state between calls.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -36,16 +41,6 @@ from .errors import EigensolverError, PurelyImaginaryEigenvalueError
 _SNAP_REL = 1e-10
 # Residual gate |phi(z)| / (1 + rho)^n above which the solver result is rejected.
 _RESIDUAL_GATE = 1e-6
-# Entries of each memo, both keyed on the coefficients of a characteristic
-# polynomial (the roots of a repeated-root one, and the Coulson integral);
-# past it the oldest entry goes.  Exhaustive n=5 has 718 distinct
-# characteristic polynomials, so one exhaustive run never evicts.  A memo
-# is read for a whole block at once, and only the polynomials it misses go
-# to the stacked refinement or quadrature.  The polynomials themselves are
-# not memoized: the harness computes those of a whole block of digraphs
-# and their cycle-arc reductions in one kernel call (a lone digraph is a
-# block of one), next to QR values from stacks built from arcs.
-_MEMO_SIZE = 4096
 # Most Aberth-Ehrlich sweeps per refinement.
 _ABERTH_SWEEPS = 24
 # The prime modulus of the square-free certificate (a Mersenne prime).
@@ -77,6 +72,22 @@ class Spectrum:
     sum_re_sq: float
     sum_im_sq: float
     charpoly: CharPoly
+
+
+@dataclass
+class Memo:
+    """The per-polynomial work of one run, keyed on exact coefficients.
+
+    ``roots`` holds the exact roots of a repeated-root polynomial (None for
+    a square-free one), ``spectra`` the spectrum certified for a polynomial
+    by the first digraph that passed with it, and ``integrals`` the Coulson
+    integral, keyed on ``(coeffs, rel_tol)`` (a pole is not kept).  It is
+    never trimmed: it holds one entry per distinct polynomial of the run.
+    """
+
+    roots: dict = field(default_factory=dict)
+    spectra: dict = field(default_factory=dict)
+    integrals: dict = field(default_factory=dict)
 
 
 def characteristic_polynomial(d: Digraph) -> CharPoly:
@@ -265,16 +276,6 @@ def _square_free_decomposition(coeffs: Sequence[int]) -> list[tuple[tuple[int, .
     return out
 
 
-_ROOTS: dict[tuple[int, ...], Optional[tuple[complex, ...]]] = {}
-
-
-def _remember(memo: dict, key, value) -> None:
-    """Store ``value`` under ``key``, evicting the oldest entry of a full memo."""
-    if len(memo) >= _MEMO_SIZE:
-        del memo[next(iter(memo))]
-    memo[key] = value
-
-
 def _factor_roots(factors: Sequence[tuple[int, ...]]) -> dict[tuple[int, ...], np.ndarray]:
     """The roots of each square-free factor: ``np.roots`` starts refined
     against the exact factor, one Aberth call per degree."""
@@ -288,26 +289,21 @@ def _factor_roots(factors: Sequence[tuple[int, ...]]) -> dict[tuple[int, ...], n
     return refined
 
 
-def _repeated_roots(polys: Iterable[tuple[int, ...]]) -> dict[tuple[int, ...], Optional[tuple[complex, ...]]]:
-    """For each polynomial with a repeated root, all its roots, from its
-    exact square-free decomposition, and None for each square-free one.
+def _repeated_roots(polys: Iterable[tuple[int, ...]], roots: dict) -> None:
+    """Store in ``roots``, for each polynomial it lacks, all its roots when
+    it has a repeated one, from its exact square-free decomposition, and
+    None when it is square-free.
 
     Each root is a simple root of its factor, so the refinement converges
     to machine precision regardless of multiplicity.  The factors of all
-    the polynomials not yet memoized are refined together.  A pure function
-    of the exact coefficients, so it is memoized: digraphs that share a
-    characteristic polynomial share this work.
+    the new polynomials are refined together.
     """
-    polys = list(dict.fromkeys(polys))
-    out = {c: _ROOTS[c] for c in polys if c in _ROOTS}
-    decomps = {c: _square_free_decomposition(c) for c in polys if c not in out}
+    decomps = {c: _square_free_decomposition(c) for c in dict.fromkeys(polys) if c not in roots}
     repeated = {c: dec for c, dec in decomps.items() if not (len(dec) == 1 and dec[0][1] == 1)}
     refined = _factor_roots(list(dict.fromkeys(f for dec in repeated.values() for f, _ in dec)))
     for c in decomps:
-        out[c] = (tuple(complex(z) for f, mult in repeated[c] for z in refined[f] for _ in range(mult))
-                  if c in repeated else None)
-        _remember(_ROOTS, c, out[c])
-    return out
+        roots[c] = (tuple(complex(z) for f, mult in repeated[c] for z in refined[f] for _ in range(mult))
+                    if c in repeated else None)
 
 
 def _pair_conjugates(values: np.ndarray) -> list[complex]:
@@ -434,56 +430,46 @@ def _new_spectra(polys: Sequence[CharPoly], qr: np.ndarray, roots: dict) -> list
     return out
 
 
-def certify_spectra(polys: Sequence[CharPoly], qr: np.ndarray, certified: dict) -> list:
+def certify_spectra(polys: Sequence[CharPoly], qr: np.ndarray, memo: Memo) -> list:
     """The certified spectrum of each member of a block of digraphs of one
     order n, from its exact characteristic polynomial and its row of the
     ``(K, n)`` QR values, or in its place the EigensolverError that
     rejects it (see ``eigenvalues``).
 
-    ``certified`` maps the coefficients of a polynomial to the spectrum
-    certified for it, and is honoured in member order.  A member whose
-    polynomial it holds takes that spectrum, after its own QR values are
-    checked against a repeated root.  Of the other members, the first with
-    a polynomial certifies it and stores it there, and later ones reuse it;
-    a rejected member stores nothing, so the next one with its polynomial
-    certifies its own.  The certifying members with a square-free
-    polynomial refine their QR values in one Aberth call.
+    Each member whose polynomial ``memo.spectra`` lacks at the start gets
+    its own candidate; the square-free ones refine their QR values in one
+    Aberth call.  Then, in member order, a member takes the spectrum stored
+    for its polynomial, if any, after its own QR values are checked against
+    a repeated root, and otherwise its own candidate, which is stored if it
+    passes.  So the first member with a polynomial that passes certifies it
+    for the run, and a rejected member stores nothing.
     """
     if qr.shape[-1] == 0:
         return [Spectrum((), 0.0, 0.0, 0.0, 0.0, p) for p in polys]
-    roots = _repeated_roots(p.coeffs for p in polys)
-    out: list = [None] * len(polys)
-    pending = list(range(len(polys)))
-    while pending:
-        first: dict = {}
-        later = []
-        for i in pending:
-            coeffs = polys[i].coeffs
-            if coeffs in certified:
-                try:
-                    if roots[coeffs] is not None:
-                        _check_spread(qr[i], roots[coeffs])
-                    out[i] = certified[coeffs]
-                except EigensolverError as exc:
-                    out[i] = exc
-            elif coeffs in first:
-                later.append(i)
-            else:
-                first[coeffs] = i
-        members = list(first.values())
-        for i, spec in zip(members, _new_spectra([polys[i] for i in members], qr[members], roots)):
-            out[i] = spec
+    _repeated_roots((p.coeffs for p in polys), memo.roots)
+    fresh = [i for i, p in enumerate(polys) if p.coeffs not in memo.spectra]
+    candidates = dict(zip(fresh, _new_spectra([polys[i] for i in fresh], qr[fresh], memo.roots)))
+    out = []
+    for i, p in enumerate(polys):
+        spec = memo.spectra.get(p.coeffs)
+        if spec is None:
+            spec = candidates[i]
             if isinstance(spec, Spectrum):
-                certified[spec.charpoly.coeffs] = spec
-        pending = later
+                memo.spectra[p.coeffs] = spec
+        elif memo.roots[p.coeffs] is not None:
+            try:
+                _check_spread(qr[i], memo.roots[p.coeffs])
+            except EigensolverError as exc:
+                spec = exc
+        out.append(spec)
     return out
 
 
-def eigenvalues(poly: CharPoly, qr: np.ndarray, certified: Optional[Spectrum] = None) -> Spectrum:
+def eigenvalues(poly: CharPoly, qr: np.ndarray) -> Spectrum:
     """All n eigenvalues of a digraph with certified backward error, from
     its exact characteristic polynomial ``poly`` and its n floating QR
     values ``qr`` (a row of ``qr_values``); ``certify_spectra`` on a block
-    of one.
+    of one, with a fresh ``Memo``.
 
     A square-free spectrum is the QR values refined by Aberth-Ehrlich
     iteration against the exact polynomial.  With repeated eigenvalues,
@@ -493,20 +479,11 @@ def eigenvalues(poly: CharPoly, qr: np.ndarray, certified: Optional[Spectrum] = 
     values are paired into exact conjugates and rejected (EigensolverError)
     if any residual |phi(z)| exceeds the gate of 1e-6 * (1 + rho)^n; in
     practice residuals sit far below 1e-8 after refinement.
-
-    ``certified``, when given, must be a spectrum this function returned
-    for another digraph with the same characteristic polynomial; it is
-    returned in place of a new one.  With a repeated root, this digraph's
-    QR values are still checked against the exact roots first; with a
-    square-free polynomial nothing is refined.  Refinement starts from the
-    QR values, so a spectrum certified for another digraph can differ from
-    this digraph's own in the last bits.
     """
     n = len(poly.coeffs) - 1
     if len(qr) != n:
         raise ValueError(f"expected {n} QR values for a polynomial of degree {n}, got {len(qr)}")
-    spectra = {} if certified is None else {poly.coeffs: certified}
-    return unwrap(certify_spectra([poly], np.asarray(qr)[None], spectra)[0])
+    return unwrap(certify_spectra([poly], np.asarray(qr)[None], Memo())[0])
 
 
 # --- Coulson-type integral ---------------------------------------------------
@@ -713,17 +690,13 @@ def _level_synchronous_gl(f: _Integrand, b: float, rel_tol: float) -> list:
             for k, outcome in enumerate(outcomes)]
 
 
-_INTEGRALS: dict[tuple[tuple[int, ...], float], float] = {}
-
-
-def coulson_energies(spectra: Sequence[Spectrum], rel_tol: float) -> list:
+def coulson_energies(spectra: Sequence[Spectrum], rel_tol: float, memo: Memo) -> list:
     """The Coulson integral of each spectrum, or in its place the
     PurelyImaginaryEigenvalueError that skips it (see ``coulson_energy``).
 
-    Every distinct polynomial not yet memoized is integrated in one
-    level-synchronous quadrature, with its own tolerance, panel budget and
-    pole.  An integral is a pure function of the exact coefficients and
-    ``rel_tol``, so it is memoized on them; a pole is not.
+    Every distinct polynomial that ``memo.integrals`` lacks is integrated
+    in one level-synchronous quadrature, with its own tolerance, panel
+    budget and pole, and its integral is stored there; a pole is not.
     """
     if not (0.0 < rel_tol < 1.0):
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
@@ -737,13 +710,13 @@ def coulson_energies(spectra: Sequence[Spectrum], rel_tol: float) -> list:
         elif spec.eigenvalues:
             coeffs = spec.charpoly.coeffs
             polys[i] = coeffs[next(k for k, c in enumerate(coeffs) if c):]
-    found = {c: _INTEGRALS[c, rel_tol] for c in polys.values() if (c, rel_tol) in _INTEGRALS}
+    found = {c: memo.integrals[c, rel_tol] for c in polys.values() if (c, rel_tol) in memo.integrals}
     todo = [c for c in dict.fromkeys(polys.values()) if c not in found]
     if todo:
         for c, value in zip(todo, _level_synchronous_gl(_Integrand(todo), math.pi / 2.0, rel_tol)):
             if not isinstance(value, Exception):
                 value /= math.pi
-                _remember(_INTEGRALS, (c, rel_tol), value)
+                memo.integrals[c, rel_tol] = value
             found[c] = value
     for i, c in polys.items():
         out[i] = found[c]
@@ -753,7 +726,7 @@ def coulson_energies(spectra: Sequence[Spectrum], rel_tol: float) -> list:
 def coulson_energy(spectrum: Spectrum, rel_tol: float = 1e-6) -> float:
     """Energy via the integral (1/pi) * int (n - i x phi'(ix)/phi(ix)) dx,
     with phi the characteristic polynomial ``spectrum`` was certified
-    against; ``coulson_energies`` on a block of one.
+    against; ``coulson_energies`` on a block of one, with a fresh ``Memo``.
 
     Evaluated with x = tan(theta) as twice the integral of the even
     integrand over (0, pi/2) (see ``_level_synchronous_gl``); the integrand
@@ -768,4 +741,4 @@ def coulson_energy(spectrum: Spectrum, rel_tol: float = 1e-6) -> float:
     nothing to the energy and leave the integrand unchanged, but they make
     |phi(ix)| ~ |x|^k so small near x = 0 that it would read as a pole.
     """
-    return unwrap(coulson_energies([spectrum], rel_tol)[0])
+    return unwrap(coulson_energies([spectrum], rel_tol, Memo())[0])

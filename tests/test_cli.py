@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import pathlib
@@ -236,6 +237,24 @@ class TestUsageErrors:
     def test_zero_tol_accepted(self, capsys):
         assert main(["--tol", "0", "verify", "2"]) == 0
         capsys.readouterr()
+
+
+class TestRejectedSpectrum:
+    """A spectrum the eigensolver rejects exits 1 with one message, never a
+    traceback.  The QR values are moved far from the exact roots of x^3."""
+
+    @pytest.mark.parametrize("argv", [["--json", "analyze", "-"], ["analyze", "-"],
+                                      ["coulson", "-"], ["verify", "3"]])
+    def test_exits_1_with_one_error_line(self, capsys, monkeypatch, argv):
+        from digenergy import oracle as oracle_mod, qr_values
+
+        monkeypatch.setattr(oracle_mod, "qr_values", lambda a: qr_values(a) + 100.0)
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"3\n0 1\n")))
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: QR values and exact-polynomial roots disagree")
+        assert captured.err.count("\n") == 1
 
 
 class TestMainEntry:

@@ -33,6 +33,7 @@ from digenergy.bounds import DEFAULT_TOL
 from digenergy import kernels as kernels_mod
 from digenergy import oracle as oracle_mod
 from digenergy import spectrum as spectrum_mod
+from digenergy.spectrum import Memo
 
 from families import complete_graph, directed_cycle, spectrum_of, sym
 
@@ -172,16 +173,39 @@ class TestVerifyAll:
     def test_random_n10_analysis_documents_are_byte_stable(self):
         # The two report pins hold counts and violations only; this one pins
         # the values: every spectrum, bound and Coulson integral of the same
-        # corpus, in blocks that share one dict of certified spectra, as
-        # verify_all takes them.
+        # corpus, in blocks that share one Memo, as verify_all takes them.
         ds = [random_digraph(10, 0.3, 1_000_000 + k) for k in range(200)]
-        spectra = {}
+        memo = Memo()
         docs = []
         for start in range(0, len(ds), oracle_mod.BLOCK_SIZE):
-            block = oracle_mod._Block(ds[start:start + oracle_mod.BLOCK_SIZE], spectra)
+            block = oracle_mod._Block(ds[start:start + oracle_mod.BLOCK_SIZE], memo)
             docs += [a.to_dict() for a in block.analyses(DEFAULT_TOL)]
         digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
         assert digest == "2522304c7965a7fd48be43f88bee50f38a9d76297a817b0fae8a857c52bfc8d2"
+
+    def test_a_run_leaves_nothing_behind(self, monkeypatch):
+        # A second run in the same process does the same exact work and
+        # reports the same: nothing outlives a verify_all call.
+        calls = []
+
+        def counting(name):
+            fn = getattr(spectrum_mod, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        for name in ("_square_free_decomposition", "_level_synchronous_gl"):
+            monkeypatch.setattr(spectrum_mod, name, counting(name))
+        runs = []
+        for _ in range(2):
+            calls.clear()
+            body = _report_text(verify_all(4))
+            runs.append((body, calls.count("_square_free_decomposition"),
+                         calls.count("_level_synchronous_gl")))
+        assert runs[0] == runs[1]
+        assert runs[0][1] and runs[0][2]
 
 
 class TestAnalysis:
@@ -274,15 +298,20 @@ class TestAnalysis:
         assert all(1 <= r <= 2 * block for r in rows) and rows[-1] <= 2
 
 
+def _shared_spectrum(d, memo):
+    """The spectrum of ``d`` as a block of one that shares ``memo``."""
+    return next(oracle_mod._Block([d], memo).analyses(DEFAULT_TOL)).spectrum
+
+
 class TestSharedSpectra:
-    """Analyses that share a ``spectra`` dict, as the digraphs of one
-    ``verify_all`` call do, certify each characteristic polynomial once."""
+    """Blocks that share a ``Memo``, as the blocks of one ``verify_all``
+    call do, certify each characteristic polynomial once."""
 
     def test_exhaustive_n4_matches_cold_calls(self):
-        spectra = {}
+        memo = Memo()
         first = set()
         for d in enumerate_digraphs(4):
-            spec = Analysis(d, spectra=spectra).spectrum
+            spec = _shared_spectrum(d, memo)
             cold = spectrum_of(d)
             assert spec.charpoly == characteristic_polynomial(d)
             assert len(spec.eigenvalues) == len(cold.eigenvalues)
@@ -293,20 +322,20 @@ class TestSharedSpectra:
             if spec.charpoly.coeffs not in first:
                 first.add(spec.charpoly.coeffs)
                 assert repr(spec) == repr(cold)
-        assert len(first) == len(spectra) == 46
+        assert len(first) == len(memo.spectra) == 46
 
     def test_hit_returns_the_certified_spectrum(self):
-        spectra = {}
+        memo = Memo()
         # x^3 (repeated root) and x^3 - 1 (square-free), two digraphs each.
         pairs = [(Digraph(3), Digraph(3, [(0, 1)])),
                  (directed_cycle(3), Digraph(3, [(1, 0), (0, 2), (2, 1)]))]
         for first, second in pairs:
-            spec = Analysis(first, spectra=spectra).spectrum
-            assert Analysis(second, spectra=spectra).spectrum is spec
+            spec = _shared_spectrum(first, memo)
+            assert _shared_spectrum(second, memo) is spec
 
     def test_square_free_hit_does_no_refinement(self, monkeypatch):
-        spectra = {}
-        Analysis(directed_cycle(3), spectra=spectra).spectrum
+        memo = Memo()
+        _shared_spectrum(directed_cycle(3), memo)
 
         def forbidden(*args):
             raise AssertionError("refinement on a square-free hit")
@@ -314,16 +343,16 @@ class TestSharedSpectra:
         monkeypatch.setattr(spectrum_mod, "_aberth_refine", forbidden)
         monkeypatch.setattr(spectrum_mod, "_check_spread", forbidden)
         relabeled = Digraph(3, [(1, 0), (0, 2), (2, 1)])
-        assert Analysis(relabeled, spectra=spectra).spectrum.charpoly.coeffs == (-1, 0, 0, 1)
+        assert _shared_spectrum(relabeled, memo).charpoly.coeffs == (-1, 0, 0, 1)
 
     def test_repeated_root_hit_checks_its_own_qr_values(self, monkeypatch):
         # Both digraphs have x^3; the second one's QR values are moved far
         # from 0, so the shared roots must be rejected for it.
-        spectra = {}
-        Analysis(Digraph(3), spectra=spectra).spectrum
+        memo = Memo()
+        _shared_spectrum(Digraph(3), memo)
         monkeypatch.setattr(oracle_mod, "qr_values", lambda a: qr_values(a) + 100.0)
         with pytest.raises(EigensolverError, match="disagree"):
-            Analysis(Digraph(3, [(0, 1)]), spectra=spectra).spectrum
+            _shared_spectrum(Digraph(3, [(0, 1)]), memo)
 
     def test_default_is_not_shared(self):
         d = directed_cycle(3)
@@ -375,7 +404,7 @@ class TestBlocks:
         ds = (list(enumerate_digraphs(4)) if corpus == "n4"
               else [random_digraph(10, 0.3, seed) for seed in range(400)])
         for start in range(0, len(ds), BLOCK):
-            block = oracle_mod._Block(ds[start:start + BLOCK])
+            block = oracle_mod._Block(ds[start:start + BLOCK], Memo())
             rho_s, rho_s2 = block.symmetrization_radii
             want_s, want_s2 = [], []
             for d in block.digraphs:
@@ -386,7 +415,7 @@ class TestBlocks:
 
     def test_block_pieces_equal_lone_pieces(self):
         ds = [random_digraph(10, 0.3, seed) for seed in range(50)] + [Digraph(10)]
-        for analysis in oracle_mod._Block(ds).analyses(1e-8):
+        for analysis in oracle_mod._Block(ds, Memo()).analyses(1e-8):
             d = analysis.d
             assert analysis.charpoly == characteristic_polynomial(d)
             assert analysis.reduced_charpoly == characteristic_polynomial(cycle_arc_reduction(d))
@@ -396,8 +425,7 @@ class TestBlocks:
     @pytest.mark.parametrize("corpus", ["n4", "n10"])
     def test_spectra_and_integrals_equal_blocks_of_one(self, corpus):
         # Each member's certified spectrum and Coulson outcome, from blocks
-        # and from blocks of one that share the run's dict in the same
-        # order; the memos start empty for both.
+        # and from blocks of one that share one Memo in the same order.
         ds = (list(enumerate_digraphs(4)) if corpus == "n4"
               else [random_digraph(10, 0.3, 1_000_000 + k) for k in range(600)])
 
@@ -405,11 +433,9 @@ class TestBlocks:
             return f"{type(outcome).__name__}: {outcome}" if isinstance(outcome, Exception) else repr(outcome)
 
         def outcomes(size):
-            spectrum_mod._ROOTS.clear()
-            spectrum_mod._INTEGRALS.clear()
-            spectra, out = {}, []
+            memo, out = Memo(), []
             for start in range(0, len(ds), size):
-                block = oracle_mod._Block(ds[start:start + size], spectra)
+                block = oracle_mod._Block(ds[start:start + size], memo)
                 out += [(text(s), text(c)) for s, c in zip(block.spectra, block.coulson)]
             return out
 
@@ -417,23 +443,29 @@ class TestBlocks:
         assert blocked == outcomes(1)
         assert any("Error" in c for _, c in blocked)
 
-    def test_exception_is_raised_by_its_own_member_only(self, monkeypatch):
-        # Members 0 and 1 have x^3; member 1's QR values are moved far from
-        # 0, so it alone is rejected, for its spectrum and its integral.
+    @pytest.mark.parametrize("rejected", [0, 1])
+    def test_exception_is_raised_by_its_own_member_only(self, monkeypatch, rejected):
+        # Members 0 and 1 have x^3; the QR values of one of them are moved
+        # far from 0, so it alone is rejected, for its spectrum and its
+        # integral, and the other certifies x^3 for the run.
         ds = [Digraph(3), Digraph(3, [(0, 1)]), directed_cycle(3)]
-        shift = np.array([[0.0], [100.0], [0.0]])
+        shift = np.zeros((3, 1))
+        shift[rejected] = 100.0
         monkeypatch.setattr(oracle_mod, "qr_values", lambda a: qr_values(a) + shift)
-        first, second, third = oracle_mod._Block(ds).analyses(1e-8)
+        memo = Memo()
+        analyses = list(oracle_mod._Block(ds, memo).analyses(1e-8))
+        bad, good, third = analyses[rejected], analyses[1 - rejected], analyses[2]
         with pytest.raises(EigensolverError, match="disagree"):
-            second.spectrum
+            bad.spectrum
         with pytest.raises(EigensolverError, match="disagree"):
-            second.coulson
-        assert first.spectrum.energy == 0.0 and first.coulson == 0.0
+            bad.coulson
+        assert good.spectrum.energy == 0.0 and good.coulson == 0.0
+        assert memo.spectra[(0, 0, 0, 1)] is good.spectrum
         assert third.spectrum.energy == pytest.approx(2.0)
         assert third.coulson == pytest.approx(2.0, rel=1e-6)
 
     def test_one_order_per_block(self):
         with pytest.raises(ValueError, match="one order"):
-            oracle_mod._Block([Digraph(2), Digraph(3)])
-        rho_s, rho_s2 = oracle_mod._Block([Digraph(0)]).symmetrization_radii
+            oracle_mod._Block([Digraph(2), Digraph(3)], Memo())
+        rho_s, rho_s2 = oracle_mod._Block([Digraph(0)], Memo()).symmetrization_radii
         assert rho_s.tolist() == rho_s2.tolist() == [0.0]

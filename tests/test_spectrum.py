@@ -28,6 +28,7 @@ from digenergy import spectrum as spectrum_mod
 from digenergy.digraph import adjacency_matrices
 from digenergy.oracle import _Block
 from digenergy.spectrum import (
+    Memo,
     _coprime_to_derivative_mod_q,
     _square_free_decomposition,
 )
@@ -938,53 +939,61 @@ class TestHornerIntegrand:
                 assert np.array_equal(f(theta), np.concatenate([f(p) for p in panels]))
 
 
-def _clear_memos():
-    spectrum_mod._ROOTS.clear()
-    spectrum_mod._INTEGRALS.clear()
+def _block_outcomes(d, memo):
+    """The spectrum and Coulson outcome of ``d`` as a block of one that
+    reads and fills ``memo``, as text."""
+    block = _Block([d], memo)
+    return repr(block.spectra[0]), _outcome_text(block.coulson[0])
 
 
 class TestExactMemo:
-    """Per-polynomial work is memoized; no result may depend on the memo."""
+    """Per-polynomial work is kept in the run's ``Memo``; no result may
+    depend on what it already holds."""
 
     CORPUS = list(enumerate_digraphs(3)) + [random_digraph(8, p, seed)
                                             for p in (0.2, 0.4) for seed in range(10)]
 
     def test_warm_memos_are_bit_identical(self):
+        # The spectrum is certified again from warm exact roots and taken
+        # with a warm integral: both equal a cold block's.
         for d in self.CORPUS:
-            spectrum_of(d)
-            warm = spectrum_of(d)
-            _clear_memos()
-            cold = spectrum_of(d)
-            assert repr(warm) == repr(cold)
+            memo = Memo()
+            cold = _block_outcomes(d, memo)
+            memo.spectra.clear()
+            assert _block_outcomes(d, memo) == cold
 
     def test_coulson_with_spectrum_matches_cold_call(self):
+        memo = Memo()
         for d in self.CORPUS:
             spec = spectrum_of(d)
-            try:
-                coulson_energy(spec)
-            except PurelyImaginaryEigenvalueError:
+            first = spectrum_mod.coulson_energies([spec], 1e-6, memo)[0]
+            warm = spectrum_mod.coulson_energies([spec], 1e-6, memo)[0]
+            if isinstance(first, PurelyImaginaryEigenvalueError):
                 continue
-            warm = coulson_energy(spec)
-            _clear_memos()
-            assert coulson_energy(spectrum_of(d)) == warm
+            assert warm == first == coulson_energy(spectrum_of(d))
 
     def test_relabelings_share_the_memo(self, monkeypatch):
         d = sym(path_graph(4))
         perm = (2, 0, 3, 1)
         relabeled = Digraph(4, [(perm[i], perm[j]) for i, j in d.arcs])
         assert relabeled != d
-        integral = coulson_energy(spectrum_of(d))
+        memo = Memo()
+        first = _Block([d], memo)
+        integral = first.coulson[0]
         coeffs = characteristic_polynomial(d).coeffs
-        assert spectrum_mod._ROOTS[coeffs] is None
-        assert spectrum_mod._INTEGRALS[coeffs, 1e-6] == integral
+        assert memo.roots[coeffs] is None
+        assert memo.integrals[coeffs, 1e-6] == integral
+        assert memo.spectra[coeffs] is first.spectra[0]
 
         def forbidden(*args):
             raise AssertionError("a memo hit recomputed")
 
-        # Both memos serve the relabeling: no decomposition, no quadrature.
+        # The memo serves a second block: no decomposition, no quadrature.
         monkeypatch.setattr(spectrum_mod, "_square_free_decomposition", forbidden)
         monkeypatch.setattr(spectrum_mod, "_level_synchronous_gl", forbidden)
-        assert coulson_energy(spectrum_of(relabeled)) == integral
+        second = _Block([relabeled], memo)
+        assert second.spectra[0] is first.spectra[0]
+        assert second.coulson[0] == integral
 
     def test_one_kernel_call_serves_relabelings_and_reductions(self, monkeypatch):
         # The path P4 plus an isolated vertex 4.
@@ -1005,7 +1014,7 @@ class TestExactMemo:
             return kernel(n, rows)
 
         monkeypatch.setattr(kernels_mod, "charpoly_from_masks", counting)
-        first, second, third = _Block([d, relabeled, tailed]).analyses(1e-8)
+        first, second, third = _Block([d, relabeled, tailed], Memo()).analyses(1e-8)
         poly = first.charpoly
         assert second.charpoly is poly and third.reduced_charpoly is poly
         assert third.charpoly == poly == characteristic_polynomial(d)
@@ -1096,11 +1105,13 @@ class TestStackedAberth:
 
     def test_repeated_roots_of_a_block_equal_one_at_a_time(self):
         polys = REPEATED_ROOT_POLYS + [characteristic_polynomial(d).coeffs for d in SPARSE_SYMMETRIC_CORPUS]
-        _clear_memos()
-        together = spectrum_mod._repeated_roots(polys)
+        together = {}
+        spectrum_mod._repeated_roots(polys, together)
+        assert list(together) == list(dict.fromkeys(polys))
         for coeffs in polys:
-            _clear_memos()
-            assert spectrum_mod._repeated_roots([coeffs])[coeffs] == together[coeffs]
+            alone = {}
+            spectrum_mod._repeated_roots([coeffs], alone)
+            assert alone == {coeffs: together[coeffs]}
 
     def test_empty_stack(self):
         assert spectrum_mod._aberth_refine([], np.empty((0, 3))).shape == (0, 3)
@@ -1150,11 +1161,9 @@ class TestStackedCoulson:
         ds = ([directed_cycle(4), Digraph(0), Digraph(5), _SEED9, sym(path_graph(4))]
               + [random_digraph(n, 0.4, seed) for n in range(3, 11) for seed in range(4)])
         spectra = [spectrum_of(d) for d in ds]
-        _clear_memos()
-        together = [_outcome_text(o) for o in spectrum_mod.coulson_energies(spectra, 1e-6)]
+        together = [_outcome_text(o) for o in spectrum_mod.coulson_energies(spectra, 1e-6, Memo())]
         alone = []
         for spec in spectra:
-            _clear_memos()
             try:
                 alone.append(coulson_energy(spec))
             except PurelyImaginaryEigenvalueError as exc:
