@@ -84,18 +84,16 @@ def rho_lower_walk_rms(profile: ClosedWalkProfile, n: int) -> float:
     return math.sqrt(profile.sum_c2_sq / n)
 
 
-def rho_lower_walk_ratio(profile: ClosedWalkProfile) -> float:
-    """Radius lower bound sqrt(sum t2_i^2 / sum c2_i^2); 0 when no digons."""
-    if profile.sum_c2_sq == 0:
-        return 0.0
-    return math.sqrt(profile.sum_t2_sq / profile.sum_c2_sq)
-
-
 def walk_ratio(profile: ClosedWalkProfile) -> float:
     """The squared walk-ratio bound q = sum t2_i^2 / sum c2_i^2 (0 if no digons)."""
     if profile.sum_c2_sq == 0:
         return 0.0
     return profile.sum_t2_sq / profile.sum_c2_sq
+
+
+def rho_lower_walk_ratio(profile: ClosedWalkProfile) -> float:
+    """Radius lower bound sqrt(walk_ratio); 0 when no digons."""
+    return math.sqrt(walk_ratio(profile))
 
 
 def _f_energy(x: float, n: int, a: int) -> float:

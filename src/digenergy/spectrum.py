@@ -14,9 +14,9 @@ all panels of that level, with a fixed panel budget.
 
 Both layers work on stacks, for a block of digraphs of one order
 (``certify_spectra`` and ``coulson_energies``): one Aberth call per degree
-refines the QR values of the square-free members and the roots of the
-factors of the others, and one quadrature integrates every distinct
-polynomial of the block.  Each row of a stack gets the bits it gets alone,
+refines, for each distinct square-free polynomial, the QR values of its
+first member, and the roots of the factors of the others, and one
+quadrature integrates every distinct polynomial of the block.  Each row of a stack gets the bits it gets alone,
 and ``eigenvalues`` and ``coulson_energy`` are the blocks of one.
 
 The work done per distinct polynomial (its exact roots, certified spectrum
@@ -80,8 +80,9 @@ class Memo:
 
     ``roots`` holds the exact roots of a repeated-root polynomial (None for
     a square-free one), ``spectra`` the spectrum certified for a polynomial
-    by the first digraph that passed with it, and ``integrals`` the Coulson
-    integral, keyed on ``(coeffs, rel_tol)`` (a pole is not kept).  It is
+    (from the QR values of its first digraph when square-free; a rejected
+    one is not kept), and ``integrals`` the Coulson integral, keyed on
+    ``(coeffs, rel_tol)`` (a pole is not kept).  It is
     never trimmed: it holds one entry per distinct polynomial of the run.
     """
 
@@ -390,78 +391,59 @@ def unwrap(outcome):
     return outcome
 
 
-def _new_spectra(polys: Sequence[CharPoly], qr: np.ndarray, roots: dict) -> list:
-    """The spectra of members that certify their polynomial, or their
-    EigensolverError: the square-free ones refine their QR values in one
-    Aberth call, and the others take the exact roots after the spread check.
-    """
-    count, n = qr.shape
-    out: list = [None] * count
-    values = np.empty((count, n), dtype=complex)
-    square_free = [k for k, p in enumerate(polys) if roots[p.coeffs] is None]
-    if square_free:
-        values[square_free] = _aberth_refine([polys[k].coeffs for k in square_free], qr[square_free])
-    for k, p in enumerate(polys):
-        if roots[p.coeffs] is not None:
-            try:
-                _check_spread(qr[k], roots[p.coeffs])
-            except EigensolverError as exc:
-                out[k] = exc
-                continue
-            values[k] = roots[p.coeffs]
-    ok = [k for k in range(count) if out[k] is None]
-    paired = [sorted(_pair_conjugates(values[k]), key=lambda z: (-z.real, -z.imag)) for k in ok]
-    at = np.array(paired, dtype=complex).reshape(len(ok), n)
-    residuals = np.abs(_polyval_rows(_horner_steps([polys[k].coeffs for k in ok], n + 1), at)).max(axis=1)
-    for k, vals, residual in zip(ok, paired, residuals.tolist()):
-        rho = max((abs(z) for z in vals), default=0.0)
-        if residual > _RESIDUAL_GATE * (1.0 + rho) ** n:
-            out[k] = EigensolverError(
-                f"eigenvalue residual {residual:.3e} exceeds gate for n={n}", partial=tuple(vals))
-            continue
-        out[k] = Spectrum(
-            eigenvalues=tuple(vals),
-            rho=rho,
-            energy=float(sum(abs(z.real) for z in vals)),
-            sum_re_sq=float(sum(z.real * z.real for z in vals)),
-            sum_im_sq=float(sum(z.imag * z.imag for z in vals)),
-            charpoly=polys[k],
-        )
-    return out
-
-
 def certify_spectra(polys: Sequence[CharPoly], qr: np.ndarray, memo: Memo) -> list:
     """The certified spectrum of each member of a block of digraphs of one
     order n, from its exact characteristic polynomial and its row of the
     ``(K, n)`` QR values, or in its place the EigensolverError that
     rejects it (see ``eigenvalues``).
 
-    Each member whose polynomial ``memo.spectra`` lacks at the start gets
-    its own candidate; the square-free ones refine their QR values in one
-    Aberth call.  Then, in member order, a member takes the spectrum stored
-    for its polynomial, if any, after its own QR values are checked against
-    a repeated root, and otherwise its own candidate, which is stored if it
-    passes.  So the first member with a polynomial that passes certifies it
-    for the run, and a rejected member stores nothing.
+    Each distinct polynomial that ``memo.spectra`` lacks is certified once:
+    a repeated-root one from its exact roots, a square-free one from the QR
+    values of its first member, and the square-free ones in one Aberth
+    call.  A spectrum that passes the residual gate is stored; a rejected
+    one is not, and its error goes to every member with that polynomial.
+    A member then takes the spectrum of its polynomial, after its own QR
+    values are checked against a repeated root.
     """
-    if qr.shape[-1] == 0:
-        return [Spectrum((), 0.0, 0.0, 0.0, 0.0, p) for p in polys]
+    n = qr.shape[-1]
     _repeated_roots((p.coeffs for p in polys), memo.roots)
-    fresh = [i for i, p in enumerate(polys) if p.coeffs not in memo.spectra]
-    candidates = dict(zip(fresh, _new_spectra([polys[i] for i in fresh], qr[fresh], memo.roots)))
-    out = []
+    first: dict[tuple[int, ...], int] = {}
     for i, p in enumerate(polys):
-        spec = memo.spectra.get(p.coeffs)
-        if spec is None:
-            spec = candidates[i]
-            if isinstance(spec, Spectrum):
-                memo.spectra[p.coeffs] = spec
-        elif memo.roots[p.coeffs] is not None:
-            try:
+        if p.coeffs not in memo.spectra:
+            first.setdefault(p.coeffs, i)
+    todo = list(first)
+    values = np.array([qr[i] if memo.roots[c] is None else memo.roots[c] for c, i in first.items()],
+                      dtype=complex).reshape(len(todo), n)
+    square_free = [k for k, c in enumerate(todo) if memo.roots[c] is None]
+    if square_free:
+        values[square_free] = _aberth_refine([todo[k] for k in square_free], values[square_free])
+    paired = [sorted(_pair_conjugates(row), key=lambda z: (-z.real, -z.imag)) for row in values]
+    at = np.array(paired, dtype=complex).reshape(len(todo), n)
+    residuals = np.abs(_polyval_rows(_horner_steps(todo, n + 1), at)).max(axis=1, initial=0.0)
+    rejected = {}
+    for c, vals, residual in zip(todo, paired, residuals.tolist()):
+        rho = max((abs(z) for z in vals), default=0.0)
+        if residual > _RESIDUAL_GATE * (1.0 + rho) ** n:
+            rejected[c] = EigensolverError(
+                f"eigenvalue residual {residual:.3e} exceeds gate for n={n}", partial=tuple(vals))
+            continue
+        memo.spectra[c] = Spectrum(
+            eigenvalues=tuple(vals),
+            rho=rho,
+            energy=float(sum(abs(z.real) for z in vals)),
+            sum_re_sq=float(sum(z.real * z.real for z in vals)),
+            sum_im_sq=float(sum(z.imag * z.imag for z in vals)),
+            charpoly=polys[first[c]],
+        )
+    out: list = []
+    for i, p in enumerate(polys):
+        try:
+            if memo.roots[p.coeffs] is not None:
                 _check_spread(qr[i], memo.roots[p.coeffs])
-            except EigensolverError as exc:
-                spec = exc
-        out.append(spec)
+        except EigensolverError as exc:
+            out.append(exc)
+        else:
+            out.append(memo.spectra.get(p.coeffs, rejected.get(p.coeffs)))
     return out
 
 

@@ -76,6 +76,13 @@ class TestAnalyze:
         assert proc.returncode == 2
         assert "error" in proc.stderr
 
+    def test_order_zero(self):
+        proc = run_cli(["--json", "analyze", "-"], stdin="0\n")
+        assert proc.returncode == 0
+        doc = json.loads(proc.stdout)
+        assert doc["spectrum"] == {"eigenvalues": [], "rho": 0.0, "energy": 0.0}
+        assert doc["coulson_energy"] == 0.0
+
     def test_missing_file(self):
         proc = run_cli(["analyze", "/definitely/not/here.txt"])
         assert proc.returncode == 2
@@ -132,6 +139,11 @@ class TestCoulson:
         proc = run_cli(["coulson", "-"], stdin=C4_TEXT)
         assert proc.returncode == 1
         assert "x = 1" in proc.stderr or "x = -1" in proc.stderr
+
+    def test_order_zero(self):
+        proc = run_cli(["coulson", "-"], stdin="0\n")
+        assert proc.returncode == 0
+        assert "integral  0" in proc.stdout.splitlines()
 
 
 class TestRandom:
@@ -254,6 +266,18 @@ class TestRejectedSpectrum:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: QR values and exact-polynomial roots disagree")
+        assert captured.err.count("\n") == 1
+
+    def test_residual_gate_exits_1_with_one_error_line(self, capsys, monkeypatch):
+        from digenergy import spectrum as spectrum_mod
+
+        monkeypatch.setattr(spectrum_mod, "_RESIDUAL_GATE", -1.0)
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"3\n0 1\n")))
+        assert main(["--json", "analyze", "-"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: eigenvalue residual")
+        assert "exceeds gate" in captured.err
         assert captured.err.count("\n") == 1
 
 

@@ -354,6 +354,24 @@ class TestSharedSpectra:
         with pytest.raises(EigensolverError, match="disagree"):
             _shared_spectrum(Digraph(3, [(0, 1)]), memo)
 
+    def test_each_polynomial_is_refined_once_per_run(self, monkeypatch):
+        # Only a square-free polynomial refines member values: each distinct
+        # one once, by its first digraph.  The degree-1 and 2 rows are the
+        # factors of the repeated-root polynomials.
+        rows = []
+        refine = spectrum_mod._aberth_refine
+
+        def counting(polys, roots):
+            rows.extend(len(p) - 1 for p in polys)
+            return refine(polys, roots)
+
+        monkeypatch.setattr(spectrum_mod, "_aberth_refine", counting)
+        verify_all(4)
+        polys = {characteristic_polynomial(d).coeffs for d in enumerate_digraphs(4)}
+        square_free = [c for c in polys if spectrum_mod._square_free_decomposition(c) == [(c, 1)]]
+        assert rows.count(4) == len(square_free) == 36
+        assert (rows.count(1), rows.count(2), len(rows)) == (9, 8, 53)
+
     def test_default_is_not_shared(self):
         d = directed_cycle(3)
         assert Analysis(d).spectrum is not Analysis(d).spectrum

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from digenergy import (
     Digraph,
+    EigensolverError,
     Graph,
     PurelyImaginaryEigenvalueError,
     adjacency_matrix,
@@ -492,6 +493,32 @@ class TestEigenvalues:
         for d in (sym(petersen_graph()), directed_cycle(5), sym(star_graph(3))):
             raw = np.linalg.eigvals(adjacency_matrix(d).astype(float))
             assert spectrum_of(d).energy == pytest.approx(float(np.abs(raw.real).sum()), abs=1e-9)
+
+
+class TestResidualGate:
+    """A spectrum whose residual exceeds the gate is rejected for every
+    member with its polynomial and is not kept, so a later block tries
+    again.  A gate of -1 rejects every spectrum."""
+
+    def test_eigenvalues_raises(self, monkeypatch):
+        monkeypatch.setattr(spectrum_mod, "_RESIDUAL_GATE", -1.0)
+        d = directed_cycle(3)
+        with pytest.raises(EigensolverError, match="exceeds gate"):
+            eigenvalues(characteristic_polynomial(d), qr_values(adjacency_matrix(d)))
+
+    def test_rejection_reaches_every_member_and_is_not_kept(self, monkeypatch):
+        # Two relabelings of the directed triangle: one square-free x^3 - 1.
+        ds = [directed_cycle(3), Digraph(3, [(1, 0), (0, 2), (2, 1)])]
+        memo = Memo()
+        with monkeypatch.context() as m:
+            m.setattr(spectrum_mod, "_RESIDUAL_GATE", -1.0)
+            for analysis in _Block(ds, memo).analyses(1e-8):
+                with pytest.raises(EigensolverError, match="exceeds gate"):
+                    analysis.spectrum
+        assert (-1, 0, 0, 1) not in memo.spectra
+        first, second = _Block(ds, memo).spectra
+        assert first is second is memo.spectra[-1, 0, 0, 1]
+        assert first.energy == pytest.approx(2.0, abs=1e-12)
 
 
 def _per_matrix_qr_values(a):
