@@ -14,15 +14,22 @@ decreases on [sqrt(a/n), sqrt(a)].  On walk-dominated digraphs (a*n < c2^2)
 the three f-based bounds are provably ordered:
 
     energy <= f(walk_ratio) <= f(walk_rms) <= f(walk_mean).
+
+Each bound takes one profile, or the stacked profile of a block of K
+digraphs with rho as a (K,) array, and is then one (K,) array: the same
+float per row, since ``np.sqrt`` is correctly rounded like ``math.sqrt``
+and the profile integers convert to float64 exactly.  A domain guard
+raises when any row fails it.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from typing import Optional
+
+import numpy as np
 
 from .digraph import ClosedWalkProfile
 from .errors import BoundInapplicableError
@@ -61,13 +68,20 @@ def inject_fault(name: str, delta: float):
         globals()[name] = original
 
 
-def leq_tol(lhs: float, rhs: float, tol: float = DEFAULT_TOL) -> bool:
-    """lhs <= rhs within an absolute tolerance normalized by max(1, |values|)."""
-    return lhs <= rhs + tol * max(1.0, abs(lhs), abs(rhs))
+def leq_tol(lhs, rhs, tol: float = DEFAULT_TOL):
+    """lhs <= rhs within an absolute tolerance normalized by max(1, |values|);
+    elementwise on arrays."""
+    return lhs <= rhs + tol * np.maximum(np.maximum(1.0, np.abs(lhs)), np.abs(rhs))
 
 
-def close_tol(lhs: float, rhs: float, tol: float = DEFAULT_TOL) -> bool:
-    return abs(lhs - rhs) <= tol * max(1.0, abs(lhs), abs(rhs))
+def close_tol(lhs, rhs, tol: float = DEFAULT_TOL):
+    """|lhs - rhs| within the same normalized tolerance; elementwise on arrays."""
+    return np.abs(lhs - rhs) <= tol * np.maximum(np.maximum(1.0, np.abs(lhs)), np.abs(rhs))
+
+
+def _first(values, bad):
+    """The value of ``values`` at the first row where ``bad`` holds."""
+    return np.broadcast_to(values, np.shape(bad)).flat[np.argmax(bad)]
 
 
 def rho_lower_walk_mean(profile: ClosedWalkProfile, n: int) -> float:
@@ -81,34 +95,37 @@ def rho_lower_walk_rms(profile: ClosedWalkProfile, n: int) -> float:
     """Radius lower bound sqrt(sum c2_i^2 / n)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return math.sqrt(profile.sum_c2_sq / n)
+    return np.sqrt(profile.sum_c2_sq / n)
 
 
 def walk_ratio(profile: ClosedWalkProfile) -> float:
     """The squared walk-ratio bound q = sum t2_i^2 / sum c2_i^2 (0 if no digons)."""
-    if profile.sum_c2_sq == 0:
-        return 0.0
-    return profile.sum_t2_sq / profile.sum_c2_sq
+    c2 = profile.sum_c2_sq
+    # The factor (c2 != 0) makes the no-digon rows 0 and the divisor keeps
+    # them from dividing by zero; both are exact on the other rows.
+    return (c2 != 0) * profile.sum_t2_sq / np.maximum(c2, 1)
 
 
 def rho_lower_walk_ratio(profile: ClosedWalkProfile) -> float:
     """Radius lower bound sqrt(walk_ratio); 0 when no digons."""
-    return math.sqrt(walk_ratio(profile))
+    return np.sqrt(walk_ratio(profile))
 
 
 def _f_energy(x: float, n: int, a: int) -> float:
     """f(x) = x + sqrt((n-1)(a - x^2)), the shared energy-bound shape."""
     radicand = (n - 1) * (a - x * x)
-    if radicand < -1e-9 * max(1.0, abs(a)):
-        raise ValueError(f"negative radicand {radicand:.3e} in energy bound (x={x}, n={n}, a={a})")
-    return x + math.sqrt(max(0.0, radicand))
+    bad = radicand < -1e-9 * np.maximum(1.0, np.abs(a))
+    if np.any(bad):
+        raise ValueError(f"negative radicand {_first(radicand, bad):.3e} in energy bound "
+                         f"(x={_first(x, bad)}, n={n}, a={_first(a, bad)})")
+    return x + np.sqrt(np.maximum(0.0, radicand))
 
 
 def energy_upper_mcclelland(profile: ClosedWalkProfile, n: int) -> float:
     """McClelland-type bound sqrt(n (a + c2) / 2)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return math.sqrt(n * (profile.a + profile.c2_total) / 2.0)
+    return np.sqrt(n * (profile.a + profile.c2_total) / 2.0)
 
 
 def energy_upper_radius(profile: ClosedWalkProfile, n: int, rho: float) -> float:
@@ -122,7 +139,7 @@ def energy_upper_walk_mean(profile: ClosedWalkProfile, n: int) -> float:
     digraph (c2 <= a and c2 <= n(n-1)); this is asserted exactly."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if profile.c2_total ** 2 > profile.a * n * n:
+    if np.any(profile.c2_total ** 2 > profile.a * n * n):
         raise ValueError("mean walk count exceeds sqrt(a); profile is not from a valid digraph")
     return _f_energy(profile.c2_total / n, n, profile.a)
 
@@ -131,9 +148,9 @@ def energy_upper_walk_rms(profile: ClosedWalkProfile, n: int) -> float:
     """Energy bound f(sqrt(sum c2_i^2 / n)); same unreachable-domain guard."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if profile.sum_c2_sq > profile.a * n:
+    if np.any(profile.sum_c2_sq > profile.a * n):
         raise ValueError("rms walk count exceeds sqrt(a); profile is not from a valid digraph")
-    return _f_energy(math.sqrt(profile.sum_c2_sq / n), n, profile.a)
+    return _f_energy(np.sqrt(profile.sum_c2_sq / n), n, profile.a)
 
 
 def energy_upper_walk_ratio(profile: ClosedWalkProfile, n: int) -> float:
@@ -145,10 +162,11 @@ def energy_upper_walk_ratio(profile: ClosedWalkProfile, n: int) -> float:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if profile.sum_t2_sq > profile.a * profile.sum_c2_sq:
-        raise BoundInapplicableError(walk_ratio(profile), profile.a)
     q = walk_ratio(profile)
-    return _f_energy(math.sqrt(q), n, profile.a)
+    bad = profile.sum_t2_sq > profile.a * profile.sum_c2_sq
+    if np.any(bad):
+        raise BoundInapplicableError(_first(q, bad), _first(profile.a, bad))
+    return _f_energy(np.sqrt(q), n, profile.a)
 
 
 @dataclass(frozen=True)

@@ -131,7 +131,9 @@ class ClosedWalkProfile:
 
     ``c2_seq[i]`` counts the vertices doubly adjacent to i (equivalently the
     closed walks of length 2 through i); ``t2_seq[i]`` sums ``c2_seq[j]``
-    over those vertices.
+    over those vertices.  A block of K digraphs stacks its profiles into
+    one: the sequences as ``(K, n)`` arrays and the aggregates as ``(K,)``
+    arrays, which the bound functions take as they take one profile.
     """
 
     c2_seq: tuple[int, ...]
@@ -143,7 +145,7 @@ class ClosedWalkProfile:
 
     @property
     def n(self) -> int:
-        return len(self.c2_seq)
+        return np.shape(self.c2_seq)[-1]
 
 
 @dataclass(frozen=True)

@@ -148,6 +148,18 @@ def _matrix_stack(n: int, rows) -> np.ndarray:
     return bits.reshape(len(rows), n, 8 * width)[:, :, :n].astype(np.int64)
 
 
+def _mask_rows(stack: np.ndarray) -> list[tuple[int, ...]]:
+    """The ``out_masks`` tuple of every matrix of a ``(K, n, n)`` 0-1 stack,
+    the inverse of ``_matrix_stack``, at any n."""
+    n = stack.shape[-1]
+    if n == 0:
+        return [()] * len(stack)
+    width = (n + 7) // 8
+    packed = np.packbits(stack, axis=-1, bitorder="little").tobytes()
+    masks = [int.from_bytes(packed[at:at + width], "little") for at in range(0, len(packed), width)]
+    return [tuple(masks[at:at + n]) for at in range(0, len(masks), n)]
+
+
 def _traces(m: np.ndarray) -> np.ndarray:
     """The trace of every matrix of a ``(K, n, n)`` stack."""
     n = m.shape[-1]

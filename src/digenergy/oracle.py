@@ -1,24 +1,28 @@
 """Per-digraph analysis and the exhaustive and randomized verification
 harness.
 
-``Analysis`` memoizes every quantity of one digraph (profile, spectrum,
-bounds, equality verdicts, Coulson integral) and is the one record that
-both the ``analyze`` command and the harness read.  The harness enumerates
-labeled loop-free digraphs (or samples them reproducibly) in blocks whose
-numeric layers are computed as stacked arrays, evaluates a registry of
-named checks on the ``Analysis`` of each digraph, and reports every
-violation with the offending digraph serialized in the edge-list format.
-The checks recompute each bound formula inline from profile integers, so a
-drifted formula in ``bounds`` is caught directly and not merely when an
-inequality happens to invert.
+The harness enumerates labeled loop-free digraphs (or samples them
+reproducibly) in blocks (``_Block``) whose pieces are computed as stacked
+arrays: the closed-walk profiles, the cycle-arc reductions, the exact
+characteristic polynomials, the certified spectra and their scalars, the
+symmetrization radii and the Coulson integrals.  Each named check is one
+function of a block that returns masks of the members it fails and skips,
+and a violation is reported, with the offending digraph serialized in the
+edge-list format, only for a failing member.  The checks recompute each
+bound formula inline from the profile arrays, so a drifted formula in
+``bounds`` is caught directly and not merely when an inequality happens to
+invert.
+
+``Analysis`` is the record of one digraph that the ``analyze`` command
+reads (profile, spectrum, bounds, equality verdicts, Coulson integral):
+its row of a block of one.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
@@ -28,14 +32,13 @@ from . import bounds as bounds_mod
 from . import kernels
 from .digraph import (
     MAX_VERTICES,
+    ClosedWalkProfile,
     Digraph,
     adjacency_matrices,
-    cycle_arc_reduction,
     geometric_symmetrization,
     serialize_edge_list,
-    walk_profile,
 )
-from .errors import BoundInapplicableError, PurelyImaginaryEigenvalueError, UnknownCheckError
+from .errors import PurelyImaginaryEigenvalueError, UnknownCheckError
 from .spectrum import CharPoly, Memo, Spectrum, certify_spectra, coulson_energies, qr_values, unwrap
 from .structure import equality_verdict_energy_upper, equality_verdict_rho_lower
 
@@ -155,18 +158,27 @@ class VerificationReport:
 
 
 class _Block:
-    """The stacked numeric pieces of a block of digraphs of one order.
+    """The stacked pieces of a block of digraphs of one order.
 
-    Each piece is computed for the whole block on its first read: the
-    characteristic polynomials of the digraphs and of their cycle-arc
-    reductions in one kernel call on their ``out_masks``; the adjacency
-    stack, built from the arcs; from it the floating QR values and the
-    geometric symmetrizations; and from those the spectral radii of S and
-    S^2, one stacked ``eigvalsh`` each.  The charpoly stack and the QR and
-    S stacks thus come from two independent routes.  From the charpolys and
-    the QR values come the certified spectra (one Aberth call per degree)
-    and from those the Coulson integrals (one quadrature), each member's
-    value or the exception that rejects it.
+    Each piece is computed for the whole block on its first read, as a
+    ``(K,)``, ``(K, n)`` or ``(K, n, n)`` array or a list of K members.
+    Two adjacency stacks come from two independent routes:
+
+    - ``bits``, from the ``out_masks`` bit rows as the charpoly kernel
+      builds its stack, gives the closed-walk profile (S = A o A^T,
+      c2 = S 1, t2 = S c2 and their sums, in int64) and the cycle-arc
+      reductions (an arc (i, j) lies on a cycle iff j reaches i, read off
+      a boolean reachability closure);
+    - ``adjacency``, from the arcs, gives the floating QR values and the
+      geometric symmetrizations, and from those the spectral radii of S and
+      S^2, one stacked ``eigvalsh`` each.
+
+    The characteristic polynomials of the digraphs and of their reductions
+    come from one kernel call, each distinct ``out_masks`` once.  From them
+    and the QR values come the certified spectra (one Aberth call per
+    degree) and from those the Coulson integrals (one quadrature), each
+    member's value or the exception that rejects it.  The checks of
+    ``verify_all`` read these pieces; a lone ``Analysis`` reads its row.
 
     ``memo`` is the run's store of per-polynomial work (see ``Memo``): the
     block reads and fills it, its spectra in member order.
@@ -179,6 +191,8 @@ class _Block:
             raise ValueError(f"a block holds digraphs of one order, got orders {sorted(orders)}")
         (self.n,) = orders
         self.memo = memo
+        # The members whose spectrum a check has read (see ``spectral``).
+        self.spectra_read = np.zeros(len(self.digraphs), dtype=bool)
 
     def analyses(self, tol: float) -> Iterator["Analysis"]:
         """One ``Analysis`` per digraph, all reading this block, made as
@@ -189,13 +203,65 @@ class _Block:
             yield analysis
 
     @cached_property
-    def reductions(self) -> list[Digraph]:
-        return [cycle_arc_reduction(d) for d in self.digraphs]
+    def bits(self) -> np.ndarray:
+        return kernels._matrix_stack(self.n, [d.out_masks for d in self.digraphs])
+
+    @cached_property
+    def digons(self) -> np.ndarray:
+        """S = A o A^T of every member, from ``bits``."""
+        return self.bits * self.bits.swapaxes(1, 2)
+
+    @cached_property
+    def profile(self) -> ClosedWalkProfile:
+        """The closed-walk profiles of the members, stacked."""
+        c2 = self.digons.sum(axis=2)
+        t2 = np.einsum("kij,kj->ki", self.digons, c2)
+        return ClosedWalkProfile(c2_seq=c2, t2_seq=t2, a=self.bits.sum(axis=(1, 2)),
+                                 c2_total=c2.sum(axis=1), sum_c2_sq=(c2 * c2).sum(axis=1),
+                                 sum_t2_sq=(t2 * t2).sum(axis=1))
+
+    def profile_row(self, k: int) -> ClosedWalkProfile:
+        """Member k's closed-walk profile, in Python ints."""
+        p = self.profile
+        return ClosedWalkProfile(tuple(p.c2_seq[k].tolist()), tuple(p.t2_seq[k].tolist()),
+                                 *(int(x[k]) for x in (p.a, p.c2_total, p.sum_c2_sq, p.sum_t2_sq)))
+
+    @cached_property
+    def reduced_bits(self) -> np.ndarray:
+        """The adjacency stack of the cycle-arc reductions.  (I + A)^(2^m)
+        with 2^m >= n, by m squarings, holds the reachability: in float64
+        clamped to 0-1 each step, so every sum is at most n and exact."""
+        reach = self.bits + np.eye(self.n)
+        for _ in range(max(self.n - 1, 0).bit_length()):
+            reach = np.minimum(reach @ reach, 1.0)
+        return self.bits * (reach.swapaxes(1, 2) > 0)
+
+    @cached_property
+    def drops_arcs(self) -> np.ndarray:
+        """Which members lose an arc to their reduction."""
+        return (self.reduced_bits != self.bits).any(axis=(1, 2))
+
+    @cached_property
+    def reduced_masks(self) -> list[tuple[int, ...]]:
+        """The ``out_masks`` of each member's reduction."""
+        masks = [d.out_masks for d in self.digraphs]
+        changed = np.flatnonzero(self.drops_arcs)
+        for k, rows in zip(changed.tolist(), kernels._mask_rows(self.reduced_bits[changed])):
+            masks[k] = rows
+        return masks
+
+    def reduction(self, k: int) -> Digraph:
+        """Member k's cycle-arc reduction; the member itself when it keeps
+        every arc."""
+        if not self.drops_arcs[k]:
+            return self.digraphs[k]
+        return Digraph(self.n, np.argwhere(self.reduced_bits[k]).tolist())
 
     @cached_property
     def charpolys(self) -> dict[tuple[int, ...], CharPoly]:
         """``CharPoly`` by ``out_masks``, for every digraph and reduction."""
-        rows = list(dict.fromkeys(d.out_masks for d in self.digraphs + self.reductions))
+        rows = list(dict.fromkeys(itertools.chain((d.out_masks for d in self.digraphs),
+                                                  self.reduced_masks)))
         coeffs = kernels.charpoly_from_masks(self.n, rows)
         return {masks: CharPoly(tuple(c)) for masks, c in zip(rows, coeffs)}
 
@@ -204,6 +270,26 @@ class _Block:
         """The certified ``Spectrum`` of each member, or its EigensolverError."""
         polys = [self.charpolys[d.out_masks] for d in self.digraphs]
         return certify_spectra(polys, self.qr, self.memo)
+
+    @cached_property
+    def _spectral(self) -> tuple[np.ndarray, ...]:
+        rows = [(s.rho, s.energy, s.sum_re_sq, s.sum_im_sq) if isinstance(s, Spectrum) else (0.0,) * 4
+                for s in self.spectra]
+        return tuple(np.array(rows, dtype=float).reshape(len(rows), 4).T)
+
+    def spectral(self, rows: Optional[np.ndarray] = None) -> tuple[np.ndarray, ...]:
+        """rho, energy, sum_re_sq and sum_im_sq of every member, as (K,)
+        arrays, for a check that reads the spectra of the members in the
+        mask ``rows`` (all by default).  A rejected spectrum reads as zeros;
+        ``raise_rejected`` raises the error of the first one a check read."""
+        self.spectra_read |= True if rows is None else rows
+        return self._spectral
+
+    def raise_rejected(self) -> None:
+        """Raise the EigensolverError of the first member whose rejected
+        spectrum a check read, as a check of that member alone would."""
+        for k in np.flatnonzero(self.spectra_read):
+            unwrap(self.spectra[k])
 
     @cached_property
     def coulson(self) -> list:
@@ -234,6 +320,69 @@ class _Block:
         rho_s2 = np.abs(np.linalg.eigvalsh(s @ s)).max(axis=1, initial=0.0)
         return rho_s, rho_s2
 
+    @cached_property
+    def walk_lowers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The three radius lower bounds, recomputed here from the profile
+        (mean, rms, ratio) so that a drifted formula in ``bounds`` shows."""
+        p, n = self.profile, self.n
+        ratio = np.where(p.sum_c2_sq > 0, p.sum_t2_sq / np.maximum(p.sum_c2_sq, 1), 0.0)
+        return p.c2_total / n, np.sqrt(p.sum_c2_sq / n), np.sqrt(ratio)
+
+    def energy_shape(self, x: np.ndarray) -> np.ndarray:
+        """f(x) = x + sqrt((n-1)(a - x^2)) of every member, recomputed here
+        like ``walk_lowers``."""
+        return x + np.sqrt(np.maximum(0.0, (self.n - 1) * (self.profile.a - x * x)))
+
+    @cached_property
+    def walk_uppers(self) -> tuple[np.ndarray, ...]:
+        """The energy upper bounds of the profile alone, recomputed here:
+        McClelland's, then f at the three radius lower bounds."""
+        p = self.profile
+        return (np.sqrt(self.n * (p.a + p.c2_total) / 2.0), *map(self.energy_shape, self.walk_lowers))
+
+    @cached_property
+    def rho_candidates(self) -> np.ndarray:
+        """The members that pass a necessary condition of
+        ``equality_verdict_rho_lower``: the reduction is symmetric, so its
+        graph is S with the degrees c2, and c2_i c2_j sum c2^2 = sum t2^2 on
+        every digon (i, j), as on each edge of a component that is regular
+        or semiregular bipartite with the walk ratio."""
+        r, p = self.reduced_bits, self.profile
+        on_digon = (p.c2_seq[:, :, None] * p.c2_seq[:, None, :] * p.sum_c2_sq[:, None, None]
+                    == p.sum_t2_sq[:, None, None])
+        return ((r == r.swapaxes(1, 2)) & ((self.digons == 0) | on_digon)).all(axis=(1, 2))
+
+    @cached_property
+    def predicted_rho(self) -> np.ndarray:
+        """``equality_verdict_rho_lower(...).predicted_equality`` of every
+        member, run only on the candidates with a digon: a candidate with
+        none has an empty reduction, the verdict's KIND_EMPTY case.  The
+        prediction reads the reduction and the profile, which the reduction
+        fixes (it keeps every digon), so members with one reduction share
+        one run."""
+        predicted = self.rho_candidates.copy()
+        shared: dict[tuple[int, ...], bool] = {}
+        for k in np.flatnonzero(predicted & self.digons.any(axis=(1, 2))).tolist():
+            masks = self.reduced_masks[k]
+            if masks not in shared:
+                shared[masks] = equality_verdict_rho_lower(
+                    self.digraphs[k], self.profile_row(k), self.reduction(k)).predicted_equality
+            predicted[k] = shared[masks]
+        return predicted
+
+    @cached_property
+    def energy_candidates(self) -> np.ndarray:
+        """The members that pass ``equality_verdict_energy_upper``'s first
+        test: the digraph is symmetric."""
+        return (self.bits == self.bits.swapaxes(1, 2)).all(axis=(1, 2))
+
+    @cached_property
+    def predicted_energy(self) -> np.ndarray:
+        predicted = self.energy_candidates.copy()
+        for k in np.flatnonzero(predicted).tolist():
+            predicted[k] = equality_verdict_energy_upper(self.digraphs[k]).predicted_equality
+        return predicted
+
 
 class Analysis:
     """Everything the library computes for one digraph, each piece at most
@@ -241,19 +390,17 @@ class Analysis:
 
     A lazy memo: the closed-walk profile, the exact characteristic
     polynomials of the digraph and of its cycle-arc reduction, the certified
-    spectrum, the geometric symmetrization and its spectral radii, the
-    cycle-arc reduction, the edge-list text, the bound chain at ``tol``,
-    both equality verdicts and the Coulson integral (rel_tol 1e-6) are
-    computed on first use and shared by every later reader.  The functions
-    behind them take their pieces as arguments; this class is the one place
-    that wires pieces to results.  The verification checks and the
-    ``analyze`` command both read one, and ``to_dict()`` is the
-    ``analyze --json`` document.
+    spectrum, the geometric symmetrization, the cycle-arc reduction, the
+    bound chain at ``tol``, both equality verdicts and the Coulson integral
+    (rel_tol 1e-6) are computed on first use and shared by every later
+    reader.  The functions behind them take their pieces as arguments; this
+    class is the one place that wires pieces to results.  The ``analyze``
+    command reads one, and ``to_dict()`` is the ``analyze --json``
+    document.
 
-    The polynomials, QR values, symmetrization and radii, spectrum and
-    Coulson integral come from a block of digraphs (``_Block``) that
-    computes each of them for all members at once.  The harness builds one
-    block per ``BLOCK_SIZE`` digraphs, all sharing the run's ``Memo``; a
+    The profile, reduction, polynomials, QR values, symmetrization,
+    spectrum and Coulson integral are its row of a block of digraphs
+    (``_Block``), which computes each of them for all members at once.  A
     lone ``Analysis(d)`` is a block of one with a fresh ``Memo``, so its
     spectrum is the digraph's own.
     """
@@ -269,8 +416,8 @@ class Analysis:
         return _Block([self.d], Memo())
 
     @cached_property
-    def profile(self):
-        return walk_profile(self.d)
+    def profile(self) -> ClosedWalkProfile:
+        return self._block.profile_row(self._index)
 
     @cached_property
     def charpoly(self) -> CharPoly:
@@ -278,7 +425,7 @@ class Analysis:
 
     @cached_property
     def reduced_charpoly(self) -> CharPoly:
-        return self._block.charpolys[self.reduced.out_masks]
+        return self._block.charpolys[self._block.reduced_masks[self._index]]
 
     @cached_property
     def spectrum(self) -> Spectrum:
@@ -289,18 +436,8 @@ class Analysis:
         return self._block.symmetrization[self._index]
 
     @cached_property
-    def symmetrization_radii(self) -> tuple[float, float]:
-        """rho(S) and rho(S^2) for the geometric symmetrization S."""
-        rho_s, rho_s2 = self._block.symmetrization_radii
-        return float(rho_s[self._index]), float(rho_s2[self._index])
-
-    @cached_property
-    def reduced(self):
-        return self._block.reductions[self._index]
-
-    @cached_property
-    def text(self):
-        return serialize_edge_list(self.d)
+    def reduced(self) -> Digraph:
+        return self._block.reduction(self._index)
 
     @cached_property
     def bounds(self):
@@ -364,177 +501,149 @@ class Analysis:
         }
 
 
-# Each check returns a list of (lhs, rhs, gap) violations, or the string
-# "skip" when its precondition does not apply to the digraph.
+# Each check reads a block and returns (skip, slots): a (K,) mask of the
+# members its precondition does not apply to, and its possible violations in
+# emission order, each a (fail, lhs, rhs, gap) tuple of (K,) arrays whose
+# mask ``fail`` holds no skipped member.
 
 
-def _check_walk_rowsum(ctx: Analysis):
-    rows = np.asarray(ctx.symmetrization).sum(axis=1)
-    out = []
-    for i, c in enumerate(ctx.profile.c2_seq):
-        if int(rows[i]) != c:
-            out.append((float(c), float(rows[i]), abs(float(rows[i]) - c)))
-    return out
+def _never(block: _Block) -> np.ndarray:
+    return np.zeros(len(block.digraphs), dtype=bool)
 
 
-def _check_walk_sum_identity(ctx: Analysis):
-    lhs = sum(ctx.profile.t2_seq)
-    rhs = ctx.profile.sum_c2_sq
-    return [] if lhs == rhs else [(float(lhs), float(rhs), float(abs(lhs - rhs)))]
+def _check_walk_rowsum(block: _Block, tol: float):
+    c2 = block.profile.c2_seq
+    rows = block.symmetrization.sum(axis=2)
+    gap = np.abs(rows - c2)
+    return _never(block), [(gap[:, i] != 0, c2[:, i], rows[:, i], gap[:, i]) for i in range(block.n)]
 
 
-def _check_symmetrization_radius(ctx: Analysis):
-    out = []
-    rho_s, rho_s2 = ctx.symmetrization_radii
-    rho_a = ctx.spectrum.rho
-    if rho_a < rho_s - 1e-9:
-        out.append((rho_a, rho_s, rho_s - rho_a))
-    if abs(rho_s - math.sqrt(rho_s2)) > 1e-9:
-        out.append((rho_s, math.sqrt(rho_s2), abs(rho_s - math.sqrt(rho_s2))))
-    return out
+def _check_walk_sum_identity(block: _Block, tol: float):
+    lhs = block.profile.t2_seq.sum(axis=1)
+    rhs = block.profile.sum_c2_sq
+    return _never(block), [(lhs != rhs, lhs, rhs, np.abs(lhs - rhs))]
 
 
-def _check_moment_difference(ctx: Analysis):
-    spec = ctx.spectrum
-    residual = (spec.sum_re_sq - spec.sum_im_sq) - ctx.profile.c2_total
-    if abs(residual) > 1e-8:
-        return [(spec.sum_re_sq - spec.sum_im_sq, float(ctx.profile.c2_total), abs(residual))]
-    return []
+def _check_symmetrization_radius(block: _Block, tol: float):
+    rho_s, rho_s2 = block.symmetrization_radii
+    rho_a = block.spectral()[0]
+    root = np.sqrt(rho_s2)
+    return _never(block), [(rho_a < rho_s - 1e-9, rho_a, rho_s, rho_s - rho_a),
+                           (np.abs(rho_s - root) > 1e-9, rho_s, root, np.abs(rho_s - root))]
 
 
-def _check_moment_total(ctx: Analysis):
-    spec = ctx.spectrum
-    total = spec.sum_re_sq + spec.sum_im_sq
-    if total > ctx.profile.a + 1e-8:
-        return [(total, float(ctx.profile.a), total - ctx.profile.a)]
-    return []
+def _check_moment_difference(block: _Block, tol: float):
+    _, _, re, im = block.spectral()
+    residual = (re - im) - block.profile.c2_total
+    return _never(block), [(np.abs(residual) > 1e-8, re - im, block.profile.c2_total, np.abs(residual))]
 
 
-def _inline_rho_lowers(profile, n):
-    mean = profile.c2_total / n
-    rms = math.sqrt(profile.sum_c2_sq / n)
-    ratio = math.sqrt(profile.sum_t2_sq / profile.sum_c2_sq) if profile.sum_c2_sq else 0.0
-    return mean, rms, ratio
+def _check_moment_total(block: _Block, tol: float):
+    _, _, re, im = block.spectral()
+    total = re + im
+    a = block.profile.a
+    return _never(block), [(total > a + 1e-8, total, a, total - a)]
 
 
-def _check_rho_chain(ctx: Analysis):
-    out = []
-    profile, n, tol = ctx.profile, ctx.d.n, ctx.tol
-    mean_i, rms_i, ratio_i = _inline_rho_lowers(profile, n)
+def _check_rho_chain(block: _Block, tol: float):
+    profile, n = block.profile, block.n
+    mean_i, rms_i, ratio_i = block.walk_lowers
     mean = bounds_mod.rho_lower_walk_mean(profile, n)
     rms = bounds_mod.rho_lower_walk_rms(profile, n)
     ratio = bounds_mod.rho_lower_walk_ratio(profile)
     # Formula pins: the module values must match the inline recomputation.
-    for got, want in ((mean, mean_i), (rms, rms_i), (ratio, ratio_i)):
-        if not bounds_mod.close_tol(got, want, PIN_TOL):
-            out.append((got, want, abs(got - want)))
-    rho = ctx.spectrum.rho
-    if not bounds_mod.leq_tol(mean_i, rms_i, tol):
-        out.append((mean_i, rms_i, mean_i - rms_i))
-    if profile.c2_total > 0 and not bounds_mod.leq_tol(rms_i, ratio_i, tol):
-        out.append((rms_i, ratio_i, rms_i - ratio_i))
-    for low in (mean_i, rms_i, ratio_i):
-        if not bounds_mod.leq_tol(low, rho, tol):
-            out.append((low, rho, low - rho))
-    return out
+    out = [(~bounds_mod.close_tol(got, want, PIN_TOL), got, want, np.abs(got - want))
+           for got, want in ((mean, mean_i), (rms, rms_i), (ratio, ratio_i))]
+    rho = block.spectral()[0]
+    out.append((~bounds_mod.leq_tol(mean_i, rms_i, tol), mean_i, rms_i, mean_i - rms_i))
+    out.append(((profile.c2_total > 0) & ~bounds_mod.leq_tol(rms_i, ratio_i, tol),
+                rms_i, ratio_i, rms_i - ratio_i))
+    out += [(~bounds_mod.leq_tol(low, rho, tol), low, rho, low - rho) for low in (mean_i, rms_i, ratio_i)]
+    return _never(block), out
 
 
-def _inline_energy_uppers(profile, n, rho):
-    def f(x):
-        return x + math.sqrt(max(0.0, (n - 1) * (profile.a - x * x)))
-
-    mean, rms, ratio = _inline_rho_lowers(profile, n)
-    mc = math.sqrt(n * (profile.a + profile.c2_total) / 2.0)
-    return mc, f(rho), f(mean), f(rms), f(ratio)
+def _rows(profile: ClosedWalkProfile, keep: np.ndarray) -> ClosedWalkProfile:
+    """The members ``keep`` of a stacked profile."""
+    return ClosedWalkProfile(*(getattr(profile, f.name)[keep] for f in fields(profile)))
 
 
-def _check_energy_bounds(ctx: Analysis):
-    out = []
-    profile, n, tol = ctx.profile, ctx.d.n, ctx.tol
-    spec = ctx.spectrum
-    mc_i, radius_i, mean_i, rms_i, ratio_i = _inline_energy_uppers(profile, n, spec.rho)
+def _check_energy_bounds(block: _Block, tol: float):
+    profile, n = block.profile, block.n
+    rho, energy, _, _ = block.spectral()
+    mc_i, mean_i, rms_i, ratio_i = block.walk_uppers
+    radius_i = block.energy_shape(rho)
     mc = bounds_mod.energy_upper_mcclelland(profile, n)
     e_mean = bounds_mod.energy_upper_walk_mean(profile, n)
     e_rms = bounds_mod.energy_upper_walk_rms(profile, n)
-    radius = bounds_mod.energy_upper_radius(profile, n, spec.rho)
-    try:
-        e_ratio = bounds_mod.energy_upper_walk_ratio(profile, n)
-    except BoundInapplicableError:
-        e_ratio = None
-    for got, want in ((mc, mc_i), (radius, radius_i), (e_mean, mean_i), (e_rms, rms_i)):
-        if not bounds_mod.close_tol(got, want, PIN_TOL):
-            out.append((got, want, abs(got - want)))
-    if e_ratio is not None and not bounds_mod.close_tol(e_ratio, ratio_i, PIN_TOL):
-        out.append((e_ratio, ratio_i, abs(e_ratio - ratio_i)))
-    uppers = [mc_i, radius_i, mean_i, rms_i, ratio_i]
-    for upper in uppers:
-        if not bounds_mod.leq_tol(spec.energy, upper, tol):
-            out.append((spec.energy, upper, spec.energy - upper))
-    return out
+    radius = bounds_mod.energy_upper_radius(profile, n, rho)
+    # The walk-ratio bound raises BoundInapplicableError on the members it
+    # does not apply to, so it is evaluated, and pinned, on the others only.
+    applies = profile.sum_t2_sq <= profile.a * profile.sum_c2_sq
+    e_ratio = np.zeros(len(applies))
+    e_ratio[applies] = bounds_mod.energy_upper_walk_ratio(_rows(profile, applies), n)
+    out = [(~bounds_mod.close_tol(got, want, PIN_TOL), got, want, np.abs(got - want))
+           for got, want in ((mc, mc_i), (radius, radius_i), (e_mean, mean_i), (e_rms, rms_i))]
+    out.append((applies & ~bounds_mod.close_tol(e_ratio, ratio_i, PIN_TOL),
+                e_ratio, ratio_i, np.abs(e_ratio - ratio_i)))
+    out += [(~bounds_mod.leq_tol(energy, upper, tol), energy, upper, energy - upper)
+            for upper in (mc_i, radius_i, mean_i, rms_i, ratio_i)]
+    return _never(block), out
 
 
-def _check_dominance_chain(ctx: Analysis):
-    profile, n, tol = ctx.profile, ctx.d.n, ctx.tol
-    if profile.a * n >= profile.c2_total ** 2:
-        return "skip"
-    out = []
-    spec = ctx.spectrum
-    mean, rms, ratio = _inline_rho_lowers(profile, n)
-    sqrt_an = math.sqrt(profile.a / n)
-    sqrt_a = math.sqrt(profile.a)
-    chain = [sqrt_an, mean, rms, ratio, spec.rho, sqrt_a]
-    for lo, hi in zip(chain, chain[1:]):
-        if not bounds_mod.leq_tol(lo, hi, tol):
-            out.append((lo, hi, lo - hi))
-    _, _, f_mean, f_rms, f_ratio = _inline_energy_uppers(profile, n, spec.rho)
-    for lo, hi in ((f_ratio, f_rms), (f_rms, f_mean)):
-        if not bounds_mod.leq_tol(lo, hi, tol):
-            out.append((lo, hi, lo - hi))
-    if not bounds_mod.leq_tol(spec.energy, f_ratio, tol):
-        out.append((spec.energy, f_ratio, spec.energy - f_ratio))
-    return out
+def _check_dominance_chain(block: _Block, tol: float):
+    profile, n = block.profile, block.n
+    skip = profile.a * n >= profile.c2_total ** 2
+    if skip.all():
+        return skip, []
+    rho, energy, _, _ = block.spectral(~skip)
+    mean, rms, ratio = block.walk_lowers
+    chain = [np.sqrt(profile.a / n), mean, rms, ratio, rho, np.sqrt(profile.a)]
+    _, f_mean, f_rms, f_ratio = block.walk_uppers
+    pairs = [*zip(chain, chain[1:]), (f_ratio, f_rms), (f_rms, f_mean), (energy, f_ratio)]
+    return skip, [(~skip & ~bounds_mod.leq_tol(lo, hi, tol), lo, hi, lo - hi) for lo, hi in pairs]
 
 
-def _check_charpoly_reduction_invariance(ctx: Analysis):
-    p1 = ctx.charpoly.coeffs
-    p2 = ctx.reduced_charpoly.coeffs
-    if p1 != p2:
-        gap = max(abs(a - b) for a, b in zip(p1, p2))
-        return [(float(p1[0]), float(p2[0]), float(gap))]
-    return []
+def _check_charpoly_reduction_invariance(block: _Block, tol: float):
+    fail = _never(block)
+    lhs, rhs, gap = (np.zeros(len(fail)) for _ in range(3))
+    polys = block.charpolys
+    for k in np.flatnonzero(block.drops_arcs).tolist():
+        p1 = polys[block.digraphs[k].out_masks].coeffs
+        p2 = polys[block.reduced_masks[k]].coeffs
+        if p1 != p2:
+            fail[k] = True
+            lhs[k], rhs[k], gap[k] = p1[0], p2[0], max(abs(a - b) for a, b in zip(p1, p2))
+    return _never(block), [(fail, lhs, rhs, gap)]
 
 
-def _check_coulson_match(ctx: Analysis):
-    spec = ctx.spectrum
-    for z in spec.eigenvalues:
-        if abs(z.real) <= 1e-6 and abs(z) > 1e-6:
-            return "skip"
-    integral = ctx.coulson
-    if integral is None:
-        return "skip"
-    diff = abs(integral - spec.energy) / max(1.0, spec.energy)
-    if diff > 1e-6:
-        return [(integral, spec.energy, diff)]
-    return []
+def _check_coulson_match(block: _Block, tol: float):
+    _, energy, _, _ = block.spectral()
+    n = block.n
+    z = np.array([s.eigenvalues if isinstance(s, Spectrum) else (0j,) * n for s in block.spectra],
+                 dtype=complex).reshape(len(energy), n)
+    skip = ((np.abs(z.real) <= 1e-6) & (np.abs(z) > 1e-6)).any(axis=1)
+    integral = np.zeros(len(skip))
+    for k in np.flatnonzero(~skip).tolist():
+        try:
+            integral[k] = unwrap(block.coulson[k])
+        except PurelyImaginaryEigenvalueError:
+            skip[k] = True
+    diff = np.abs(integral - energy) / np.maximum(1.0, energy)
+    return skip, [(~skip & (diff > 1e-6), integral, energy, diff)]
 
 
-def _check_equality_iff_rho(ctx: Analysis):
-    _, _, ratio = _inline_rho_lowers(ctx.profile, ctx.d.n)
-    numeric = abs(ratio - ctx.spectrum.rho) <= IFF_TOL
-    predicted = ctx.verdict_rho.predicted_equality
-    if predicted != numeric:
-        return [(float(predicted), float(numeric), abs(ratio - ctx.spectrum.rho))]
-    return []
+def _check_equality_iff_rho(block: _Block, tol: float):
+    gap = np.abs(block.walk_lowers[2] - block.spectral()[0])
+    numeric = gap <= IFF_TOL
+    predicted = block.predicted_rho
+    return _never(block), [(predicted != numeric, predicted * 1.0, numeric * 1.0, gap)]
 
 
-def _check_equality_iff_energy(ctx: Analysis):
-    profile, n = ctx.profile, ctx.d.n
-    _, _, _, _, f_ratio = _inline_energy_uppers(profile, n, ctx.spectrum.rho)
-    numeric = abs(f_ratio - ctx.spectrum.energy) <= IFF_TOL
-    predicted = ctx.verdict_energy.predicted_equality
-    if predicted != numeric:
-        return [(float(predicted), float(numeric), abs(f_ratio - ctx.spectrum.energy))]
-    return []
+def _check_equality_iff_energy(block: _Block, tol: float):
+    gap = np.abs(block.walk_uppers[3] - block.spectral()[1])
+    numeric = gap <= IFF_TOL
+    predicted = block.predicted_energy
+    return _never(block), [(predicted != numeric, predicted * 1.0, numeric * 1.0, gap)]
 
 
 _CHECKS = {
@@ -572,14 +681,16 @@ def verify_all(
     from seeds seed, seed+1, ... (n <= 12).  Reports are deterministic for
     a fixed configuration, including violation order.
 
-    The corpus is taken in blocks of ``BLOCK_SIZE`` digraphs, in order,
-    and each block computes its characteristic polynomials (of the digraphs
-    and their cycle-arc reductions, from ``out_masks``), QR values and
-    symmetrization radii (from stacks built from the arcs), certified
-    spectra and Coulson integrals as stacks; the checks then run digraph
-    by digraph.  A stacked result is bit for bit the per-digraph one, so
-    the report does not depend on the block size, and a lone
-    ``Analysis(d)`` is a block of one.  The corpus is never held whole.
+    The corpus is taken in blocks of ``BLOCK_SIZE`` digraphs, in order.
+    Each check runs once per block (``_Block``), on its stacked pieces, and
+    yields masks of the members it passes, fails and skips; a
+    ``Violation``, with the digraph's edge-list text, is built only for a
+    failing member, in member order, then check order, then the check's own
+    order.  A stacked result is bit for bit the per-digraph one, so the
+    report does not depend on the block size, and a lone ``Analysis(d)``
+    is a block of one.  The corpus is never held whole.  A check that
+    reads a spectrum the eigensolver rejects raises its EigensolverError,
+    that of the first such member of the block.
 
     The blocks of one call share one ``Memo``: each distinct
     characteristic polynomial is decomposed, certified and integrated once,
@@ -618,22 +729,30 @@ def verify_all(
     checked = 0
     started = time.monotonic()
     while digraphs := list(itertools.islice(source, BLOCK_SIZE)):
-        for ctx in _Block(digraphs, memo).analyses(tol):
-            checked += 1
-            if ctx.d.arc_count and ctx.d.n:
-                prof = ctx.profile
-                if prof.sum_t2_sq > prof.a * prof.sum_c2_sq:
-                    inapplicable.append(ctx.text)
-            for name in selected:
-                result = _CHECKS[name](ctx)
-                if result == "skip":
-                    stats[name].skipped += 1
-                elif result:
-                    stats[name].failed += 1
-                    for lhs, rhs, gap in result:
-                        violations.append(Violation(ctx.text, name, float(lhs), float(rhs), float(gap)))
-                else:
-                    stats[name].passed += 1
+        block = _Block(digraphs, memo)
+        checked += len(digraphs)
+        prof = block.profile
+        for k in np.flatnonzero(prof.sum_t2_sq > prof.a * prof.sum_c2_sq).tolist():
+            inapplicable.append(serialize_edge_list(digraphs[k]))
+        outcomes = []
+        failing = _never(block)
+        for name in selected:
+            skip, slots = _CHECKS[name](block, tol)
+            failed = _never(block)
+            for fail, *_ in slots:
+                failed |= fail
+            stats[name].skipped += int(skip.sum())
+            stats[name].failed += int(failed.sum())
+            stats[name].passed += int((~skip & ~failed).sum())
+            outcomes.append((name, failed, slots))
+            failing |= failed
+        block.raise_rejected()
+        for k in np.flatnonzero(failing).tolist():
+            text = serialize_edge_list(digraphs[k])
+            for name, failed, slots in outcomes:
+                if failed[k]:
+                    violations += [Violation(text, name, float(lhs[k]), float(rhs[k]), float(gap[k]))
+                                   for fail, lhs, rhs, gap in slots if fail[k]]
     return VerificationReport(
         n=n,
         mode=mode_desc,

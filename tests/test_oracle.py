@@ -34,6 +34,7 @@ from digenergy import kernels as kernels_mod
 from digenergy import oracle as oracle_mod
 from digenergy import spectrum as spectrum_mod
 from digenergy.spectrum import Memo
+from digenergy.structure import KIND_EMPTY
 
 from families import complete_graph, directed_cycle, spectrum_of, sym
 
@@ -487,3 +488,81 @@ class TestBlocks:
             oracle_mod._Block([Digraph(2), Digraph(3)], Memo())
         rho_s, rho_s2 = oracle_mod._Block([Digraph(0)], Memo()).symmetrization_radii
         assert rho_s.tolist() == rho_s2.tolist() == [0.0]
+
+
+def _blocks(ds):
+    """``ds`` in blocks of ``BLOCK_SIZE``, with one ``Memo``, as verify_all
+    takes a corpus."""
+    memo = Memo()
+    for start in range(0, len(ds), BLOCK):
+        yield oracle_mod._Block(ds[start:start + BLOCK], memo)
+
+
+# Each corpus as groups of digraphs of one order; random n = 8 holds the
+# five known equality_iff_rho false negatives.
+_CORPORA = {
+    "exhaustive-n1-4": lambda: [list(enumerate_digraphs(n)) for n in range(1, 5)],
+    "random-n8": lambda: [[random_digraph(8, 0.3, seed) for seed in range(300)]],
+    "random-n10": lambda: [[random_digraph(10, 0.3, seed) for seed in range(1000)]],
+}
+
+
+class TestStackedPieces:
+    """The pieces a block stacks equal the per-digraph routes they replace."""
+
+    @pytest.mark.parametrize("corpus", list(_CORPORA))
+    def test_verdict_prefilters_never_reject_an_equality(self, corpus):
+        # The equality verdicts run only on the members that pass a stacked
+        # condition; a member that fails it must be one the verdict rejects.
+        for block in (b for ds in _CORPORA[corpus]() for b in _blocks(ds)):
+            rho = [equality_verdict_rho_lower(d, walk_profile(d), cycle_arc_reduction(d))
+                   for d in block.digraphs]
+            energy = [equality_verdict_energy_upper(d) for d in block.digraphs]
+            no_digon = ~block.digons.any(axis=(1, 2))
+            for k, v in enumerate(rho):
+                assert block.rho_candidates[k] or not v.predicted_equality
+                if block.rho_candidates[k] and no_digon[k]:
+                    assert v.kind == KIND_EMPTY
+            for k, v in enumerate(energy):
+                assert block.energy_candidates[k] or not v.predicted_equality
+            assert block.predicted_rho.tolist() == [v.predicted_equality for v in rho]
+            assert block.predicted_energy.tolist() == [v.predicted_equality for v in energy]
+
+    @pytest.mark.parametrize("corpus", ["exhaustive-n0-4", "random-n10", "random-n12"])
+    def test_closure_reductions_equal_scc_reductions(self, corpus):
+        if corpus == "exhaustive-n0-4":
+            groups = [[Digraph(0)] * 3] + [list(enumerate_digraphs(n)) for n in range(1, 5)]
+        else:
+            n = int(corpus.split("n")[-1])
+            groups = [[random_digraph(n, p, seed) for p in (0.15, 0.3) for seed in range(150)]]
+        for ds in groups:
+            for block in _blocks(ds):
+                for k, d in enumerate(block.digraphs):
+                    want = cycle_arc_reduction(d)
+                    assert block.reduction(k).arcs == want.arcs
+                    assert block.reduced_masks[k] == want.out_masks
+
+    def test_walk_rowsum_compares_two_routes(self, monkeypatch):
+        # The profile comes from the bit rows and S from the arcs: an arc
+        # lost from one member's arc stack shows in that member alone.
+        target = Digraph(3, [(0, 1), (1, 0), (1, 2)])
+        arc_route = oracle_mod.adjacency_matrices
+
+        def dropping(ds):
+            a = arc_route(ds)
+            for k, d in enumerate(ds):
+                if d == target:
+                    a[k, 0, 1] = 0
+            return a
+
+        monkeypatch.setattr(oracle_mod, "adjacency_matrices", dropping)
+        report = verify_all(3, checks=["walk_rowsum"])
+        assert report.checks_run["walk_rowsum"].failed == 1
+        assert {v.digraph_text for v in report.violations} == {serialize_edge_list(target)}
+
+    def test_rejected_spectrum_raises_only_when_a_check_reads_it(self, monkeypatch):
+        monkeypatch.setattr(oracle_mod, "qr_values", lambda a: qr_values(a) + 100.0)
+        report = verify_all(3, checks=["walk_rowsum", "walk_sum_identity", "charpoly_reduction_invariance"])
+        assert report.ok and report.digraphs_checked == 64
+        with pytest.raises(EigensolverError):
+            verify_all(3)

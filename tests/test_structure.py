@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, settings
 
 from digenergy import (
-    Analysis,
     Digraph,
     cycle_arc_reduction,
     energy_upper_walk_ratio,
@@ -16,7 +15,9 @@ from digenergy import (
     rho_lower_walk_ratio,
     walk_profile,
 )
-from digenergy.oracle import _check_equality_iff_energy
+from digenergy.bounds import DEFAULT_TOL
+from digenergy.oracle import _Block, _check_equality_iff_energy
+from digenergy.spectrum import Memo
 from digenergy.structure import _bipartition_masks
 
 from families import (
@@ -345,6 +346,6 @@ class TestEnergyEqualityVerdict:
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_every_graph_up_to_five_matches_the_numeric_test(self, n):
-        violations = [g.edges for g in all_graphs(n)
-                      if _check_equality_iff_energy(Analysis(sym(g)))]
-        assert violations == []
+        gs = list(all_graphs(n))
+        _, [(fail, *_)] = _check_equality_iff_energy(_Block([sym(g) for g in gs], Memo()), DEFAULT_TOL)
+        assert [g.edges for g, bad in zip(gs, fail) if bad] == []
