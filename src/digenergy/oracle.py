@@ -40,7 +40,7 @@ from .digraph import (
 )
 from .errors import PurelyImaginaryEigenvalueError, UnknownCheckError
 from .spectrum import CharPoly, Memo, Spectrum, certify_spectra, coulson_energies, qr_values, unwrap
-from .structure import equality_verdict_energy_upper, equality_verdict_rho_lower
+from .structure import equality_verdict_energy_upper, equality_verdict_rho_lower, walk_ratio_attained
 
 EXHAUSTIVE_MAX_N = 5
 RANDOM_MAX_N = 12
@@ -177,7 +177,9 @@ class _Block:
     come from one kernel call, each distinct ``out_masks`` once.  From them
     and the QR values come the certified spectra (one Aberth call per
     degree) and from those the Coulson integrals (one quadrature), each
-    member's value or the exception that rejects it.  The checks of
+    member's value or the exception that rejects it.  The radius-equality
+    prediction is ``walk_ratio_attained`` on the reductions and profiles,
+    the test ``equality_verdict_rho_lower`` makes.  The checks of
     ``verify_all`` read these pieces; a lone ``Analysis`` reads its row.
 
     ``memo`` is the run's store of per-polynomial work (see ``Memo``): the
@@ -341,34 +343,11 @@ class _Block:
         return (np.sqrt(self.n * (p.a + p.c2_total) / 2.0), *map(self.energy_shape, self.walk_lowers))
 
     @cached_property
-    def rho_candidates(self) -> np.ndarray:
-        """The members that pass a necessary condition of
-        ``equality_verdict_rho_lower``: the reduction is symmetric, so its
-        graph is S with the degrees c2, and c2_i c2_j sum c2^2 = sum t2^2 on
-        every digon (i, j), as on each edge of a component that is regular
-        or semiregular bipartite with the walk ratio."""
-        r, p = self.reduced_bits, self.profile
-        on_digon = (p.c2_seq[:, :, None] * p.c2_seq[:, None, :] * p.sum_c2_sq[:, None, None]
-                    == p.sum_t2_sq[:, None, None])
-        return ((r == r.swapaxes(1, 2)) & ((self.digons == 0) | on_digon)).all(axis=(1, 2))
-
-    @cached_property
     def predicted_rho(self) -> np.ndarray:
         """``equality_verdict_rho_lower(...).predicted_equality`` of every
-        member, run only on the candidates with a digon: a candidate with
-        none has an empty reduction, the verdict's KIND_EMPTY case.  The
-        prediction reads the reduction and the profile, which the reduction
-        fixes (it keeps every digon), so members with one reduction share
-        one run."""
-        predicted = self.rho_candidates.copy()
-        shared: dict[tuple[int, ...], bool] = {}
-        for k in np.flatnonzero(predicted & self.digons.any(axis=(1, 2))).tolist():
-            masks = self.reduced_masks[k]
-            if masks not in shared:
-                shared[masks] = equality_verdict_rho_lower(
-                    self.digraphs[k], self.profile_row(k), self.reduction(k)).predicted_equality
-            predicted[k] = shared[masks]
-        return predicted
+        member: the one edge test ``walk_ratio_attained`` on the stacked
+        reductions and profiles."""
+        return walk_ratio_attained(self.reduced_bits, self.profile)
 
     @cached_property
     def energy_candidates(self) -> np.ndarray:
@@ -702,7 +681,8 @@ def verify_all(
     if checks is None:
         selected = list(CHECK_NAMES)
     else:
-        selected = list(checks)
+        # A name given twice runs once, so each check counts every digraph once.
+        selected = list(dict.fromkeys(checks))
         unknown = [c for c in selected if c not in _CHECKS]
         if unknown:
             raise UnknownCheckError(f"unknown check name(s): {', '.join(unknown)}; "

@@ -4,31 +4,30 @@ and verdict operations tying a digraph to the equality characterizations.
 The radius bound sqrt(sum t2^2 / sum c2^2) is attained exactly when, after
 deleting the arcs that lie on no cycle, the digraph is the symmetric digraph
 of a graph whose edge-bearing components are each r-regular or
-(r1, r2)-semiregular bipartite with r^2 = r1*r2 equal to the walk ratio.
-The matching energy bound is attained exactly on symmetric digraphs of:
-the empty graph, the complete graph, a disjoint union of single edges
-covering every vertex, or a connected non-complete strongly regular graph
-whose two non-Perron eigenvalues share the modulus sqrt((a - q)/(n - 1)),
-that is, one with lam = mu.  Every fact here is decided in integers.
+(r1, r2)-semiregular bipartite with r^2 = r1*r2 equal to the walk ratio q.
+One edge test decides that shape (``walk_ratio_attained``): c2_i c2_j = q
+on every edge.  The matching energy bound is attained exactly on symmetric
+digraphs of: the empty graph, the complete graph, a disjoint union of
+single edges covering every vertex, or a connected non-complete strongly
+regular graph whose two non-Perron eigenvalues share the modulus
+sqrt((a - q)/(n - 1)), that is, one with lam = mu.  Every fact here is
+decided in integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from . import kernels
-from .digraph import ClosedWalkProfile, Digraph, Graph, _bits, underlying_graph_if_symmetric
+from .digraph import ClosedWalkProfile, Digraph, Graph, adjacency_matrix, underlying_graph_if_symmetric
 
 KIND_R_REGULAR = "R_REGULAR"
 KIND_SEMIREGULAR_BIPARTITE = "SEMIREGULAR_BIPARTITE"
 KIND_COMPLETE = "COMPLETE"
 KIND_PERFECT_MATCHING_UNION = "PERFECT_MATCHING_UNION"
 KIND_STRONGLY_REGULAR = "STRONGLY_REGULAR"
-KIND_PSEUDO_SEMIREGULAR_BIPARTITE = "PSEUDO_SEMIREGULAR_BIPARTITE"
 KIND_EMPTY = "EMPTY"
 KIND_NONE = "NONE"
 
@@ -59,58 +58,6 @@ def is_regular(g: Graph) -> Optional[int]:
     return degs.pop() if len(degs) == 1 else None
 
 
-def _bipartition_masks(g: Graph, comp: tuple[int, ...]) -> Optional[tuple[int, int]]:
-    """Two-color one connected component by the parity of its breadth-first
-    layers, the side holding ``comp[0]`` first; None if an edge joins two
-    vertices of one side (an odd cycle exists)."""
-    sides = [0, 0]
-    for k, layer in enumerate(kernels.bfs_layers(comp[0], g.neighbor_masks)):
-        sides[k & 1] |= layer
-    for side in sides:
-        if any(g.neighbor_masks[v] & side for v in _bits(side)):
-            return None
-    return sides[0], sides[1]
-
-
-def _side_values(g: Graph, comp: tuple[int, ...], value) -> Optional[tuple]:
-    """(max, min) of ``value[v]`` over the two sides of one connected
-    component's bipartition, when it is constant on each side; None
-    otherwise.  An empty side counts as 0."""
-    sides = _bipartition_masks(g, comp)
-    if sides is None:
-        return None
-    pair = []
-    for side in sides:
-        vals = {value[v] for v in _bits(side)}
-        if len(vals) > 1:
-            return None
-        pair.append(vals.pop() if vals else 0)
-    return (max(pair), min(pair))
-
-
-def is_semiregular_bipartite(g: Graph) -> Optional[tuple[int, int]]:
-    """(r1, r2) with r1 >= r2 if g admits a bipartition with every part-1
-    vertex of degree r1 and every part-2 vertex of degree r2.
-
-    Every vertex takes part in the bipartition, so an isolated vertex next
-    to any edge-bearing component rules the shape out (no part with
-    positive constant degree can hold it); the edgeless graph is
-    vacuously (0, 0)-semiregular.
-    """
-    if g.n == 0:
-        return None
-    if not g.edges:
-        return (0, 0)
-    if any(deg == 0 for deg in g.degrees):
-        return None
-    # Each component can be oriented on its own, so the global parts have
-    # constant degree exactly when every component has the same sorted pair.
-    # A component with no such pair adds None: either the set then holds two
-    # members, or None is the one that pops.
-    pairs = {_side_values(g, comp, g.degrees) for comp in g.component_vertex_sets}
-    return pairs.pop() if len(pairs) == 1 else None
-
-
 def is_strongly_regular(g: Graph) -> Optional[tuple[int, int, int, int]]:
     """(n, k, lam, mu) if g is connected, k-regular, non-complete and
     nonempty, with every adjacent pair sharing lam neighbors and every
@@ -137,71 +84,26 @@ def is_strongly_regular(g: Graph) -> Optional[tuple[int, int, int, int]]:
     return (n, k, lam, mu)
 
 
-def _average_two_degrees(g: Graph) -> dict[int, Fraction]:
-    """t_i / d_i for every non-isolated vertex, exactly."""
-    degs = g.degrees
-    ratios = {}
-    for v in range(g.n):
-        if degs[v] == 0:
-            continue
-        t = sum(degs[w] for w in _bits(g.neighbor_masks[v]))
-        ratios[v] = Fraction(t, degs[v])
-    return ratios
+def walk_ratio_attained(reduced: np.ndarray, profile: ClosedWalkProfile):
+    """Does the walk-ratio radius bound hold with equality, given the 0-1
+    adjacency ``reduced`` of a cycle-arc reduction and the walk profile?
 
-
-def is_pseudo_regular(g: Graph) -> Optional[float]:
-    """The common average 2-degree t_i/d_i over non-isolated vertices,
-    or None if it varies.  An edgeless graph reports 0."""
-    ratios = _average_two_degrees(g)
-    if not ratios:
-        return 0.0
-    vals = set(ratios.values())
-    return float(vals.pop()) if len(vals) == 1 else None
-
-
-def is_pseudo_semiregular_bipartite(g: Graph) -> Optional[tuple[float, float]]:
-    """(p1, p2) with p1 >= p2 if g is bipartite with the average 2-degree
-    constant on each part; None otherwise.  Isolated vertices have no
-    average 2-degree and are unconstrained."""
-    comps = [c for c in g.component_vertex_sets if len(c) > 1 or g.degrees[c[0]] > 0]
-    if not comps:
-        return None
-    ratios = _average_two_degrees(g)
-    pairs = {_side_values(g, comp, ratios) for comp in comps}
-    pair = pairs.pop() if len(pairs) == 1 else None
-    return None if pair is None else (float(pair[0]), float(pair[1]))
-
-
-def _classify_equality_components(
-    g: Graph, profile: ClosedWalkProfile
-) -> Optional[tuple[str, tuple]]:
-    """Check every edge-bearing component against the walk-ratio equality
-    shape (regular with r^2 = q, or semiregular bipartite with r1 r2 = q,
-    compared exactly on integers).  Returns the first component's
-    classification, or None if any component fails."""
-    first: Optional[tuple[str, tuple]] = None
-    for comp in g.component_vertex_sets:
-        if all(g.degrees[v] == 0 for v in comp):
-            continue  # isolated vertices contribute nothing and always pass
-        degs = {g.degrees[v] for v in comp}
-        if len(degs) == 1:
-            r = degs.pop()
-            if r * r * profile.sum_c2_sq != profile.sum_t2_sq:
-                return None
-            if first is None:
-                first = (KIND_R_REGULAR, (r,))
-            continue
-        pair = _side_values(g, comp, g.degrees)
-        if pair is None:
-            return None
-        r1, r2 = pair
-        if r1 * r2 * profile.sum_c2_sq != profile.sum_t2_sq:
-            return None
-        if first is None:
-            first = (KIND_SEMIREGULAR_BIPARTITE, (r1, r2))
-    if first is None:
-        return (KIND_EMPTY, (g.n,))
-    return first
+    True exactly when ``reduced`` is symmetric and c2_i c2_j sum c2^2 =
+    sum t2^2 on each of its arcs (i, j).  Along a path c2_i c2_j = q makes
+    vertices at even distance share a value, so a component with an odd
+    cycle is r-regular with r^2 = q and any other is bipartite with sides
+    of constant degree r1 r2 = q; a symmetric reduction keeps every digon,
+    so its degrees are c2.  Takes one ``(n, n)`` adjacency and profile, or
+    a ``(K, n, n)`` stack and a stacked profile, and returns a bool or a
+    ``(K,)`` mask.  The products stay below 3.4e10 at n = 128, so int64 is
+    exact.
+    """
+    c2 = np.asarray(profile.c2_seq, dtype=np.int64)
+    sum_c2_sq = np.asarray(profile.sum_c2_sq, dtype=np.int64)[..., None, None]
+    sum_t2_sq = np.asarray(profile.sum_t2_sq, dtype=np.int64)[..., None, None]
+    on_arc = c2[..., :, None] * c2[..., None, :] * sum_c2_sq == sum_t2_sq
+    symmetric = reduced == reduced.swapaxes(-1, -2)
+    return (symmetric & ((reduced == 0) | on_arc)).all(axis=(-2, -1))
 
 
 def equality_verdict_rho_lower(
@@ -209,21 +111,26 @@ def equality_verdict_rho_lower(
 ) -> StructureVerdict:
     """Does the walk-ratio radius bound hold with equality?
 
-    True exactly when, after removing the arcs on no cycle, the digraph is
-    symmetric and every edge-bearing component of its graph is r-regular or
-    (r1, r2)-semiregular bipartite with r^2 = r1 r2 = sum t2^2 / sum c2^2.
+    ``predicted_equality`` is ``walk_ratio_attained``: after removing the
+    arcs on no cycle, the digraph is symmetric and every edge-bearing
+    component of its graph is r-regular or (r1, r2)-semiregular bipartite
+    with r^2 = r1 r2 = sum t2^2 / sum c2^2.  The kind and params name the
+    first edge-bearing component: R_REGULAR (r,), or SEMIREGULAR_BIPARTITE
+    (r1, r2) with r1 > r2; EMPTY (n,) when the reduction has no arc.
     ``profile`` is the walk profile of ``d`` and ``reduced`` its cycle-arc
     reduction (``d`` without the arcs that lie on no cycle).
     """
     removed = tuple(sorted(d.arcs - reduced.arcs))
+    if not walk_ratio_attained(adjacency_matrix(reduced), profile):
+        return StructureVerdict(KIND_NONE, (), False, removed)
     g = underlying_graph_if_symmetric(reduced)
-    if g is None:
-        return StructureVerdict(KIND_NONE, (), False, removed)
-    classified = _classify_equality_components(g, profile)
-    if classified is None:
-        return StructureVerdict(KIND_NONE, (), False, removed)
-    kind, params = classified
-    return StructureVerdict(kind, params, True, removed)
+    for comp in g.component_vertex_sets:
+        if len(comp) > 1:
+            # The edge test leaves one degree (regular) or two (the sides).
+            degs = tuple(sorted({g.degrees[v] for v in comp}, reverse=True))
+            kind = KIND_R_REGULAR if len(degs) == 1 else KIND_SEMIREGULAR_BIPARTITE
+            return StructureVerdict(kind, degs, True, removed)
+    return StructureVerdict(KIND_EMPTY, (g.n,), True, removed)
 
 
 def equality_verdict_energy_upper(d: Digraph) -> StructureVerdict:

@@ -101,6 +101,19 @@ class TestVerifyAll:
         assert list(rep.checks_run) == ["rho_chain"]
         assert rep.checks_run["rho_chain"].passed == 64
 
+    @pytest.mark.parametrize("n,checks,kwargs", [
+        (3, ["rho_chain"], {}),
+        (8, ["equality_iff_rho"], dict(mode="random", count=300, p=0.3, seed=0)),
+    ])
+    def test_check_named_twice_runs_once(self, n, checks, kwargs):
+        # A doubled name must not count a digraph twice or repeat its
+        # violations (random n = 8 holds five).
+        def body(names):
+            report = verify_all(n, checks=names, **kwargs)
+            return {k: v for k, v in report.to_dict().items() if k != "elapsed_seconds"}
+
+        assert body(checks * 2) == body(checks)
+
     def test_unknown_check(self):
         with pytest.raises(UnknownCheckError):
             verify_all(3, checks=["no_such_check"])
@@ -512,20 +525,26 @@ class TestStackedPieces:
 
     @pytest.mark.parametrize("corpus", list(_CORPORA))
     def test_verdict_prefilters_never_reject_an_equality(self, corpus):
-        # The equality verdicts run only on the members that pass a stacked
-        # condition; a member that fails it must be one the verdict rejects.
-        for block in (b for ds in _CORPORA[corpus]() for b in _blocks(ds)):
+        # The radius prediction of a block is the verdict's own edge test on
+        # stacked arrays, so it equals the verdict of every member, blocks
+        # of order 0 and 1 included; a passing member without a digon has an
+        # empty reduction.  The energy verdict runs only on the members that
+        # pass a stacked condition; a member that fails it must be one the
+        # verdict rejects.
+        groups = _CORPORA[corpus]()
+        if corpus.startswith("exhaustive"):
+            groups = [[Digraph(0)] * 3, [Digraph(1)] * 2] + groups
+        for block in (b for ds in groups for b in _blocks(ds)):
             rho = [equality_verdict_rho_lower(d, walk_profile(d), cycle_arc_reduction(d))
                    for d in block.digraphs]
             energy = [equality_verdict_energy_upper(d) for d in block.digraphs]
             no_digon = ~block.digons.any(axis=(1, 2))
+            assert block.predicted_rho.tolist() == [v.predicted_equality for v in rho]
             for k, v in enumerate(rho):
-                assert block.rho_candidates[k] or not v.predicted_equality
-                if block.rho_candidates[k] and no_digon[k]:
+                if v.predicted_equality and no_digon[k]:
                     assert v.kind == KIND_EMPTY
             for k, v in enumerate(energy):
                 assert block.energy_candidates[k] or not v.predicted_equality
-            assert block.predicted_rho.tolist() == [v.predicted_equality for v in rho]
             assert block.predicted_energy.tolist() == [v.predicted_equality for v in energy]
 
     @pytest.mark.parametrize("corpus", ["exhaustive-n0-4", "random-n10", "random-n12"])

@@ -1,16 +1,13 @@
 import pytest
-from hypothesis import given, settings
 
 from digenergy import (
     Digraph,
+    Graph,
     cycle_arc_reduction,
     energy_upper_walk_ratio,
     equality_verdict_energy_upper,
     equality_verdict_rho_lower,
-    is_pseudo_regular,
-    is_pseudo_semiregular_bipartite,
     is_regular,
-    is_semiregular_bipartite,
     is_strongly_regular,
     rho_lower_walk_ratio,
     walk_profile,
@@ -18,11 +15,9 @@ from digenergy import (
 from digenergy.bounds import DEFAULT_TOL
 from digenergy.oracle import _Block, _check_equality_iff_energy
 from digenergy.spectrum import Memo
-from digenergy.structure import _bipartition_masks
 
 from families import (
     all_graphs,
-    all_regular_graphs,
     clebsch_graph,
     complement,
     complete_bipartite,
@@ -30,7 +25,6 @@ from families import (
     cycle_graph,
     directed_cycle,
     empty_graph,
-    graphs,
     matching_graph,
     paley_graph,
     path_graph,
@@ -64,67 +58,6 @@ class TestIsRegular:
 
     def test_empty_is_zero_regular(self):
         assert is_regular(empty_graph(3)) == 0
-
-
-def _brute_force_bipartition(g, comp):
-    """The 2-coloring of a connected component with comp[0] on the first
-    side and no edge inside a side, found by trying every coloring; None if
-    there is none.  A connected graph has at most one."""
-    members = set(comp)
-    inside = [(i, j) for i, j in g.edges if i in members]
-    found = []
-    for bits in range(1 << (len(comp) - 1)):
-        second = {v for k, v in enumerate(comp[1:]) if (bits >> k) & 1}
-        if all((i in second) != (j in second) for i, j in inside):
-            found.append((sum(1 << v for v in members - second), sum(1 << v for v in second)))
-    assert len(found) <= 1
-    return found[0] if found else None
-
-
-class TestBipartitionMasks:
-    def _check(self, g):
-        for comp in g.component_vertex_sets:
-            assert _bipartition_masks(g, comp) == _brute_force_bipartition(g, comp)
-
-    @pytest.mark.parametrize("n", range(1, 6))
-    def test_all_graphs_up_to_five(self, n):
-        for g in all_graphs(n):
-            self._check(g)
-
-    @given(graphs(max_n=10))
-    @settings(max_examples=100)
-    def test_random_graphs_up_to_ten(self, g):
-        self._check(g)
-
-
-class TestIsSemiregularBipartite:
-    def test_star_two_leaves(self):
-        assert is_semiregular_bipartite(star_graph(2)) == (2, 1)
-
-    def test_triangle_odd_cycle(self):
-        assert is_semiregular_bipartite(complete_graph(3)) is None
-
-    def test_four_cycle(self):
-        assert is_semiregular_bipartite(cycle_graph(4)) == (2, 2)
-
-    def test_two_stars(self):
-        from digenergy import Graph
-
-        g = Graph(6, [(0, 1), (0, 2), (3, 4), (3, 5)])
-        assert is_semiregular_bipartite(g) == (2, 1)
-
-    def test_mixed_components_rejected(self):
-        from digenergy import Graph
-
-        # one K2 (forces (1,1)) plus one star (forces (2,1))
-        g = Graph(5, [(0, 1), (2, 3), (2, 4)])
-        assert is_semiregular_bipartite(g) is None
-
-    def test_isolated_vertex_next_to_edges_rejected(self):
-        from digenergy import Graph
-
-        g = Graph(3, [(0, 1)])
-        assert is_semiregular_bipartite(g) is None
 
 
 class TestIsStronglyRegular:
@@ -166,43 +99,28 @@ class TestIsStronglyRegular:
         assert seen > 0
 
 
-class TestPseudoRegular:
-    @pytest.mark.parametrize("g,expect", [
-        (complete_graph(3), 2.0),
-        (cycle_graph(4), 2.0),
-        (cycle_graph(5), 2.0),
-        (matching_graph(2), 1.0),
-    ])
-    def test_regular_graphs(self, g, expect):
-        assert is_pseudo_regular(g) == expect
-
-    def test_star_two_leaves_not(self):
-        # center ratio 2/2 = 1, leaves 2/1 = 2
-        assert is_pseudo_regular(star_graph(2)) is None
-
-    def test_star_three_leaves_not(self):
-        assert is_pseudo_regular(star_graph(3)) is None
-
-    def test_all_regular_up_to_six(self):
-        for n in range(1, 7):
-            for g in all_regular_graphs(n):
-                r = is_regular(g)
-                if g.edges:
-                    assert is_pseudo_regular(g) == float(r)
-
-
-class TestPseudoSemiregularBipartite:
-    def test_star_three_leaves(self):
-        assert is_pseudo_semiregular_bipartite(star_graph(3)) == (3.0, 1.0)
-
-    def test_four_cycle(self):
-        assert is_pseudo_semiregular_bipartite(cycle_graph(4)) == (2.0, 2.0)
-
-    def test_triangle(self):
-        assert is_pseudo_semiregular_bipartite(complete_graph(3)) is None
-
-
 class TestRhoEqualityVerdict:
+    @pytest.mark.parametrize("g,kind,params,predicted", [
+        pytest.param(complete_graph(3), "R_REGULAR", (2,), True, id="K3"),
+        pytest.param(cycle_graph(5), "R_REGULAR", (2,), True, id="C5"),
+        pytest.param(Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)]), "SEMIREGULAR_BIPARTITE", (2, 1), True,
+                     id="two-P3"),
+        pytest.param(Graph(5, [(0, 1), (2, 3), (3, 4)]), "NONE", (), False, id="K2+P3"),
+        pytest.param(Graph(3, [(0, 1)]), "R_REGULAR", (1,), True, id="K2+isolated"),
+        pytest.param(star_graph(3), "SEMIREGULAR_BIPARTITE", (3, 1), True, id="K13"),
+        pytest.param(Graph(4, [(1, 2), (2, 3)]), "SEMIREGULAR_BIPARTITE", (2, 1), True,
+                     id="isolated+P3"),
+    ])
+    def test_graph_components(self, g, kind, params, predicted):
+        # Each edge-bearing component must be regular or semiregular
+        # bipartite with the walk ratio; an isolated vertex is free, and
+        # kind and params name the first edge-bearing component.
+        d = sym(g)
+        v = verdict_rho(d)
+        assert (v.kind, v.params, v.predicted_equality) == (kind, params, predicted)
+        gap = abs(rho_lower_walk_ratio(walk_profile(d)) - spectrum_of(d).rho)
+        assert v.predicted_equality == (gap <= 1e-7)
+
     def test_four_cycle_with_pendant_arc(self):
         base = sym(cycle_graph(4))
         d = Digraph(5, set(base.arcs) | {(0, 4)})
