@@ -1,8 +1,14 @@
+from fractions import Fraction
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from digenergy import (
+    ClosedWalkProfile,
     Digraph,
     Graph,
+    adjacency_matrix,
     cycle_arc_reduction,
     energy_upper_walk_ratio,
     equality_verdict_energy_upper,
@@ -15,9 +21,11 @@ from digenergy import (
 from digenergy.bounds import DEFAULT_TOL
 from digenergy.oracle import _Block, _check_equality_iff_energy
 from digenergy.spectrum import Memo
+from digenergy.structure import walk_ratio_attained
 
 from families import (
     all_graphs,
+    all_regular_graphs,
     clebsch_graph,
     complement,
     complete_bipartite,
@@ -25,6 +33,7 @@ from families import (
     cycle_graph,
     directed_cycle,
     empty_graph,
+    graphs,
     matching_graph,
     paley_graph,
     path_graph,
@@ -99,10 +108,73 @@ class TestIsStronglyRegular:
         assert seen > 0
 
 
+def _brute_force_bipartition(g, comp):
+    """The two sides of a connected component, found by trying every
+    2-coloring with comp[0] on the first side; None if no coloring leaves
+    each edge across the sides."""
+    members = set(comp)
+    inside = [(i, j) for i, j in g.edges if i in members]
+    for bits in range(1 << (len(comp) - 1)):
+        second = {v for k, v in enumerate(comp[1:]) if (bits >> k) & 1}
+        if all((i in second) != (j in second) for i, j in inside):
+            return members - second, second
+    return None
+
+
+def _component_criterion(g, profile):
+    """The radius equality shape, component by component: every
+    edge-bearing component is r-regular with r^2 = q or bipartite with
+    sides of constant degree r1 r2 = q, where q = sum t2^2 / sum c2^2."""
+    if not g.edges:
+        return True
+    q = Fraction(profile.sum_t2_sq, profile.sum_c2_sq)
+    for comp in g.component_vertex_sets:
+        if len(comp) == 1:
+            continue
+        degs = {g.degrees[v] for v in comp}
+        if len(degs) == 1 and Fraction(min(degs) ** 2) == q:
+            continue
+        sides = _brute_force_bipartition(g, comp)
+        if sides is None:
+            return False
+        values = [{g.degrees[v] for v in side} for side in sides]
+        if any(len(v) != 1 for v in values) or Fraction(min(values[0]) * min(values[1])) != q:
+            return False
+    return True
+
+
+class TestWalkRatioAttained:
+    def _check(self, gs):
+        # The edge test on one adjacency, on a stack, and the verdict all
+        # agree with the component-by-component criterion.
+        ds = [sym(g) for g in gs]
+        profiles = [walk_profile(d) for d in ds]
+        expect = [_component_criterion(g, p) for g, p in zip(gs, profiles)]
+        adj = [adjacency_matrix(d) for d in ds]
+        assert [bool(walk_ratio_attained(a, p)) for a, p in zip(adj, profiles)] == expect
+        assert [verdict_rho(d).predicted_equality for d in ds] == expect
+        stacked = ClosedWalkProfile(*(np.array([getattr(p, f) for p in profiles])
+                                      for f in ("c2_seq", "t2_seq", "a", "c2_total",
+                                                "sum_c2_sq", "sum_t2_sq")))
+        assert walk_ratio_attained(np.array(adj), stacked).tolist() == expect
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_all_graphs_up_to_five(self, n):
+        self._check(list(all_graphs(n)))
+
+    @given(graphs(max_n=10))
+    @settings(max_examples=100, deadline=None)
+    def test_random_graphs_up_to_ten(self, g):
+        self._check([g])
+
+
 class TestRhoEqualityVerdict:
     @pytest.mark.parametrize("g,kind,params,predicted", [
         pytest.param(complete_graph(3), "R_REGULAR", (2,), True, id="K3"),
+        pytest.param(cycle_graph(4), "R_REGULAR", (2,), True, id="C4"),
         pytest.param(cycle_graph(5), "R_REGULAR", (2,), True, id="C5"),
+        pytest.param(matching_graph(2), "R_REGULAR", (1,), True, id="2K2"),
+        pytest.param(star_graph(2), "SEMIREGULAR_BIPARTITE", (2, 1), True, id="P3"),
         pytest.param(Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)]), "SEMIREGULAR_BIPARTITE", (2, 1), True,
                      id="two-P3"),
         pytest.param(Graph(5, [(0, 1), (2, 3), (3, 4)]), "NONE", (), False, id="K2+P3"),
@@ -120,6 +192,15 @@ class TestRhoEqualityVerdict:
         assert (v.kind, v.params, v.predicted_equality) == (kind, params, predicted)
         gap = abs(rho_lower_walk_ratio(walk_profile(d)) - spectrum_of(d).rho)
         assert v.predicted_equality == (gap <= 1e-7)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_regular_graphs_up_to_six(self, n):
+        # An r-regular graph attains the bound; with no edge it is EMPTY.
+        for g in all_regular_graphs(n):
+            r = is_regular(g)
+            expect = ("R_REGULAR", (r,)) if r else ("EMPTY", (n,))
+            v = verdict_rho(sym(g))
+            assert (v.kind, v.params, v.predicted_equality) == (*expect, True)
 
     def test_four_cycle_with_pendant_arc(self):
         base = sym(cycle_graph(4))
