@@ -105,13 +105,6 @@ class Graph:
     def degrees(self) -> tuple[int, ...]:
         return tuple(m.bit_count() for m in self.neighbor_masks)
 
-    def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.int64)
-        for i, j in self.edges:
-            a[i, j] = 1
-            a[j, i] = 1
-        return a
-
     @cached_property
     def component_vertex_sets(self) -> tuple[tuple[int, ...], ...]:
         """Connected components, ordered by smallest member vertex."""

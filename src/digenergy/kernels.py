@@ -1,17 +1,23 @@
-"""The per-digraph hot kernels, on adjacency bitmask rows.
+"""Integer kernels on adjacency bitmask rows.
 
-``out_masks[i]`` has bit ``j`` set iff the arc (i, j) is present.  The walk
-counts and the breadth-first layers run on Python integers, at any n.  Strong
-components come from reachability: the component of v is what v reaches
-along ``out_masks`` that also reaches v.  The characteristic polynomial runs
-its matrix recurrence in numpy on a whole block of matrices at once (the
-verification harness works in blocks and hands it a block of digraphs and
-their cycle-arc reductions; a lone digraph is a block of one), on int64
-when a bound proves that no value can overflow and on Python integers
-(``dtype=object``) otherwise, so every result is exact at any size.  It is
-the one numeric layer built from the bit rows: the harness builds its QR
-and symmetrization stacks from the arcs, an independent route.  Every
-kernel returns plain Python ints.
+``out_masks[i]`` has bit ``j`` set iff the arc (i, j) is present.  The
+characteristic polynomial is the kernel that the verification harness and
+``analyze`` call: it runs its matrix recurrence in numpy on a whole block
+of matrices at once (the harness works in blocks and hands it a block of
+digraphs and their cycle-arc reductions; a lone digraph is a block of
+one), on int64 when a bound proves that no value can overflow and on
+Python integers (``dtype=object``) otherwise, so every result is exact at
+any size.  It is the one numeric layer built from the bit rows: the
+harness builds its QR and symmetrization stacks from the arcs, an
+independent route.
+
+The walk counts and the strong components run on Python integers, one
+digraph at a time, at any n.  The harness computes both as stacked arrays
+instead; these are the reference routes (``walk_profile`` and
+``cycle_arc_reduction``) that the tests compare the stacked pieces with.
+Strong components come from reachability: the component of v is what v
+reaches along ``out_masks`` that also reaches v.  Every kernel returns
+plain Python ints.
 """
 
 from __future__ import annotations
@@ -41,27 +47,17 @@ def walk_counts(n: int, out_masks, in_masks):
     return c2, t2
 
 
-def bfs_layers(start: int, masks):
-    """Breadth-first layers from ``start`` along the bitmask rows ``masks``.
-
-    Yields bitmasks: layer k holds the vertices at distance exactly k.
-    """
+def reach(start: int, masks) -> int:
+    """Bitmask of the vertices reachable from ``start`` along the bitmask
+    rows ``masks``, one breadth-first layer at a time."""
     seen = layer = 1 << start
     while layer:
-        yield layer
         nxt = 0
         while layer:
             low = layer & -layer
             nxt |= masks[low.bit_length() - 1]
             layer ^= low
         layer = nxt & ~seen
-        seen |= layer
-
-
-def reach(start: int, masks) -> int:
-    """Bitmask of the vertices reachable from ``start`` along ``masks``."""
-    seen = 0
-    for layer in bfs_layers(start, masks):
         seen |= layer
     return seen
 

@@ -40,7 +40,12 @@ from .digraph import (
 )
 from .errors import PurelyImaginaryEigenvalueError, UnknownCheckError
 from .spectrum import CharPoly, Memo, Spectrum, certify_spectra, coulson_energies, qr_values, unwrap
-from .structure import equality_verdict_energy_upper, equality_verdict_rho_lower, walk_ratio_attained
+from .structure import (
+    energy_bound_attained,
+    equality_verdict_energy_upper,
+    equality_verdict_rho_lower,
+    walk_ratio_attained,
+)
 
 EXHAUSTIVE_MAX_N = 5
 RANDOM_MAX_N = 12
@@ -177,9 +182,11 @@ class _Block:
     come from one kernel call, each distinct ``out_masks`` once.  From them
     and the QR values come the certified spectra (one Aberth call per
     degree) and from those the Coulson integrals (one quadrature), each
-    member's value or the exception that rejects it.  The radius-equality
-    prediction is ``walk_ratio_attained`` on the reductions and profiles,
-    the test ``equality_verdict_rho_lower`` makes.  The checks of
+    member's value or the exception that rejects it.  The equality
+    predictions are the verdicts' own integer tests on stacked arrays:
+    ``walk_ratio_attained`` on the reductions and profiles for the radius
+    (``equality_verdict_rho_lower``), ``energy_bound_attained`` on ``bits``
+    for the energy (``equality_verdict_energy_upper``).  The checks of
     ``verify_all`` read these pieces; a lone ``Analysis`` reads its row.
 
     ``memo`` is the run's store of per-polynomial work (see ``Memo``): the
@@ -336,6 +343,14 @@ class _Block:
         return x + np.sqrt(np.maximum(0.0, (self.n - 1) * (self.profile.a - x * x)))
 
     @cached_property
+    def ratio_applies(self) -> np.ndarray:
+        """The members the walk-ratio energy bound applies to: sum t2^2 <=
+        a sum c2^2, that is q <= a.  On the others
+        ``energy_upper_walk_ratio`` raises BoundInapplicableError."""
+        p = self.profile
+        return p.sum_t2_sq <= p.a * p.sum_c2_sq
+
+    @cached_property
     def walk_uppers(self) -> tuple[np.ndarray, ...]:
         """The energy upper bounds of the profile alone, recomputed here:
         McClelland's, then f at the three radius lower bounds."""
@@ -350,17 +365,11 @@ class _Block:
         return walk_ratio_attained(self.reduced_bits, self.profile)
 
     @cached_property
-    def energy_candidates(self) -> np.ndarray:
-        """The members that pass ``equality_verdict_energy_upper``'s first
-        test: the digraph is symmetric."""
-        return (self.bits == self.bits.swapaxes(1, 2)).all(axis=(1, 2))
-
-    @cached_property
     def predicted_energy(self) -> np.ndarray:
-        predicted = self.energy_candidates.copy()
-        for k in np.flatnonzero(predicted).tolist():
-            predicted[k] = equality_verdict_energy_upper(self.digraphs[k]).predicted_equality
-        return predicted
+        """``equality_verdict_energy_upper(...).predicted_equality`` of every
+        member: the one identity ``energy_bound_attained`` on the stacked
+        adjacencies."""
+        return energy_bound_attained(self.bits)
 
 
 class Analysis:
@@ -557,7 +566,7 @@ def _check_energy_bounds(block: _Block, tol: float):
     radius = bounds_mod.energy_upper_radius(profile, n, rho)
     # The walk-ratio bound raises BoundInapplicableError on the members it
     # does not apply to, so it is evaluated, and pinned, on the others only.
-    applies = profile.sum_t2_sq <= profile.a * profile.sum_c2_sq
+    applies = block.ratio_applies
     e_ratio = np.zeros(len(applies))
     e_ratio[applies] = bounds_mod.energy_upper_walk_ratio(_rows(profile, applies), n)
     out = [(~bounds_mod.close_tol(got, want, PIN_TOL), got, want, np.abs(got - want))
@@ -711,8 +720,7 @@ def verify_all(
     while digraphs := list(itertools.islice(source, BLOCK_SIZE)):
         block = _Block(digraphs, memo)
         checked += len(digraphs)
-        prof = block.profile
-        for k in np.flatnonzero(prof.sum_t2_sq > prof.a * prof.sum_c2_sq).tolist():
+        for k in np.flatnonzero(~block.ratio_applies).tolist():
             inapplicable.append(serialize_edge_list(digraphs[k]))
         outcomes = []
         failing = _never(block)

@@ -1,5 +1,6 @@
-"""Recognizers for the structured graphs that attain the walk-based bounds,
-and verdict operations tying a digraph to the equality characterizations.
+"""Verdict operations tying a digraph to the equality characterizations of
+the walk-based bounds, each decided by one integer test on adjacency
+matrices that the verdicts and the verification harness share.
 
 The radius bound sqrt(sum t2^2 / sum c2^2) is attained exactly when, after
 deleting the arcs that lie on no cycle, the digraph is the symmetric digraph
@@ -10,18 +11,18 @@ on every edge.  The matching energy bound is attained exactly on symmetric
 digraphs of: the empty graph, the complete graph, a disjoint union of
 single edges covering every vertex, or a connected non-complete strongly
 regular graph whose two non-Perron eigenvalues share the modulus
-sqrt((a - q)/(n - 1)), that is, one with lam = mu.  Every fact here is
-decided in integers.
+sqrt((a - q)/(n - 1)), that is, one with lam = mu.  One identity decides
+that family (``energy_bound_attained``): A^2 = k I + mu (J - I).  Every
+fact here is decided in integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .digraph import ClosedWalkProfile, Digraph, Graph, adjacency_matrix, underlying_graph_if_symmetric
+from .digraph import ClosedWalkProfile, Digraph, adjacency_matrix, underlying_graph_if_symmetric
 
 KIND_R_REGULAR = "R_REGULAR"
 KIND_SEMIREGULAR_BIPARTITE = "SEMIREGULAR_BIPARTITE"
@@ -48,40 +49,6 @@ class StructureVerdict:
             "predicted_equality": self.predicted_equality,
             "extra_noncycle_arcs": [list(a) for a in self.extra_noncycle_arcs],
         }
-
-
-def is_regular(g: Graph) -> Optional[int]:
-    """The common degree r if every vertex has it, else None."""
-    if g.n == 0:
-        return 0
-    degs = set(g.degrees)
-    return degs.pop() if len(degs) == 1 else None
-
-
-def is_strongly_regular(g: Graph) -> Optional[tuple[int, int, int, int]]:
-    """(n, k, lam, mu) if g is connected, k-regular, non-complete and
-    nonempty, with every adjacent pair sharing lam neighbors and every
-    non-adjacent pair sharing mu; verified through the exact matrix
-    identity A^2 = k I + lam A + mu (J - I - A)."""
-    n = g.n
-    if not g.edges:
-        return None
-    k = is_regular(g)
-    if k is None:
-        return None
-    if len(g.component_vertex_sets) != 1:
-        return None
-    if 2 * len(g.edges) == n * (n - 1):
-        return None  # complete graph excluded
-    a = g.adjacency()
-    a2 = a @ a
-    eye = np.eye(n, dtype=a.dtype)
-    # Both pairs exist: g has an edge and is not complete.
-    lam = int(a2[tuple(np.argwhere(a)[0])])
-    mu = int(a2[tuple(np.argwhere(a + eye == 0)[0])])
-    if not np.array_equal(a2, k * eye + lam * a + mu * (1 - eye - a)):
-        return None
-    return (n, k, lam, mu)
 
 
 def walk_ratio_attained(reduced: np.ndarray, profile: ClosedWalkProfile):
@@ -133,31 +100,63 @@ def equality_verdict_rho_lower(
     return StructureVerdict(KIND_EMPTY, (g.n,), True, removed)
 
 
+def energy_bound_attained(adjacency: np.ndarray):
+    """Does the walk-ratio energy bound hold with equality, given a 0-1
+    adjacency A?
+
+    True exactly when A is symmetric and A^2 = k I + mu (J - I), that is,
+    A^2 has a constant diagonal and a constant off-diagonal.  With mu = 0
+    no two vertices share a neighbour, so k <= 1 and the graph is empty or
+    a perfect matching.  With mu > 0 every pair shares mu neighbours, so the
+    graph is connected and k-regular with lam = mu: complete (mu = n - 2)
+    or strongly regular.  Takes one ``(n, n)`` adjacency or a ``(K, n, n)``
+    stack and returns a bool or a ``(K,)`` mask.  The entries of A^2 are at
+    most n, so int64 is exact.
+    """
+    a = np.asarray(adjacency, dtype=np.int64)
+    a2 = a @ a
+    diagonal = np.diagonal(a2, axis1=-2, axis2=-1)
+    off_diagonal = a2[..., ~np.eye(a.shape[-1], dtype=bool)]
+    symmetric = (a == a.swapaxes(-1, -2)).all(axis=(-2, -1))
+    return (symmetric & (diagonal == diagonal[..., :1]).all(axis=-1)
+            & (off_diagonal == off_diagonal[..., :1]).all(axis=-1))
+
+
 def equality_verdict_energy_upper(d: Digraph) -> StructureVerdict:
     """Does the walk-ratio energy bound hold with equality?
 
-    True exactly for symmetric digraphs of: the empty graph, the complete
-    graph, a perfect matching, or a connected non-complete strongly regular
-    graph (n, k, lam, mu) with lam == mu.  The moduli of its two non-Perron
-    eigenvalues differ by |lam - mu|; when lam == mu, k(k - lam - 1) =
-    (n - k - 1) mu makes both sqrt(k - mu) = sqrt((a - q)/(n - 1)), the
-    bound's target (a = nk, q = k^2).  A connected pseudo-regular graph
-    with spectrum {p, +-b} (the graph corollary) is regular, because
-    A^2 = b^2 I + c d d^T forces every degree to D - (p - 1)/c, so it falls
-    under the strongly regular case.
+    ``predicted_equality`` is ``energy_bound_attained``: d is the symmetric
+    digraph of the empty graph, the complete graph, a perfect matching, or
+    a connected non-complete strongly regular graph (n, k, lam, mu) with
+    lam == mu.  The moduli of its two non-Perron eigenvalues differ by
+    |lam - mu|; when lam == mu, k(k - lam - 1) = (n - k - 1) mu makes both
+    sqrt(k - mu) = sqrt((a - q)/(n - 1)), the bound's target (a = nk,
+    q = k^2).  A connected pseudo-regular graph with spectrum {p, +-b} (the
+    graph corollary) is regular, because A^2 = b^2 I + c d d^T forces every
+    degree to D - (p - 1)/c, so it falls under the strongly regular case.
+
+    The kind and params name the first shape that fits, read off A and
+    A^2: NONE when d is not symmetric; EMPTY (n,); COMPLETE (n,);
+    PERFECT_MATCHING_UNION (n/2,) when every degree (the diagonal of A^2)
+    is 1; STRONGLY_REGULAR (n, k, lam, mu) when A^2 is constant k on the
+    diagonal, lam on the arcs and mu > 0 on the other pairs (mu > 0 makes
+    the graph connected); NONE otherwise.
     """
-    g = underlying_graph_if_symmetric(d)
-    if g is None:
-        return StructureVerdict(KIND_NONE, (), False)
-    if not g.edges:
-        return StructureVerdict(KIND_EMPTY, (g.n,), True)
-    n = g.n
-    if 2 * len(g.edges) == n * (n - 1):
-        return StructureVerdict(KIND_COMPLETE, (n,), True)
-    if all(deg == 1 for deg in g.degrees):
-        return StructureVerdict(KIND_PERFECT_MATCHING_UNION, (n // 2,), True)
-    srg = is_strongly_regular(g)
-    if srg is not None:
-        _, _, lam, mu = srg
-        return StructureVerdict(KIND_STRONGLY_REGULAR, srg, lam == mu)
-    return StructureVerdict(KIND_NONE, (), False)
+    a = adjacency_matrix(d)
+    attained = bool(energy_bound_attained(a))
+    n = d.n
+    if not d.is_symmetric:
+        return StructureVerdict(KIND_NONE, (), attained)
+    if not d.arcs:
+        return StructureVerdict(KIND_EMPTY, (n,), attained)
+    if d.arc_count == n * (n - 1):
+        return StructureVerdict(KIND_COMPLETE, (n,), attained)
+    a2 = a @ a
+    k = set(np.diagonal(a2).tolist())
+    lam = set(a2[a == 1].tolist())
+    mu = set(a2[(a == 0) & ~np.eye(n, dtype=bool)].tolist())
+    if k == {1}:
+        return StructureVerdict(KIND_PERFECT_MATCHING_UNION, (n // 2,), attained)
+    if len(k) == len(lam) == len(mu) == 1 and min(mu) > 0:
+        return StructureVerdict(KIND_STRONGLY_REGULAR, (n, *k, *lam, *mu), attained)
+    return StructureVerdict(KIND_NONE, (), attained)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -11,17 +12,18 @@ from digenergy import (
     adjacency_matrix,
     cycle_arc_reduction,
     energy_upper_walk_ratio,
+    enumerate_digraphs,
     equality_verdict_energy_upper,
     equality_verdict_rho_lower,
-    is_regular,
-    is_strongly_regular,
+    random_digraph,
     rho_lower_walk_ratio,
     walk_profile,
 )
 from digenergy.bounds import DEFAULT_TOL
+from digenergy.digraph import adjacency_matrices
 from digenergy.oracle import _Block, _check_equality_iff_energy
 from digenergy.spectrum import Memo
-from digenergy.structure import walk_ratio_attained
+from digenergy.structure import energy_bound_attained, walk_ratio_attained
 
 from families import (
     all_graphs,
@@ -53,59 +55,6 @@ def verdict_rho(d):
 
 def verdict_energy(d):
     return equality_verdict_energy_upper(d)
-
-
-class TestIsRegular:
-    def test_triangle(self):
-        assert is_regular(complete_graph(3)) == 2
-
-    def test_star_not_regular(self):
-        assert is_regular(star_graph(2)) is None
-
-    def test_four_cycle(self):
-        assert is_regular(cycle_graph(4)) == 2
-
-    def test_empty_is_zero_regular(self):
-        assert is_regular(empty_graph(3)) == 0
-
-
-class TestIsStronglyRegular:
-    def test_pentagon(self):
-        assert is_strongly_regular(cycle_graph(5)) == (5, 2, 0, 1)
-
-    def test_petersen(self):
-        assert is_strongly_regular(petersen_graph()) == (10, 3, 0, 1)
-
-    def test_complete_excluded(self):
-        assert is_strongly_regular(complete_graph(4)) is None
-
-    def test_four_cycle(self):
-        assert is_strongly_regular(cycle_graph(4)) == (4, 2, 0, 2)
-
-    def test_disconnected_excluded(self):
-        from digenergy import Graph
-
-        g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])  # 2 triangles
-        assert is_strongly_regular(g) is None
-
-    def test_path_not_regular(self):
-        assert is_strongly_regular(path_graph(3)) is None
-
-    def test_parameter_identity_on_all_accepted(self):
-        # k(k - lam - 1) = (n - k - 1) mu for every accepted graph up to n=6
-        from families import all_graphs
-
-        seen = 0
-        for n in range(1, 7):
-            for g in all_graphs(n):
-                params = is_strongly_regular(g)
-                if params is None:
-                    continue
-                seen += 1
-                gn, k, lam, mu = params
-                assert gn == n
-                assert k * (k - lam - 1) == (n - k - 1) * mu
-        assert seen > 0
 
 
 def _brute_force_bipartition(g, comp):
@@ -197,7 +146,7 @@ class TestRhoEqualityVerdict:
     def test_regular_graphs_up_to_six(self, n):
         # An r-regular graph attains the bound; with no edge it is EMPTY.
         for g in all_regular_graphs(n):
-            r = is_regular(g)
+            r = g.degrees[0]
             expect = ("R_REGULAR", (r,)) if r else ("EMPTY", (n,))
             v = verdict_rho(sym(g))
             assert (v.kind, v.params, v.predicted_equality) == (*expect, True)
@@ -261,7 +210,85 @@ class TestRhoEqualityVerdict:
         assert v.kind == "R_REGULAR" and v.params == (2,)  # first edge component
 
 
+def _energy_kind_criterion(g):
+    """The energy equality shapes, by brute force: the empty graph, the
+    complete graph, a perfect matching, or a connected regular graph whose
+    adjacent pairs all share lam common neighbours and whose non-adjacent
+    pairs all share mu, with lam = mu."""
+    n, nbr = g.n, g.neighbor_masks
+    if not g.edges or 2 * len(g.edges) == n * (n - 1) or set(g.degrees) == {1}:
+        return True
+    if len(g.component_vertex_sets) > 1 or len(set(g.degrees)) > 1:
+        return False
+    shared = {True: set(), False: set()}
+    for i, j in combinations(range(n), 2):
+        shared[(i, j) in g.edges].add((nbr[i] & nbr[j]).bit_count())
+    lam, mu = shared[True], shared[False]
+    return len(lam) == len(mu) == 1 and lam == mu
+
+
+class TestEnergyBoundAttained:
+    def test_stacked_equals_single(self):
+        ds = [sym(g) for g in all_graphs(4)] + [random_digraph(4, 0.5, seed) for seed in range(200)]
+        stack = adjacency_matrices(ds)
+        single = [bool(energy_bound_attained(a)) for a in stack]
+        assert energy_bound_attained(stack).tolist() == single
+        assert 0 < sum(single) < len(ds)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_orders_zero_and_one(self, n):
+        assert energy_bound_attained(np.zeros((3, n, n), dtype=np.int64)).tolist() == [True] * 3
+        assert energy_bound_attained(np.zeros((n, n), dtype=np.int64))
+
+    @pytest.mark.parametrize("n", range(2, 4))
+    def test_every_asymmetric_digraph_up_to_three(self, n):
+        ds = [d for d in enumerate_digraphs(n) if not d.is_symmetric]
+        assert ds and not energy_bound_attained(adjacency_matrices(ds)).any()
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_random_asymmetric_digraphs(self, n):
+        # Dense draws include the complete digraph less a few arcs.
+        ds = [random_digraph(n, p, seed) for p in (0.3, 0.7, 0.95) for seed in range(50)]
+        ds = [d for d in ds if not d.is_symmetric]
+        assert ds and not energy_bound_attained(adjacency_matrices(ds)).any()
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_all_graphs_up_to_six(self, n):
+        # The identity on a stack and the verdict's prediction both equal
+        # the brute-force criterion; every strongly regular verdict has
+        # k(k - lam - 1) = (n - k - 1) mu.
+        gs = list(all_graphs(n))
+        ds = [sym(g) for g in gs]
+        expect = [_energy_kind_criterion(g) for g in gs]
+        assert energy_bound_attained(adjacency_matrices(ds)).tolist() == expect
+        verdicts = [verdict_energy(d) for d in ds]
+        assert [v.predicted_equality for v in verdicts] == expect
+        srg = [v.params for v in verdicts if v.kind == "STRONGLY_REGULAR"]
+        assert bool(srg) == (n >= 4)
+        for gn, k, lam, mu in srg:
+            assert gn == n and k * (k - lam - 1) == (n - k - 1) * mu
+
+
 class TestEnergyEqualityVerdict:
+    @pytest.mark.parametrize("g,kind,params,predicted", [
+        pytest.param(cycle_graph(5), "STRONGLY_REGULAR", (5, 2, 0, 1), False, id="C5"),
+        pytest.param(petersen_graph(), "STRONGLY_REGULAR", (10, 3, 0, 1), False, id="petersen"),
+        pytest.param(cycle_graph(4), "STRONGLY_REGULAR", (4, 2, 0, 2), False, id="C4"),
+        pytest.param(complete_graph(4), "COMPLETE", (4,), True, id="K4"),
+        pytest.param(Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]), "NONE", (), False,
+                     id="two-K3"),
+        pytest.param(path_graph(3), "NONE", (), False, id="P3"),
+        pytest.param(empty_graph(3), "EMPTY", (3,), True, id="empty3"),
+    ])
+    def test_graph_kinds(self, g, kind, params, predicted):
+        # A strongly regular graph is connected, regular and not complete;
+        # the prediction agrees with the certified spectrum.
+        d = sym(g)
+        v = verdict_energy(d)
+        assert (v.kind, v.params, v.predicted_equality) == (kind, params, predicted)
+        gap = abs(energy_upper_walk_ratio(walk_profile(d), g.n) - spectrum_of(d).energy)
+        assert v.predicted_equality == (gap <= 1e-7)
+
     def test_complete_four(self):
         v = verdict_energy(sym(complete_graph(4)))
         assert v.predicted_equality is True
@@ -315,9 +342,7 @@ class TestEnergyEqualityVerdict:
         # 4x4 rook's graph: SRG(16,6,2,2); with lam == mu the non-Perron
         # eigenvalues are +-sqrt(k - mu) = +-2, exactly the target modulus,
         # so this is a genuine equality case beyond complete/matching/empty
-        rook = rook_graph(4)
-        assert is_strongly_regular(rook) == (16, 6, 2, 2)
-        d = sym(rook)
+        d = sym(rook_graph(4))
         prof = walk_profile(d)
         assert spectrum_of(d).energy == pytest.approx(36.0, abs=1e-8)
         assert energy_upper_walk_ratio(prof, 16) == pytest.approx(spectrum_of(d).energy, abs=1e-7)
@@ -343,8 +368,8 @@ class TestEnergyEqualityVerdict:
         numeric = abs(spectrum_of(d).energy - energy_upper_walk_ratio(walk_profile(d), g.n)) <= 1e-7
         assert v.predicted_equality == numeric == (params[2] == params[3])
 
-    @pytest.mark.parametrize("n", range(1, 6))
-    def test_every_graph_up_to_five_matches_the_numeric_test(self, n):
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_graph_up_to_six_matches_the_numeric_test(self, n):
         gs = list(all_graphs(n))
         _, [(fail, *_)] = _check_equality_iff_energy(_Block([sym(g) for g in gs], Memo()), DEFAULT_TOL)
         assert [g.edges for g, bad in zip(gs, fail) if bad] == []
