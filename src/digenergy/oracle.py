@@ -52,13 +52,18 @@ RANDOM_MAX_N = 12
 IFF_TOL = 1e-7
 PIN_TOL = 1e-12
 # Digraphs per block of the harness: each block computes its exact and
-# floating layers as stacked arrays.  Blocks stay small next to a corpus
-# (exhaustive n = 5 has 1,048,576 digraphs), which is never held whole.
-# Blocks of 64 run verify_all(4) and random n = 10 as fast as blocks of
-# 128 or 256 (within run-to-run noise on a 2-vCPU x86_64 host) and hold
-# less: 200 random n = 10 digraphs peak at about 1.0 MB of Python
-# allocations with blocks of 64, against 2.6 MB with blocks of 256.
-BLOCK_SIZE = 64
+# floating layers as stacked arrays, and its per-polynomial work once per
+# distinct polynomial.  Blocks stay small next to a corpus (exhaustive
+# n = 5 has 1,048,576 digraphs), which is never held whole.  One cold
+# verify_all call in a fresh process, its time and the process's peak RSS
+# with blocks of 64 / 256 / 1024 (medians of three; 2-vCPU x86_64 host,
+# Python 3.11, numpy 2.4):
+#   verify_all(4)                   0.173 / 0.117 / 0.101 s   32.4 / 33.0 / 36.6 MB
+#   random n = 10 x 200, p = 0.3    0.124 / 0.079 / 0.090 s   32.9 / 34.3 / 34.3 MB
+#   random n = 12 x 2,000, p = 0.3  1.34 / 1.13 / 1.35 s      36.1 / 39.9 / 54.7 MB
+# At 64 the per-block numpy overhead dominates at n = 4; 1024 gains little
+# there and costs time and 15 MB at n = 12.
+BLOCK_SIZE = 256
 
 _MASK64 = (1 << 64) - 1
 
@@ -179,10 +184,16 @@ class _Block:
       S^2, one stacked ``eigvalsh`` each.
 
     The characteristic polynomials of the digraphs and of their reductions
-    come from one kernel call, each distinct ``out_masks`` once.  From them
-    and the QR values come the certified spectra (one Aberth call per
-    degree) and from those the Coulson integrals (one quadrature), each
-    member's value or the exception that rejects it.  The equality
+    come from one kernel call, each distinct ``out_masks`` once, and form
+    the block's table ``polys`` of distinct polynomials: each member holds
+    one integer row of it for itself (``poly_index``) and one for its
+    reduction (``reduced_index``).  Every per-polynomial step runs once per
+    row: the certified spectra (one Aberth call per degree, and one stacked
+    spread check over the members with a repeated root) and from those the
+    Coulson integrals (the pole guard once per spectrum, one quadrature).
+    The spectral scalars, the integrals and the reduction invariance reach
+    the members by the index, and a member's entry of ``spectra`` and
+    ``coulson`` is its value or the exception that rejects it.  The equality
     predictions are the verdicts' own integer tests on stacked arrays:
     ``walk_ratio_attained`` on the reductions and profiles for the radius
     (``equality_verdict_rho_lower``), ``energy_bound_attained`` on ``bits``
@@ -267,24 +278,63 @@ class _Block:
         return Digraph(self.n, np.argwhere(self.reduced_bits[k]).tolist())
 
     @cached_property
-    def charpolys(self) -> dict[tuple[int, ...], CharPoly]:
-        """``CharPoly`` by ``out_masks``, for every digraph and reduction."""
-        rows = list(dict.fromkeys(itertools.chain((d.out_masks for d in self.digraphs),
-                                                  self.reduced_masks)))
-        coeffs = kernels.charpoly_from_masks(self.n, rows)
-        return {masks: CharPoly(tuple(c)) for masks, c in zip(rows, coeffs)}
+    def _poly_table(self) -> tuple[list[CharPoly], np.ndarray, np.ndarray]:
+        masks = [d.out_masks for d in self.digraphs]
+        rows = list(dict.fromkeys(itertools.chain(masks, self.reduced_masks)))
+        by_masks = dict(zip(rows, map(tuple, kernels.charpoly_from_masks(self.n, rows))))
+        table: dict[tuple[int, ...], int] = {}
+        index = np.array([table.setdefault(by_masks[m], len(table)) for m in masks], dtype=np.intp)
+        reduced = np.array([table.setdefault(by_masks[m], len(table)) for m in self.reduced_masks],
+                           dtype=np.intp)
+        return [CharPoly(c) for c in table], index, reduced
+
+    @property
+    def polys(self) -> list[CharPoly]:
+        """The distinct characteristic polynomials of the members and of
+        their reductions, the members' first, in order of first use."""
+        return self._poly_table[0]
+
+    @property
+    def poly_index(self) -> np.ndarray:
+        """The ``(K,)`` row of ``polys`` of each member."""
+        return self._poly_table[1]
+
+    @property
+    def reduced_index(self) -> np.ndarray:
+        """The ``(K,)`` row of ``polys`` of each member's reduction."""
+        return self._poly_table[2]
+
+    @cached_property
+    def certified(self) -> tuple[list, dict]:
+        """``certify_spectra`` on the members' rows of ``polys``: the
+        certified ``Spectrum`` of each, or its EigensolverError, and the
+        EigensolverError of each member, by position, whose QR values miss
+        its repeated roots."""
+        members = self.polys[:int(self.poly_index.max()) + 1]
+        return certify_spectra(members, self.poly_index, self.qr, self.memo)
+
+    @cached_property
+    def rejected(self) -> np.ndarray:
+        """The members whose spectrum is rejected."""
+        outcomes, errors = self.certified
+        bad = np.array([isinstance(s, Exception) for s in outcomes], dtype=bool)[self.poly_index]
+        bad[list(errors)] = True
+        return bad
 
     @cached_property
     def spectra(self) -> list:
         """The certified ``Spectrum`` of each member, or its EigensolverError."""
-        polys = [self.charpolys[d.out_masks] for d in self.digraphs]
-        return certify_spectra(polys, self.qr, self.memo)
+        outcomes, errors = self.certified
+        return [errors.get(k, outcomes[p]) for k, p in enumerate(self.poly_index.tolist())]
 
     @cached_property
     def _spectral(self) -> tuple[np.ndarray, ...]:
-        rows = [(s.rho, s.energy, s.sum_re_sq, s.sum_im_sq) if isinstance(s, Spectrum) else (0.0,) * 4
-                for s in self.spectra]
-        return tuple(np.array(rows, dtype=float).reshape(len(rows), 4).T)
+        outcomes, _ = self.certified
+        rows = np.array([(s.rho, s.energy, s.sum_re_sq, s.sum_im_sq) if isinstance(s, Spectrum)
+                         else (0.0,) * 4 for s in outcomes], dtype=float).reshape(len(outcomes), 4)
+        rows = rows[self.poly_index]
+        rows[self.rejected] = 0.0
+        return tuple(rows.T)
 
     def spectral(self, rows: Optional[np.ndarray] = None) -> tuple[np.ndarray, ...]:
         """rho, energy, sum_re_sq and sum_im_sq of every member, as (K,)
@@ -297,17 +347,26 @@ class _Block:
     def raise_rejected(self) -> None:
         """Raise the EigensolverError of the first member whose rejected
         spectrum a check read, as a check of that member alone would."""
-        for k in np.flatnonzero(self.spectra_read):
-            unwrap(self.spectra[k])
+        read = np.flatnonzero(self.spectra_read & self.rejected)
+        if len(read):
+            unwrap(self.spectra[read[0]])
+
+    @cached_property
+    def integrals(self) -> list:
+        """The Coulson integral (rel_tol 1e-6) of each member polynomial
+        (the rows of ``certified``), or the exception that skips it: its
+        PurelyImaginaryEigenvalueError, or the EigensolverError of its
+        spectrum."""
+        outcomes, _ = self.certified
+        values = iter(coulson_energies([s for s in outcomes if isinstance(s, Spectrum)], 1e-6, self.memo))
+        return [next(values) if isinstance(s, Spectrum) else s for s in outcomes]
 
     @cached_property
     def coulson(self) -> list:
-        """The Coulson integral (rel_tol 1e-6) of each member, or the
-        exception that skips it: its PurelyImaginaryEigenvalueError, or the
-        EigensolverError of its spectrum."""
-        spectra = [s for s in self.spectra if isinstance(s, Spectrum)]
-        values = iter(coulson_energies(spectra, 1e-6, self.memo))
-        return [next(values) if isinstance(s, Spectrum) else s for s in self.spectra]
+        """The Coulson integral of each member, or the exception that skips
+        it; a member whose own QR values are rejected takes that error."""
+        _, errors = self.certified
+        return [errors.get(k, self.integrals[p]) for k, p in enumerate(self.poly_index.tolist())]
 
     @cached_property
     def adjacency(self) -> np.ndarray:
@@ -409,11 +468,11 @@ class Analysis:
 
     @cached_property
     def charpoly(self) -> CharPoly:
-        return self._block.charpolys[self.d.out_masks]
+        return self._block.polys[self._block.poly_index[self._index]]
 
     @cached_property
     def reduced_charpoly(self) -> CharPoly:
-        return self._block.charpolys[self._block.reduced_masks[self._index]]
+        return self._block.polys[self._block.reduced_index[self._index]]
 
     @cached_property
     def spectrum(self) -> Spectrum:
@@ -592,30 +651,28 @@ def _check_dominance_chain(block: _Block, tol: float):
 
 
 def _check_charpoly_reduction_invariance(block: _Block, tol: float):
-    fail = _never(block)
+    # ``polys`` holds each distinct polynomial once, so equal rows are equal
+    # polynomials.
+    fail = block.poly_index != block.reduced_index
     lhs, rhs, gap = (np.zeros(len(fail)) for _ in range(3))
-    polys = block.charpolys
-    for k in np.flatnonzero(block.drops_arcs).tolist():
-        p1 = polys[block.digraphs[k].out_masks].coeffs
-        p2 = polys[block.reduced_masks[k]].coeffs
-        if p1 != p2:
-            fail[k] = True
-            lhs[k], rhs[k], gap[k] = p1[0], p2[0], max(abs(a - b) for a, b in zip(p1, p2))
+    for k in np.flatnonzero(fail).tolist():
+        p1, p2 = block.polys[block.poly_index[k]].coeffs, block.polys[block.reduced_index[k]].coeffs
+        lhs[k], rhs[k], gap[k] = p1[0], p2[0], max(abs(a - b) for a, b in zip(p1, p2))
     return _never(block), [(fail, lhs, rhs, gap)]
 
 
 def _check_coulson_match(block: _Block, tol: float):
+    # Per member polynomial, then gathered by ``poly_index``; a rejected
+    # member reads zeros here and raises through ``raise_rejected``.
     _, energy, _, _ = block.spectral()
+    outcomes, _ = block.certified
     n = block.n
-    z = np.array([s.eigenvalues if isinstance(s, Spectrum) else (0j,) * n for s in block.spectra],
-                 dtype=complex).reshape(len(energy), n)
+    z = np.array([s.eigenvalues if isinstance(s, Spectrum) else (0j,) * n for s in outcomes],
+                 dtype=complex).reshape(len(outcomes), n)
     skip = ((np.abs(z.real) <= 1e-6) & (np.abs(z) > 1e-6)).any(axis=1)
-    integral = np.zeros(len(skip))
-    for k in np.flatnonzero(~skip).tolist():
-        try:
-            integral[k] = unwrap(block.coulson[k])
-        except PurelyImaginaryEigenvalueError:
-            skip[k] = True
+    skip |= np.array([isinstance(v, PurelyImaginaryEigenvalueError) for v in block.integrals], dtype=bool)
+    integral = np.array([0.0 if isinstance(v, Exception) else v for v in block.integrals])
+    skip, integral = skip[block.poly_index], integral[block.poly_index]
     diff = np.abs(integral - energy) / np.maximum(1.0, energy)
     return skip, [(~skip & (diff > 1e-6), integral, energy, diff)]
 

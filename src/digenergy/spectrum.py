@@ -13,11 +13,14 @@ start panels, that evaluates the integrand once per refinement level, over
 all panels of that level, with a fixed panel budget.
 
 Both layers work on stacks, for a block of digraphs of one order
-(``certify_spectra`` and ``coulson_energies``): one Aberth call per degree
-refines, for each distinct square-free polynomial, the QR values of its
-first member, and the roots of the factors of the others, and one
-quadrature integrates every distinct polynomial of the block.  Each row of a stack gets the bits it gets alone,
-and ``eigenvalues`` and ``coulson_energy`` are the blocks of one.
+(``certify_spectra`` and ``coulson_energies``), once per distinct
+polynomial: one Aberth call per degree refines, for each distinct
+square-free polynomial, the QR values of its first member, and the roots of
+the factors of the others, one stacked distance array checks every member's
+QR values against the exact roots of its repeated-root polynomial, and one
+quadrature integrates every distinct polynomial of the block.  Each row of
+a stack gets the bits it gets alone, and ``eigenvalues`` and
+``coulson_energy`` are the blocks of one.
 
 The work done per distinct polynomial (its exact roots, certified spectrum
 and Coulson integral) is kept in a ``Memo`` that the caller owns: one per
@@ -254,13 +257,16 @@ def _square_free_decomposition(coeffs: Sequence[int]) -> list[tuple[tuple[int, .
     at n = 64, against about 3.4 ms and 171 ms for the integer gcd(p, p').
     """
     coeffs = tuple(coeffs)
-    if _coprime_to_derivative_mod_q(coeffs):
-        return [(coeffs, 1)]
-    # p = x^k q with k >= 2 and q(0) != 0: when q passes the certificate,
-    # q is square-free and coprime to x, so p = q * x^k needs no Yun.
     zeros = next(k for k, c in enumerate(coeffs) if c)
-    if zeros >= 2 and _coprime_to_derivative_mod_q(coeffs[zeros:]):
-        return ([(coeffs[zeros:], 1)] if len(coeffs) > zeros + 1 else []) + [((0, 1), zeros)]
+    # p = x^k q with k >= 2 and q(0) != 0: x divides p and p' mod q, so the
+    # certificate on p always fails, and only q is certified.  When q
+    # passes, it is square-free and coprime to x, so p = q * x^k needs no
+    # Yun.  Either way each polynomial takes one certificate.
+    if zeros >= 2:
+        if _coprime_to_derivative_mod_q(coeffs[zeros:]):
+            return ([(coeffs[zeros:], 1)] if len(coeffs) > zeros + 1 else []) + [((0, 1), zeros)]
+    elif _coprime_to_derivative_mod_q(coeffs):
+        return [(coeffs, 1)]
     # Step 0 divides out g = gcd(p, p'); step m >= 1 finds the factor of
     # multiplicity m.
     b, d = list(coeffs), _deriv(coeffs)
@@ -368,21 +374,6 @@ def qr_values(a: np.ndarray) -> np.ndarray:
     return out.reshape(a.shape[:-1])
 
 
-def _check_spread(qr: np.ndarray, repeated: tuple[complex, ...]) -> None:
-    """Raise EigensolverError unless the exact roots are as many as the
-    digraph's QR values and each lies within 1e-2 * (1 + rho) of one."""
-    if len(repeated) != len(qr):
-        raise EigensolverError(
-            f"square-free decomposition yielded {len(repeated)} roots, expected {len(qr)}")
-    exact = np.array(repeated, dtype=complex)
-    spread = float(np.abs(qr[None, :] - exact[:, None]).min(axis=1).max())
-    if spread > 1e-2 * (1.0 + float(np.max(np.abs(exact)))):
-        raise EigensolverError(
-            f"QR values and exact-polynomial roots disagree by {spread:.3e}",
-            partial=repeated,
-        )
-
-
 def unwrap(outcome):
     """One member's result of a stacked call: its value, or the exception
     stored in its place, raised."""
@@ -391,60 +382,88 @@ def unwrap(outcome):
     return outcome
 
 
-def certify_spectra(polys: Sequence[CharPoly], qr: np.ndarray, memo: Memo) -> list:
-    """The certified spectrum of each member of a block of digraphs of one
-    order n, from its exact characteristic polynomial and its row of the
-    ``(K, n)`` QR values, or in its place the EigensolverError that
-    rejects it (see ``eigenvalues``).
+def certify_spectra(polys: Sequence[CharPoly], index: np.ndarray, qr: np.ndarray,
+                    memo: Memo) -> tuple[list, dict[int, EigensolverError]]:
+    """The certified spectra of a block of digraphs of one order n, from
+    ``polys``, the distinct exact characteristic polynomials of its members
+    (each the polynomial of at least one member), ``index``, the ``(K,)``
+    row of ``polys`` of each member, and ``qr``, the members' ``(K, n)`` QR
+    values.
 
-    Each distinct polynomial that ``memo.spectra`` lacks is certified once:
-    a repeated-root one from its exact roots, a square-free one from the QR
+    Returns the outcome of each polynomial, its certified ``Spectrum`` or
+    the EigensolverError that rejects it (see ``eigenvalues``), and, by
+    member position, the EigensolverError of each member whose own QR
+    values miss the exact roots of its repeated-root polynomial, which
+    replaces the polynomial's outcome for that member.
+
+    Each polynomial that ``memo.spectra`` lacks is certified once: a
+    repeated-root one from its exact roots, a square-free one from the QR
     values of its first member, and the square-free ones in one Aberth
     call.  A spectrum that passes the residual gate is stored; a rejected
-    one is not, and its error goes to every member with that polynomial.
-    A member then takes the spectrum of its polynomial, after its own QR
-    values are checked against a repeated root.
+    one is not.  The members' QR values are checked against the repeated
+    roots of their polynomials in one stacked ``(M, n, n)`` distance array
+    over the M members that have one: each exact root must lie within
+    1e-2 * (1 + rho) of one of the member's values.
     """
     n = qr.shape[-1]
-    _repeated_roots((p.coeffs for p in polys), memo.roots)
-    first: dict[tuple[int, ...], int] = {}
-    for i, p in enumerate(polys):
-        if p.coeffs not in memo.spectra:
-            first.setdefault(p.coeffs, i)
-    todo = list(first)
-    values = np.array([qr[i] if memo.roots[c] is None else memo.roots[c] for c, i in first.items()],
+    coeffs = [p.coeffs for p in polys]
+    _repeated_roots(coeffs, memo.roots)
+    roots = [memo.roots[c] for c in coeffs]
+    outcomes: list = [memo.spectra.get(c) for c in coeffs]
+    for p, r in enumerate(roots):
+        if r is not None and len(r) != n:
+            outcomes[p] = EigensolverError(
+                f"square-free decomposition yielded {len(r)} roots, expected {n}")
+    todo = [p for p, s in enumerate(outcomes) if s is None]
+    _, first = np.unique(index, return_index=True)  # the first member of each polynomial
+    values = np.array([qr[first[p]] if roots[p] is None else roots[p] for p in todo],
                       dtype=complex).reshape(len(todo), n)
-    square_free = [k for k, c in enumerate(todo) if memo.roots[c] is None]
+    square_free = [k for k, p in enumerate(todo) if roots[p] is None]
     if square_free:
-        values[square_free] = _aberth_refine([todo[k] for k in square_free], values[square_free])
+        values[square_free] = _aberth_refine([coeffs[todo[k]] for k in square_free], values[square_free])
     paired = [sorted(_pair_conjugates(row), key=lambda z: (-z.real, -z.imag)) for row in values]
     at = np.array(paired, dtype=complex).reshape(len(todo), n)
-    residuals = np.abs(_polyval_rows(_horner_steps(todo, n + 1), at)).max(axis=1, initial=0.0)
-    rejected = {}
-    for c, vals, residual in zip(todo, paired, residuals.tolist()):
+    steps = _horner_steps([coeffs[p] for p in todo], n + 1)
+    residuals = np.abs(_polyval_rows(steps, at)).max(axis=1, initial=0.0)
+    for p, vals, residual in zip(todo, paired, residuals.tolist()):
         rho = max((abs(z) for z in vals), default=0.0)
         if residual > _RESIDUAL_GATE * (1.0 + rho) ** n:
-            rejected[c] = EigensolverError(
+            outcomes[p] = EigensolverError(
                 f"eigenvalue residual {residual:.3e} exceeds gate for n={n}", partial=tuple(vals))
             continue
-        memo.spectra[c] = Spectrum(
+        outcomes[p] = memo.spectra[coeffs[p]] = Spectrum(
             eigenvalues=tuple(vals),
             rho=rho,
             energy=float(sum(abs(z.real) for z in vals)),
             sum_re_sq=float(sum(z.real * z.real for z in vals)),
             sum_im_sq=float(sum(z.imag * z.imag for z in vals)),
-            charpoly=polys[first[c]],
+            charpoly=polys[p],
         )
-    out: list = []
-    for i, p in enumerate(polys):
-        try:
-            if memo.roots[p.coeffs] is not None:
-                _check_spread(qr[i], memo.roots[p.coeffs])
-        except EigensolverError as exc:
-            out.append(exc)
-        else:
-            out.append(memo.spectra.get(p.coeffs, rejected.get(p.coeffs)))
-    return out
+    repeated = [p for p, r in enumerate(roots) if r is not None and len(r) == n]
+    return outcomes, (_check_spreads(qr, index, roots, repeated) if repeated else {})
+
+
+def _check_spreads(qr: np.ndarray, index: np.ndarray, roots: Sequence,
+                   repeated: Sequence[int]) -> dict[int, EigensolverError]:
+    """The EigensolverError, by member position, of each member of a block
+    whose polynomial is one of the rows ``repeated`` (n exact roots each,
+    in ``roots``) and whose own row of the ``(K, n)`` QR values ``qr`` lies
+    farther than 1e-2 * (1 + rho) from one of those roots; ``index`` is
+    each member's row.  One ``(M, n, n)`` distance array over the M members
+    with a repeated-root polynomial gives each spread bit for bit as a
+    member alone gets it."""
+    n = qr.shape[-1]
+    row = np.full(len(roots), -1)
+    row[repeated] = np.arange(len(repeated))
+    members = np.flatnonzero(row[index] >= 0)
+    exact = np.array([roots[p] for p in repeated], dtype=complex).reshape(len(repeated), n)
+    limit = 1e-2 * (1.0 + np.abs(exact).max(axis=1))
+    at = row[index[members]]
+    spread = np.abs(qr[members][:, None, :] - exact[at][:, :, None]).min(axis=2).max(axis=1)
+    return {int(members[k]): EigensolverError(
+                f"QR values and exact-polynomial roots disagree by {float(spread[k]):.3e}",
+                partial=roots[index[members[k]]])
+            for k in np.flatnonzero(spread > limit[at]).tolist()}
 
 
 def eigenvalues(poly: CharPoly, qr: np.ndarray) -> Spectrum:
@@ -465,7 +484,8 @@ def eigenvalues(poly: CharPoly, qr: np.ndarray) -> Spectrum:
     n = len(poly.coeffs) - 1
     if len(qr) != n:
         raise ValueError(f"expected {n} QR values for a polynomial of degree {n}, got {len(qr)}")
-    return unwrap(certify_spectra([poly], np.asarray(qr)[None], Memo())[0])
+    outcomes, errors = certify_spectra([poly], np.zeros(1, dtype=np.intp), np.asarray(qr)[None], Memo())
+    return unwrap(errors.get(0, outcomes[0]))
 
 
 # --- Coulson-type integral ---------------------------------------------------
@@ -676,9 +696,12 @@ def coulson_energies(spectra: Sequence[Spectrum], rel_tol: float, memo: Memo) ->
     """The Coulson integral of each spectrum, or in its place the
     PurelyImaginaryEigenvalueError that skips it (see ``coulson_energy``).
 
-    Every distinct polynomial that ``memo.integrals`` lacks is integrated
-    in one level-synchronous quadrature, with its own tolerance, panel
-    budget and pole, and its integral is stored there; a pole is not.
+    The pole guard reads each spectrum once, so a caller passes each
+    polynomial's spectrum once: a block of the harness passes one per
+    distinct polynomial of its members.  Every distinct polynomial that
+    ``memo.integrals`` lacks is integrated in one level-synchronous
+    quadrature, with its own tolerance, panel budget and pole, and its
+    integral is stored there; a pole is not.
     """
     if not (0.0 < rel_tol < 1.0):
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")

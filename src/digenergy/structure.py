@@ -113,13 +113,19 @@ def energy_bound_attained(adjacency: np.ndarray):
     stack and returns a bool or a ``(K,)`` mask.  The entries of A^2 are at
     most n, so int64 is exact.
     """
+    return _square_identity(adjacency)[2]
+
+
+def _square_identity(adjacency: np.ndarray):
+    """A in int64, A^2 and ``energy_bound_attained``: the identity and the
+    energy verdict's kind naming share the one product A^2."""
     a = np.asarray(adjacency, dtype=np.int64)
     a2 = a @ a
     diagonal = np.diagonal(a2, axis1=-2, axis2=-1)
     off_diagonal = a2[..., ~np.eye(a.shape[-1], dtype=bool)]
     symmetric = (a == a.swapaxes(-1, -2)).all(axis=(-2, -1))
-    return (symmetric & (diagonal == diagonal[..., :1]).all(axis=-1)
-            & (off_diagonal == off_diagonal[..., :1]).all(axis=-1))
+    return a, a2, (symmetric & (diagonal == diagonal[..., :1]).all(axis=-1)
+                   & (off_diagonal == off_diagonal[..., :1]).all(axis=-1))
 
 
 def equality_verdict_energy_upper(d: Digraph) -> StructureVerdict:
@@ -142,8 +148,8 @@ def equality_verdict_energy_upper(d: Digraph) -> StructureVerdict:
     diagonal, lam on the arcs and mu > 0 on the other pairs (mu > 0 makes
     the graph connected); NONE otherwise.
     """
-    a = adjacency_matrix(d)
-    attained = bool(energy_bound_attained(a))
+    a, a2, attained = _square_identity(adjacency_matrix(d))
+    attained = bool(attained)
     n = d.n
     if not d.is_symmetric:
         return StructureVerdict(KIND_NONE, (), attained)
@@ -151,7 +157,6 @@ def equality_verdict_energy_upper(d: Digraph) -> StructureVerdict:
         return StructureVerdict(KIND_EMPTY, (n,), attained)
     if d.arc_count == n * (n - 1):
         return StructureVerdict(KIND_COMPLETE, (n,), attained)
-    a2 = a @ a
     k = set(np.diagonal(a2).tolist())
     lam = set(a2[a == 1].tolist())
     mu = set(a2[(a == 0) & ~np.eye(n, dtype=bool)].tolist())

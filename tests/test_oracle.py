@@ -167,17 +167,23 @@ class TestVerifyAll:
         stats = rep.checks_run["coulson_match"]
         assert stats.passed + stats.failed + stats.skipped == 40
 
-    def test_exhaustive_n4_report_is_byte_stable(self):
+    # Both report pins hold at every block size: a block's per-polynomial
+    # tables and stacked checks give each member the bits it gets alone.
+    @pytest.mark.parametrize("block_size", [7, 64, 256, 4096])
+    def test_exhaustive_n4_report_is_byte_stable(self, monkeypatch, block_size):
         # Pinned so that memoizing or batching the harness cannot change
         # the report silently; the elapsed time is the one varying field.
+        monkeypatch.setattr(oracle_mod, "BLOCK_SIZE", block_size)
         body = {k: v for k, v in verify_all(4).to_dict().items() if k != "elapsed_seconds"}
         digest = hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
         assert digest == "72725c05134611eeb06497a84e4da536f9373538810de387eb9cb398b8de77a2"
 
-    def test_random_n10_report_is_byte_stable(self):
+    @pytest.mark.parametrize("block_size", [7, 64, 256, 4096])
+    def test_random_n10_report_is_byte_stable(self, monkeypatch, block_size):
         # Almost every charpoly of this corpus is distinct, so it pins the
         # spectra certified per digraph, where the n = 4 pin mostly pins
         # shared ones.
+        monkeypatch.setattr(oracle_mod, "BLOCK_SIZE", block_size)
         body = {k: v for k, v in verify_all(10, mode="random", count=200, p=0.3,
                                             seed=1000000).to_dict().items()
                 if k != "elapsed_seconds"}
@@ -355,7 +361,7 @@ class TestSharedSpectra:
             raise AssertionError("refinement on a square-free hit")
 
         monkeypatch.setattr(spectrum_mod, "_aberth_refine", forbidden)
-        monkeypatch.setattr(spectrum_mod, "_check_spread", forbidden)
+        monkeypatch.setattr(spectrum_mod, "_check_spreads", forbidden)
         relabeled = Digraph(3, [(1, 0), (0, 2), (2, 1)])
         assert _shared_spectrum(relabeled, memo).charpoly.coeffs == (-1, 0, 0, 1)
 
@@ -371,7 +377,9 @@ class TestSharedSpectra:
     def test_each_polynomial_is_refined_once_per_run(self, monkeypatch):
         # Only a square-free polynomial refines member values: each distinct
         # one once, by its first digraph.  The degree-1 and 2 rows are the
-        # factors of the repeated-root polynomials.
+        # factors of the repeated-root polynomials, refined once in each
+        # block that meets them in a new polynomial, so their counts are
+        # those of blocks of 256.
         rows = []
         refine = spectrum_mod._aberth_refine
 
@@ -384,7 +392,7 @@ class TestSharedSpectra:
         polys = {characteristic_polynomial(d).coeffs for d in enumerate_digraphs(4)}
         square_free = [c for c in polys if spectrum_mod._square_free_decomposition(c) == [(c, 1)]]
         assert rows.count(4) == len(square_free) == 36
-        assert (rows.count(1), rows.count(2), len(rows)) == (9, 8, 53)
+        assert (rows.count(1), rows.count(2), len(rows)) == (8, 8, 52)
 
     def test_default_is_not_shared(self):
         d = directed_cycle(3)
@@ -575,6 +583,24 @@ class TestStackedPieces:
         report = verify_all(3, checks=["walk_rowsum"])
         assert report.checks_run["walk_rowsum"].failed == 1
         assert {v.digraph_text for v in report.violations} == {serialize_edge_list(target)}
+
+    def test_reduction_invariance_fails_the_members_of_a_drifted_row(self, monkeypatch):
+        # A kernel that gets the empty digraph's charpoly wrong (x^3 + 1)
+        # fails exactly the acyclic members with an arc, whose reduction is
+        # the empty digraph; the empty digraph is its own reduction.
+        kernel = kernels_mod.charpoly_from_masks
+        empty = Digraph(3).out_masks
+
+        def drifted(n, rows):
+            return [[c + (k == 0) for k, c in enumerate(coeffs)] if masks == empty else coeffs
+                    for masks, coeffs in zip(rows, kernel(n, rows))]
+
+        monkeypatch.setattr(kernels_mod, "charpoly_from_masks", drifted)
+        report = verify_all(3, checks=["charpoly_reduction_invariance"])
+        want = [serialize_edge_list(d) for d in enumerate_digraphs(3)
+                if d.arcs and cycle_arc_reduction(d) == Digraph(3)]
+        assert [v.digraph_text for v in report.violations] == want
+        assert {(v.lhs, v.rhs, v.gap) for v in report.violations} == {(0.0, 1.0, 1.0)}
 
     def test_rejected_spectrum_raises_only_when_a_check_reads_it(self, monkeypatch):
         monkeypatch.setattr(oracle_mod, "qr_values", lambda a: qr_values(a) + 100.0)

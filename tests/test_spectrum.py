@@ -378,6 +378,25 @@ class TestModularCertificate:
                           and _coprime_to_derivative_mod_q(coeffs[k:]))
         assert split_off > 100
 
+    @pytest.mark.parametrize("corpus", ["exhaustive-n1-4", "random-n10"])
+    def test_one_certificate_per_polynomial(self, corpus, monkeypatch):
+        # x^k q with k >= 2 always fails the certificate, since x divides p
+        # and p' mod q, so only q takes one.  The random corpus is the first
+        # round of the benchmark's verify-random-n10 workload at seed 1.
+        if corpus == "exhaustive-n1-4":
+            ds = [d for n in range(1, 5) for d in enumerate_digraphs(n)]
+        else:
+            ds = [random_digraph(10, 0.3, 1_000_000 + k) for k in range(200)]
+        polys = list(dict.fromkeys(characteristic_polynomial(d).coeffs for d in ds))
+        calls = []
+        certificate = spectrum_mod._coprime_to_derivative_mod_q
+        with monkeypatch.context() as m:
+            m.setattr(spectrum_mod, "_coprime_to_derivative_mod_q",
+                      lambda c: calls.append(c) or certificate(c))
+            got = [_square_free_decomposition(c) for c in polys]
+        assert len(calls) == len(polys)
+        assert got == [_yun_without_certificate(c, monkeypatch) for c in polys]
+
     def test_square_free_but_not_mod_q_falls_back_to_yun(self):
         # x (x - q) is square-free over Q but x^2 mod q.
         q = spectrum_mod._CERT_PRIME
