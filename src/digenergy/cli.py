@@ -34,7 +34,7 @@ from .oracle import (
     random_digraph,
     verify_all,
 )
-from .spectrum import coulson_energy
+from .spectrum import REL_TOL_FLOOR, coulson_energy
 
 
 def _fmt(value) -> str:
@@ -205,8 +205,9 @@ def _tol_arg(text: str) -> float:
 
 
 def _rel_tol_arg(text: str) -> float:
-    """argparse type of --rel-tol: a relative tolerance in (0, 1)."""
-    return _checked_float(text, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
+    """argparse type of --rel-tol: a relative tolerance in [REL_TOL_FLOOR, 1)."""
+    return _checked_float(text, lambda v: REL_TOL_FLOOR <= v < 1.0,
+                          f"a number in [{REL_TOL_FLOOR:g}, 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,15 +1,16 @@
-"""Integer kernels on adjacency bitmask rows.
+"""Integer kernels on adjacency bitmask rows and adjacency stacks.
 
 ``out_masks[i]`` has bit ``j`` set iff the arc (i, j) is present.  The
 characteristic polynomial is the kernel that the verification harness and
-``analyze`` call: it runs its matrix recurrence in numpy on a whole block
-of matrices at once (the harness works in blocks and hands it a block of
-digraphs and their cycle-arc reductions; a lone digraph is a block of
-one), on int64 when a bound proves that no value can overflow and on
-Python integers (``dtype=object``) otherwise, so every result is exact at
-any size.  It is the one numeric layer built from the bit rows: the
-harness builds its QR and symmetrization stacks from the arcs, an
-independent route.
+``analyze`` call: it runs its matrix recurrence in numpy on a whole
+``(K, n, n)`` stack of 0-1 matrices at once (the harness hands it the stack
+of a block's digraphs and of their cycle-arc reductions; a lone digraph is
+a block of one), on int64 when a bound proves that no value can overflow
+and on Python integers (``dtype=object``) otherwise, so every result is
+exact at any size.  ``_matrix_stack`` packs bit rows into such a stack
+once; the harness builds its QR and symmetrization stacks from the arcs,
+an independent route.  The kernel keeps the name ``charpoly_from_masks``
+from when it took bit rows itself, because benchmark traces name it.
 
 The walk counts and the strong components run on Python integers, one
 digraph at a time, at any n.  The harness computes both as stacked arrays
@@ -82,42 +83,41 @@ def scc_ids(n: int, out_masks, in_masks):
     return ids, count
 
 
-def charpoly_from_masks(n: int, rows):
+def charpoly_from_masks(a: np.ndarray):
     """Exact characteristic polynomials of a block of 0-1 adjacency matrices.
 
-    ``rows`` holds one ``out_masks`` tuple per matrix, all of order n; the
-    block is a stacked ``(K, n, n)`` array and each step of the
-    Faddeev-LeVerrier recurrence ``M_1 = A``, ``c_k = -tr(M_k) / k``,
-    ``M_k = A M_{k-1} + c_{k-1} A`` is one stacked matmul.  Returns, per
-    row, the n+1 coefficients in ascending order (``coeffs[k]`` multiplies
-    x**k; ``coeffs[n] == 1``) as plain Python ints.  The verification
-    harness works in blocks and calls it once per block, on the block's
-    digraphs and their cycle-arc reductions; a lone matrix is a block of
-    one.  It is the only stack built from bit rows: the harness builds its
-    QR and symmetrization stacks from the arcs.
+    ``a`` is a ``(K, n, n)`` 0-1 int64 stack (``_matrix_stack`` builds one
+    from bit rows), and each step of the Faddeev-LeVerrier recurrence
+    ``M_1 = A``, ``c_k = -tr(M_k) / k``, ``M_k = A M_{k-1} + c_{k-1} A`` is
+    one stacked matmul.  Returns, per matrix, the n+1 coefficients in
+    ascending order (``coeffs[k]`` multiplies x**k; ``coeffs[n] == 1``) as
+    plain Python ints.  The verification harness works in blocks and calls
+    it once per block, on the stack of the block's digraphs and of the
+    reductions that drop an arc; a lone matrix is a block of one.  The name
+    is kept from when it took bit rows, since benchmark traces name it.
 
     The recurrence runs on int64 and moves the whole block to Python ints
     (``dtype=object``) before any value could overflow.  With r the largest
-    out-degree in the block, a row of A holds at most r ones, so every
-    partial sum of ``A M + c A`` is at most r (max|M| + |c|) and every
-    partial sum of its trace at most n r (max|M| + |c|), with the maxima
-    over the block.  Each step needs n r (max|M_{k-1}| + max|c_{k-1}|) <
-    2^63.  It tests that against the proven bound
-    max|M_k| <= r (max|M_{k-1}| + max|c_{k-1}|) and, only when that bound
-    is too large, against the measured max|M_{k-1}|.  A priori
+    out-degree in the block, read off the row sums, a row of A holds at most
+    r ones, so every partial sum of ``A M + c A`` is at most r (max|M| +
+    |c|) and every partial sum of its trace at most n r (max|M| + |c|), with
+    the maxima over the block.  Each step needs
+    n r (max|M_{k-1}| + max|c_{k-1}|) < 2^63.  It tests that against the
+    proven bound max|M_k| <= r (max|M_{k-1}| + max|c_{k-1}|) and, only when
+    that bound is too large, against the measured max|M_{k-1}|.  A priori
     |c_k| <= C(n, k) r^k and max|M_k| <= 2^n r^k, so int64 is certain for
     n <= 12; in practice the values stay far smaller (below 2^46 on random
     digraphs and tournaments up to n = 32).
     """
+    n = a.shape[-1]
     if n == 0:
-        return [[1] for _ in rows]
-    r = max(mask.bit_count() for masks in rows for mask in masks)
+        return [[1] for _ in range(len(a))]
+    r = int(a.sum(axis=2).max(initial=0))
     limit = 2 ** 63 // (n * max(r, 1))
-    a = _matrix_stack(n, rows)
     m = a
     bound = 1  # proven upper bound on max|M_{k-1}|
     c = [-t for t in _traces(a).tolist()]
-    cs = [[1] * len(rows), c]  # cs[k][row] is the coefficient of x**(n-k)
+    cs = [[1] * len(a), c]  # cs[k][row] is the coefficient of x**(n-k)
     for k in range(2, n + 1):
         cmax = max(map(abs, c))
         if m.dtype != object and bound + cmax >= limit:
@@ -142,18 +142,6 @@ def _matrix_stack(n: int, rows) -> np.ndarray:
     packed = b"".join(mask.to_bytes(width, "little") for masks in rows for mask in masks)
     bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), bitorder="little")
     return bits.reshape(len(rows), n, 8 * width)[:, :, :n].astype(np.int64)
-
-
-def _mask_rows(stack: np.ndarray) -> list[tuple[int, ...]]:
-    """The ``out_masks`` tuple of every matrix of a ``(K, n, n)`` 0-1 stack,
-    the inverse of ``_matrix_stack``, at any n."""
-    n = stack.shape[-1]
-    if n == 0:
-        return [()] * len(stack)
-    width = (n + 7) // 8
-    packed = np.packbits(stack, axis=-1, bitorder="little").tobytes()
-    masks = [int.from_bytes(packed[at:at + width], "little") for at in range(0, len(packed), width)]
-    return [tuple(masks[at:at + n]) for at in range(0, len(masks), n)]
 
 
 def _traces(m: np.ndarray) -> np.ndarray:

@@ -174,18 +174,19 @@ class _Block:
     ``(K,)``, ``(K, n)`` or ``(K, n, n)`` array or a list of K members.
     Two adjacency stacks come from two independent routes:
 
-    - ``bits``, from the ``out_masks`` bit rows as the charpoly kernel
-      builds its stack, gives the closed-walk profile (S = A o A^T,
-      c2 = S 1, t2 = S c2 and their sums, in int64) and the cycle-arc
-      reductions (an arc (i, j) lies on a cycle iff j reaches i, read off
-      a boolean reachability closure);
+    - ``bits``, packed once from the ``out_masks`` bit rows, gives the
+      closed-walk profile (S = A o A^T, c2 = S 1, t2 = S c2 and their sums,
+      in int64) and the cycle-arc reductions ``reduced_bits`` (an arc
+      (i, j) lies on a cycle iff j reaches i, read off a boolean
+      reachability closure);
     - ``adjacency``, from the arcs, gives the floating QR values and the
       geometric symmetrizations, and from those the spectral radii of S and
       S^2, one stacked ``eigvalsh`` each.
 
     The characteristic polynomials of the digraphs and of their reductions
-    come from one kernel call, each distinct ``out_masks`` once, and form
-    the block's table ``polys`` of distinct polynomials: each member holds
+    come from one kernel call on ``bits`` and the rows of ``reduced_bits``
+    that drop an arc, and form the block's table ``polys`` of distinct
+    polynomials, keyed by coefficients: each member holds
     one integer row of it for itself (``poly_index``) and one for its
     reduction (``reduced_index``).  Every per-polynomial step runs once per
     row: the certified spectra (one Aberth call per degree, and one stacked
@@ -198,7 +199,8 @@ class _Block:
     ``walk_ratio_attained`` on the reductions and profiles for the radius
     (``equality_verdict_rho_lower``), ``energy_bound_attained`` on ``bits``
     for the energy (``equality_verdict_energy_upper``).  The checks of
-    ``verify_all`` read these pieces; a lone ``Analysis`` reads its row.
+    ``verify_all`` read these pieces; a lone ``Analysis`` reads its row,
+    and hands its rows of ``bits`` and ``reduced_bits`` to the verdicts.
 
     ``memo`` is the run's store of per-polynomial work (see ``Memo``): the
     block reads and fills it, its spectra in member order.
@@ -262,31 +264,15 @@ class _Block:
         return (self.reduced_bits != self.bits).any(axis=(1, 2))
 
     @cached_property
-    def reduced_masks(self) -> list[tuple[int, ...]]:
-        """The ``out_masks`` of each member's reduction."""
-        masks = [d.out_masks for d in self.digraphs]
-        changed = np.flatnonzero(self.drops_arcs)
-        for k, rows in zip(changed.tolist(), kernels._mask_rows(self.reduced_bits[changed])):
-            masks[k] = rows
-        return masks
-
-    def reduction(self, k: int) -> Digraph:
-        """Member k's cycle-arc reduction; the member itself when it keeps
-        every arc."""
-        if not self.drops_arcs[k]:
-            return self.digraphs[k]
-        return Digraph(self.n, np.argwhere(self.reduced_bits[k]).tolist())
-
-    @cached_property
     def _poly_table(self) -> tuple[list[CharPoly], np.ndarray, np.ndarray]:
-        masks = [d.out_masks for d in self.digraphs]
-        rows = list(dict.fromkeys(itertools.chain(masks, self.reduced_masks)))
-        by_masks = dict(zip(rows, map(tuple, kernels.charpoly_from_masks(self.n, rows))))
+        size = len(self.digraphs)
+        drops = np.flatnonzero(self.drops_arcs)
+        coeffs = kernels.charpoly_from_masks(np.concatenate([self.bits, self.reduced_bits[drops]]))
         table: dict[tuple[int, ...], int] = {}
-        index = np.array([table.setdefault(by_masks[m], len(table)) for m in masks], dtype=np.intp)
-        reduced = np.array([table.setdefault(by_masks[m], len(table)) for m in self.reduced_masks],
-                           dtype=np.intp)
-        return [CharPoly(c) for c in table], index, reduced
+        rows = np.array([table.setdefault(tuple(c), len(table)) for c in coeffs], dtype=np.intp)
+        reduced = rows[:size].copy()  # a member that keeps every arc is its own reduction
+        reduced[drops] = rows[size:]
+        return [CharPoly(c) for c in table], rows[:size], reduced
 
     @property
     def polys(self) -> list[CharPoly]:
@@ -437,17 +423,17 @@ class Analysis:
 
     A lazy memo: the closed-walk profile, the exact characteristic
     polynomials of the digraph and of its cycle-arc reduction, the certified
-    spectrum, the geometric symmetrization, the cycle-arc reduction, the
-    bound chain at ``tol``, both equality verdicts and the Coulson integral
-    (rel_tol 1e-6) are computed on first use and shared by every later
-    reader.  The functions behind them take their pieces as arguments; this
-    class is the one place that wires pieces to results.  The ``analyze``
-    command reads one, and ``to_dict()`` is the ``analyze --json``
-    document.
+    spectrum, the geometric symmetrization, the bound chain at ``tol``,
+    both equality verdicts and the Coulson integral (rel_tol 1e-6) are
+    computed on first use and shared by every later reader.  The functions
+    behind them take their pieces as arguments; this class is the one place
+    that wires pieces to results.  The ``analyze`` command reads one, and
+    ``to_dict()`` is the ``analyze --json`` document.
 
-    The profile, reduction, polynomials, QR values, symmetrization,
-    spectrum and Coulson integral are its row of a block of digraphs
-    (``_Block``), which computes each of them for all members at once.  A
+    The profile, polynomials, QR values, symmetrization, spectrum and
+    Coulson integral are its row of a block of digraphs (``_Block``), which
+    computes each of them for all members at once, and the verdicts read
+    its rows of the block's adjacency and reduction stacks.  A
     lone ``Analysis(d)`` is a block of one with a fresh ``Memo``, so its
     spectrum is the digraph's own.
     """
@@ -483,20 +469,17 @@ class Analysis:
         return self._block.symmetrization[self._index]
 
     @cached_property
-    def reduced(self) -> Digraph:
-        return self._block.reduction(self._index)
-
-    @cached_property
     def bounds(self):
         return bounds_mod.bound_chain_report(self.profile, self.spectrum, self.tol)
 
     @cached_property
     def verdict_rho(self):
-        return equality_verdict_rho_lower(self.d, self.profile, self.reduced)
+        block, k = self._block, self._index
+        return equality_verdict_rho_lower(block.bits[k], self.profile, block.reduced_bits[k])
 
     @cached_property
     def verdict_energy(self):
-        return equality_verdict_energy_upper(self.d)
+        return equality_verdict_energy_upper(self._block.bits[self._index])
 
     @cached_property
     def _coulson(self) -> tuple[Optional[float], Optional[str]]:

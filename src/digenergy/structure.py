@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .digraph import ClosedWalkProfile, Digraph, adjacency_matrix, underlying_graph_if_symmetric
+from .digraph import ClosedWalkProfile
 
 KIND_R_REGULAR = "R_REGULAR"
 KIND_SEMIREGULAR_BIPARTITE = "SEMIREGULAR_BIPARTITE"
@@ -74,7 +74,7 @@ def walk_ratio_attained(reduced: np.ndarray, profile: ClosedWalkProfile):
 
 
 def equality_verdict_rho_lower(
-    d: Digraph, profile: ClosedWalkProfile, reduced: Digraph
+    adjacency: np.ndarray, profile: ClosedWalkProfile, reduced: np.ndarray
 ) -> StructureVerdict:
     """Does the walk-ratio radius bound hold with equality?
 
@@ -84,20 +84,25 @@ def equality_verdict_rho_lower(
     with r^2 = r1 r2 = sum t2^2 / sum c2^2.  The kind and params name the
     first edge-bearing component: R_REGULAR (r,), or SEMIREGULAR_BIPARTITE
     (r1, r2) with r1 > r2; EMPTY (n,) when the reduction has no arc.
-    ``profile`` is the walk profile of ``d`` and ``reduced`` its cycle-arc
-    reduction (``d`` without the arcs that lie on no cycle).
+    ``adjacency`` is the digraph's 0-1 adjacency, ``profile`` its walk
+    profile and ``reduced`` the 0-1 adjacency of its cycle-arc reduction
+    (the digraph without the arcs that lie on no cycle).
     """
-    removed = tuple(sorted(d.arcs - reduced.arcs))
-    if not walk_ratio_attained(adjacency_matrix(reduced), profile):
+    removed = tuple(map(tuple, np.argwhere(adjacency != reduced).tolist()))
+    if not walk_ratio_attained(reduced, profile):
         return StructureVerdict(KIND_NONE, (), False, removed)
-    g = underlying_graph_if_symmetric(reduced)
-    for comp in g.component_vertex_sets:
-        if len(comp) > 1:
-            # The edge test leaves one degree (regular) or two (the sides).
-            degs = tuple(sorted({g.degrees[v] for v in comp}, reverse=True))
-            kind = KIND_R_REGULAR if len(degs) == 1 else KIND_SEMIREGULAR_BIPARTITE
-            return StructureVerdict(kind, degs, True, removed)
-    return StructureVerdict(KIND_EMPTY, (g.n,), True, removed)
+    degrees = reduced.sum(axis=1).tolist()
+    # Components are ordered by smallest vertex, so the first edge-bearing
+    # one holds the first vertex v with an edge.  The edge test leaves its
+    # vertices one degree (regular) or two (the sides), and v's neighbour u
+    # lies on the other side.
+    v = next((v for v, deg in enumerate(degrees) if deg), None)
+    if v is None:
+        return StructureVerdict(KIND_EMPTY, (len(degrees),), True, removed)
+    u = int(np.flatnonzero(reduced[v])[0])
+    degs = tuple(sorted({degrees[v], degrees[u]}, reverse=True))
+    kind = KIND_R_REGULAR if len(degs) == 1 else KIND_SEMIREGULAR_BIPARTITE
+    return StructureVerdict(kind, degs, True, removed)
 
 
 def energy_bound_attained(adjacency: np.ndarray):
@@ -128,34 +133,35 @@ def _square_identity(adjacency: np.ndarray):
                    & (off_diagonal == off_diagonal[..., :1]).all(axis=-1))
 
 
-def equality_verdict_energy_upper(d: Digraph) -> StructureVerdict:
+def equality_verdict_energy_upper(adjacency: np.ndarray) -> StructureVerdict:
     """Does the walk-ratio energy bound hold with equality?
 
-    ``predicted_equality`` is ``energy_bound_attained``: d is the symmetric
-    digraph of the empty graph, the complete graph, a perfect matching, or
-    a connected non-complete strongly regular graph (n, k, lam, mu) with
-    lam == mu.  The moduli of its two non-Perron eigenvalues differ by
-    |lam - mu|; when lam == mu, k(k - lam - 1) = (n - k - 1) mu makes both
-    sqrt(k - mu) = sqrt((a - q)/(n - 1)), the bound's target (a = nk,
-    q = k^2).  A connected pseudo-regular graph with spectrum {p, +-b} (the
-    graph corollary) is regular, because A^2 = b^2 I + c d d^T forces every
-    degree to D - (p - 1)/c, so it falls under the strongly regular case.
+    ``predicted_equality`` is ``energy_bound_attained`` on the digraph's 0-1
+    ``adjacency`` A: the digraph is the symmetric digraph of the empty
+    graph, the complete graph, a perfect matching, or a connected
+    non-complete strongly regular graph (n, k, lam, mu) with lam == mu.
+    The moduli of its two non-Perron eigenvalues differ by |lam - mu|; when
+    lam == mu, k(k - lam - 1) = (n - k - 1) mu makes both sqrt(k - mu) =
+    sqrt((a - q)/(n - 1)), the bound's target (a = nk, q = k^2).  A
+    connected pseudo-regular graph with spectrum {p, +-b} (the graph
+    corollary) is regular, because A^2 = b^2 I + c d d^T forces every degree
+    to D - (p - 1)/c, so it falls under the strongly regular case.
 
     The kind and params name the first shape that fits, read off A and
-    A^2: NONE when d is not symmetric; EMPTY (n,); COMPLETE (n,);
+    A^2: NONE when the digraph is not symmetric; EMPTY (n,); COMPLETE (n,);
     PERFECT_MATCHING_UNION (n/2,) when every degree (the diagonal of A^2)
     is 1; STRONGLY_REGULAR (n, k, lam, mu) when A^2 is constant k on the
     diagonal, lam on the arcs and mu > 0 on the other pairs (mu > 0 makes
     the graph connected); NONE otherwise.
     """
-    a, a2, attained = _square_identity(adjacency_matrix(d))
+    a, a2, attained = _square_identity(adjacency)
     attained = bool(attained)
-    n = d.n
-    if not d.is_symmetric:
+    n = a.shape[-1]
+    if (a != a.T).any():
         return StructureVerdict(KIND_NONE, (), attained)
-    if not d.arcs:
+    if not a.any():
         return StructureVerdict(KIND_EMPTY, (n,), attained)
-    if d.arc_count == n * (n - 1):
+    if a.sum() == n * (n - 1):
         return StructureVerdict(KIND_COMPLETE, (n,), attained)
     k = set(np.diagonal(a2).tolist())
     lam = set(a2[a == 1].tolist())

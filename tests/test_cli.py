@@ -231,6 +231,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("argv", [
         ["coulson", "--rel-tol", "0", "-"],
+        ["coulson", "--rel-tol", "1e-12", "-"],
         ["coulson", "--rel-tol", "1.5", "-"],
         ["coulson", "--rel-tol", "nan", "-"],
         ["--tol", "nan", "verify", "2"],

@@ -258,8 +258,9 @@ class TestAnalysis:
                          "rho": spec.rho, "energy": spec.energy},
             "bounds": report.to_dict(),
             "verdicts": {
-                "radius_lower": equality_verdict_rho_lower(d, profile, cycle_arc_reduction(d)).to_dict(),
-                "energy_upper": equality_verdict_energy_upper(d).to_dict(),
+                "radius_lower": equality_verdict_rho_lower(
+                    adjacency_matrix(d), profile, adjacency_matrix(cycle_arc_reduction(d))).to_dict(),
+                "energy_upper": equality_verdict_energy_upper(adjacency_matrix(d)).to_dict(),
             },
             "coulson_energy": coulson,
             "warnings": warnings,
@@ -306,16 +307,16 @@ class TestAnalysis:
         rows = []
         kernel = kernels_mod.charpoly_from_masks
 
-        def counting(n, block_rows):
-            rows.append(len(block_rows))
-            return kernel(n, block_rows)
+        def counting(stack):
+            rows.append(len(stack))
+            return kernel(stack)
 
         monkeypatch.setattr(kernels_mod, "charpoly_from_masks", counting)
         block = oracle_mod.BLOCK_SIZE
         verify_all(3, mode="random", count=2 * block + 1, p=0.5, seed=1)
         assert len(rows) == 3
-        # Each block holds its digraphs and reductions, each adjacency once.
-        assert all(1 <= r <= 2 * block for r in rows) and rows[-1] <= 2
+        # Each block holds its digraphs, then the reductions that drop an arc.
+        assert all(block <= r <= 2 * block for r in rows[:2]) and rows[-1] in (1, 2)
 
 
 def _shared_spectrum(d, memo):
@@ -542,9 +543,10 @@ class TestStackedPieces:
         if corpus.startswith("exhaustive"):
             groups = [[Digraph(0)] * 3, [Digraph(1)] * 2] + groups
         for block in (b for ds in groups for b in _blocks(ds)):
-            rho = [equality_verdict_rho_lower(d, walk_profile(d), cycle_arc_reduction(d))
+            rho = [equality_verdict_rho_lower(adjacency_matrix(d), walk_profile(d),
+                                              adjacency_matrix(cycle_arc_reduction(d)))
                    for d in block.digraphs]
-            energy = [equality_verdict_energy_upper(d) for d in block.digraphs]
+            energy = [equality_verdict_energy_upper(adjacency_matrix(d)) for d in block.digraphs]
             no_digon = ~block.digons.any(axis=(1, 2))
             assert block.predicted_rho.tolist() == [v.predicted_equality for v in rho]
             for k, v in enumerate(rho):
@@ -563,8 +565,8 @@ class TestStackedPieces:
             for block in _blocks(ds):
                 for k, d in enumerate(block.digraphs):
                     want = cycle_arc_reduction(d)
-                    assert block.reduction(k).arcs == want.arcs
-                    assert block.reduced_masks[k] == want.out_masks
+                    assert np.array_equal(block.reduced_bits[k], adjacency_matrix(want))
+                    assert block.polys[block.reduced_index[k]] == characteristic_polynomial(want)
 
     def test_walk_rowsum_compares_two_routes(self, monkeypatch):
         # The profile comes from the bit rows and S from the arcs: an arc
@@ -589,11 +591,10 @@ class TestStackedPieces:
         # fails exactly the acyclic members with an arc, whose reduction is
         # the empty digraph; the empty digraph is its own reduction.
         kernel = kernels_mod.charpoly_from_masks
-        empty = Digraph(3).out_masks
 
-        def drifted(n, rows):
-            return [[c + (k == 0) for k, c in enumerate(coeffs)] if masks == empty else coeffs
-                    for masks, coeffs in zip(rows, kernel(n, rows))]
+        def drifted(stack):
+            return [[c + (k == 0) for k, c in enumerate(coeffs)] if not a.any() else coeffs
+                    for a, coeffs in zip(stack, kernel(stack))]
 
         monkeypatch.setattr(kernels_mod, "charpoly_from_masks", drifted)
         report = verify_all(3, checks=["charpoly_reduction_invariance"])

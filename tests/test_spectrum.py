@@ -159,7 +159,7 @@ def _kernel_run(monkeypatch, n, rows):
     dtypes = []
     traces = kernels_mod._traces
     monkeypatch.setattr(kernels_mod, "_traces", lambda m: dtypes.append(m.dtype) or traces(m))
-    coeffs = kernels_mod.charpoly_from_masks(n, rows)
+    coeffs = kernels_mod.charpoly_from_masks(kernels_mod._matrix_stack(n, rows))
     monkeypatch.setattr(kernels_mod, "_traces", traces)
     return coeffs, object in dtypes
 
@@ -240,7 +240,8 @@ class TestBlockKernel:
     @staticmethod
     def _assert_block_equals_rows(monkeypatch, n, rows):
         block, _ = _kernel_run(monkeypatch, n, rows)
-        assert block == [kernels_mod.charpoly_from_masks(n, [masks])[0] for masks in rows]
+        assert block == [kernels_mod.charpoly_from_masks(kernels_mod._matrix_stack(n, [masks]))[0]
+                         for masks in rows]
         assert all(type(c) is int for coeffs in block for c in coeffs)
         return block
 
@@ -658,6 +659,15 @@ class TestCoulson:
         with pytest.raises(ValueError):
             coulson_energy(spectrum_of(Digraph(0)), rel_tol=0.0)
 
+    def test_rel_tol_floor_reaches_the_energy(self):
+        # Below the floor this pole-free spectrum used up its panel budget
+        # and read as a pole; at the floor the quadrature reaches its energy.
+        spec = spectrum_of(random_digraph(16, 0.2, 1))
+        with pytest.raises(ValueError):
+            coulson_energy(spec, rel_tol=spectrum_mod.REL_TOL_FLOOR / 100)
+        got = coulson_energy(spec, rel_tol=spectrum_mod.REL_TOL_FLOOR)
+        assert got == pytest.approx(spec.energy, rel=spectrum_mod.REL_TOL_FLOOR)
+
     def test_zero_eigenvalue_is_not_a_pole(self):
         d = sym(star_graph(2))  # spectrum {sqrt(2), 0, -sqrt(2)}
         assert coulson_energy(spectrum_of(d)) == pytest.approx(spectrum_of(d).energy, rel=1e-6)
@@ -1055,17 +1065,20 @@ class TestExactMemo:
         calls = []
         kernel = kernels_mod.charpoly_from_masks
 
-        def counting(n, rows):
-            calls.append(list(rows))
-            return kernel(n, rows)
+        def counting(stack):
+            calls.append(stack.copy())
+            return kernel(stack)
 
         monkeypatch.setattr(kernels_mod, "charpoly_from_masks", counting)
         first, second, third = _Block([d, relabeled, tailed], Memo()).analyses(1e-8)
         poly = first.charpoly
         assert second.charpoly is poly and third.reduced_charpoly is poly
         assert third.charpoly == poly == characteristic_polynomial(d)
-        # One kernel call, on each distinct adjacency once.
-        assert calls[0] == [d.out_masks, tailed.out_masks]
+        # One kernel call, on the three members and then the one reduction
+        # that drops an arc, tailed's; the table is keyed by coefficients,
+        # so repeated adjacencies share one row of it.
+        want = np.array([adjacency_matrix(x) for x in (d, relabeled, tailed, d)])
+        assert np.array_equal(calls[0], want)
         assert len(calls) == 2  # the second is characteristic_polynomial(d) above
 
 

@@ -50,11 +50,12 @@ from families import (
 
 
 def verdict_rho(d):
-    return equality_verdict_rho_lower(d, walk_profile(d), cycle_arc_reduction(d))
+    return equality_verdict_rho_lower(adjacency_matrix(d), walk_profile(d),
+                                      adjacency_matrix(cycle_arc_reduction(d)))
 
 
 def verdict_energy(d):
-    return equality_verdict_energy_upper(d)
+    return equality_verdict_energy_upper(adjacency_matrix(d))
 
 
 def _brute_force_bipartition(g, comp):
