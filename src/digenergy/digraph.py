@@ -114,7 +114,7 @@ class Graph:
             if not (seen >> start) & 1:
                 comp = kernels.reach(start, self.neighbor_masks)
                 seen |= comp
-                comps.append(tuple(_bits(comp)))
+                comps.append(tuple(kernels._bits(comp)))
         return tuple(comps)
 
 
@@ -147,12 +147,6 @@ class SccPartition:
 
     component_id: tuple[int, ...]
     component_count: int
-
-
-def _bits(mask: int):
-    while mask:
-        yield (mask & -mask).bit_length() - 1
-        mask &= mask - 1
 
 
 def parse_edge_list(text: str) -> Digraph:

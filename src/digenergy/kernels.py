@@ -5,12 +5,13 @@ characteristic polynomial is the kernel that the verification harness and
 ``analyze`` call: it runs its matrix recurrence in numpy on a whole
 ``(K, n, n)`` stack of 0-1 matrices at once (the harness hands it the stack
 of a block's digraphs and of their cycle-arc reductions; a lone digraph is
-a block of one), on int64 when a bound proves that no value can overflow
-and on Python integers (``dtype=object``) otherwise, so every result is
-exact at any size.  ``_matrix_stack`` packs bit rows into such a stack
-once; the harness builds its QR and symmetrization stacks from the arcs,
-an independent route.  The kernel keeps the name ``charpoly_from_masks``
-from when it took bit rows itself, because benchmark traces name it.
+a block of one), on int64 while the values measured at a step leave room
+for the next and on Python integers (``dtype=object``) from then on, so
+every result is exact at any size.  ``_matrix_stack`` packs bit rows into
+such a stack once; the harness builds its QR and symmetrization stacks
+from the arcs, an independent route.  The kernel keeps the name
+``charpoly_from_masks`` from when it took bit rows itself, because
+benchmark traces name it.
 
 The walk counts and the strong components run on Python integers, one
 digraph at a time, at any n.  The harness computes both as stacked arrays
@@ -29,6 +30,13 @@ import numpy as np
 BACKEND = "pure"
 
 
+def _bits(mask: int):
+    """The indices of the set bits of ``mask``, ascending."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+
+
 def walk_counts(n: int, out_masks, in_masks):
     """Per-vertex closed-2-walk counts and their doubly-adjacent sums.
 
@@ -36,15 +44,7 @@ def walk_counts(n: int, out_masks, in_masks):
     ``i`` and ``t2[i]`` sums ``c2[j]`` over those vertices.
     """
     c2 = [(out_masks[i] & in_masks[i]).bit_count() for i in range(n)]
-    t2 = []
-    for i in range(n):
-        m = out_masks[i] & in_masks[i]
-        s = 0
-        while m:
-            j = (m & -m).bit_length() - 1
-            s += c2[j]
-            m &= m - 1
-        t2.append(s)
+    t2 = [sum(c2[j] for j in _bits(out_masks[i] & in_masks[i])) for i in range(n)]
     return c2, t2
 
 
@@ -54,10 +54,8 @@ def reach(start: int, masks) -> int:
     seen = layer = 1 << start
     while layer:
         nxt = 0
-        while layer:
-            low = layer & -layer
-            nxt |= masks[low.bit_length() - 1]
-            layer ^= low
+        for j in _bits(layer):
+            nxt |= masks[j]
         layer = nxt & ~seen
         seen |= layer
     return seen
@@ -74,11 +72,8 @@ def scc_ids(n: int, out_masks, in_masks):
     count = 0
     for v in range(n):
         if ids[v] < 0:
-            comp = reach(v, out_masks) & reach(v, in_masks)
-            while comp:
-                low = comp & -comp
-                ids[low.bit_length() - 1] = count
-                comp ^= low
+            for j in _bits(reach(v, out_masks) & reach(v, in_masks)):
+                ids[j] = count
             count += 1
     return ids, count
 
@@ -88,52 +83,39 @@ def charpoly_from_masks(a: np.ndarray):
 
     ``a`` is a ``(K, n, n)`` 0-1 int64 stack (``_matrix_stack`` builds one
     from bit rows), and each step of the Faddeev-LeVerrier recurrence
-    ``M_1 = A``, ``c_k = -tr(M_k) / k``, ``M_k = A M_{k-1} + c_{k-1} A`` is
-    one stacked matmul.  Returns, per matrix, the n+1 coefficients in
-    ascending order (``coeffs[k]`` multiplies x**k; ``coeffs[n] == 1``) as
-    plain Python ints.  The verification harness works in blocks and calls
-    it once per block, on the stack of the block's digraphs and of the
-    reductions that drop an arc; a lone matrix is a block of one.  The name
-    is kept from when it took bit rows, since benchmark traces name it.
+    ``M_0 = 0``, ``c_0 = 1``, ``M_k = A M_{k-1} + c_{k-1} A``,
+    ``c_k = -tr(M_k) / k`` is one stacked matmul and one exact array
+    division.  Returns, per matrix, the n+1 coefficients in ascending order
+    (``coeffs[k]`` multiplies x**k; ``coeffs[n] == 1``) as plain Python
+    ints.  The verification harness works in blocks and calls it once per
+    block, on the stack of the block's digraphs and of the reductions that
+    drop an arc; a lone matrix is a block of one.  The name is kept from
+    when it took bit rows, since benchmark traces name it.
 
     The recurrence runs on int64 and moves the whole block to Python ints
     (``dtype=object``) before any value could overflow.  With r the largest
-    out-degree in the block, read off the row sums, a row of A holds at most
-    r ones, so every partial sum of ``A M + c A`` is at most r (max|M| +
-    |c|) and every partial sum of its trace at most n r (max|M| + |c|), with
-    the maxima over the block.  Each step needs
-    n r (max|M_{k-1}| + max|c_{k-1}|) < 2^63.  It tests that against the
-    proven bound max|M_k| <= r (max|M_{k-1}| + max|c_{k-1}|) and, only when
-    that bound is too large, against the measured max|M_{k-1}|.  A priori
-    |c_k| <= C(n, k) r^k and max|M_k| <= 2^n r^k, so int64 is certain for
-    n <= 12; in practice the values stay far smaller (below 2^46 on random
-    digraphs and tournaments up to n = 32).
+    out-degree in the block, a row of A holds at most r ones, so every
+    partial sum of a step's products and of its trace is at most
+    n r (max|M_{k-1}| + max|c_{k-1}|), with the maxima measured over the
+    block; the step runs on int64 while that is below 2^63.  In practice
+    the values stay far below it (under 2^46 on random digraphs and
+    tournaments up to n = 32).
     """
     n = a.shape[-1]
-    if n == 0:
-        return [[1] for _ in range(len(a))]
-    r = int(a.sum(axis=2).max(initial=0))
-    limit = 2 ** 63 // (n * max(r, 1))
-    m = a
-    bound = 1  # proven upper bound on max|M_{k-1}|
-    c = [-t for t in _traces(a).tolist()]
-    cs = [[1] * len(a), c]  # cs[k][row] is the coefficient of x**(n-k)
-    for k in range(2, n + 1):
-        cmax = max(map(abs, c))
-        if m.dtype != object and bound + cmax >= limit:
-            bound = int(np.abs(m).max())
-            if bound + cmax >= limit:
-                a, m = a.astype(object), m.astype(object)
+    limit = 2 ** 63 // max(n * int(a.sum(axis=2).max(initial=0)), 1)
+    m = np.zeros_like(a)
+    c = np.ones(len(a), dtype=np.int64)
+    cs = [c]  # cs[k][row] is the coefficient of x**(n-k)
+    for k in range(1, n + 1):
+        if m.dtype != object and int(abs(m).max(initial=0)) + int(abs(c).max(initial=0)) >= limit:
+            a, m, c = a.astype(object), m.astype(object), c.astype(object)
         m = a @ m
-        m += np.array(c, dtype=m.dtype)[:, None, None] * a
-        bound = r * (bound + cmax)
-        c = []
-        for t in _traces(m).tolist():
-            q, rem = divmod(-t, k)
-            assert rem == 0, "Faddeev-LeVerrier trace not divisible"
-            c.append(q)
+        m += c[:, None, None] * a
+        t = _traces(m)
+        c = -t // k
+        assert not (t % k).any(), "Faddeev-LeVerrier trace not divisible"
         cs.append(c)
-    return [list(coeffs) for coeffs in zip(*reversed(cs))]
+    return np.stack(cs[::-1], axis=1).tolist()
 
 
 def _matrix_stack(n: int, rows) -> np.ndarray:

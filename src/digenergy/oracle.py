@@ -82,35 +82,29 @@ def enumerate_digraphs(n: int) -> Iterator[Digraph]:
         yield Digraph(n, arcs)
 
 
-def _splitmix64(state: int) -> tuple[int, int]:
-    state = (state + 0x9E3779B97F4A7C15) & _MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    z = z ^ (z >> 31)
-    return z, state
-
-
 def random_digraph(n: int, p: float, seed: int) -> Digraph:
     """Each ordered pair included independently with probability p.
 
     Reproducible across platforms: a SplitMix64 stream seeded with ``seed``
     draws one 64-bit word per ordered pair (lexicographic order) and the
     arc is included iff the word is below floor(p * 2^64).  ``n`` is at
-    most ``MAX_VERTICES``.
+    most ``MAX_VERTICES``.  The stream's state after k draws is
+    seed + k * gamma, with gamma = 0x9E3779B97F4A7C15, so word k is the mix
+    of seed + (k + 1) * gamma (mod 2^64), and one ``uint64`` expression,
+    which wraps as the stream does, computes every word.
     """
     if not 1 <= n <= MAX_VERTICES:
         raise ValueError(f"need 1 <= n <= {MAX_VERTICES}, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"need 0 <= p <= 1, got {p}")
+    pairs = _pair_list(n)
+    z = np.arange(1, len(pairs) + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z += np.uint64(seed & _MASK64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
     threshold = int(p * (1 << 64))
-    state = seed & _MASK64
-    arcs = []
-    for pair in _pair_list(n):
-        word, state = _splitmix64(state)
-        if word < threshold:
-            arcs.append(pair)
-    return Digraph(n, arcs)
+    return Digraph(n, [pair for pair, word in zip(pairs, z.tolist()) if word < threshold])
 
 
 @dataclass(frozen=True)

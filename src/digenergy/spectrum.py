@@ -113,10 +113,11 @@ def _horner_steps(rows: Sequence[Sequence[int]], width: int) -> np.ndarray:
     return desc.T[:, :, None]
 
 
-def _polyval_rows(steps: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Row k of the polynomials ``steps`` (see ``_horner_steps``) at the
-    points of row k of ``z``: ``np.polyval``'s Horner steps, so every value
-    is bit for bit what ``np.polyval`` returns for that row."""
+def _polyval_rows(steps: Iterable[np.ndarray], z: np.ndarray) -> np.ndarray:
+    """The polynomials with the coefficient arrays ``steps`` (highest first,
+    each broadcast against ``z``, as from ``_horner_steps``) at the points
+    ``z``, elementwise: ``np.polyval``'s Horner steps, so every value is
+    bit for bit what ``np.polyval`` returns for its coefficients."""
     acc = np.zeros_like(z)
     for c in steps:
         acc *= z
@@ -525,7 +526,7 @@ class _Integrand:
 
     With phi monic of degree n, n - i x phi'(ix)/phi(ix) equals
     N(ix)/phi(ix) where N(y) = sum_{k<n} (n - k) a_k y^k has degree
-    <= n - 2, so the ratio decays like 1/x^2 with no cancellation.  For
+    <= n - 2, so the ratio decays like 1/x^2 without a subtraction.  For
     |x| > 1 the reversed polynomials are evaluated in u = 1/(ix): the
     ascending coefficient array of phi doubles as the descending array of
     phi(ix)/(ix)^n, and likewise for N, which keeps every evaluation free
@@ -574,31 +575,15 @@ class _Integrand:
         np.divide(1.0, z, out=z, where=large)  # u = 1/(ix) where |x| > 1
         r = np.abs(x)
         np.abs(z, out=r, where=large)
-        # den = phi(ix) or phi(ix) / (ix)^n, num = N(ix) or N(ix) / (ix)^(n-1)
-        den, num, scale = _horner(self.steps, z, r, poly + self.count * large)
-        pole = np.abs(den) <= _POLE_REL * scale
+        # den = phi(ix) or phi(ix) / (ix)^n, num = N(ix) or N(ix) / (ix)^(n-1),
+        # and scale the |phi| row at the real r, whose imaginary parts stay 0.
+        column = poly + self.count * large
+        steps = (table.take(column, axis=1, mode="clip") for table in self.steps)
+        den, num, scale = _polyval_rows(steps, np.stack([z, z, r]))
+        pole = np.abs(den) <= _POLE_REL * scale.real
         np.multiply(num, z, out=num, where=large)  # restores the degree gap of one
         values = (num / np.where(pole, 1.0, den)).real * (1.0 + x * x)
         return values, x, pole
-
-
-def _horner(steps: np.ndarray, z: np.ndarray, r: np.ndarray,
-            column: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The first two rows of column ``column[j]`` of the tables ``steps``
-    (one ``(3, 2K)`` table per coefficient, highest first) at ``z[j]`` and
-    the third at the real ``r[j]``, in one complex Horner pass.  Like
-    ``np.polyval`` it starts from zero and does ``acc = acc * z + c`` per
-    coefficient; the third row's imaginary parts stay zero, so its real
-    parts are the real ``np.polyval`` values."""
-    at = np.empty((3, len(z)), dtype=complex)
-    at[:2] = z
-    at[2] = r
-    acc = np.zeros_like(at)
-    coeffs = np.empty_like(at)
-    for table in steps:
-        acc *= at
-        acc += table.take(column, axis=1, out=coeffs, mode="clip")  # unbuffered
-    return acc[0], acc[1], acc[2].real
 
 
 def _level_synchronous_gl(f: _Integrand, b: float, rel_tol: float) -> list:

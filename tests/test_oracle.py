@@ -56,6 +56,20 @@ class TestEnumeration:
             list(enumerate_digraphs(n))
 
 
+def _splitmix64_stream(seed, count):
+    """The first ``count`` words of the SplitMix64 stream seeded with
+    ``seed``, drawn one at a time: the reference for ``random_digraph``."""
+    mask = (1 << 64) - 1
+    state = seed & mask
+    words = []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        words.append(z ^ (z >> 31))
+    return words
+
+
 class TestRandomDigraph:
     def test_p_zero_empty(self):
         assert random_digraph(3, 0.0, 99).arc_count == 0
@@ -77,6 +91,22 @@ class TestRandomDigraph:
         d = random_digraph(3, 0.5, 0)
         assert d == random_digraph(3, 0.5, 0)
         assert 0 <= d.arc_count <= 6
+
+    def test_counter_form_matches_stream(self):
+        # Every seed's stream is one sequence of words whatever n is, so it
+        # is drawn once, for the most pairs, and each (n, p) reads a prefix.
+        # n = 128 takes every twentieth seed, as its stream is slow in Python.
+        edge_seeds = [2 ** 64 - 1, 2 ** 64 - 5, -3, 2 ** 70 + 9]
+        orders = (1, 2, 5, 10, 12, 32, 128)
+        pairs = {n: [(i, j) for i in range(n) for j in range(n) if i != j] for n in orders}
+        for seed in list(range(200)) + edge_seeds:
+            drawn = orders if seed % 20 == 0 or seed in edge_seeds else orders[:-1]
+            words = _splitmix64_stream(seed, len(pairs[drawn[-1]]))
+            for n in drawn:
+                for p in (0.0, 0.1, 0.3, 0.5, 1.0):
+                    threshold = int(p * (1 << 64))
+                    want = {pair for pair, word in zip(pairs[n], words) if word < threshold}
+                    assert random_digraph(n, p, seed).arcs == want, (n, p, seed)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -164,9 +164,9 @@ def _kernel_run(monkeypatch, n, rows):
     return coeffs, object in dtypes
 
 
-# Orders on both sides of the int64/object switch of the charpoly recurrence:
-# int64 is proven safe in advance up to n = 12; past that the recurrence
-# checks its values step by step.  At n = 64, J - I and the transitive
+# Orders on both sides of the int64/object switch of the charpoly recurrence,
+# which measures its values at every step: no value can leave int64 up to
+# n = 12, whatever the digraph.  At n = 64, J - I and the transitive
 # tournament move to Python ints part way through; the directed cycle
 # stays on int64 throughout.
 CLOSED_FORM_ORDERS = (0, 1, 2, 12, 13, 16, 32, 64)
@@ -271,7 +271,7 @@ class TestBlockKernel:
     def test_guard_is_taken_over_the_block(self, monkeypatch, n):
         # J - I leaves int64 from n = 52 on, the directed cycle alone never
         # does; in one block both move to Python ints, and both stay exact.
-        # n = 13 lies just past the order that int64 is proven safe for.
+        # n = 13 lies just past the orders where no digraph can leave int64.
         rows = [directed_cycle(n).out_masks, sym(complete_graph(n)).out_masks]
         block, moved = _kernel_run(monkeypatch, n, rows)
         alone = [_kernel_run(monkeypatch, n, [masks]) for masks in rows]
@@ -886,8 +886,9 @@ def _assert_same_integrand(coeffs, theta):
     steps = spectrum_mod._Integrand([coeffs]).steps
     # Column 0 holds the |x| <= 1 rows of the one polynomial, column 1 the others.
     for column, (_, z, r, *want_rows) in enumerate(branches):
-        got_rows = spectrum_mod._horner(steps, z, r, np.full(len(z), column))
-        for got_row, want_row in zip(got_rows, want_rows):
+        rows = (table.take(np.full(len(z), column), axis=1) for table in steps)
+        den, num, scale = spectrum_mod._polyval_rows(rows, np.stack([z, z, r]))
+        for got_row, want_row in zip((den, num, scale.real), want_rows):
             assert np.array_equal(got_row, want_row)
 
 
