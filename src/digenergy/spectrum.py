@@ -1,11 +1,14 @@
-"""Spectra of digraphs: exact characteristic polynomials, certified complex
-eigenvalues with their radius, energy and second-moment sums, and the
-Coulson-type integral representation of the energy.
+"""Spectra of digraphs: certified complex eigenvalues with their radius,
+energy and second-moment sums, and the Coulson-type integral representation
+of the energy.  The module does the floating work; the exact characteristic
+polynomial and its square-free decomposition come from ``kernels``.
 
 The floating eigenvalues come from Hessenberg reduction + implicitly shifted
 QR (LAPACK via numpy), are refined by Aberth-Ehrlich iteration against the
 exact integer characteristic polynomial, and are forced into exact conjugate
-pairs before any derived quantity is computed.
+pairs before any derived quantity is computed.  The square-free factors of
+a repeated-root polynomial start from their ``np.roots`` values, one stacked
+companion-matrix ``eigvals`` per degree and count of zero roots.
 
 The Coulson integral is an independent route to the energy: adaptive
 Gauss-Legendre quadrature of its even integrand over half the path, from 16
@@ -23,7 +26,8 @@ a stack gets the bits it gets alone, and ``eigenvalues`` and
 ``coulson_energy`` are the blocks of one.
 
 The work done per distinct polynomial (its exact roots, certified spectrum
-and Coulson integral) is kept in a ``Memo`` that the caller owns: one per
+and Coulson integral) and per distinct square-free factor (its refined
+roots) is kept in a ``Memo`` that the caller owns: one per
 verification run, and a fresh one for a lone digraph.  The module keeps no
 state between calls.
 """
@@ -46,8 +50,6 @@ _SNAP_REL = 1e-10
 _RESIDUAL_GATE = 1e-6
 # Most Aberth-Ehrlich sweeps per refinement.
 _ABERTH_SWEEPS = 24
-# The prime modulus of the square-free certificate (a Mersenne prime).
-_CERT_PRIME = 2 ** 61 - 1
 
 
 @dataclass(frozen=True)
@@ -82,14 +84,17 @@ class Memo:
     """The per-polynomial work of one run, keyed on exact coefficients.
 
     ``roots`` holds the exact roots of a repeated-root polynomial (None for
-    a square-free one), ``spectra`` the spectrum certified for a polynomial
-    (from the QR values of its first digraph when square-free; a rejected
-    one is not kept), and ``integrals`` the Coulson integral, keyed on
-    ``(coeffs, rel_tol)`` (a pole is not kept).  It is
-    never trimmed: it holds one entry per distinct polynomial of the run.
+    a square-free one), ``factors`` the refined roots of each square-free
+    factor of a repeated-root polynomial, ``spectra`` the spectrum
+    certified for a polynomial (from the QR values of its first digraph
+    when square-free; a rejected one is not kept), and ``integrals`` the
+    Coulson integral, keyed on ``(coeffs, rel_tol)`` (a pole is not kept).
+    It is never trimmed: it holds one entry per distinct polynomial, and
+    per distinct factor, of the run.
     """
 
     roots: dict = field(default_factory=dict)
+    factors: dict = field(default_factory=dict)
     spectra: dict = field(default_factory=dict)
     integrals: dict = field(default_factory=dict)
 
@@ -142,7 +147,7 @@ def _aberth_refine(rows: Sequence[Sequence[int]], roots: np.ndarray) -> np.ndarr
     if k == 0 or m == 0:
         return z
     p_steps = _horner_steps(rows, m + 1)
-    dp_steps = _horner_steps([_deriv(row) for row in rows], m)
+    dp_steps = _horner_steps([kernels._deriv(row) for row in rows], m)
     scale = 1.0 + np.abs(z).max(axis=1)
     pz = _polyval_rows(p_steps, z)
     diagonal = np.arange(m)
@@ -173,146 +178,71 @@ def _aberth_refine(rows: Sequence[Sequence[int]], roots: np.ndarray) -> np.ndarr
     return z
 
 
-# --- exact square-free decomposition (Yun's algorithm over the integers) ----
+def _eigvals(stack: np.ndarray) -> np.ndarray:
+    """The eigenvalues of each matrix of a ``(K, m, m)`` stack from one
+    LAPACK Hessenberg QR call, as complex, bit for bit those of the
+    per-matrix ``eigvals``: values that are all real have +0.0 imaginary
+    parts, as the per-matrix call returns them."""
+    values = np.linalg.eigvals(stack).astype(complex)
+    real = (values.imag == 0.0).all(axis=1)
+    values[real] = values[real].real
+    return values
 
 
-def _trim(p: list) -> list:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+def _root_starts(rows: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """The ``np.roots`` values of each square-free factor of ``rows``
+    (monic, ascending integers, all of one degree m) as a ``(K, m)``
+    complex array, bit for bit.  For each count k of zero roots, one
+    stacked ``eigvals`` (see ``_eigvals``) takes the companion matrices
+    that ``np.roots`` builds for those rows, from the descending float
+    coefficients p without their k zeros: ones below the diagonal and
+    -p[1:] / p[0] in the first row; the k zeros follow."""
+    m = len(rows[0]) - 1
+    zeros = [kernels._zero_roots(f) for f in rows]
+    starts = np.zeros((len(rows), m), dtype=complex)
+    for k in sorted(set(zeros)):
+        at, d = [i for i, z in enumerate(zeros) if z == k], m - k
+        desc = np.array([[float(c) for c in reversed(rows[i][k:])] for i in at])
+        companion = np.zeros((len(at), d, d))
+        companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+        companion[:, :1] = -desc[:, None, 1:] / desc[:, None, :1]
+        starts[at, :d] = _eigvals(companion)
+    return starts
 
 
-def _deriv(p: Sequence[int]) -> list[int]:
-    return [k * c for k, c in enumerate(p)][1:]
-
-
-def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
-    """(q, r) with lc(b)^e * a = q * b + r, e = max(0, deg a - deg b + 1)
-    and deg r < deg b; plain exact division when b is monic and divides a."""
-    a = list(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    lead, db = b[-1], len(b) - 1
-    for k in range(len(a) - len(b), -1, -1):
-        coeff = a[k + db]
-        if lead != 1:
-            a = [lead * c for c in a]
-            q = [lead * c for c in q]
-        q[k] = coeff
-        if coeff:
-            for j in range(db):
-                a[k + j] -= coeff * b[j]
-    return _trim(q), _trim(a[:db])
-
-
-def _monic_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """gcd(a, b) of integer polynomials whose gcd divides a monic one.
-
-    The last term of the primitive pseudo-remainder sequence (Brown &
-    Traub, 1971), made positive: a primitive divisor of a monic integer
-    polynomial has leading coefficient +-1 (Gauss's lemma).  Each divisor is
-    made primitive before it divides, which keeps the coefficients from
-    growing exponentially along the sequence.
-    """
-    a, b = _trim(list(a)), _trim(list(b))
-    while b:
-        content = math.gcd(*b)
-        b = [c // content for c in b]
-        a, b = b, _pseudo_divmod(a, b)[1]
-    return a if a[-1] > 0 else [-c for c in a]
-
-
-def _coprime_to_derivative_mod_q(coeffs: Sequence[int]) -> bool:
-    """Whether gcd(p mod q, p' mod q) is a nonzero constant, q = 2^61 - 1.
-
-    Euclid's algorithm over the field Z/qZ, on ascending coefficient lists.
-    """
-    q = _CERT_PRIME
-    a = _trim([c % q for c in coeffs])
-    b = _trim([c % q for c in _deriv(coeffs)])
-    while b:
-        inv = pow(b[-1], -1, q)
-        db = len(b) - 1
-        for k in range(len(a) - 1, db - 1, -1):
-            f = a[k] * inv % q
-            if f:
-                off = k - db
-                for j in range(db):
-                    a[off + j] = (a[off + j] - f * b[j]) % q
-        a, b = b, _trim(a[:db])
-    return len(a) == 1
-
-
-def _square_free_decomposition(coeffs: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
-    """coeffs (ascending, exact, monic) = product of factor**multiplicity
-    with every factor square-free; Yun's algorithm over the integers.
-
-    Every gcd Yun takes divides the monic p, so by Gauss's lemma it is a
-    monic integer polynomial (``_monic_gcd``), and every division is by a
-    monic divisor and exact in integers, p'/gcd(p, p') included.
-
-    A trivial gcd(p, p') modulo the prime q = 2^61 - 1 certifies at once
-    that p is square-free: a repeated factor f^2 of p can be taken monic and
-    integral (Gauss's lemma), so it stays a repeated factor of the same
-    degree mod q and divides p' mod q.  Only a nontrivial gcd mod q (a
-    repeated root, or q dividing the discriminant) runs Yun.  On square-free
-    random digraphs the certificate takes about 0.8 ms at n = 32 and 2.5 ms
-    at n = 64, against about 3.4 ms and 171 ms for the integer gcd(p, p').
-    """
-    coeffs = tuple(coeffs)
-    zeros = next(k for k, c in enumerate(coeffs) if c)
-    # p = x^k q with k >= 2 and q(0) != 0: x divides p and p' mod q, so the
-    # certificate on p always fails, and only q is certified.  When q
-    # passes, it is square-free and coprime to x, so p = q * x^k needs no
-    # Yun.  Either way each polynomial takes one certificate.
-    if zeros >= 2:
-        if _coprime_to_derivative_mod_q(coeffs[zeros:]):
-            return ([(coeffs[zeros:], 1)] if len(coeffs) > zeros + 1 else []) + [((0, 1), zeros)]
-    elif _coprime_to_derivative_mod_q(coeffs):
-        return [(coeffs, 1)]
-    # Step 0 divides out g = gcd(p, p'); step m >= 1 finds the factor of
-    # multiplicity m.
-    b, d = list(coeffs), _deriv(coeffs)
-    out = []
-    mult = 0
-    while len(b) > 1:
-        a = _monic_gcd(b, d)
-        if mult and len(a) > 1:
-            out.append((tuple(a), mult))
-        b, c = _pseudo_divmod(b, a)[0], _pseudo_divmod(d, a)[0]
-        db = _deriv(b)
-        d = _trim([x - y for x, y in zip(c + [0] * len(db), db + [0] * len(c))])
-        mult += 1
-    return out
-
-
-def _factor_roots(factors: Sequence[tuple[int, ...]]) -> dict[tuple[int, ...], np.ndarray]:
-    """The roots of each square-free factor: ``np.roots`` starts refined
-    against the exact factor, one Aberth call per degree."""
+def _factor_roots(factors: Iterable[tuple[int, ...]], refined: dict) -> None:
+    """Store in ``refined`` the roots of each square-free factor it lacks:
+    its ``np.roots`` values (``_root_starts``) refined against the exact
+    factor, one Aberth call per degree.  A factor refines alone as in any
+    stack, so what is stored does not depend on which factors share the
+    call."""
     by_degree: dict[int, list] = {}
-    for factor in factors:
-        by_degree.setdefault(len(factor) - 1, []).append(factor)
-    refined = {}
+    for factor in dict.fromkeys(factors):
+        if factor not in refined:
+            by_degree.setdefault(len(factor) - 1, []).append(factor)
     for rows in by_degree.values():
-        starts = np.array([np.roots([float(c) for c in reversed(f)]) for f in rows], dtype=complex)
-        refined.update(zip(rows, _aberth_refine(rows, starts)))
-    return refined
+        refined.update(zip(rows, _aberth_refine(rows, _root_starts(rows))))
 
 
-def _repeated_roots(polys: Iterable[tuple[int, ...]], roots: dict) -> None:
-    """Store in ``roots``, for each polynomial it lacks, all its roots when
-    it has a repeated one, from its exact square-free decomposition, and
-    None when it is square-free.
+def _repeated_roots(polys: Iterable[tuple[int, ...]], memo: Memo) -> None:
+    """Store in ``memo.roots``, for each polynomial it lacks, all its roots
+    when it has a repeated one, from its exact square-free decomposition,
+    and None when it is square-free.
 
     Each root is a simple root of its factor, so the refinement converges
-    to machine precision regardless of multiplicity.  The factors of all
-    the new polynomials are refined together.
+    to machine precision regardless of multiplicity.  The new polynomials
+    take one stacked decomposition (``kernels.square_free_decompositions``),
+    and their factors that ``memo.factors`` lacks are refined together.
     """
-    decomps = {c: _square_free_decomposition(c) for c in dict.fromkeys(polys) if c not in roots}
-    repeated = {c: dec for c, dec in decomps.items() if not (len(dec) == 1 and dec[0][1] == 1)}
-    refined = _factor_roots(list(dict.fromkeys(f for dec in repeated.values() for f, _ in dec)))
-    for c in decomps:
-        roots[c] = (tuple(complex(z) for f, mult in repeated[c] for z in refined[f] for _ in range(mult))
-                    if c in repeated else None)
+    new = [c for c in dict.fromkeys(polys) if c not in memo.roots]
+    if not new:
+        return
+    decomps = kernels.square_free_decompositions(new)
+    repeated = {c: dec for c, dec in zip(new, decomps) if not (len(dec) == 1 and dec[0][1] == 1)}
+    _factor_roots((f for dec in repeated.values() for f, _ in dec), memo.factors)
+    for c in new:
+        memo.roots[c] = (tuple(complex(z) for f, mult in repeated[c] for z in memo.factors[f] for _ in range(mult))
+                         if c in repeated else None)
 
 
 def _pair_conjugates(values: np.ndarray) -> list[complex]:
@@ -367,10 +297,7 @@ def qr_values(a: np.ndarray) -> np.ndarray:
         if symmetric.any():
             out[symmetric] = np.linalg.eigvalsh(stack[symmetric])
         if general.any():
-            values = np.linalg.eigvals(stack[general]).astype(complex)
-            real = (values.imag == 0.0).all(axis=1)
-            values[real] = values[real].real
-            out[general] = values
+            out[general] = _eigvals(stack[general])
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"QR iteration failed: {exc}") from exc
     return out.reshape(a.shape[:-1])
@@ -409,7 +336,7 @@ def certify_spectra(polys: Sequence[CharPoly], index: np.ndarray, qr: np.ndarray
     """
     n = qr.shape[-1]
     coeffs = [p.coeffs for p in polys]
-    _repeated_roots(coeffs, memo.roots)
+    _repeated_roots(coeffs, memo)
     roots = [memo.roots[c] for c in coeffs]
     outcomes: list = [memo.spectra.get(c) for c in coeffs]
     for p, r in enumerate(roots):

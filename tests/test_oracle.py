@@ -238,21 +238,21 @@ class TestVerifyAll:
         # reports the same: nothing outlives a verify_all call.
         calls = []
 
-        def counting(name):
-            fn = getattr(spectrum_mod, name)
+        def counting(module, name):
+            fn = getattr(module, name)
 
             def wrapper(*args):
                 calls.append(name)
                 return fn(*args)
-            return wrapper
+            monkeypatch.setattr(module, name, wrapper)
 
-        for name in ("_square_free_decomposition", "_level_synchronous_gl"):
-            monkeypatch.setattr(spectrum_mod, name, counting(name))
+        counting(kernels_mod, "square_free_decompositions")
+        counting(spectrum_mod, "_level_synchronous_gl")
         runs = []
         for _ in range(2):
             calls.clear()
             body = _report_text(verify_all(4))
-            runs.append((body, calls.count("_square_free_decomposition"),
+            runs.append((body, calls.count("square_free_decompositions"),
                          calls.count("_level_synchronous_gl")))
         assert runs[0] == runs[1]
         assert runs[0][1] and runs[0][2]
@@ -405,12 +405,13 @@ class TestSharedSpectra:
         with pytest.raises(EigensolverError, match="disagree"):
             _shared_spectrum(Digraph(3, [(0, 1)]), memo)
 
-    def test_each_polynomial_is_refined_once_per_run(self, monkeypatch):
+    @pytest.mark.parametrize("block_size", [oracle_mod.BLOCK_SIZE, 4096])
+    def test_each_polynomial_is_refined_once_per_run(self, monkeypatch, block_size):
         # Only a square-free polynomial refines member values: each distinct
         # one once, by its first digraph.  The degree-1 and 2 rows are the
-        # factors of the repeated-root polynomials, refined once in each
-        # block that meets them in a new polynomial, so their counts are
-        # those of blocks of 256.
+        # distinct square-free factors of the repeated-root polynomials, each
+        # refined once per run too, so the counts do not depend on the
+        # block size, and the report does not change.
         rows = []
         refine = spectrum_mod._aberth_refine
 
@@ -419,11 +420,16 @@ class TestSharedSpectra:
             return refine(polys, roots)
 
         monkeypatch.setattr(spectrum_mod, "_aberth_refine", counting)
-        verify_all(4)
-        polys = {characteristic_polynomial(d).coeffs for d in enumerate_digraphs(4)}
-        square_free = [c for c in polys if spectrum_mod._square_free_decomposition(c) == [(c, 1)]]
+        monkeypatch.setattr(oracle_mod, "BLOCK_SIZE", block_size)
+        body = _report_text(verify_all(4))
+        polys = list({characteristic_polynomial(d).coeffs for d in enumerate_digraphs(4)})
+        decomps = kernels_mod.square_free_decompositions(polys)
+        square_free = [c for c, dec in zip(polys, decomps) if dec == [(c, 1)]]
+        factors = {f for dec in decomps if len(dec) > 1 or dec[0][1] > 1 for f, _ in dec}
         assert rows.count(4) == len(square_free) == 36
-        assert (rows.count(1), rows.count(2), len(rows)) == (8, 8, 52)
+        assert (rows.count(1), rows.count(2), len(rows)) == (3, 7, 46)
+        assert sorted(len(f) - 1 for f in factors) == [1] * 3 + [2] * 7
+        assert hashlib.sha256(body.encode()).hexdigest().startswith("72725c05")
 
     def test_default_is_not_shared(self):
         d = directed_cycle(3)

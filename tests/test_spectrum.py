@@ -27,12 +27,8 @@ import digenergy
 from digenergy import kernels as kernels_mod
 from digenergy import spectrum as spectrum_mod
 from digenergy.digraph import adjacency_matrices
-from digenergy.oracle import _Block
-from digenergy.spectrum import (
-    Memo,
-    _coprime_to_derivative_mod_q,
-    _square_free_decomposition,
-)
+from digenergy.oracle import BLOCK_SIZE, _Block
+from digenergy.spectrum import Memo
 
 from families import (
     complete_graph,
@@ -233,6 +229,22 @@ def _permutation_digraph(cycles, n):
     return Digraph(n, [(c[k], c[(k + 1) % len(c)]) for c in cycles for k in range(len(c))])
 
 
+def _switch_step(n, out_masks):
+    """The first step k of the recurrence, on Python ints, at which
+    max|M_{k-1}| + max|c_{k-1}| reaches 2**63 // (n r), r the largest
+    out-degree: the step from which the kernel must run on Python ints."""
+    a = kernels_mod._matrix_stack(n, [out_masks])[0].astype(object)
+    limit = 2 ** 63 // (n * int(a.sum(axis=1).max()))
+    m, c = np.zeros_like(a), 1
+    for k in range(1, n + 1):
+        if int(abs(m).max()) + abs(c) >= limit:
+            return k
+        m = a @ m + c * a
+        c, r = divmod(-int(m.trace()), k)
+        assert r == 0
+    return None
+
+
 class TestBlockKernel:
     """One kernel call on a block equals one call per row, on both sides of
     the int64 guard, which is taken over the whole block."""
@@ -267,6 +279,18 @@ class TestBlockKernel:
         assert block[0] == [0] * 8 + [1]
         assert tuple(block[1]) == _poly_mul((-1, 0, 0, 1), (-1, 0, 1), (-1, 0, 0, 1))
 
+    @pytest.mark.parametrize("n, step", [(48, 35), (64, 24)])
+    def test_moves_to_python_ints_at_the_limit(self, monkeypatch, n, step):
+        # int64 up to the first step whose measured values reach the limit,
+        # Python ints from that step on.
+        d = random_digraph(n, 0.4, 1)
+        dtypes = []
+        traces = kernels_mod._traces
+        monkeypatch.setattr(kernels_mod, "_traces", lambda m: dtypes.append(m.dtype) or traces(m))
+        kernels_mod.charpoly_from_masks(kernels_mod._matrix_stack(n, [d.out_masks]))
+        assert _switch_step(n, d.out_masks) == step
+        assert dtypes == [np.dtype(np.int64)] * (step - 1) + [np.dtype(object)] * (n - step + 1)
+
     @pytest.mark.parametrize("n", [13, 52])
     def test_guard_is_taken_over_the_block(self, monkeypatch, n):
         # J - I leaves int64 from n = 52 on, the directed cycle alone never
@@ -280,6 +304,12 @@ class TestBlockKernel:
         assert [row_moved for _, row_moved in alone] == [False, n == 52]
         assert block[0] == [-1] + [0] * (n - 1) + [1]
         assert tuple(block[1]) == _poly_mul(_root_power(n - 1, 1), _root_power(-1, n - 1))
+
+
+def _square_free_decomposition(coeffs):
+    """The stacked decomposition on a block of one."""
+    (decomp,) = kernels_mod.square_free_decompositions([tuple(coeffs)])
+    return decomp
 
 
 class TestSquareFreeDecomposition:
@@ -301,13 +331,40 @@ class TestSquareFreeDecomposition:
         assert _square_free_decomposition((0, 0, -1, 1)) == [((-1, 1), 1), ((0, 1), 2)]
         assert _square_free_decomposition((0, -2, 0, 1)) == [((0, -2, 0, 1), 1)]
 
+    def test_order_zero(self):
+        assert _square_free_decomposition((1,)) == [((1,), 1)]
 
-def _yun_without_certificate(coeffs, monkeypatch):
-    """The decomposition with the modular certificate switched off: Yun on
-    every polynomial, square-free or not."""
-    with monkeypatch.context() as m:
-        m.setattr(spectrum_mod, "_coprime_to_derivative_mod_q", lambda c: False)
-        return _square_free_decomposition(coeffs)
+
+def _yun_without_certificate(coeffs):
+    """The decomposition without the modular certificate: Yun on every
+    polynomial, square-free or not."""
+    return kernels_mod._yun(tuple(coeffs))
+
+
+def _coprime_mod_p(coeffs, q=kernels_mod._PRIME):
+    """Whether gcd(p mod q, p' mod q) is a nonzero constant: Euclid's
+    algorithm over Z/qZ on ascending coefficient lists, one polynomial at a
+    time, with modular inverses.  The reference for the stacked Euclid."""
+    a = kernels_mod._trim([c % q for c in coeffs])
+    b = kernels_mod._trim([c % q for c in kernels_mod._deriv(coeffs)])
+    while b:
+        inv = pow(b[-1], -1, q)
+        db = len(b) - 1
+        for k in range(len(a) - 1, db - 1, -1):
+            f = a[k] * inv % q
+            if f:
+                off = k - db
+                for j in range(db):
+                    a[off + j] = (a[off + j] - f * b[j]) % q
+        a, b = b, kernels_mod._trim(a[:db])
+    return len(a) == 1
+
+
+def _certificate_reference(coeffs):
+    """The certificate's verdict one polynomial at a time: p = x^k q with
+    k >= 2 certifies q, any other p itself."""
+    k = next(i for i, c in enumerate(coeffs) if c)
+    return _coprime_mod_p(coeffs[k:] if k >= 2 else coeffs)
 
 
 REPEATED_ROOT_POLYS = [
@@ -331,27 +388,76 @@ SPARSE_SYMMETRIC_CORPUS = [
 ]
 
 
-class TestModularCertificate:
-    """A trivial gcd(p, p') mod 2^61 - 1 short-cuts Yun; nothing else may
-    change.  The reference is Yun with the certificate switched off."""
+def _charpolys_up_to_4():
+    return list(dict.fromkeys(characteristic_polynomial(d).coeffs
+                              for n in range(1, 5) for d in enumerate_digraphs(n)))
 
-    def test_matches_yun_without_certificate_on_charpolys(self, monkeypatch):
+
+def _random_charpolys_6_to_12():
+    return list(dict.fromkeys(characteristic_polynomial(random_digraph(n, p, seed)).coeffs
+                              for n in range(6, 13) for p in (0.1, 0.2, 0.3) for seed in range(20)))
+
+
+def _large_rows():
+    """Rows at n = 64 and n = 128: random digraphs (88-bit coefficients at
+    n = 64), x^n - 1 and (x - n + 1)(x + 1)^(n - 1), the polynomial of J - I."""
+    return [characteristic_polynomial(random_digraph(64, 0.4, 1)).coeffs,
+            characteristic_polynomial(random_digraph(128, 0.02, 1)).coeffs,
+            *[(-1,) + (0,) * (n - 1) + (1,) for n in (64, 128)],
+            *[_poly_mul(_root_power(n - 1, 1), _root_power(-1, n - 1)) for n in (64, 128)]]
+
+
+# x (x - P) is square-free over Z but x^2 mod P.
+NOT_SQUARE_FREE_MOD_P = (0, -kernels_mod._PRIME, 1)
+
+CERTIFICATE_CORPORA = {
+    "charpolys-n1-4": _charpolys_up_to_4,
+    "random-n6-12": _random_charpolys_6_to_12,
+    "repeated-roots": lambda: REPEATED_ROOT_POLYS,
+    "n64-n128": _large_rows,
+    "order-0": lambda: [(1,)],
+    "mixed-block": lambda: [(-1, 0, 0, 1), NOT_SQUARE_FREE_MOD_P, (1,), (0, 0, -1, 1),
+                            characteristic_polynomial(directed_cycle(64)).coeffs, (-2, -3, 0, 1), (5, 1)],
+}
+
+
+class TestModularCertificate:
+    """A trivial gcd(p, p') mod 2^31 - 1 short-cuts Yun; nothing else may
+    change.  The stacked Euclid agrees with the per-polynomial one, and the
+    reference decomposition is Yun without the certificate."""
+
+    @pytest.mark.parametrize("corpus", CERTIFICATE_CORPORA)
+    def test_stacked_matches_per_polynomial_euclid(self, corpus):
+        polys = CERTIFICATE_CORPORA[corpus]()
+        got = kernels_mod.square_free_certificates(polys)
+        assert got.dtype == bool
+        assert got.tolist() == [_certificate_reference(c) for c in polys]
+
+    def test_square_free_but_not_mod_p_falls_back_to_yun(self):
+        # In a mixed block only x (x - P) and (x - 2)(x + 1)^2 fail; Yun
+        # returns x (x - P) unchanged.
+        polys = CERTIFICATE_CORPORA["mixed-block"]()
+        got = kernels_mod.square_free_certificates(polys).tolist()
+        assert got == [c not in (NOT_SQUARE_FREE_MOD_P, (-2, -3, 0, 1)) for c in polys]
+        assert kernels_mod.square_free_decompositions(polys)[1] == [(NOT_SQUARE_FREE_MOD_P, 1)]
+
+    def test_matches_yun_without_certificate_on_charpolys(self):
         square_free = 0
         for d in RANDOM_CORPUS:
             coeffs = characteristic_polynomial(d).coeffs
             got = _square_free_decomposition(coeffs)
-            assert got == _yun_without_certificate(coeffs, monkeypatch)
+            assert got == _yun_without_certificate(coeffs)
             square_free += got == [(coeffs, 1)]
         assert 0 < square_free < len(RANDOM_CORPUS)
 
     @pytest.mark.parametrize("coeffs", REPEATED_ROOT_POLYS)
-    def test_repeated_roots_are_never_certified(self, coeffs, monkeypatch):
-        assert not _coprime_to_derivative_mod_q(coeffs)
+    def test_repeated_roots_are_never_certified(self, coeffs):
+        assert not _coprime_mod_p(coeffs)
         got = _square_free_decomposition(coeffs)
-        assert got == _yun_without_certificate(coeffs, monkeypatch)
+        assert got == _yun_without_certificate(coeffs)
         assert max(mult for _, mult in got) > 1
 
-    def test_matches_yun_without_certificate_on_sparse_symmetric_charpolys(self, monkeypatch):
+    def test_matches_yun_without_certificate_on_sparse_symmetric_charpolys(self):
         # Sparse graphs have many zero eigenvalues, a repeated root that the
         # certificate rejects; Yun then returns x^k apart from a square-free
         # cofactor on most of them.
@@ -359,55 +465,51 @@ class TestModularCertificate:
         for d in SPARSE_SYMMETRIC_CORPUS:
             coeffs = characteristic_polynomial(d).coeffs
             got = _square_free_decomposition(coeffs)
-            assert got == _yun_without_certificate(coeffs, monkeypatch)
+            assert got == _yun_without_certificate(coeffs)
             k = next(i for i, c in enumerate(coeffs) if c)
             split_off += k >= 2 and got == [(coeffs[k:], 1), ((0, 1), k)]
         assert split_off > 0
 
-    def test_zero_root_split_matches_yun(self, monkeypatch):
+    def test_zero_root_split_matches_yun(self):
         # p = x^k q, k >= 2, with q certified square-free skips Yun and
         # returns [(q, 1), (x, k)], or [(x, k)] for q = 1.  Pinned on every
-        # distinct charpoly of n <= 4 and on seeded random ones.
-        polys = {characteristic_polynomial(d).coeffs for n in range(1, 5) for d in enumerate_digraphs(n)}
-        polys |= {characteristic_polynomial(random_digraph(n, p, seed)).coeffs
-                  for n in range(6, 13) for p in (0.1, 0.2, 0.3) for seed in range(20)}
+        # distinct charpoly of n <= 4 and on seeded random ones, in one
+        # stacked call.
+        polys = _charpolys_up_to_4() + _random_charpolys_6_to_12()
+        assert kernels_mod.square_free_decompositions(polys) == [_yun_without_certificate(c) for c in polys]
         split_off = 0
         for coeffs in polys:
-            assert _square_free_decomposition(coeffs) == _yun_without_certificate(coeffs, monkeypatch)
             k = next(i for i, c in enumerate(coeffs) if c)
-            split_off += (k >= 2 and not _coprime_to_derivative_mod_q(coeffs)
-                          and _coprime_to_derivative_mod_q(coeffs[k:]))
+            split_off += k >= 2 and not _coprime_mod_p(coeffs) and _coprime_mod_p(coeffs[k:])
         assert split_off > 100
 
     @pytest.mark.parametrize("corpus", ["exhaustive-n1-4", "random-n10"])
-    def test_one_certificate_per_polynomial(self, corpus, monkeypatch):
-        # x^k q with k >= 2 always fails the certificate, since x divides p
-        # and p' mod q, so only q takes one.  The random corpus is the first
-        # round of the benchmark's verify-random-n10 workload at seed 1.
+    def test_one_certificate_call_per_block(self, corpus, monkeypatch):
+        # The blocks of the harness take one stacked certificate call each,
+        # with one row per polynomial of its members that the memo lacks.
+        # The random corpus is the first round of the benchmark's
+        # verify-random-n10 workload at seed 1.
         if corpus == "exhaustive-n1-4":
-            ds = [d for n in range(1, 5) for d in enumerate_digraphs(n)]
+            orders = [list(enumerate_digraphs(n)) for n in range(1, 5)]
         else:
-            ds = [random_digraph(10, 0.3, 1_000_000 + k) for k in range(200)]
-        polys = list(dict.fromkeys(characteristic_polynomial(d).coeffs for d in ds))
+            orders = [[random_digraph(10, 0.3, 1_000_000 + k) for k in range(200)]]
         calls = []
-        certificate = spectrum_mod._coprime_to_derivative_mod_q
-        with monkeypatch.context() as m:
-            m.setattr(spectrum_mod, "_coprime_to_derivative_mod_q",
-                      lambda c: calls.append(c) or certificate(c))
-            got = [_square_free_decomposition(c) for c in polys]
-        assert len(calls) == len(polys)
-        assert got == [_yun_without_certificate(c, monkeypatch) for c in polys]
-
-    def test_square_free_but_not_mod_q_falls_back_to_yun(self):
-        # x (x - q) is square-free over Q but x^2 mod q.
-        q = spectrum_mod._CERT_PRIME
-        coeffs = (0, -q, 1)
-        assert not _coprime_to_derivative_mod_q(coeffs)
-        assert _square_free_decomposition(coeffs) == [(coeffs, 1)]
-
-    def test_square_free_certified(self):
-        assert _coprime_to_derivative_mod_q((-1, 0, 0, 1))
-        assert _coprime_to_derivative_mod_q(characteristic_polynomial(directed_cycle(64)).coeffs)
+        certificates = kernels_mod.square_free_certificates
+        monkeypatch.setattr(kernels_mod, "square_free_certificates",
+                            lambda polys: calls.append(list(polys)) or certificates(polys))
+        memo, seen, want = Memo(), set(), []
+        for ds in orders:
+            for start in range(0, len(ds), BLOCK_SIZE):
+                block = ds[start:start + BLOCK_SIZE]
+                new = [c for c in dict.fromkeys(characteristic_polynomial(d).coeffs for d in block)
+                       if c not in seen]
+                seen.update(new)
+                want += [new] if new else []
+                _Block(block, memo).certified
+        assert calls == want
+        polys = [c for rows in want for c in rows]
+        assert [memo.roots[c] is None for c in polys] == [
+            _yun_without_certificate(c) == [(c, 1)] for c in polys]
 
 
 @st.composite
@@ -424,13 +526,14 @@ def factored_polys(draw):
 def _assert_square_free_decomposition(coeffs, decomp):
     """The defining properties, checked without Yun: the product of the
     factor powers is coeffs, the factors are monic with strictly increasing
-    multiplicities, and their product is square-free (certified mod q), so
-    each factor is square-free and the factors are pairwise coprime."""
+    multiplicities, and their product is square-free (coprime to its
+    derivative mod P), so each factor is square-free and the factors are
+    pairwise coprime."""
     assert _poly_mul(*[_power(f, k) for f, k in decomp]) == tuple(coeffs)
     assert all(len(f) >= 2 and f[-1] == 1 for f, _ in decomp)
     mults = [k for _, k in decomp]
     assert mults == sorted(set(mults))
-    assert _coprime_to_derivative_mod_q(_poly_mul(*[f for f, _ in decomp]))
+    assert _coprime_mod_p(_poly_mul(*[f for f, _ in decomp]))
 
 
 class TestSquareFreeOracle:
@@ -1046,7 +1149,7 @@ class TestExactMemo:
             raise AssertionError("a memo hit recomputed")
 
         # The memo serves a second block: no decomposition, no quadrature.
-        monkeypatch.setattr(spectrum_mod, "_square_free_decomposition", forbidden)
+        monkeypatch.setattr(kernels_mod, "square_free_decompositions", forbidden)
         monkeypatch.setattr(spectrum_mod, "_level_synchronous_gl", forbidden)
         second = _Block([relabeled], memo)
         assert second.spectra[0] is first.spectra[0]
@@ -1157,21 +1260,50 @@ class TestStackedAberth:
         factors = list(dict.fromkeys(f for coeffs in polys for f, _ in _square_free_decomposition(coeffs)))
         degrees = [len(f) - 1 for f in factors]
         assert len(set(degrees)) >= 8 and min(degrees) == 1 and max(degrees) == 32
-        refined = spectrum_mod._factor_roots(factors)
+        refined = {}
+        spectrum_mod._factor_roots(factors, refined)
+        assert sorted(refined) == sorted(factors)
         for f in factors:
             start = np.roots([float(c) for c in reversed(f)]).astype(complex)
             assert np.array_equal(refined[f], spectrum_mod._aberth_refine([f], start[None])[0])
             assert np.array_equal(refined[f], _reference_aberth(f, start)[0])
 
+    def test_refines_only_the_factors_it_lacks(self, monkeypatch):
+        factors = [(-2, 1), (1, 0, 1), (0, -2, 0, 1), (3, 1)]
+        refined = {(1, 0, 1): "kept"}
+        rows = []
+        refine = spectrum_mod._aberth_refine
+        monkeypatch.setattr(spectrum_mod, "_aberth_refine", lambda fs, z: rows.extend(fs) or refine(fs, z))
+        spectrum_mod._factor_roots(factors + factors, refined)
+        assert rows == [(-2, 1), (3, 1), (0, -2, 0, 1)]
+        assert refined[(1, 0, 1)] == "kept" and len(refined) == 4
+
+    def test_starts_are_np_roots_bit_for_bit(self):
+        # The factors of every distinct charpoly of n <= 4, of seeded random
+        # ones, of the repeated-root polynomials and of sparse symmetric
+        # charpolys, those with a zero root among them.
+        polys = (_charpolys_up_to_4() + _random_charpolys_6_to_12() + REPEATED_ROOT_POLYS
+                 + [characteristic_polynomial(d).coeffs for d in SPARSE_SYMMETRIC_CORPUS])
+        by_degree = {}
+        for dec in kernels_mod.square_free_decompositions(polys):
+            for f, _ in dec:
+                by_degree.setdefault(len(f) - 1, {})[f] = None
+        for rows in map(list, by_degree.values()):
+            for f, got in zip(rows, spectrum_mod._root_starts(rows)):
+                want = np.roots([float(c) for c in reversed(f)]).astype(complex)
+                assert got.tobytes() == want.tobytes()
+        factors = [f for rows in by_degree.values() for f in rows]
+        assert len(factors) > 200 and sum(f[0] == 0 for f in factors) > 20
+
     def test_repeated_roots_of_a_block_equal_one_at_a_time(self):
         polys = REPEATED_ROOT_POLYS + [characteristic_polynomial(d).coeffs for d in SPARSE_SYMMETRIC_CORPUS]
-        together = {}
+        together = Memo()
         spectrum_mod._repeated_roots(polys, together)
-        assert list(together) == list(dict.fromkeys(polys))
+        assert list(together.roots) == list(dict.fromkeys(polys))
         for coeffs in polys:
-            alone = {}
+            alone = Memo()
             spectrum_mod._repeated_roots([coeffs], alone)
-            assert alone == {coeffs: together[coeffs]}
+            assert alone.roots == {coeffs: together.roots[coeffs]}
 
     def test_empty_stack(self):
         assert spectrum_mod._aberth_refine([], np.empty((0, 3))).shape == (0, 3)
