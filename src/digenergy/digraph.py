@@ -68,11 +68,6 @@ class Digraph:
             rows[j] |= 1 << i
         return tuple(rows)
 
-    @cached_property
-    def is_symmetric(self) -> bool:
-        """True iff the arc set is closed under reversal."""
-        return all((j, i) in self.arcs for i, j in self.arcs)
-
 
 @dataclass(frozen=True)
 class Graph:
@@ -266,13 +261,6 @@ def cycle_arc_reduction(d: Digraph) -> Digraph:
     cid = strongly_connected_components(d).component_id
     kept = [arc for arc in d.arcs if cid[arc[0]] == cid[arc[1]]]
     return d if len(kept) == len(d.arcs) else Digraph(d.n, kept)
-
-
-def underlying_graph_if_symmetric(d: Digraph) -> Optional[Graph]:
-    """The graph G with d equal to its symmetric digraph, if one exists."""
-    if not d.is_symmetric:
-        return None
-    return Graph(d.n, ((i, j) for i, j in d.arcs if i < j))
 
 
 def from_graph(g: Graph) -> Digraph:

@@ -187,8 +187,10 @@ class _Block:
     spread check over the members with a repeated root) and from those the
     Coulson integrals (the pole guard once per spectrum, one quadrature).
     The spectral scalars, the integrals and the reduction invariance reach
-    the members by the index, and a member's entry of ``spectra`` and
-    ``coulson`` is its value or the exception that rejects it.  The equality
+    the members by the index; ``outcome`` gives a member its spectrum or
+    integral, or the exception that rejects it.  A check reads the spectral
+    scalars through ``spectral``, which raises the EigensolverError of the
+    first rejected member among those the check reads.  The equality
     predictions are the verdicts' own integer tests on stacked arrays:
     ``walk_ratio_attained`` on the reductions and profiles for the radius
     (``equality_verdict_rho_lower``), ``energy_bound_attained`` on ``bits``
@@ -207,8 +209,6 @@ class _Block:
             raise ValueError(f"a block holds digraphs of one order, got orders {sorted(orders)}")
         (self.n,) = orders
         self.memo = memo
-        # The members whose spectrum a check has read (see ``spectral``).
-        self.spectra_read = np.zeros(len(self.digraphs), dtype=bool)
 
     def analyses(self, tol: float) -> Iterator["Analysis"]:
         """One ``Analysis`` per digraph, all reading this block, made as
@@ -301,35 +301,30 @@ class _Block:
         bad[list(errors)] = True
         return bad
 
-    @cached_property
-    def spectra(self) -> list:
-        """The certified ``Spectrum`` of each member, or its EigensolverError."""
-        outcomes, errors = self.certified
-        return [errors.get(k, outcomes[p]) for k, p in enumerate(self.poly_index.tolist())]
+    def outcome(self, k: int, per_row: Sequence):
+        """Member k's entry of ``per_row``, a list with one entry per row of
+        ``certified`` (a spectrum, an integral or the exception in its
+        place), or member k's own EigensolverError when its QR values miss
+        its repeated roots."""
+        return self.certified[1].get(k, per_row[self.poly_index[k]])
 
     @cached_property
     def _spectral(self) -> tuple[np.ndarray, ...]:
         outcomes, _ = self.certified
         rows = np.array([(s.rho, s.energy, s.sum_re_sq, s.sum_im_sq) if isinstance(s, Spectrum)
                          else (0.0,) * 4 for s in outcomes], dtype=float).reshape(len(outcomes), 4)
-        rows = rows[self.poly_index]
-        rows[self.rejected] = 0.0
-        return tuple(rows.T)
+        return tuple(rows[self.poly_index].T)
 
     def spectral(self, rows: Optional[np.ndarray] = None) -> tuple[np.ndarray, ...]:
         """rho, energy, sum_re_sq and sum_im_sq of every member, as (K,)
         arrays, for a check that reads the spectra of the members in the
-        mask ``rows`` (all by default).  A rejected spectrum reads as zeros;
-        ``raise_rejected`` raises the error of the first one a check read."""
-        self.spectra_read |= True if rows is None else rows
-        return self._spectral
-
-    def raise_rejected(self) -> None:
-        """Raise the EigensolverError of the first member whose rejected
-        spectrum a check read, as a check of that member alone would."""
-        read = np.flatnonzero(self.spectra_read & self.rejected)
+        mask ``rows`` (all by default).  If one of them is rejected, this
+        raises the EigensolverError of the first such member, as a check of
+        that member alone would; a member outside ``rows`` is not read."""
+        read = np.flatnonzero(self.rejected if rows is None else self.rejected & rows)
         if len(read):
-            unwrap(self.spectra[read[0]])
+            unwrap(self.outcome(read[0], self.certified[0]))
+        return self._spectral
 
     @cached_property
     def integrals(self) -> list:
@@ -340,13 +335,6 @@ class _Block:
         outcomes, _ = self.certified
         values = iter(coulson_energies([s for s in outcomes if isinstance(s, Spectrum)], 1e-6, self.memo))
         return [next(values) if isinstance(s, Spectrum) else s for s in outcomes]
-
-    @cached_property
-    def coulson(self) -> list:
-        """The Coulson integral of each member, or the exception that skips
-        it; a member whose own QR values are rejected takes that error."""
-        _, errors = self.certified
-        return [errors.get(k, self.integrals[p]) for k, p in enumerate(self.poly_index.tolist())]
 
     @cached_property
     def adjacency(self) -> np.ndarray:
@@ -456,7 +444,7 @@ class Analysis:
 
     @cached_property
     def spectrum(self) -> Spectrum:
-        return unwrap(self._block.spectra[self._index])
+        return unwrap(self._block.outcome(self._index, self._block.certified[0]))
 
     @cached_property
     def symmetrization(self):
@@ -478,7 +466,7 @@ class Analysis:
     @cached_property
     def _coulson(self) -> tuple[Optional[float], Optional[str]]:
         try:
-            return unwrap(self._block.coulson[self._index]), None
+            return unwrap(self._block.outcome(self._index, self._block.integrals)), None
         except PurelyImaginaryEigenvalueError as exc:
             return None, str(exc)
 
@@ -639,8 +627,8 @@ def _check_charpoly_reduction_invariance(block: _Block, tol: float):
 
 
 def _check_coulson_match(block: _Block, tol: float):
-    # Per member polynomial, then gathered by ``poly_index``; a rejected
-    # member reads zeros here and raises through ``raise_rejected``.
+    # Per member polynomial, then gathered by ``poly_index``; ``spectral``
+    # has raised already if a member's spectrum is rejected.
     _, energy, _, _ = block.spectral()
     outcomes, _ = block.certified
     n = block.n
@@ -710,9 +698,11 @@ def verify_all(
     failing member, in member order, then check order, then the check's own
     order.  A stacked result is bit for bit the per-digraph one, so the
     report does not depend on the block size, and a lone ``Analysis(d)``
-    is a block of one.  The corpus is never held whole.  A check that
-    reads a spectrum the eigensolver rejects raises its EigensolverError,
-    that of the first such member of the block.
+    is a block of one.  The corpus is never held whole.  A check raises
+    where it reads a spectrum the eigensolver rejects: the EigensolverError
+    of the first rejected member among the members it reads ends the call.
+    With every check run, the first to read spectra reads all members, so
+    the error is that of the block's first rejected member.
 
     The blocks of one call share one ``Memo``: each distinct
     characteristic polynomial is decomposed, certified and integrated once,
@@ -768,7 +758,6 @@ def verify_all(
             stats[name].passed += int((~skip & ~failed).sum())
             outcomes.append((name, failed, slots))
             failing |= failed
-        block.raise_rejected()
         for k in np.flatnonzero(failing).tolist():
             text = serialize_edge_list(digraphs[k])
             for name, failed, slots in outcomes:

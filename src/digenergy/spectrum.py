@@ -514,10 +514,10 @@ class _Integrand:
 
 
 def _level_synchronous_gl(f: _Integrand, b: float, rel_tol: float) -> list:
-    """Integral of each even integrand of ``f`` over (-b, b): twice an
-    adaptive Gauss-Legendre quadrature over (0, b), one refinement level at
-    a time for all of them.  Returns, per polynomial, the integral or the
-    PurelyImaginaryEigenvalueError that stopped it.
+    """Integral of each even integrand of ``f`` (one at least) over
+    (-b, b): twice an adaptive Gauss-Legendre quadrature over (0, b), one
+    refinement level at a time for all of them.  Returns, per polynomial,
+    the integral or the PurelyImaginaryEigenvalueError that stopped it.
 
     Level 0 is 16 equal panels of (0, b) per polynomial, depth 4 of a
     binary tree whose depth-0 panels are the halves of (-b, b); their
@@ -601,8 +601,6 @@ def _level_synchronous_gl(f: _Integrand, b: float, rel_tol: float) -> list:
         left, right, owner = next_left, next_right, np.repeat(owner[split], 2)
         tol = tol / 2.0
         depth += 1
-    if not levels:
-        return []
     sums = levels[-1][0]
     for fine, accepted in reversed(levels[:-1]):
         total = fine.copy()
@@ -635,7 +633,7 @@ def coulson_energies(spectra: Sequence[Spectrum], rel_tol: float, memo: Memo) ->
             out[i] = PurelyImaginaryEigenvalueError(pole.imag)
         elif spec.eigenvalues:
             coeffs = spec.charpoly.coeffs
-            polys[i] = coeffs[next(k for k, c in enumerate(coeffs) if c):]
+            polys[i] = coeffs[kernels._zero_roots(coeffs):]
     found = {c: memo.integrals[c, rel_tol] for c in polys.values() if (c, rel_tol) in memo.integrals}
     todo = [c for c in dict.fromkeys(polys.values()) if c not in found]
     if todo:

@@ -18,7 +18,6 @@ from digenergy import (
     parse_edge_list,
     serialize_edge_list,
     strongly_connected_components,
-    underlying_graph_if_symmetric,
     walk_profile,
 )
 
@@ -262,24 +261,12 @@ class TestCycleArcReduction:
         assert np.array_equal(s1, s2)
 
 
-class TestUnderlyingGraph:
-    def test_two_cycle(self):
-        g = underlying_graph_if_symmetric(parse_edge_list("2\n0 1\n1 0\n"))
-        assert g == Graph(2, [(0, 1)])
-
-    def test_directed_triangle_none(self):
-        assert underlying_graph_if_symmetric(directed_cycle(3)) is None
-
-    def test_star(self):
-        g = underlying_graph_if_symmetric(sym(star_graph(2)))
-        assert g == star_graph(2)
-
+class TestFromGraph:
     @given(digraphs())
     @settings(max_examples=50)
-    def test_from_graph_roundtrip(self, d):
-        g = underlying_graph_if_symmetric(d)
-        if g is not None:
-            assert from_graph(g) == d
+    def test_symmetric_digraph_roundtrip(self, d):
+        if d.arcs == {(j, i) for i, j in d.arcs}:
+            assert from_graph(Graph(d.n, ((i, j) for i, j in d.arcs if i < j))) == d
 
 
 class TestValidation:

@@ -513,7 +513,8 @@ class TestBlocks:
             memo, out = Memo(), []
             for start in range(0, len(ds), size):
                 block = oracle_mod._Block(ds[start:start + size], memo)
-                out += [(text(s), text(c)) for s, c in zip(block.spectra, block.coulson)]
+                out += [(text(block.outcome(k, block.certified[0])), text(block.outcome(k, block.integrals)))
+                        for k in range(len(block.digraphs))]
             return out
 
         blocked = outcomes(BLOCK)
@@ -645,3 +646,69 @@ class TestStackedPieces:
         assert report.ok and report.digraphs_checked == 64
         with pytest.raises(EigensolverError):
             verify_all(3)
+
+
+K3 = sym(complete_graph(3))
+# The checks that read no spectrum.
+_SPECTRUM_FREE = {"walk_rowsum", "walk_sum_identity", "charpoly_reduction_invariance"}
+
+
+def _reject(monkeypatch, *targets):
+    """Move the QR values of the members equal to one of ``targets`` far
+    from their exact roots, so that those members alone are rejected; each
+    target has a repeated root (x^3, or (x - 2)(x + 1)^2 for K3), whose
+    spread check reads the member's own QR values."""
+    shapes = [adjacency_matrix(t) for t in targets]
+
+    def shifted(a):
+        out = qr_values(a)
+        for k, m in enumerate(a):
+            if any(np.array_equal(m, s) for s in shapes):
+                out[k] += 100.0
+        return out
+
+    monkeypatch.setattr(oracle_mod, "qr_values", shifted)
+
+
+class TestRaiseWhereRead:
+    """A check raises where it reads a rejected spectrum: the
+    EigensolverError of the first rejected member among the members it
+    reads.  ``EigensolverError.partial`` holds the member's exact roots and
+    tells the members apart."""
+
+    def test_spectral_raises_the_first_rejected_member_it_reads(self, monkeypatch):
+        _reject(monkeypatch, Digraph(3), K3)
+        block = oracle_mod._Block([directed_cycle(3), Digraph(3), K3], Memo())
+        assert block.spectral(np.array([True, False, False]))[1].tolist()[0] == pytest.approx(2.0)
+        for rows, roots in (([True, True, True], (0, 0, 0)), ([False, False, True], (2, -1, -1))):
+            with pytest.raises(EigensolverError) as info:
+                block.spectral(np.array(rows))
+            assert info.value.partial == roots
+
+    @pytest.mark.parametrize("checks,roots", [(["dominance_chain", "moment_total"], (2, -1, -1)),
+                                              (["moment_total", "dominance_chain"], (0, 0, 0))])
+    def test_first_reading_check_picks_the_member(self, monkeypatch, checks, roots):
+        # dominance_chain skips the empty digraph and reads K3 only.
+        monkeypatch.setattr(oracle_mod, "enumerate_digraphs", lambda n: iter([Digraph(3), K3]))
+        _reject(monkeypatch, Digraph(3), K3)
+        with pytest.raises(EigensolverError) as info:
+            verify_all(3, checks=checks)
+        assert info.value.partial == roots
+
+    def test_a_skipped_rejected_member_is_not_read(self, monkeypatch):
+        _reject(monkeypatch, Digraph(3))
+        report = verify_all(3, checks=["dominance_chain"])
+        assert report.ok and report.checks_run["dominance_chain"].skipped >= 1
+        with pytest.raises(EigensolverError) as info:
+            verify_all(3, checks=["moment_total"])
+        assert info.value.partial == (0, 0, 0)
+
+    @pytest.mark.parametrize("name", CHECK_NAMES)
+    def test_every_check_that_reads_spectra_raises(self, monkeypatch, name):
+        _reject(monkeypatch, K3)
+        if name in _SPECTRUM_FREE:
+            assert verify_all(3, checks=[name]).ok
+            return
+        with pytest.raises(EigensolverError) as info:
+            verify_all(3, checks=[name])
+        assert info.value.partial == (2, -1, -1)

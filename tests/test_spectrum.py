@@ -606,7 +606,7 @@ class TestEigenvalues:
     @given(digraphs(max_n=6))
     @settings(max_examples=40, deadline=None)
     def test_symmetric_spectra_real(self, d):
-        if not d.is_symmetric:
+        if d.arcs != {(j, i) for i, j in d.arcs}:
             return
         spec = spectrum_of(d)
         assert all(z.imag == 0 for z in spec.eigenvalues)
@@ -639,7 +639,8 @@ class TestResidualGate:
                 with pytest.raises(EigensolverError, match="exceeds gate"):
                     analysis.spectrum
         assert (-1, 0, 0, 1) not in memo.spectra
-        first, second = _Block(ds, memo).spectra
+        block = _Block(ds, memo)
+        first, second = (block.outcome(k, block.certified[0]) for k in range(2))
         assert first is second is memo.spectra[-1, 0, 0, 1]
         assert first.energy == pytest.approx(2.0, abs=1e-12)
 
@@ -1103,7 +1104,7 @@ def _block_outcomes(d, memo):
     """The spectrum and Coulson outcome of ``d`` as a block of one that
     reads and fills ``memo``, as text."""
     block = _Block([d], memo)
-    return repr(block.spectra[0]), _outcome_text(block.coulson[0])
+    return repr(block.outcome(0, block.certified[0])), _outcome_text(block.outcome(0, block.integrals))
 
 
 class TestExactMemo:
@@ -1139,11 +1140,11 @@ class TestExactMemo:
         assert relabeled != d
         memo = Memo()
         first = _Block([d], memo)
-        integral = first.coulson[0]
+        integral = first.outcome(0, first.integrals)
         coeffs = characteristic_polynomial(d).coeffs
         assert memo.roots[coeffs] is None
         assert memo.integrals[coeffs, 1e-6] == integral
-        assert memo.spectra[coeffs] is first.spectra[0]
+        assert memo.spectra[coeffs] is first.outcome(0, first.certified[0])
 
         def forbidden(*args):
             raise AssertionError("a memo hit recomputed")
@@ -1152,8 +1153,8 @@ class TestExactMemo:
         monkeypatch.setattr(kernels_mod, "square_free_decompositions", forbidden)
         monkeypatch.setattr(spectrum_mod, "_level_synchronous_gl", forbidden)
         second = _Block([relabeled], memo)
-        assert second.spectra[0] is first.spectra[0]
-        assert second.coulson[0] == integral
+        assert second.outcome(0, second.certified[0]) is memo.spectra[coeffs]
+        assert second.outcome(0, second.integrals) == integral
 
     def test_one_kernel_call_serves_relabelings_and_reductions(self, monkeypatch):
         # The path P4 plus an isolated vertex 4.
