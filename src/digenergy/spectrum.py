@@ -13,7 +13,10 @@ companion-matrix ``eigvals`` per degree and count of zero roots.
 The Coulson integral is an independent route to the energy: adaptive
 Gauss-Legendre quadrature of its even integrand over half the path, from 16
 start panels, that evaluates the integrand once per refinement level, over
-all panels of that level, with a fixed panel budget.
+all panels of that level, with a fixed panel budget.  The integrand's
+points are purely imaginary, so its Horner rows run as real pairs, with
+one coefficient gather per panel, and the absolute-coefficient row of the
+pole guard runs only at the nodes where a pole is possible.
 
 Both layers work on stacks, for a block of digraphs of one order
 (``certify_spectra`` and ``coulson_energies``), once per distinct
@@ -419,8 +422,24 @@ def eigenvalues(poly: CharPoly, qr: np.ndarray) -> Spectrum:
 
 # --- Coulson-type integral ---------------------------------------------------
 
-_GL_LO = np.polynomial.legendre.leggauss(8)
-_GL_HI = np.polynomial.legendre.leggauss(16)
+# The 8- and 16-node Gauss-Legendre rules on (-1, 1), (nodes, weights), bit
+# for bit those of numpy.polynomial.legendre.leggauss(8) and leggauss(16).
+_GL_LO = (
+    np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+              0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362]),
+    np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+              0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706]),
+)
+_GL_HI = (
+    np.array([-0.9894009349916499, -0.9445750230732326, -0.8656312023878318, -0.755404408355003,
+              -0.6178762444026438, -0.45801677765722737, -0.2816035507792589, -0.09501250983763744,
+              0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+              0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499]),
+    np.array([0.027152459411754176, 0.062253523938647456, 0.0951585116824926, 0.12462897125553407,
+              0.1495959888165767, 0.16915651939500265, 0.18260341504492364, 0.18945061045506864,
+              0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+              0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176]),
+)
 _POLE_REL = 1e-13
 # Smallest rel_tol a Coulson integral accepts.  Below it a pole-free
 # polynomial can use up ``_MAX_PANELS`` and read as a pole: over 76
@@ -439,12 +458,14 @@ _MAX_DEPTH = 48
 # of the benchmark's `analyze-cli` at 46); only a pole between the nodes,
 # which refinement never resolves, comes near this.
 _MAX_PANELS = 1024
-# Panels of one level whose nodes go to the integrand in one call: 1,152
-# nodes, so the integrand's temporaries stay near 0.2 MB however many
-# polynomials share the quadrature (200 random n = 10 digraphs peak at
-# 1.41 MB of Python allocations in all, against 1.48 MB with 64 panels
-# and 1.31 MB with 32).
-_CHUNK_PANELS = 48
+# Panels of one level whose nodes go to the integrand in one call: 4,608
+# nodes, whose temporaries take about 0.5 MB at n = 10 however many
+# polynomials share the quadrature.  A quadrature of 200 random n = 10
+# digraphs (p = 0.3) peaks at 0.92 MB of Python allocations and takes
+# 18.4 ms, against 0.60 MB and 21.1 ms with 96 panels, 1.56 MB and 18.0 ms
+# with 384, and 0.44 MB and 26.2 ms with 48 (medians of 6 interleaved
+# passes over 10 such blocks, 2-vCPU x86_64 host, numpy 2.4).
+_CHUNK_PANELS = 192
 
 
 class _Integrand:
@@ -456,18 +477,28 @@ class _Integrand:
     <= n - 2, so the ratio decays like 1/x^2 without a subtraction.  For
     |x| > 1 the reversed polynomials are evaluated in u = 1/(ix): the
     ascending coefficient array of phi doubles as the descending array of
-    phi(ix)/(ix)^n, and likewise for N, which keeps every evaluation free
-    of overflow.
+    phi(ix)/(ix)^n, and that of N with a trailing zero (a factor u) as the
+    array of N(ix)/(ix)^n, which keeps every evaluation free of overflow.
 
-    Each polynomial has three Horner rows per branch: phi, N and |phi| (the
-    absolute coefficients, at |y| or |u|), descending for |x| <= 1 and
-    ascending for |x| > 1.  Rows are padded to one length with leading
-    zeros in Horner order, which keep the accumulator at +0 until the first
-    coefficient, so padding changes no bit.  A call takes one Horner pass
-    over all its nodes, each with the rows of its own polynomial and
-    branch; each step does per element exactly the multiply-add of
-    ``np.polyval``, so every value, guard decision and pole abscissa is bit
-    for bit what three ``np.polyval`` calls per branch give.
+    The point z = ix or u is purely imaginary, +-0 + iy, so the Horner
+    step acc * z + c of ``np.polyval`` with a real coefficient c is, bit
+    for bit but for the sign of an exact zero, the real pair step
+    (re, im) <- (c - im * y, re * y).  Each node runs that step for phi
+    and N together, with the rows of its own polynomial and branch,
+    descending for |x| <= 1 and ascending for |x| > 1; rows are padded to
+    one length with leading zeros, which keep the pair at zero until the
+    first coefficient.  When every row of nodes of a call lies on one
+    branch, as in every call of the quadrature unless a panel straddles
+    |x| = 1, each row gathers its coefficients once, for all steps; else
+    each node does.
+
+    The pole guard |phi| <= 1e-13 * s, with s the polynomial of phi's
+    absolute coefficients at |y|, needs s only where |phi| <= 1e-13 * 2
+    sum |a_k|: at |y| <= 1 the computed s is at most sum |a_k| (1 + eps)^n,
+    so no other node can pass the guard.  So s runs only at those nodes,
+    in real arithmetic, as ``np.polyval`` runs it, and every value, guard
+    decision and pole abscissa is bit for bit what three ``np.polyval``
+    calls per branch give.
 
     Every phi must have phi(0) != 0 (see ``coulson_energy``), so that the
     absolute-coefficient scale is at least 1 on both branches and every
@@ -475,42 +506,66 @@ class _Integrand:
     """
 
     def __init__(self, polys: Sequence[Sequence[int]]):
-        self.count = len(polys)
+        self.count = k = len(polys)
         width = max(len(coeffs) for coeffs in polys)
-        rows = np.zeros((3, 2 * self.count, width))
-        for k, coeffs in enumerate(polys):
+        # Row j < K holds phi (0) and N (1) of polynomial j for |x| <= 1,
+        # row K + j for |x| > 1.
+        rows = np.zeros((2, 2 * k, width))
+        for j, coeffs in enumerate(polys):
             n = len(coeffs) - 1
-            num = np.array([float((n - j) * c) for j, c in enumerate(coeffs)][:n] or [0.0])
             den = np.array([float(c) for c in coeffs])
-            rows[0, k, width - n - 1:] = den[::-1]
-            rows[1, k, width - len(num):] = num[::-1]
-            rows[0, self.count + k, width - n - 1:] = den
-            rows[1, self.count + k, width - len(num):] = num
-        rows[2] = np.abs(rows[0])
-        # One (3, 2K) table per Horner step: columns k < K hold the |x| <= 1
-        # rows of polynomial k, columns K + k its |x| > 1 rows.  Complex, as
-        # numpy casts a real coefficient before it adds it to a complex value.
-        self.steps = rows.transpose(2, 0, 1).astype(complex)
+            num = np.array([float((n - i) * c) for i, c in enumerate(coeffs[:n])])
+            rows[0, j, width - n - 1:] = den[::-1]
+            rows[1, j, width - n:] = num[::-1]
+            rows[0, k + j, width - n - 1:] = den
+            rows[1, k + j, width - n - 1:width - 1] = num
+        self.steps = rows.transpose(2, 0, 1).copy()  # (width, 2, 2K): one (2, 2K) table per step
+        absolute = np.abs(rows[0])
+        self.scale_steps = absolute.T  # (width, 2K)
+        self.limit = _POLE_REL * (2.0 * absolute.sum(axis=1))
 
     def __call__(self, theta: np.ndarray, poly: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The integrand of polynomial ``poly[j]`` at each node ``theta[j]``,
-        the abscissae x = tan(theta), and the mask of the nodes where
-        |phi(ix)| reads as a pole (their values are void)."""
+        """The integrand of polynomial ``poly[i]`` at each node
+        ``theta[i, j]`` of a ``(P, m)`` array, the abscissae x = tan(theta),
+        and the mask of the nodes where |phi(ix)| reads as a pole (their
+        values are void)."""
         x = np.tan(theta)
         large = ~(np.abs(x) <= 1.0)
         z = 1j * x
         np.divide(1.0, z, out=z, where=large)  # u = 1/(ix) where |x| > 1
-        r = np.abs(x)
-        np.abs(z, out=r, where=large)
-        # den = phi(ix) or phi(ix) / (ix)^n, num = N(ix) or N(ix) / (ix)^(n-1),
-        # and scale the |phi| row at the real r, whose imaginary parts stay 0.
-        column = poly + self.count * large
-        steps = (table.take(column, axis=1, mode="clip") for table in self.steps)
-        den, num, scale = _polyval_rows(steps, np.stack([z, z, r]))
-        pole = np.abs(den) <= _POLE_REL * scale.real
-        np.multiply(num, z, out=num, where=large)  # restores the degree gap of one
-        values = (num / np.where(pole, 1.0, den)).real * (1.0 + x * x)
-        return values, x, pole
+        y = z.imag
+        column = poly[:, None] + self.count * large
+        if (large == large[:, :1]).all():
+            column = column[:, :1]
+        den, num = self.pair(y, column)
+        size = np.abs(den)
+        # The candidates; the scale row decides which of them are poles.
+        pole = ~(size > self.limit.take(column, mode="clip"))
+        if pole.any():
+            at = np.nonzero(pole)
+            rows = self.scale_steps.take(np.broadcast_to(column, pole.shape)[at], axis=1, mode="clip")
+            pole[at] = size[at] <= _POLE_REL * _polyval_rows(rows, np.abs(y[at]))
+            np.copyto(den, 1.0, where=pole)
+        return (num / den).real * (1.0 + x * x), x, pole
+
+    def pair(self, y: np.ndarray, column: np.ndarray) -> np.ndarray:
+        """phi and N, as a ``(2, P, m)`` complex array, at the points
+        +-0 + iy of a ``(P, m)`` array with the rows ``column``, ``(P, 1)``
+        or ``(P, m)``.  The Horner pair runs node-major, on ``(m, 2, P)``
+        arrays, so that a step's coefficients broadcast over one axis."""
+        steps = self.steps.take(column.T, axis=-1, mode="clip").swapaxes(1, 2)
+        ys = np.empty((y.shape[1], 2, y.shape[0]))
+        ys[...] = y.T[:, None]
+        im = np.zeros(ys.shape)
+        re = im + steps[0]
+        for c in steps[1:]:
+            im *= ys
+            np.subtract(c, im, out=im)
+            re *= ys
+            re, im = im, re
+        pair = np.empty((2, *y.shape), dtype=complex)
+        pair.real, pair.imag = re.transpose(1, 2, 0), im.transpose(1, 2, 0)
+        return pair
 
 
 def _level_synchronous_gl(f: _Integrand, b: float, rel_tol: float) -> list:
@@ -528,11 +583,12 @@ def _level_synchronous_gl(f: _Integrand, b: float, rel_tol: float) -> list:
     other panel is split in two for the next level.  Each panel carries the
     index of its polynomial, and the panels of one polynomial keep the
     order they have in a quadrature of their own.  The nodes of a level go
-    to f ``_CHUNK_PANELS`` panels at a time, and each rule's panel sums are
-    one row-wise sum, bit-identical to a panel evaluated on its own.  The
-    accepted 16-node sums are added pairwise in the order of the panel
-    tree, sibling by sibling, and each polynomial's 16 level-0 totals by
-    ``np.sum``, so no result depends on which polynomials share the call.
+    to f ``_CHUNK_PANELS`` panels at a time, one row per panel, and each
+    rule's panel sums are one row-wise sum, bit-identical to a panel
+    evaluated on its own.  The accepted 16-node sums are added pairwise in
+    the order of the panel tree, sibling by sibling, and each polynomial's
+    16 level-0 totals by ``np.sum``, so no result depends on which
+    polynomials share the call.
 
     A polynomial stops with PurelyImaginaryEigenvalueError when one of its
     nodes reads as a pole (at its first such node of the level with
@@ -563,14 +619,13 @@ def _level_synchronous_gl(f: _Integrand, b: float, rel_tol: float) -> list:
         poles: dict[int, float] = {}
         for lo in range(0, len(mids), _CHUNK_PANELS):
             chunk = slice(lo, lo + _CHUNK_PANELS)
-            theta = (mids[chunk, None] + halves[chunk, None] * nodes).ravel()
-            values, x, pole = f(theta, np.repeat(owner[chunk], len(nodes)))
-            values = values.reshape(-1, len(nodes))
+            theta = mids[chunk, None] + halves[chunk, None] * nodes
+            values, x, pole = f(theta, owner[chunk])
             coarse[chunk] = halves[chunk] * (values[:, :n_lo] * lo_weights).sum(axis=1)
             fine[chunk] = halves[chunk] * (values[:, n_lo:] * hi_weights).sum(axis=1)
             if pole.any():
-                for j in np.flatnonzero(pole).tolist():
-                    k, abscissa = int(owner[lo + j // len(nodes)]), float(x[j])
+                for i, j in np.argwhere(pole).tolist():
+                    k, abscissa = int(owner[lo + i]), float(x[i, j])
                     if k not in poles or (abs(poles[k]) > 1.0 and abs(abscissa) <= 1.0):
                         poles[k] = abscissa
         if not levels:  # the doubled level-0 sums estimate the integrals

@@ -1,5 +1,9 @@
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -832,7 +836,8 @@ def _integrand_of(coeffs):
     f = spectrum_mod._Integrand([coeffs])
 
     def integrand(theta):
-        values, x, pole = f(theta, np.zeros(len(theta), dtype=np.int64))
+        # One row of nodes, whatever their branches: a per-node gather.
+        values, x, pole = (a.ravel() for a in f(np.ravel(theta)[None], np.zeros(1, dtype=np.intp)))
         xs = x[pole]
         if len(xs):
             small = xs[np.abs(xs) <= 1.0]
@@ -940,7 +945,8 @@ def _reference_rows(coeffs, x):
     """Per branch of ``_Integrand``, the abscissae x, the point z and the
     real r it evaluates at, and phi(z), N(z) and the scale |phi|(r), by one
     ``np.polyval`` call each: z = ix, r = |x| for |x| <= 1, and z = 1/(ix),
-    r = |z| with the reversed polynomials for |x| > 1."""
+    r = |z| with the reversed polynomials for |x| > 1, where the integrand
+    takes N(z) * z."""
     n = len(coeffs) - 1
     num = [(n - k) * c for k, c in enumerate(coeffs)][:n] or [0]
     num_asc = np.array([float(c) for c in num])
@@ -980,6 +986,7 @@ def _integrand_outcome(integrand, theta):
 def _assert_same_integrand(coeffs, theta):
     """Values, raise and abscissa of one call, and every Horner row of both
     branches (the scale row decides only the guard), match the reference."""
+    theta = np.ravel(theta)
     want = _integrand_outcome(lambda t: _reference_integrand(coeffs, t), theta)
     got = _integrand_outcome(_integrand_of(coeffs), theta)
     if isinstance(want, tuple):
@@ -987,13 +994,32 @@ def _assert_same_integrand(coeffs, theta):
     else:
         assert not isinstance(got, tuple) and np.array_equal(got, want)
     _, branches = _reference_rows(coeffs, np.tan(theta))
-    steps = spectrum_mod._Integrand([coeffs]).steps
-    # Column 0 holds the |x| <= 1 rows of the one polynomial, column 1 the others.
-    for column, (_, z, r, *want_rows) in enumerate(branches):
-        rows = (table.take(np.full(len(z), column), axis=1) for table in steps)
-        den, num, scale = spectrum_mod._polyval_rows(rows, np.stack([z, z, r]))
-        for got_row, want_row in zip((den, num, scale.real), want_rows):
-            assert np.array_equal(got_row, want_row)
+    f = spectrum_mod._Integrand([coeffs])
+    # Row 0 holds the |x| <= 1 rows of the one polynomial, row 1 the others.
+    for column, (_, z, r, den, num, scale) in enumerate(branches):
+        got_den, got_num = f.pair(z.imag[None], np.full((1, 1), column))[:, 0]
+        assert np.array_equal(got_den, den)
+        assert np.array_equal(got_num, num * z if column else num)
+        rows = f.scale_steps.take(np.full(len(z), column), axis=1)
+        assert np.array_equal(spectrum_mod._polyval_rows(rows, r), scale)
+
+
+def _assert_same_pole_guard(coeffs, theta):
+    """At every node of ``theta`` (one row per panel), the integrand's pole
+    mask is the full guard |phi| <= 1e-13 * |phi|(r) on the reference
+    rows, and 2 sum |a_k| bounds the scale row, as its shortcut assumes."""
+    rows = np.atleast_2d(theta)
+    f = spectrum_mod._Integrand([coeffs])
+    _, _, pole = f(rows, np.zeros(len(rows), dtype=np.intp))
+    small, branches = _reference_rows(coeffs, np.tan(rows.ravel()))
+    want = np.empty(rows.size, dtype=bool)
+    bound = 2.0 * sum(abs(float(c)) for c in coeffs)
+    for column, (where, (_, _, _, den, _, scale)) in enumerate(zip((small, ~small), branches)):
+        want[where] = np.abs(den) <= spectrum_mod._POLE_REL * scale
+        assert (scale <= bound).all()
+        assert (spectrum_mod._POLE_REL * scale <= f.limit[column]).all()
+    assert np.array_equal(pole.ravel(), want)
+    return int(want.sum())
 
 
 class _Recorder(spectrum_mod._Integrand):
@@ -1036,6 +1062,8 @@ def _analyze_cli_n32(seed, block):
 
 
 INTEGRAND_CORPORA = {**COULSON_CORPORA, "analyze-cli-n32": _analyze_cli_n32(1, 0)}
+# The characteristic polynomials (x - (n - 1)) (x + 1)^(n - 1) of K_n.
+COMPLETE_DIGRAPH_POLYS = {n: _poly_mul(_root_power(n - 1, 1), _root_power(-1, n - 1)) for n in (76, 78, 80)}
 
 
 class TestHornerIntegrand:
@@ -1075,6 +1103,18 @@ class TestHornerIntegrand:
         f = _integrand_of(coeffs)
         assert _integrand_outcome(f, np.array([0.1, math.atan(1.0)]))[0] == "raises"
 
+    def test_pole_guard_shortcut_equals_full_guard(self):
+        # The scale row runs only where |phi| <= 1e-13 * 2 sum |a_k|; no
+        # other node may read as a pole.  K_78 and K_80 read false poles.
+        polys = ([_integral_input(d) for corpus in INTEGRAND_CORPORA.values() for d in corpus]
+                 + GUARDED_POLE_POLYS + [COMPLETE_DIGRAPH_POLYS[n] for n in (76, 78, 80)])
+        poles = sum(_assert_same_pole_guard(coeffs, theta)
+                    for coeffs in polys for theta in _visited_nodes(coeffs))
+        for coeffs in GUARDED_POLE_POLYS:
+            for x in (1.0, 2.0, 3.0):
+                poles += _assert_same_pole_guard(coeffs, np.array([-0.3, 0.1, math.atan(x), 1.2]))
+        assert poles >= 5
+
     def test_one_branch_calls(self, monkeypatch):
         # No double has a tangent of exactly 1, so the abscissae go in
         # directly: |x| == 1 belongs to the small branch.
@@ -1092,12 +1132,48 @@ class TestHornerIntegrand:
             for x in cases:
                 _assert_same_integrand(coeffs, x)
 
-    def test_concatenated_call_equals_per_panel_calls(self):
+    def test_panel_rows_equal_one_row_and_per_panel_calls(self):
+        # A row per panel gathers its coefficients once; one row of all the
+        # nodes gathers them per node.
         for d in COULSON_CORPORA["n8"][:20] + COULSON_CORPORA["n32"]:
-            f = _integrand_of(_integral_input(d))
+            f = spectrum_mod._Integrand([_integral_input(d)])
             for theta in _visited_nodes(_integral_input(d)):
-                panels = theta.reshape(-1, 24)
-                assert np.array_equal(f(theta), np.concatenate([f(p) for p in panels]))
+                rows = f(theta, np.zeros(len(theta), dtype=np.intp))
+                one_row = f(theta.ravel()[None], np.zeros(1, dtype=np.intp))
+                per_panel = [f(panel[None], np.zeros(1, dtype=np.intp)) for panel in theta]
+                for k, got in enumerate(rows):
+                    assert np.array_equal(got.ravel(), one_row[k].ravel())
+                    assert np.array_equal(got, np.concatenate([call[k] for call in per_panel]))
+
+
+class TestCompleteDigraphIntegrals:
+    """The Coulson integrals of K_76, K_78 and K_80, whose spectra are real:
+    from K_78 on, |phi(ix)| falls below the guard's 1e-13 * sum |a_k| |x|^k
+    by cancellation and reads as a pole that is not there.  Pinned bit for
+    bit, false poles included, until the imaginary axis is decided exactly."""
+
+    def test_k76_integrates(self):
+        assert _quadrature(COMPLETE_DIGRAPH_POLYS[76]) == 149.99999698457287
+
+    @pytest.mark.parametrize("n, x", [(78, 0.9900265009498296), (80, 1.1757598981575976)])
+    def test_false_poles(self, n, x):
+        with pytest.raises(PurelyImaginaryEigenvalueError) as exc:
+            _quadrature(COMPLETE_DIGRAPH_POLYS[n])
+        assert exc.value.x == x
+
+
+class TestGaussLegendreRules:
+    @pytest.mark.parametrize("rule, n", [("_GL_LO", 8), ("_GL_HI", 16)])
+    def test_literals_are_leggauss_bit_for_bit(self, rule, n):
+        for got, want in zip(getattr(spectrum_mod, rule), np.polynomial.legendre.leggauss(n)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_cli_import_leaves_numpy_polynomial_out(self):
+        src = str(pathlib.Path(digenergy.__file__).resolve().parent.parent)
+        code = "import sys, digenergy.cli; print('numpy.polynomial' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert (proc.returncode, proc.stdout.strip()) == (0, "False"), proc.stderr
 
 
 def _block_outcomes(d, memo):
@@ -1371,13 +1447,13 @@ class TestStackedCoulson:
             count = 2
 
             def __call__(self, theta, poly):
-                x = np.full(len(theta), 0.25)
-                pole = np.zeros(len(theta), dtype=bool)
+                x = np.full(theta.shape, 0.25)
+                pole = np.zeros(theta.shape, dtype=bool)
                 for k in range(self.count):
                     first = np.flatnonzero(poly == k)[0]
-                    x[first + 3], x[first + 7], x[first + 9] = 4.0 + k, 0.5 + k / 4, 0.75
-                    pole[[first + 3, first + 7, first + 9]] = True
-                return np.zeros(len(theta)), x, pole
+                    x[first, [3, 7, 9]] = 4.0 + k, 0.5 + k / 4, 0.75
+                    pole[first, [3, 7, 9]] = True
+                return np.zeros(theta.shape), x, pole
 
         outcomes = spectrum_mod._level_synchronous_gl(Poles(), math.pi / 2, 1e-6)
         assert [o.x for o in outcomes] == [0.5, 0.75]
