@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -207,11 +208,13 @@ def adjacency_matrices(digraphs: Sequence[Digraph]) -> np.ndarray:
     if len(orders) > 1:
         raise ValueError(f"digraphs of one order expected, got orders {sorted(orders)}")
     n = orders.pop() if orders else 0
-    a = np.zeros((len(digraphs), n, n), dtype=np.int64)
-    index = [(k, i, j) for k, d in enumerate(digraphs) for i, j in d.arcs]
-    if index:
-        a[tuple(np.array(index).T)] = 1
-    return a
+    counts = [len(d.arcs) for d in digraphs]
+    ends = np.fromiter(chain.from_iterable(chain.from_iterable(d.arcs for d in digraphs)), dtype=np.intp,
+                       count=2 * sum(counts)).reshape(-1, 2)
+    owner = np.repeat(np.arange(len(digraphs)), counts)
+    a = np.zeros(len(digraphs) * n * n, dtype=np.int64)
+    a[(owner * n + ends[:, 0]) * n + ends[:, 1]] = 1  # one flat index per arc
+    return a.reshape(len(digraphs), n, n)
 
 
 def geometric_symmetrization(m: np.ndarray) -> np.ndarray:

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -248,37 +248,59 @@ def _repeated_roots(polys: Iterable[tuple[int, ...]], memo: Memo) -> None:
                          if c in repeated else None)
 
 
-def _pair_conjugates(values: np.ndarray) -> list[complex]:
-    """Snap near-real values to real and force exact conjugate pairing."""
-    if len(values) == 0:
-        return []
-    rho0 = float(np.max(np.abs(values)))
-    snap = _SNAP_REL * (1.0 + rho0)
-    reals: list[complex] = []
-    pos: list[complex] = []
-    neg: list[complex] = []
-    for z in values:
-        z = complex(z)
-        if abs(z.imag) <= snap:
-            reals.append(complex(z.real, 0.0))
-        elif z.imag > 0:
-            pos.append(z)
-        else:
-            neg.append(z)
-    pos.sort(key=lambda z: (z.real, z.imag))
-    out = list(reals)
-    for u in pos:
-        if not neg:
-            out.append(complex(u.real, 0.0))
-            continue
-        target = u.conjugate()
-        k = min(range(len(neg)), key=lambda i: abs(neg[i] - target))
-        w = neg.pop(k)
-        mean = (u + w.conjugate()) / 2.0
-        out.append(mean)
-        out.append(mean.conjugate())
-    out.extend(complex(w.real, 0.0) for w in neg)
-    return out
+def _paired_spectra(values: np.ndarray) -> np.ndarray:
+    """Each row of the ``(P, n)`` values with near-real values snapped to
+    real and the others forced into exact conjugate pairs, sorted by
+    (Re desc, Im desc), stably.
+
+    A value with |Im| <= 1e-10 * (1 + max|value|) of its row is real.  The
+    positive ones, in (Re, Im) order, are matched greedily: each takes the
+    nearest negative one still free (the first of equals) and both become
+    the mean (u + conj(w)) / 2, computed as Python's complex division
+    computes it, and its conjugate.  A value left without a partner keeps
+    its real part.  The rows step together, one free-partner ``argmin``
+    per rank of the positive values, so a block takes at most n / 2 steps.
+    """
+    p, n = values.shape
+    re, im = values.real, values.imag
+    snap = _SNAP_REL * (1.0 + np.abs(values).max(axis=1, initial=0.0))
+    real = np.abs(im) <= snap[:, None]
+    pos = ~real & (im > 0.0)
+    free = ~real & ~pos
+    order = np.lexsort((im, re, ~pos))  # the positive values first, by (Re, Im)
+    # Ties of the final sort keep the order of the reals, then each positive
+    # value with its partner, then the unmatched negative values.
+    rank = np.where(pos, n + 2 * np.argsort(order, axis=1), np.where(free, 3 * n, 0) + np.arange(n))
+    out_re, out_im = re.copy(), np.zeros((p, n))
+    steps = np.minimum(pos.sum(axis=1), free.sum(axis=1))
+    for t in range(int(steps.max(initial=0))):
+        rows = np.flatnonzero(steps > t)
+        u_at = order[rows, t]
+        u = values[rows, u_at]
+        near = values[rows] - np.conj(u)[:, None]
+        w_at = np.where(free[rows], np.hypot(near.real, near.imag), np.inf).argmin(axis=1)
+        free[rows, w_at] = False
+        total = u + np.conj(values[rows, w_at])
+        # (a + ib) / 2.0 is a / complex(2.0, 0.0): ((a + b * 0.0) / 2, (b - a * 0.0) / 2).
+        mean_re = (total.real + total.imag * 0.0) / 2.0
+        mean_im = (total.imag - total.real * 0.0) / 2.0
+        out_re[rows, u_at] = out_re[rows, w_at] = mean_re
+        out_im[rows, u_at], out_im[rows, w_at] = mean_im, -mean_im
+        rank[rows, w_at] = rank[rows, u_at] + 1
+    out = np.empty((p, n), dtype=complex)
+    out.real, out.imag = out_re, out_im
+    return np.take_along_axis(out, np.lexsort((rank, -out_im, -out_re)), axis=1)
+
+
+def _left_to_right_sums(terms: np.ndarray) -> np.ndarray:
+    """The sums over the last axis of ``terms``, each taken left to right
+    from 0.0, one column at a time: the bits of a plain float loop, which
+    neither ``np.sum``'s pairwise sums nor ``sum()`` on every Python
+    version give."""
+    total = np.zeros(terms.shape[:-1])
+    for column in np.moveaxis(terms, -1, 0):
+        total += column
+    return total
 
 
 def qr_values(a: np.ndarray) -> np.ndarray:
@@ -353,24 +375,20 @@ def certify_spectra(polys: Sequence[CharPoly], index: np.ndarray, qr: np.ndarray
     square_free = [k for k, p in enumerate(todo) if roots[p] is None]
     if square_free:
         values[square_free] = _aberth_refine([coeffs[todo[k]] for k in square_free], values[square_free])
-    paired = [sorted(_pair_conjugates(row), key=lambda z: (-z.real, -z.imag)) for row in values]
-    at = np.array(paired, dtype=complex).reshape(len(todo), n)
+    at = _paired_spectra(values)
     steps = _horner_steps([coeffs[p] for p in todo], n + 1)
     residuals = np.abs(_polyval_rows(steps, at)).max(axis=1, initial=0.0)
-    for p, vals, residual in zip(todo, paired, residuals.tolist()):
-        rho = max((abs(z) for z in vals), default=0.0)
-        if residual > _RESIDUAL_GATE * (1.0 + rho) ** n:
+    rho = np.hypot(at.real, at.imag).max(axis=1, initial=0.0)
+    sums = _left_to_right_sums(np.stack([np.abs(at.real), at.real * at.real, at.imag * at.imag]))
+    for p, vals, residual, r, (energy, sum_re_sq, sum_im_sq) in zip(
+            todo, at.tolist(), residuals.tolist(), rho.tolist(), sums.T.tolist()):
+        if residual > _RESIDUAL_GATE * (1.0 + r) ** n:
             outcomes[p] = EigensolverError(
                 f"eigenvalue residual {residual:.3e} exceeds gate for n={n}", partial=tuple(vals))
             continue
         outcomes[p] = memo.spectra[coeffs[p]] = Spectrum(
-            eigenvalues=tuple(vals),
-            rho=rho,
-            energy=float(sum(abs(z.real) for z in vals)),
-            sum_re_sq=float(sum(z.real * z.real for z in vals)),
-            sum_im_sq=float(sum(z.imag * z.imag for z in vals)),
-            charpoly=polys[p],
-        )
+            eigenvalues=tuple(vals), rho=r, energy=energy, sum_re_sq=sum_re_sq, sum_im_sq=sum_im_sq,
+            charpoly=polys[p])
     repeated = [p for p, r in enumerate(roots) if r is not None and len(r) == n]
     return outcomes, (_check_spreads(qr, index, roots, repeated) if repeated else {})
 
@@ -468,6 +486,28 @@ _MAX_PANELS = 1024
 _CHUNK_PANELS = 192
 
 
+class _Nodes(NamedTuple):
+    """What the integrand reads of a ``(P, m)`` array of abscissae x: x,
+    the mask of |x| > 1, the imaginary part y of its point +-0 + iy (ix,
+    or u = 1/(ix) where |x| > 1) and the weight 1 + x^2 of dx/dtheta."""
+
+    x: np.ndarray
+    large: np.ndarray
+    y: np.ndarray
+    weight: np.ndarray
+
+    def take(self, rows: np.ndarray) -> "_Nodes":
+        return _Nodes(*(a[rows] for a in self))
+
+
+def _nodes(x: np.ndarray) -> _Nodes:
+    """The ``_Nodes`` of the abscissae ``x``."""
+    large = ~(np.abs(x) <= 1.0)
+    z = 1j * x
+    np.divide(1.0, z, out=z, where=large)  # u = 1/(ix) where |x| > 1
+    return _Nodes(x, large, z.imag, 1.0 + x * x)
+
+
 class _Integrand:
     """Real integrands of the energy integrals of a stack of polynomials,
     after x = tan(theta).
@@ -511,29 +551,28 @@ class _Integrand:
         # Row j < K holds phi (0) and N (1) of polynomial j for |x| <= 1,
         # row K + j for |x| > 1.
         rows = np.zeros((2, 2 * k, width))
+        by_degree: dict[int, list[int]] = {}
         for j, coeffs in enumerate(polys):
-            n = len(coeffs) - 1
-            den = np.array([float(c) for c in coeffs])
-            num = np.array([float((n - i) * c) for i, c in enumerate(coeffs[:n])])
-            rows[0, j, width - n - 1:] = den[::-1]
-            rows[1, j, width - n:] = num[::-1]
-            rows[0, k + j, width - n - 1:] = den
-            rows[1, k + j, width - n - 1:width - 1] = num
+            by_degree.setdefault(len(coeffs) - 1, []).append(j)
+        for n, at in by_degree.items():
+            exact = np.array([polys[j] for j in at], dtype=object).reshape(len(at), n + 1)
+            den = exact.astype(float)
+            num = (exact[:, :n] * np.arange(n, 0, -1).astype(object)).astype(float)
+            at = np.array(at)
+            rows[0, at, width - n - 1:] = den[:, ::-1]
+            rows[1, at, width - n:] = num[:, ::-1]
+            rows[0, k + at, width - n - 1:] = den
+            rows[1, k + at, width - n - 1:width - 1] = num
         self.steps = rows.transpose(2, 0, 1).copy()  # (width, 2, 2K): one (2, 2K) table per step
         absolute = np.abs(rows[0])
         self.scale_steps = absolute.T  # (width, 2K)
         self.limit = _POLE_REL * (2.0 * absolute.sum(axis=1))
 
-    def __call__(self, theta: np.ndarray, poly: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The integrand of polynomial ``poly[i]`` at each node
-        ``theta[i, j]`` of a ``(P, m)`` array, the abscissae x = tan(theta),
-        and the mask of the nodes where |phi(ix)| reads as a pole (their
-        values are void)."""
-        x = np.tan(theta)
-        large = ~(np.abs(x) <= 1.0)
-        z = 1j * x
-        np.divide(1.0, z, out=z, where=large)  # u = 1/(ix) where |x| > 1
-        y = z.imag
+    def __call__(self, nodes: _Nodes, poly: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The integrand of polynomial ``poly[i]`` at each node ``[i, j]``
+        of ``(P, m)`` node arrays, the abscissae x, and the mask of the
+        nodes where |phi(ix)| reads as a pole (their values are void)."""
+        large, y = nodes.large, nodes.y
         column = poly[:, None] + self.count * large
         if (large == large[:, :1]).all():
             column = column[:, :1]
@@ -546,7 +585,7 @@ class _Integrand:
             rows = self.scale_steps.take(np.broadcast_to(column, pole.shape)[at], axis=1, mode="clip")
             pole[at] = size[at] <= _POLE_REL * _polyval_rows(rows, np.abs(y[at]))
             np.copyto(den, 1.0, where=pole)
-        return (num / den).real * (1.0 + x * x), x, pole
+        return (num / den).real * nodes.weight, nodes.x, pole
 
     def pair(self, y: np.ndarray, column: np.ndarray) -> np.ndarray:
         """phi and N, as a ``(2, P, m)`` complex array, at the points
@@ -606,6 +645,9 @@ def _level_synchronous_gl(f: _Integrand, b: float, rel_tol: float) -> list:
     n_lo = len(lo_nodes)
     start = 2 ** _START_DEPTH
     edges = np.linspace(0.0, b, start + 1)
+    # Every polynomial starts from the same 16 panels: their nodes are shared.
+    theta0 = 0.5 * (edges[:-1] + edges[1:])[:, None] + 0.5 * (edges[1:] - edges[:-1])[:, None] * nodes
+    level0 = _nodes(np.tan(theta0))
     left, right = np.tile(edges[:-1], f.count), np.tile(edges[1:], f.count)
     owner = np.repeat(np.arange(f.count), start)  # the polynomial of each panel
     outcomes: list = [None] * f.count
@@ -619,8 +661,11 @@ def _level_synchronous_gl(f: _Integrand, b: float, rel_tol: float) -> list:
         poles: dict[int, float] = {}
         for lo in range(0, len(mids), _CHUNK_PANELS):
             chunk = slice(lo, lo + _CHUNK_PANELS)
-            theta = mids[chunk, None] + halves[chunk, None] * nodes
-            values, x, pole = f(theta, owner[chunk])
+            if levels:
+                at = _nodes(np.tan(mids[chunk, None] + halves[chunk, None] * nodes))
+            else:
+                at = level0.take(np.arange(len(mids))[chunk] % start)
+            values, x, pole = f(at, owner[chunk])
             coarse[chunk] = halves[chunk] * (values[:, :n_lo] * lo_weights).sum(axis=1)
             fine[chunk] = halves[chunk] * (values[:, n_lo:] * hi_weights).sum(axis=1)
             if pole.any():
@@ -681,11 +726,20 @@ def coulson_energies(spectra: Sequence[Spectrum], rel_tol: float, memo: Memo) ->
         raise ValueError(f"rel_tol must lie in [{REL_TOL_FLOOR:g}, 1), got {rel_tol}")
     out: list = [0.0] * len(spectra)
     polys: dict[int, tuple[int, ...]] = {}
+    by_order: dict[int, list[int]] = {}
     for i, spec in enumerate(spectra):
-        guard = 1e-9 * (1.0 + spec.rho)
-        pole = next((z for z in spec.eigenvalues if abs(z.real) <= guard and abs(z) > guard), None)
-        if pole is not None:
-            out[i] = PurelyImaginaryEigenvalueError(pole.imag)
+        by_order.setdefault(len(spec.eigenvalues), []).append(i)
+    by_order.pop(0, None)  # the empty spectrum has energy 0
+    poles: dict[int, float] = {}  # the first eigenvalue on the axis, by spectrum
+    for n, members in by_order.items():
+        z = np.array([spectra[i].eigenvalues for i in members], dtype=complex).reshape(len(members), n)
+        guard = 1e-9 * (1.0 + np.array([spectra[i].rho for i in members]))[:, None]
+        pole = (np.abs(z.real) <= guard) & (np.hypot(z.real, z.imag) > guard)
+        first = z[np.arange(len(members)), pole.argmax(axis=1)].imag
+        poles.update((i, x) for i, hit, x in zip(members, pole.any(axis=1).tolist(), first.tolist()) if hit)
+    for i, spec in enumerate(spectra):
+        if i in poles:
+            out[i] = PurelyImaginaryEigenvalueError(poles[i])
         elif spec.eigenvalues:
             coeffs = spec.charpoly.coeffs
             polys[i] = coeffs[kernels._zero_roots(coeffs):]

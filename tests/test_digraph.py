@@ -13,14 +13,17 @@ from digenergy import (
     Graph,
     adjacency_matrix,
     cycle_arc_reduction,
+    enumerate_digraphs,
     from_graph,
     geometric_symmetrization,
     parse_edge_list,
+    random_digraph,
     serialize_edge_list,
     strongly_connected_components,
     walk_profile,
 )
 
+from digenergy.digraph import adjacency_matrices
 from families import complete_graph, directed_cycle, directed_path, graphs, star_graph, sym
 
 
@@ -93,6 +96,55 @@ class TestAdjacency:
 
     def test_empty(self):
         assert adjacency_matrix(Digraph(3)).tolist() == [[0] * 3] * 3
+
+
+def _adjacency_from_arcs(d):
+    """A 0-1 int64 matrix set arc by arc: the reference for the stack."""
+    a = np.zeros((d.n, d.n), dtype=np.int64)
+    for i, j in d.arcs:
+        a[i, j] = 1
+    return a
+
+
+ADJACENCY_CORPORA = {
+    "exhaustive-n1-3": [d for n in range(1, 4) for d in enumerate_digraphs(n)],
+    "random-n10": [random_digraph(10, p, seed) for p in (0.1, 0.3, 0.6) for seed in range(50)],
+    "random-n32": [random_digraph(32, p, seed) for p in (0.0, 0.3, 1.0) for seed in range(5)],
+}
+
+
+class TestAdjacencyStack:
+    """``adjacency_matrices`` stacks each digraph's own matrix, from the
+    arcs alone."""
+
+    @pytest.mark.parametrize("corpus", sorted(ADJACENCY_CORPORA))
+    def test_stack_equals_per_digraph_matrices(self, corpus):
+        ds = ADJACENCY_CORPORA[corpus]
+        for n in sorted({d.n for d in ds}):
+            block = [d for d in ds if d.n == n]
+            got = adjacency_matrices(block)
+            assert got.dtype == np.int64 and got.shape == (len(block), n, n)
+            want = np.stack([adjacency_matrix(d) for d in block])
+            assert np.array_equal(got, want)
+            assert np.array_equal(got, np.stack([_adjacency_from_arcs(d) for d in block]))
+
+    def test_empty_list_and_orders_zero_and_one(self):
+        assert adjacency_matrices([]).shape == (0, 0, 0)
+        assert adjacency_matrices([Digraph(0)] * 3).shape == (3, 0, 0)
+        assert adjacency_matrices([Digraph(1)] * 2).tolist() == [[[0]], [[0]]]
+        assert adjacency_matrix(Digraph(0)).shape == (0, 0)
+        with pytest.raises(ValueError, match="one order"):
+            adjacency_matrices([Digraph(1), Digraph(2)])
+
+    def test_never_reads_the_bit_rows(self, monkeypatch):
+        # The harness compares the bit-row packing with this one (walk_rowsum),
+        # so the two must come from independent reads of the digraph.
+        def forbidden(d):
+            raise AssertionError("out_masks read")
+
+        monkeypatch.setattr(Digraph, "out_masks", property(forbidden))
+        ds = [random_digraph(10, 0.3, seed) for seed in range(20)]
+        assert np.array_equal(adjacency_matrices(ds), np.stack([_adjacency_from_arcs(d) for d in ds]))
 
 
 class TestSymmetrization:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import pathlib
@@ -686,6 +687,166 @@ class TestStackedQrValues:
             eigenvalues(characteristic_polynomial(d), qr_values(adjacency_matrix(directed_cycle(4))))
 
 
+def _pair_conjugates(values):
+    """Snap near-real values to real and force exact conjugate pairing: the
+    one-row Python reference for ``spectrum._paired_spectra``, which also
+    sorts each row by (Re desc, Im desc)."""
+    if len(values) == 0:
+        return []
+    rho0 = float(np.max(np.abs(values)))
+    snap = spectrum_mod._SNAP_REL * (1.0 + rho0)
+    reals = []
+    pos = []
+    neg = []
+    for z in values:
+        z = complex(z)
+        if abs(z.imag) <= snap:
+            reals.append(complex(z.real, 0.0))
+        elif z.imag > 0:
+            pos.append(z)
+        else:
+            neg.append(z)
+    pos.sort(key=lambda z: (z.real, z.imag))
+    out = list(reals)
+    for u in pos:
+        if not neg:
+            out.append(complex(u.real, 0.0))
+            continue
+        target = u.conjugate()
+        k = min(range(len(neg)), key=lambda i: abs(neg[i] - target))
+        w = neg.pop(k)
+        mean = (u + w.conjugate()) / 2.0
+        out.append(mean)
+        out.append(mean.conjugate())
+    out.extend(complex(w.real, 0.0) for w in neg)
+    return out
+
+
+def _reference_pairing(row):
+    """The paired row, sorted as ``_paired_spectra`` sorts it."""
+    paired = sorted(_pair_conjugates(row), key=lambda z: (-z.real, -z.imag))
+    return np.array(paired, dtype=complex).reshape(len(row))
+
+
+def _assert_pairing_matches_reference(values):
+    """Each row of the ``(P, n)`` values, paired in one stack, has the bits
+    of the reference, zero signs included."""
+    got = spectrum_mod._paired_spectra(values)
+    assert got.shape == values.shape and got.dtype == complex
+    for row, paired in zip(values, got):
+        assert paired.tobytes() == _reference_pairing(row).tobytes(), row
+
+
+def _random_blocks():
+    """Blocks of random digraphs and of symmetric ones, n = 4 to 32."""
+    blocks = []
+    for n in (4, 5, 6, 8, 10, 12, 16, 24, 32):
+        ds = [random_digraph(n, p, seed) for p in (0.2, 0.5) for seed in range(12)]
+        blocks.append(ds + [from_graph(Graph(n, [(i, j) for i, j in d.arcs if i < j])) for d in ds[::2]])
+    return blocks
+
+
+PAIRING_BLOCKS = {"n4": [STACK_CORPORA["n4"]], "n10": [STACK_CORPORA["n10"]], "random-n4-32": _random_blocks(),
+                  # Spectra of equal moduli, where rho is a complex value's abs() for some n.
+                  "directed-cycles": [[directed_cycle(n)] for n in range(2, 25)]}
+
+
+def _certified_block_rows(monkeypatch, blocks):
+    """Every ``(P, n)`` array the certification of ``blocks`` pairs, and
+    the spectra it certifies."""
+    seen, spectra = [], []
+    pair = spectrum_mod._paired_spectra
+
+    def recording(values):
+        seen.append(values.copy())
+        return pair(values)
+
+    with monkeypatch.context() as m:
+        m.setattr(spectrum_mod, "_paired_spectra", recording)
+        for ds in blocks:
+            outcomes, _ = _Block(ds, Memo()).certified
+            spectra += [s for s in outcomes if not isinstance(s, Exception)]
+    return seen, spectra
+
+
+def _hand_made_rows():
+    """Rows that reach each rule of the pairing, by order n."""
+    s = spectrum_mod._SNAP_REL * (1.0 + 3.0)  # the snap of a row whose largest |value| is 3
+    above = np.nextafter(s, 1.0)
+    a, b = 0.35062408447265625, 0.1369609832763672
+    h = abs(complex(a, b))
+    return {
+        0: [[]],
+        1: [[2.0], [1j], [-1j], [-0.0], [complex(-0.0, -0.0)]],
+        2: [[1 + 2j, 3.0],  # a positive value left without a partner
+            [1 - 2j, 0.5],  # a negative value left without one
+            [complex(-0.0, 1.0), complex(-0.0, -1.0)],  # (-0.0 + -0.0) / 2 is +0.0 as complex division
+            [complex(-0.0, -1.0), complex(-0.0, 1.0)],
+            [complex(0.0, 1.0), complex(-0.0, -1.0)]],
+        # Two partners at one distance h from 1j's conjugate, as Python's
+        # abs() takes it: hypot(a, b) and h.  numpy's complex absolute, a
+        # different algorithm, reads the first as one ulp more.
+        3: [[1j, complex(a, b - 1.0), complex(h, -1.0)],
+            [1j, complex(h, -1.0), complex(a, b - 1.0)]],
+        4: [[1j, 1 + 1j, 0.6 - 1j, -1 - 1j],  # greedy: 1j takes 0.6 - 1j, the nearer, though both pairs are worse
+            [1j, -0.5 - 1j, 0.5 - 1j, 0.5 + 0.25j],  # equally near partners: the first is taken
+            [3.0, 1 + s * 1j, 1 - above * 1j, 2 + above * 1j],  # |Im| at the snap and just past it
+            [3.0, 1 - s * 1j, 0.0, -0.0]],
+        5: [[3.0, -1.0, -1.0, 0.0, -0.0],  # all real
+            [2 + 1j, 2 + 1j, 2 - 1j, 2 - 1j, 2.0],
+            [1 + 2j, 1 + 1j, 1 - 1j, 1 - 2j, -3.0]],
+        6: [[1 + 1j, 2 + 1j, 3 + 1j, 1 - 1.5j, 2 - 0.5j, 2.5 - 1j]],
+    }
+
+
+class TestConjugatePairing:
+    """One stacked pass pairs every row as the one-row Python reference
+    does, bit for bit."""
+
+    @pytest.mark.parametrize("corpus", sorted(PAIRING_BLOCKS))
+    def test_every_row_the_certification_pairs(self, monkeypatch, corpus):
+        seen, _ = _certified_block_rows(monkeypatch, PAIRING_BLOCKS[corpus])
+        assert sum(len(values) for values in seen) >= 20
+        for values in seen:
+            _assert_pairing_matches_reference(values)
+
+    def test_hand_made_rows(self):
+        for n, rows in _hand_made_rows().items():
+            stack = np.array(rows, dtype=complex).reshape(len(rows), n)
+            _assert_pairing_matches_reference(stack)  # the rows step together
+            for row in stack:
+                _assert_pairing_matches_reference(row[None])
+        assert spectrum_mod._paired_spectra(np.zeros((0, 3), dtype=complex)).shape == (0, 3)
+
+    def test_zero_real_parts_of_a_pair(self):
+        # Halving the real parts as floats would give -0.0.
+        (paired,) = spectrum_mod._paired_spectra(np.array([[complex(-0.0, 1.0), complex(-0.0, -1.0)]]))
+        assert [math.copysign(1.0, z.real) for z in paired] == [1.0, 1.0]
+
+
+def _left_to_right(terms):
+    """A float sum taken left to right from 0.0, as a plain loop takes it."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
+class TestSpectrumSums:
+    @pytest.mark.parametrize("corpus", sorted(PAIRING_BLOCKS))
+    def test_sums_are_left_to_right_loops(self, monkeypatch, corpus):
+        # Not sum(), whose float algorithm changed in Python 3.12.
+        _, spectra = _certified_block_rows(monkeypatch, PAIRING_BLOCKS[corpus])
+        for spec in spectra:
+            vals = spec.eigenvalues
+            assert spec.rho == max((abs(z) for z in vals), default=0.0)
+            assert spec.energy == _left_to_right(abs(z.real) for z in vals)
+            assert spec.sum_re_sq == _left_to_right(z.real * z.real for z in vals)
+            assert spec.sum_im_sq == _left_to_right(z.imag * z.imag for z in vals)
+            assert all(type(v) is float for v in (spec.rho, spec.energy, spec.sum_re_sq, spec.sum_im_sq))
+            assert all(type(z) is complex for z in vals)
+
+
 def _moment_gaps(d):
     """(sum Re^2 - sum Im^2) - c2, identically ~0, and a - (sum Re^2 +
     sum Im^2), non-negative up to noise."""
@@ -808,7 +969,7 @@ def _reference_coulson(coeffs, rel_tol=1e-6, max_panels=math.inf):
         nodes, weights = rule
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
-        return half * (f(mid + half * nodes) * weights).sum()
+        return half * (f(np.tan(mid + half * nodes)) * weights).sum()
 
     def adaptive(a, b, tol, depth):
         nonlocal panels
@@ -830,14 +991,16 @@ def _reference_coulson(coeffs, rel_tol=1e-6, max_panels=math.inf):
 
 
 def _integrand_of(coeffs):
-    """The integrand of one polynomial as a function of theta that raises
+    """The integrand of one polynomial as a function of the abscissae
+    x = tan(theta) that raises
     PurelyImaginaryEigenvalueError as the quadrature stops: at the first
     pole node with |x| <= 1, else at the first pole node."""
     f = spectrum_mod._Integrand([coeffs])
 
-    def integrand(theta):
+    def integrand(x):
         # One row of nodes, whatever their branches: a per-node gather.
-        values, x, pole = (a.ravel() for a in f(np.ravel(theta)[None], np.zeros(1, dtype=np.intp)))
+        nodes = spectrum_mod._nodes(np.ravel(x)[None])
+        values, x, pole = (a.ravel() for a in f(nodes, np.zeros(1, dtype=np.intp)))
         xs = x[pole]
         if len(xs):
             small = xs[np.abs(xs) <= 1.0]
@@ -961,10 +1124,10 @@ def _reference_rows(coeffs, x):
     return small, branches
 
 
-def _reference_integrand(coeffs, theta):
-    """``_Integrand`` with three ``np.polyval`` calls per branch: the
-    reference the one-pass Horner integrand must match bit for bit."""
-    x = np.tan(theta)
+def _reference_integrand(coeffs, x):
+    """``_Integrand`` with three ``np.polyval`` calls per branch at the
+    abscissae ``x``: the reference the one-pass Horner integrand must match
+    bit for bit."""
     small, branches = _reference_rows(coeffs, x)
     out = np.empty_like(x)
     for large, (where, (xb, z, _, den, num, scale)) in enumerate(zip((small, ~small), branches)):
@@ -975,25 +1138,26 @@ def _reference_integrand(coeffs, theta):
     return out
 
 
-def _integrand_outcome(integrand, theta):
+def _integrand_outcome(integrand, x):
     """The values of one call, or ("raises", abscissa) for a pole."""
     try:
-        return integrand(theta)
+        return integrand(x)
     except PurelyImaginaryEigenvalueError as exc:
         return ("raises", exc.x)
 
 
-def _assert_same_integrand(coeffs, theta):
-    """Values, raise and abscissa of one call, and every Horner row of both
-    branches (the scale row decides only the guard), match the reference."""
-    theta = np.ravel(theta)
-    want = _integrand_outcome(lambda t: _reference_integrand(coeffs, t), theta)
-    got = _integrand_outcome(_integrand_of(coeffs), theta)
+def _assert_same_integrand(coeffs, x):
+    """Values, raise and abscissa of one call at the abscissae ``x``, and
+    every Horner row of both branches (the scale row decides only the
+    guard), match the reference."""
+    x = np.ravel(x)
+    want = _integrand_outcome(lambda t: _reference_integrand(coeffs, t), x)
+    got = _integrand_outcome(_integrand_of(coeffs), x)
     if isinstance(want, tuple):
         assert got == want
     else:
         assert not isinstance(got, tuple) and np.array_equal(got, want)
-    _, branches = _reference_rows(coeffs, np.tan(theta))
+    _, branches = _reference_rows(coeffs, x)
     f = spectrum_mod._Integrand([coeffs])
     # Row 0 holds the |x| <= 1 rows of the one polynomial, row 1 the others.
     for column, (_, z, r, den, num, scale) in enumerate(branches):
@@ -1004,14 +1168,14 @@ def _assert_same_integrand(coeffs, theta):
         assert np.array_equal(spectrum_mod._polyval_rows(rows, r), scale)
 
 
-def _assert_same_pole_guard(coeffs, theta):
-    """At every node of ``theta`` (one row per panel), the integrand's pole
+def _assert_same_pole_guard(coeffs, x):
+    """At every abscissa of ``x`` (one row per panel), the integrand's pole
     mask is the full guard |phi| <= 1e-13 * |phi|(r) on the reference
     rows, and 2 sum |a_k| bounds the scale row, as its shortcut assumes."""
-    rows = np.atleast_2d(theta)
+    rows = np.atleast_2d(x)
     f = spectrum_mod._Integrand([coeffs])
-    _, _, pole = f(rows, np.zeros(len(rows), dtype=np.intp))
-    small, branches = _reference_rows(coeffs, np.tan(rows.ravel()))
+    _, _, pole = f(spectrum_mod._nodes(rows), np.zeros(len(rows), dtype=np.intp))
+    small, branches = _reference_rows(coeffs, rows.ravel())
     want = np.empty(rows.size, dtype=bool)
     bound = 2.0 * sum(abs(float(c)) for c in coeffs)
     for column, (where, (_, _, _, den, _, scale)) in enumerate(zip((small, ~small), branches)):
@@ -1023,19 +1187,20 @@ def _assert_same_pole_guard(coeffs, theta):
 
 
 class _Recorder(spectrum_mod._Integrand):
-    """An integrand that keeps every node array it is called on."""
+    """An integrand that keeps the abscissae of every call."""
 
     def __init__(self, polys):
         super().__init__(polys)
         self.seen = []
 
-    def __call__(self, theta, poly):
-        self.seen.append(theta.copy())
-        return super().__call__(theta, poly)
+    def __call__(self, nodes, poly):
+        self.seen.append(nodes.x.copy())
+        return super().__call__(nodes, poly)
 
 
 def _visited_nodes(coeffs):
-    """Every node array the quadrature of ``coeffs`` passes to the integrand."""
+    """The abscissae of every node array the quadrature of ``coeffs``
+    passes to the integrand."""
     f = _Recorder([coeffs])
     spectrum_mod._level_synchronous_gl(f, math.pi / 2, 1e-6)
     return f.seen
@@ -1074,8 +1239,8 @@ class TestHornerIntegrand:
     def test_every_visited_node_array(self, corpus):
         for d in INTEGRAND_CORPORA[corpus]:
             coeffs = _integral_input(d)
-            for theta in _visited_nodes(coeffs):
-                _assert_same_integrand(coeffs, theta)
+            for x in _visited_nodes(coeffs):
+                _assert_same_integrand(coeffs, x)
 
     @pytest.mark.parametrize("corpus", sorted(INTEGRAND_CORPORA))
     def test_even_on_every_visited_node_array(self, corpus):
@@ -1083,9 +1248,9 @@ class TestHornerIntegrand:
         for d in INTEGRAND_CORPORA[corpus]:
             coeffs = _integral_input(d)
             f = _integrand_of(coeffs)
-            for theta in _visited_nodes(coeffs):
-                want = _integrand_outcome(f, theta)
-                got = _integrand_outcome(f, -theta)
+            for x in _visited_nodes(coeffs):
+                want = _integrand_outcome(f, x)
+                got = _integrand_outcome(f, -x)
                 if isinstance(want, tuple):
                     assert got == ("raises", -want[1])
                 else:
@@ -1093,32 +1258,30 @@ class TestHornerIntegrand:
 
     @pytest.mark.parametrize("coeffs", GUARDED_POLE_POLYS)
     def test_guarded_poles(self, coeffs):
-        for theta in _visited_nodes(coeffs):
-            _assert_same_integrand(coeffs, theta)
+        for x in _visited_nodes(coeffs):
+            _assert_same_integrand(coeffs, x)
         # A node on the pole at x = 1 (small branch, all three) or at x = 2
         # or 3 (large branch, where the polynomial has it).
         for x in (1.0, 2.0, 3.0):
-            theta = np.array([-0.3, 0.1, math.atan(x), 1.2])
-            _assert_same_integrand(coeffs, theta)
+            _assert_same_integrand(coeffs, np.tan([-0.3, 0.1, math.atan(x), 1.2]))
         f = _integrand_of(coeffs)
-        assert _integrand_outcome(f, np.array([0.1, math.atan(1.0)]))[0] == "raises"
+        assert _integrand_outcome(f, np.tan([0.1, math.atan(1.0)]))[0] == "raises"
 
     def test_pole_guard_shortcut_equals_full_guard(self):
         # The scale row runs only where |phi| <= 1e-13 * 2 sum |a_k|; no
         # other node may read as a pole.  K_78 and K_80 read false poles.
         polys = ([_integral_input(d) for corpus in INTEGRAND_CORPORA.values() for d in corpus]
                  + GUARDED_POLE_POLYS + [COMPLETE_DIGRAPH_POLYS[n] for n in (76, 78, 80)])
-        poles = sum(_assert_same_pole_guard(coeffs, theta)
-                    for coeffs in polys for theta in _visited_nodes(coeffs))
+        poles = sum(_assert_same_pole_guard(coeffs, x)
+                    for coeffs in polys for x in _visited_nodes(coeffs))
         for coeffs in GUARDED_POLE_POLYS:
             for x in (1.0, 2.0, 3.0):
-                poles += _assert_same_pole_guard(coeffs, np.array([-0.3, 0.1, math.atan(x), 1.2]))
+                poles += _assert_same_pole_guard(coeffs, np.tan([-0.3, 0.1, math.atan(x), 1.2]))
         assert poles >= 5
 
-    def test_one_branch_calls(self, monkeypatch):
-        # No double has a tangent of exactly 1, so the abscissae go in
-        # directly: |x| == 1 belongs to the small branch.
-        monkeypatch.setattr(np, "tan", lambda theta: np.array(theta, dtype=float))
+    def test_one_branch_calls(self):
+        # No double has a tangent of exactly 1, so these abscissae come from
+        # no quadrature: |x| == 1 belongs to the small branch.
         cases = [
             np.linspace(-1.0, 1.0, 41),
             np.array([1.0, -1.0]),
@@ -1137,10 +1300,10 @@ class TestHornerIntegrand:
         # nodes gathers them per node.
         for d in COULSON_CORPORA["n8"][:20] + COULSON_CORPORA["n32"]:
             f = spectrum_mod._Integrand([_integral_input(d)])
-            for theta in _visited_nodes(_integral_input(d)):
-                rows = f(theta, np.zeros(len(theta), dtype=np.intp))
-                one_row = f(theta.ravel()[None], np.zeros(1, dtype=np.intp))
-                per_panel = [f(panel[None], np.zeros(1, dtype=np.intp)) for panel in theta]
+            for x in _visited_nodes(_integral_input(d)):
+                rows = f(spectrum_mod._nodes(x), np.zeros(len(x), dtype=np.intp))
+                one_row = f(spectrum_mod._nodes(x.ravel()[None]), np.zeros(1, dtype=np.intp))
+                per_panel = [f(spectrum_mod._nodes(panel[None]), np.zeros(1, dtype=np.intp)) for panel in x]
                 for k, got in enumerate(rows):
                     assert np.array_equal(got.ravel(), one_row[k].ravel())
                     assert np.array_equal(got, np.concatenate([call[k] for call in per_panel]))
@@ -1440,20 +1603,68 @@ class TestStackedCoulson:
         assert together == alone
         assert together[:3] == [_outcome_text(PurelyImaginaryEigenvalueError(1.0)), 0.0, 0.0]
 
+    def test_pole_guard_is_the_per_eigenvalue_rule(self):
+        # One mask per order finds the first eigenvalue with |Re| <= g and
+        # |z| > g, g = 1e-9 (1 + rho), as a loop over each spectrum finds it.
+        spectra = [spectrum_of(d) for d in [directed_cycle(4), directed_cycle(8), Digraph(0), Digraph(3), _SEED9]
+                   + [random_digraph(n, 0.4, seed) for n in range(3, 9) for seed in range(3)]]
+        base = spectrum_of(sym(path_graph(4)))
+        guard = 1e-9 * (1.0 + base.rho)
+        for re in (guard, np.nextafter(guard, 1.0), -guard, 0.0):
+            for im in (2.0, guard, np.nextafter(guard, 1.0)):
+                spectra.append(dataclasses.replace(base, eigenvalues=(1.0, complex(re, im), complex(re, -im), -1.0)))
+        want = []
+        for spec in spectra:
+            g = 1e-9 * (1.0 + spec.rho)
+            want.append(next((z.imag for z in spec.eigenvalues if abs(z.real) <= g and abs(z) > g), None))
+        got = spectrum_mod.coulson_energies(spectra, 1e-6, Memo())
+        assert [o.x if isinstance(o, PurelyImaginaryEigenvalueError) else None for o in got] == want
+        assert sum(x is not None for x in want) >= 6
+
+    def test_mixed_degrees_and_poles_share_the_level0_nodes(self, monkeypatch):
+        # One quadrature of polynomials of degree 1 to 10 and of every
+        # guarded pole computes the tangents of its 16 x 24 level-0 nodes
+        # once, and each polynomial gets the bits it gets alone.
+        polys = list(STACKED_COULSON_POLYS) + [c for c in GUARDED_POLE_POLYS if c not in STACKED_COULSON_POLYS]
+        calls = []
+        nodes = spectrum_mod._nodes
+        monkeypatch.setattr(spectrum_mod, "_nodes", lambda x: calls.append(x.copy()) or nodes(x))
+        f = _Recorder(polys)
+        together = spectrum_mod._level_synchronous_gl(f, math.pi / 2, 1e-6)
+        monkeypatch.undo()
+        level0 = -(-16 * len(polys) // spectrum_mod._CHUNK_PANELS)  # integrand calls of level 0
+        assert len(calls) == 1 + len(f.seen) - level0 and calls[0].shape == (16, 24)
+        # The shared nodes have the bits of each panel's own tangents.
+        edges = np.linspace(0.0, math.pi / 2, 17)
+        rule = np.concatenate([spectrum_mod._GL_LO[0], spectrum_mod._GL_HI[0]])
+        for k, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+            assert np.tan(0.5 * (a + b) + 0.5 * (b - a) * rule).tobytes() == calls[0][k].tobytes()
+        assert np.concatenate(f.seen[:level0]).tobytes() == np.tile(calls[0], (len(polys), 1)).tobytes()
+        poles = 0
+        for coeffs, outcome in zip(polys, together):
+            (alone,) = spectrum_mod._level_synchronous_gl(spectrum_mod._Integrand([coeffs]), math.pi / 2, 1e-6)
+            assert type(outcome) is type(alone)
+            if isinstance(alone, PurelyImaginaryEigenvalueError):
+                assert outcome.x == alone.x
+                poles += 1
+            else:
+                assert outcome == alone
+        assert poles == len(GUARDED_POLE_POLYS) + 1
+
     def test_a_pole_with_x_at_most_1_is_reported_first(self):
         # As a quadrature of its own checks its |x| <= 1 nodes first: a level
         # with pole nodes on both sides of x = 1 stops at the first of those.
         class Poles:
             count = 2
 
-            def __call__(self, theta, poly):
-                x = np.full(theta.shape, 0.25)
-                pole = np.zeros(theta.shape, dtype=bool)
+            def __call__(self, nodes, poly):
+                x = np.full(nodes.x.shape, 0.25)
+                pole = np.zeros(x.shape, dtype=bool)
                 for k in range(self.count):
                     first = np.flatnonzero(poly == k)[0]
                     x[first, [3, 7, 9]] = 4.0 + k, 0.5 + k / 4, 0.75
                     pole[first, [3, 7, 9]] = True
-                return np.zeros(theta.shape), x, pole
+                return np.zeros(x.shape), x, pole
 
         outcomes = spectrum_mod._level_synchronous_gl(Poles(), math.pi / 2, 1e-6)
         assert [o.x for o in outcomes] == [0.5, 0.75]
