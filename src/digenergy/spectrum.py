@@ -6,7 +6,9 @@ polynomial and its square-free decomposition come from ``kernels``.
 The floating eigenvalues come from Hessenberg reduction + implicitly shifted
 QR (LAPACK via numpy), are refined by Aberth-Ehrlich iteration against the
 exact integer characteristic polynomial, and are forced into exact conjugate
-pairs before any derived quantity is computed.  The square-free factors of
+pairs before any derived quantity is computed.  Pairing, sorting and the
+radius, energy and moment sums are array passes over a block's ``(P, n)``
+values, with the sums taken left to right.  The square-free factors of
 a repeated-root polynomial start from their ``np.roots`` values, one stacked
 companion-matrix ``eigvals`` per degree and count of zero roots.
 
@@ -16,7 +18,8 @@ start panels, that evaluates the integrand once per refinement level, over
 all panels of that level, with a fixed panel budget.  The integrand's
 points are purely imaginary, so its Horner rows run as real pairs, with
 one coefficient gather per panel, and the absolute-coefficient row of the
-pole guard runs only at the nodes where a pole is possible.
+pole guard runs only at the nodes where a pole is possible.  The level-0
+nodes are the same for every polynomial, and are computed once.
 
 Both layers work on stacks, for a block of digraphs of one order
 (``certify_spectra`` and ``coulson_energies``), once per distinct
@@ -24,7 +27,8 @@ polynomial: one Aberth call per degree refines, for each distinct
 square-free polynomial, the QR values of its first member, and the roots of
 the factors of the others, one stacked distance array checks every member's
 QR values against the exact roots of its repeated-root polynomial, and one
-quadrature integrates every distinct polynomial of the block.  Each row of
+quadrature, after one pole-guard mask per order, integrates every distinct
+polynomial of the block.  Each row of
 a stack gets the bits it gets alone, and ``eigenvalues`` and
 ``coulson_energy`` are the blocks of one.
 
@@ -39,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -270,7 +274,9 @@ def _paired_spectra(values: np.ndarray) -> np.ndarray:
     order = np.lexsort((im, re, ~pos))  # the positive values first, by (Re, Im)
     # Ties of the final sort keep the order of the reals, then each positive
     # value with its partner, then the unmatched negative values.
-    rank = np.where(pos, n + 2 * np.argsort(order, axis=1), np.where(free, 3 * n, 0) + np.arange(n))
+    place = np.empty_like(order)  # each value's place in ``order``
+    np.put_along_axis(place, order, np.broadcast_to(np.arange(n), order.shape), axis=1)
+    rank = np.where(pos, n + 2 * place, np.where(free, 3 * n, 0) + np.arange(n))
     out_re, out_im = re.copy(), np.zeros((p, n))
     steps = np.minimum(pos.sum(axis=1), free.sum(axis=1))
     for t in range(int(steps.max(initial=0))):
@@ -486,26 +492,14 @@ _MAX_PANELS = 1024
 _CHUNK_PANELS = 192
 
 
-class _Nodes(NamedTuple):
+def _nodes(x: np.ndarray) -> tuple[np.ndarray, ...]:
     """What the integrand reads of a ``(P, m)`` array of abscissae x: x,
     the mask of |x| > 1, the imaginary part y of its point +-0 + iy (ix,
     or u = 1/(ix) where |x| > 1) and the weight 1 + x^2 of dx/dtheta."""
-
-    x: np.ndarray
-    large: np.ndarray
-    y: np.ndarray
-    weight: np.ndarray
-
-    def take(self, rows: np.ndarray) -> "_Nodes":
-        return _Nodes(*(a[rows] for a in self))
-
-
-def _nodes(x: np.ndarray) -> _Nodes:
-    """The ``_Nodes`` of the abscissae ``x``."""
     large = ~(np.abs(x) <= 1.0)
     z = 1j * x
     np.divide(1.0, z, out=z, where=large)  # u = 1/(ix) where |x| > 1
-    return _Nodes(x, large, z.imag, 1.0 + x * x)
+    return x, large, z.imag, 1.0 + x * x
 
 
 class _Integrand:
@@ -568,11 +562,12 @@ class _Integrand:
         self.scale_steps = absolute.T  # (width, 2K)
         self.limit = _POLE_REL * (2.0 * absolute.sum(axis=1))
 
-    def __call__(self, nodes: _Nodes, poly: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def __call__(self, nodes: tuple[np.ndarray, ...], poly: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The integrand of polynomial ``poly[i]`` at each node ``[i, j]``
-        of ``(P, m)`` node arrays, the abscissae x, and the mask of the
-        nodes where |phi(ix)| reads as a pole (their values are void)."""
-        large, y = nodes.large, nodes.y
+        of the ``(P, m)`` arrays ``nodes`` (see ``_nodes``), the abscissae
+        x, and the mask of the nodes where |phi(ix)| reads as a pole (their
+        values are void)."""
+        x, large, y, weight = nodes
         column = poly[:, None] + self.count * large
         if (large == large[:, :1]).all():
             column = column[:, :1]
@@ -585,7 +580,7 @@ class _Integrand:
             rows = self.scale_steps.take(np.broadcast_to(column, pole.shape)[at], axis=1, mode="clip")
             pole[at] = size[at] <= _POLE_REL * _polyval_rows(rows, np.abs(y[at]))
             np.copyto(den, 1.0, where=pole)
-        return (num / den).real * nodes.weight, nodes.x, pole
+        return (num / den).real * weight, x, pole
 
     def pair(self, y: np.ndarray, column: np.ndarray) -> np.ndarray:
         """phi and N, as a ``(2, P, m)`` complex array, at the points
@@ -624,7 +619,9 @@ def _level_synchronous_gl(f: _Integrand, b: float, rel_tol: float) -> list:
     order they have in a quadrature of their own.  The nodes of a level go
     to f ``_CHUNK_PANELS`` panels at a time, one row per panel, and each
     rule's panel sums are one row-wise sum, bit-identical to a panel
-    evaluated on its own.  The accepted 16-node sums are added pairwise in
+    evaluated on its own.  Every polynomial has the same 16 level-0 panels,
+    so their ``_nodes`` are computed once, and each level-0 row gathers its
+    panel's.  The accepted 16-node sums are added pairwise in
     the order of the panel tree, sibling by sibling, and each polynomial's
     16 level-0 totals by ``np.sum``, so no result depends on which
     polynomials share the call.
@@ -664,7 +661,7 @@ def _level_synchronous_gl(f: _Integrand, b: float, rel_tol: float) -> list:
             if levels:
                 at = _nodes(np.tan(mids[chunk, None] + halves[chunk, None] * nodes))
             else:
-                at = level0.take(np.arange(len(mids))[chunk] % start)
+                at = tuple(a[np.arange(len(mids))[chunk] % start] for a in level0)
             values, x, pole = f(at, owner[chunk])
             coarse[chunk] = halves[chunk] * (values[:, :n_lo] * lo_weights).sum(axis=1)
             fine[chunk] = halves[chunk] * (values[:, n_lo:] * hi_weights).sum(axis=1)

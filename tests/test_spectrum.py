@@ -1194,7 +1194,7 @@ class _Recorder(spectrum_mod._Integrand):
         self.seen = []
 
     def __call__(self, nodes, poly):
-        self.seen.append(nodes.x.copy())
+        self.seen.append(nodes[0].copy())
         return super().__call__(nodes, poly)
 
 
@@ -1658,7 +1658,7 @@ class TestStackedCoulson:
             count = 2
 
             def __call__(self, nodes, poly):
-                x = np.full(nodes.x.shape, 0.25)
+                x = np.full(nodes[0].shape, 0.25)
                 pole = np.zeros(x.shape, dtype=bool)
                 for k in range(self.count):
                     first = np.flatnonzero(poly == k)[0]
