@@ -620,8 +620,7 @@ def _level_synchronous_gl(f: _Integrand, b: float, rel_tol: float) -> list:
     to f ``_CHUNK_PANELS`` panels at a time, one row per panel, and each
     rule's panel sums are one row-wise sum, bit-identical to a panel
     evaluated on its own.  Every polynomial has the same 16 level-0 panels,
-    so their ``_nodes`` are computed once, and each level-0 row gathers its
-    panel's.  The accepted 16-node sums are added pairwise in
+    so their ``_nodes`` are computed once per quadrature.  The accepted 16-node sums are added pairwise in
     the order of the panel tree, sibling by sibling, and each polynomial's
     16 level-0 totals by ``np.sum``, so no result depends on which
     polynomials share the call.
@@ -642,9 +641,11 @@ def _level_synchronous_gl(f: _Integrand, b: float, rel_tol: float) -> list:
     n_lo = len(lo_nodes)
     start = 2 ** _START_DEPTH
     edges = np.linspace(0.0, b, start + 1)
-    # Every polynomial starts from the same 16 panels: their nodes are shared.
+    # Every polynomial starts from the same 16 panels, and a chunk of level 0
+    # holds whole polynomials (``_CHUNK_PANELS`` is a multiple of 16), so
+    # every chunk of level 0 reads the first rows of one tiled node array.
     theta0 = 0.5 * (edges[:-1] + edges[1:])[:, None] + 0.5 * (edges[1:] - edges[:-1])[:, None] * nodes
-    level0 = _nodes(np.tan(theta0))
+    level0 = tuple(np.tile(a, (min(_CHUNK_PANELS // start, f.count), 1)) for a in _nodes(np.tan(theta0)))
     left, right = np.tile(edges[:-1], f.count), np.tile(edges[1:], f.count)
     owner = np.repeat(np.arange(f.count), start)  # the polynomial of each panel
     outcomes: list = [None] * f.count
@@ -661,7 +662,7 @@ def _level_synchronous_gl(f: _Integrand, b: float, rel_tol: float) -> list:
             if levels:
                 at = _nodes(np.tan(mids[chunk, None] + halves[chunk, None] * nodes))
             else:
-                at = tuple(a[np.arange(len(mids))[chunk] % start] for a in level0)
+                at = tuple(a[:len(halves[chunk])] for a in level0)
             values, x, pole = f(at, owner[chunk])
             coarse[chunk] = halves[chunk] * (values[:, :n_lo] * lo_weights).sum(axis=1)
             fine[chunk] = halves[chunk] * (values[:, n_lo:] * hi_weights).sum(axis=1)

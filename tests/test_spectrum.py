@@ -1632,6 +1632,7 @@ class TestStackedCoulson:
         f = _Recorder(polys)
         together = spectrum_mod._level_synchronous_gl(f, math.pi / 2, 1e-6)
         monkeypatch.undo()
+        assert spectrum_mod._CHUNK_PANELS % 16 == 0  # a chunk of level 0 holds whole polynomials
         level0 = -(-16 * len(polys) // spectrum_mod._CHUNK_PANELS)  # integrand calls of level 0
         assert len(calls) == 1 + len(f.seen) - level0 and calls[0].shape == (16, 24)
         # The shared nodes have the bits of each panel's own tangents.
