@@ -272,27 +272,31 @@ def _paired_spectra(values: np.ndarray) -> np.ndarray:
     pos = ~real & (im > 0.0)
     free = ~real & ~pos
     order = np.lexsort((im, re, ~pos))  # the positive values first, by (Re, Im)
+    steps = np.minimum(pos.sum(axis=1), free.sum(axis=1))
+    depth = int(steps.max(initial=0))
+    # The distance from the conjugate of the t-th positive value to each value.
+    near = values[:, None, :] - np.conj(np.take_along_axis(values, order[:, :depth], axis=1))[:, :, None]
+    distance = np.hypot(near.real, near.imag)
+    partner = np.zeros((p, depth), dtype=np.intp)
+    for t in range(depth):
+        rows = np.flatnonzero(steps > t)
+        partner[rows, t] = at = np.where(free[rows], distance[rows, t], np.inf).argmin(axis=1)
+        free[rows, at] = False
+    rows, t = np.nonzero(np.arange(depth) < steps[:, None])
+    u_at, w_at = order[rows, t], partner[rows, t]
+    total = values[rows, u_at] + np.conj(values[rows, w_at])
+    # (a + ib) / 2.0 is a / complex(2.0, 0.0): ((a + b * 0.0) / 2, (b - a * 0.0) / 2).
+    mean_re = (total.real + total.imag * 0.0) / 2.0
+    mean_im = (total.imag - total.real * 0.0) / 2.0
+    out_re, out_im = re.copy(), np.zeros((p, n))
+    out_re[rows, u_at] = out_re[rows, w_at] = mean_re
+    out_im[rows, u_at], out_im[rows, w_at] = mean_im, -mean_im
     # Ties of the final sort keep the order of the reals, then each positive
     # value with its partner, then the unmatched negative values.
     place = np.empty_like(order)  # each value's place in ``order``
     np.put_along_axis(place, order, np.broadcast_to(np.arange(n), order.shape), axis=1)
     rank = np.where(pos, n + 2 * place, np.where(free, 3 * n, 0) + np.arange(n))
-    out_re, out_im = re.copy(), np.zeros((p, n))
-    steps = np.minimum(pos.sum(axis=1), free.sum(axis=1))
-    for t in range(int(steps.max(initial=0))):
-        rows = np.flatnonzero(steps > t)
-        u_at = order[rows, t]
-        u = values[rows, u_at]
-        near = values[rows] - np.conj(u)[:, None]
-        w_at = np.where(free[rows], np.hypot(near.real, near.imag), np.inf).argmin(axis=1)
-        free[rows, w_at] = False
-        total = u + np.conj(values[rows, w_at])
-        # (a + ib) / 2.0 is a / complex(2.0, 0.0): ((a + b * 0.0) / 2, (b - a * 0.0) / 2).
-        mean_re = (total.real + total.imag * 0.0) / 2.0
-        mean_im = (total.imag - total.real * 0.0) / 2.0
-        out_re[rows, u_at] = out_re[rows, w_at] = mean_re
-        out_im[rows, u_at], out_im[rows, w_at] = mean_im, -mean_im
-        rank[rows, w_at] = rank[rows, u_at] + 1
+    rank[rows, w_at] = rank[rows, u_at] + 1
     out = np.empty((p, n), dtype=complex)
     out.real, out.imag = out_re, out_im
     return np.take_along_axis(out, np.lexsort((rank, -out_im, -out_re)), axis=1)
