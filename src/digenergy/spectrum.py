@@ -488,11 +488,13 @@ _MAX_DEPTH = 48
 _MAX_PANELS = 1024
 # Panels of one level whose nodes go to the integrand in one call: 4,608
 # nodes, whose temporaries take about 0.5 MB at n = 10 however many
-# polynomials share the quadrature.  A quadrature of 200 random n = 10
-# digraphs (p = 0.3) peaks at 0.92 MB of Python allocations and takes
-# 18.4 ms, against 0.60 MB and 21.1 ms with 96 panels, 1.56 MB and 18.0 ms
-# with 384, and 0.44 MB and 26.2 ms with 48 (medians of 6 interleaved
-# passes over 10 such blocks, 2-vCPU x86_64 host, numpy 2.4).
+# polynomials share the quadrature.  It must be a multiple of the 16
+# level-0 panels (see ``_level_synchronous_gl``).  A quadrature of 200
+# random n = 10 digraphs (p = 0.3) peaks at 1.08 MB of Python allocations
+# and takes 14.7-18.2 ms, against 0.72 MB and 16.6-19.7 ms with 96 panels,
+# 1.83 MB and 16.5-21.4 ms with 384, and 0.55 MB and 20.2-27.3 ms with 48
+# (medians of 6 interleaved passes over 10 such blocks in each of two runs,
+# 2-vCPU x86_64 host, numpy 2.4).
 _CHUNK_PANELS = 192
 
 
@@ -624,10 +626,10 @@ def _level_synchronous_gl(f: _Integrand, b: float, rel_tol: float) -> list:
     to f ``_CHUNK_PANELS`` panels at a time, one row per panel, and each
     rule's panel sums are one row-wise sum, bit-identical to a panel
     evaluated on its own.  Every polynomial has the same 16 level-0 panels,
-    so their ``_nodes`` are computed once per quadrature.  The accepted 16-node sums are added pairwise in
-    the order of the panel tree, sibling by sibling, and each polynomial's
-    16 level-0 totals by ``np.sum``, so no result depends on which
-    polynomials share the call.
+    so their ``_nodes`` are computed once per quadrature.  The accepted
+    16-node sums are added pairwise in the order of the panel tree, sibling
+    by sibling, and each polynomial's 16 level-0 totals by ``np.sum``, so no
+    result depends on which polynomials share the call.
 
     A polynomial stops with PurelyImaginaryEigenvalueError when one of its
     nodes reads as a pole (at its first such node of the level with
