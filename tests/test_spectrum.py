@@ -818,11 +818,6 @@ class TestConjugatePairing:
                 _assert_pairing_matches_reference(row[None])
         assert spectrum_mod._paired_spectra(np.zeros((0, 3), dtype=complex)).shape == (0, 3)
 
-    def test_zero_real_parts_of_a_pair(self):
-        # Halving the real parts as floats would give -0.0.
-        (paired,) = spectrum_mod._paired_spectra(np.array([[complex(-0.0, 1.0), complex(-0.0, -1.0)]]))
-        assert [math.copysign(1.0, z.real) for z in paired] == [1.0, 1.0]
-
 
 def _left_to_right(terms):
     """A float sum taken left to right from 0.0, as a plain loop takes it."""
@@ -992,9 +987,9 @@ def _reference_coulson(coeffs, rel_tol=1e-6, max_panels=math.inf):
 
 def _integrand_of(coeffs):
     """The integrand of one polynomial as a function of the abscissae
-    x = tan(theta) that raises
-    PurelyImaginaryEigenvalueError as the quadrature stops: at the first
-    pole node with |x| <= 1, else at the first pole node."""
+    x = tan(theta) that raises PurelyImaginaryEigenvalueError as the
+    quadrature stops: at the first pole node with |x| <= 1, else at the
+    first pole node."""
     f = spectrum_mod._Integrand([coeffs])
 
     def integrand(x):
