@@ -89,30 +89,6 @@ class Graph:
             if not (0 <= i < n and 0 <= j < n):
                 raise DigraphValidationError(f"edge ({i},{j}) out of range for n={n}")
 
-    @cached_property
-    def neighbor_masks(self) -> tuple[int, ...]:
-        rows = [0] * self.n
-        for i, j in self.edges:
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-        return tuple(rows)
-
-    @cached_property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(m.bit_count() for m in self.neighbor_masks)
-
-    @cached_property
-    def component_vertex_sets(self) -> tuple[tuple[int, ...], ...]:
-        """Connected components, ordered by smallest member vertex."""
-        seen = 0
-        comps = []
-        for start in range(self.n):
-            if not (seen >> start) & 1:
-                comp = kernels.reach(start, self.neighbor_masks)
-                seen |= comp
-                comps.append(tuple(kernels._bits(comp)))
-        return tuple(comps)
-
 
 @dataclass(frozen=True)
 class ClosedWalkProfile:

@@ -39,7 +39,8 @@ from .digraph import (
     serialize_edge_list,
 )
 from .errors import PurelyImaginaryEigenvalueError, UnknownCheckError
-from .spectrum import CharPoly, Memo, Spectrum, certify_spectra, coulson_energies, qr_values, unwrap
+from .spectrum import (CharPoly, Memo, Spectrum, certify_spectra, check_spreads, coulson_energies, qr_values,
+                       spread_roots, unwrap)
 from .structure import (
     energy_bound_attained,
     equality_verdict_energy_upper,
@@ -173,9 +174,10 @@ class _Block:
       in int64) and the cycle-arc reductions ``reduced_bits`` (an arc
       (i, j) lies on a cycle iff j reaches i, read off a boolean
       reachability closure);
-    - ``adjacency``, from the arcs, gives the floating QR values and the
-      geometric symmetrizations, and from those the spectral radii of S and
-      S^2, one stacked ``eigvalsh`` each.
+    - ``adjacency``, from the arcs, gives the floating QR values of the
+      members with a repeated-root polynomial and the geometric
+      symmetrizations, and from those the spectral radii of S and S^2, one
+      stacked ``eigvalsh`` each.
 
     The characteristic polynomials of the digraphs and of their reductions
     come from one kernel call on ``bits`` and the rows of ``reduced_bits``
@@ -183,9 +185,10 @@ class _Block:
     polynomials, keyed by coefficients: each member holds
     one integer row of it for itself (``poly_index``) and one for its
     reduction (``reduced_index``).  Every per-polynomial step runs once per
-    row: the certified spectra (one Aberth call per degree, and one stacked
-    spread check over the members with a repeated root) and from those the
-    Coulson integrals (the pole guard once per spectrum, one quadrature).
+    row: the certified spectra (one Aberth call per degree of the exact
+    square-free factors, and one stacked spread check over the members with
+    a repeated root) and from those the Coulson integrals (the pole guard
+    once per spectrum, one quadrature).
     The spectral scalars, the integrals and the reduction invariance reach
     the members by the index; ``outcome`` gives a member its spectrum or
     integral, or the exception that rejects it.  A check reads the spectral
@@ -199,7 +202,8 @@ class _Block:
     and hands its rows of ``bits`` and ``reduced_bits`` to the verdicts.
 
     ``memo`` is the run's store of per-polynomial work (see ``Memo``): the
-    block reads and fills it, its spectra in member order.
+    block reads and fills it, and a spectrum it holds is the one the
+    polynomial gets in any block.
     """
 
     def __init__(self, digraphs: Sequence[Digraph], memo: Memo):
@@ -289,9 +293,16 @@ class _Block:
         """``certify_spectra`` on the members' rows of ``polys``: the
         certified ``Spectrum`` of each, or its EigensolverError, and the
         EigensolverError of each member, by position, whose QR values miss
-        its repeated roots."""
+        its repeated roots.  Only the members with a repeated root take QR
+        values, in one ``qr_values`` call."""
         members = self.polys[:int(self.poly_index.max()) + 1]
-        return certify_spectra(members, self.poly_index, self.qr, self.memo)
+        outcomes = certify_spectra(members, self.memo)
+        roots = [spread_roots(p, self.memo) for p in members]
+        at = [k for k, p in enumerate(self.poly_index.tolist()) if roots[p] is not None]
+        if not at:
+            return outcomes, {}
+        errors = check_spreads(qr_values(self.adjacency[at]), [roots[p] for p in self.poly_index[at].tolist()])
+        return outcomes, {at[k]: error for k, error in errors.items()}
 
     @cached_property
     def rejected(self) -> np.ndarray:
@@ -339,10 +350,6 @@ class _Block:
     @cached_property
     def adjacency(self) -> np.ndarray:
         return adjacency_matrices(self.digraphs)
-
-    @cached_property
-    def qr(self) -> np.ndarray:
-        return qr_values(self.adjacency)
 
     @cached_property
     def symmetrization(self) -> np.ndarray:
@@ -412,12 +419,12 @@ class Analysis:
     that wires pieces to results.  The ``analyze`` command reads one, and
     ``to_dict()`` is the ``analyze --json`` document.
 
-    The profile, polynomials, QR values, symmetrization, spectrum and
-    Coulson integral are its row of a block of digraphs (``_Block``), which
+    The profile, polynomials, symmetrization, spectrum and Coulson
+    integral are its row of a block of digraphs (``_Block``), which
     computes each of them for all members at once, and the verdicts read
     its rows of the block's adjacency and reduction stacks.  A
-    lone ``Analysis(d)`` is a block of one with a fresh ``Memo``, so its
-    spectrum is the digraph's own.
+    lone ``Analysis(d)`` is a block of one with a fresh ``Memo``; its
+    spectrum is its polynomial's, as in any block.
     """
 
     _index = 0
@@ -706,10 +713,9 @@ def verify_all(
 
     The blocks of one call share one ``Memo``: each distinct
     characteristic polynomial is decomposed, certified and integrated once,
-    the first digraph with it certifies its spectrum, and later digraphs
-    with that polynomial reuse the spectrum (after checking their own QR
-    values against a repeated root).  The memo ends with the call, so a
-    report depends only on its configuration.
+    from its exact square-free factors, and every digraph with that
+    polynomial takes the spectrum (after checking its own QR values against
+    a repeated root), the one it gets alone.  The memo ends with the call.
     """
     if checks is None:
         selected = list(CHECK_NAMES)

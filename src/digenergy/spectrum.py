@@ -3,14 +3,17 @@ energy and second-moment sums, and the Coulson-type integral representation
 of the energy.  The module does the floating work; the exact characteristic
 polynomial and its square-free decomposition come from ``kernels``.
 
-The floating eigenvalues come from Hessenberg reduction + implicitly shifted
-QR (LAPACK via numpy), are refined by Aberth-Ehrlich iteration against the
-exact integer characteristic polynomial, and are forced into exact conjugate
-pairs before any derived quantity is computed.  Pairing, sorting and the
+A spectrum is certified from its polynomial alone: every eigenvalue is a
+simple root of a factor of the exact square-free decomposition of the
+integer characteristic polynomial (a square-free polynomial is its own one
+factor), started from its ``np.roots`` value (one stacked companion-matrix
+``eigvals`` per degree and count of zero roots), refined by Aberth-Ehrlich
+iteration against that exact factor, and forced into exact conjugate pairs
+before any derived quantity is computed.  Pairing, sorting and the
 radius, energy and moment sums are array passes over a block's ``(P, n)``
-values, with the sums taken left to right.  The square-free factors of
-a repeated-root polynomial start from their ``np.roots`` values, one stacked
-companion-matrix ``eigvals`` per degree and count of zero roots.
+values, with the sums taken left to right.  A digraph's floating QR values
+(Hessenberg reduction + implicitly shifted QR, LAPACK via numpy) serve one
+check only: with a repeated root, they must lie near the exact roots.
 
 The Coulson integral is an independent route to the energy: adaptive
 Gauss-Legendre quadrature of its even integrand over half the path, from 16
@@ -23,14 +26,13 @@ nodes are the same for every polynomial, and are computed once.
 
 Both layers work on stacks, for a block of digraphs of one order
 (``certify_spectra`` and ``coulson_energies``), once per distinct
-polynomial: one Aberth call per degree refines, for each distinct
-square-free polynomial, the QR values of its first member, and the roots of
-the factors of the others, one stacked distance array checks every member's
-QR values against the exact roots of its repeated-root polynomial, and one
+polynomial: one Aberth call per degree refines the distinct square-free
+factors of all of them, one stacked distance array checks the QR values of
+the members with a repeated-root polynomial (``check_spreads``), and one
 quadrature, after one pole-guard mask per order, integrates every distinct
-polynomial of the block.  Each row of
-a stack gets the bits it gets alone, and ``eigenvalues`` and
-``coulson_energy`` are the blocks of one.
+polynomial of the block.  Each row of a stack gets the bits it gets alone,
+so a spectrum does not depend on which digraph, block or run it came from,
+and ``eigenvalues`` and ``coulson_energy`` are the blocks of one.
 
 The work done per distinct polynomial (its exact roots, certified spectrum
 and Coulson integral) and per distinct square-free factor (its refined
@@ -90,12 +92,14 @@ class Spectrum:
 class Memo:
     """The per-polynomial work of one run, keyed on exact coefficients.
 
-    ``roots`` holds the exact roots of a repeated-root polynomial (None for
-    a square-free one), ``factors`` the refined roots of each square-free
-    factor of a repeated-root polynomial, ``spectra`` the spectrum
-    certified for a polynomial (from the QR values of its first digraph
-    when square-free; a rejected one is not kept), and ``integrals`` the
+    ``factors`` holds the refined roots of each square-free factor, a
+    square-free polynomial being its own one factor, ``roots`` all the
+    roots of a repeated-root polynomial from its factors (None for a
+    square-free one), ``spectra`` the spectrum certified for a polynomial
+    from those roots (a rejected one is not kept), and ``integrals`` the
     Coulson integral, keyed on ``(coeffs, rel_tol)`` (a pole is not kept).
+    What it holds depends only on the polynomials, so a hit gives the bits
+    a fresh ``Memo`` gives.
     It is never trimmed: it holds one entry per distinct polynomial, and
     per distinct factor, of the run.
     """
@@ -121,7 +125,7 @@ def _horner_steps(rows: Sequence[Sequence[int]], width: int) -> np.ndarray:
     """The float coefficients of each ascending integer row as a
     ``(width, K, 1)`` array: step s holds every row's coefficient of
     x^(width - 1 - s), highest first, as ``np.polyval`` takes them."""
-    desc = np.array([[float(c) for c in reversed(row)] for row in rows]).reshape(len(rows), width)
+    desc = np.array(rows, dtype=float).reshape(len(rows), width)[:, ::-1]
     return desc.T[:, :, None]
 
 
@@ -209,7 +213,7 @@ def _root_starts(rows: Sequence[tuple[int, ...]]) -> np.ndarray:
     starts = np.zeros((len(rows), m), dtype=complex)
     for k in sorted(set(zeros)):
         at, d = [i for i, z in enumerate(zeros) if z == k], m - k
-        desc = np.array([[float(c) for c in reversed(rows[i][k:])] for i in at])
+        desc = np.array([rows[i][k:] for i in at], dtype=float)[:, ::-1]
         companion = np.zeros((len(at), d, d))
         companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
         companion[:, :1] = -desc[:, None, 1:] / desc[:, None, :1]
@@ -231,10 +235,11 @@ def _factor_roots(factors: Iterable[tuple[int, ...]], refined: dict) -> None:
         refined.update(zip(rows, _aberth_refine(rows, _root_starts(rows))))
 
 
-def _repeated_roots(polys: Iterable[tuple[int, ...]], memo: Memo) -> None:
-    """Store in ``memo.roots``, for each polynomial it lacks, all its roots
-    when it has a repeated one, from its exact square-free decomposition,
-    and None when it is square-free.
+def _exact_roots(polys: Iterable[tuple[int, ...]], memo: Memo) -> None:
+    """Refine the roots of every square-free factor of each polynomial
+    that ``memo.roots`` lacks into ``memo.factors``, and store in
+    ``memo.roots`` all its roots when it has a repeated one, and None when
+    it is square-free: its own one factor, whose roots are its roots.
 
     Each root is a simple root of its factor, so the refinement converges
     to machine precision regardless of multiplicity.  The new polynomials
@@ -245,11 +250,10 @@ def _repeated_roots(polys: Iterable[tuple[int, ...]], memo: Memo) -> None:
     if not new:
         return
     decomps = kernels.square_free_decompositions(new)
-    repeated = {c: dec for c, dec in zip(new, decomps) if not (len(dec) == 1 and dec[0][1] == 1)}
-    _factor_roots((f for dec in repeated.values() for f, _ in dec), memo.factors)
-    for c in new:
-        memo.roots[c] = (tuple(complex(z) for f, mult in repeated[c] for z in memo.factors[f] for _ in range(mult))
-                         if c in repeated else None)
+    _factor_roots((f for dec in decomps for f, _ in dec), memo.factors)
+    for c, dec in zip(new, decomps):
+        memo.roots[c] = (None if dec == [(c, 1)] else
+                         tuple(complex(z) for f, mult in dec for z in memo.factors[f] for _ in range(mult)))
 
 
 def _paired_spectra(values: np.ndarray) -> np.ndarray:
@@ -346,46 +350,27 @@ def unwrap(outcome):
     return outcome
 
 
-def certify_spectra(polys: Sequence[CharPoly], index: np.ndarray, qr: np.ndarray,
-                    memo: Memo) -> tuple[list, dict[int, EigensolverError]]:
-    """The certified spectra of a block of digraphs of one order n, from
-    ``polys``, the distinct exact characteristic polynomials of its members
-    (each the polynomial of at least one member), ``index``, the ``(K,)``
-    row of ``polys`` of each member, and ``qr``, the members' ``(K, n)`` QR
-    values.
+def certify_spectra(polys: Sequence[CharPoly], memo: Memo) -> list:
+    """The certified spectrum of each of ``polys``, exact characteristic
+    polynomials of one degree n, or in its place the EigensolverError that
+    rejects it (see ``eigenvalues``).
 
-    Returns the outcome of each polynomial, its certified ``Spectrum`` or
-    the EigensolverError that rejects it (see ``eigenvalues``), and, by
-    member position, the EigensolverError of each member whose own QR
-    values miss the exact roots of its repeated-root polynomial, which
-    replaces the polynomial's outcome for that member.
-
-    Each polynomial that ``memo.spectra`` lacks is certified once: a
-    repeated-root one from its exact roots, a square-free one from the QR
-    values of its first member, and the square-free ones in one Aberth
-    call.  A spectrum that passes the residual gate is stored; a rejected
-    one is not.  The members' QR values are checked against the repeated
-    roots of their polynomials in one stacked ``(M, n, n)`` distance array
-    over the M members that have one: each exact root must lie within
-    1e-2 * (1 + rho) of one of the member's values.
+    Each polynomial that ``memo.spectra`` lacks is certified once, from
+    the refined roots of its exact square-free factors (``_exact_roots``),
+    whatever digraph it came from.  A spectrum that passes the residual
+    gate is stored; a rejected one is not.
     """
-    n = qr.shape[-1]
+    n = len(polys[0].coeffs) - 1
     coeffs = [p.coeffs for p in polys]
-    _repeated_roots(coeffs, memo)
-    roots = [memo.roots[c] for c in coeffs]
+    _exact_roots(coeffs, memo)
+    roots = [memo.factors[c] if memo.roots[c] is None else memo.roots[c] for c in coeffs]
     outcomes: list = [memo.spectra.get(c) for c in coeffs]
     for p, r in enumerate(roots):
-        if r is not None and len(r) != n:
+        if len(r) != n:
             outcomes[p] = EigensolverError(
                 f"square-free decomposition yielded {len(r)} roots, expected {n}")
     todo = [p for p, s in enumerate(outcomes) if s is None]
-    _, first = np.unique(index, return_index=True)  # the first member of each polynomial
-    values = np.array([qr[first[p]] if roots[p] is None else roots[p] for p in todo],
-                      dtype=complex).reshape(len(todo), n)
-    square_free = [k for k, p in enumerate(todo) if roots[p] is None]
-    if square_free:
-        values[square_free] = _aberth_refine([coeffs[todo[k]] for k in square_free], values[square_free])
-    at = _paired_spectra(values)
+    at = _paired_spectra(np.array([roots[p] for p in todo], dtype=complex).reshape(len(todo), n))
     steps = _horner_steps([coeffs[p] for p in todo], n + 1)
     residuals = np.abs(_polyval_rows(steps, at)).max(axis=1, initial=0.0)
     rho = np.hypot(at.real, at.imag).max(axis=1, initial=0.0)
@@ -399,53 +384,55 @@ def certify_spectra(polys: Sequence[CharPoly], index: np.ndarray, qr: np.ndarray
         outcomes[p] = memo.spectra[coeffs[p]] = Spectrum(
             eigenvalues=tuple(vals), rho=r, energy=energy, sum_re_sq=sum_re_sq, sum_im_sq=sum_im_sq,
             charpoly=polys[p])
-    repeated = [p for p, r in enumerate(roots) if r is not None and len(r) == n]
-    return outcomes, (_check_spreads(qr, index, roots, repeated) if repeated else {})
+    return outcomes
 
 
-def _check_spreads(qr: np.ndarray, index: np.ndarray, roots: Sequence,
-                   repeated: Sequence[int]) -> dict[int, EigensolverError]:
-    """The EigensolverError, by member position, of each member of a block
-    whose polynomial is one of the rows ``repeated`` (n exact roots each,
-    in ``roots``) and whose own row of the ``(K, n)`` QR values ``qr`` lies
-    farther than 1e-2 * (1 + rho) from one of those roots; ``index`` is
-    each member's row.  One ``(M, n, n)`` distance array over the M members
-    with a repeated-root polynomial gives each spread bit for bit as a
-    member alone gets it."""
-    n = qr.shape[-1]
-    row = np.full(len(roots), -1)
-    row[repeated] = np.arange(len(repeated))
-    members = np.flatnonzero(row[index] >= 0)
-    exact = np.array([roots[p] for p in repeated], dtype=complex).reshape(len(repeated), n)
+def spread_roots(poly: CharPoly, memo: Memo):
+    """The n exact roots of ``poly`` that a digraph's own QR values must
+    lie near when it has a repeated root, from ``memo.roots`` after
+    ``certify_spectra``; None when it is square-free (or its roots miss the
+    count, which rejects its spectrum)."""
+    roots = memo.roots[poly.coeffs]
+    return roots if roots is not None and len(roots) == len(poly.coeffs) - 1 else None
+
+
+def check_spreads(qr: np.ndarray, roots: Sequence[tuple[complex, ...]]) -> dict[int, EigensolverError]:
+    """The EigensolverError, by row, of each row of the ``(M, n)`` QR
+    values ``qr`` that lies farther than 1e-2 * (1 + rho) from one of the
+    n exact roots of its row of ``roots`` (see ``spread_roots``).  One
+    ``(M, n, n)`` distance array gives each spread bit for bit as a row
+    alone gets it."""
+    exact = np.array(roots, dtype=complex).reshape(qr.shape)
     limit = 1e-2 * (1.0 + np.abs(exact).max(axis=1))
-    at = row[index[members]]
-    spread = np.abs(qr[members][:, None, :] - exact[at][:, :, None]).min(axis=2).max(axis=1)
-    return {int(members[k]): EigensolverError(
-                f"QR values and exact-polynomial roots disagree by {float(spread[k]):.3e}",
-                partial=roots[index[members[k]]])
-            for k in np.flatnonzero(spread > limit[at]).tolist()}
+    spread = np.abs(qr[:, None, :] - exact[:, :, None]).min(axis=2).max(axis=1)
+    return {k: EigensolverError(f"QR values and exact-polynomial roots disagree by {float(spread[k]):.3e}",
+                                partial=roots[k])
+            for k in np.flatnonzero(spread > limit).tolist()}
 
 
 def eigenvalues(poly: CharPoly, qr: np.ndarray) -> Spectrum:
     """All n eigenvalues of a digraph with certified backward error, from
     its exact characteristic polynomial ``poly`` and its n floating QR
-    values ``qr`` (a row of ``qr_values``); ``certify_spectra`` on a block
-    of one, with a fresh ``Memo``.
+    values ``qr`` (a row of ``qr_values``); ``certify_spectra`` on one
+    polynomial, with a fresh ``Memo``.
 
-    A square-free spectrum is the QR values refined by Aberth-Ehrlich
-    iteration against the exact polynomial.  With repeated eigenvalues,
-    every root is simple inside its square-free factor, which sidesteps the
-    sqrt(eps) accuracy floor of polishing multiple roots on the full
-    polynomial; the QR values must then lie near the exact roots.  The
-    values are paired into exact conjugates and rejected (EigensolverError)
-    if any residual |phi(z)| exceeds the gate of 1e-6 * (1 + rho)^n; in
-    practice residuals sit far below 1e-8 after refinement.
+    The spectrum depends on the polynomial alone: every eigenvalue is a
+    simple root of an exact square-free factor, from its ``np.roots``
+    start refined by Aberth-Ehrlich iteration against that factor, which
+    also sidesteps the sqrt(eps) accuracy floor of polishing multiple roots
+    on the full polynomial.  The values are paired into exact conjugates
+    and rejected (EigensolverError) if any residual |phi(z)| exceeds the
+    gate of 1e-6 * (1 + rho)^n; in practice residuals sit far below 1e-8
+    after refinement.  With a repeated root, the QR values must also lie
+    near the exact roots (``check_spreads``); they play no other part.
     """
     n = len(poly.coeffs) - 1
     if len(qr) != n:
         raise ValueError(f"expected {n} QR values for a polynomial of degree {n}, got {len(qr)}")
-    outcomes, errors = certify_spectra([poly], np.zeros(1, dtype=np.intp), np.asarray(qr)[None], Memo())
-    return unwrap(errors.get(0, outcomes[0]))
+    memo = Memo()
+    (outcome,) = certify_spectra([poly], memo)
+    roots = spread_roots(poly, memo)
+    return unwrap(outcome if roots is None else check_spreads(np.asarray(qr)[None], [roots]).get(0, outcome))
 
 
 # --- Coulson-type integral ---------------------------------------------------

@@ -1,5 +1,7 @@
-"""Graph and digraph builders shared across the test modules, and the
-spectrum of a lone digraph from its own pieces."""
+"""Graph and digraph builders shared across the test modules, the graph
+invariants the tests take as references (neighbour masks, degrees and
+connected components), and the spectrum of a lone digraph from its own
+pieces."""
 
 from itertools import combinations, product
 
@@ -14,6 +16,31 @@ from digenergy import (
     from_graph,
     qr_values,
 )
+from digenergy import kernels
+
+
+def neighbor_masks(g: Graph) -> tuple[int, ...]:
+    """The neighbours of each vertex of g as a bitmask."""
+    rows = [0] * g.n
+    for i, j in g.edges:
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return tuple(rows)
+
+
+def degrees(g: Graph) -> tuple[int, ...]:
+    return tuple(m.bit_count() for m in neighbor_masks(g))
+
+
+def component_vertex_sets(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """The connected components of g, ordered by smallest member vertex."""
+    nbr, seen, comps = neighbor_masks(g), 0, []
+    for start in range(g.n):
+        if not (seen >> start) & 1:
+            comp = kernels.reach(start, nbr)
+            seen |= comp
+            comps.append(tuple(kernels._bits(comp)))
+    return tuple(comps)
 
 
 def spectrum_of(d: Digraph):
@@ -122,7 +149,7 @@ def all_graphs(n: int):
 def all_regular_graphs(n: int):
     """All labeled regular graphs on n vertices (any degree)."""
     for g in all_graphs(n):
-        degs = set(g.degrees) or {0}
+        degs = set(degrees(g)) or {0}
         if len(degs) == 1:
             yield g
 

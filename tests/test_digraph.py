@@ -24,7 +24,7 @@ from digenergy import (
 )
 
 from digenergy.digraph import adjacency_matrices
-from families import complete_graph, directed_cycle, directed_path, graphs, star_graph, sym
+from families import complete_graph, component_vertex_sets, directed_cycle, directed_path, graphs, star_graph, sym
 
 
 @st.composite
@@ -268,11 +268,7 @@ class TestConnectedComponents:
         expected = tuple(
             tuple(v for v in range(g.n) if ids[v] == k) for k in range(len(set(ids)))
         )
-        assert g.component_vertex_sets == expected
-
-    def test_swept_once_per_graph(self):
-        g = Graph(5, [(0, 1), (2, 3)])
-        assert g.component_vertex_sets is g.component_vertex_sets
+        assert component_vertex_sets(g) == expected
 
 
 class TestCycleArcReduction:

@@ -231,7 +231,7 @@ class TestVerifyAll:
             block = oracle_mod._Block(ds[start:start + oracle_mod.BLOCK_SIZE], memo)
             docs += [a.to_dict() for a in block.analyses(DEFAULT_TOL)]
         digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
-        assert digest == "2522304c7965a7fd48be43f88bee50f38a9d76297a817b0fae8a857c52bfc8d2"
+        assert digest == "f3b8339cb0764a086935ea0bcb2ae2caeb95aa43cc87596485573086b885ab6e"
 
     def test_a_run_leaves_nothing_behind(self, monkeypatch):
         # A second run in the same process does the same exact work and
@@ -392,7 +392,7 @@ class TestSharedSpectra:
             raise AssertionError("refinement on a square-free hit")
 
         monkeypatch.setattr(spectrum_mod, "_aberth_refine", forbidden)
-        monkeypatch.setattr(spectrum_mod, "_check_spreads", forbidden)
+        monkeypatch.setattr(oracle_mod, "check_spreads", forbidden)
         relabeled = Digraph(3, [(1, 0), (0, 2), (2, 1)])
         assert _shared_spectrum(relabeled, memo).charpoly.coeffs == (-1, 0, 0, 1)
 
@@ -407,10 +407,10 @@ class TestSharedSpectra:
 
     @pytest.mark.parametrize("block_size", [oracle_mod.BLOCK_SIZE, 4096])
     def test_each_polynomial_is_refined_once_per_run(self, monkeypatch, block_size):
-        # Only a square-free polynomial refines member values: each distinct
-        # one once, by its first digraph.  The degree-1 and 2 rows are the
-        # distinct square-free factors of the repeated-root polynomials, each
-        # refined once per run too, so the counts do not depend on the
+        # Each distinct square-free factor is refined once per run: the
+        # degree-4 rows are the square-free polynomials, each its own one
+        # factor, and the degree-1 and 2 rows the factors of the
+        # repeated-root polynomials, so the counts do not depend on the
         # block size, and the report does not change.
         rows = []
         refine = spectrum_mod._aberth_refine
@@ -523,11 +523,11 @@ class TestBlocks:
 
     @pytest.mark.parametrize("rejected", [0, 1])
     def test_exception_is_raised_by_its_own_member_only(self, monkeypatch, rejected):
-        # Members 0 and 1 have x^3; the QR values of one of them are moved
-        # far from 0, so it alone is rejected, for its spectrum and its
-        # integral, and the other certifies x^3 for the run.
+        # Members 0 and 1 have x^3, and only they take QR values; those of
+        # one of them are moved far from 0, so it alone is rejected, for its
+        # spectrum and its integral, and the other certifies x^3 for the run.
         ds = [Digraph(3), Digraph(3, [(0, 1)]), directed_cycle(3)]
-        shift = np.zeros((3, 1))
+        shift = np.zeros((2, 1))
         shift[rejected] = 100.0
         monkeypatch.setattr(oracle_mod, "qr_values", lambda a: qr_values(a) + shift)
         memo = Memo()
@@ -541,6 +541,30 @@ class TestBlocks:
         assert memo.spectra[(0, 0, 0, 1)] is good.spectrum
         assert third.spectrum.energy == pytest.approx(2.0)
         assert third.coulson == pytest.approx(2.0, rel=1e-6)
+
+    def test_qr_values_only_for_members_with_a_repeated_root(self, monkeypatch):
+        # QR values serve the spread check alone, so a block whose
+        # polynomials are all square-free never computes them, and a mixed
+        # block computes them for its repeated-root members only.
+        ds = [random_digraph(10, 0.3, 1_000_000 + k) for k in range(60)]
+        decomps = kernels_mod.square_free_decompositions([characteristic_polynomial(d).coeffs for d in ds])
+        square_free = [d for d, dec in zip(ds, decomps) if len(dec) == 1 and dec[0][1] == 1]
+        repeated = [d for d, dec in zip(ds, decomps) if not (len(dec) == 1 and dec[0][1] == 1)]
+        assert len(square_free) >= 20 and len(repeated) >= 20
+
+        def forbidden(a):
+            raise AssertionError("QR values of a square-free polynomial")
+
+        with monkeypatch.context() as m:
+            m.setattr(oracle_mod, "qr_values", forbidden)
+            assert [a.to_dict() for a in oracle_mod._Block(square_free, Memo()).analyses(DEFAULT_TOL)]
+        taken = []
+        monkeypatch.setattr(oracle_mod, "qr_values", lambda a: taken.append(a.copy()) or qr_values(a))
+        mixed = ds[:20]
+        block = oracle_mod._Block(mixed, Memo())
+        block.certified
+        want = [adjacency_matrix(d) for d in mixed if d in repeated]
+        assert len(taken) == 1 and np.array_equal(taken[0], np.array(want))
 
     def test_one_order_per_block(self):
         with pytest.raises(ValueError, match="one order"):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from digenergy import (
+    Analysis,
     Digraph,
     EigensolverError,
     Graph,
@@ -1419,6 +1420,29 @@ class TestExactMemo:
         want = np.array([adjacency_matrix(x) for x in (d, relabeled, tailed, d)])
         assert np.array_equal(calls[0], want)
         assert len(calls) == 2  # the second is characteristic_polynomial(d) above
+        # The spectrum depends on the polynomial alone: a relabeling that
+        # is no automorphism and the transpose, each in a block of its own,
+        # get the block's spectrum, bit for bit.
+        shuffled = Digraph(5, [((i + 2) % 5, (j + 2) % 5) for i, j in d.arcs])
+        transpose = Digraph(5, [(j, i) for i, j in tailed.arcs])
+        assert shuffled != d and transpose != tailed
+        for image in (shuffled, transpose):
+            assert Analysis(image).spectrum == first.spectrum == third.spectrum
+
+    @pytest.mark.parametrize("corpus", ["n4", "random-n5-16"])
+    def test_relabeling_and_transpose_keep_spectrum_and_bounds(self, corpus):
+        ds = (list(enumerate_digraphs(4))[::16] if corpus == "n4"
+              else [random_digraph(n, 0.3, seed) for n in range(5, 17) for seed in range(3)])
+        rng = random.Random(2024)
+        for d in ds:
+            perm = list(range(d.n))
+            rng.shuffle(perm)
+            want = Analysis(d).to_dict()
+            for image in (Digraph(d.n, [(perm[i], perm[j]) for i, j in d.arcs]),
+                          Digraph(d.n, [(j, i) for i, j in d.arcs])):
+                got = Analysis(image).to_dict()
+                assert got["spectrum"] == want["spectrum"], (d, image)
+                assert got["bounds"] == want["bounds"], (d, image)
 
 
 def _reference_aberth(coeffs, roots):
@@ -1530,15 +1554,37 @@ class TestStackedAberth:
         factors = [f for rows in by_degree.values() for f in rows]
         assert len(factors) > 200 and sum(f[0] == 0 for f in factors) > 20
 
-    def test_repeated_roots_of_a_block_equal_one_at_a_time(self):
-        polys = REPEATED_ROOT_POLYS + [characteristic_polynomial(d).coeffs for d in SPARSE_SYMMETRIC_CORPUS]
+    def test_exact_roots_of_a_block_equal_one_at_a_time(self):
+        polys = (REPEATED_ROOT_POLYS + [characteristic_polynomial(d).coeffs for d in SPARSE_SYMMETRIC_CORPUS]
+                 + _random_charpolys_6_to_12()[::7] + [(1,), (-1, 0, 0, 1)])
         together = Memo()
-        spectrum_mod._repeated_roots(polys, together)
+        spectrum_mod._exact_roots(polys, together)
         assert list(together.roots) == list(dict.fromkeys(polys))
         for coeffs in polys:
             alone = Memo()
-            spectrum_mod._repeated_roots([coeffs], alone)
+            spectrum_mod._exact_roots([coeffs], alone)
             assert alone.roots == {coeffs: together.roots[coeffs]}
+            assert all(np.array_equal(z, together.factors[f]) for f, z in alone.factors.items())
+            if alone.roots[coeffs] is None:  # square-free: its own one factor
+                assert list(alone.factors) == [coeffs]
+
+    def test_float_rows_round_as_float(self):
+        # Coefficients past int64 and past 2^200 round to float64 as
+        # float() rounds them, in the Horner rows and in the companion
+        # matrices of the starts; the derivative rows stay exact until then.
+        big = [2 ** 63 + 1025, -(2 ** 64) - 3, 2 ** 200 + 2 ** 147 + 1, 3 ** 140, -(7 ** 200)]
+        rows = [(big[0], big[1], 0, 1), (big[2], 5, big[3], 1), (0, big[4], -1, 1), (-1, 0, 0, 1)]
+        steps = spectrum_mod._horner_steps(rows, 4)
+        assert steps.shape == (4, 4, 1)
+        for k, row in enumerate(rows):
+            want = [float(c) for c in reversed(row)]
+            assert steps[:, k, 0].tolist() == want
+        deriv = [kernels_mod._deriv(row) for row in rows]
+        assert deriv[1][1] == 2 * big[3] and type(deriv[1][1]) is int
+        assert spectrum_mod._horner_steps(deriv, 3)[:, 1, 0].tolist() == [float(c) for c in reversed(deriv[1])]
+        for f, got in zip(rows, spectrum_mod._root_starts(rows)):
+            want = np.roots([float(c) for c in reversed(f)]).astype(complex)
+            assert got.tobytes() == want.tobytes()
 
     def test_empty_stack(self):
         assert spectrum_mod._aberth_refine([], np.empty((0, 3))).shape == (0, 3)

@@ -32,11 +32,14 @@ from families import (
     complement,
     complete_bipartite,
     complete_graph,
+    component_vertex_sets,
     cycle_graph,
+    degrees,
     directed_cycle,
     empty_graph,
     graphs,
     matching_graph,
+    neighbor_masks,
     paley_graph,
     path_graph,
     petersen_graph,
@@ -78,16 +81,17 @@ def _component_criterion(g, profile):
     if not g.edges:
         return True
     q = Fraction(profile.sum_t2_sq, profile.sum_c2_sq)
-    for comp in g.component_vertex_sets:
+    deg = degrees(g)
+    for comp in component_vertex_sets(g):
         if len(comp) == 1:
             continue
-        degs = {g.degrees[v] for v in comp}
+        degs = {deg[v] for v in comp}
         if len(degs) == 1 and Fraction(min(degs) ** 2) == q:
             continue
         sides = _brute_force_bipartition(g, comp)
         if sides is None:
             return False
-        values = [{g.degrees[v] for v in side} for side in sides]
+        values = [{deg[v] for v in side} for side in sides]
         if any(len(v) != 1 for v in values) or Fraction(min(values[0]) * min(values[1])) != q:
             return False
     return True
@@ -147,7 +151,7 @@ class TestRhoEqualityVerdict:
     def test_regular_graphs_up_to_six(self, n):
         # An r-regular graph attains the bound; with no edge it is EMPTY.
         for g in all_regular_graphs(n):
-            r = g.degrees[0]
+            r = degrees(g)[0]
             expect = ("R_REGULAR", (r,)) if r else ("EMPTY", (n,))
             v = verdict_rho(sym(g))
             assert (v.kind, v.params, v.predicted_equality) == (*expect, True)
@@ -216,10 +220,10 @@ def _energy_kind_criterion(g):
     complete graph, a perfect matching, or a connected regular graph whose
     adjacent pairs all share lam common neighbours and whose non-adjacent
     pairs all share mu, with lam = mu."""
-    n, nbr = g.n, g.neighbor_masks
-    if not g.edges or 2 * len(g.edges) == n * (n - 1) or set(g.degrees) == {1}:
+    n, nbr = g.n, neighbor_masks(g)
+    if not g.edges or 2 * len(g.edges) == n * (n - 1) or set(degrees(g)) == {1}:
         return True
-    if len(g.component_vertex_sets) > 1 or len(set(g.degrees)) > 1:
+    if len(component_vertex_sets(g)) > 1 or len(set(degrees(g))) > 1:
         return False
     shared = {True: set(), False: set()}
     for i, j in combinations(range(n), 2):
