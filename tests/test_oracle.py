@@ -359,21 +359,14 @@ class TestSharedSpectra:
     call do, certify each characteristic polynomial once."""
 
     def test_exhaustive_n4_matches_cold_calls(self):
+        # A shared spectrum is the polynomial's, so every digraph gets the
+        # bits of its own cold call, not only the first with its polynomial.
         memo = Memo()
-        first = set()
         for d in enumerate_digraphs(4):
             spec = _shared_spectrum(d, memo)
-            cold = spectrum_of(d)
             assert spec.charpoly == characteristic_polynomial(d)
-            assert len(spec.eigenvalues) == len(cold.eigenvalues)
-            for z, w in zip(spec.eigenvalues, cold.eigenvalues):
-                assert abs(z - w) <= 1e-12
-            assert abs(spec.rho - cold.rho) <= 1e-12
-            assert abs(spec.energy - cold.energy) <= 1e-12
-            if spec.charpoly.coeffs not in first:
-                first.add(spec.charpoly.coeffs)
-                assert repr(spec) == repr(cold)
-        assert len(first) == len(memo.spectra) == 46
+            assert repr(spec) == repr(spectrum_of(d))
+        assert len(memo.spectra) == 46
 
     def test_hit_returns_the_certified_spectrum(self):
         memo = Memo()
@@ -547,23 +540,22 @@ class TestBlocks:
         # polynomials are all square-free never computes them, and a mixed
         # block computes them for its repeated-root members only.
         ds = [random_digraph(10, 0.3, 1_000_000 + k) for k in range(60)]
-        decomps = kernels_mod.square_free_decompositions([characteristic_polynomial(d).coeffs for d in ds])
-        square_free = [d for d, dec in zip(ds, decomps) if len(dec) == 1 and dec[0][1] == 1]
-        repeated = [d for d, dec in zip(ds, decomps) if not (len(dec) == 1 and dec[0][1] == 1)]
-        assert len(square_free) >= 20 and len(repeated) >= 20
+        polys = [characteristic_polynomial(d).coeffs for d in ds]
+        square_free = [dec == [(c, 1)] for c, dec in zip(polys, kernels_mod.square_free_decompositions(polys))]
+        assert 20 <= sum(square_free) <= 40
 
         def forbidden(a):
             raise AssertionError("QR values of a square-free polynomial")
 
         with monkeypatch.context() as m:
             m.setattr(oracle_mod, "qr_values", forbidden)
-            assert [a.to_dict() for a in oracle_mod._Block(square_free, Memo()).analyses(DEFAULT_TOL)]
+            block = oracle_mod._Block([d for d, sf in zip(ds, square_free) if sf], Memo())
+            assert all(a.to_dict() for a in block.analyses(DEFAULT_TOL))
         taken = []
         monkeypatch.setattr(oracle_mod, "qr_values", lambda a: taken.append(a.copy()) or qr_values(a))
-        mixed = ds[:20]
-        block = oracle_mod._Block(mixed, Memo())
-        block.certified
-        want = [adjacency_matrix(d) for d in mixed if d in repeated]
+        _, errors = oracle_mod._Block(ds[:20], Memo()).certified
+        assert not errors
+        want = [adjacency_matrix(d) for d, sf in zip(ds[:20], square_free) if not sf]
         assert len(taken) == 1 and np.array_equal(taken[0], np.array(want))
 
     def test_one_order_per_block(self):
