@@ -8,6 +8,7 @@ construction and every operation is a pure function.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -121,8 +122,26 @@ class SccPartition:
     component_count: int
 
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _decimal(token: str):
+    """The exact value of an ASCII decimal token ``-?[0-9]+``, or None for
+    any other token: ``int`` alone also reads ``+3``, ``1_0`` and
+    non-ASCII digits.  A token longer than ``int`` converts reads as a
+    ``Decimal``."""
+    if _DECIMAL.fullmatch(token):
+        try:
+            return int(token)
+        except ValueError:  # past the digit limit of int(); rare, so imported here
+            from decimal import Decimal
+            return Decimal(token)
+    return None
+
+
 def parse_edge_list(text: str) -> Digraph:
-    """Parse the edge-list format: a line with n, then one ``i j`` per arc.
+    """Parse the edge-list format: a line with n, then one ``i j`` per arc,
+    each number an ASCII decimal ``-?[0-9]+``.
 
     ``#`` starts a comment, blank lines are ignored, duplicate arc lines
     collapse.  Raises EdgeListParseError (with line number) on malformed
@@ -140,26 +159,25 @@ def parse_edge_list(text: str) -> Digraph:
         if n is None:
             if len(tokens) != 1:
                 raise EdgeListParseError("expected a single vertex count", lineno)
-            try:
-                n = int(tokens[0])
-            except ValueError:
-                raise EdgeListParseError(f"vertex count is not an integer: {tokens[0]!r}", lineno) from None
+            n = _decimal(tokens[0])
+            if n is None:
+                raise EdgeListParseError(f"vertex count is not an integer: {tokens[0]!r}", lineno)
             if n < 0:
                 raise EdgeListParseError(f"vertex count must be non-negative, got {n}", lineno)
             if n > MAX_VERTICES:
                 raise EdgeListParseError(f"vertex count {n} exceeds the cap of {MAX_VERTICES}", lineno)
+            n = int(n)
             continue
         if len(tokens) != 2:
             raise EdgeListParseError(f"expected 'i j', got {line!r}", lineno)
-        try:
-            i, j = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise EdgeListParseError(f"non-integer vertex in {line!r}", lineno) from None
+        i, j = map(_decimal, tokens)
+        if i is None or j is None:
+            raise EdgeListParseError(f"non-integer vertex in {line!r}", lineno)
         if i == j:
             raise DigraphValidationError(f"line {lineno}: loop ({i},{i}) is not allowed")
         if not (0 <= i < n and 0 <= j < n):
             raise DigraphValidationError(f"line {lineno}: arc ({i},{j}) out of range for n={n}")
-        arcs.add((i, j))
+        arcs.add((int(i), int(j)))
     if n is None:
         raise EdgeListParseError("empty input: no vertex count line", 1)
     return Digraph(n, arcs)

@@ -39,8 +39,7 @@ from .digraph import (
     serialize_edge_list,
 )
 from .errors import PurelyImaginaryEigenvalueError, UnknownCheckError
-from .spectrum import (CharPoly, Memo, Spectrum, certify_spectra, check_spreads, coulson_energies, qr_values,
-                       spread_roots, unwrap)
+from .spectrum import CharPoly, Memo, Spectrum, certify_spectra, check_spreads, coulson_energies, unwrap
 from .structure import (
     energy_bound_attained,
     equality_verdict_energy_upper,
@@ -174,8 +173,9 @@ class _Block:
       in int64) and the cycle-arc reductions ``reduced_bits`` (an arc
       (i, j) lies on a cycle iff j reaches i, read off a boolean
       reachability closure);
-    - ``adjacency``, from the arcs, gives the floating QR values of the
-      members with a repeated-root polynomial and the geometric
+    - ``adjacency``, from the arcs, goes to the spread check of the
+      spectra (``check_spreads``, which takes the QR values of the members
+      with a repeated-root polynomial) and gives the geometric
       symmetrizations, and from those the spectral radii of S and S^2, one
       stacked ``eigvalsh`` each.
 
@@ -185,15 +185,15 @@ class _Block:
     polynomials, keyed by coefficients: each member holds
     one integer row of it for itself (``poly_index``) and one for its
     reduction (``reduced_index``).  Every per-polynomial step runs once per
-    row: the certified spectra (one Aberth call per degree of the exact
-    square-free factors, and one stacked spread check over the members with
-    a repeated root) and from those the Coulson integrals (the pole guard
-    once per spectrum, one quadrature).
-    The spectral scalars, the integrals and the reduction invariance reach
-    the members by the index; ``outcome`` gives a member its spectrum or
-    integral, or the exception that rejects it.  A check reads the spectral
-    scalars through ``spectral``, which raises the EigensolverError of the
-    first rejected member among those the check reads.  The equality
+    row: the certified spectra (``certified``, one Aberth call per degree
+    of the exact square-free factors) and from those the Coulson integrals
+    (the pole guard once per spectrum, one quadrature).  ``spectra`` gives
+    each member its row of ``certified`` through one ``check_spreads``
+    call, so a member whose QR values miss its repeated roots gets its own
+    EigensolverError.  The spectral scalars, the integrals and the
+    reduction invariance reach the members by the index.  A check reads the
+    spectral scalars through ``spectral``, which raises the EigensolverError
+    of the first rejected member among those the check reads.  The equality
     predictions are the verdicts' own integer tests on stacked arrays:
     ``walk_ratio_attained`` on the reductions and profiles for the radius
     (``equality_verdict_rho_lower``), ``energy_bound_attained`` on ``bits``
@@ -289,41 +289,26 @@ class _Block:
         return self._poly_table[2]
 
     @cached_property
-    def certified(self) -> tuple[list, dict]:
+    def certified(self) -> list:
         """``certify_spectra`` on the members' rows of ``polys``: the
-        certified ``Spectrum`` of each, or its EigensolverError, and the
-        EigensolverError of each member, by position, whose QR values miss
-        its repeated roots.  Only the members with a repeated root take QR
-        values, in one ``qr_values`` call."""
-        members = self.polys[:int(self.poly_index.max()) + 1]
-        outcomes = certify_spectra(members, self.memo)
-        roots = [spread_roots(p, self.memo) for p in members]
-        at = [k for k, p in enumerate(self.poly_index.tolist()) if roots[p] is not None]
-        if not at:
-            return outcomes, {}
-        errors = check_spreads(qr_values(self.adjacency[at]), [roots[p] for p in self.poly_index[at].tolist()])
-        return outcomes, {at[k]: error for k, error in errors.items()}
+        certified ``Spectrum`` of each, or its EigensolverError."""
+        return certify_spectra(self.polys[:int(self.poly_index.max()) + 1], self.memo)
+
+    @cached_property
+    def spectra(self) -> list:
+        """Each member's spectrum, or the EigensolverError that rejects it:
+        its row of ``certified`` through ``check_spreads``."""
+        return check_spreads([self.certified[p] for p in self.poly_index.tolist()], self.adjacency, self.memo)
 
     @cached_property
     def rejected(self) -> np.ndarray:
         """The members whose spectrum is rejected."""
-        outcomes, errors = self.certified
-        bad = np.array([isinstance(s, Exception) for s in outcomes], dtype=bool)[self.poly_index]
-        bad[list(errors)] = True
-        return bad
-
-    def outcome(self, k: int, per_row: Sequence):
-        """Member k's entry of ``per_row``, a list with one entry per row of
-        ``certified`` (a spectrum, an integral or the exception in its
-        place), or member k's own EigensolverError when its QR values miss
-        its repeated roots."""
-        return self.certified[1].get(k, per_row[self.poly_index[k]])
+        return np.array([isinstance(s, Exception) for s in self.spectra], dtype=bool)
 
     @cached_property
     def _spectral(self) -> tuple[np.ndarray, ...]:
-        outcomes, _ = self.certified
         rows = np.array([(s.rho, s.energy, s.sum_re_sq, s.sum_im_sq) if isinstance(s, Spectrum)
-                         else (0.0,) * 4 for s in outcomes], dtype=float).reshape(len(outcomes), 4)
+                         else (0.0,) * 4 for s in self.certified], dtype=float)
         return tuple(rows[self.poly_index].T)
 
     def spectral(self, rows: Optional[np.ndarray] = None) -> tuple[np.ndarray, ...]:
@@ -334,7 +319,7 @@ class _Block:
         that member alone would; a member outside ``rows`` is not read."""
         read = np.flatnonzero(self.rejected if rows is None else self.rejected & rows)
         if len(read):
-            unwrap(self.outcome(read[0], self.certified[0]))
+            unwrap(self.spectra[read[0]])
         return self._spectral
 
     @cached_property
@@ -343,9 +328,8 @@ class _Block:
         (the rows of ``certified``), or the exception that skips it: its
         PurelyImaginaryEigenvalueError, or the EigensolverError of its
         spectrum."""
-        outcomes, _ = self.certified
-        values = iter(coulson_energies([s for s in outcomes if isinstance(s, Spectrum)], 1e-6, self.memo))
-        return [next(values) if isinstance(s, Spectrum) else s for s in outcomes]
+        values = iter(coulson_energies([s for s in self.certified if isinstance(s, Spectrum)], 1e-6, self.memo))
+        return [next(values) if isinstance(s, Spectrum) else s for s in self.certified]
 
     @cached_property
     def adjacency(self) -> np.ndarray:
@@ -451,7 +435,7 @@ class Analysis:
 
     @cached_property
     def spectrum(self) -> Spectrum:
-        return unwrap(self._block.outcome(self._index, self._block.certified[0]))
+        return unwrap(self._block.spectra[self._index])
 
     @cached_property
     def symmetrization(self):
@@ -472,8 +456,9 @@ class Analysis:
 
     @cached_property
     def _coulson(self) -> tuple[Optional[float], Optional[str]]:
+        self.spectrum  # a rejected spectrum raises its own error
         try:
-            return unwrap(self._block.outcome(self._index, self._block.integrals)), None
+            return unwrap(self._block.integrals[self._block.poly_index[self._index]]), None
         except PurelyImaginaryEigenvalueError as exc:
             return None, str(exc)
 
@@ -637,10 +622,7 @@ def _check_coulson_match(block: _Block, tol: float):
     # Per member polynomial, then gathered by ``poly_index``; ``spectral``
     # has raised already if a member's spectrum is rejected.
     _, energy, _, _ = block.spectral()
-    outcomes, _ = block.certified
-    n = block.n
-    z = np.array([s.eigenvalues if isinstance(s, Spectrum) else (0j,) * n for s in outcomes],
-                 dtype=complex).reshape(len(outcomes), n)
+    z = np.array([s.eigenvalues for s in block.certified], dtype=complex)
     skip = ((np.abs(z.real) <= 1e-6) & (np.abs(z) > 1e-6)).any(axis=1)
     skip |= np.array([isinstance(v, PurelyImaginaryEigenvalueError) for v in block.integrals], dtype=bool)
     integral = np.array([0.0 if isinstance(v, Exception) else v for v in block.integrals])
@@ -714,8 +696,9 @@ def verify_all(
     The blocks of one call share one ``Memo``: each distinct
     characteristic polynomial is decomposed, certified and integrated once,
     from its exact square-free factors, and every digraph with that
-    polynomial takes the spectrum (after checking its own QR values against
-    a repeated root), the one it gets alone.  The memo ends with the call.
+    polynomial takes the spectrum, the one it gets alone, after its own QR
+    values are checked against it when it has a repeated root
+    (``check_spreads``).  The memo ends with the call.
     """
     if checks is None:
         selected = list(CHECK_NAMES)

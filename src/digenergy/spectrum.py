@@ -13,7 +13,8 @@ before any derived quantity is computed.  Pairing, sorting and the
 radius, energy and moment sums are array passes over a block's ``(P, n)``
 values, with the sums taken left to right.  A digraph's floating QR values
 (Hessenberg reduction + implicitly shifted QR, LAPACK via numpy) serve one
-check only: with a repeated root, they must lie near the exact roots.
+check only, ``check_spreads``: when its polynomial has a repeated root,
+each certified eigenvalue must lie near one of them.
 
 The Coulson integral is an independent route to the energy: adaptive
 Gauss-Legendre quadrature of its even integrand over half the path, from 16
@@ -27,12 +28,13 @@ nodes are the same for every polynomial, and are computed once.
 Both layers work on stacks, for a block of digraphs of one order
 (``certify_spectra`` and ``coulson_energies``), once per distinct
 polynomial: one Aberth call per degree refines the distinct square-free
-factors of all of them, one stacked distance array checks the QR values of
-the members with a repeated-root polynomial (``check_spreads``), and one
-quadrature, after one pole-guard mask per order, integrates every distinct
-polynomial of the block.  Each row of a stack gets the bits it gets alone,
-so a spectrum does not depend on which digraph, block or run it came from,
-and ``eigenvalues`` and ``coulson_energy`` are the blocks of one.
+factors of all of them, one ``qr_values`` call and one stacked distance
+array check the members with a repeated-root polynomial
+(``check_spreads``), and one quadrature, after one pole-guard mask per
+order, integrates every distinct polynomial of the block.  Each row of a
+stack gets the bits it gets alone, so a spectrum does not depend on which
+digraph, block or run it came from, and ``eigenvalues`` and
+``coulson_energy`` are the blocks of one.
 
 The work done per distinct polynomial (its exact roots, certified spectrum
 and Coulson integral) and per distinct square-free factor (its refined
@@ -93,18 +95,17 @@ class Memo:
     """The per-polynomial work of one run, keyed on exact coefficients.
 
     ``factors`` holds the refined roots of each square-free factor, a
-    square-free polynomial being its own one factor, ``roots`` all the
-    roots of a repeated-root polynomial from its factors (None for a
-    square-free one), ``spectra`` the spectrum certified for a polynomial
-    from those roots (a rejected one is not kept), and ``integrals`` the
-    Coulson integral, keyed on ``(coeffs, rel_tol)`` (a pole is not kept).
+    square-free polynomial being its own one factor, so that a certified
+    polynomial is a key of it iff it has no repeated root; ``spectra`` the
+    spectrum certified for a polynomial from its factors' roots (a
+    rejected one is not kept), and ``integrals`` the Coulson integral,
+    keyed on ``(coeffs, rel_tol)`` (a pole is not kept).
     What it holds depends only on the polynomials, so a hit gives the bits
     a fresh ``Memo`` gives.
     It is never trimmed: it holds one entry per distinct polynomial, and
     per distinct factor, of the run.
     """
 
-    roots: dict = field(default_factory=dict)
     factors: dict = field(default_factory=dict)
     spectra: dict = field(default_factory=dict)
     integrals: dict = field(default_factory=dict)
@@ -189,14 +190,13 @@ def _aberth_refine(rows: Sequence[Sequence[int]], roots: np.ndarray) -> np.ndarr
     return z
 
 
-def _eigvals(stack: np.ndarray) -> np.ndarray:
-    """The eigenvalues of each matrix of a ``(K, m, m)`` stack from one
-    LAPACK Hessenberg QR call, as complex, bit for bit those of the
-    per-matrix ``eigvals``: values that are all real have +0.0 imaginary
-    parts, as the per-matrix call returns them."""
-    values = np.linalg.eigvals(stack).astype(complex)
-    real = (values.imag == 0.0).all(axis=1)
-    values[real] = values[real].real
+def _eigvals(a: np.ndarray) -> np.ndarray:
+    """The eigenvalues of a matrix, or of each matrix of a ``(K, m, m)``
+    stack, from one LAPACK Hessenberg QR call, as complex, bit for bit
+    those of the per-matrix ``eigvals``: values that are all real have
+    +0.0 imaginary parts, as the per-matrix call returns them."""
+    values = np.linalg.eigvals(a).astype(complex)
+    values.imag[(values.imag == 0.0).all(axis=-1)] = 0.0
     return values
 
 
@@ -235,25 +235,22 @@ def _factor_roots(factors: Iterable[tuple[int, ...]], refined: dict) -> None:
         refined.update(zip(rows, _aberth_refine(rows, _root_starts(rows))))
 
 
-def _exact_roots(polys: Iterable[tuple[int, ...]], memo: Memo) -> None:
-    """Refine the roots of every square-free factor of each polynomial
-    that ``memo.roots`` lacks into ``memo.factors``, and store in
-    ``memo.roots`` all its roots when it has a repeated one, and None when
-    it is square-free: its own one factor, whose roots are its roots.
+def _exact_roots(polys: Sequence[tuple[int, ...]], memo: Memo) -> list[tuple[complex, ...]]:
+    """All the roots of each polynomial of ``polys``, each root of a
+    square-free factor repeated by its multiplicity, from the refined roots
+    of its factors, which are stored in ``memo.factors``.
 
     Each root is a simple root of its factor, so the refinement converges
-    to machine precision regardless of multiplicity.  The new polynomials
-    take one stacked decomposition (``kernels.square_free_decompositions``),
-    and their factors that ``memo.factors`` lacks are refined together.
+    to machine precision regardless of multiplicity.  The distinct
+    polynomials take one stacked decomposition
+    (``kernels.square_free_decompositions``), and their factors that
+    ``memo.factors`` lacks are refined together.
     """
-    new = [c for c in dict.fromkeys(polys) if c not in memo.roots]
-    if not new:
-        return
-    decomps = kernels.square_free_decompositions(new)
-    _factor_roots((f for dec in decomps for f, _ in dec), memo.factors)
-    for c, dec in zip(new, decomps):
-        memo.roots[c] = (None if dec == [(c, 1)] else
-                         tuple(complex(z) for f, mult in dec for z in memo.factors[f] for _ in range(mult)))
+    new = list(dict.fromkeys(polys))
+    decomps = dict(zip(new, kernels.square_free_decompositions(new) if new else []))
+    _factor_roots((f for dec in decomps.values() for f, _ in dec), memo.factors)
+    return [tuple(complex(z) for f, mult in decomps[c] for z in memo.factors[f] for _ in range(mult))
+            for c in polys]
 
 
 def _paired_spectra(values: np.ndarray) -> np.ndarray:
@@ -319,27 +316,15 @@ def _left_to_right_sums(terms: np.ndarray) -> np.ndarray:
 
 def qr_values(a: np.ndarray) -> np.ndarray:
     """Floating eigenvalues of an adjacency matrix, or of each matrix of a
-    ``(K, n, n)`` stack, from LAPACK: the symmetric solver for the
-    symmetric members and Hessenberg QR for the others, one stacked call
-    each.  The values of a matrix are the last axis of the result.
-
-    Each matrix's values are bit for bit those of the per-matrix call, as
-    complex: values that are all real have +0.0 imaginary parts, as the
-    per-matrix ``eigvals`` returns them.
+    ``(K, n, n)`` stack, from one LAPACK Hessenberg QR call (``_eigvals``),
+    bit for bit those of the per-matrix ``eigvals``; the values of a matrix
+    are the last axis of the result.  A symmetric matrix is normal, so its
+    values too lie within about eps * ||A|| of its eigenvalues.
     """
-    a = np.asarray(a, dtype=float)
-    stack = a.reshape(math.prod(a.shape[:-2]), *a.shape[-2:])
-    out = np.empty(stack.shape[:2], dtype=complex)
-    symmetric = (stack == stack.transpose(0, 2, 1)).all(axis=(1, 2))
-    general = ~symmetric
     try:
-        if symmetric.any():
-            out[symmetric] = np.linalg.eigvalsh(stack[symmetric])
-        if general.any():
-            out[general] = _eigvals(stack[general])
+        return _eigvals(np.asarray(a, dtype=float))
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"QR iteration failed: {exc}") from exc
-    return out.reshape(a.shape[:-1])
 
 
 def unwrap(outcome):
@@ -355,17 +340,19 @@ def certify_spectra(polys: Sequence[CharPoly], memo: Memo) -> list:
     polynomials of one degree n, or in its place the EigensolverError that
     rejects it (see ``eigenvalues``).
 
-    Each polynomial that ``memo.spectra`` lacks is certified once, from
-    the refined roots of its exact square-free factors (``_exact_roots``),
-    whatever digraph it came from.  A spectrum that passes the residual
-    gate is stored; a rejected one is not.
+    Each polynomial that ``memo.spectra`` lacks is decomposed and
+    certified once, from the refined roots of its exact square-free factors
+    (``_exact_roots``), whatever digraph it came from.  A spectrum that
+    passes the residual gate is stored; a rejected one is not.  The
+    spectrum is the polynomial's alone: a digraph's QR values are checked
+    against it after (``check_spreads``).
     """
     n = len(polys[0].coeffs) - 1
     coeffs = [p.coeffs for p in polys]
-    _exact_roots(coeffs, memo)
-    roots = [memo.factors[c] if memo.roots[c] is None else memo.roots[c] for c in coeffs]
     outcomes: list = [memo.spectra.get(c) for c in coeffs]
-    for p, r in enumerate(roots):
+    new = [p for p, s in enumerate(outcomes) if s is None]
+    roots = dict(zip(new, _exact_roots([coeffs[p] for p in new], memo)))
+    for p, r in roots.items():
         if len(r) != n:
             outcomes[p] = EigensolverError(
                 f"square-free decomposition yielded {len(r)} roots, expected {n}")
@@ -387,34 +374,37 @@ def certify_spectra(polys: Sequence[CharPoly], memo: Memo) -> list:
     return outcomes
 
 
-def spread_roots(poly: CharPoly, memo: Memo):
-    """The n exact roots of ``poly`` that a digraph's own QR values must
-    lie near when it has a repeated root, from ``memo.roots`` after
-    ``certify_spectra``; None when it is square-free (or its roots miss the
-    count, which rejects its spectrum)."""
-    roots = memo.roots[poly.coeffs]
-    return roots if roots is not None and len(roots) == len(poly.coeffs) - 1 else None
+def check_spreads(spectra: Sequence, adjacency: np.ndarray, memo: Memo) -> list:
+    """The outcomes ``spectra`` of the digraphs with the ``(K, n, n)``
+    adjacency stack ``adjacency`` (a ``Spectrum`` from
+    ``certify_spectra`` on ``memo``, or the exception in its place), with
+    the EigensolverError of each digraph whose QR values miss its spectrum
+    in place of that spectrum.
+
+    A certified spectrum whose polynomial has a repeated root (is not a key
+    of ``memo.factors``) is checked against the digraph's own QR values:
+    each of its eigenvalues must lie within 1e-2 * (1 + rho) of one of
+    them.  Those digraphs alone take QR values, in one ``qr_values`` call,
+    and one ``(M, n, n)`` distance array gives each spread bit for bit as a
+    digraph alone gets it.  A rejected spectrum keeps its own error.
+    """
+    out = list(spectra)
+    at = [k for k, s in enumerate(spectra) if isinstance(s, Spectrum) and s.charpoly.coeffs not in memo.factors]
+    if at:
+        certified = np.array([spectra[k].eigenvalues for k in at], dtype=complex)
+        limit = 1e-2 * (1.0 + np.array([spectra[k].rho for k in at]))
+        spread = np.abs(qr_values(adjacency[at])[:, None, :] - certified[:, :, None]).min(axis=2).max(axis=1)
+        for i in np.flatnonzero(spread > limit).tolist():
+            out[at[i]] = EigensolverError(f"QR values and exact-polynomial roots disagree by {spread[i]:.3e}",
+                                          partial=spectra[at[i]].eigenvalues)
+    return out
 
 
-def check_spreads(qr: np.ndarray, roots: Sequence[tuple[complex, ...]]) -> dict[int, EigensolverError]:
-    """The EigensolverError, by row, of each row of the ``(M, n)`` QR
-    values ``qr`` that lies farther than 1e-2 * (1 + rho) from one of the
-    n exact roots of its row of ``roots`` (see ``spread_roots``).  One
-    ``(M, n, n)`` distance array gives each spread bit for bit as a row
-    alone gets it."""
-    exact = np.array(roots, dtype=complex).reshape(qr.shape)
-    limit = 1e-2 * (1.0 + np.abs(exact).max(axis=1))
-    spread = np.abs(qr[:, None, :] - exact[:, :, None]).min(axis=2).max(axis=1)
-    return {k: EigensolverError(f"QR values and exact-polynomial roots disagree by {float(spread[k]):.3e}",
-                                partial=roots[k])
-            for k in np.flatnonzero(spread > limit).tolist()}
-
-
-def eigenvalues(poly: CharPoly, qr: np.ndarray) -> Spectrum:
+def eigenvalues(poly: CharPoly, a: np.ndarray) -> Spectrum:
     """All n eigenvalues of a digraph with certified backward error, from
-    its exact characteristic polynomial ``poly`` and its n floating QR
-    values ``qr`` (a row of ``qr_values``); ``certify_spectra`` on one
-    polynomial, with a fresh ``Memo``.
+    its exact characteristic polynomial ``poly`` and its ``(n, n)``
+    adjacency matrix ``a``: ``certify_spectra`` and ``check_spreads`` on a
+    block of one, with a fresh ``Memo``.
 
     The spectrum depends on the polynomial alone: every eigenvalue is a
     simple root of an exact square-free factor, from its ``np.roots``
@@ -423,16 +413,15 @@ def eigenvalues(poly: CharPoly, qr: np.ndarray) -> Spectrum:
     on the full polynomial.  The values are paired into exact conjugates
     and rejected (EigensolverError) if any residual |phi(z)| exceeds the
     gate of 1e-6 * (1 + rho)^n; in practice residuals sit far below 1e-8
-    after refinement.  With a repeated root, the QR values must also lie
-    near the exact roots (``check_spreads``); they play no other part.
+    after refinement.  With a repeated root, each eigenvalue must also lie
+    near one of the QR values of ``a`` (``check_spreads``); they play no
+    other part.
     """
     n = len(poly.coeffs) - 1
-    if len(qr) != n:
-        raise ValueError(f"expected {n} QR values for a polynomial of degree {n}, got {len(qr)}")
+    if np.shape(a) != (n, n):
+        raise ValueError(f"a degree-{n} polynomial needs an ({n}, {n}) adjacency matrix, got {np.shape(a)}")
     memo = Memo()
-    (outcome,) = certify_spectra([poly], memo)
-    roots = spread_roots(poly, memo)
-    return unwrap(outcome if roots is None else check_spreads(np.asarray(qr)[None], [roots]).get(0, outcome))
+    return unwrap(check_spreads(certify_spectra([poly], memo), np.asarray(a)[None], memo)[0])
 
 
 # --- Coulson-type integral ---------------------------------------------------

@@ -259,9 +259,9 @@ class TestRejectedSpectrum:
     @pytest.mark.parametrize("argv", [["--json", "analyze", "-"], ["analyze", "-"],
                                       ["coulson", "-"], ["verify", "3"]])
     def test_exits_1_with_one_error_line(self, capsys, monkeypatch, argv):
-        from digenergy import oracle as oracle_mod, qr_values
+        from digenergy import qr_values, spectrum as spectrum_mod
 
-        monkeypatch.setattr(oracle_mod, "qr_values", lambda a: qr_values(a) + 100.0)
+        monkeypatch.setattr(spectrum_mod, "qr_values", lambda a: qr_values(a) + 100.0)
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"3\n0 1\n")))
         assert main(argv) == 1
         captured = capsys.readouterr()

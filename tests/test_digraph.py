@@ -80,6 +80,42 @@ class TestParse:
         assert parse_edge_list("0\n").n == 0
         assert parse_edge_list("4\n").arc_count == 0
 
+    @pytest.mark.parametrize("header", ["1_0", "+3", "\u0663", "3.0", "0x3"])
+    def test_vertex_count_is_an_ascii_decimal(self, header):
+        # int() alone reads 1_0 as 10, +3 as 3 and the Arabic-Indic digit
+        # three as 3.
+        with pytest.raises(EdgeListParseError, match="vertex count is not an integer") as exc:
+            parse_edge_list(f"{header}\n0 1\n")
+        assert exc.value.line == 1
+
+    @pytest.mark.parametrize("line", ["0 1_0", "+0 1", "0 \u0663", "0 1.0"])
+    def test_vertex_is_an_ascii_decimal(self, line):
+        with pytest.raises(EdgeListParseError, match="non-integer vertex") as exc:
+            parse_edge_list(f"11\n{line}\n")
+        assert exc.value.line == 2
+
+    def test_negative_values_keep_their_messages(self):
+        with pytest.raises(EdgeListParseError, match="must be non-negative, got -2"):
+            parse_edge_list("-2\n")
+        with pytest.raises(DigraphValidationError, match=r"line 2: arc \(-1,2\) out of range for n=3"):
+            parse_edge_list("3\n-1 2\n")
+
+    def test_long_decimals_read_as_their_value(self):
+        # Past int()'s digit limit (4,300 by default): a huge header is over
+        # the cap, a huge vertex out of range, and leading zeros are only
+        # zeros.
+        huge = "1" + "0" * 5000
+        with pytest.raises(EdgeListParseError, match=f"vertex count {huge} exceeds the cap") as exc:
+            parse_edge_list(f"{huge}\n0 1\n")
+        assert exc.value.line == 1
+        with pytest.raises(EdgeListParseError, match="must be non-negative"):
+            parse_edge_list(f"-{huge}\n")
+        for line in (f"0 {huge}", f"-{huge} 1"):
+            with pytest.raises(DigraphValidationError, match="out of range for n=3"):
+                parse_edge_list(f"3\n{line}\n")
+        zeros = "0" * 5000
+        assert parse_edge_list(f"{zeros}3\n{zeros}1 2\n") == Digraph(3, [(1, 2)])
+
     @given(digraphs())
     @settings(max_examples=80)
     def test_roundtrip(self, d):

@@ -385,7 +385,7 @@ class TestSharedSpectra:
             raise AssertionError("refinement on a square-free hit")
 
         monkeypatch.setattr(spectrum_mod, "_aberth_refine", forbidden)
-        monkeypatch.setattr(oracle_mod, "check_spreads", forbidden)
+        monkeypatch.setattr(spectrum_mod, "qr_values", forbidden)
         relabeled = Digraph(3, [(1, 0), (0, 2), (2, 1)])
         assert _shared_spectrum(relabeled, memo).charpoly.coeffs == (-1, 0, 0, 1)
 
@@ -394,7 +394,7 @@ class TestSharedSpectra:
         # from 0, so the shared roots must be rejected for it.
         memo = Memo()
         _shared_spectrum(Digraph(3), memo)
-        monkeypatch.setattr(oracle_mod, "qr_values", lambda a: qr_values(a) + 100.0)
+        monkeypatch.setattr(spectrum_mod, "qr_values", lambda a: qr_values(a) + 100.0)
         with pytest.raises(EigensolverError, match="disagree"):
             _shared_spectrum(Digraph(3, [(0, 1)]), memo)
 
@@ -506,8 +506,8 @@ class TestBlocks:
             memo, out = Memo(), []
             for start in range(0, len(ds), size):
                 block = oracle_mod._Block(ds[start:start + size], memo)
-                out += [(text(block.outcome(k, block.certified[0])), text(block.outcome(k, block.integrals)))
-                        for k in range(len(block.digraphs))]
+                out += [(text(spec), text(spec if isinstance(spec, Exception) else block.integrals[p]))
+                        for spec, p in zip(block.spectra, block.poly_index.tolist())]
             return out
 
         blocked = outcomes(BLOCK)
@@ -522,7 +522,7 @@ class TestBlocks:
         ds = [Digraph(3), Digraph(3, [(0, 1)]), directed_cycle(3)]
         shift = np.zeros((2, 1))
         shift[rejected] = 100.0
-        monkeypatch.setattr(oracle_mod, "qr_values", lambda a: qr_values(a) + shift)
+        monkeypatch.setattr(spectrum_mod, "qr_values", lambda a: qr_values(a) + shift)
         memo = Memo()
         analyses = list(oracle_mod._Block(ds, memo).analyses(1e-8))
         bad, good, third = analyses[rejected], analyses[1 - rejected], analyses[2]
@@ -548,13 +548,13 @@ class TestBlocks:
             raise AssertionError("QR values of a square-free polynomial")
 
         with monkeypatch.context() as m:
-            m.setattr(oracle_mod, "qr_values", forbidden)
+            m.setattr(spectrum_mod, "qr_values", forbidden)
             block = oracle_mod._Block([d for d, sf in zip(ds, square_free) if sf], Memo())
             assert all(a.to_dict() for a in block.analyses(DEFAULT_TOL))
         taken = []
-        monkeypatch.setattr(oracle_mod, "qr_values", lambda a: taken.append(a.copy()) or qr_values(a))
-        _, errors = oracle_mod._Block(ds[:20], Memo()).certified
-        assert not errors
+        monkeypatch.setattr(spectrum_mod, "qr_values", lambda a: taken.append(a.copy()) or qr_values(a))
+        spectra = oracle_mod._Block(ds[:20], Memo()).spectra
+        assert not any(isinstance(s, Exception) for s in spectra)
         want = [adjacency_matrix(d) for d, sf in zip(ds[:20], square_free) if not sf]
         assert len(taken) == 1 and np.array_equal(taken[0], np.array(want))
 
@@ -657,7 +657,7 @@ class TestStackedPieces:
         assert {(v.lhs, v.rhs, v.gap) for v in report.violations} == {(0.0, 1.0, 1.0)}
 
     def test_rejected_spectrum_raises_only_when_a_check_reads_it(self, monkeypatch):
-        monkeypatch.setattr(oracle_mod, "qr_values", lambda a: qr_values(a) + 100.0)
+        monkeypatch.setattr(spectrum_mod, "qr_values", lambda a: qr_values(a) + 100.0)
         report = verify_all(3, checks=["walk_rowsum", "walk_sum_identity", "charpoly_reduction_invariance"])
         assert report.ok and report.digraphs_checked == 64
         with pytest.raises(EigensolverError):
@@ -683,7 +683,7 @@ def _reject(monkeypatch, *targets):
                 out[k] += 100.0
         return out
 
-    monkeypatch.setattr(oracle_mod, "qr_values", shifted)
+    monkeypatch.setattr(spectrum_mod, "qr_values", shifted)
 
 
 class TestRaiseWhereRead:
