@@ -391,7 +391,7 @@ class TestSharedSpectra:
 
     def test_repeated_root_hit_checks_its_own_qr_values(self, monkeypatch):
         # Both digraphs have x^3; the second one's QR values are moved far
-        # from 0, so the shared roots must be rejected for it.
+        # from 0, so the shared spectrum must be rejected for it.
         memo = Memo()
         _shared_spectrum(Digraph(3), memo)
         monkeypatch.setattr(spectrum_mod, "qr_values", lambda a: qr_values(a) + 100.0)
