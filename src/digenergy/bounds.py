@@ -156,9 +156,14 @@ def energy_upper_walk_rms(profile: ClosedWalkProfile, n: int) -> float:
 def energy_upper_walk_ratio(profile: ClosedWalkProfile, n: int) -> float:
     """Energy bound f(sqrt(q)) with q the walk ratio.
 
-    q <= a holds for every valid digraph (q <= rho^2 <= a); if a profile
-    ever violates it the bound is inapplicable and this raises
-    BoundInapplicableError rather than clamping.
+    q <= a, that is sum t2^2 <= a sum c2^2, holds for every digraph, in
+    integers.  t2_i sums c2_j over the c2_i digon neighbours j of i, so by
+    Cauchy-Schwarz t2_i^2 <= c2_i sum_{j~i} c2_j^2; summed over i, and
+    since the digon relation is symmetric, sum t2^2 <= sum_j c2_j^2 t2_j.
+    Then t2_j <= c2_total <= a (c2_total counts the arcs that lie on a
+    digon), so sum t2^2 <= c2_total sum c2^2 <= a sum c2^2.  A profile
+    that violates it comes from no digraph: the bound is inapplicable and
+    this raises BoundInapplicableError rather than clamping.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")

@@ -8,6 +8,7 @@ construction and every operation is a pure function.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,6 +27,18 @@ from .errors import DigraphValidationError, EdgeListParseError
 MAX_VERTICES = 128
 
 
+def _integers(n, pairs: Iterable[tuple[int, int]]) -> tuple[int, frozenset[tuple[int, int]]]:
+    """``n`` and the pairs of vertex labels, each number read with
+    ``operator.index`` as a plain int, so that a float or a string is
+    rejected and not truncated or parsed, and a bool or a numpy integer
+    is stored as the int it stands for."""
+    index = operator.index
+    try:
+        return index(n), frozenset((index(i), index(j)) for i, j in pairs)
+    except TypeError as exc:
+        raise DigraphValidationError(f"the vertex count and labels must be integers: {exc}") from None
+
+
 @dataclass(frozen=True)
 class Digraph:
     """A digraph on vertices 0..n-1: no loops, no multiple arcs."""
@@ -34,12 +47,13 @@ class Digraph:
     arcs: frozenset[tuple[int, int]]
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()):
+        n, arcs = _integers(n, arcs)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "arcs", frozenset((int(i), int(j)) for i, j in arcs))
+        object.__setattr__(self, "arcs", arcs)
         self._validate()
 
     def _validate(self) -> None:
-        if not isinstance(self.n, int) or self.n < 0:
+        if self.n < 0:
             raise DigraphValidationError(f"vertex count must be a non-negative integer, got {self.n!r}")
         for i, j in self.arcs:
             if i == j:
@@ -79,8 +93,9 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
+        n, edges = _integers(n, edges)
+        norm = frozenset((min(i, j), max(i, j)) for i, j in edges)
         object.__setattr__(self, "n", n)
-        norm = frozenset((min(i, j), max(i, j)) for i, j in ((int(i), int(j)) for i, j in edges))
         object.__setattr__(self, "edges", norm)
         if n < 0:
             raise DigraphValidationError(f"vertex count must be non-negative, got {n}")

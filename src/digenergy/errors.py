@@ -40,8 +40,9 @@ class PurelyImaginaryEigenvalueError(ArithmeticError):
 class BoundInapplicableError(ArithmeticError):
     """The walk-ratio energy bound was asked for with ratio q > arc count.
 
-    This is believed unreachable for valid digraphs; it is surfaced rather
-    than clamped so the verification harness can flag it.
+    No digraph's profile has q > a (see ``energy_upper_walk_ratio``), so
+    only a hand-built profile or a miscomputed one raises this; it is
+    surfaced rather than clamped so the verification harness can flag it.
     """
 
     def __init__(self, q: float, arc_count: int):

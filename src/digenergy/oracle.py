@@ -20,6 +20,7 @@ its row of a block of one.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass, fields
@@ -68,8 +69,10 @@ BLOCK_SIZE = 256
 _MASK64 = (1 << 64) - 1
 
 
-def _pair_list(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(n) if i != j]
+@functools.cache
+def _pair_list(n: int) -> tuple[tuple[int, int], ...]:
+    """The ordered pairs of distinct vertices of order n, lexicographic."""
+    return tuple((i, j) for i in range(n) for j in range(n) if i != j)
 
 
 def enumerate_digraphs(n: int) -> Iterator[Digraph]:
@@ -187,7 +190,9 @@ class _Block:
     reduction (``reduced_index``).  Every per-polynomial step runs once per
     row: the certified spectra (``certified``, one Aberth call per degree
     of the exact square-free factors) and from those the Coulson integrals
-    (the pole guard once per spectrum, one quadrature).  ``spectra`` gives
+    (the pole guard once per spectrum, one quadrature), whose
+    PurelyImaginaryEigenvalueError is the one record of a pole on the
+    path, the one a member's ``coulson_match`` skip reads.  ``spectra`` gives
     each member its row of ``certified`` through one ``check_spreads``
     call, so a member whose QR values miss its repeated roots gets its own
     EigensolverError.  The spectral scalars, the integrals and the
@@ -198,8 +203,9 @@ class _Block:
     ``walk_ratio_attained`` on the reductions and profiles for the radius
     (``equality_verdict_rho_lower``), ``energy_bound_attained`` on ``bits``
     for the energy (``equality_verdict_energy_upper``).  The checks of
-    ``verify_all`` read these pieces; a lone ``Analysis`` reads its row,
-    and hands its rows of ``bits`` and ``reduced_bits`` to the verdicts.
+    ``verify_all`` read these pieces; a lone ``Analysis`` is a block of
+    one that reads row 0 and hands its rows of ``bits`` and
+    ``reduced_bits`` to the verdicts.
 
     ``memo`` is the run's store of per-polynomial work (see ``Memo``): the
     block reads and fills it, and a spectrum it holds is the one the
@@ -213,14 +219,6 @@ class _Block:
             raise ValueError(f"a block holds digraphs of one order, got orders {sorted(orders)}")
         (self.n,) = orders
         self.memo = memo
-
-    def analyses(self, tol: float) -> Iterator["Analysis"]:
-        """One ``Analysis`` per digraph, all reading this block, made as
-        they are read, so that a block does not keep its analyses alive."""
-        for index, d in enumerate(self.digraphs):
-            analysis = Analysis(d, tol)
-            analysis._block, analysis._index = self, index
-            yield analysis
 
     @cached_property
     def bits(self) -> np.ndarray:
@@ -363,8 +361,10 @@ class _Block:
     @cached_property
     def ratio_applies(self) -> np.ndarray:
         """The members the walk-ratio energy bound applies to: sum t2^2 <=
-        a sum c2^2, that is q <= a.  On the others
-        ``energy_upper_walk_ratio`` raises BoundInapplicableError."""
+        a sum c2^2, that is q <= a, which every digraph satisfies (see
+        ``energy_upper_walk_ratio``), so this checks the computed profiles.
+        On the others ``energy_upper_walk_ratio`` raises
+        BoundInapplicableError."""
         p = self.profile
         return p.sum_t2_sq <= p.a * p.sum_c2_sq
 
@@ -394,52 +394,32 @@ class Analysis:
     """Everything the library computes for one digraph, each piece at most
     once; the entry point for every per-digraph result.
 
-    A lazy memo: the closed-walk profile, the exact characteristic
-    polynomials of the digraph and of its cycle-arc reduction, the certified
-    spectrum, the geometric symmetrization, the bound chain at ``tol``,
-    both equality verdicts and the Coulson integral (rel_tol 1e-6) are
-    computed on first use and shared by every later reader.  The functions
-    behind them take their pieces as arguments; this class is the one place
-    that wires pieces to results.  The ``analyze`` command reads one, and
-    ``to_dict()`` is the ``analyze --json`` document.
+    A lazy memo: the closed-walk profile, the certified spectrum, the bound
+    chain at ``tol``, both equality verdicts and the Coulson integral
+    (rel_tol 1e-6) are computed on first use and shared by every later
+    reader.  The functions behind them take their pieces as arguments; this
+    class is the one place that wires pieces to results.  The ``analyze``
+    command reads one, and ``to_dict()`` is the ``analyze --json`` document.
 
-    The profile, polynomials, symmetrization, spectrum and Coulson
-    integral are its row of a block of digraphs (``_Block``), which
-    computes each of them for all members at once, and the verdicts read
-    its rows of the block's adjacency and reduction stacks.  A
-    lone ``Analysis(d)`` is a block of one with a fresh ``Memo``; its
-    spectrum is its polynomial's, as in any block.
+    It is a block of one (``_Block([d], Memo())``) and reads row 0 of it:
+    the profile, the spectrum and the Coulson integral of row 0 of
+    ``polys``, which is the digraph's own polynomial, and the verdicts on
+    its rows of the block's adjacency and reduction stacks.  Its spectrum
+    is its polynomial's, as in any block.
     """
-
-    _index = 0
 
     def __init__(self, d: Digraph, tol: float = bounds_mod.DEFAULT_TOL):
         self.d = d
         self.tol = tol
-
-    @cached_property
-    def _block(self) -> _Block:
-        return _Block([self.d], Memo())
+        self._block = _Block([d], Memo())
 
     @cached_property
     def profile(self) -> ClosedWalkProfile:
-        return self._block.profile_row(self._index)
-
-    @cached_property
-    def charpoly(self) -> CharPoly:
-        return self._block.polys[self._block.poly_index[self._index]]
-
-    @cached_property
-    def reduced_charpoly(self) -> CharPoly:
-        return self._block.polys[self._block.reduced_index[self._index]]
+        return self._block.profile_row(0)
 
     @cached_property
     def spectrum(self) -> Spectrum:
-        return unwrap(self._block.spectra[self._index])
-
-    @cached_property
-    def symmetrization(self):
-        return self._block.symmetrization[self._index]
+        return unwrap(self._block.spectra[0])
 
     @cached_property
     def bounds(self):
@@ -447,18 +427,17 @@ class Analysis:
 
     @cached_property
     def verdict_rho(self):
-        block, k = self._block, self._index
-        return equality_verdict_rho_lower(block.bits[k], self.profile, block.reduced_bits[k])
+        return equality_verdict_rho_lower(self._block.bits[0], self.profile, self._block.reduced_bits[0])
 
     @cached_property
     def verdict_energy(self):
-        return equality_verdict_energy_upper(self._block.bits[self._index])
+        return equality_verdict_energy_upper(self._block.bits[0])
 
     @cached_property
     def _coulson(self) -> tuple[Optional[float], Optional[str]]:
         self.spectrum  # a rejected spectrum raises its own error
         try:
-            return unwrap(self._block.integrals[self._block.poly_index[self._index]]), None
+            return unwrap(self._block.integrals[0]), None
         except PurelyImaginaryEigenvalueError as exc:
             return None, str(exc)
 
@@ -619,12 +598,12 @@ def _check_charpoly_reduction_invariance(block: _Block, tol: float):
 
 
 def _check_coulson_match(block: _Block, tol: float):
-    # Per member polynomial, then gathered by ``poly_index``; ``spectral``
-    # has raised already if a member's spectrum is rejected.
+    # Skips exactly the members whose integral has a pole on its path:
+    # ``coulson_energies`` alone decides that.  Per member polynomial, then
+    # gathered by ``poly_index``; ``spectral`` has raised already if a
+    # member's spectrum is rejected.
     _, energy, _, _ = block.spectral()
-    z = np.array([s.eigenvalues for s in block.certified], dtype=complex)
-    skip = ((np.abs(z.real) <= 1e-6) & (np.abs(z) > 1e-6)).any(axis=1)
-    skip |= np.array([isinstance(v, PurelyImaginaryEigenvalueError) for v in block.integrals], dtype=bool)
+    skip = np.array([isinstance(v, PurelyImaginaryEigenvalueError) for v in block.integrals], dtype=bool)
     integral = np.array([0.0 if isinstance(v, Exception) else v for v in block.integrals])
     skip, integral = skip[block.poly_index], integral[block.poly_index]
     diff = np.abs(integral - energy) / np.maximum(1.0, energy)
@@ -698,7 +677,9 @@ def verify_all(
     from its exact square-free factors, and every digraph with that
     polynomial takes the spectrum, the one it gets alone, after its own QR
     values are checked against it when it has a repeated root
-    (``check_spreads``).  The memo ends with the call.
+    (``check_spreads``).  ``coulson_match`` skips exactly the digraphs whose
+    polynomial's integral raised PurelyImaginaryEigenvalueError.  The memo
+    ends with the call.
     """
     if checks is None:
         selected = list(CHECK_NAMES)

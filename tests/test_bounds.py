@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from digenergy import (
@@ -13,7 +14,9 @@ from digenergy import (
     energy_upper_walk_mean,
     energy_upper_walk_ratio,
     energy_upper_walk_rms,
+    enumerate_digraphs,
     inject_fault,
+    random_digraph,
     rho_lower_walk_mean,
     rho_lower_walk_ratio,
     rho_lower_walk_rms,
@@ -22,6 +25,8 @@ from digenergy import (
 )
 from digenergy import bounds as bounds_mod
 from digenergy.bounds import _f_energy
+from digenergy.oracle import _Block
+from digenergy.spectrum import Memo
 
 from families import complete_graph, directed_cycle, spectrum_of, star_graph, sym
 from test_acceptance import BOUND_NAMES
@@ -113,6 +118,22 @@ class TestEnergyUpperBounds:
                                  sum_c2_sq=2, sum_t2_sq=18)
         with pytest.raises(BoundInapplicableError):
             energy_upper_walk_ratio(fake, 2)
+
+    @pytest.mark.parametrize("corpus", ["exhaustive-n1-4", "random-n6-12"])
+    def test_walk_ratio_bound_always_applies(self, corpus):
+        # q <= a, that is sum t2^2 <= a sum c2^2, in integers: Cauchy-Schwarz
+        # over the c2_i digon neighbours of i gives t2_i^2 <= c2_i
+        # sum_{j~i} c2_j^2, so sum t2^2 <= sum_j c2_j^2 t2_j; then t2_j <=
+        # c2_total <= a.  The guard of energy_upper_walk_ratio stays for
+        # profiles that come from no digraph.
+        groups = ([list(enumerate_digraphs(n)) for n in range(1, 5)] if corpus == "exhaustive-n1-4"
+                  else [[random_digraph(n, p, seed) for p in (0.3, 0.5) for seed in range(200)]
+                        for n in (6, 8, 10, 12)])
+        for ds in groups:
+            p = _Block(ds, Memo()).profile
+            assert np.all(p.sum_t2_sq <= (p.c2_seq ** 2 * p.t2_seq).sum(axis=1))
+            assert np.all(p.sum_t2_sq <= p.c2_total * p.sum_c2_sq)
+            assert np.all(p.c2_total <= p.a)
 
 
 class TestFMonotonicity:

@@ -365,3 +365,32 @@ class TestValidation:
     def test_out_of_range_rejected(self):
         with pytest.raises(DigraphValidationError):
             Digraph(2, [(0, 2)])
+
+    # The vertex count and every label are read with operator.index: a
+    # float or a string is rejected, not truncated or parsed.
+    @pytest.mark.parametrize("build", [
+        lambda: Digraph(3, [(0.9, 2.2)]),
+        lambda: Digraph(3, [("1", "2")]),
+        lambda: Digraph(2.0),
+        lambda: Graph(3, [(0.5, 2)]),
+        lambda: Graph(2.5),
+        lambda: Graph("3"),
+    ], ids=["digraph-float-arc", "digraph-str-arc", "digraph-float-n",
+            "graph-float-edge", "graph-float-n", "graph-str-n"])
+    def test_non_integer_rejected(self, build):
+        with pytest.raises(DigraphValidationError, match="must be integers"):
+            build()
+
+    def test_bool_n_is_stored_as_int(self):
+        d = Digraph(True)
+        assert d.n == 1 and type(d.n) is int
+        assert serialize_edge_list(d) == "1\n"
+        assert parse_edge_list(serialize_edge_list(d)) == d
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        d = Digraph(np.int64(3), [(np.int64(0), np.int32(2))])
+        g = Graph(np.int64(3), [(np.int64(2), 0)])
+        assert d == Digraph(3, [(0, 2)]) and g == Graph(3, [(0, 2)])
+        assert type(d.n) is int and type(g.n) is int
+        assert all(type(v) is int for arc in d.arcs | g.edges for v in arc)
+        assert serialize_edge_list(d) == "3\n0 2\n"

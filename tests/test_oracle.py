@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -33,10 +34,10 @@ from digenergy.bounds import DEFAULT_TOL
 from digenergy import kernels as kernels_mod
 from digenergy import oracle as oracle_mod
 from digenergy import spectrum as spectrum_mod
-from digenergy.spectrum import Memo
+from digenergy.spectrum import Memo, Spectrum, unwrap
 from digenergy.structure import KIND_EMPTY
 
-from families import complete_graph, directed_cycle, spectrum_of, sym
+from families import complete_graph, directed_cycle, path_graph, spectrum_of, sym
 
 
 class TestEnumeration:
@@ -223,13 +224,11 @@ class TestVerifyAll:
     def test_random_n10_analysis_documents_are_byte_stable(self):
         # The two report pins hold counts and violations only; this one pins
         # the values: every spectrum, bound and Coulson integral of the same
-        # corpus, in blocks that share one Memo, as verify_all takes them.
+        # corpus, each a lone Analysis, as ``analyze`` takes it.  A spectrum
+        # is its polynomial's in any block, so the same digest held over
+        # blocks that share one Memo.
         ds = [random_digraph(10, 0.3, 1_000_000 + k) for k in range(200)]
-        memo = Memo()
-        docs = []
-        for start in range(0, len(ds), oracle_mod.BLOCK_SIZE):
-            block = oracle_mod._Block(ds[start:start + oracle_mod.BLOCK_SIZE], memo)
-            docs += [a.to_dict() for a in block.analyses(DEFAULT_TOL)]
+        docs = [Analysis(d, DEFAULT_TOL).to_dict() for d in ds]
         digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
         assert digest == "f3b8339cb0764a086935ea0bcb2ae2caeb95aa43cc87596485573086b885ab6e"
 
@@ -329,8 +328,11 @@ class TestAnalysis:
             analysis = Analysis(d, self.TOL)
             first = analysis.to_dict()
             assert analysis.to_dict() == first
-            assert analysis.charpoly is analysis.spectrum.charpoly
-            assert analysis.reduced_charpoly.coeffs == analysis.charpoly.coeffs
+            # Row 0 of the block's table is the digraph's polynomial, and
+            # its reduction's (the same polynomial) shares that row.
+            block = analysis._block
+            assert analysis.spectrum.charpoly is block.polys[0]
+            assert block.poly_index[0] == block.reduced_index[0] == 0
             assert sorted(calls) == ["certify_spectra", "charpoly_from_masks"]
 
     def test_one_kernel_call_per_block(self, monkeypatch):
@@ -351,7 +353,7 @@ class TestAnalysis:
 
 def _shared_spectrum(d, memo):
     """The spectrum of ``d`` as a block of one that shares ``memo``."""
-    return next(oracle_mod._Block([d], memo).analyses(DEFAULT_TOL)).spectrum
+    return unwrap(oracle_mod._Block([d], memo).spectra[0])
 
 
 class TestSharedSpectra:
@@ -485,12 +487,12 @@ class TestBlocks:
 
     def test_block_pieces_equal_lone_pieces(self):
         ds = [random_digraph(10, 0.3, seed) for seed in range(50)] + [Digraph(10)]
-        for analysis in oracle_mod._Block(ds, Memo()).analyses(1e-8):
-            d = analysis.d
-            assert analysis.charpoly == characteristic_polynomial(d)
-            assert analysis.reduced_charpoly == characteristic_polynomial(cycle_arc_reduction(d))
-            assert np.array_equal(analysis.symmetrization, geometric_symmetrization(adjacency_matrix(d)))
-            assert repr(analysis.spectrum) == repr(spectrum_of(d))
+        block = oracle_mod._Block(ds, Memo())
+        for k, d in enumerate(ds):
+            assert block.polys[block.poly_index[k]] == characteristic_polynomial(d)
+            assert block.polys[block.reduced_index[k]] == characteristic_polynomial(cycle_arc_reduction(d))
+            assert np.array_equal(block.symmetrization[k], geometric_symmetrization(adjacency_matrix(d)))
+            assert repr(unwrap(block.spectra[k])) == repr(spectrum_of(d))
 
     @pytest.mark.parametrize("corpus", ["n4", "n10"])
     def test_spectra_and_integrals_equal_blocks_of_one(self, corpus):
@@ -517,23 +519,25 @@ class TestBlocks:
     @pytest.mark.parametrize("rejected", [0, 1])
     def test_exception_is_raised_by_its_own_member_only(self, monkeypatch, rejected):
         # Members 0 and 1 have x^3, and only they take QR values; those of
-        # one of them are moved far from 0, so it alone is rejected, for its
-        # spectrum and its integral, and the other certifies x^3 for the run.
+        # one of them are moved far from 0, so it alone is rejected, and a
+        # check that reads it, such as the integral's, raises its error;
+        # the other certifies x^3 for the run.
         ds = [Digraph(3), Digraph(3, [(0, 1)]), directed_cycle(3)]
         shift = np.zeros((2, 1))
         shift[rejected] = 100.0
         monkeypatch.setattr(spectrum_mod, "qr_values", lambda a: qr_values(a) + shift)
         memo = Memo()
-        analyses = list(oracle_mod._Block(ds, memo).analyses(1e-8))
-        bad, good, third = analyses[rejected], analyses[1 - rejected], analyses[2]
+        block = oracle_mod._Block(ds, memo)
         with pytest.raises(EigensolverError, match="disagree"):
-            bad.spectrum
+            unwrap(block.spectra[rejected])
         with pytest.raises(EigensolverError, match="disagree"):
-            bad.coulson
-        assert good.spectrum.energy == 0.0 and good.coulson == 0.0
-        assert memo.spectra[(0, 0, 0, 1)] is good.spectrum
-        assert third.spectrum.energy == pytest.approx(2.0)
-        assert third.coulson == pytest.approx(2.0, rel=1e-6)
+            oracle_mod._CHECKS["coulson_match"](block, 1e-8)
+        good, third = unwrap(block.spectra[1 - rejected]), unwrap(block.spectra[2])
+        integral = [block.integrals[p] for p in block.poly_index.tolist()]
+        assert good.energy == 0.0 and integral[1 - rejected] == 0.0
+        assert memo.spectra[(0, 0, 0, 1)] is good
+        assert third.energy == pytest.approx(2.0)
+        assert integral[2] == pytest.approx(2.0, rel=1e-6)
 
     def test_qr_values_only_for_members_with_a_repeated_root(self, monkeypatch):
         # QR values serve the spread check alone, so a block whose
@@ -550,7 +554,7 @@ class TestBlocks:
         with monkeypatch.context() as m:
             m.setattr(spectrum_mod, "qr_values", forbidden)
             block = oracle_mod._Block([d for d, sf in zip(ds, square_free) if sf], Memo())
-            assert all(a.to_dict() for a in block.analyses(DEFAULT_TOL))
+            assert all(isinstance(s, Spectrum) for s in block.spectra)
         taken = []
         monkeypatch.setattr(spectrum_mod, "qr_values", lambda a: taken.append(a.copy()) or qr_values(a))
         spectra = oracle_mod._Block(ds[:20], Memo()).spectra
@@ -662,6 +666,42 @@ class TestStackedPieces:
         assert report.ok and report.digraphs_checked == 64
         with pytest.raises(EigensolverError):
             verify_all(3)
+
+
+class TestCoulsonMatch:
+    """``coulson_match`` skips exactly the members whose Coulson integral
+    has a pole on its path, as ``coulson_energies`` decides it: it reads
+    no eigenvalue of its own."""
+
+    @pytest.mark.parametrize("corpus", ["exhaustive-n1-4", "random-n10"])
+    def test_skips_exactly_the_poles(self, corpus):
+        skipped = checked = 0
+        for block in (b for ds in _CORPORA[corpus]() for b in _blocks(ds)):
+            skip, _ = oracle_mod._CHECKS["coulson_match"](block, DEFAULT_TOL)
+            poles = [isinstance(block.integrals[p], PurelyImaginaryEigenvalueError)
+                     for p in block.poly_index.tolist()]
+            assert skip.tolist() == poles
+            skipped += sum(poles)
+            checked += len(poles) - sum(poles)
+        assert skipped and checked
+
+    def test_eigenvalue_near_the_axis_without_a_pole_is_checked(self):
+        # The symmetric path on 3 vertices (x^3 - 2x), with a certified
+        # spectrum planted in the memo whose eigenvalues hold the pair
+        # 1e-7 +- 0.5i, off the axis by more than the pole guard's
+        # 1e-9 (1 + rho); its rho, energy and sums are kept, so the
+        # integral of its polynomial matches the energy, and the member is
+        # checked and passes.
+        d = sym(path_graph(3))
+        memo = Memo()
+        spec = unwrap(oracle_mod._Block([d], memo).spectra[0])
+        planted = dataclasses.replace(spec, eigenvalues=(spec.eigenvalues[0], 1e-7 + 0.5j, 1e-7 - 0.5j))
+        memo.spectra[spec.charpoly.coeffs] = planted
+        block = oracle_mod._Block([d], memo)
+        assert block.spectra[0] is planted
+        skip, slots = oracle_mod._CHECKS["coulson_match"](block, DEFAULT_TOL)
+        assert not skip[0] and not any(fail[0] for fail, *_ in slots)
+        assert block.integrals[0] == pytest.approx(planted.energy, rel=1e-6)
 
 
 K3 = sym(complete_graph(3))

@@ -34,7 +34,7 @@ from digenergy import kernels as kernels_mod
 from digenergy import spectrum as spectrum_mod
 from digenergy.digraph import adjacency_matrices
 from digenergy.oracle import BLOCK_SIZE, _Block
-from digenergy.spectrum import Memo
+from digenergy.spectrum import Memo, unwrap
 
 from families import (
     complete_graph,
@@ -643,9 +643,9 @@ class TestResidualGate:
         memo = Memo()
         with monkeypatch.context() as m:
             m.setattr(spectrum_mod, "_RESIDUAL_GATE", -1.0)
-            for analysis in _Block(ds, memo).analyses(1e-8):
+            for outcome in _Block(ds, memo).spectra:
                 with pytest.raises(EigensolverError, match="exceeds gate"):
-                    analysis.spectrum
+                    unwrap(outcome)
         assert (-1, 0, 0, 1) not in memo.spectra
         block = _Block(ds, memo)
         first, second = block.spectra
@@ -1432,10 +1432,10 @@ class TestExactMemo:
             return kernel(stack)
 
         monkeypatch.setattr(kernels_mod, "charpoly_from_masks", counting)
-        first, second, third = _Block([d, relabeled, tailed], Memo()).analyses(1e-8)
-        poly = first.charpoly
-        assert second.charpoly is poly and third.reduced_charpoly is poly
-        assert third.charpoly == poly == characteristic_polynomial(d)
+        block = _Block([d, relabeled, tailed], Memo())
+        poly = block.polys[block.poly_index[0]]
+        assert block.polys[block.poly_index[1]] is poly and block.polys[block.reduced_index[2]] is poly
+        assert block.polys[block.poly_index[2]] == poly == characteristic_polynomial(d)
         # One kernel call, on the three members and then the one reduction
         # that drops an arc, tailed's; the table is keyed by coefficients,
         # so repeated adjacencies share one row of it.
@@ -1449,7 +1449,7 @@ class TestExactMemo:
         transpose = Digraph(5, [(j, i) for i, j in tailed.arcs])
         assert shuffled != d and transpose != tailed
         for image in (shuffled, transpose):
-            assert Analysis(image).spectrum == first.spectrum == third.spectrum
+            assert Analysis(image).spectrum == block.spectra[0] == block.spectra[2]
 
     @pytest.mark.parametrize("corpus", ["n4", "random-n5-16"])
     def test_relabeling_and_transpose_keep_spectrum_and_bounds(self, corpus):
