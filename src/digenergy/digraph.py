@@ -94,8 +94,8 @@ class Graph:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         n, edges = _integers(n, edges)
-        norm = frozenset((min(i, j), max(i, j)) for i, j in edges)
         object.__setattr__(self, "n", n)
+        norm = frozenset((min(i, j), max(i, j)) for i, j in edges)
         object.__setattr__(self, "edges", norm)
         if n < 0:
             raise DigraphValidationError(f"vertex count must be non-negative, got {n}")
