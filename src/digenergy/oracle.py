@@ -54,17 +54,18 @@ IFF_TOL = 1e-7
 PIN_TOL = 1e-12
 # Digraphs per block of the harness: each block computes its exact and
 # floating layers as stacked arrays, and its per-polynomial work once per
-# distinct polynomial.  Blocks stay small next to a corpus (exhaustive
-# n = 5 has 1,048,576 digraphs), which is never held whole.  One cold
-# verify_all call in a fresh process, its time and the process's peak RSS
-# with blocks of 64 / 256 / 1024 (medians of three; 2-vCPU x86_64 host,
-# Python 3.11, numpy 2.4):
-#   verify_all(4)                   0.173 / 0.117 / 0.101 s   32.4 / 33.0 / 36.6 MB
-#   random n = 10 x 200, p = 0.3    0.124 / 0.079 / 0.090 s   32.9 / 34.3 / 34.3 MB
-#   random n = 12 x 2,000, p = 0.3  1.34 / 1.13 / 1.35 s      36.1 / 39.9 / 54.7 MB
-# At 64 the per-block numpy overhead dominates at n = 4; 1024 gains little
-# there and costs time and 15 MB at n = 12.
-BLOCK_SIZE = 256
+# distinct polynomial.  verify_all holds one block at a time, never the
+# corpus (exhaustive n = 5 has 1,048,576 digraphs).  One cold verify_all
+# call in a fresh process, its time and the process's peak RSS with blocks
+# of 256 / 512 / 1024 (medians of 15, interleaved; one CPU, one BLAS
+# thread; 2-vCPU x86_64 host, Python 3.11, numpy 2.4):
+#   verify_all(4)                     0.089 / 0.079 / 0.072 s   33.0 / 33.5 / 35.0 MB
+#   first 65,536 digraphs of n = 5    1.68 / 1.57 / 1.43 s      33.1 / 34.3 / 36.7 MB
+#   random n = 10 x 1,000, p = 0.3    0.174 / 0.163 / 0.162 s   36.0 / 39.5 / 43.9 MB
+#   random n = 12 x 2,000, p = 0.3    0.450 / 0.420 / 0.432 s   38.7 / 43.0 / 50.5 MB
+# At n <= 5 much of a block of 256 is fixed per-block cost; at n = 12 a
+# block of 1024 costs 12 MB more than one of 256, for a time within noise.
+BLOCK_SIZE = 1024
 
 _MASK64 = (1 << 64) - 1
 
@@ -642,6 +643,46 @@ _CHECKS = {
 CHECK_NAMES: tuple[str, ...] = tuple(_CHECKS)
 
 
+def _verify_block(source: Iterator[Digraph], memo: Memo, selected: list[str], tol: float,
+                  stats: dict[str, CheckStats], violations: list[Violation], inapplicable: list[str]) -> int:
+    """Take the next ``BLOCK_SIZE`` digraphs of ``source`` as one block and
+    run the ``selected`` checks on it: add its counts to ``stats``, its
+    violations to ``violations`` and the edge lists of its members the
+    walk-ratio bound does not apply to to ``inapplicable``.  Returns the
+    number of digraphs taken, 0 once ``source`` is spent.
+
+    A check's outcome arrays are kept only when some member fails it, and
+    the block, its pieces and its digraphs die on return, before the next
+    slice of the corpus is pulled.
+    """
+    digraphs = list(itertools.islice(source, BLOCK_SIZE))
+    if not digraphs:
+        return 0
+    block = _Block(digraphs, memo)
+    for k in np.flatnonzero(~block.ratio_applies).tolist():
+        inapplicable.append(serialize_edge_list(digraphs[k]))
+    outcomes = []  # (name, failed, slots) of each check some member fails
+    failing = _never(block)
+    for name in selected:
+        skip, slots = _CHECKS[name](block, tol)
+        failed = _never(block)
+        for fail, *_ in slots:
+            failed |= fail
+        stats[name].skipped += int(skip.sum())
+        stats[name].failed += int(failed.sum())
+        stats[name].passed += int((~skip & ~failed).sum())
+        if failed.any():
+            outcomes.append((name, failed, slots))
+            failing |= failed
+    for k in np.flatnonzero(failing).tolist():
+        text = serialize_edge_list(digraphs[k])
+        for name, failed, slots in outcomes:
+            if failed[k]:
+                violations += [Violation(text, name, float(lhs[k]), float(rhs[k]), float(gap[k]))
+                               for fail, lhs, rhs, gap in slots if fail[k]]
+    return len(digraphs)
+
+
 def verify_all(
     n: int,
     checks: Optional[Sequence[str]] = None,
@@ -666,7 +707,8 @@ def verify_all(
     failing member, in member order, then check order, then the check's own
     order.  A stacked result is bit for bit the per-digraph one, so the
     report does not depend on the block size, and a lone ``Analysis(d)``
-    is a block of one.  The corpus is never held whole.  A check raises
+    is a block of one.  The corpus is never held whole, and one block is
+    held at a time (``_verify_block``).  A check raises
     where it reads a spectrum the eigensolver rejects: the EigensolverError
     of the first rejected member among the members it reads ends the call.
     With every check run, the first to read spectra reads all members, so
@@ -711,29 +753,8 @@ def verify_all(
     memo = Memo()
     checked = 0
     started = time.monotonic()
-    while digraphs := list(itertools.islice(source, BLOCK_SIZE)):
-        block = _Block(digraphs, memo)
-        checked += len(digraphs)
-        for k in np.flatnonzero(~block.ratio_applies).tolist():
-            inapplicable.append(serialize_edge_list(digraphs[k]))
-        outcomes = []
-        failing = _never(block)
-        for name in selected:
-            skip, slots = _CHECKS[name](block, tol)
-            failed = _never(block)
-            for fail, *_ in slots:
-                failed |= fail
-            stats[name].skipped += int(skip.sum())
-            stats[name].failed += int(failed.sum())
-            stats[name].passed += int((~skip & ~failed).sum())
-            outcomes.append((name, failed, slots))
-            failing |= failed
-        for k in np.flatnonzero(failing).tolist():
-            text = serialize_edge_list(digraphs[k])
-            for name, failed, slots in outcomes:
-                if failed[k]:
-                    violations += [Violation(text, name, float(lhs[k]), float(rhs[k]), float(gap[k]))
-                                   for fail, lhs, rhs, gap in slots if fail[k]]
+    while taken := _verify_block(source, memo, selected, tol, stats, violations, inapplicable):
+        checked += taken
     return VerificationReport(
         n=n,
         mode=mode_desc,

@@ -604,8 +604,10 @@ def _level_synchronous_gl(f: _Integrand, b: float, rel_tol: float) -> list:
     evaluated on its own.  Every polynomial has the same 16 level-0 panels,
     so their ``_nodes`` are computed once per quadrature.  The accepted
     16-node sums are added pairwise in the order of the panel tree, sibling
-    by sibling, and each polynomial's 16 level-0 totals by ``np.sum``, so no
-    result depends on which polynomials share the call.
+    by sibling, and each polynomial's 16 level-0 totals by one row-wise sum
+    over all polynomials (numpy's pairwise sum of each contiguous row, as
+    ``np.sum`` of that row alone), so no result depends on which
+    polynomials share the call.
 
     A polynomial stops with PurelyImaginaryEigenvalueError when one of its
     nodes reads as a pole (at its first such node of the level with
@@ -686,8 +688,8 @@ def _level_synchronous_gl(f: _Integrand, b: float, rel_tol: float) -> list:
         total = fine.copy()
         total[~accepted] = sums[0::2] + sums[1::2]
         sums = total
-    return [2.0 * float(np.sum(sums[k * start:(k + 1) * start])) if outcome is None else outcome
-            for k, outcome in enumerate(outcomes)]
+    totals = sums.reshape(f.count, start).sum(axis=1)
+    return [2.0 * float(total) if outcome is None else outcome for total, outcome in zip(totals, outcomes)]
 
 
 def coulson_energies(spectra: Sequence[Spectrum], rel_tol: float, memo: Memo) -> list:

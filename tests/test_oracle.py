@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import hashlib
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -465,11 +467,37 @@ class TestBlocks:
         report = self._assert_equals_per_digraph_run(monkeypatch, n)
         assert report.digraphs_checked == 2 ** (n * (n - 1))
 
-    def test_violation_order_across_blocks(self, monkeypatch):
+    # With every check, a block holds checks that members fail next to checks
+    # that none fails, whose outcome arrays the harness does not keep.
+    @pytest.mark.parametrize("checks", [["rho_chain"], None], ids=["rho_chain", "all"])
+    def test_violation_order_across_blocks(self, monkeypatch, checks):
         with inject_fault("rho_lower_walk_mean", 1e-3):
             report = self._assert_equals_per_digraph_run(
-                monkeypatch, 3, checks=["rho_chain"], mode="random", count=BLOCK + 1, p=0.5, seed=3)
+                monkeypatch, 3, checks=checks, mode="random", count=BLOCK + 1, p=0.5, seed=3)
         assert len(report.violations) >= BLOCK + 1
+        failing = {name for name, stats in report.checks_run.items() if stats.failed}
+        assert "rho_chain" in failing
+        if checks is None:
+            assert failing != set(CHECK_NAMES)
+
+    def test_one_block_alive_at_a_time(self, monkeypatch):
+        # Each block, with its pieces and outcomes, dies before the next
+        # slice of the corpus is pulled and the next block is built.
+        built = []
+
+        class Tracked(oracle_mod._Block):
+            def __init__(self, digraphs, memo):
+                assert all(ref() is None for ref in built), "an earlier block is still alive"
+                super().__init__(digraphs, memo)
+                built.append(weakref.ref(self))
+
+        monkeypatch.setattr(oracle_mod, "_Block", Tracked)
+        gc.disable()  # a block must die by its reference count, not at a collection
+        try:
+            report = verify_all(4)
+        finally:
+            gc.enable()
+        assert report.digraphs_checked == 4096 and len(built) == -(-4096 // BLOCK) > 1
 
     @pytest.mark.parametrize("corpus", ["n4", "n10"])
     def test_symmetrization_radii_equal_per_matrix_calls(self, corpus):
