@@ -647,8 +647,8 @@ def _verify_block(source: Iterator[Digraph], memo: Memo, selected: list[str], to
                   stats: dict[str, CheckStats], violations: list[Violation], inapplicable: list[str]) -> int:
     """Take the next ``BLOCK_SIZE`` digraphs of ``source`` as one block and
     run the ``selected`` checks on it: add its counts to ``stats``, its
-    violations to ``violations`` and the edge lists of its members the
-    walk-ratio bound does not apply to to ``inapplicable``.  Returns the
+    violations to ``violations``, and to ``inapplicable`` the edge lists of
+    its members that the walk-ratio bound does not apply to.  Returns the
     number of digraphs taken, 0 once ``source`` is spent.
 
     A check's outcome arrays are kept only when some member fails it, and
