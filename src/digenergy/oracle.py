@@ -76,6 +76,15 @@ def _pair_list(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(n) for j in range(n) if i != j)
 
 
+def _order(digraphs: Sequence[Digraph]) -> int:
+    """The one order of ``digraphs``."""
+    orders = {d.n for d in digraphs}
+    if len(orders) != 1:
+        raise ValueError(f"a block holds digraphs of one order, got orders {sorted(orders)}")
+    (n,) = orders
+    return n
+
+
 def enumerate_digraphs(n: int) -> Iterator[Digraph]:
     """All 2^(n(n-1)) labeled loop-free digraphs, in arc-bitmask order."""
     if not 1 <= n <= EXHAUSTIVE_MAX_N:
@@ -92,23 +101,43 @@ def random_digraph(n: int, p: float, seed: int) -> Digraph:
     Reproducible across platforms: a SplitMix64 stream seeded with ``seed``
     draws one 64-bit word per ordered pair (lexicographic order) and the
     arc is included iff the word is below floor(p * 2^64).  ``n`` is at
-    most ``MAX_VERTICES``.  The stream's state after k draws is
-    seed + k * gamma, with gamma = 0x9E3779B97F4A7C15, so word k is the mix
-    of seed + (k + 1) * gamma (mod 2^64), and one ``uint64`` expression,
-    which wraps as the stream does, computes every word.
+    most ``MAX_VERTICES``.  The words are ``_arc_draws``'s, the formula the
+    harness also computes its random blocks' ``bits`` with.
     """
     if not 1 <= n <= MAX_VERTICES:
         raise ValueError(f"need 1 <= n <= {MAX_VERTICES}, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"need 0 <= p <= 1, got {p}")
-    pairs = _pair_list(n)
-    z = np.arange(1, len(pairs) + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    z += np.uint64(seed & _MASK64)
+    arcs = _arc_draws(n, p, np.array([seed & _MASK64], dtype=np.uint64))[0]
+    return Digraph(n, list(itertools.compress(_pair_list(n), arcs.tolist())))
+
+
+def _arc_draws(n: int, p: float, seeds: np.ndarray) -> np.ndarray:
+    """Whether each ordered pair of order n (``_pair_list``) is an arc of
+    ``random_digraph(n, p, seed)``, for each ``uint64`` seed: a
+    ``(K, n(n-1))`` bool array.
+
+    The stream's state after k draws is seed + k * gamma, with
+    gamma = 0x9E3779B97F4A7C15, so word k is the mix of
+    seed + (k + 1) * gamma (mod 2^64), and one ``uint64`` expression, which
+    wraps as the stream does, computes every word of every seed.  At p = 1
+    floor(p * 2^64) = 2^64 lies above every word.
+    """
+    z = seeds[:, None] + np.arange(1, n * (n - 1) + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     z ^= z >> np.uint64(31)
     threshold = int(p * (1 << 64))
-    return Digraph(n, [pair for pair, word in zip(pairs, z.tolist()) if word < threshold])
+    return z < np.uint64(threshold) if threshold <= _MASK64 else np.ones(z.shape, dtype=bool)
+
+
+def _arc_stack(n: int, arcs: np.ndarray) -> np.ndarray:
+    """The ``(K, n, n)`` int64 0-1 matrices of the rows of ``arcs``, a
+    ``(K, n(n-1))`` array whose column k says whether pair k of
+    ``_pair_list(n)`` is an arc."""
+    stack = np.zeros((len(arcs), n * n), dtype=np.int64)
+    stack[:, [i * n + j for i, j in _pair_list(n)]] = arcs
+    return stack.reshape(len(arcs), n, n)
 
 
 @dataclass(frozen=True)
@@ -172,16 +201,22 @@ class _Block:
     ``(K,)``, ``(K, n)`` or ``(K, n, n)`` array or a list of K members.
     Two adjacency stacks come from two independent routes:
 
-    - ``bits``, packed once from the ``out_masks`` bit rows, gives the
-      closed-walk profile (S = A o A^T, c2 = S 1, t2 = S c2 and their sums,
-      in int64) and the cycle-arc reductions ``reduced_bits`` (an arc
-      (i, j) lies on a cycle iff j reaches i, read off a boolean
-      reachability closure);
-    - ``adjacency``, from the arcs, goes to the spread check of the
-      spectra (``check_spreads``, which takes the QR values of the members
-      with a repeated-root polynomial) and gives the geometric
+    - ``bits``, the ``(K, n, n)`` int64 stack the block is built with:
+      ``verify_all``'s block sources compute it from the corpus's own
+      arithmetic (the arc-mask counter of the enumeration, or the
+      SplitMix64 words of the seeds), and ``from_digraphs`` packs it from
+      the members' ``out_masks`` bit rows.  It gives the closed-walk
+      profile (S = A o A^T, c2 = S 1, t2 = S c2 and their sums, in int64)
+      and the cycle-arc reductions ``reduced_bits`` (an arc (i, j) lies on
+      a cycle iff j reaches i, read off a boolean reachability closure);
+    - ``adjacency``, from the arcs of the digraphs, goes to the spread
+      check of the spectra (``check_spreads``, which takes the QR values of
+      the members with a repeated-root polynomial) and gives the geometric
       symmetrizations, and from those the spectral radii of S and S^2, one
-      stacked ``eigvalsh`` each.
+      stacked ``eigvalsh`` each over the block's distinct S.
+
+    The ``walk_rowsum`` check compares the two routes, entry by entry, so a
+    violation always prints the matrix that was checked.
 
     The characteristic polynomials of the digraphs and of their reductions
     come from one kernel call on ``bits`` and the rows of ``reduced_bits``
@@ -205,25 +240,29 @@ class _Block:
     (``equality_verdict_rho_lower``), ``energy_bound_attained`` on ``bits``
     for the energy (``equality_verdict_energy_upper``).  The checks of
     ``verify_all`` read these pieces; a lone ``Analysis`` is a block of
-    one that reads row 0 and hands its rows of ``bits`` and
-    ``reduced_bits`` to the verdicts.
+    one (``from_digraphs``) that reads row 0 and hands its rows of ``bits``
+    and ``reduced_bits`` to the verdicts.
 
     ``memo`` is the run's store of per-polynomial work (see ``Memo``): the
     block reads and fills it, and a spectrum it holds is the one the
     polynomial gets in any block.
     """
 
-    def __init__(self, digraphs: Sequence[Digraph], memo: Memo):
+    def __init__(self, digraphs: Sequence[Digraph], bits: np.ndarray, memo: Memo):
         self.digraphs = list(digraphs)
-        orders = {d.n for d in self.digraphs}
-        if len(orders) != 1:
-            raise ValueError(f"a block holds digraphs of one order, got orders {sorted(orders)}")
-        (self.n,) = orders
+        self.n = _order(self.digraphs)
+        if bits.shape != (len(self.digraphs), self.n, self.n):
+            raise ValueError(f"a block of {len(self.digraphs)} digraphs of order {self.n} "
+                             f"needs an adjacency stack of that shape, got {bits.shape}")
+        self.bits = bits
         self.memo = memo
 
-    @cached_property
-    def bits(self) -> np.ndarray:
-        return kernels._matrix_stack(self.n, [d.out_masks for d in self.digraphs])
+    @classmethod
+    def from_digraphs(cls, digraphs: Sequence[Digraph], memo: Memo) -> "_Block":
+        """The block of ``digraphs``, its ``bits`` packed from their
+        ``out_masks`` bit rows."""
+        digraphs = list(digraphs)
+        return cls(digraphs, kernels._matrix_stack(_order(digraphs), [d.out_masks for d in digraphs]), memo)
 
     @cached_property
     def digons(self) -> np.ndarray:
@@ -340,11 +379,21 @@ class _Block:
 
     @cached_property
     def symmetrization_radii(self) -> tuple[np.ndarray, np.ndarray]:
-        """rho(S) and rho(S^2) of every member."""
-        s = self.symmetrization.astype(float)
-        rho_s = np.abs(np.linalg.eigvalsh(s)).max(axis=1, initial=0.0)
-        rho_s2 = np.abs(np.linalg.eigvalsh(s @ s)).max(axis=1, initial=0.0)
-        return rho_s, rho_s2
+        """rho(S) and rho(S^2) of every member, computed once per distinct S
+        of the block and gathered back by member.  S is keyed by its packed
+        bits and one zero byte, so that S of order 0 has a key too, as one
+        1-D void array: ``np.unique(axis=0)`` on the stack takes about 3 ms
+        a block, and its first call without indices imports ``numpy.ma``.
+        LAPACK gives each matrix the same bits in any stack, so the radii
+        are those of per-member calls."""
+        s = self.symmetrization
+        rows = np.packbits(s.reshape(len(s), -1), axis=1)
+        keys = np.pad(rows, ((0, 0), (0, 1))).view(np.dtype((np.void, rows.shape[1] + 1))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        distinct = s[first].astype(float)
+        rho_s = np.abs(np.linalg.eigvalsh(distinct)).max(axis=1, initial=0.0)
+        rho_s2 = np.abs(np.linalg.eigvalsh(distinct @ distinct)).max(axis=1, initial=0.0)
+        return rho_s[inverse], rho_s2[inverse]
 
     @cached_property
     def walk_lowers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -402,7 +451,8 @@ class Analysis:
     class is the one place that wires pieces to results.  The ``analyze``
     command reads one, and ``to_dict()`` is the ``analyze --json`` document.
 
-    It is a block of one (``_Block([d], Memo())``) and reads row 0 of it:
+    It is a block of one (``_Block.from_digraphs([d], Memo())``) and reads
+    row 0 of it:
     the profile, the spectrum and the Coulson integral of row 0 of
     ``polys``, which is the digraph's own polynomial, and the verdicts on
     its rows of the block's adjacency and reduction stacks.  Its spectrum
@@ -412,7 +462,7 @@ class Analysis:
     def __init__(self, d: Digraph, tol: float = bounds_mod.DEFAULT_TOL):
         self.d = d
         self.tol = tol
-        self._block = _Block([d], Memo())
+        self._block = _Block.from_digraphs([d], Memo())
 
     @cached_property
     def profile(self) -> ClosedWalkProfile:
@@ -496,10 +546,14 @@ def _never(block: _Block) -> np.ndarray:
 
 
 def _check_walk_rowsum(block: _Block, tol: float):
+    # c2 from ``bits`` against the row sums of S from the arcs, then the two
+    # stacks themselves: the arc counts and the number of entries that differ.
     c2 = block.profile.c2_seq
     rows = block.symmetrization.sum(axis=2)
     gap = np.abs(rows - c2)
-    return _never(block), [(gap[:, i] != 0, c2[:, i], rows[:, i], gap[:, i]) for i in range(block.n)]
+    differ = (block.bits != block.adjacency).sum(axis=(1, 2))
+    return _never(block), [*((gap[:, i] != 0, c2[:, i], rows[:, i], gap[:, i]) for i in range(block.n)),
+                           (differ != 0, block.profile.a, block.adjacency.sum(axis=(1, 2)), differ)]
 
 
 def _check_walk_sum_identity(block: _Block, tol: float):
@@ -643,22 +697,46 @@ _CHECKS = {
 CHECK_NAMES: tuple[str, ...] = tuple(_CHECKS)
 
 
-def _verify_block(source: Iterator[Digraph], memo: Memo, selected: list[str], tol: float,
+def _exhaustive_blocks(n: int, memo: Memo) -> Iterator[_Block]:
+    """Every digraph of order n, in blocks of ``BLOCK_SIZE``: the digraphs
+    are pulled from ``enumerate_digraphs``, and a block's ``bits`` are read
+    off the arc masks start, start + 1, ... that the enumeration counts
+    through, bit k for pair k."""
+    digraphs = enumerate_digraphs(n)
+    width = len(_pair_list(n))
+    for start in range(0, 1 << width, BLOCK_SIZE):
+        masks = np.arange(start, min(start + BLOCK_SIZE, 1 << width))
+        yield _Block(list(itertools.islice(digraphs, len(masks))),
+                     _arc_stack(n, (masks[:, None] >> np.arange(width)) & 1), memo)
+
+
+def _random_blocks(n: int, p: float, seed: int, count: int, memo: Memo) -> Iterator[_Block]:
+    """``random_digraph(n, p, seed + k)`` for k < count, in blocks of
+    ``BLOCK_SIZE``: the digraphs are drawn one at a time, and a block's
+    ``bits`` come from one ``_arc_draws`` call on its seeds."""
+    for start in range(0, count, BLOCK_SIZE):
+        size = min(BLOCK_SIZE, count - start)
+        seeds = np.uint64((seed + start) & _MASK64) + np.arange(size, dtype=np.uint64)
+        yield _Block([random_digraph(n, p, seed + start + k) for k in range(size)],
+                     _arc_stack(n, _arc_draws(n, p, seeds)), memo)
+
+
+def _verify_block(blocks: Iterator[_Block], selected: list[str], tol: float,
                   stats: dict[str, CheckStats], violations: list[Violation], inapplicable: list[str]) -> int:
-    """Take the next ``BLOCK_SIZE`` digraphs of ``source`` as one block and
-    run the ``selected`` checks on it: add its counts to ``stats``, its
-    violations to ``violations``, and to ``inapplicable`` the edge lists of
-    its members that the walk-ratio bound does not apply to.  Returns the
-    number of digraphs taken, 0 once ``source`` is spent.
+    """Take the next block of ``blocks`` and run the ``selected`` checks on
+    it: add its counts to ``stats``, its violations to ``violations``, and
+    to ``inapplicable`` the edge lists of its members that the walk-ratio
+    bound does not apply to.  Returns the number of digraphs taken, 0 once
+    ``blocks`` is spent.
 
     A check's outcome arrays are kept only when some member fails it, and
     the block, its pieces and its digraphs die on return, before the next
-    slice of the corpus is pulled.
+    block is pulled.
     """
-    digraphs = list(itertools.islice(source, BLOCK_SIZE))
-    if not digraphs:
+    block = next(blocks, None)
+    if block is None:
         return 0
-    block = _Block(digraphs, memo)
+    digraphs = block.digraphs
     for k in np.flatnonzero(~block.ratio_applies).tolist():
         inapplicable.append(serialize_edge_list(digraphs[k]))
     outcomes = []  # (name, failed, slots) of each check some member fails
@@ -700,7 +778,11 @@ def verify_all(
     from seeds seed, seed+1, ... (n <= 12).  Reports are deterministic for
     a fixed configuration, including violation order.
 
-    The corpus is taken in blocks of ``BLOCK_SIZE`` digraphs, in order.
+    The corpus is taken in blocks of ``BLOCK_SIZE`` digraphs, in order
+    (``_exhaustive_blocks``, ``_random_blocks``): the digraphs come one at a
+    time from ``enumerate_digraphs`` or ``random_digraph``, and each block's
+    adjacency stack ``bits`` from the corpus's own arithmetic, which
+    ``walk_rowsum`` checks against the digraphs' arcs.
     Each check runs once per block (``_Block``), on its stacked pieces, and
     yields masks of the members it passes, fails and skips; a
     ``Violation``, with the digraph's edge-list text, is built only for a
@@ -732,17 +814,18 @@ def verify_all(
         if unknown:
             raise UnknownCheckError(f"unknown check name(s): {', '.join(unknown)}; "
                                     f"known: {', '.join(CHECK_NAMES)}")
+    memo = Memo()
     if mode == "exhaustive":
         if not 1 <= n <= EXHAUSTIVE_MAX_N:
             raise ValueError(f"exhaustive mode needs 1 <= n <= {EXHAUSTIVE_MAX_N}, got {n}")
-        source = enumerate_digraphs(n)
+        blocks = _exhaustive_blocks(n, memo)
         mode_desc = "exhaustive"
     elif mode == "random":
         if not 1 <= n <= RANDOM_MAX_N:
             raise ValueError(f"random mode needs 1 <= n <= {RANDOM_MAX_N}, got {n}")
         if count < 1:
             raise ValueError(f"need count >= 1, got {count}")
-        source = (random_digraph(n, p, seed + k) for k in range(count))
+        blocks = _random_blocks(n, p, seed, count, memo)
         mode_desc = f"random(count={count}, p={p}, seed={seed})"
     else:
         raise ValueError(f"unknown mode {mode!r}; expected 'exhaustive' or 'random'")
@@ -750,10 +833,9 @@ def verify_all(
     stats = {name: CheckStats() for name in selected}
     violations: list[Violation] = []
     inapplicable: list[str] = []
-    memo = Memo()
     checked = 0
     started = time.monotonic()
-    while taken := _verify_block(source, memo, selected, tol, stats, violations, inapplicable):
+    while taken := _verify_block(blocks, selected, tol, stats, violations, inapplicable):
         checked += taken
     return VerificationReport(
         n=n,

@@ -130,7 +130,7 @@ class TestEnergyUpperBounds:
                   else [[random_digraph(n, p, seed) for p in (0.3, 0.5) for seed in range(200)]
                         for n in (6, 8, 10, 12)])
         for ds in groups:
-            p = _Block(ds, Memo()).profile
+            p = _Block.from_digraphs(ds, Memo()).profile
             assert np.all(p.sum_t2_sq <= (p.c2_seq ** 2 * p.t2_seq).sum(axis=1))
             assert np.all(p.sum_t2_sq <= p.c2_total * p.sum_c2_sq)
             assert np.all(p.c2_total <= p.a)

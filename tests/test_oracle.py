@@ -1,12 +1,18 @@
 import dataclasses
 import gc
 import hashlib
+import itertools
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import weakref
 
 import numpy as np
 import pytest
 
+import digenergy
 from digenergy import (
     CHECK_NAMES,
     MAX_VERTICES,
@@ -234,6 +240,17 @@ class TestVerifyAll:
         digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
         assert digest == "f3b8339cb0764a086935ea0bcb2ae2caeb95aa43cc87596485573086b885ab6e"
 
+    def test_verify_loads_no_module_after_import(self):
+        # Each benchmark round is a fresh process, so a module that a run
+        # imports lazily is paid on every round.
+        src = str(pathlib.Path(digenergy.__file__).resolve().parent.parent)
+        code = ("import sys, digenergy; before = set(sys.modules); digenergy.verify_all(4); "
+                "digenergy.verify_all(10, mode='random', p=0.3, count=200); "
+                "print(sorted(set(sys.modules) - before))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert (proc.returncode, proc.stdout.strip()) == (0, "[]"), proc.stderr
+
     def test_a_run_leaves_nothing_behind(self, monkeypatch):
         # A second run in the same process does the same exact work and
         # reports the same: nothing outlives a verify_all call.
@@ -355,7 +372,7 @@ class TestAnalysis:
 
 def _shared_spectrum(d, memo):
     """The spectrum of ``d`` as a block of one that shares ``memo``."""
-    return unwrap(oracle_mod._Block([d], memo).spectra[0])
+    return unwrap(oracle_mod._Block.from_digraphs([d], memo).spectra[0])
 
 
 class TestSharedSpectra:
@@ -438,6 +455,17 @@ def _report_text(report) -> str:
                       sort_keys=True)
 
 
+def _first_difference(a, b) -> str:
+    """Where two reports first differ: their first differing violation, or
+    else the rest of their bodies."""
+    texts = [[json.dumps(v.to_dict()) for v in r.violations] for r in (a, b)]
+    for k, (x, y) in enumerate(itertools.zip_longest(*texts)):
+        if x != y:
+            return f"violation {k} differs: {x} against {y}"
+    rest = [{k: v for k, v in r.to_dict().items() if k not in ("violations", "elapsed_seconds")} for r in (a, b)]
+    return f"the violations are equal, the rest differs: {rest[0]} against {rest[1]}"
+
+
 BLOCK = oracle_mod.BLOCK_SIZE
 
 
@@ -451,7 +479,10 @@ class TestBlocks:
         with monkeypatch.context() as m:
             m.setattr(oracle_mod, "BLOCK_SIZE", 1)
             reference = verify_all(n, **kwargs)
-        assert _report_text(blocked) == _report_text(reference)
+        # Digests, not the texts: pytest's diff of two ~100 KB report texts
+        # runs for minutes, so a difference names its first violation instead.
+        digests = [hashlib.sha256(_report_text(r).encode()).hexdigest() for r in (blocked, reference)]
+        assert digests[0] == digests[1], _first_difference(blocked, reference)
         for stats in blocked.checks_run.values():
             assert stats.passed + stats.failed + stats.skipped == blocked.digraphs_checked
         return blocked
@@ -489,8 +520,8 @@ class TestBlocks:
         built = []
 
         class Tracked(oracle_mod._Block):
-            def __init__(self, digraphs, memo):
-                super().__init__(digraphs, memo)
+            def __init__(self, digraphs, bits, memo):
+                super().__init__(digraphs, bits, memo)
                 built.append(weakref.ref(self))
 
         def corpus(n):
@@ -507,12 +538,18 @@ class TestBlocks:
             gc.enable()
         assert report.digraphs_checked == 4096 and len(built) == -(-4096 // BLOCK) > 1
 
-    @pytest.mark.parametrize("corpus", ["n4", "n10"])
+    # The radii are computed once per distinct S of a block: the first
+    # block of n = 5 has 8 distinct S in 1,024 members, the four blocks of
+    # n = 4 16 to 64, and random n = 10 nearly one per member.
+    @pytest.mark.parametrize("corpus", ["n4", "n5-first-block", "n10"])
     def test_symmetrization_radii_equal_per_matrix_calls(self, corpus):
-        ds = (list(enumerate_digraphs(4)) if corpus == "n4"
-              else [random_digraph(10, 0.3, seed) for seed in range(400)])
+        ds = {"n4": lambda: list(enumerate_digraphs(4)),
+              "n5-first-block": lambda: list(itertools.islice(enumerate_digraphs(5), BLOCK)),
+              "n10": lambda: [random_digraph(10, 0.3, seed) for seed in range(400)]}[corpus]()
         for start in range(0, len(ds), BLOCK):
-            block = oracle_mod._Block(ds[start:start + BLOCK], Memo())
+            block = oracle_mod._Block.from_digraphs(ds[start:start + BLOCK], Memo())
+            if corpus == "n5-first-block":
+                assert len({s.tobytes() for s in block.symmetrization}) == 8
             rho_s, rho_s2 = block.symmetrization_radii
             want_s, want_s2 = [], []
             for d in block.digraphs:
@@ -523,7 +560,7 @@ class TestBlocks:
 
     def test_block_pieces_equal_lone_pieces(self):
         ds = [random_digraph(10, 0.3, seed) for seed in range(50)] + [Digraph(10)]
-        block = oracle_mod._Block(ds, Memo())
+        block = oracle_mod._Block.from_digraphs(ds, Memo())
         for k, d in enumerate(ds):
             assert block.polys[block.poly_index[k]] == characteristic_polynomial(d)
             assert block.polys[block.reduced_index[k]] == characteristic_polynomial(cycle_arc_reduction(d))
@@ -543,7 +580,7 @@ class TestBlocks:
         def outcomes(size):
             memo, out = Memo(), []
             for start in range(0, len(ds), size):
-                block = oracle_mod._Block(ds[start:start + size], memo)
+                block = oracle_mod._Block.from_digraphs(ds[start:start + size], memo)
                 out += [(text(spec), text(spec if isinstance(spec, Exception) else block.integrals[p]))
                         for spec, p in zip(block.spectra, block.poly_index.tolist())]
             return out
@@ -563,7 +600,7 @@ class TestBlocks:
         shift[rejected] = 100.0
         monkeypatch.setattr(spectrum_mod, "qr_values", lambda a: qr_values(a) + shift)
         memo = Memo()
-        block = oracle_mod._Block(ds, memo)
+        block = oracle_mod._Block.from_digraphs(ds, memo)
         with pytest.raises(EigensolverError, match="disagree"):
             unwrap(block.spectra[rejected])
         with pytest.raises(EigensolverError, match="disagree"):
@@ -589,20 +626,83 @@ class TestBlocks:
 
         with monkeypatch.context() as m:
             m.setattr(spectrum_mod, "qr_values", forbidden)
-            block = oracle_mod._Block([d for d, sf in zip(ds, square_free) if sf], Memo())
+            block = oracle_mod._Block.from_digraphs([d for d, sf in zip(ds, square_free) if sf], Memo())
             assert all(isinstance(s, Spectrum) for s in block.spectra)
         taken = []
         monkeypatch.setattr(spectrum_mod, "qr_values", lambda a: taken.append(a.copy()) or qr_values(a))
-        spectra = oracle_mod._Block(ds[:20], Memo()).spectra
+        spectra = oracle_mod._Block.from_digraphs(ds[:20], Memo()).spectra
         assert not any(isinstance(s, Exception) for s in spectra)
         want = [adjacency_matrix(d) for d, sf in zip(ds[:20], square_free) if not sf]
         assert len(taken) == 1 and np.array_equal(taken[0], np.array(want))
 
     def test_one_order_per_block(self):
         with pytest.raises(ValueError, match="one order"):
-            oracle_mod._Block([Digraph(2), Digraph(3)], Memo())
-        rho_s, rho_s2 = oracle_mod._Block([Digraph(0)], Memo()).symmetrization_radii
+            oracle_mod._Block.from_digraphs([Digraph(2), Digraph(3)], Memo())
+        rho_s, rho_s2 = oracle_mod._Block.from_digraphs([Digraph(0)], Memo()).symmetrization_radii
         assert rho_s.tolist() == rho_s2.tolist() == [0.0]
+
+
+def _assert_stacks_equal_digraphs(blocks):
+    """Each member's ``bits``, from the corpus's arithmetic, are the stack
+    packed from its own ``out_masks``; returns the members seen."""
+    seen = []
+    for block in blocks:
+        for k, d in enumerate(block.digraphs):
+            assert np.array_equal(block.bits[k], kernels_mod._matrix_stack(d.n, [d.out_masks])[0]), d
+        seen += block.digraphs
+    return seen
+
+
+class TestCorpusStacks:
+    """``verify_all``'s block sources compute each block's ``bits`` from the
+    corpus's own arithmetic while the digraphs come one at a time from
+    ``enumerate_digraphs`` and ``random_digraph``; ``walk_rowsum`` catches a
+    handed-over digraph that differs from its row of the stack."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_exhaustive(self, n):
+        seen = _assert_stacks_equal_digraphs(oracle_mod._exhaustive_blocks(n, Memo()))
+        assert seen == list(enumerate_digraphs(n))
+
+    def test_exhaustive_n5_first_and_last_block(self, monkeypatch):
+        # Building all 2^20 digraphs of n = 5 takes seconds, so the corpus
+        # hands over one shared empty digraph up to the last block, whose
+        # members are built as the enumeration builds them, from their
+        # masks; the first block is the enumeration's own.
+        pairs = [(i, j) for i in range(5) for j in range(5) if i != j]
+        total = 1 << len(pairs)
+        first = next(oracle_mod._exhaustive_blocks(5, Memo()))
+        assert _assert_stacks_equal_digraphs([first]) == list(itertools.islice(enumerate_digraphs(5), BLOCK))
+        last = [Digraph(5, [pair for k, pair in enumerate(pairs) if mask >> k & 1])
+                for mask in range(total - BLOCK, total)]
+        monkeypatch.setattr(oracle_mod, "enumerate_digraphs",
+                            lambda n: itertools.chain(itertools.repeat(Digraph(5), total - BLOCK), last))
+        *_, block = oracle_mod._exhaustive_blocks(5, Memo())
+        assert _assert_stacks_equal_digraphs([block]) == last
+        assert last[-1].arc_count == len(pairs)
+
+    # p = 1.0 puts floor(p 2^64) = 2^64 out of uint64's range, and the seeds
+    # from 2^64 - 6 wrap past 2^64 inside the second block of 5.
+    @pytest.mark.parametrize("n", [1, 2, 8, 12])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("seed", [0, -7, 2 ** 64 - 6])
+    def test_random(self, monkeypatch, n, p, seed):
+        monkeypatch.setattr(oracle_mod, "BLOCK_SIZE", 5)
+        seen = _assert_stacks_equal_digraphs(oracle_mod._random_blocks(n, p, seed, 12, Memo()))
+        assert seen == [random_digraph(n, p, seed + k) for k in range(12)]
+
+    def test_a_digraph_that_differs_from_its_stack_fails_walk_rowsum(self, monkeypatch):
+        # The corpus hands over {(0, 1), (1, 2)} where the stack holds
+        # {(0, 1)}: a one-way arc, so S and every row sum agree, and only the
+        # slot that compares the two stacks fails, for that member alone.
+        stacked, handed = Digraph(3, [(0, 1)]), Digraph(3, [(0, 1), (1, 2)])
+        enumerate_3 = oracle_mod.enumerate_digraphs
+        monkeypatch.setattr(oracle_mod, "enumerate_digraphs",
+                            lambda n: (handed if d == stacked else d for d in enumerate_3(n)))
+        report = verify_all(3, checks=["walk_rowsum"])
+        assert report.checks_run["walk_rowsum"].failed == 1
+        assert [v.to_dict() for v in report.violations] == [
+            {"digraph": serialize_edge_list(handed), "check": "walk_rowsum", "lhs": 1.0, "rhs": 2.0, "gap": 1.0}]
 
 
 def _blocks(ds):
@@ -610,7 +710,7 @@ def _blocks(ds):
     takes a corpus."""
     memo = Memo()
     for start in range(0, len(ds), BLOCK):
-        yield oracle_mod._Block(ds[start:start + BLOCK], memo)
+        yield oracle_mod._Block.from_digraphs(ds[start:start + BLOCK], memo)
 
 
 # Each corpus as groups of digraphs of one order; random n = 8 holds the
@@ -730,10 +830,10 @@ class TestCoulsonMatch:
         # checked and passes.
         d = sym(path_graph(3))
         memo = Memo()
-        spec = unwrap(oracle_mod._Block([d], memo).spectra[0])
+        spec = unwrap(oracle_mod._Block.from_digraphs([d], memo).spectra[0])
         planted = dataclasses.replace(spec, eigenvalues=(spec.eigenvalues[0], 1e-7 + 0.5j, 1e-7 - 0.5j))
         memo.spectra[spec.charpoly.coeffs] = planted
-        block = oracle_mod._Block([d], memo)
+        block = oracle_mod._Block.from_digraphs([d], memo)
         assert block.spectra[0] is planted
         skip, slots = oracle_mod._CHECKS["coulson_match"](block, DEFAULT_TOL)
         assert not skip[0] and not any(fail[0] for fail, *_ in slots)
@@ -770,7 +870,7 @@ class TestRaiseWhereRead:
 
     def test_spectral_raises_the_first_rejected_member_it_reads(self, monkeypatch):
         _reject(monkeypatch, Digraph(3), K3)
-        block = oracle_mod._Block([directed_cycle(3), Digraph(3), K3], Memo())
+        block = oracle_mod._Block.from_digraphs([directed_cycle(3), Digraph(3), K3], Memo())
         assert block.spectral(np.array([True, False, False]))[1].tolist()[0] == pytest.approx(2.0)
         for rows, roots in (([True, True, True], (0, 0, 0)), ([False, False, True], (2, -1, -1))):
             with pytest.raises(EigensolverError) as info:
@@ -780,8 +880,10 @@ class TestRaiseWhereRead:
     @pytest.mark.parametrize("checks,roots", [(["dominance_chain", "moment_total"], (2, -1, -1)),
                                               (["moment_total", "dominance_chain"], (0, 0, 0))])
     def test_first_reading_check_picks_the_member(self, monkeypatch, checks, roots):
-        # dominance_chain skips the empty digraph and reads K3 only.
-        monkeypatch.setattr(oracle_mod, "enumerate_digraphs", lambda n: iter([Digraph(3), K3]))
+        # dominance_chain skips the empty digraph and reads K3 only.  The
+        # two-member corpus is one block, its stack packed from the digraphs.
+        monkeypatch.setattr(oracle_mod, "_exhaustive_blocks",
+                            lambda n, memo: iter([oracle_mod._Block.from_digraphs([Digraph(3), K3], memo)]))
         _reject(monkeypatch, Digraph(3), K3)
         with pytest.raises(EigensolverError) as info:
             verify_all(3, checks=checks)

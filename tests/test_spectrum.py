@@ -511,7 +511,7 @@ class TestModularCertificate:
                        if c not in seen]
                 seen.update(new)
                 want += [new] if new else []
-                _Block(block, memo).certified
+                _Block.from_digraphs(block, memo).certified
         assert calls == want
         # A polynomial is its own one factor iff it has no repeated root;
         # Yun gives the constant (1,) the empty product, square-free too.
@@ -643,11 +643,11 @@ class TestResidualGate:
         memo = Memo()
         with monkeypatch.context() as m:
             m.setattr(spectrum_mod, "_RESIDUAL_GATE", -1.0)
-            for outcome in _Block(ds, memo).spectra:
+            for outcome in _Block.from_digraphs(ds, memo).spectra:
                 with pytest.raises(EigensolverError, match="exceeds gate"):
                     unwrap(outcome)
         assert (-1, 0, 0, 1) not in memo.spectra
-        block = _Block(ds, memo)
+        block = _Block.from_digraphs(ds, memo)
         first, second = block.spectra
         assert first is second is memo.spectra[-1, 0, 0, 1]
         assert first.energy == pytest.approx(2.0, abs=1e-12)
@@ -786,7 +786,7 @@ def _certified_block_rows(monkeypatch, blocks):
     with monkeypatch.context() as m:
         m.setattr(spectrum_mod, "_paired_spectra", recording)
         for ds in blocks:
-            outcomes = _Block(ds, Memo()).certified
+            outcomes = _Block.from_digraphs(ds, Memo()).certified
             spectra += [s for s in outcomes if not isinstance(s, Exception)]
     return seen, spectra
 
@@ -1359,7 +1359,7 @@ class TestGaussLegendreRules:
 def _block_outcomes(d, memo):
     """The spectrum and Coulson outcome of ``d`` as a block of one that
     reads and fills ``memo``, as text."""
-    block = _Block([d], memo)
+    block = _Block.from_digraphs([d], memo)
     (spec,) = block.spectra
     return repr(spec), _outcome_text(spec if isinstance(spec, Exception) else block.integrals[0])
 
@@ -1396,7 +1396,7 @@ class TestExactMemo:
         relabeled = Digraph(4, [(perm[i], perm[j]) for i, j in d.arcs])
         assert relabeled != d
         memo = Memo()
-        first = _Block([d], memo)
+        first = _Block.from_digraphs([d], memo)
         (integral,) = first.integrals
         coeffs = characteristic_polynomial(d).coeffs
         assert coeffs in memo.factors
@@ -1409,7 +1409,7 @@ class TestExactMemo:
         # The memo serves a second block: no decomposition, no quadrature.
         monkeypatch.setattr(kernels_mod, "square_free_decompositions", forbidden)
         monkeypatch.setattr(spectrum_mod, "_level_synchronous_gl", forbidden)
-        second = _Block([relabeled], memo)
+        second = _Block.from_digraphs([relabeled], memo)
         assert second.spectra[0] is memo.spectra[coeffs]
         assert second.integrals[0] == integral
 
@@ -1432,7 +1432,7 @@ class TestExactMemo:
             return kernel(stack)
 
         monkeypatch.setattr(kernels_mod, "charpoly_from_masks", counting)
-        block = _Block([d, relabeled, tailed], Memo())
+        block = _Block.from_digraphs([d, relabeled, tailed], Memo())
         poly = block.polys[block.poly_index[0]]
         assert block.polys[block.poly_index[1]] is poly and block.polys[block.reduced_index[2]] is poly
         assert block.polys[block.poly_index[2]] == poly == characteristic_polynomial(d)

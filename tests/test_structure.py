@@ -376,5 +376,5 @@ class TestEnergyEqualityVerdict:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_every_graph_up_to_six_matches_the_numeric_test(self, n):
         gs = list(all_graphs(n))
-        _, [(fail, *_)] = _check_equality_iff_energy(_Block([sym(g) for g in gs], Memo()), DEFAULT_TOL)
+        _, [(fail, *_)] = _check_equality_iff_energy(_Block.from_digraphs([sym(g) for g in gs], Memo()), DEFAULT_TOL)
         assert [g.edges for g, bad in zip(gs, fail) if bad] == []
