@@ -7,9 +7,11 @@ characteristic polynomial is the kernel that the verification harness and
 of a block's digraphs and of their cycle-arc reductions; a lone digraph is
 a block of one), on int64 while the values measured at a step leave room
 for the next and on Python integers (``dtype=object``) from then on, so
-every result is exact at any size.  ``_matrix_stack`` packs bit rows into
-such a stack once; the harness builds its QR and symmetrization stacks
-from the arcs, an independent route.  The kernel keeps the name
+every result is exact at any size.  The harness computes the stack of its
+corpus from the corpus's own arithmetic (``oracle``), and ``_matrix_stack``
+packs one from bit rows for a block built from digraphs, such as a lone
+``analyze``; the harness builds its QR and symmetrization stacks from the
+arcs, an independent route.  The kernel keeps the name
 ``charpoly_from_masks`` from when it took bit rows itself, because
 benchmark traces name it.
 
@@ -93,8 +95,7 @@ def scc_ids(n: int, out_masks, in_masks):
 def charpoly_from_masks(a: np.ndarray):
     """Exact characteristic polynomials of a block of 0-1 adjacency matrices.
 
-    ``a`` is a ``(K, n, n)`` 0-1 int64 stack (``_matrix_stack`` builds one
-    from bit rows), and each step of the Faddeev-LeVerrier recurrence
+    ``a`` is a ``(K, n, n)`` 0-1 int64 stack, and each step of the Faddeev-LeVerrier recurrence
     ``M_0 = 0``, ``c_0 = 1``, ``M_k = A M_{k-1} + c_{k-1} A``,
     ``c_k = -tr(M_k) / k`` is one stacked matmul and one exact array
     division.  Returns, per matrix, the n+1 coefficients in ascending order

@@ -59,12 +59,12 @@ PIN_TOL = 1e-12
 # call in a fresh process, its time and the process's peak RSS with blocks
 # of 256 / 512 / 1024 (medians of 15, interleaved; one CPU, one BLAS
 # thread; 2-vCPU x86_64 host, Python 3.11, numpy 2.4):
-#   verify_all(4)                     0.089 / 0.079 / 0.072 s   33.0 / 33.5 / 35.0 MB
-#   first 65,536 digraphs of n = 5    1.68 / 1.57 / 1.43 s      33.1 / 34.3 / 36.7 MB
-#   random n = 10 x 1,000, p = 0.3    0.174 / 0.163 / 0.162 s   36.0 / 39.5 / 43.9 MB
-#   random n = 12 x 2,000, p = 0.3    0.450 / 0.420 / 0.432 s   38.7 / 43.0 / 50.5 MB
+#   verify_all(4)                     0.073 / 0.062 / 0.057 s   31.7 / 32.4 / 33.6 MB
+#   first 65,536 digraphs of n = 5    1.36 / 1.25 / 1.15 s      32.1 / 33.2 / 35.3 MB
+#   random n = 10 x 1,000, p = 0.3    0.165 / 0.150 / 0.152 s   35.5 / 39.3 / 44.0 MB
+#   random n = 12 x 2,000, p = 0.3    0.418 / 0.398 / 0.395 s   39.2 / 42.6 / 49.8 MB
 # At n <= 5 much of a block of 256 is fixed per-block cost; at n = 12 a
-# block of 1024 costs 12 MB more than one of 256, for a time within noise.
+# block of 1024 costs 11 MB more than one of 256, for 5% less time.
 BLOCK_SIZE = 1024
 
 _MASK64 = (1 << 64) - 1
