@@ -10,8 +10,9 @@ for the next and on Python integers (``dtype=object``) from then on, so
 every result is exact at any size.  The harness computes the stack of its
 corpus from the corpus's own arithmetic (``oracle``), and ``_matrix_stack``
 packs one from bit rows for a block built from digraphs, such as a lone
-``analyze``; the harness builds its QR and symmetrization stacks from the
-arcs, an independent route.  The kernel keeps the name
+``analyze``; every other stack of a block comes from that one, and only
+the harness's ``walk_rowsum`` check builds a second from the arcs, an
+independent route.  The kernel keeps the name
 ``charpoly_from_masks`` from when it took bit rows itself, because
 benchmark traces name it.
 

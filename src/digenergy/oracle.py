@@ -7,11 +7,11 @@ arrays: the closed-walk profiles, the cycle-arc reductions, the exact
 characteristic polynomials, the certified spectra and their scalars, the
 symmetrization radii and the Coulson integrals.  Each named check is one
 function of a block that returns masks of the members it fails and skips,
-and a violation is reported, with the offending digraph serialized in the
-edge-list format, only for a failing member.  The checks recompute each
-bound formula inline from the profile arrays, so a drifted formula in
-``bounds`` is caught directly and not merely when an inequality happens to
-invert.
+and a violation is reported, with the member's row of the block's adjacency
+stack serialized in the edge-list format, only for a failing member.  The
+checks recompute each bound formula inline from the profile arrays, so a
+drifted formula in ``bounds`` is caught directly and not merely when an
+inequality happens to invert.
 
 ``Analysis`` is the record of one digraph that the ``analyze`` command
 reads (profile, spectrum, bounds, equality verdicts, Coulson integral):
@@ -198,25 +198,21 @@ class _Block:
     """The stacked pieces of a block of digraphs of one order.
 
     Each piece is computed for the whole block on its first read, as a
-    ``(K,)``, ``(K, n)`` or ``(K, n, n)`` array or a list of K members.
-    Two adjacency stacks come from two independent routes:
-
-    - ``bits``, the ``(K, n, n)`` int64 stack the block is built with:
-      ``verify_all``'s block sources compute it from the corpus's own
-      arithmetic (the arc-mask counter of the enumeration, or the
-      SplitMix64 words of the seeds), and ``from_digraphs`` packs it from
-      the members' ``out_masks`` bit rows.  It gives the closed-walk
-      profile (S = A o A^T, c2 = S 1, t2 = S c2 and their sums, in int64)
-      and the cycle-arc reductions ``reduced_bits`` (an arc (i, j) lies on
-      a cycle iff j reaches i, read off a boolean reachability closure);
-    - ``adjacency``, from the arcs of the digraphs, goes to the spread
-      check of the spectra (``check_spreads``, which takes the QR values of
-      the members with a repeated-root polynomial) and gives the geometric
-      symmetrizations, and from those the spectral radii of S and S^2, one
-      stacked ``eigvalsh`` each over the block's distinct S.
-
-    The ``walk_rowsum`` check compares the two routes, entry by entry, so a
-    violation always prints the matrix that was checked.
+    ``(K,)``, ``(K, n)`` or ``(K, n, n)`` array or a list of K members,
+    from one adjacency stack: ``bits``, the ``(K, n, n)`` int64 stack the
+    block is built with.  ``verify_all``'s block sources compute it from
+    the corpus's own arithmetic (the arc-mask counter of the enumeration,
+    or the SplitMix64 words of the seeds), and ``from_digraphs`` packs it
+    from the members' ``out_masks`` bit rows.  It gives the digon graphs
+    ``digons`` (S = A o A^T, the geometric symmetrization of a 0-1
+    matrix), the closed-walk profile (c2 = S 1, t2 = S c2 and their sums,
+    in int64), the spectral radii of S and S^2 (one stacked ``eigvalsh``
+    each over the block's distinct S), the QR values of the spread check
+    (``check_spreads``), the cycle-arc reductions ``reduced_bits`` (an
+    arc (i, j) lies on a cycle iff j reaches i, read off a boolean
+    reachability closure) and the edge-list text of a member (``text``).
+    The members' arcs are an independent second route that only the
+    ``walk_rowsum`` check reads, entry by entry against ``bits``.
 
     The characteristic polynomials of the digraphs and of their reductions
     come from one kernel call on ``bits`` and the rows of ``reduced_bits``
@@ -278,6 +274,10 @@ class _Block:
                                  c2_total=c2.sum(axis=1), sum_c2_sq=(c2 * c2).sum(axis=1),
                                  sum_t2_sq=(t2 * t2).sum(axis=1))
 
+    def text(self, k: int) -> str:
+        """Member k's row of ``bits`` in the edge-list format."""
+        return serialize_edge_list(Digraph(self.n, np.argwhere(self.bits[k]).tolist()))
+
     def profile_row(self, k: int) -> ClosedWalkProfile:
         """Member k's closed-walk profile, in Python ints."""
         p = self.profile
@@ -301,7 +301,7 @@ class _Block:
 
     @cached_property
     def _poly_table(self) -> tuple[list[CharPoly], np.ndarray, np.ndarray]:
-        size = len(self.digraphs)
+        size = len(self.bits)
         drops = np.flatnonzero(self.drops_arcs)
         coeffs = kernels.charpoly_from_masks(np.concatenate([self.bits, self.reduced_bits[drops]]))
         table: dict[tuple[int, ...], int] = {}
@@ -336,7 +336,7 @@ class _Block:
     def spectra(self) -> list:
         """Each member's spectrum, or the EigensolverError that rejects it:
         its row of ``certified`` through ``check_spreads``."""
-        return check_spreads([self.certified[p] for p in self.poly_index.tolist()], self.adjacency, self.memo)
+        return check_spreads([self.certified[p] for p in self.poly_index.tolist()], self.bits, self.memo)
 
     @cached_property
     def rejected(self) -> np.ndarray:
@@ -370,14 +370,6 @@ class _Block:
         return [next(values) if isinstance(s, Spectrum) else s for s in self.certified]
 
     @cached_property
-    def adjacency(self) -> np.ndarray:
-        return adjacency_matrices(self.digraphs)
-
-    @cached_property
-    def symmetrization(self) -> np.ndarray:
-        return geometric_symmetrization(self.adjacency)
-
-    @cached_property
     def symmetrization_radii(self) -> tuple[np.ndarray, np.ndarray]:
         """rho(S) and rho(S^2) of every member, computed once per distinct S
         of the block and gathered back by member.  S is keyed by its packed
@@ -386,7 +378,7 @@ class _Block:
         a block, and its first call without indices imports ``numpy.ma``.
         LAPACK gives each matrix the same bits in any stack, so the radii
         are those of per-member calls."""
-        s = self.symmetrization
+        s = self.digons
         rows = np.packbits(s.reshape(len(s), -1), axis=1)
         keys = np.pad(rows, ((0, 0), (0, 1))).view(np.dtype((np.void, rows.shape[1] + 1))).ravel()
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
@@ -456,7 +448,9 @@ class Analysis:
     the profile, the spectrum and the Coulson integral of row 0 of
     ``polys``, which is the digraph's own polynomial, and the verdicts on
     its rows of the block's adjacency and reduction stacks.  Its spectrum
-    is its polynomial's, as in any block.
+    is its polynomial's, as in any block.  It builds one adjacency stack,
+    packed from ``d.out_masks``, and the QR values of a repeated-root
+    spread check come from that stack too.
     """
 
     def __init__(self, d: Digraph, tol: float = bounds_mod.DEFAULT_TOL):
@@ -542,18 +536,20 @@ class Analysis:
 
 
 def _never(block: _Block) -> np.ndarray:
-    return np.zeros(len(block.digraphs), dtype=bool)
+    return np.zeros(len(block.bits), dtype=bool)
 
 
 def _check_walk_rowsum(block: _Block, tol: float):
-    # c2 from ``bits`` against the row sums of S from the arcs, then the two
-    # stacks themselves: the arc counts and the number of entries that differ.
+    # The one check that reads the arcs: c2 from ``bits`` against the row
+    # sums of S from the arcs, then the two stacks themselves: the arc
+    # counts and the number of entries that differ.
+    adjacency = adjacency_matrices(block.digraphs)
     c2 = block.profile.c2_seq
-    rows = block.symmetrization.sum(axis=2)
+    rows = geometric_symmetrization(adjacency).sum(axis=2)
     gap = np.abs(rows - c2)
-    differ = (block.bits != block.adjacency).sum(axis=(1, 2))
+    differ = (block.bits != adjacency).sum(axis=(1, 2))
     return _never(block), [*((gap[:, i] != 0, c2[:, i], rows[:, i], gap[:, i]) for i in range(block.n)),
-                           (differ != 0, block.profile.a, block.adjacency.sum(axis=(1, 2)), differ)]
+                           (differ != 0, block.profile.a, adjacency.sum(axis=(1, 2)), differ)]
 
 
 def _check_walk_sum_identity(block: _Block, tol: float):
@@ -736,9 +732,7 @@ def _verify_block(blocks: Iterator[_Block], selected: list[str], tol: float,
     block = next(blocks, None)
     if block is None:
         return 0
-    digraphs = block.digraphs
-    for k in np.flatnonzero(~block.ratio_applies).tolist():
-        inapplicable.append(serialize_edge_list(digraphs[k]))
+    inapplicable += [block.text(k) for k in np.flatnonzero(~block.ratio_applies).tolist()]
     outcomes = []  # (name, failed, slots) of each check some member fails
     failing = _never(block)
     for name in selected:
@@ -753,12 +747,12 @@ def _verify_block(blocks: Iterator[_Block], selected: list[str], tol: float,
             outcomes.append((name, failed, slots))
             failing |= failed
     for k in np.flatnonzero(failing).tolist():
-        text = serialize_edge_list(digraphs[k])
+        text = block.text(k)
         for name, failed, slots in outcomes:
             if failed[k]:
                 violations += [Violation(text, name, float(lhs[k]), float(rhs[k]), float(gap[k]))
                                for fail, lhs, rhs, gap in slots if fail[k]]
-    return len(digraphs)
+    return len(block.bits)
 
 
 def verify_all(
@@ -781,12 +775,13 @@ def verify_all(
     The corpus is taken in blocks of ``BLOCK_SIZE`` digraphs, in order
     (``_exhaustive_blocks``, ``_random_blocks``): the digraphs come one at a
     time from ``enumerate_digraphs`` or ``random_digraph``, and each block's
-    adjacency stack ``bits`` from the corpus's own arithmetic, which
-    ``walk_rowsum`` checks against the digraphs' arcs.
-    Each check runs once per block (``_Block``), on its stacked pieces, and
-    yields masks of the members it passes, fails and skips; a
-    ``Violation``, with the digraph's edge-list text, is built only for a
-    failing member, in member order, then check order, then the check's own
+    adjacency stack ``bits`` from the corpus's own arithmetic.  Every check
+    reads ``bits`` alone, except ``walk_rowsum``, which checks it against
+    the digraphs' arcs.  Each check runs once per block (``_Block``), on
+    its stacked pieces, and yields masks of the members it passes, fails
+    and skips; a ``Violation``, with the edge-list text of the member's row
+    of ``bits`` (the matrix that was checked), is built only for a failing
+    member, in member order, then check order, then the check's own
     order.  A stacked result is bit for bit the per-digraph one, so the
     report does not depend on the block size, and a lone ``Analysis(d)``
     is a block of one.  The corpus is never held whole, and one block is

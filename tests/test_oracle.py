@@ -549,7 +549,7 @@ class TestBlocks:
         for start in range(0, len(ds), BLOCK):
             block = oracle_mod._Block.from_digraphs(ds[start:start + BLOCK], Memo())
             if corpus == "n5-first-block":
-                assert len({s.tobytes() for s in block.symmetrization}) == 8
+                assert len({s.tobytes() for s in block.digons}) == 8
             rho_s, rho_s2 = block.symmetrization_radii
             want_s, want_s2 = [], []
             for d in block.digraphs:
@@ -564,7 +564,7 @@ class TestBlocks:
         for k, d in enumerate(ds):
             assert block.polys[block.poly_index[k]] == characteristic_polynomial(d)
             assert block.polys[block.reduced_index[k]] == characteristic_polynomial(cycle_arc_reduction(d))
-            assert np.array_equal(block.symmetrization[k], geometric_symmetrization(adjacency_matrix(d)))
+            assert np.array_equal(block.digons[k], geometric_symmetrization(adjacency_matrix(d)))
             assert repr(unwrap(block.spectra[k])) == repr(spectrum_of(d))
 
     @pytest.mark.parametrize("corpus", ["n4", "n10"])
@@ -656,8 +656,9 @@ def _assert_stacks_equal_digraphs(blocks):
 class TestCorpusStacks:
     """``verify_all``'s block sources compute each block's ``bits`` from the
     corpus's own arithmetic while the digraphs come one at a time from
-    ``enumerate_digraphs`` and ``random_digraph``; ``walk_rowsum`` catches a
-    handed-over digraph that differs from its row of the stack."""
+    ``enumerate_digraphs`` and ``random_digraph``; ``walk_rowsum``, the one
+    reader of the digraphs' arcs, catches a handed-over digraph that differs
+    from its row of the stack, and a violation prints that row."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_exhaustive(self, n):
@@ -691,18 +692,62 @@ class TestCorpusStacks:
         seen = _assert_stacks_equal_digraphs(oracle_mod._random_blocks(n, p, seed, 12, Memo()))
         assert seen == [random_digraph(n, p, seed + k) for k in range(12)]
 
-    def test_a_digraph_that_differs_from_its_stack_fails_walk_rowsum(self, monkeypatch):
+    @staticmethod
+    def _hand_over_one_arc_more(monkeypatch):
         # The corpus hands over {(0, 1), (1, 2)} where the stack holds
-        # {(0, 1)}: a one-way arc, so S and every row sum agree, and only the
-        # slot that compares the two stacks fails, for that member alone.
+        # {(0, 1)}: a one-way arc, so S and every row sum agree.
         stacked, handed = Digraph(3, [(0, 1)]), Digraph(3, [(0, 1), (1, 2)])
         enumerate_3 = oracle_mod.enumerate_digraphs
         monkeypatch.setattr(oracle_mod, "enumerate_digraphs",
                             lambda n: (handed if d == stacked else d for d in enumerate_3(n)))
+        return serialize_edge_list(stacked)
+
+    def test_a_digraph_that_differs_from_its_stack_fails_walk_rowsum(self, monkeypatch):
+        # Only the slot that compares the two stacks fails, for that member
+        # alone, and the violation prints the stack's row.
+        text = self._hand_over_one_arc_more(monkeypatch)
         report = verify_all(3, checks=["walk_rowsum"])
         assert report.checks_run["walk_rowsum"].failed == 1
         assert [v.to_dict() for v in report.violations] == [
-            {"digraph": serialize_edge_list(handed), "check": "walk_rowsum", "lhs": 1.0, "rhs": 2.0, "gap": 1.0}]
+            {"digraph": text, "check": "walk_rowsum", "lhs": 1.0, "rhs": 2.0, "gap": 1.0}]
+        assert text == "3\n0 1\n"
+
+    def test_violations_print_the_checked_stack_without_walk_rowsum(self, monkeypatch):
+        # Every member fails rho_chain under the fault, and each member's
+        # violations carry its row of the stack, the matrix its checks read:
+        # the member handed over one arc off its stack too.
+        want = [serialize_edge_list(d) for d in enumerate_digraphs(3)]
+        text = self._hand_over_one_arc_more(monkeypatch)
+        with inject_fault("rho_lower_walk_mean", 1.0):
+            report = verify_all(3, checks=[c for c in CHECK_NAMES if c != "walk_rowsum"])
+        assert report.checks_run["rho_chain"].failed == 64
+        assert list(dict.fromkeys(v.digraph_text for v in report.violations)) == want
+        assert want[1] == text
+
+    def test_only_walk_rowsum_reads_the_arcs(self, monkeypatch):
+        def forbidden(digraphs):
+            raise AssertionError("the arcs read outside walk_rowsum")
+
+        monkeypatch.setattr(oracle_mod, "adjacency_matrices", forbidden)
+        two_digons = Digraph(4, [(0, 1), (1, 0), (2, 3), (3, 2)])  # x^4 - 2x^2 + 1, repeated roots
+        assert Analysis(two_digons).to_dict()["spectrum"]["rho"] == 1.0
+        others = [c for c in CHECK_NAMES if c != "walk_rowsum"]
+        report = verify_all(4, checks=others)
+        assert report.ok and report.digraphs_checked == 4096
+        with pytest.raises(AssertionError, match="outside walk_rowsum"):
+            verify_all(3, checks=["walk_rowsum"])
+
+    def test_walk_rowsum_alone_catches_a_transposed_stack(self, monkeypatch):
+        # A transposed stack keeps every charpoly, profile, S and verdict,
+        # so walk_rowsum's entry-by-entry slot is its one catcher: it fails
+        # exactly the 4,096 - 2^6 non-symmetric digraphs, and each prints
+        # its transposed row.
+        arc_stack = oracle_mod._arc_stack
+        monkeypatch.setattr(oracle_mod, "_arc_stack", lambda n, arcs: arc_stack(n, arcs).swapaxes(1, 2))
+        report = verify_all(4)
+        assert {name: s.failed for name, s in report.checks_run.items() if s.failed} == {"walk_rowsum": 4032}
+        assert {v.check for v in report.violations} == {"walk_rowsum"}
+        assert report.violations[0].digraph_text == "4\n1 0\n"
 
 
 def _blocks(ds):
