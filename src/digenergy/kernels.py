@@ -5,9 +5,12 @@ characteristic polynomial is the kernel that the verification harness and
 ``analyze`` call: it runs its matrix recurrence in numpy on a whole
 ``(K, n, n)`` stack of 0-1 matrices at once (the harness hands it the stack
 of a block's digraphs and of their cycle-arc reductions; a lone digraph is
-a block of one), on int64 while the values measured at a step leave room
-for the next and on Python integers (``dtype=object``) from then on, so
-every result is exact at any size.  The harness computes the stack of its
+a block of one), on int64 while bounds on its values, carried from step
+to step and measured only where they reach the limit, leave room for the
+next step, and on Python integers (``dtype=object``) from then on, so
+every result is exact at any size.  It returns the coefficients as one
+``(K, n+1)`` array, which the harness dedupes into its table of distinct
+polynomials without a tuple per row.  The harness computes the stack of its
 corpus from the corpus's own arithmetic (``oracle``), and ``_matrix_stack``
 packs one from bit rows for a block built from digraphs, such as a lone
 ``analyze``; every other stack of a block comes from that one, and only
@@ -93,43 +96,69 @@ def scc_ids(n: int, out_masks, in_masks):
     return ids, count
 
 
-def charpoly_from_masks(a: np.ndarray):
+def charpoly_from_masks(a: np.ndarray) -> np.ndarray:
     """Exact characteristic polynomials of a block of 0-1 adjacency matrices.
 
-    ``a`` is a ``(K, n, n)`` 0-1 int64 stack, and each step of the Faddeev-LeVerrier recurrence
-    ``M_0 = 0``, ``c_0 = 1``, ``M_k = A M_{k-1} + c_{k-1} A``,
-    ``c_k = -tr(M_k) / k`` is one stacked matmul and one exact array
-    division.  Returns, per matrix, the n+1 coefficients in ascending order
-    (``coeffs[k]`` multiplies x**k; ``coeffs[n] == 1``) as plain Python
-    ints.  The verification harness works in blocks and calls it once per
-    block, on the stack of the block's digraphs and of the reductions that
-    drop an arc; a lone matrix is a block of one.  The name is kept from
-    when it took bit rows, since benchmark traces name it.
+    ``a`` is a ``(K, n, n)`` 0-1 int64 stack, and each step of the
+    Faddeev-LeVerrier recurrence ``M_0 = 0``, ``c_0 = 1``,
+    ``M_k = A (M_{k-1} + c_{k-1} I)``, ``c_k = -tr(M_k) / k`` is one
+    diagonal add, one stacked matmul and one exact array division.  Returns
+    a ``(K, n+1)`` array, one row of coefficients per matrix in ascending
+    order (``row[k]`` multiplies x**k; ``row[n] == 1``): int64 when the
+    block stayed on int64, else ``dtype=object`` holding plain Python ints
+    (``tolist()`` gives Python ints either way).  The verification harness
+    works in blocks and calls it once per block, on the stack of the
+    block's digraphs and of the reductions that drop an arc; a lone matrix
+    is a block of one.  The name is kept from when it took bit rows, since
+    benchmark traces name it.
 
     The recurrence runs on int64 and moves the whole block to Python ints
     (``dtype=object``) before any value could overflow.  With r the largest
     out-degree in the block, a row of A holds at most r ones, so every
-    partial sum of a step's products and of its trace is at most
-    n r (max|M_{k-1}| + max|c_{k-1}|), with the maxima measured over the
-    block; the step runs on int64 while that is below 2^63.  In practice
+    partial sum of a step's sum, product and trace is at most
+    n r (max|M_{k-1}| + max|c_{k-1}|), with the maxima over the block; the
+    step runs on int64 while that is below 2^63.  The maxima are not
+    measured at every step: the guard carries bounds on them in Python ints
+    (``_step_bounds``, from n and r), and measures ``abs(m).max()`` only at
+    a step where the carried bounds reach the limit, taking the measured
+    maxima as its bounds from there.  A bound at least the measured value
+    never moves a block that the measured value keeps, so the step of the
+    move is the one a guard measuring every step takes.  The carried bounds
+    never reach the limit up to n = 14, whatever the 0-1 matrices; in practice
     the values stay far below it (under 2^46 on random digraphs and
     tournaments up to n = 32).
     """
     n = a.shape[-1]
-    limit = 2 ** 63 // max(n * int(a.sum(axis=2).max(initial=0)), 1)
+    out_degree = int((a @ np.ones(n, dtype=a.dtype)).max(initial=0))
+    limit = 2 ** 63 // max(n * out_degree, 1)
     m = np.zeros_like(a)
     c = np.ones(len(a), dtype=np.int64)
+    m_bound, c_bound = 0, 1
     cs = [c]  # cs[k][row] is the coefficient of x**(n-k)
     for k in range(1, n + 1):
-        if m.dtype != object and int(abs(m).max(initial=0)) + int(abs(c).max(initial=0)) >= limit:
-            a, m, c = a.astype(object), m.astype(object), c.astype(object)
+        if m.dtype != object and m_bound + c_bound >= limit:
+            m_bound, c_bound = int(abs(m).max(initial=0)), int(abs(c).max(initial=0))
+            if m_bound + c_bound >= limit:
+                a, m, c = a.astype(object), m.astype(object), c.astype(object)
+        diagonal = np.einsum("kii->ki", m)  # a writeable view of every diagonal
+        diagonal += c[:, None]
         m = a @ m
-        m += c[:, None, None] * a
         t = _traces(m)
         c = -t // k
         assert not (t % k).any(), "Faddeev-LeVerrier trace not divisible"
         cs.append(c)
-    return np.stack(cs[::-1], axis=1).tolist()
+        m_bound, c_bound = _step_bounds(n, out_degree, k, m_bound, c_bound)
+    return np.stack(cs[::-1], axis=1)
+
+
+def _step_bounds(n: int, r: int, k: int, m_bound: int, c_bound: int) -> tuple[int, int]:
+    """Bounds on max|M_k| and max|c_k| of a recurrence step on 0-1 matrices
+    of order n whose rows hold at most r ones, from bounds on
+    max|M_{k-1}| and max|c_{k-1}|: an entry of M_k = A M_{k-1} + c_{k-1} A
+    sums at most r entries of M_{k-1}, plus c_{k-1} or 0, and
+    |c_k| = |tr M_k| / k <= n max|M_k| / k."""
+    m_bound = r * m_bound + c_bound
+    return m_bound, n * m_bound // k
 
 
 def _matrix_stack(n: int, rows) -> np.ndarray:

@@ -140,6 +140,31 @@ def _arc_stack(n: int, arcs: np.ndarray) -> np.ndarray:
     return stack.reshape(len(arcs), n, n)
 
 
+def _first_use_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of the 2-D int64 or object array ``rows`` in order
+    of first use: the index of each one's first row, ascending, and the
+    ``(len(rows),)`` rank of every row among them.
+
+    One stable ``lexsort`` over the columns puts equal rows together, each
+    group led by its first row; a row-wise ``!=`` of neighbours marks where
+    a group starts, and a running count over the marked first rows ranks
+    the groups in order of first use.  It compares the entries as they
+    are, so int64 rows and rows of Python ints take the same route, and no
+    row becomes a tuple.
+    """
+    order = np.lexsort(rows.T)
+    ranked = rows[order]
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    first = order[starts]  # each group's first row, the groups in sorted order
+    leads = np.zeros(len(rows), dtype=bool)
+    leads[first] = True
+    rank = np.cumsum(leads) - 1  # at a first row, the rank of its group
+    out = np.empty(len(rows), dtype=np.intp)
+    out[order] = rank[first][np.cumsum(starts) - 1]
+    return np.flatnonzero(leads), out
+
+
 @dataclass(frozen=True)
 class Violation:
     digraph_text: str
@@ -217,20 +242,25 @@ class _Block:
     The characteristic polynomials of the digraphs and of their reductions
     come from one kernel call on ``bits`` and the rows of ``reduced_bits``
     that drop an arc, and form the block's table ``polys`` of distinct
-    polynomials, keyed by coefficients: each member holds
-    one integer row of it for itself (``poly_index``) and one for its
-    reduction (``reduced_index``).  Every per-polynomial step runs once per
-    row: the certified spectra (``certified``, one Aberth call per degree
-    of the exact square-free factors) and from those the Coulson integrals
-    (the pole guard once per spectrum, one quadrature), whose
-    PurelyImaginaryEigenvalueError is the one record of a pole on the
-    path, the one a member's ``coulson_match`` skip reads.  ``spectra`` gives
-    each member its row of ``certified`` through one ``check_spreads``
-    call, so a member whose QR values miss its repeated roots gets its own
-    EigensolverError.  The spectral scalars, the integrals and the
-    reduction invariance reach the members by the index.  A check reads the
-    spectral scalars through ``spectral``, which raises the EigensolverError
-    of the first rejected member among those the check reads.  The equality
+    polynomials: one sort of the kernel's coefficient array
+    (``_first_use_rows``) dedupes its rows, and a ``CharPoly`` is built per
+    distinct row only.  Each member holds one integer row of the table for
+    itself (``poly_index``) and one for its reduction (``reduced_index``).
+    Every per-polynomial step runs once per row: the certified spectra
+    (``certified``, one Aberth call per degree of the exact square-free
+    factors) and from those the Coulson integrals (the pole guard once per
+    spectrum, one quadrature), whose PurelyImaginaryEigenvalueError is the
+    one record of a pole on the path, the one a member's ``coulson_match``
+    skip reads.  One ``check_spreads`` call (``spread_errors``) decides per
+    row whether its polynomial has a repeated root, and gives a member of
+    such a row whose QR values miss the roots its own EigensolverError.  A
+    member's ``outcome`` is that error, else its row of ``certified``;
+    ``rejected`` marks the members of a rejected row and those with a
+    spread error, and ``spectra`` lists every outcome for ``Analysis`` and
+    the tests.  The spectral scalars, the integrals and the reduction
+    invariance reach the members by the index.  A check reads the spectral
+    scalars through ``spectral``, which raises the EigensolverError of the
+    first rejected member among those the check reads.  The equality
     predictions are the verdicts' own integer tests on stacked arrays:
     ``walk_ratio_attained`` on the reductions and profiles for the radius
     (``equality_verdict_rho_lower``), ``energy_bound_attained`` on ``bits``
@@ -304,11 +334,10 @@ class _Block:
         size = len(self.bits)
         drops = np.flatnonzero(self.drops_arcs)
         coeffs = kernels.charpoly_from_masks(np.concatenate([self.bits, self.reduced_bits[drops]]))
-        table: dict[tuple[int, ...], int] = {}
-        rows = np.array([table.setdefault(tuple(c), len(table)) for c in coeffs], dtype=np.intp)
+        first, rows = _first_use_rows(coeffs)
         reduced = rows[:size].copy()  # a member that keeps every arc is its own reduction
         reduced[drops] = rows[size:]
-        return [CharPoly(c) for c in table], rows[:size], reduced
+        return [CharPoly(tuple(c)) for c in coeffs[first].tolist()], rows[:size], reduced
 
     @property
     def polys(self) -> list[CharPoly]:
@@ -333,15 +362,29 @@ class _Block:
         return certify_spectra(self.polys[:int(self.poly_index.max()) + 1], self.memo)
 
     @cached_property
+    def spread_errors(self) -> dict:
+        """The EigensolverError of each member whose QR values miss its row
+        of ``certified``, keyed by member (``check_spreads``)."""
+        return check_spreads(self.certified, self.poly_index, self.bits, self.memo)
+
+    def outcome(self, k: int):
+        """Member k's spectrum, or the EigensolverError that rejects it: its
+        own spread error, else its row of ``certified``."""
+        return self.spread_errors.get(k, self.certified[self.poly_index[k]])
+
+    @cached_property
     def spectra(self) -> list:
-        """Each member's spectrum, or the EigensolverError that rejects it:
-        its row of ``certified`` through ``check_spreads``."""
-        return check_spreads([self.certified[p] for p in self.poly_index.tolist()], self.bits, self.memo)
+        """Every member's ``outcome``, for ``Analysis`` and the tests; the
+        checks read ``rejected`` and ``spectral`` instead."""
+        return [self.outcome(k) for k in range(len(self.bits))]
 
     @cached_property
     def rejected(self) -> np.ndarray:
-        """The members whose spectrum is rejected."""
-        return np.array([isinstance(s, Exception) for s in self.spectra], dtype=bool)
+        """The members whose spectrum is rejected: those of a rejected row
+        of ``certified``, and those with a spread error."""
+        rejected = np.array([isinstance(s, Exception) for s in self.certified], dtype=bool)[self.poly_index]
+        rejected[list(self.spread_errors)] = True
+        return rejected
 
     @cached_property
     def _spectral(self) -> tuple[np.ndarray, ...]:
@@ -357,7 +400,7 @@ class _Block:
         that member alone would; a member outside ``rows`` is not read."""
         read = np.flatnonzero(self.rejected if rows is None else self.rejected & rows)
         if len(read):
-            unwrap(self.spectra[read[0]])
+            unwrap(self.outcome(int(read[0])))
         return self._spectral
 
     @cached_property

@@ -118,7 +118,7 @@ def characteristic_polynomial(d: Digraph) -> CharPoly:
     ``kernels.charpoly_from_masks``); arbitrary-precision integers make the
     result exact at any order.
     """
-    (coeffs,) = kernels.charpoly_from_masks(kernels._matrix_stack(d.n, [d.out_masks]))
+    (coeffs,) = kernels.charpoly_from_masks(kernels._matrix_stack(d.n, [d.out_masks])).tolist()
     return CharPoly(tuple(coeffs))
 
 
@@ -374,30 +374,40 @@ def certify_spectra(polys: Sequence[CharPoly], memo: Memo) -> list:
     return outcomes
 
 
-def check_spreads(spectra: Sequence, adjacency: np.ndarray, memo: Memo) -> list:
-    """The outcomes ``spectra`` of the digraphs with the ``(K, n, n)``
-    adjacency stack ``adjacency`` (a ``Spectrum`` from
-    ``certify_spectra`` on ``memo``, or the exception in its place), with
-    the EigensolverError of each digraph whose QR values miss its spectrum
-    in place of that spectrum.
+def check_spreads(certified: Sequence, index: np.ndarray, adjacency: np.ndarray, memo: Memo) -> dict:
+    """The EigensolverError of each digraph whose QR values miss its
+    certified spectrum, keyed by the digraph's row of the ``(K, n, n)``
+    adjacency stack ``adjacency``.  Digraph k has the polynomial of row
+    ``index[k]`` of ``certified``, the outcomes of ``certify_spectra`` on
+    ``memo`` (a ``Spectrum``, or the exception in its place); a digraph
+    that is not a key keeps that outcome.
 
     A certified spectrum whose polynomial has a repeated root (is not a key
     of ``memo.factors``) is checked against the digraph's own QR values:
     each of its eigenvalues must lie within 1e-2 * (1 + rho) of one of
-    them.  Those digraphs alone take QR values, in one ``qr_values`` call,
-    and one ``(M, n, n)`` distance array gives each spread bit for bit as a
-    digraph alone gets it.  A rejected spectrum keeps its own error.
+    them.  The repeated-root decision is taken once per row of
+    ``certified``, and the digraphs with such a row, gathered by ``index``,
+    alone take QR values, in one ``qr_values`` call; their certified values
+    and radii come from a ``(P, n)`` and a ``(P,)`` array of the rows, by
+    index, and one ``(M, n, n)`` distance array gives each spread bit for
+    bit as a digraph alone gets it.  A rejected spectrum keeps its own
+    error.
     """
-    out = list(spectra)
-    at = [k for k, s in enumerate(spectra) if isinstance(s, Spectrum) and s.charpoly.coeffs not in memo.factors]
-    if at:
-        certified = np.array([spectra[k].eigenvalues for k in at], dtype=complex)
-        limit = 1e-2 * (1.0 + np.array([spectra[k].rho for k in at]))
-        spread = np.abs(qr_values(adjacency[at])[:, None, :] - certified[:, :, None]).min(axis=2).max(axis=1)
-        for i in np.flatnonzero(spread > limit).tolist():
-            out[at[i]] = EigensolverError(f"QR values and exact-polynomial roots disagree by {spread[i]:.3e}",
-                                          partial=spectra[at[i]].eigenvalues)
-    return out
+    repeated = [p for p, s in enumerate(certified) if isinstance(s, Spectrum) and s.charpoly.coeffs not in memo.factors]
+    is_repeated = np.zeros(len(certified), dtype=bool)
+    is_repeated[repeated] = True
+    at = np.flatnonzero(is_repeated[index])
+    if not len(at):
+        return {}
+    values = np.zeros((len(certified), adjacency.shape[-1]), dtype=complex)
+    values[repeated] = [certified[p].eigenvalues for p in repeated]
+    radii = np.zeros(len(certified))
+    radii[repeated] = [certified[p].rho for p in repeated]
+    rows = index[at]
+    spread = np.abs(qr_values(adjacency[at])[:, None, :] - values[rows][:, :, None]).min(axis=2).max(axis=1)
+    return {int(at[i]): EigensolverError(f"QR values and exact-polynomial roots disagree by {spread[i]:.3e}",
+                                         partial=certified[rows[i]].eigenvalues)
+            for i in np.flatnonzero(spread > 1e-2 * (1.0 + radii[rows])).tolist()}
 
 
 def eigenvalues(poly: CharPoly, a: np.ndarray) -> Spectrum:
@@ -421,7 +431,8 @@ def eigenvalues(poly: CharPoly, a: np.ndarray) -> Spectrum:
     if np.shape(a) != (n, n):
         raise ValueError(f"a degree-{n} polynomial needs an ({n}, {n}) adjacency matrix, got {np.shape(a)}")
     memo = Memo()
-    return unwrap(check_spreads(certify_spectra([poly], memo), np.asarray(a)[None], memo)[0])
+    (certified,) = certify_spectra([poly], memo)
+    return unwrap(check_spreads([certified], np.zeros(1, dtype=np.intp), np.asarray(a)[None], memo).get(0, certified))
 
 
 # --- Coulson-type integral ---------------------------------------------------

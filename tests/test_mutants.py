@@ -1,0 +1,173 @@
+"""The harness's own power: a table of in-process mutants of the library,
+each applied by monkeypatching, and the outcome each has today on one
+corpus.
+
+A row names its mutant, the corpus it runs (``verify_all`` on every
+digraph of order 4, or on random n = 8 x 300 or n = 10 x 1,000 at
+p = 0.3, seed 0) and the outcome: ``EIGENSOLVER`` when the run ends in an
+EigensolverError, else the checks whose report entries differ from the
+clean run of the corpus, each with its failed count and its number of
+violations under the mutant.  A mutant that nothing catches has no such
+check, and its row names the ROADMAP item that will catch it; that item
+moves the row to the caught ones.
+"""
+
+import functools
+import inspect
+from dataclasses import dataclass
+from typing import Callable, Optional
+
+import numpy as np
+import pytest
+
+from digenergy import Digraph, EigensolverError, adjacency_matrix, verify_all
+from digenergy import kernels as kernels_mod
+from digenergy import oracle as oracle_mod
+
+CORPORA = {
+    "exhaustive-n4": lambda: verify_all(4),
+    "random-n8": lambda: verify_all(8, mode="random", count=300, p=0.3, seed=0),
+    "random-n10": lambda: verify_all(10, mode="random", count=1000, p=0.3, seed=0),
+}
+
+EIGENSOLVER = "EigensolverError"
+
+
+@functools.cache
+def _clean(corpus: str):
+    return CORPORA[corpus]()
+
+
+def _entries(report) -> dict:
+    """Each check's failed count and violations."""
+    return {name: (stats.failed, [v for v in report.violations if v.check == name])
+            for name, stats in report.checks_run.items()}
+
+
+def _outcome(corpus: str):
+    try:
+        report = CORPORA[corpus]()
+    except EigensolverError:
+        return EIGENSOLVER
+    clean = _entries(_clean(corpus))
+    return {name: (failed, len(violations)) for name, (failed, violations) in _entries(report).items()
+            if (failed, violations) != clean[name]}
+
+
+# --- the mutants ---------------------------------------------------------------
+
+def _neighbour_poly_index(monkeypatch):
+    # The last member of each block reads the table row of the member
+    # before it.
+    def poly_index(block):
+        rows = block._poly_table[1].copy()
+        rows[-1] = rows[-2]
+        return rows
+
+    monkeypatch.setattr(oracle_mod._Block, "poly_index", property(poly_index))
+
+
+def _drift_kernel(monkeypatch, rows: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+    """Add 1 to the constant coefficient of the kernel's rows that
+    ``rows(stack, coeffs)`` selects."""
+    kernel = kernels_mod.charpoly_from_masks
+
+    def drifted(stack):
+        coeffs = kernel(stack)
+        coeffs[rows(stack, coeffs), 0] += 1
+        return coeffs
+
+    monkeypatch.setattr(kernels_mod, "charpoly_from_masks", drifted)
+
+
+def _square_free(coeffs: np.ndarray) -> np.ndarray:
+    polys = [tuple(c) for c in coeffs.tolist()]
+    return np.array([dec == [(c, 1)] for c, dec in zip(polys, kernels_mod.square_free_decompositions(polys))],
+                    dtype=bool)
+
+
+def _drift_one_row(monkeypatch):
+    # The row of the digraph with the one arc 0 -> 1, a member of the first
+    # block of order 4 and no member's reduction: x^4 becomes x^4 + 1.
+    target = adjacency_matrix(Digraph(4, [(0, 1)]))
+    _drift_kernel(monkeypatch, lambda stack, coeffs: (stack == target).all(axis=(1, 2)))
+
+
+def _drift_square_free_rows(monkeypatch):
+    _drift_kernel(monkeypatch, lambda stack, coeffs: _square_free(coeffs))
+
+
+def _drift_rows_that_stay_square_free(monkeypatch):
+    def rows(stack, coeffs):
+        drifted = coeffs.copy()
+        drifted[:, 0] += 1
+        return _square_free(coeffs) & _square_free(drifted)
+
+    _drift_kernel(monkeypatch, rows)
+
+
+def _source_mutant(monkeypatch, module, name: str, old: str, new: str):
+    """Replace ``module.name`` with a copy compiled from its source with the
+    one occurrence of ``old`` made ``new``; the source file is not touched."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), f"<mutant of {name}>", "exec"), namespace)
+    monkeypatch.setattr(module, name, namespace[name])
+
+
+def _keep_outcomes_only_when_all_fail(monkeypatch):
+    _source_mutant(monkeypatch, oracle_mod, "_verify_block", "if failed.any():", "if failed.all():")
+
+
+def _transposed_arc_stack(monkeypatch):
+    arc_stack = oracle_mod._arc_stack
+    monkeypatch.setattr(oracle_mod, "_arc_stack", lambda n, arcs: arc_stack(n, arcs).swapaxes(1, 2))
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    apply: Callable
+    corpus: str
+    outcome: object  # EIGENSOLVER, or {check: (failed, violations)} of the checks that catch it
+    item: Optional[str] = None  # the ROADMAP item that will catch an uncaught mutant
+    why: str = ""
+
+
+MUTANTS = [
+    Mutant("neighbour-poly-index", _neighbour_poly_index, "random-n8",
+           {"moment_difference": (1, 1), "charpoly_reduction_invariance": (1, 1)},
+           why="the member's spectrum is its neighbour's, and its reduction keeps its own row"),
+    Mutant("kernel-drift-one-row", _drift_one_row, "exhaustive-n4",
+           {"moment_total": (1, 1), "energy_bounds": (1, 5), "charpoly_reduction_invariance": (1, 1),
+            "equality_iff_rho": (1, 1)},
+           why="x^4 + 1 has |lambda| = 1 on a digraph with one arc and an empty reduction"),
+    Mutant("kernel-drift-square-free-rows", _drift_square_free_rows, "random-n10", EIGENSOLVER,
+           why="a few drifted rows gain a repeated root, and their members' QR values miss it; "
+               "the run ends there"),
+    Mutant("kernel-drift-rows-that-stay-square-free", _drift_rows_that_stay_square_free, "random-n10", {},
+           item="item 22",
+           why="a square-free member takes no QR values, the reduction drifts with the member, and the "
+               "moments read only the two top coefficients"),
+    Mutant("keep-outcomes-only-when-all-fail", _keep_outcomes_only_when_all_fail, "random-n8",
+           {"equality_iff_rho": (5, 0)},
+           why="the 5 known false negatives are counted but no longer reported"),
+    Mutant("transposed-arc-stack", _transposed_arc_stack, "exhaustive-n4", {"walk_rowsum": (4032, 4032)},
+           why="a transposed stack keeps every charpoly, profile, S and verdict; walk_rowsum's "
+               "entry-by-entry slot fails exactly the 4,096 - 2^6 non-symmetric digraphs"),
+]
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
+def test_mutant(monkeypatch, mutant):
+    _clean(mutant.corpus)  # taken before the mutant is applied
+    mutant.apply(monkeypatch)
+    assert _outcome(mutant.corpus) == mutant.outcome, mutant.why
+    assert (mutant.outcome == {}) == (mutant.item is not None)
+
+
+def test_transposed_stack_violations_print_the_transposed_rows(monkeypatch):
+    _transposed_arc_stack(monkeypatch)
+    report = verify_all(4)
+    assert report.violations[0].digraph_text == "4\n1 0\n"

@@ -11,6 +11,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import digenergy
 from digenergy import (
@@ -635,6 +637,32 @@ class TestBlocks:
         want = [adjacency_matrix(d) for d, sf in zip(ds[:20], square_free) if not sf]
         assert len(taken) == 1 and np.array_equal(taken[0], np.array(want))
 
+    def test_spread_gate_takes_exactly_the_repeated_root_members(self, monkeypatch):
+        # The repeated-root decision is taken once per table row: over
+        # verify_all(4) the rows that reach qr_values are exactly the 1,862
+        # members whose polynomial has a repeated root, in corpus order, and
+        # a block of the square-free members hands it none.
+        ds = list(enumerate_digraphs(4))
+        polys = [characteristic_polynomial(d).coeffs for d in ds]
+        distinct = list(dict.fromkeys(polys))
+        decomps = dict(zip(distinct, kernels_mod.square_free_decompositions(distinct)))
+        repeated = [decomps[c] != [(c, 1)] for c in polys]
+        taken = []
+        with monkeypatch.context() as m:
+            m.setattr(spectrum_mod, "qr_values", lambda a: taken.append(a.copy()) or qr_values(a))
+            assert hashlib.sha256(_report_text(verify_all(4)).encode()).hexdigest().startswith("72725c05")
+        want = [adjacency_matrix(d) for d, r in zip(ds, repeated) if r]
+        assert len(want) == 1862 and np.array_equal(np.concatenate(taken), np.array(want))
+
+        def forbidden(a):
+            raise AssertionError("QR values of a square-free polynomial")
+
+        monkeypatch.setattr(spectrum_mod, "qr_values", forbidden)
+        block = oracle_mod._Block.from_digraphs([d for d, r in zip(ds, repeated) if not r], Memo())
+        for name in CHECK_NAMES:
+            oracle_mod._CHECKS[name](block, DEFAULT_TOL)
+        assert not block.rejected.any() and block.spread_errors == {}
+
     def test_one_order_per_block(self):
         with pytest.raises(ValueError, match="one order"):
             oracle_mod._Block.from_digraphs([Digraph(2), Digraph(3)], Memo())
@@ -737,18 +765,6 @@ class TestCorpusStacks:
         with pytest.raises(AssertionError, match="outside walk_rowsum"):
             verify_all(3, checks=["walk_rowsum"])
 
-    def test_walk_rowsum_alone_catches_a_transposed_stack(self, monkeypatch):
-        # A transposed stack keeps every charpoly, profile, S and verdict,
-        # so walk_rowsum's entry-by-entry slot is its one catcher: it fails
-        # exactly the 4,096 - 2^6 non-symmetric digraphs, and each prints
-        # its transposed row.
-        arc_stack = oracle_mod._arc_stack
-        monkeypatch.setattr(oracle_mod, "_arc_stack", lambda n, arcs: arc_stack(n, arcs).swapaxes(1, 2))
-        report = verify_all(4)
-        assert {name: s.failed for name, s in report.checks_run.items() if s.failed} == {"walk_rowsum": 4032}
-        assert {v.check for v in report.violations} == {"walk_rowsum"}
-        assert report.violations[0].digraph_text == "4\n1 0\n"
-
 
 def _blocks(ds):
     """``ds`` in blocks of ``BLOCK_SIZE``, with one ``Memo``, as verify_all
@@ -831,8 +847,9 @@ class TestStackedPieces:
         kernel = kernels_mod.charpoly_from_masks
 
         def drifted(stack):
-            return [[c + (k == 0) for k, c in enumerate(coeffs)] if not a.any() else coeffs
-                    for a, coeffs in zip(stack, kernel(stack))]
+            coeffs = kernel(stack)
+            coeffs[~stack.any(axis=(1, 2)), 0] += 1
+            return coeffs
 
         monkeypatch.setattr(kernels_mod, "charpoly_from_masks", drifted)
         report = verify_all(3, checks=["charpoly_reduction_invariance"])
@@ -847,6 +864,88 @@ class TestStackedPieces:
         assert report.ok and report.digraphs_checked == 64
         with pytest.raises(EigensolverError):
             verify_all(3)
+
+
+def _tuple_dict_table(block):
+    """The table of ``block`` as a dict keyed by coefficient tuples builds
+    it from the same kernel call: the distinct rows in order of first use,
+    and each member's row for itself and for its reduction."""
+    size, drops = len(block.bits), np.flatnonzero(block.drops_arcs)
+    coeffs = kernels_mod.charpoly_from_masks(np.concatenate([block.bits, block.reduced_bits[drops]])).tolist()
+    table = {}
+    rows = [table.setdefault(tuple(c), len(table)) for c in coeffs]
+    reduced = rows[:size]
+    for k, row in zip(drops.tolist(), rows[size:]):
+        reduced[k] = row
+    return list(table), rows[:size], reduced
+
+
+@st.composite
+def _coefficient_rows(draw):
+    """A 2-D int64 or object array of few distinct values, repeated rows
+    likely; the object rows hold integers beyond int64."""
+    width, size = draw(st.integers(1, 4)), draw(st.integers(1, 40))
+    values = draw(st.lists(st.integers(-2, 2), min_size=width * size, max_size=width * size))
+    rows = np.array(values, dtype=np.int64).reshape(size, width)
+    if draw(st.booleans()):
+        rows = rows.astype(object) * 2 ** 70
+    return rows
+
+
+class TestPolyTable:
+    """A block's table of distinct polynomials is built by sorting the
+    kernel's coefficient rows (``_first_use_rows``), and equals the one a
+    dict keyed by coefficient tuples builds: the same rows, in the same
+    order of first use, on int64 and object rows alike, each coefficient a
+    Python int."""
+
+    @staticmethod
+    def _assert_equals_tuple_dict(block):
+        table, rows, reduced = _tuple_dict_table(block)
+        assert [p.coeffs for p in block.polys] == table
+        assert block.poly_index.tolist() == rows and block.reduced_index.tolist() == reduced
+        assert all(type(c) is int for p in block.polys for c in p.coeffs)
+
+    @given(_coefficient_rows())
+    @settings(max_examples=100, deadline=None)
+    def test_first_use_rows_equal_a_tuple_dict(self, rows):
+        table = {}
+        want = [table.setdefault(tuple(r), len(table)) for r in rows.tolist()]
+        first, index = oracle_mod._first_use_rows(rows)
+        assert [tuple(r) for r in rows[first].tolist()] == list(table)
+        assert index.tolist() == want
+
+    def test_exhaustive_n4_blocks(self):
+        blocks = list(oracle_mod._exhaustive_blocks(4, Memo()))
+        assert len(blocks) == 4
+        for block in blocks:
+            self._assert_equals_tuple_dict(block)
+
+    def test_random_n12_block(self):
+        (block,) = oracle_mod._random_blocks(12, 0.3, 0, 1024, Memo())
+        self._assert_equals_tuple_dict(block)
+        assert len(block.polys) > 1000
+
+    def test_object_block(self, monkeypatch):
+        # random 48 0.5 1 moves the kernel to Python ints, so every row of
+        # the block is an object row: the digraph, a sparse digraph, the
+        # digraph again and the sparse digraph's reduction, which drops an
+        # arc and repeats its polynomial.
+        d = random_digraph(48, 0.5, 1)
+        sparse = Digraph(48, [(0, 1), (1, 0), (2, 3)])
+        kernel, dtypes = kernels_mod.charpoly_from_masks, []
+
+        def recording(a):
+            coeffs = kernel(a)
+            dtypes.append(coeffs.dtype)
+            return coeffs
+
+        monkeypatch.setattr(kernels_mod, "charpoly_from_masks", recording)
+        block = oracle_mod._Block.from_digraphs([d, sparse, d], Memo())
+        self._assert_equals_tuple_dict(block)
+        assert dtypes == [np.dtype(object)] * 2
+        assert block.poly_index.tolist() == block.reduced_index.tolist() == [0, 1, 0]
+        assert [p.coeffs for p in block.polys[1:]] == [(0,) * 46 + (-1, 0, 1)]
 
 
 class TestCoulsonMatch:

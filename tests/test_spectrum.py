@@ -161,14 +161,14 @@ def _kernel_run(monkeypatch, n, rows):
     dtypes = []
     traces = kernels_mod._traces
     monkeypatch.setattr(kernels_mod, "_traces", lambda m: dtypes.append(m.dtype) or traces(m))
-    coeffs = kernels_mod.charpoly_from_masks(kernels_mod._matrix_stack(n, rows))
+    coeffs = kernels_mod.charpoly_from_masks(kernels_mod._matrix_stack(n, rows)).tolist()
     monkeypatch.setattr(kernels_mod, "_traces", traces)
     return coeffs, object in dtypes
 
 
 # Orders on both sides of the int64/object switch of the charpoly recurrence,
-# which measures its values at every step: no value can leave int64 up to
-# n = 12, whatever the digraph.  At n = 64, J - I and the transitive
+# which measures its values where its carried bounds reach the limit: no
+# value can leave int64 up to n = 12, whatever the digraph.  At n = 64, J - I and the transitive
 # tournament move to Python ints part way through; the directed cycle
 # stays on int64 throughout.
 CLOSED_FORM_ORDERS = (0, 1, 2, 12, 13, 16, 32, 64)
@@ -258,7 +258,7 @@ class TestBlockKernel:
     @staticmethod
     def _assert_block_equals_rows(monkeypatch, n, rows):
         block, _ = _kernel_run(monkeypatch, n, rows)
-        assert block == [kernels_mod.charpoly_from_masks(kernels_mod._matrix_stack(n, [masks]))[0]
+        assert block == [kernels_mod.charpoly_from_masks(kernels_mod._matrix_stack(n, [masks])).tolist()[0]
                          for masks in rows]
         assert all(type(c) is int for coeffs in block for c in coeffs)
         return block
@@ -310,6 +310,68 @@ class TestBlockKernel:
         assert [row_moved for _, row_moved in alone] == [False, n == 52]
         assert block[0] == [-1] + [0] * (n - 1) + [1]
         assert tuple(block[1]) == _poly_mul(_root_power(n - 1, 1), _root_power(-1, n - 1))
+
+
+def _carried_and_measured(stack):
+    """Per step k of the kernel on ``stack``: the bounds on max|M_k| and
+    max|c_k| it carries (``_step_bounds``), and the measured maxima."""
+    carried, measured = [], []
+    step_bounds, traces = kernels_mod._step_bounds, kernels_mod._traces
+
+    def measuring(m):
+        t = traces(m)
+        k = len(measured) + 1
+        measured.append((int(abs(m).max(initial=0)), int(abs(-t // k).max(initial=0))))
+        return t
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels_mod, "_traces", measuring)
+        patch.setattr(kernels_mod, "_step_bounds", lambda *args: carried.append(step_bounds(*args)) or carried[-1])
+        kernels_mod.charpoly_from_masks(stack)
+    return carried, measured
+
+
+@st.composite
+def zero_one_stacks(draw, max_n=16):
+    """A ``(K, n, n)`` 0-1 int64 stack, loops allowed, of one density."""
+    n, k = draw(st.integers(0, max_n)), draw(st.integers(1, 4))
+    density = draw(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return (rng.random((k, n, n)) < density).astype(np.int64)
+
+
+class TestKernelBound:
+    """The int64 guard of the kernel carries bounds on max|M_k| and
+    max|c_k| instead of measuring them at every step; each carried bound is
+    at least the measured maximum at every step."""
+
+    @staticmethod
+    def _assert_bounds_hold(stack):
+        carried, measured = _carried_and_measured(stack)
+        assert len(carried) == len(measured) == stack.shape[-1]
+        for (m_bound, c_bound), (m_max, c_max) in zip(carried, measured):
+            assert m_bound >= m_max and c_bound >= c_max
+
+    @given(zero_one_stacks())
+    @settings(max_examples=80, deadline=None)
+    def test_bounds_hold_on_zero_one_stacks(self, stack):
+        self._assert_bounds_hold(stack)
+
+    @pytest.mark.parametrize("n", [13, 52])
+    def test_bounds_hold_on_j_minus_i(self, n):
+        # J - I is the densest loop-free digraph; at n = 52 the kernel
+        # moves to Python ints, and the carried bounds go on.
+        self._assert_bounds_hold(kernels_mod._matrix_stack(n, [sym(complete_graph(n)).out_masks]))
+
+    def test_full_stack_measures_where_the_bound_reaches_the_limit(self):
+        # J at n = 16: the bounds carried into step 15 reach the limit
+        # 2^63 // n^2, so the kernel measures there, stays on int64 and
+        # carries on from the measured maxima, which keep below it.
+        stack = np.ones((1, 16, 16), dtype=np.int64)
+        carried, measured = _carried_and_measured(stack)
+        limit = 2 ** 63 // 16 ** 2
+        assert [k + 1 for k, (m, c) in enumerate(carried, 1) if m + c >= limit] == [15]
+        assert all(m + c < limit for m, c in measured)
 
 
 def _square_free_decomposition(coeffs):
