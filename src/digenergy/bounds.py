@@ -111,10 +111,17 @@ def rho_lower_walk_ratio(profile: ClosedWalkProfile) -> float:
     return np.sqrt(walk_ratio(profile))
 
 
-def _f_energy(x: float, n: int, a: int) -> float:
-    """f(x) = x + sqrt((n-1)(a - x^2)), the shared energy-bound shape."""
+def _radicand(x, n: int, a):
+    """The radicand (n-1)(a - x^2) of f(x), and the rows where it is
+    negative beyond rounding: there x exceeds sqrt(a) and f is undefined."""
     radicand = (n - 1) * (a - x * x)
-    bad = radicand < -1e-9 * np.maximum(1.0, np.abs(a))
+    return radicand, radicand < -1e-9 * np.maximum(1.0, np.abs(a))
+
+
+def _f_energy(x: float, n: int, a: int) -> float:
+    """f(x) = x + sqrt((n-1)(a - x^2)), the shared energy-bound shape;
+    raises ValueError if x exceeds sqrt(a) on any row."""
+    radicand, bad = _radicand(x, n, a)
     if np.any(bad):
         raise ValueError(f"negative radicand {_first(radicand, bad):.3e} in energy bound "
                          f"(x={_first(x, bad)}, n={n}, a={_first(a, bad)})")
@@ -194,7 +201,7 @@ class BoundReport:
     rho_lower_walk_rms: Optional[float]
     rho_lower_walk_ratio: float
     energy_upper_mcclelland: Optional[float]
-    energy_upper_radius: float
+    energy_upper_radius: Optional[float]
     energy_upper_walk_mean: Optional[float]
     energy_upper_walk_rms: Optional[float]
     energy_upper_walk_ratio: Optional[float]
@@ -228,7 +235,7 @@ def bound_chain_report(
     rms = attempt(rho_lower_walk_rms, profile, n)
     ratio = rho_lower_walk_ratio(profile)
     e_mc = attempt(energy_upper_mcclelland, profile, n)
-    e_radius = energy_upper_radius(profile, n, spectrum.rho)
+    e_radius = attempt(energy_upper_radius, profile, n, spectrum.rho)
     e_mean = attempt(energy_upper_walk_mean, profile, n)
     e_rms = attempt(energy_upper_walk_rms, profile, n)
     e_ratio = attempt(energy_upper_walk_ratio, profile, n)
@@ -243,7 +250,8 @@ def bound_chain_report(
     ok &= leq_tol(ratio, spectrum.rho, tol)
     if mean is not None:
         ok &= leq_tol(mean, spectrum.rho, tol)
-    ok &= leq_tol(spectrum.energy, e_radius, tol)
+    # A rho above sqrt(a), where f(rho) is undefined, breaks rho <= sqrt(a).
+    ok &= e_radius is not None and leq_tol(spectrum.energy, e_radius, tol)
     if e_ratio is not None:
         ok &= leq_tol(spectrum.energy, e_ratio, tol)
     if dominated and None not in (e_ratio, e_rms, e_mean):

@@ -27,16 +27,30 @@ from .errors import DigraphValidationError, EdgeListParseError
 MAX_VERTICES = 128
 
 
-def _integers(n, pairs: Iterable[tuple[int, int]]) -> tuple[int, frozenset[tuple[int, int]]]:
-    """``n`` and the pairs of vertex labels, each number read with
+def _labels(n, pairs: Iterable[tuple[int, int]], noun: str) -> tuple[int, frozenset[tuple[int, int]]]:
+    """``n`` and the set of ``pairs`` of vertex labels, checked in one pass:
+    n first, then each pair in input order.  Each number is read with
     ``operator.index`` as a plain int, so that a float or a string is
-    rejected and not truncated or parsed, and a bool or a numpy integer
-    is stored as the int it stands for."""
+    rejected and not truncated or parsed, and a bool or a numpy integer is
+    stored as the int it stands for.  n must be non-negative, a pair may
+    not be a loop, and both its ends must lie below n; the range message
+    calls the pair ``noun`` ("arc" or "edge")."""
     index = operator.index
     try:
-        return index(n), frozenset((index(i), index(j)) for i, j in pairs)
+        n = index(n)
+        if n < 0:
+            raise DigraphValidationError(f"vertex count must be a non-negative integer, got {n!r}")
+        checked = []
+        for i, j in pairs:
+            i, j = index(i), index(j)
+            if i == j:
+                raise DigraphValidationError(f"loop ({i},{i}) is not allowed")
+            if not (0 <= i < n and 0 <= j < n):
+                raise DigraphValidationError(f"{noun} ({i},{j}) out of range for n={n}")
+            checked.append((i, j))
     except TypeError as exc:
         raise DigraphValidationError(f"the vertex count and labels must be integers: {exc}") from None
+    return n, frozenset(checked)
 
 
 @dataclass(frozen=True)
@@ -47,19 +61,9 @@ class Digraph:
     arcs: frozenset[tuple[int, int]]
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()):
-        n, arcs = _integers(n, arcs)
+        n, arcs = _labels(n, arcs, "arc")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "arcs", arcs)
-        self._validate()
-
-    def _validate(self) -> None:
-        if self.n < 0:
-            raise DigraphValidationError(f"vertex count must be a non-negative integer, got {self.n!r}")
-        for i, j in self.arcs:
-            if i == j:
-                raise DigraphValidationError(f"loop ({i},{i}) is not allowed")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise DigraphValidationError(f"arc ({i},{j}) out of range for n={self.n}")
 
     @property
     def arc_count(self) -> int:
@@ -93,17 +97,9 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        n, edges = _integers(n, edges)
+        n, edges = _labels(n, edges, "edge")
         object.__setattr__(self, "n", n)
-        norm = frozenset((min(i, j), max(i, j)) for i, j in edges)
-        object.__setattr__(self, "edges", norm)
-        if n < 0:
-            raise DigraphValidationError(f"vertex count must be non-negative, got {n}")
-        for i, j in norm:
-            if i == j:
-                raise DigraphValidationError(f"loop ({i},{i}) is not allowed")
-            if not (0 <= i < n and 0 <= j < n):
-                raise DigraphValidationError(f"edge ({i},{j}) out of range for n={n}")
+        object.__setattr__(self, "edges", frozenset((min(i, j), max(i, j)) for i, j in edges))
 
 
 @dataclass(frozen=True)

@@ -141,18 +141,19 @@ def _arc_stack(n: int, arcs: np.ndarray) -> np.ndarray:
 
 
 def _first_use_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of the 2-D int64 or object array ``rows`` in order
-    of first use: the index of each one's first row, ascending, and the
-    ``(len(rows),)`` rank of every row among them.
+    """The distinct rows of the 2-D array ``rows`` in order of first use:
+    the index of each one's first row, ascending, and the ``(len(rows),)``
+    rank of every row among them.
 
     One stable ``lexsort`` over the columns puts equal rows together, each
     group led by its first row; a row-wise ``!=`` of neighbours marks where
     a group starts, and a running count over the marked first rows ranks
     the groups in order of first use.  It compares the entries as they
-    are, so int64 rows and rows of Python ints take the same route, and no
-    row becomes a tuple.
+    are, so int64 coefficient rows, rows of Python ints and packed
+    ``uint8`` bit rows take the same route, and no row becomes a tuple.
+    Rows of width 0 are all equal, one group.
     """
-    order = np.lexsort(rows.T)
+    order = np.lexsort(rows.T) if rows.shape[1] else np.arange(len(rows))
     ranked = rows[order]
     starts = np.ones(len(rows), dtype=bool)
     starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
@@ -232,7 +233,8 @@ class _Block:
     ``digons`` (S = A o A^T, the geometric symmetrization of a 0-1
     matrix), the closed-walk profile (c2 = S 1, t2 = S c2 and their sums,
     in int64), the spectral radii of S and S^2 (one stacked ``eigvalsh``
-    each over the block's distinct S), the QR values of the spread check
+    each over the block's distinct S, which ``_first_use_rows`` finds
+    among their packed bit rows), the QR values of the spread check
     (``check_spreads``), the cycle-arc reductions ``reduced_bits`` (an
     arc (i, j) lies on a cycle iff j reaches i, read off a boolean
     reachability closure) and the edge-list text of a member (``text``).
@@ -254,10 +256,9 @@ class _Block:
     skip reads.  One ``check_spreads`` call (``spread_errors``) decides per
     row whether its polynomial has a repeated root, and gives a member of
     such a row whose QR values miss the roots its own EigensolverError.  A
-    member's ``outcome`` is that error, else its row of ``certified``;
-    ``rejected`` marks the members of a rejected row and those with a
-    spread error, and ``spectra`` lists every outcome for ``Analysis`` and
-    the tests.  The spectral scalars, the integrals and the reduction
+    member's ``outcome`` is that error, else its row of ``certified``,
+    and ``rejected`` marks the members of a rejected row and those with a
+    spread error.  The spectral scalars, the integrals and the reduction
     invariance reach the members by the index.  A check reads the spectral
     scalars through ``spectral``, which raises the EigensolverError of the
     first rejected member among those the check reads.  The equality
@@ -266,8 +267,8 @@ class _Block:
     (``equality_verdict_rho_lower``), ``energy_bound_attained`` on ``bits``
     for the energy (``equality_verdict_energy_upper``).  The checks of
     ``verify_all`` read these pieces; a lone ``Analysis`` is a block of
-    one (``from_digraphs``) that reads row 0 and hands its rows of ``bits``
-    and ``reduced_bits`` to the verdicts.
+    one (``from_digraphs``) that reads row 0, its spectrum ``outcome(0)``,
+    and hands its rows of ``bits`` and ``reduced_bits`` to the verdicts.
 
     ``memo`` is the run's store of per-polynomial work (see ``Memo``): the
     block reads and fills it, and a spectrum it holds is the one the
@@ -373,12 +374,6 @@ class _Block:
         return self.spread_errors.get(k, self.certified[self.poly_index[k]])
 
     @cached_property
-    def spectra(self) -> list:
-        """Every member's ``outcome``, for ``Analysis`` and the tests; the
-        checks read ``rejected`` and ``spectral`` instead."""
-        return [self.outcome(k) for k in range(len(self.bits))]
-
-    @cached_property
     def rejected(self) -> np.ndarray:
         """The members whose spectrum is rejected: those of a rejected row
         of ``certified``, and those with a spread error."""
@@ -415,20 +410,16 @@ class _Block:
     @cached_property
     def symmetrization_radii(self) -> tuple[np.ndarray, np.ndarray]:
         """rho(S) and rho(S^2) of every member, computed once per distinct S
-        of the block and gathered back by member.  S is keyed by its packed
-        bits and one zero byte, so that S of order 0 has a key too, as one
-        1-D void array: ``np.unique(axis=0)`` on the stack takes about 3 ms
-        a block, and its first call without indices imports ``numpy.ma``.
-        LAPACK gives each matrix the same bits in any stack, so the radii
-        are those of per-member calls."""
+        of the block and gathered back by member: ``_first_use_rows`` on
+        the packed bit rows of the S finds them.  LAPACK gives each matrix
+        the same bits in any stack, so the radii are those of per-member
+        calls."""
         s = self.digons
-        rows = np.packbits(s.reshape(len(s), -1), axis=1)
-        keys = np.pad(rows, ((0, 0), (0, 1))).view(np.dtype((np.void, rows.shape[1] + 1))).ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        first, index = _first_use_rows(np.packbits(s.reshape(len(s), -1), axis=1))
         distinct = s[first].astype(float)
         rho_s = np.abs(np.linalg.eigvalsh(distinct)).max(axis=1, initial=0.0)
         rho_s2 = np.abs(np.linalg.eigvalsh(distinct @ distinct)).max(axis=1, initial=0.0)
-        return rho_s[inverse], rho_s2[inverse]
+        return rho_s[index], rho_s2[index]
 
     @cached_property
     def walk_lowers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -487,13 +478,12 @@ class Analysis:
     command reads one, and ``to_dict()`` is the ``analyze --json`` document.
 
     It is a block of one (``_Block.from_digraphs([d], Memo())``) and reads
-    row 0 of it:
-    the profile, the spectrum and the Coulson integral of row 0 of
-    ``polys``, which is the digraph's own polynomial, and the verdicts on
-    its rows of the block's adjacency and reduction stacks.  Its spectrum
-    is its polynomial's, as in any block.  It builds one adjacency stack,
-    packed from ``d.out_masks``, and the QR values of a repeated-root
-    spread check come from that stack too.
+    row 0 of it: the profile, the spectrum (``outcome(0)``) and the Coulson
+    integral of row 0 of ``polys``, which is the digraph's own polynomial,
+    and the verdicts on its rows of the block's adjacency and reduction
+    stacks.  Its spectrum is its polynomial's, as in any block.  It builds
+    one adjacency stack, packed from ``d.out_masks``, and the QR values of
+    a repeated-root spread check come from that stack too.
     """
 
     def __init__(self, d: Digraph, tol: float = bounds_mod.DEFAULT_TOL):
@@ -507,7 +497,7 @@ class Analysis:
 
     @cached_property
     def spectrum(self) -> Spectrum:
-        return unwrap(self._block.spectra[0])
+        return unwrap(self._block.outcome(0))
 
     @cached_property
     def bounds(self):
@@ -652,16 +642,22 @@ def _check_energy_bounds(block: _Block, tol: float):
     mc = bounds_mod.energy_upper_mcclelland(profile, n)
     e_mean = bounds_mod.energy_upper_walk_mean(profile, n)
     e_rms = bounds_mod.energy_upper_walk_rms(profile, n)
-    radius = bounds_mod.energy_upper_radius(profile, n, rho)
-    # The walk-ratio bound raises BoundInapplicableError on the members it
-    # does not apply to, so it is evaluated, and pinned, on the others only.
+    # The radius bound raises ValueError on the members whose rho exceeds
+    # sqrt(a), and the walk-ratio bound BoundInapplicableError on those it
+    # does not apply to, so each is evaluated, and pinned, on the others
+    # only; a rho above sqrt(a) fails a slot of its own.
+    _, outside = bounds_mod._radicand(rho, n, profile.a)
+    radius = np.zeros(len(rho))
+    radius[~outside] = bounds_mod.energy_upper_radius(_rows(profile, ~outside), n, rho[~outside])
     applies = block.ratio_applies
     e_ratio = np.zeros(len(applies))
     e_ratio[applies] = bounds_mod.energy_upper_walk_ratio(_rows(profile, applies), n)
-    out = [(~bounds_mod.close_tol(got, want, PIN_TOL), got, want, np.abs(got - want))
-           for got, want in ((mc, mc_i), (radius, radius_i), (e_mean, mean_i), (e_rms, rms_i))]
-    out.append((applies & ~bounds_mod.close_tol(e_ratio, ratio_i, PIN_TOL),
-                e_ratio, ratio_i, np.abs(e_ratio - ratio_i)))
+    pins = ((mc, mc_i, True), (radius, radius_i, ~outside), (e_mean, mean_i, True), (e_rms, rms_i, True),
+            (e_ratio, ratio_i, applies))
+    out = [(domain & ~bounds_mod.close_tol(got, want, PIN_TOL), got, want, np.abs(got - want))
+           for got, want, domain in pins]
+    root_a = np.sqrt(profile.a)
+    out.append((outside, rho, root_a, rho - root_a))
     out += [(~bounds_mod.leq_tol(energy, upper, tol), energy, upper, energy - upper)
             for upper in (mc_i, radius_i, mean_i, rms_i, ratio_i)]
     return _never(block), out
@@ -760,21 +756,16 @@ def _random_blocks(n: int, p: float, seed: int, count: int, memo: Memo) -> Itera
                      _arc_stack(n, _arc_draws(n, p, seeds)), memo)
 
 
-def _verify_block(blocks: Iterator[_Block], selected: list[str], tol: float,
-                  stats: dict[str, CheckStats], violations: list[Violation], inapplicable: list[str]) -> int:
-    """Take the next block of ``blocks`` and run the ``selected`` checks on
-    it: add its counts to ``stats``, its violations to ``violations``, and
-    to ``inapplicable`` the edge lists of its members that the walk-ratio
-    bound does not apply to.  Returns the number of digraphs taken, 0 once
-    ``blocks`` is spent.
+def _verify_block(block: _Block, selected: list[str], tol: float,
+                  stats: dict[str, CheckStats], violations: list[Violation], inapplicable: list[str]) -> None:
+    """Run the ``selected`` checks on ``block``: add its counts to
+    ``stats``, its violations to ``violations``, and to ``inapplicable``
+    the edge lists of its members that the walk-ratio bound does not apply
+    to.
 
     A check's outcome arrays are kept only when some member fails it, and
-    the block, its pieces and its digraphs die on return, before the next
-    block is pulled.
+    they die on return.
     """
-    block = next(blocks, None)
-    if block is None:
-        return 0
     inapplicable += [block.text(k) for k in np.flatnonzero(~block.ratio_applies).tolist()]
     outcomes = []  # (name, failed, slots) of each check some member fails
     failing = _never(block)
@@ -795,7 +786,6 @@ def _verify_block(blocks: Iterator[_Block], selected: list[str], tol: float,
             if failed[k]:
                 violations += [Violation(text, name, float(lhs[k]), float(rhs[k]), float(gap[k]))
                                for fail, lhs, rhs, gap in slots if fail[k]]
-    return len(block.bits)
 
 
 def verify_all(
@@ -827,8 +817,9 @@ def verify_all(
     member, in member order, then check order, then the check's own
     order.  A stacked result is bit for bit the per-digraph one, so the
     report does not depend on the block size, and a lone ``Analysis(d)``
-    is a block of one.  The corpus is never held whole, and one block is
-    held at a time (``_verify_block``).  A check raises
+    is a block of one.  The corpus is never held whole: each block goes
+    to ``_verify_block`` and is dropped before the next one is built, so
+    one block is held at a time.  A check raises
     where it reads a spectrum the eigensolver rejects: the EigensolverError
     of the first rejected member among the members it reads ends the call.
     With every check run, the first to read spectra reads all members, so
@@ -873,8 +864,10 @@ def verify_all(
     inapplicable: list[str] = []
     checked = 0
     started = time.monotonic()
-    while taken := _verify_block(blocks, selected, tol, stats, violations, inapplicable):
-        checked += taken
+    for block in blocks:
+        _verify_block(block, selected, tol, stats, violations, inapplicable)
+        checked += len(block.bits)
+        del block  # with its pieces and digraphs, before the next block is built
     return VerificationReport(
         n=n,
         mode=mode_desc,

@@ -1,7 +1,7 @@
 """Graph and digraph builders shared across the test modules, the graph
 invariants the tests take as references (neighbour masks, degrees and
-connected components), and the spectrum of a lone digraph from its own
-pieces."""
+connected components), the spectrum of a lone digraph from its own
+pieces, and the outcomes of the members of a harness block."""
 
 from itertools import combinations, product
 
@@ -46,6 +46,12 @@ def spectrum_of(d: Digraph):
     """The certified spectrum of d from its per-digraph pieces, apart from
     any block of the harness."""
     return eigenvalues(characteristic_polynomial(d), adjacency_matrix(d))
+
+
+def outcomes(block) -> list:
+    """Each member's ``outcome`` of a harness block: its spectrum, or the
+    EigensolverError that rejects it."""
+    return [block.outcome(k) for k in range(len(block.bits))]
 
 
 def complete_graph(n: int) -> Graph:

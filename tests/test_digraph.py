@@ -394,3 +394,54 @@ class TestValidation:
         assert type(d.n) is int and type(g.n) is int
         assert all(type(v) is int for arc in d.arcs | g.edges for v in arc)
         assert serialize_edge_list(d) == "3\n0 2\n"
+
+    def test_bool_labels_are_stored_as_ints(self):
+        d, g = Digraph(np.int8(3), [(True, np.uint8(2))]), Graph(True + 2, [(np.int16(2), True)])
+        assert d == Digraph(3, [(1, 2)]) and g == Graph(3, [(1, 2)])
+        assert all(type(v) is int for arc in d.arcs | g.edges for v in (d.n, g.n, *arc))
+
+    # Digraph and Graph share one check of n and the pairs: the same faults
+    # give the same messages, but for the noun of the range message.  The
+    # pair is printed as given, and a Graph's range message no longer
+    # prints it ordered.
+    @pytest.mark.parametrize("n,pairs,message", [
+        (3, [(0.5, 2)], "the vertex count and labels must be integers: 'float' object cannot be "
+                        "interpreted as an integer"),
+        (3, [("1", "2")], "the vertex count and labels must be integers: 'str' object cannot be "
+                          "interpreted as an integer"),
+        (2.0, [], "the vertex count and labels must be integers: 'float' object cannot be "
+                  "interpreted as an integer"),
+        ("3", [], "the vertex count and labels must be integers: 'str' object cannot be "
+                  "interpreted as an integer"),
+        (-1, [], "vertex count must be a non-negative integer, got -1"),
+        (3, [(1, 1)], "loop (1,1) is not allowed"),
+        (3, [(3, 2)], "{} (3,2) out of range for n=3"),
+        (3, [(0, -1)], "{} (0,-1) out of range for n=3"),
+    ], ids=["float-label", "str-label", "float-n", "str-n", "negative-n", "loop", "range-high", "range-low"])
+    def test_digraph_and_graph_reject_alike(self, n, pairs, message):
+        for cls, noun in ((Digraph, "arc"), (Graph, "edge")):
+            with pytest.raises(DigraphValidationError) as caught:
+                cls(n, pairs)
+            assert str(caught.value) == message.format(noun)
+
+    # n is checked first, then the pairs in input order, each read, then
+    # checked for a loop, then for its range.
+    @pytest.mark.parametrize("n,pairs,message", [
+        (-1, [(0.5, 1), (1, 1)], "non-negative"),
+        (2.5, [(1, 1)], "must be integers"),
+        (3, [(0, 1), (0, 5), (1, 1), ("a", 0)], "out of range"),
+        (3, [(0, 1), (1, 1), (0, 5)], "loop"),
+        (3, [(0, 1), ("a", 0), (1, 1)], "must be integers"),
+        (3, [(7, 7)], "loop"),
+    ], ids=["n-before-pairs", "n-read-first", "range-first", "loop-first", "label-first", "loop-before-range"])
+    def test_first_fault_in_input_order(self, n, pairs, message):
+        for cls in (Digraph, Graph):
+            with pytest.raises(DigraphValidationError, match=message):
+                cls(n, pairs)
+            with pytest.raises(DigraphValidationError, match=message):
+                cls(n, iter(pairs))
+
+    def test_one_shot_generator_of_pairs(self):
+        d = Digraph(3, ((i, i + 1) for i in range(2)))
+        g = Graph(3, ((i + 1, i) for i in range(2)))
+        assert d.arcs == {(0, 1), (1, 2)} and g.edges == {(0, 1), (1, 2)}

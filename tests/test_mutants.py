@@ -20,9 +20,10 @@ from typing import Callable, Optional
 import numpy as np
 import pytest
 
-from digenergy import Digraph, EigensolverError, adjacency_matrix, verify_all
+from digenergy import Analysis, Digraph, EigensolverError, adjacency_matrix, verify_all
 from digenergy import kernels as kernels_mod
 from digenergy import oracle as oracle_mod
+from digenergy import spectrum as spectrum_mod
 
 CORPORA = {
     "exhaustive-n4": lambda: verify_all(4),
@@ -125,6 +126,37 @@ def _transposed_arc_stack(monkeypatch):
     monkeypatch.setattr(oracle_mod, "_arc_stack", lambda n, arcs: arc_stack(n, arcs).swapaxes(1, 2))
 
 
+def _drift_first_row(monkeypatch):
+    # Row 0 of every kernel call: the first member of each block; in the
+    # first block of order 4 the empty digraph, whose x^4 becomes x^4 + 1,
+    # with rho 1 above sqrt(a) = 0.
+    _drift_kernel(monkeypatch, lambda stack, coeffs: np.arange(len(coeffs)) == 0)
+
+
+def _energy_as_sum_of_re(monkeypatch):
+    _source_mutant(monkeypatch, spectrum_mod, "certify_spectra", "np.abs(at.real)", "at.real")
+    monkeypatch.setattr(oracle_mod, "certify_spectra", spectrum_mod.certify_spectra)
+
+
+def _coulson_sign_flipped(monkeypatch):
+    _source_mutant(monkeypatch, spectrum_mod, "_level_synchronous_gl",
+                   "2.0 * float(total) if", "-2.0 * float(total) if")
+
+
+def _walk_ratio_attained_negated(monkeypatch):
+    attained = oracle_mod.walk_ratio_attained
+    monkeypatch.setattr(oracle_mod, "walk_ratio_attained", lambda reduced, profile: ~attained(reduced, profile))
+
+
+def _no_aberth_sweep(monkeypatch):
+    monkeypatch.setattr(spectrum_mod, "_ABERTH_SWEEPS", 0)
+
+
+def _shifted_qr_values(monkeypatch):
+    qr_values = spectrum_mod.qr_values
+    monkeypatch.setattr(spectrum_mod, "qr_values", lambda a: qr_values(a) + 0.5)
+
+
 @dataclass(frozen=True)
 class Mutant:
     name: str
@@ -156,6 +188,26 @@ MUTANTS = [
     Mutant("transposed-arc-stack", _transposed_arc_stack, "exhaustive-n4", {"walk_rowsum": (4032, 4032)},
            why="a transposed stack keeps every charpoly, profile, S and verdict; walk_rowsum's "
                "entry-by-entry slot fails exactly the 4,096 - 2^6 non-symmetric digraphs"),
+    Mutant("kernel-drift-first-row", _drift_first_row, "exhaustive-n4",
+           {"moment_total": (4, 4), "energy_bounds": (4, 21), "charpoly_reduction_invariance": (3, 3),
+            "equality_iff_rho": (4, 4), "equality_iff_energy": (1, 1)},
+           why="the empty digraph gets rho 1 above sqrt(a) = 0, which fails energy_bounds' own slot "
+               "instead of ending the run"),
+    Mutant("energy-as-sum-of-re", _energy_as_sum_of_re, "exhaustive-n4",
+           {"coulson_match": (3499, 3499), "equality_iff_energy": (4, 4)},
+           why="sum Re is the trace, 0: every upper bound holds, but the integrals and the four "
+               "predicted energy equalities miss it"),
+    Mutant("coulson-sign-flipped", _coulson_sign_flipped, "exhaustive-n4", {"coulson_match": (3499, 3499)},
+           why="every integral that is not 0 and meets no pole misses the energy"),
+    Mutant("walk-ratio-attained-negated", _walk_ratio_attained_negated, "exhaustive-n4",
+           {"equality_iff_rho": (4096, 4096)},
+           why="every radius-equality prediction is flipped"),
+    Mutant("no-aberth-sweep", _no_aberth_sweep, "exhaustive-n4", {}, item="item 20",
+           why="the np.roots starts of the exact square-free factors move rho and the energy by at most "
+               "4.4e-15 at n = 4 (1.7e-14 at random n = 10), below every tolerance"),
+    Mutant("shifted-qr-values", _shifted_qr_values, "exhaustive-n4", EIGENSOLVER,
+           why="a repeated-root member's QR values miss its roots by more than 1e-2 (1 + rho), and the "
+               "run ends there; a shift below that tolerance is not seen, by design"),
 ]
 
 
@@ -171,3 +223,22 @@ def test_transposed_stack_violations_print_the_transposed_rows(monkeypatch):
     _transposed_arc_stack(monkeypatch)
     report = verify_all(4)
     assert report.violations[0].digraph_text == "4\n1 0\n"
+
+
+def test_rho_above_root_a_fails_a_slot_of_energy_bounds(monkeypatch):
+    # The empty digraph of order 4 with x^4 + 1: rho 1 against sqrt(a) = 0.
+    # energy_upper_radius is undefined there, so it is neither evaluated
+    # nor pinned on that member, and the run goes on.
+    _drift_first_row(monkeypatch)
+    report = verify_all(4)
+    assert report.digraphs_checked == 4096
+    first = [v for v in report.violations if (v.digraph_text, v.check) == ("4\n", "energy_bounds")][0]
+    assert (first.lhs, first.rhs, first.gap) == (1.0, 0.0, 1.0)
+
+
+def test_analysis_notes_rho_above_root_a(monkeypatch):
+    _drift_first_row(monkeypatch)
+    bounds = Analysis(Digraph(4)).to_dict()["bounds"]
+    assert bounds["energy_upper_radius"] is None and not bounds["chain_ok"]
+    assert bounds["notes"] == ["energy_upper_radius: negative radicand -3.000e+00 in energy bound "
+                               "(x=1.0, n=4, a=0)"]

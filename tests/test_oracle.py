@@ -11,7 +11,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import digenergy
@@ -47,7 +47,7 @@ from digenergy import spectrum as spectrum_mod
 from digenergy.spectrum import Memo, Spectrum, unwrap
 from digenergy.structure import KIND_EMPTY
 
-from families import complete_graph, directed_cycle, path_graph, spectrum_of, sym
+from families import complete_graph, directed_cycle, outcomes, path_graph, spectrum_of, sym
 
 
 class TestEnumeration:
@@ -374,7 +374,7 @@ class TestAnalysis:
 
 def _shared_spectrum(d, memo):
     """The spectrum of ``d`` as a block of one that shares ``memo``."""
-    return unwrap(oracle_mod._Block.from_digraphs([d], memo).spectra[0])
+    return unwrap(oracle_mod._Block.from_digraphs([d], memo).outcome(0))
 
 
 class TestSharedSpectra:
@@ -567,7 +567,7 @@ class TestBlocks:
             assert block.polys[block.poly_index[k]] == characteristic_polynomial(d)
             assert block.polys[block.reduced_index[k]] == characteristic_polynomial(cycle_arc_reduction(d))
             assert np.array_equal(block.digons[k], geometric_symmetrization(adjacency_matrix(d)))
-            assert repr(unwrap(block.spectra[k])) == repr(spectrum_of(d))
+            assert repr(unwrap(block.outcome(k))) == repr(spectrum_of(d))
 
     @pytest.mark.parametrize("corpus", ["n4", "n10"])
     def test_spectra_and_integrals_equal_blocks_of_one(self, corpus):
@@ -579,16 +579,16 @@ class TestBlocks:
         def text(outcome):
             return f"{type(outcome).__name__}: {outcome}" if isinstance(outcome, Exception) else repr(outcome)
 
-        def outcomes(size):
+        def per_member(size):
             memo, out = Memo(), []
             for start in range(0, len(ds), size):
                 block = oracle_mod._Block.from_digraphs(ds[start:start + size], memo)
                 out += [(text(spec), text(spec if isinstance(spec, Exception) else block.integrals[p]))
-                        for spec, p in zip(block.spectra, block.poly_index.tolist())]
+                        for spec, p in zip(outcomes(block), block.poly_index.tolist())]
             return out
 
-        blocked = outcomes(BLOCK)
-        assert blocked == outcomes(1)
+        blocked = per_member(BLOCK)
+        assert blocked == per_member(1)
         assert any("Error" in c for _, c in blocked)
 
     @pytest.mark.parametrize("rejected", [0, 1])
@@ -604,10 +604,10 @@ class TestBlocks:
         memo = Memo()
         block = oracle_mod._Block.from_digraphs(ds, memo)
         with pytest.raises(EigensolverError, match="disagree"):
-            unwrap(block.spectra[rejected])
+            unwrap(block.outcome(rejected))
         with pytest.raises(EigensolverError, match="disagree"):
             oracle_mod._CHECKS["coulson_match"](block, 1e-8)
-        good, third = unwrap(block.spectra[1 - rejected]), unwrap(block.spectra[2])
+        good, third = unwrap(block.outcome(1 - rejected)), unwrap(block.outcome(2))
         integral = [block.integrals[p] for p in block.poly_index.tolist()]
         assert good.energy == 0.0 and integral[1 - rejected] == 0.0
         assert memo.spectra[(0, 0, 0, 1)] is good
@@ -629,10 +629,10 @@ class TestBlocks:
         with monkeypatch.context() as m:
             m.setattr(spectrum_mod, "qr_values", forbidden)
             block = oracle_mod._Block.from_digraphs([d for d, sf in zip(ds, square_free) if sf], Memo())
-            assert all(isinstance(s, Spectrum) for s in block.spectra)
+            assert all(isinstance(s, Spectrum) for s in outcomes(block))
         taken = []
         monkeypatch.setattr(spectrum_mod, "qr_values", lambda a: taken.append(a.copy()) or qr_values(a))
-        spectra = oracle_mod._Block.from_digraphs(ds[:20], Memo()).spectra
+        spectra = outcomes(oracle_mod._Block.from_digraphs(ds[:20], Memo()))
         assert not any(isinstance(s, Exception) for s in spectra)
         want = [adjacency_matrix(d) for d, sf in zip(ds[:20], square_free) if not sf]
         assert len(taken) == 1 and np.array_equal(taken[0], np.array(want))
@@ -881,14 +881,19 @@ def _tuple_dict_table(block):
 
 
 @st.composite
-def _coefficient_rows(draw):
-    """A 2-D int64 or object array of few distinct values, repeated rows
-    likely; the object rows hold integers beyond int64."""
-    width, size = draw(st.integers(1, 4)), draw(st.integers(1, 40))
+def _table_rows(draw):
+    """A 2-D int64, object or packed uint8 array of few distinct values,
+    repeated rows likely, width 0 included: the object rows hold integers
+    beyond int64, and the uint8 rows are 0-1 rows packed by
+    ``np.packbits``, as ``symmetrization_radii`` keys the S."""
+    width, size = draw(st.integers(0, 4)), draw(st.integers(1, 40))
     values = draw(st.lists(st.integers(-2, 2), min_size=width * size, max_size=width * size))
     rows = np.array(values, dtype=np.int64).reshape(size, width)
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["int64", "object", "packed"]))
+    if kind == "object":
         rows = rows.astype(object) * 2 ** 70
+    elif kind == "packed":
+        rows = np.packbits(np.repeat(rows & 1, 3, axis=1), axis=1)
     return rows
 
 
@@ -897,7 +902,8 @@ class TestPolyTable:
     kernel's coefficient rows (``_first_use_rows``), and equals the one a
     dict keyed by coefficient tuples builds: the same rows, in the same
     order of first use, on int64 and object rows alike, each coefficient a
-    Python int."""
+    Python int.  The same helper finds a block's distinct S among their
+    packed bit rows."""
 
     @staticmethod
     def _assert_equals_tuple_dict(block):
@@ -906,7 +912,8 @@ class TestPolyTable:
         assert block.poly_index.tolist() == rows and block.reduced_index.tolist() == reduced
         assert all(type(c) is int for p in block.polys for c in p.coeffs)
 
-    @given(_coefficient_rows())
+    @given(_table_rows())
+    @example(np.zeros((3, 0), dtype=np.uint8))  # the S of order 0: one group
     @settings(max_examples=100, deadline=None)
     def test_first_use_rows_equal_a_tuple_dict(self, rows):
         table = {}
@@ -974,11 +981,11 @@ class TestCoulsonMatch:
         # checked and passes.
         d = sym(path_graph(3))
         memo = Memo()
-        spec = unwrap(oracle_mod._Block.from_digraphs([d], memo).spectra[0])
+        spec = unwrap(oracle_mod._Block.from_digraphs([d], memo).outcome(0))
         planted = dataclasses.replace(spec, eigenvalues=(spec.eigenvalues[0], 1e-7 + 0.5j, 1e-7 - 0.5j))
         memo.spectra[spec.charpoly.coeffs] = planted
         block = oracle_mod._Block.from_digraphs([d], memo)
-        assert block.spectra[0] is planted
+        assert block.outcome(0) is planted
         skip, slots = oracle_mod._CHECKS["coulson_match"](block, DEFAULT_TOL)
         assert not skip[0] and not any(fail[0] for fail, *_ in slots)
         assert block.integrals[0] == pytest.approx(planted.energy, rel=1e-6)

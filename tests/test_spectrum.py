@@ -40,6 +40,7 @@ from families import (
     complete_graph,
     directed_cycle,
     directed_path,
+    outcomes,
     path_graph,
     petersen_graph,
     star_graph,
@@ -705,12 +706,12 @@ class TestResidualGate:
         memo = Memo()
         with monkeypatch.context() as m:
             m.setattr(spectrum_mod, "_RESIDUAL_GATE", -1.0)
-            for outcome in _Block.from_digraphs(ds, memo).spectra:
+            for outcome in outcomes(_Block.from_digraphs(ds, memo)):
                 with pytest.raises(EigensolverError, match="exceeds gate"):
                     unwrap(outcome)
         assert (-1, 0, 0, 1) not in memo.spectra
         block = _Block.from_digraphs(ds, memo)
-        first, second = block.spectra
+        first, second = outcomes(block)
         assert first is second is memo.spectra[-1, 0, 0, 1]
         assert first.energy == pytest.approx(2.0, abs=1e-12)
 
@@ -848,8 +849,8 @@ def _certified_block_rows(monkeypatch, blocks):
     with monkeypatch.context() as m:
         m.setattr(spectrum_mod, "_paired_spectra", recording)
         for ds in blocks:
-            outcomes = _Block.from_digraphs(ds, Memo()).certified
-            spectra += [s for s in outcomes if not isinstance(s, Exception)]
+            certified = _Block.from_digraphs(ds, Memo()).certified
+            spectra += [s for s in certified if not isinstance(s, Exception)]
     return seen, spectra
 
 
@@ -1422,7 +1423,7 @@ def _block_outcomes(d, memo):
     """The spectrum and Coulson outcome of ``d`` as a block of one that
     reads and fills ``memo``, as text."""
     block = _Block.from_digraphs([d], memo)
-    (spec,) = block.spectra
+    (spec,) = outcomes(block)
     return repr(spec), _outcome_text(spec if isinstance(spec, Exception) else block.integrals[0])
 
 
@@ -1463,7 +1464,7 @@ class TestExactMemo:
         coeffs = characteristic_polynomial(d).coeffs
         assert coeffs in memo.factors
         assert memo.integrals[coeffs, 1e-6] == integral
-        assert memo.spectra[coeffs] is first.spectra[0]
+        assert memo.spectra[coeffs] is first.outcome(0)
 
         def forbidden(*args):
             raise AssertionError("a memo hit recomputed")
@@ -1472,7 +1473,7 @@ class TestExactMemo:
         monkeypatch.setattr(kernels_mod, "square_free_decompositions", forbidden)
         monkeypatch.setattr(spectrum_mod, "_level_synchronous_gl", forbidden)
         second = _Block.from_digraphs([relabeled], memo)
-        assert second.spectra[0] is memo.spectra[coeffs]
+        assert second.outcome(0) is memo.spectra[coeffs]
         assert second.integrals[0] == integral
 
     def test_one_kernel_call_serves_relabelings_and_reductions(self, monkeypatch):
@@ -1511,7 +1512,7 @@ class TestExactMemo:
         transpose = Digraph(5, [(j, i) for i, j in tailed.arcs])
         assert shuffled != d and transpose != tailed
         for image in (shuffled, transpose):
-            assert Analysis(image).spectrum == block.spectra[0] == block.spectra[2]
+            assert Analysis(image).spectrum == block.outcome(0) == block.outcome(2)
 
     @pytest.mark.parametrize("corpus", ["n4", "random-n5-16"])
     def test_relabeling_and_transpose_keep_spectrum_and_bounds(self, corpus):
