@@ -18,8 +18,10 @@ the three f-based bounds are provably ordered:
 Each bound takes one profile, or the stacked profile of a block of K
 digraphs with rho as a (K,) array, and is then one (K,) array: the same
 float per row, since ``np.sqrt`` is correctly rounded like ``math.sqrt``
-and the profile integers convert to float64 exactly.  A domain guard
-raises when any row fails it.
+and the profile integers convert to float64 exactly.  The order n is the
+profile's own (the last axis of its sequences, so a stack cut to no rows
+keeps it), and one guard raises for n < 1 in the six bounds whose
+formulas need it.  A domain guard raises when any row fails it.
 """
 
 from __future__ import annotations
@@ -68,13 +70,13 @@ def inject_fault(name: str, delta: float):
         globals()[name] = original
 
 
-def leq_tol(lhs, rhs, tol: float = DEFAULT_TOL):
+def leq_tol(lhs, rhs, tol: float):
     """lhs <= rhs within an absolute tolerance normalized by max(1, |values|);
     elementwise on arrays."""
     return lhs <= rhs + tol * np.maximum(np.maximum(1.0, np.abs(lhs)), np.abs(rhs))
 
 
-def close_tol(lhs, rhs, tol: float = DEFAULT_TOL):
+def close_tol(lhs, rhs, tol: float):
     """|lhs - rhs| within the same normalized tolerance; elementwise on arrays."""
     return np.abs(lhs - rhs) <= tol * np.maximum(np.maximum(1.0, np.abs(lhs)), np.abs(rhs))
 
@@ -84,18 +86,23 @@ def _first(values, bad):
     return np.broadcast_to(values, np.shape(bad)).flat[np.argmax(bad)]
 
 
-def rho_lower_walk_mean(profile: ClosedWalkProfile, n: int) -> float:
+def _order(profile: ClosedWalkProfile) -> int:
+    """The order n of ``profile``, for a bound that divides by n or takes
+    sqrt((n-1) ...); raises ValueError when n < 1."""
+    n = profile.n
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    return n
+
+
+def rho_lower_walk_mean(profile: ClosedWalkProfile) -> float:
     """Radius lower bound c2 / n."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return profile.c2_total / n
+    return profile.c2_total / _order(profile)
 
 
-def rho_lower_walk_rms(profile: ClosedWalkProfile, n: int) -> float:
+def rho_lower_walk_rms(profile: ClosedWalkProfile) -> float:
     """Radius lower bound sqrt(sum c2_i^2 / n)."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return np.sqrt(profile.sum_c2_sq / n)
+    return np.sqrt(profile.sum_c2_sq / _order(profile))
 
 
 def walk_ratio(profile: ClosedWalkProfile) -> float:
@@ -128,39 +135,35 @@ def _f_energy(x: float, n: int, a: int) -> float:
     return x + np.sqrt(np.maximum(0.0, radicand))
 
 
-def energy_upper_mcclelland(profile: ClosedWalkProfile, n: int) -> float:
+def energy_upper_mcclelland(profile: ClosedWalkProfile) -> float:
     """McClelland-type bound sqrt(n (a + c2) / 2)."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return np.sqrt(n * (profile.a + profile.c2_total) / 2.0)
+    return np.sqrt(_order(profile) * (profile.a + profile.c2_total) / 2.0)
 
 
-def energy_upper_radius(profile: ClosedWalkProfile, n: int, rho: float) -> float:
+def energy_upper_radius(profile: ClosedWalkProfile, rho: float) -> float:
     """Energy bound f(rho) = rho + sqrt((n-1)(a - rho^2)) at the spectral
     radius ``rho``."""
-    return _f_energy(rho, n, profile.a)
+    return _f_energy(rho, profile.n, profile.a)
 
 
-def energy_upper_walk_mean(profile: ClosedWalkProfile, n: int) -> float:
+def energy_upper_walk_mean(profile: ClosedWalkProfile) -> float:
     """Energy bound f(c2/n).  The radicand cannot go negative for a valid
     digraph (c2 <= a and c2 <= n(n-1)); this is asserted exactly."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    n = _order(profile)
     if np.any(profile.c2_total ** 2 > profile.a * n * n):
         raise ValueError("mean walk count exceeds sqrt(a); profile is not from a valid digraph")
     return _f_energy(profile.c2_total / n, n, profile.a)
 
 
-def energy_upper_walk_rms(profile: ClosedWalkProfile, n: int) -> float:
+def energy_upper_walk_rms(profile: ClosedWalkProfile) -> float:
     """Energy bound f(sqrt(sum c2_i^2 / n)); same unreachable-domain guard."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    n = _order(profile)
     if np.any(profile.sum_c2_sq > profile.a * n):
         raise ValueError("rms walk count exceeds sqrt(a); profile is not from a valid digraph")
     return _f_energy(np.sqrt(profile.sum_c2_sq / n), n, profile.a)
 
 
-def energy_upper_walk_ratio(profile: ClosedWalkProfile, n: int) -> float:
+def energy_upper_walk_ratio(profile: ClosedWalkProfile) -> float:
     """Energy bound f(sqrt(q)) with q the walk ratio.
 
     q <= a, that is sum t2^2 <= a sum c2^2, holds for every digraph, in
@@ -172,8 +175,7 @@ def energy_upper_walk_ratio(profile: ClosedWalkProfile, n: int) -> float:
     that violates it comes from no digraph: the bound is inapplicable and
     this raises BoundInapplicableError rather than clamping.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    n = _order(profile)
     q = walk_ratio(profile)
     bad = profile.sum_t2_sq > profile.a * profile.sum_c2_sq
     if np.any(bad):
@@ -231,14 +233,14 @@ def bound_chain_report(
             notes.append(f"{fn.__name__}: {exc}")
             return None
 
-    mean = attempt(rho_lower_walk_mean, profile, n)
-    rms = attempt(rho_lower_walk_rms, profile, n)
+    mean = attempt(rho_lower_walk_mean, profile)
+    rms = attempt(rho_lower_walk_rms, profile)
     ratio = rho_lower_walk_ratio(profile)
-    e_mc = attempt(energy_upper_mcclelland, profile, n)
-    e_radius = attempt(energy_upper_radius, profile, n, spectrum.rho)
-    e_mean = attempt(energy_upper_walk_mean, profile, n)
-    e_rms = attempt(energy_upper_walk_rms, profile, n)
-    e_ratio = attempt(energy_upper_walk_ratio, profile, n)
+    e_mc = attempt(energy_upper_mcclelland, profile)
+    e_radius = attempt(energy_upper_radius, profile, spectrum.rho)
+    e_mean = attempt(energy_upper_walk_mean, profile)
+    e_rms = attempt(energy_upper_walk_rms, profile)
+    e_ratio = attempt(energy_upper_walk_ratio, profile)
 
     dominated = a * n < profile.c2_total ** 2
 

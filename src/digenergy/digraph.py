@@ -241,7 +241,7 @@ def walk_profile(d: Digraph) -> ClosedWalkProfile:
     adjacency matrix, and ``t2_seq`` equals that matrix applied to
     ``c2_seq``; the sequence totals satisfy sum(t2) == sum(c2**2).
     """
-    c2, t2 = kernels.walk_counts(d.n, d.out_masks, d.in_masks)
+    c2, t2 = kernels.walk_counts(d.out_masks, d.in_masks)
     return ClosedWalkProfile(
         c2_seq=tuple(c2),
         t2_seq=tuple(t2),
@@ -253,7 +253,7 @@ def walk_profile(d: Digraph) -> ClosedWalkProfile:
 
 
 def strongly_connected_components(d: Digraph) -> SccPartition:
-    ids, count = kernels.scc_ids(d.n, d.out_masks, d.in_masks)
+    ids, count = kernels.scc_ids(d.out_masks, d.in_masks)
     return SccPartition(component_id=tuple(ids), component_count=count)
 
 

@@ -55,14 +55,14 @@ def _bits(mask: int):
         mask &= mask - 1
 
 
-def walk_counts(n: int, out_masks, in_masks):
+def walk_counts(out_masks, in_masks):
     """Per-vertex closed-2-walk counts and their doubly-adjacent sums.
 
     Returns ``(c2, t2)`` where ``c2[i]`` counts vertices doubly adjacent to
     ``i`` and ``t2[i]`` sums ``c2[j]`` over those vertices.
     """
-    c2 = [(out_masks[i] & in_masks[i]).bit_count() for i in range(n)]
-    t2 = [sum(c2[j] for j in _bits(out_masks[i] & in_masks[i])) for i in range(n)]
+    c2 = [(out & into).bit_count() for out, into in zip(out_masks, in_masks)]
+    t2 = [sum(c2[j] for j in _bits(out & into)) for out, into in zip(out_masks, in_masks)]
     return c2, t2
 
 
@@ -79,16 +79,16 @@ def reach(start: int, masks) -> int:
     return seen
 
 
-def scc_ids(n: int, out_masks, in_masks):
+def scc_ids(out_masks, in_masks):
     """Strongly connected components from reachability.
 
     The component of v is what v reaches that also reaches v.  Returns
     ``(ids, count)``; taking v as the smallest unassigned vertex orders the
     ids by smallest member vertex.
     """
-    ids = [-1] * n
+    ids = [-1] * len(out_masks)
     count = 0
-    for v in range(n):
+    for v in range(len(ids)):
         if ids[v] < 0:
             for j in _bits(reach(v, out_masks) & reach(v, in_masks)):
                 ids[j] = count

@@ -613,10 +613,10 @@ def _check_moment_total(block: _Block, tol: float):
 
 
 def _check_rho_chain(block: _Block, tol: float):
-    profile, n = block.profile, block.n
+    profile = block.profile
     mean_i, rms_i, ratio_i = block.walk_lowers
-    mean = bounds_mod.rho_lower_walk_mean(profile, n)
-    rms = bounds_mod.rho_lower_walk_rms(profile, n)
+    mean = bounds_mod.rho_lower_walk_mean(profile)
+    rms = bounds_mod.rho_lower_walk_rms(profile)
     ratio = bounds_mod.rho_lower_walk_ratio(profile)
     # Formula pins: the module values must match the inline recomputation.
     out = [(~bounds_mod.close_tol(got, want, PIN_TOL), got, want, np.abs(got - want))
@@ -630,28 +630,28 @@ def _check_rho_chain(block: _Block, tol: float):
 
 
 def _rows(profile: ClosedWalkProfile, keep: np.ndarray) -> ClosedWalkProfile:
-    """The members ``keep`` of a stacked profile."""
+    """The members ``keep`` of a stacked profile, of its order n even if none."""
     return ClosedWalkProfile(*(getattr(profile, f.name)[keep] for f in fields(profile)))
 
 
 def _check_energy_bounds(block: _Block, tol: float):
-    profile, n = block.profile, block.n
+    profile = block.profile
     rho, energy, _, _ = block.spectral()
     mc_i, mean_i, rms_i, ratio_i = block.walk_uppers
     radius_i = block.energy_shape(rho)
-    mc = bounds_mod.energy_upper_mcclelland(profile, n)
-    e_mean = bounds_mod.energy_upper_walk_mean(profile, n)
-    e_rms = bounds_mod.energy_upper_walk_rms(profile, n)
+    mc = bounds_mod.energy_upper_mcclelland(profile)
+    e_mean = bounds_mod.energy_upper_walk_mean(profile)
+    e_rms = bounds_mod.energy_upper_walk_rms(profile)
     # The radius bound raises ValueError on the members whose rho exceeds
     # sqrt(a), and the walk-ratio bound BoundInapplicableError on those it
     # does not apply to, so each is evaluated, and pinned, on the others
     # only; a rho above sqrt(a) fails a slot of its own.
-    _, outside = bounds_mod._radicand(rho, n, profile.a)
+    _, outside = bounds_mod._radicand(rho, block.n, profile.a)
     radius = np.zeros(len(rho))
-    radius[~outside] = bounds_mod.energy_upper_radius(_rows(profile, ~outside), n, rho[~outside])
+    radius[~outside] = bounds_mod.energy_upper_radius(_rows(profile, ~outside), rho[~outside])
     applies = block.ratio_applies
     e_ratio = np.zeros(len(applies))
-    e_ratio[applies] = bounds_mod.energy_upper_walk_ratio(_rows(profile, applies), n)
+    e_ratio[applies] = bounds_mod.energy_upper_walk_ratio(_rows(profile, applies))
     pins = ((mc, mc_i, True), (radius, radius_i, ~outside), (e_mean, mean_i, True), (e_rms, rms_i, True),
             (e_ratio, ratio_i, applies))
     out = [(domain & ~bounds_mod.close_tol(got, want, PIN_TOL), got, want, np.abs(got - want))

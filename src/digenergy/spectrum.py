@@ -30,8 +30,8 @@ Both layers work on stacks, for a block of digraphs of one order
 polynomial: one Aberth call per degree refines the distinct square-free
 factors of all of them, one ``qr_values`` call and one stacked distance
 array check the members with a repeated-root polynomial
-(``check_spreads``), and one quadrature, after one pole-guard mask per
-order, integrates every distinct polynomial of the block.  Each row of a
+(``check_spreads``), and one quadrature, after one pole-guard mask,
+integrates every distinct polynomial of the block.  Each row of a
 stack gets the bits it gets alone, so a spectrum does not depend on which
 digraph, block or run it came from, and ``eigenvalues`` and
 ``coulson_energy`` are the blocks of one.
@@ -241,13 +241,13 @@ def _exact_roots(polys: Sequence[tuple[int, ...]], memo: Memo) -> list[tuple[com
     of its factors, which are stored in ``memo.factors``.
 
     Each root is a simple root of its factor, so the refinement converges
-    to machine precision regardless of multiplicity.  The distinct
-    polynomials take one stacked decomposition
+    to machine precision regardless of multiplicity.  ``polys`` are
+    distinct (its caller passes new rows of a block's table of distinct
+    polynomials) and take one stacked decomposition
     (``kernels.square_free_decompositions``), and their factors that
     ``memo.factors`` lacks are refined together.
     """
-    new = list(dict.fromkeys(polys))
-    decomps = dict(zip(new, kernels.square_free_decompositions(new) if new else []))
+    decomps = dict(zip(polys, kernels.square_free_decompositions(polys) if polys else []))
     _factor_roots((f for dec in decomps.values() for f, _ in dec), memo.factors)
     return [tuple(complex(z) for f, mult in decomps[c] for z in memo.factors[f] for _ in range(mult))
             for c in polys]
@@ -704,38 +704,28 @@ def _level_synchronous_gl(f: _Integrand, b: float, rel_tol: float) -> list:
 
 
 def coulson_energies(spectra: Sequence[Spectrum], rel_tol: float, memo: Memo) -> list:
-    """The Coulson integral of each spectrum, or in its place the
-    PurelyImaginaryEigenvalueError that skips it (see ``coulson_energy``).
+    """The Coulson integral of each spectrum, of one order n, or in its
+    place the PurelyImaginaryEigenvalueError that skips it (see
+    ``coulson_energy``); no spectra give [], and order 0 energies of 0.
 
-    The pole guard reads each spectrum once, so a caller passes each
-    polynomial's spectrum once: a block of the harness passes one per
-    distinct polynomial of its members.  Every distinct polynomial that
-    ``memo.integrals`` lacks is integrated in one level-synchronous
-    quadrature, with its own tolerance, panel budget and pole, and its
-    integral is stored there; a pole is not.  ``rel_tol`` lies in
-    [``REL_TOL_FLOOR``, 1).
+    The pole guard is one mask over the ``(P, n)`` eigenvalues and reads
+    each spectrum once, so a caller passes each polynomial's spectrum once:
+    a block of the harness passes one per distinct polynomial of its
+    members.  Every distinct polynomial that ``memo.integrals`` lacks is
+    integrated in one level-synchronous quadrature, with its own tolerance,
+    panel budget and pole, and its integral is stored there; a pole is not.
+    ``rel_tol`` lies in [``REL_TOL_FLOOR``, 1).
     """
     if not (REL_TOL_FLOOR <= rel_tol < 1.0):
         raise ValueError(f"rel_tol must lie in [{REL_TOL_FLOOR:g}, 1), got {rel_tol}")
-    out: list = [0.0] * len(spectra)
-    polys: dict[int, tuple[int, ...]] = {}
-    by_order: dict[int, list[int]] = {}
-    for i, spec in enumerate(spectra):
-        by_order.setdefault(len(spec.eigenvalues), []).append(i)
-    by_order.pop(0, None)  # the empty spectrum has energy 0
-    poles: dict[int, float] = {}  # the first eigenvalue on the axis, by spectrum
-    for n, members in by_order.items():
-        z = np.array([spectra[i].eigenvalues for i in members], dtype=complex).reshape(len(members), n)
-        guard = 1e-9 * (1.0 + np.array([spectra[i].rho for i in members]))[:, None]
-        pole = (np.abs(z.real) <= guard) & (np.hypot(z.real, z.imag) > guard)
-        first = z[np.arange(len(members)), pole.argmax(axis=1)].imag
-        poles.update((i, x) for i, hit, x in zip(members, pole.any(axis=1).tolist(), first.tolist()) if hit)
-    for i, spec in enumerate(spectra):
-        if i in poles:
-            out[i] = PurelyImaginaryEigenvalueError(poles[i])
-        elif spec.eigenvalues:
-            coeffs = spec.charpoly.coeffs
-            polys[i] = coeffs[kernels._zero_roots(coeffs):]
+    if not spectra or not spectra[0].eigenvalues:
+        return [0.0] * len(spectra)
+    z = np.array([s.eigenvalues for s in spectra], dtype=complex)
+    guard = 1e-9 * (1.0 + np.array([s.rho for s in spectra]))[:, None]
+    pole = (np.abs(z.real) <= guard) & (np.hypot(z.real, z.imag) > guard)
+    hit, first = pole.any(axis=1).tolist(), z[np.arange(len(z)), pole.argmax(axis=1)].imag.tolist()
+    polys = {i: s.charpoly.coeffs[kernels._zero_roots(s.charpoly.coeffs):]
+             for i, s in enumerate(spectra) if not hit[i]}
     found = {c: memo.integrals[c, rel_tol] for c in polys.values() if (c, rel_tol) in memo.integrals}
     todo = [c for c in dict.fromkeys(polys.values()) if c not in found]
     if todo:
@@ -744,9 +734,7 @@ def coulson_energies(spectra: Sequence[Spectrum], rel_tol: float, memo: Memo) ->
                 value /= math.pi
                 memo.integrals[c, rel_tol] = value
             found[c] = value
-    for i, c in polys.items():
-        out[i] = found[c]
-    return out
+    return [found[polys[i]] if i in polys else PurelyImaginaryEigenvalueError(x) for i, x in enumerate(first)]
 
 
 def coulson_energy(spectrum: Spectrum, rel_tol: float = 1e-6) -> float:

@@ -99,10 +99,10 @@ def test_criterion_2_fixtures_exact():
     if abs(walk_ratio(prof3) - 4.0) > 1e-9:
         failures.append("triangle walk ratio")
     for fn, args in (
-        (energy_upper_radius, (prof3, 3, spec3.rho)),
-        (energy_upper_walk_mean, (prof3, 3)),
-        (energy_upper_walk_rms, (prof3, 3)),
-        (energy_upper_walk_ratio, (prof3, 3)),
+        (energy_upper_radius, (prof3, spec3.rho)),
+        (energy_upper_walk_mean, (prof3,)),
+        (energy_upper_walk_rms, (prof3,)),
+        (energy_upper_walk_ratio, (prof3,)),
     ):
         if abs(fn(*args) - 4.0) > 1e-9:
             failures.append(f"triangle {fn.__name__}")
@@ -111,7 +111,7 @@ def test_criterion_2_fixtures_exact():
     prof2 = walk_profile(k2)
     if abs(spectrum_of(k2).energy - 2.0) > 1e-9:
         failures.append("edge energy")
-    if abs(energy_upper_mcclelland(prof2, 2) - 2.0) > 1e-9:
+    if abs(energy_upper_mcclelland(prof2) - 2.0) > 1e-9:
         failures.append("edge mcclelland equality")
 
     star = sym(star_graph(2))
@@ -130,8 +130,8 @@ def test_criterion_2_fixtures_exact():
     profc = walk_profile(c3)
     if abs(spectrum_of(c3).energy - 2.0) > 1e-9:
         failures.append("directed triangle energy")
-    if any(abs(v) > 1e-9 for v in (rho_lower_walk_mean(profc, 3),
-                                   rho_lower_walk_rms(profc, 3),
+    if any(abs(v) > 1e-9 for v in (rho_lower_walk_mean(profc),
+                                   rho_lower_walk_rms(profc),
                                    rho_lower_walk_ratio(profc))):
         failures.append("directed triangle lower bounds")
 
@@ -152,9 +152,9 @@ def test_criterion_3_ordering_chains():
                     bad_rms_ratio += 1
             if prof.a * n < prof.c2_total ** 2:
                 checked_dominated += 1
-                e_ratio = energy_upper_walk_ratio(prof, n)
-                e_rms = energy_upper_walk_rms(prof, n)
-                e_mean = energy_upper_walk_mean(prof, n)
+                e_ratio = energy_upper_walk_ratio(prof)
+                e_rms = energy_upper_walk_rms(prof)
+                e_mean = energy_upper_walk_mean(prof)
                 if e_ratio > e_rms + 1e-8 or e_rms > e_mean + 1e-8:
                     bad_dominated += 1
     ok = bad_rms_ratio == 0 and bad_dominated == 0 and checked_dominated > 0
@@ -188,7 +188,7 @@ def _radius_equality_holds(d, tol=1e-7):
 
 def _energy_equality_holds(d, tol=1e-7):
     prof = walk_profile(d)
-    gap = abs(energy_upper_walk_ratio(prof, d.n) - spectrum_of(d).energy) if d.n else 0.0
+    gap = abs(energy_upper_walk_ratio(prof) - spectrum_of(d).energy) if d.n else 0.0
     verdict = Analysis(d).verdict_energy
     return gap <= tol and verdict.predicted_equality
 
@@ -235,7 +235,7 @@ def test_criterion_5_equality_families():
                             ("petersen", petersen_graph(), (10, 3, 0, 1))):
         d = sym(g)
         prof = walk_profile(d)
-        gap = energy_upper_walk_ratio(prof, d.n) - spectrum_of(d).energy
+        gap = energy_upper_walk_ratio(prof) - spectrum_of(d).energy
         verdict = Analysis(d).verdict_energy
         if verdict.params != params:
             failures.append(f"{name} srg params")

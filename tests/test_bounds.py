@@ -25,7 +25,7 @@ from digenergy import (
 )
 from digenergy import bounds as bounds_mod
 from digenergy.bounds import _f_energy
-from digenergy.oracle import _Block
+from digenergy.oracle import _Block, _rows
 from digenergy.spectrum import Memo
 
 from families import complete_graph, directed_cycle, spectrum_of, star_graph, sym
@@ -48,14 +48,14 @@ C3 = directed_cycle(3)
 
 class TestRadiusLowerBounds:
     def test_walk_mean(self):
-        assert rho_lower_walk_mean(prof(K3), 3) == pytest.approx(2.0, abs=1e-12)
-        assert rho_lower_walk_mean(prof(C3), 3) == 0.0
-        assert rho_lower_walk_mean(prof(STAR), 3) == pytest.approx(4 / 3, abs=1e-12)
+        assert rho_lower_walk_mean(prof(K3)) == pytest.approx(2.0, abs=1e-12)
+        assert rho_lower_walk_mean(prof(C3)) == 0.0
+        assert rho_lower_walk_mean(prof(STAR)) == pytest.approx(4 / 3, abs=1e-12)
 
     def test_walk_rms(self):
-        assert rho_lower_walk_rms(prof(K3), 3) == pytest.approx(2.0, abs=1e-12)
-        assert rho_lower_walk_rms(prof(STAR), 3) == pytest.approx(math.sqrt(2), abs=1e-12)
-        assert rho_lower_walk_rms(prof(C3), 3) == 0.0
+        assert rho_lower_walk_rms(prof(K3)) == pytest.approx(2.0, abs=1e-12)
+        assert rho_lower_walk_rms(prof(STAR)) == pytest.approx(math.sqrt(2), abs=1e-12)
+        assert rho_lower_walk_rms(prof(C3)) == 0.0
 
     def test_walk_ratio(self):
         assert rho_lower_walk_ratio(prof(K3)) == pytest.approx(2.0, abs=1e-12)
@@ -76,38 +76,65 @@ class TestRadiusLowerBounds:
         assert rho_lower_walk_ratio(prof(C3)) == 0.0
         assert walk_ratio(prof(C3)) == 0.0
 
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            rho_lower_walk_mean(prof(K3), 0)
-        with pytest.raises(ValueError):
-            rho_lower_walk_rms(prof(K3), 0)
+
+
+# The bounds whose formulas need n >= 1, in ``bound_chain_report``'s order.
+GUARDED = [rho_lower_walk_mean, rho_lower_walk_rms, energy_upper_mcclelland, energy_upper_walk_mean,
+           energy_upper_walk_rms, energy_upper_walk_ratio]
+
+
+class TestOrder:
+    """Every bound reads n from its profile: one profile's sequences, or the
+    last axis of a stacked profile's, which a cut to no rows keeps."""
+
+    @pytest.mark.parametrize("bound", GUARDED, ids=lambda f: f.__name__)
+    def test_order_0_raises(self, bound):
+        with pytest.raises(ValueError, match=r"^need n >= 1, got 0$"):
+            bound(prof(Digraph(0)))
+
+    def test_order_0_report_keeps_its_six_notes(self):
+        rep = report(Digraph(0))
+        assert rep.notes == tuple(f"{f.__name__}: need n >= 1, got 0" for f in GUARDED)
+        assert rep.energy_upper_radius == 0.0 and rep.rho_lower_walk_ratio == 0.0
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_rows_of_a_stack_keep_its_order(self, n):
+        ds = [random_digraph(n, 0.5, seed) for seed in range(40)]
+        block = _Block.from_digraphs(ds, Memo())
+        p, rho = block.profile, block.spectral()[0]
+        for keep in (np.zeros(len(ds), dtype=bool), np.arange(len(ds)) % 3 == 0, np.ones(len(ds), dtype=bool)):
+            rows = _rows(p, keep)
+            assert rows.n == n and rows.c2_seq.shape == (int(keep.sum()), n)
+            for bound in GUARDED + [rho_lower_walk_ratio]:
+                assert bound(rows).tobytes() == bound(p)[keep].tobytes(), bound.__name__
+            assert energy_upper_radius(rows, rho[keep]).tobytes() == energy_upper_radius(p, rho)[keep].tobytes()
 
 
 class TestEnergyUpperBounds:
     def test_mcclelland(self):
-        assert energy_upper_mcclelland(prof(K2), 2) == pytest.approx(2.0, abs=1e-12)
-        assert energy_upper_mcclelland(prof(K3), 3) == pytest.approx(math.sqrt(18), abs=1e-12)
-        assert energy_upper_mcclelland(prof(Digraph(3)), 3) == 0.0
+        assert energy_upper_mcclelland(prof(K2)) == pytest.approx(2.0, abs=1e-12)
+        assert energy_upper_mcclelland(prof(K3)) == pytest.approx(math.sqrt(18), abs=1e-12)
+        assert energy_upper_mcclelland(prof(Digraph(3))) == 0.0
 
     def test_radius_form(self):
-        assert energy_upper_radius(prof(K2), 2, spectrum_of(K2).rho) == pytest.approx(2.0, abs=1e-12)
-        assert energy_upper_radius(prof(K3), 3, spectrum_of(K3).rho) == pytest.approx(4.0, abs=1e-12)
-        assert energy_upper_radius(prof(C3), 3, spectrum_of(C3).rho) == pytest.approx(3.0, abs=1e-12)
+        assert energy_upper_radius(prof(K2), spectrum_of(K2).rho) == pytest.approx(2.0, abs=1e-12)
+        assert energy_upper_radius(prof(K3), spectrum_of(K3).rho) == pytest.approx(4.0, abs=1e-12)
+        assert energy_upper_radius(prof(C3), spectrum_of(C3).rho) == pytest.approx(3.0, abs=1e-12)
 
     def test_walk_mean_form(self):
-        assert energy_upper_walk_mean(prof(K3), 3) == pytest.approx(4.0, abs=1e-12)
-        assert energy_upper_walk_mean(prof(K2), 2) == pytest.approx(2.0, abs=1e-12)
-        assert energy_upper_walk_mean(prof(C3), 3) == pytest.approx(math.sqrt(6), abs=1e-12)
+        assert energy_upper_walk_mean(prof(K3)) == pytest.approx(4.0, abs=1e-12)
+        assert energy_upper_walk_mean(prof(K2)) == pytest.approx(2.0, abs=1e-12)
+        assert energy_upper_walk_mean(prof(C3)) == pytest.approx(math.sqrt(6), abs=1e-12)
 
     def test_walk_rms_form(self):
-        assert energy_upper_walk_rms(prof(K3), 3) == pytest.approx(4.0, abs=1e-12)
-        assert energy_upper_walk_rms(prof(STAR), 3) == pytest.approx(math.sqrt(2) + 2, abs=1e-12)
-        assert energy_upper_walk_rms(prof(Digraph(2)), 2) == 0.0
+        assert energy_upper_walk_rms(prof(K3)) == pytest.approx(4.0, abs=1e-12)
+        assert energy_upper_walk_rms(prof(STAR)) == pytest.approx(math.sqrt(2) + 2, abs=1e-12)
+        assert energy_upper_walk_rms(prof(Digraph(2))) == 0.0
 
     def test_walk_ratio_form(self):
-        assert energy_upper_walk_ratio(prof(K3), 3) == pytest.approx(4.0, abs=1e-12)
-        assert energy_upper_walk_ratio(prof(K2), 2) == pytest.approx(2.0, abs=1e-12)
-        bound = energy_upper_walk_ratio(prof(STAR), 3)
+        assert energy_upper_walk_ratio(prof(K3)) == pytest.approx(4.0, abs=1e-12)
+        assert energy_upper_walk_ratio(prof(K2)) == pytest.approx(2.0, abs=1e-12)
+        bound = energy_upper_walk_ratio(prof(STAR))
         assert bound == pytest.approx(math.sqrt(2) + 2, abs=1e-12)
         assert bound >= spectrum_of(STAR).energy  # strict inequality case: E = 2*sqrt(2)
         assert spectrum_of(STAR).energy == pytest.approx(2 * math.sqrt(2), abs=1e-12)
@@ -117,7 +144,7 @@ class TestEnergyUpperBounds:
         fake = ClosedWalkProfile(c2_seq=(1, 1), t2_seq=(3, 3), a=2, c2_total=2,
                                  sum_c2_sq=2, sum_t2_sq=18)
         with pytest.raises(BoundInapplicableError):
-            energy_upper_walk_ratio(fake, 2)
+            energy_upper_walk_ratio(fake)
 
     @pytest.mark.parametrize("corpus", ["exhaustive-n1-4", "random-n6-12"])
     def test_walk_ratio_bound_always_applies(self, corpus):
@@ -194,19 +221,19 @@ class TestFaultInjection:
     module here: a name imported before the block keeps the original."""
 
     def test_offsets_apply_and_clear(self):
-        base = bounds_mod.rho_lower_walk_mean(prof(K3), 3)
+        base = bounds_mod.rho_lower_walk_mean(prof(K3))
         with inject_fault("rho_lower_walk_mean", 1e-3):
-            assert bounds_mod.rho_lower_walk_mean(prof(K3), 3) == pytest.approx(base + 1e-3)
-            assert rho_lower_walk_mean(prof(K3), 3) == base
-        assert bounds_mod.rho_lower_walk_mean(prof(K3), 3) == pytest.approx(base)
+            assert bounds_mod.rho_lower_walk_mean(prof(K3)) == pytest.approx(base + 1e-3)
+            assert rho_lower_walk_mean(prof(K3)) == base
+        assert bounds_mod.rho_lower_walk_mean(prof(K3)) == pytest.approx(base)
 
     def test_nested_faults_accumulate(self):
-        base = bounds_mod.energy_upper_mcclelland(prof(K3), 3)
+        base = bounds_mod.energy_upper_mcclelland(prof(K3))
         with inject_fault("energy_upper_mcclelland", 1e-3):
             with inject_fault("energy_upper_mcclelland", 1e-3):
-                assert bounds_mod.energy_upper_mcclelland(prof(K3), 3) == pytest.approx(base + 2e-3)
-            assert bounds_mod.energy_upper_mcclelland(prof(K3), 3) == pytest.approx(base + 1e-3)
-        assert bounds_mod.energy_upper_mcclelland(prof(K3), 3) == pytest.approx(base)
+                assert bounds_mod.energy_upper_mcclelland(prof(K3)) == pytest.approx(base + 2e-3)
+            assert bounds_mod.energy_upper_mcclelland(prof(K3)) == pytest.approx(base + 1e-3)
+        assert bounds_mod.energy_upper_mcclelland(prof(K3)) == pytest.approx(base)
 
     def test_no_digon_branch_drifts(self):
         with inject_fault("rho_lower_walk_ratio", 0.5):

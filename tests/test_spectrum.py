@@ -1692,6 +1692,18 @@ def _outcome_text(outcome):
     return f"{type(outcome).__name__}: {outcome}" if isinstance(outcome, Exception) else outcome
 
 
+def _energies_per_order(spectra):
+    """``coulson_energies`` (rel_tol 1e-6) of spectra of several orders: one
+    call per order, each over that order's spectra in their order."""
+    memo, out, by_order = Memo(), [None] * len(spectra), {}
+    for i, spec in enumerate(spectra):
+        by_order.setdefault(len(spec.eigenvalues), []).append(i)
+    for rows in by_order.values():
+        for i, outcome in zip(rows, spectrum_mod.coulson_energies([spectra[i] for i in rows], 1e-6, memo)):
+            out[i] = outcome
+    return out
+
+
 class TestStackedCoulson:
     """One quadrature over many polynomials gives each of them what a
     quadrature of its own gives: the same value, or the same pole."""
@@ -1719,7 +1731,7 @@ class TestStackedCoulson:
         ds = ([directed_cycle(4), Digraph(0), Digraph(5), _SEED9, sym(path_graph(4))]
               + [random_digraph(n, 0.4, seed) for n in range(3, 11) for seed in range(4)])
         spectra = [spectrum_of(d) for d in ds]
-        together = [_outcome_text(o) for o in spectrum_mod.coulson_energies(spectra, 1e-6, Memo())]
+        together = [_outcome_text(o) for o in _energies_per_order(spectra)]
         alone = []
         for spec in spectra:
             try:
@@ -1730,8 +1742,9 @@ class TestStackedCoulson:
         assert together[:3] == [_outcome_text(PurelyImaginaryEigenvalueError(1.0)), 0.0, 0.0]
 
     def test_pole_guard_is_the_per_eigenvalue_rule(self):
-        # One mask per order finds the first eigenvalue with |Re| <= g and
-        # |z| > g, g = 1e-9 (1 + rho), as a loop over each spectrum finds it.
+        # One mask per call (one order) finds the first eigenvalue with
+        # |Re| <= g and |z| > g, g = 1e-9 (1 + rho), as a loop over each
+        # spectrum finds it.
         spectra = [spectrum_of(d) for d in [directed_cycle(4), directed_cycle(8), Digraph(0), Digraph(3), _SEED9]
                    + [random_digraph(n, 0.4, seed) for n in range(3, 9) for seed in range(3)]]
         base = spectrum_of(sym(path_graph(4)))
@@ -1743,9 +1756,14 @@ class TestStackedCoulson:
         for spec in spectra:
             g = 1e-9 * (1.0 + spec.rho)
             want.append(next((z.imag for z in spec.eigenvalues if abs(z.real) <= g and abs(z) > g), None))
-        got = spectrum_mod.coulson_energies(spectra, 1e-6, Memo())
+        got = _energies_per_order(spectra)
         assert [o.x if isinstance(o, PurelyImaginaryEigenvalueError) else None for o in got] == want
         assert sum(x is not None for x in want) >= 6
+
+    def test_no_spectra_and_order_0(self):
+        assert spectrum_mod.coulson_energies([], 1e-6, Memo()) == []
+        empty = spectrum_of(Digraph(0))
+        assert spectrum_mod.coulson_energies([empty, empty], 1e-6, Memo()) == [0.0, 0.0]
 
     def test_mixed_degrees_and_poles_share_the_level0_nodes(self, monkeypatch):
         # One quadrature of polynomials of degree 1 to 10 and of every

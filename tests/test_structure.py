@@ -291,7 +291,7 @@ class TestEnergyEqualityVerdict:
         d = sym(g)
         v = verdict_energy(d)
         assert (v.kind, v.params, v.predicted_equality) == (kind, params, predicted)
-        gap = abs(energy_upper_walk_ratio(walk_profile(d), g.n) - spectrum_of(d).energy)
+        gap = abs(energy_upper_walk_ratio(walk_profile(d)) - spectrum_of(d).energy)
         assert v.predicted_equality == (gap <= 1e-7)
 
     def test_complete_four(self):
@@ -314,7 +314,7 @@ class TestEnergyEqualityVerdict:
         v = verdict_energy(d)
         assert v.predicted_equality is False
         assert v.kind == "STRONGLY_REGULAR" and v.params == (5, 2, 0, 1)
-        bound = energy_upper_walk_ratio(walk_profile(d), 5)
+        bound = energy_upper_walk_ratio(walk_profile(d))
         assert bound > spectrum_of(d).energy + 1e-3
 
     def test_petersen_strict(self):
@@ -322,7 +322,7 @@ class TestEnergyEqualityVerdict:
         v = verdict_energy(d)
         assert v.predicted_equality is False
         assert v.kind == "STRONGLY_REGULAR" and v.params == (10, 3, 0, 1)
-        bound = energy_upper_walk_ratio(walk_profile(d), 10)
+        bound = energy_upper_walk_ratio(walk_profile(d))
         assert bound > spectrum_of(d).energy + 1e-3
 
     def test_asymmetric_is_none(self):
@@ -350,7 +350,7 @@ class TestEnergyEqualityVerdict:
         d = sym(rook_graph(4))
         prof = walk_profile(d)
         assert spectrum_of(d).energy == pytest.approx(36.0, abs=1e-8)
-        assert energy_upper_walk_ratio(prof, 16) == pytest.approx(spectrum_of(d).energy, abs=1e-7)
+        assert energy_upper_walk_ratio(prof) == pytest.approx(spectrum_of(d).energy, abs=1e-7)
         v = verdict_energy(d)
         assert v.predicted_equality is True
         assert v.kind == "STRONGLY_REGULAR" and v.params == (16, 6, 2, 2)
@@ -370,7 +370,7 @@ class TestEnergyEqualityVerdict:
         d = sym(g)
         v = verdict_energy(d)
         assert v.kind == "STRONGLY_REGULAR" and v.params == params
-        numeric = abs(spectrum_of(d).energy - energy_upper_walk_ratio(walk_profile(d), g.n)) <= 1e-7
+        numeric = abs(spectrum_of(d).energy - energy_upper_walk_ratio(walk_profile(d))) <= 1e-7
         assert v.predicted_equality == numeric == (params[2] == params[3])
 
     @pytest.mark.parametrize("n", range(1, 7))
