@@ -200,8 +200,9 @@ def _checked_float(text: str, accept, expected: str) -> float:
 
 
 def _tol_arg(text: str) -> float:
-    """argparse type of --tol: a finite tolerance >= 0."""
-    return _checked_float(text, lambda v: math.isfinite(v) and v >= 0.0, "a finite number >= 0")
+    """argparse type of --tol: a tolerance in [0, 1); a huge one would
+    overflow in the bound comparisons' tol * max(1, |values|)."""
+    return _checked_float(text, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)")
 
 
 def _rel_tol_arg(text: str) -> float:

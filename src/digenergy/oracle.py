@@ -40,7 +40,8 @@ from .digraph import (
     serialize_edge_list,
 )
 from .errors import PurelyImaginaryEigenvalueError, UnknownCheckError
-from .spectrum import CharPoly, Memo, Spectrum, certify_spectra, check_spreads, coulson_energies, unwrap
+from .spectrum import (REL_TOL_FLOOR, CharPoly, Memo, Spectrum, certify_spectra, check_spreads, coulson_energies,
+                       coulson_energy, unwrap)
 from .structure import (
     energy_bound_attained,
     equality_verdict_energy_upper,
@@ -52,6 +53,10 @@ EXHAUSTIVE_MAX_N = 5
 RANDOM_MAX_N = 12
 IFF_TOL = 1e-7
 PIN_TOL = 1e-12
+# ``Analysis`` warns when its Coulson integral, asked for REL_TOL_FLOOR,
+# and the certified energy differ by more than this, relative to
+# max(1, energy).
+ENERGY_GAP_TOL = 1e-9
 # Digraphs per block of the harness: each block computes its exact and
 # floating layers as stacked arrays, and its per-polynomial work once per
 # distinct polynomial.  verify_all holds one block at a time, never the
@@ -471,17 +476,18 @@ class Analysis:
     once; the entry point for every per-digraph result.
 
     A lazy memo: the closed-walk profile, the certified spectrum, the bound
-    chain at ``tol``, both equality verdicts and the Coulson integral
-    (rel_tol 1e-6) are computed on first use and shared by every later
-    reader.  The functions behind them take their pieces as arguments; this
-    class is the one place that wires pieces to results.  The ``analyze``
-    command reads one, and ``to_dict()`` is the ``analyze --json`` document.
+    chain at ``tol``, both equality verdicts and the Coulson integral are
+    computed on first use and shared by every later reader.  The functions
+    behind them take their pieces as arguments; this class is the one place
+    that wires pieces to results.  The ``analyze`` command reads one, and
+    ``to_dict()`` is the ``analyze --json`` document.
 
     It is a block of one (``_Block.from_digraphs([d], Memo())``) and reads
-    row 0 of it: the profile, the spectrum (``outcome(0)``) and the Coulson
-    integral of row 0 of ``polys``, which is the digraph's own polynomial,
-    and the verdicts on its rows of the block's adjacency and reduction
-    stacks.  Its spectrum is its polynomial's, as in any block.  It builds
+    row 0 of it: the profile, the spectrum (``outcome(0)``) and the
+    verdicts on its rows of the block's adjacency and reduction stacks.
+    The Coulson integral is that spectrum's at ``REL_TOL_FLOOR``, tighter
+    than the harness's 1e-6, so that ``warnings`` can flag an energy that
+    misses it.  Its spectrum is its polynomial's, as in any block.  It builds
     one adjacency stack, packed from ``d.out_masks``, and the QR values of
     a repeated-root spread check come from that stack too.
     """
@@ -513,9 +519,8 @@ class Analysis:
 
     @cached_property
     def _coulson(self) -> tuple[Optional[float], Optional[str]]:
-        self.spectrum  # a rejected spectrum raises its own error
-        try:
-            return unwrap(self._block.integrals[0]), None
+        try:  # a rejected spectrum raises its own error
+            return coulson_energy(self.spectrum, REL_TOL_FLOOR), None
         except PurelyImaginaryEigenvalueError as exc:
             return None, str(exc)
 
@@ -526,10 +531,16 @@ class Analysis:
 
     @property
     def warnings(self) -> tuple[str, ...]:
-        """The bound chain's notes, then the pole that skipped the integral."""
-        pole = self._coulson[1]
-        skipped = (f"coulson integral skipped: {pole}",) if pole is not None else ()
-        return tuple(self.bounds.notes) + skipped
+        """The bound chain's notes, then the pole that skipped the integral,
+        or the integral's gap from the energy when it exceeds
+        ``ENERGY_GAP_TOL``."""
+        value, pole = self._coulson
+        if pole is not None:
+            return (*self.bounds.notes, f"coulson integral skipped: {pole}")
+        gap = abs(value - self.spectrum.energy) / max(1.0, self.spectrum.energy)
+        if gap > ENERGY_GAP_TOL:
+            return (*self.bounds.notes, f"coulson integral differs from the energy by {gap:.3e} relative")
+        return tuple(self.bounds.notes)
 
     def to_dict(self) -> dict:
         d, profile, spec = self.d, self.profile, self.spectrum

@@ -238,6 +238,8 @@ class TestUsageErrors:
         ["--tol", "-1", "verify", "2"],
         ["--tol", "inf", "verify", "2"],
         ["--tol", "abc", "analyze", "-"],
+        ["--tol", "1e308", "verify", "3"],  # would overflow in bounds.leq_tol
+        ["--tol", "1", "verify", "2"],
     ])
     def test_bad_numeric_option(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

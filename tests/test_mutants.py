@@ -12,6 +12,7 @@ check, and its row names the ROADMAP item that will catch it; that item
 moves the row to the caught ones.
 """
 
+import dataclasses
 import functools
 import inspect
 from dataclasses import dataclass
@@ -157,6 +158,29 @@ def _shifted_qr_values(monkeypatch):
     monkeypatch.setattr(spectrum_mod, "qr_values", lambda a: qr_values(a) + 0.5)
 
 
+def _energy_bound_attained_negated(monkeypatch):
+    attained = oracle_mod.energy_bound_attained
+    monkeypatch.setattr(oracle_mod, "energy_bound_attained", lambda bits: ~attained(bits))
+
+
+def _symmetrization_radii_swapped(monkeypatch):
+    radii = oracle_mod._Block.symmetrization_radii.func
+    monkeypatch.setattr(oracle_mod._Block, "symmetrization_radii", property(lambda block: radii(block)[::-1]))
+
+
+def _off_by_one_walk_profile(monkeypatch):
+    # c2_i counts vertex i too, the row sums of S + I; the aggregates
+    # follow from the shifted counts, and t2 and a are left as they are.
+    profile = oracle_mod._Block.profile.func
+
+    def shifted(block):
+        p = profile(block)
+        c2 = p.c2_seq + 1
+        return dataclasses.replace(p, c2_seq=c2, c2_total=c2.sum(axis=1), sum_c2_sq=(c2 * c2).sum(axis=1))
+
+    monkeypatch.setattr(oracle_mod._Block, "profile", property(shifted))
+
+
 @dataclass(frozen=True)
 class Mutant:
     name: str
@@ -208,6 +232,18 @@ MUTANTS = [
     Mutant("shifted-qr-values", _shifted_qr_values, "exhaustive-n4", EIGENSOLVER,
            why="a repeated-root member's QR values miss its roots by more than 1e-2 (1 + rho), and the "
                "run ends there; a shift below that tolerance is not seen, by design"),
+    Mutant("energy-bound-attained-negated", _energy_bound_attained_negated, "exhaustive-n4",
+           {"equality_iff_energy": (4096, 4096)},
+           why="every energy-equality prediction is flipped"),
+    Mutant("symmetrization-radii-swapped", _symmetrization_radii_swapped, "exhaustive-n4",
+           {"symmetrization_radius": (1666, 3284)},
+           why="rho(S^2) = rho(S)^2 stands in for rho(S): it misses the root of the other radius unless "
+               "rho(S) is 0 or 1, and rho(A) often lies below it"),
+    Mutant("off-by-one-walk-profile", _off_by_one_walk_profile, "random-n8",
+           {"walk_rowsum": (300, 2400), "walk_sum_identity": (300, 300), "moment_difference": (300, 300),
+            "rho_chain": (300, 405), "dominance_chain": (214, 280), "equality_iff_rho": (0, 0)},
+           why="every c2 misses the row sums of S and Re - Im of the spectrum; the radius verdicts read the "
+               "shifted profile, and the 5 known false negatives are no longer reported"),
 ]
 
 

@@ -240,7 +240,7 @@ class TestVerifyAll:
         ds = [random_digraph(10, 0.3, 1_000_000 + k) for k in range(200)]
         docs = [Analysis(d, DEFAULT_TOL).to_dict() for d in ds]
         digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
-        assert digest == "f3b8339cb0764a086935ea0bcb2ae2caeb95aa43cc87596485573086b885ab6e"
+        assert digest == "b15a5cad9d57798bee47258accb6a191b1b869aae08dbf6e7fff63030cfd5bcc"
 
     def test_verify_loads_no_module_after_import(self):
         # Each benchmark round is a fresh process, so a module that a run
@@ -294,10 +294,14 @@ class TestAnalysis:
         report = bound_chain_report(profile, spec, self.TOL)
         warnings = list(report.notes)
         try:
-            coulson = coulson_energy(spec)
+            coulson = coulson_energy(spec, spectrum_mod.REL_TOL_FLOOR)
         except PurelyImaginaryEigenvalueError as exc:
             coulson = None
             warnings.append(f"coulson integral skipped: {exc}")
+        else:
+            gap = abs(coulson - spec.energy) / max(1.0, spec.energy)
+            if gap > oracle_mod.ENERGY_GAP_TOL:
+                warnings.append(f"coulson integral differs from the energy by {gap:.3e} relative")
         return {
             "digraph": {"n": d.n, "arc_count": d.arc_count,
                         "arcs": [list(a) for a in sorted(d.arcs)]},
@@ -329,6 +333,31 @@ class TestAnalysis:
                          (9, 6), (9, 7), (9, 8)])
         analysis = Analysis(d)
         assert analysis.coulson == pytest.approx(analysis.spectrum.energy, rel=1e-10)
+
+    def test_energy_gap_at_n128_is_flagged(self):
+        # The Cartesian product G □ H has the eigenvalues lambda_i + mu_j, so
+        # its energy is composed from the spectra of its factors, which are
+        # accurate to about 1e-15.  At n = 128 the certified energy misses it
+        # by 1.46e-8 relative, and the integral at REL_TOL_FLOOR meets it;
+        # the document carries the gap as a warning and exits as before.
+        g, h = random_digraph(4, 0.5, 2), random_digraph(32, 0.3, 1)
+        product = Digraph(128, [(u * 32 + v, w * 32 + v) for u, w in g.arcs for v in range(32)]
+                          + [(u * 32 + v, u * 32 + x) for v, x in h.arcs for u in range(4)])
+        lam, mu = (np.array(Analysis(f).spectrum.eigenvalues) for f in (g, h))
+        composed = float(np.abs((lam[:, None] + mu).real).sum())
+        doc = Analysis(product).to_dict()
+        energy, coulson = doc["spectrum"]["energy"], doc["coulson_energy"]
+        assert abs(coulson - composed) <= 1e-13 * composed
+        assert 1e-8 < abs(energy - composed) / composed < 2e-8
+        assert doc["warnings"] == ["coulson integral differs from the energy by 1.460e-08 relative"]
+
+    def test_energy_gap_note_is_the_rule(self, monkeypatch):
+        # A note exactly when |coulson - energy| / max(1, energy) > 1e-9.
+        d = random_digraph(10, 0.3, 7)
+        energy = Analysis(d).spectrum.energy
+        for shift, noted in ((0.0, False), (0.9e-9, False), (1.1e-9, True)):
+            monkeypatch.setattr(oracle_mod, "coulson_energy", lambda spec, rel_tol: energy * (1 + shift))
+            assert bool(Analysis(d).warnings) == noted, shift
 
     def test_charpoly_and_spectrum_computed_once(self, monkeypatch):
         # A lone analysis is a block of one: one kernel call computes the
