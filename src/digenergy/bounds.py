@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import functools
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -183,8 +182,7 @@ def energy_upper_walk_ratio(profile: ClosedWalkProfile) -> float:
     return _f_energy(np.sqrt(q), n, profile.a)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Every bound value for one digraph, plus the ordering verdicts.
 
     ``walk_dominated`` is the exact integer test a*n < c2^2; on that family
@@ -212,7 +210,7 @@ class BoundReport:
     notes: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "notes": list(self.notes)}
+        return {**self._asdict(), "notes": list(self.notes)}
 
 
 def bound_chain_report(

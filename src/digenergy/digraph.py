@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -53,10 +52,40 @@ def _labels(n, pairs: Iterable[tuple[int, int]], noun: str) -> tuple[int, frozen
     return n, frozenset(checked)
 
 
-@dataclass(frozen=True)
-class Digraph:
+class _Frozen:
+    """Value semantics over the attributes ``_fields``, set once in
+    ``__init__``: a ``Name(field=value, ...)`` repr, equality with an
+    instance of the same class only, a hash of the field values, and no
+    assignment or deletion afterwards.  A plain class and not a dataclass,
+    whose decorator compiles its methods with ``exec`` at import."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Digraph(_Frozen):
     """A digraph on vertices 0..n-1: no loops, no multiple arcs."""
 
+    _fields = ("n", "arcs")
     n: int
     arcs: frozenset[tuple[int, int]]
 
@@ -89,10 +118,10 @@ class Digraph:
         return tuple(rows)
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(_Frozen):
     """An undirected simple graph; edges stored as (i, j) with i < j."""
 
+    _fields = ("n", "edges")
     n: int
     edges: frozenset[tuple[int, int]]
 
@@ -102,8 +131,7 @@ class Graph:
         object.__setattr__(self, "edges", frozenset((min(i, j), max(i, j)) for i, j in edges))
 
 
-@dataclass(frozen=True)
-class ClosedWalkProfile:
+class ClosedWalkProfile(NamedTuple):
     """Per-vertex closed-2-walk data and its exact integer aggregates.
 
     ``c2_seq[i]`` counts the vertices doubly adjacent to i (equivalently the
@@ -125,8 +153,7 @@ class ClosedWalkProfile:
         return np.shape(self.c2_seq)[-1]
 
 
-@dataclass(frozen=True)
-class SccPartition:
+class SccPartition(NamedTuple):
     """Strong components as dense ids, ordered by smallest member vertex."""
 
     component_id: tuple[int, ...]

@@ -23,9 +23,8 @@ from __future__ import annotations
 import functools
 import itertools
 import time
-from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -171,8 +170,7 @@ def _first_use_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(leads), out
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     digraph_text: str
     check: str
     lhs: float
@@ -189,15 +187,26 @@ class Violation:
         }
 
 
-@dataclass
 class CheckStats:
-    passed: int = 0
-    failed: int = 0
-    skipped: int = 0
+    """The passed, failed and skipped counts of one check, added to block
+    by block.  Mutable, so unhashable; equal to a CheckStats with the same
+    counts."""
+
+    __hash__ = None
+
+    def __init__(self, passed: int = 0, failed: int = 0, skipped: int = 0):
+        self.passed, self.failed, self.skipped = passed, failed, skipped
+
+    def __repr__(self) -> str:
+        return f"CheckStats(passed={self.passed!r}, failed={self.failed!r}, skipped={self.skipped!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.passed, self.failed, self.skipped) == (other.passed, other.failed, other.skipped)
+        return NotImplemented
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     n: int
     mode: str
     digraphs_checked: int
@@ -642,7 +651,7 @@ def _check_rho_chain(block: _Block, tol: float):
 
 def _rows(profile: ClosedWalkProfile, keep: np.ndarray) -> ClosedWalkProfile:
     """The members ``keep`` of a stacked profile, of its order n even if none."""
-    return ClosedWalkProfile(*(getattr(profile, f.name)[keep] for f in fields(profile)))
+    return ClosedWalkProfile(*(field[keep] for field in profile))
 
 
 def _check_energy_bounds(block: _Block, tol: float):
@@ -651,24 +660,29 @@ def _check_energy_bounds(block: _Block, tol: float):
     mc_i, mean_i, rms_i, ratio_i = block.walk_uppers
     radius_i = block.energy_shape(rho)
     mc = bounds_mod.energy_upper_mcclelland(profile)
-    e_mean = bounds_mod.energy_upper_walk_mean(profile)
-    e_rms = bounds_mod.energy_upper_walk_rms(profile)
-    # The radius bound raises ValueError on the members whose rho exceeds
-    # sqrt(a), and the walk-ratio bound BoundInapplicableError on those it
-    # does not apply to, so each is evaluated, and pinned, on the others
-    # only; a rho above sqrt(a) fails a slot of its own.
-    _, outside = bounds_mod._radicand(rho, block.n, profile.a)
-    radius = np.zeros(len(rho))
-    radius[~outside] = bounds_mod.energy_upper_radius(_rows(profile, ~outside), rho[~outside])
+    # The radius, walk-mean and walk-rms bounds raise ValueError on the
+    # members whose x exceeds sqrt(a) (rho, c2 / n and the rms walk count;
+    # the last two only on a profile that comes from no digraph), and the
+    # walk-ratio bound BoundInapplicableError on those it does not apply
+    # to, so each is evaluated, and pinned, on the others only; an x above
+    # sqrt(a) fails a slot of its own.
+    n = block.n
+    _, outside = bounds_mod._radicand(rho, n, profile.a)
+    mean_ok = profile.c2_total ** 2 <= profile.a * n * n
+    rms_ok = profile.sum_c2_sq <= profile.a * n
     applies = block.ratio_applies
-    e_ratio = np.zeros(len(applies))
+    radius, e_mean, e_rms, e_ratio = (np.zeros(len(rho)) for _ in range(4))
+    radius[~outside] = bounds_mod.energy_upper_radius(_rows(profile, ~outside), rho[~outside])
+    e_mean[mean_ok] = bounds_mod.energy_upper_walk_mean(_rows(profile, mean_ok))
+    e_rms[rms_ok] = bounds_mod.energy_upper_walk_rms(_rows(profile, rms_ok))
     e_ratio[applies] = bounds_mod.energy_upper_walk_ratio(_rows(profile, applies))
-    pins = ((mc, mc_i, True), (radius, radius_i, ~outside), (e_mean, mean_i, True), (e_rms, rms_i, True),
+    pins = ((mc, mc_i, True), (radius, radius_i, ~outside), (e_mean, mean_i, mean_ok), (e_rms, rms_i, rms_ok),
             (e_ratio, ratio_i, applies))
     out = [(domain & ~bounds_mod.close_tol(got, want, PIN_TOL), got, want, np.abs(got - want))
            for got, want, domain in pins]
     root_a = np.sqrt(profile.a)
-    out.append((outside, rho, root_a, rho - root_a))
+    mean_x, rms_x, _ = block.walk_lowers
+    out += [(fail, x, root_a, x - root_a) for fail, x in ((outside, rho), (~mean_ok, mean_x), (~rms_ok, rms_x))]
     out += [(~bounds_mod.leq_tol(energy, upper, tol), energy, upper, energy - upper)
             for upper in (mc_i, radius_i, mean_i, rms_i, ratio_i)]
     return _never(block), out

@@ -46,8 +46,7 @@ state between calls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,8 +62,7 @@ _RESIDUAL_GATE = 1e-6
 _ABERTH_SWEEPS = 24
 
 
-@dataclass(frozen=True)
-class CharPoly:
+class CharPoly(NamedTuple):
     """Monic integer characteristic polynomial, coefficients ascending.
 
     ``coeffs[k]`` multiplies x**k and ``coeffs[-1] == 1``.
@@ -73,8 +71,7 @@ class CharPoly:
     coeffs: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """Eigenvalue multiset with the derived radius/energy/moment sums.
 
     Eigenvalues are sorted by (Re desc, Im desc) and non-real values occur
@@ -90,7 +87,6 @@ class Spectrum:
     charpoly: CharPoly
 
 
-@dataclass
 class Memo:
     """The per-polynomial work of one run, keyed on exact coefficients.
 
@@ -106,9 +102,10 @@ class Memo:
     per distinct factor, of the run.
     """
 
-    factors: dict = field(default_factory=dict)
-    spectra: dict = field(default_factory=dict)
-    integrals: dict = field(default_factory=dict)
+    def __init__(self):
+        self.factors: dict = {}
+        self.spectra: dict = {}
+        self.integrals: dict = {}
 
 
 def characteristic_polynomial(d: Digraph) -> CharPoly:

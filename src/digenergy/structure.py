@@ -18,7 +18,7 @@ fact here is decided in integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +33,7 @@ KIND_EMPTY = "EMPTY"
 KIND_NONE = "NONE"
 
 
-@dataclass(frozen=True)
-class StructureVerdict:
+class StructureVerdict(NamedTuple):
     """Which equality-case structure (if any) a digraph matches."""
 
     kind: str

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -293,6 +294,24 @@ class TestMainEntry:
         assert run_cli(["verify", "2"]).returncode == 0      # pass
         assert run_cli(["coulson", "-"], stdin=C4_TEXT).returncode == 1  # failure
         assert run_cli(["verify", "99"]).returncode == 2     # usage
+
+    def test_run_freezes_the_collector_once_then_exits_with_main_status(self, monkeypatch):
+        from digenergy import cli
+
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert (exc.value.code, calls) == (3, ["freeze", "main"])
+
+    def test_main_leaves_the_collector_unfrozen(self, capsys, monkeypatch):
+        frozen = gc.get_freeze_count()
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(K3_TEXT.encode())))
+        assert main(["--json", "analyze", "-"]) == 0
+        assert main(["verify", "2"]) == 0
+        assert gc.get_freeze_count() == frozen
+        capsys.readouterr()
 
 
 class TestBrokenPipe:

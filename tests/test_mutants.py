@@ -12,7 +12,6 @@ check, and its row names the ROADMAP item that will catch it; that item
 moves the row to the caught ones.
 """
 
-import dataclasses
 import functools
 import inspect
 from dataclasses import dataclass
@@ -176,7 +175,7 @@ def _off_by_one_walk_profile(monkeypatch):
     def shifted(block):
         p = profile(block)
         c2 = p.c2_seq + 1
-        return dataclasses.replace(p, c2_seq=c2, c2_total=c2.sum(axis=1), sum_c2_sq=(c2 * c2).sum(axis=1))
+        return p._replace(c2_seq=c2, c2_total=c2.sum(axis=1), sum_c2_sq=(c2 * c2).sum(axis=1))
 
     monkeypatch.setattr(oracle_mod._Block, "profile", property(shifted))
 
@@ -270,6 +269,18 @@ def test_rho_above_root_a_fails_a_slot_of_energy_bounds(monkeypatch):
     assert report.digraphs_checked == 4096
     first = [v for v in report.violations if (v.digraph_text, v.check) == ("4\n", "energy_bounds")][0]
     assert (first.lhs, first.rhs, first.gap) == (1.0, 0.0, 1.0)
+
+
+def test_walk_counts_above_root_a_fail_slots_of_energy_bounds(monkeypatch):
+    # Every c2 one too high: the empty digraph of order 4 gets c2 / n and
+    # an rms walk count of 1 against sqrt(a) = 0, where the walk-mean and
+    # walk-rms energy bounds are undefined.  Neither is evaluated nor pinned
+    # on that member, each fails a slot of its own, and the run goes on.
+    _off_by_one_walk_profile(monkeypatch)
+    report = verify_all(4)
+    assert report.digraphs_checked == 4096 and report.checks_run["energy_bounds"].failed > 0
+    empty = [(v.lhs, v.rhs, v.gap) for v in report.violations if (v.digraph_text, v.check) == ("4\n", "energy_bounds")]
+    assert empty == [(1.0, 0.0, 1.0), (1.0, 0.0, 1.0)]
 
 
 def test_analysis_notes_rho_above_root_a(monkeypatch):

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import hashlib
 import itertools
@@ -1011,7 +1010,7 @@ class TestCoulsonMatch:
         d = sym(path_graph(3))
         memo = Memo()
         spec = unwrap(oracle_mod._Block.from_digraphs([d], memo).outcome(0))
-        planted = dataclasses.replace(spec, eigenvalues=(spec.eigenvalues[0], 1e-7 + 0.5j, 1e-7 - 0.5j))
+        planted = spec._replace(eigenvalues=(spec.eigenvalues[0], 1e-7 + 0.5j, 1e-7 - 0.5j))
         memo.spectra[spec.charpoly.coeffs] = planted
         block = oracle_mod._Block.from_digraphs([d], memo)
         assert block.outcome(0) is planted

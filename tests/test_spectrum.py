@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import pathlib
@@ -1751,7 +1750,7 @@ class TestStackedCoulson:
         guard = 1e-9 * (1.0 + base.rho)
         for re in (guard, np.nextafter(guard, 1.0), -guard, 0.0):
             for im in (2.0, guard, np.nextafter(guard, 1.0)):
-                spectra.append(dataclasses.replace(base, eigenvalues=(1.0, complex(re, im), complex(re, -im), -1.0)))
+                spectra.append(base._replace(eigenvalues=(1.0, complex(re, im), complex(re, -im), -1.0)))
         want = []
         for spec in spectra:
             g = 1e-9 * (1.0 + spec.rho)
