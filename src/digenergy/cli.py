@@ -35,7 +35,7 @@ from .oracle import (
     random_digraph,
     verify_all,
 )
-from .spectrum import REL_TOL_FLOOR, coulson_energy
+from .spectrum import COULSON_REL_TOL, REL_TOL_FLOOR, coulson_energy
 
 
 def _fmt(value) -> str:
@@ -126,7 +126,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    checks = args.checks.split(",") if args.checks else None
+    checks = args.checks.split(",") if args.checks is not None else None
     try:
         report = verify_all(
             args.n,
@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_coulson = sub.add_parser("coulson", help="energy via the Coulson-type integral")
     p_coulson.add_argument("input", nargs="?", default=None)
-    p_coulson.add_argument("--rel-tol", dest="rel_tol", type=_rel_tol_arg, default=1e-6)
+    p_coulson.add_argument("--rel-tol", dest="rel_tol", type=_rel_tol_arg, default=COULSON_REL_TOL)
     p_coulson.set_defaults(func=_cmd_coulson)
 
     p_random = sub.add_parser("random", help="emit a reproducible random digraph")

@@ -5,19 +5,17 @@ characteristic polynomial is the kernel that the verification harness and
 ``analyze`` call: it runs its matrix recurrence in numpy on a whole
 ``(K, n, n)`` stack of 0-1 matrices at once (the harness hands it the stack
 of a block's digraphs and of their cycle-arc reductions; a lone digraph is
-a block of one), on int64 while bounds on its values, carried from step
-to step and measured only where they reach the limit, leave room for the
-next step, and on Python integers (``dtype=object``) from then on, so
-every result is exact at any size.  It returns the coefficients as one
-``(K, n+1)`` array, which the harness dedupes into its table of distinct
-polynomials without a tuple per row.  The harness computes the stack of its
-corpus from the corpus's own arithmetic (``oracle``), and ``_matrix_stack``
-packs one from bit rows for a block built from digraphs, such as a lone
-``analyze``; every other stack of a block comes from that one, and only
-the harness's ``walk_rowsum`` check builds a second from the arcs, an
-independent route.  The kernel keeps the name
-``charpoly_from_masks`` from when it took bit rows itself, because
-benchmark traces name it.
+a block of one), on int64 while its values leave room for the next step,
+which the order alone decides up to ``INT64_MAX_ORDER`` and a measurement
+at every step decides above it, and on Python integers (``dtype=object``)
+from then on, so every result is exact at any size.  It returns the
+coefficients as one ``(K, n+1)`` array, which the harness dedupes into its
+table of distinct polynomials without a tuple per row.  The harness
+computes the stack of its corpus from the corpus's own arithmetic
+(``oracle``); a block built from digraphs, such as a lone ``analyze``,
+takes its stack from ``digraph.adjacency_matrices``, the one builder from
+arcs.  The kernel keeps the name ``charpoly_from_masks`` from when it took
+bit rows itself, because benchmark traces name it.
 
 The exact polynomial layer lives here too, beside the charpoly it reads:
 integer polynomials as ascending coefficient tuples, Yun's square-free
@@ -46,6 +44,11 @@ import numpy as np
 
 # The one numeric backend, recorded by benchmark runs.
 BACKEND = "pure"
+
+# The largest order at which no 0-1 matrix, loops included, can take the
+# charpoly recurrence out of int64: the bound recurrence of the kernel's
+# guard first reaches the limit at n = r = 15 (tests/test_spectrum.py).
+INT64_MAX_ORDER = 14
 
 
 def _bits(mask: int):
@@ -117,29 +120,22 @@ def charpoly_from_masks(a: np.ndarray) -> np.ndarray:
     out-degree in the block, a row of A holds at most r ones, so every
     partial sum of a step's sum, product and trace is at most
     n r (max|M_{k-1}| + max|c_{k-1}|), with the maxima over the block; the
-    step runs on int64 while that is below 2^63.  The maxima are not
-    measured at every step: the guard carries bounds on them in Python ints
-    (``_step_bounds``, from n and r), and measures ``abs(m).max()`` only at
-    a step where the carried bounds reach the limit, taking the measured
-    maxima as its bounds from there.  A bound at least the measured value
-    never moves a block that the measured value keeps, so the step of the
-    move is the one a guard measuring every step takes.  The carried bounds
-    never reach the limit up to n = 14, whatever the 0-1 matrices; in practice
-    the values stay far below it (under 2^46 on random digraphs and
-    tournaments up to n = 32).
+    step runs on int64 while that is below 2^63.  Up to ``INT64_MAX_ORDER``
+    no 0-1 matrix reaches that limit, loops included, so the kernel
+    measures nothing there; above it, it measures the maxima at every step
+    until the block moves.  In practice the values stay far below the
+    limit (under 2^46 on random digraphs and tournaments up to n = 32).
     """
     n = a.shape[-1]
-    out_degree = int((a @ np.ones(n, dtype=a.dtype)).max(initial=0))
-    limit = 2 ** 63 // max(n * out_degree, 1)
+    limit = None  # None: nothing to measure, up to INT64_MAX_ORDER or on Python ints
+    if n > INT64_MAX_ORDER:
+        limit = 2 ** 63 // max(n * int(a.sum(axis=2).max(initial=0)), 1)
     m = np.zeros_like(a)
     c = np.ones(len(a), dtype=np.int64)
-    m_bound, c_bound = 0, 1
     cs = [c]  # cs[k][row] is the coefficient of x**(n-k)
     for k in range(1, n + 1):
-        if m.dtype != object and m_bound + c_bound >= limit:
-            m_bound, c_bound = int(abs(m).max(initial=0)), int(abs(c).max(initial=0))
-            if m_bound + c_bound >= limit:
-                a, m, c = a.astype(object), m.astype(object), c.astype(object)
+        if limit and int(abs(m).max(initial=0)) + int(abs(c).max(initial=0)) >= limit:
+            a, m, c, limit = a.astype(object), m.astype(object), c.astype(object), None
         diagonal = np.einsum("kii->ki", m)  # a writeable view of every diagonal
         diagonal += c[:, None]
         m = a @ m
@@ -147,26 +143,7 @@ def charpoly_from_masks(a: np.ndarray) -> np.ndarray:
         c = -t // k
         assert not (t % k).any(), "Faddeev-LeVerrier trace not divisible"
         cs.append(c)
-        m_bound, c_bound = _step_bounds(n, out_degree, k, m_bound, c_bound)
     return np.stack(cs[::-1], axis=1)
-
-
-def _step_bounds(n: int, r: int, k: int, m_bound: int, c_bound: int) -> tuple[int, int]:
-    """Bounds on max|M_k| and max|c_k| of a recurrence step on 0-1 matrices
-    of order n whose rows hold at most r ones, from bounds on
-    max|M_{k-1}| and max|c_{k-1}|: an entry of M_k = A M_{k-1} + c_{k-1} A
-    sums at most r entries of M_{k-1}, plus c_{k-1} or 0, and
-    |c_k| = |tr M_k| / k <= n max|M_k| / k."""
-    m_bound = r * m_bound + c_bound
-    return m_bound, n * m_bound // k
-
-
-def _matrix_stack(n: int, rows) -> np.ndarray:
-    """The ``(K, n, n)`` int64 0-1 matrices of the bitmask rows, at any n."""
-    width = (n + 7) // 8
-    packed = b"".join(mask.to_bytes(width, "little") for masks in rows for mask in masks)
-    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), bitorder="little")
-    return bits.reshape(len(rows), n, 8 * width)[:, :, :n].astype(np.int64)
 
 
 def _traces(m: np.ndarray) -> np.ndarray:

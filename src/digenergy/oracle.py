@@ -39,8 +39,8 @@ from .digraph import (
     serialize_edge_list,
 )
 from .errors import PurelyImaginaryEigenvalueError, UnknownCheckError
-from .spectrum import (REL_TOL_FLOOR, CharPoly, Memo, Spectrum, certify_spectra, check_spreads, coulson_energies,
-                       coulson_energy, unwrap)
+from .spectrum import (COULSON_REL_TOL, REL_TOL_FLOOR, CharPoly, Memo, Spectrum, certify_spectra, check_spreads,
+                       coulson_energies, coulson_energy, unwrap)
 from .structure import (
     energy_bound_attained,
     equality_verdict_energy_upper,
@@ -78,15 +78,6 @@ _MASK64 = (1 << 64) - 1
 def _pair_list(n: int) -> tuple[tuple[int, int], ...]:
     """The ordered pairs of distinct vertices of order n, lexicographic."""
     return tuple((i, j) for i in range(n) for j in range(n) if i != j)
-
-
-def _order(digraphs: Sequence[Digraph]) -> int:
-    """The one order of ``digraphs``."""
-    orders = {d.n for d in digraphs}
-    if len(orders) != 1:
-        raise ValueError(f"a block holds digraphs of one order, got orders {sorted(orders)}")
-    (n,) = orders
-    return n
 
 
 def enumerate_digraphs(n: int) -> Iterator[Digraph]:
@@ -242,9 +233,9 @@ class _Block:
     from one adjacency stack: ``bits``, the ``(K, n, n)`` int64 stack the
     block is built with.  ``verify_all``'s block sources compute it from
     the corpus's own arithmetic (the arc-mask counter of the enumeration,
-    or the SplitMix64 words of the seeds), and ``from_digraphs`` packs it
-    from the members' ``out_masks`` bit rows.  It gives the digon graphs
-    ``digons`` (S = A o A^T, the geometric symmetrization of a 0-1
+    or the SplitMix64 words of the seeds), and ``from_digraphs`` builds it
+    from the members' arcs (``adjacency_matrices``).  It gives the digon
+    graphs ``digons`` (S = A o A^T, the geometric symmetrization of a 0-1
     matrix), the closed-walk profile (c2 = S 1, t2 = S c2 and their sums,
     in int64), the spectral radii of S and S^2 (one stacked ``eigvalsh``
     each over the block's distinct S, which ``_first_use_rows`` finds
@@ -252,8 +243,9 @@ class _Block:
     (``check_spreads``), the cycle-arc reductions ``reduced_bits`` (an
     arc (i, j) lies on a cycle iff j reaches i, read off a boolean
     reachability closure) and the edge-list text of a member (``text``).
-    The members' arcs are an independent second route that only the
-    ``walk_rowsum`` check reads, entry by entry against ``bits``.
+    In ``verify_all`` the members' arcs are an independent second route
+    that only the ``walk_rowsum`` check reads, entry by entry against
+    ``bits``.
 
     The characteristic polynomials of the digraphs and of their reductions
     come from one kernel call on ``bits`` and the rows of ``reduced_bits``
@@ -291,19 +283,18 @@ class _Block:
 
     def __init__(self, digraphs: Sequence[Digraph], bits: np.ndarray, memo: Memo):
         self.digraphs = list(digraphs)
-        self.n = _order(self.digraphs)
+        self.n = bits.shape[-1]
         if bits.shape != (len(self.digraphs), self.n, self.n):
-            raise ValueError(f"a block of {len(self.digraphs)} digraphs of order {self.n} "
-                             f"needs an adjacency stack of that shape, got {bits.shape}")
+            raise ValueError(f"a block of {len(self.digraphs)} digraphs needs a "
+                             f"({len(self.digraphs)}, n, n) adjacency stack, got {bits.shape}")
         self.bits = bits
         self.memo = memo
 
     @classmethod
     def from_digraphs(cls, digraphs: Sequence[Digraph], memo: Memo) -> "_Block":
-        """The block of ``digraphs``, its ``bits`` packed from their
-        ``out_masks`` bit rows."""
-        digraphs = list(digraphs)
-        return cls(digraphs, kernels._matrix_stack(_order(digraphs), [d.out_masks for d in digraphs]), memo)
+        """The block of ``digraphs``, of one order, its ``bits`` built from
+        their arcs (``adjacency_matrices``)."""
+        return cls(digraphs, adjacency_matrices(digraphs), memo)
 
     @cached_property
     def digons(self) -> np.ndarray:
@@ -414,11 +405,12 @@ class _Block:
 
     @cached_property
     def integrals(self) -> list:
-        """The Coulson integral (rel_tol 1e-6) of each member polynomial
+        """The Coulson integral (``COULSON_REL_TOL``) of each member polynomial
         (the rows of ``certified``), or the exception that skips it: its
         PurelyImaginaryEigenvalueError, or the EigensolverError of its
         spectrum."""
-        values = iter(coulson_energies([s for s in self.certified if isinstance(s, Spectrum)], 1e-6, self.memo))
+        spectra = [s for s in self.certified if isinstance(s, Spectrum)]
+        values = iter(coulson_energies(spectra, COULSON_REL_TOL, self.memo))
         return [next(values) if isinstance(s, Spectrum) else s for s in self.certified]
 
     @cached_property
@@ -495,10 +487,10 @@ class Analysis:
     row 0 of it: the profile, the spectrum (``outcome(0)``) and the
     verdicts on its rows of the block's adjacency and reduction stacks.
     The Coulson integral is that spectrum's at ``REL_TOL_FLOOR``, tighter
-    than the harness's 1e-6, so that ``warnings`` can flag an energy that
-    misses it.  Its spectrum is its polynomial's, as in any block.  It builds
-    one adjacency stack, packed from ``d.out_masks``, and the QR values of
-    a repeated-root spread check come from that stack too.
+    than the harness's ``COULSON_REL_TOL``, so that ``warnings`` can flag
+    an energy that misses it.  Its spectrum is its polynomial's, as in any
+    block.  It builds one adjacency stack, from the arcs of ``d``, and the
+    QR values of a repeated-root spread check come from that stack too.
     """
 
     def __init__(self, d: Digraph, tol: float = bounds_mod.DEFAULT_TOL):
@@ -722,7 +714,7 @@ def _check_coulson_match(block: _Block, tol: float):
     integral = np.array([0.0 if isinstance(v, Exception) else v for v in block.integrals])
     skip, integral = skip[block.poly_index], integral[block.poly_index]
     diff = np.abs(integral - energy) / np.maximum(1.0, energy)
-    return skip, [(~skip & (diff > 1e-6), integral, energy, diff)]
+    return skip, [(~skip & (diff > COULSON_REL_TOL), integral, energy, diff)]
 
 
 def _check_equality_iff_rho(block: _Block, tol: float):

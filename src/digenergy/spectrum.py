@@ -51,7 +51,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import kernels
-from .digraph import Digraph
+from .digraph import Digraph, adjacency_matrices
 from .errors import EigensolverError, PurelyImaginaryEigenvalueError
 
 # Eigenvalues with |Im| below this (scaled by 1 + rho) are snapped to real.
@@ -115,7 +115,7 @@ def characteristic_polynomial(d: Digraph) -> CharPoly:
     ``kernels.charpoly_from_masks``); arbitrary-precision integers make the
     result exact at any order.
     """
-    (coeffs,) = kernels.charpoly_from_masks(kernels._matrix_stack(d.n, [d.out_masks])).tolist()
+    (coeffs,) = kernels.charpoly_from_masks(adjacency_matrices([d])).tolist()
     return CharPoly(tuple(coeffs))
 
 
@@ -460,6 +460,10 @@ _POLE_REL = 1e-13
 # eigenvalue nearest the imaginary axis is 0.0033 from it); n = 64 and 96
 # reach their energy at 1e-10.
 REL_TOL_FLOOR = 1e-10
+# The relative tolerance of the harness's Coulson integrals and of its
+# ``coulson_match`` check, and the default of ``coulson_energy`` and of the
+# ``coulson`` command's --rel-tol.
+COULSON_REL_TOL = 1e-6
 # Depth of the 2^4 level-0 panels of (0, pi/2) (width pi / 2^5), and depth at
 # which a panel (width pi / 2^49) is accepted whatever its error.
 _START_DEPTH = 4
@@ -734,7 +738,7 @@ def coulson_energies(spectra: Sequence[Spectrum], rel_tol: float, memo: Memo) ->
     return [found[polys[i]] if i in polys else PurelyImaginaryEigenvalueError(x) for i, x in enumerate(first)]
 
 
-def coulson_energy(spectrum: Spectrum, rel_tol: float = 1e-6) -> float:
+def coulson_energy(spectrum: Spectrum, rel_tol: float = COULSON_REL_TOL) -> float:
     """Energy via the integral (1/pi) * int (n - i x phi'(ix)/phi(ix)) dx,
     with phi the characteristic polynomial ``spectrum`` was certified
     against; ``coulson_energies`` on a block of one, with a fresh ``Memo``.

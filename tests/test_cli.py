@@ -113,6 +113,13 @@ class TestVerify:
         proc = run_cli(["verify", "3", "--checks", "bogus"])
         assert proc.returncode == 2
 
+    def test_empty_check_list_usage_error(self):
+        # An empty --checks names one empty check, as ",walk_rowsum" does;
+        # it does not mean "all checks".
+        proc = run_cli(["verify", "3", "--checks", ""])
+        assert proc.returncode == 2
+        assert proc.stdout == "" and proc.stderr.startswith("error: unknown check name(s): ;")
+
     def test_random_mode(self):
         proc = run_cli(["verify", "6", "--mode", "random", "--count", "20",
                         "--p", "0.3", "--seed", "4",
@@ -170,6 +177,14 @@ class TestRandom:
     def test_bad_flags(self):
         proc = run_cli(["random", "3", "1.5", "1"])
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("p", ["2", "-0.5", "nan", "inf"])
+    @pytest.mark.parametrize("argv", ["verify 3 --mode random --count 3 --p {p}", "random 3 {p} 1"],
+                             ids=["verify", "random"])
+    def test_p_outside_the_unit_interval(self, argv, p):
+        proc = run_cli(argv.format(p=p).split())
+        assert proc.returncode == 2
+        assert proc.stdout == "" and proc.stderr == f"error: need 0 <= p <= 1, got {float(p)}\n"
 
 
 class TestVertexCap:

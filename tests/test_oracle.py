@@ -699,12 +699,12 @@ class TestBlocks:
 
 
 def _assert_stacks_equal_digraphs(blocks):
-    """Each member's ``bits``, from the corpus's arithmetic, are the stack
-    packed from its own ``out_masks``; returns the members seen."""
+    """Each member's ``bits``, from the corpus's arithmetic, are its own
+    adjacency matrix, from its arcs; returns the members seen."""
     seen = []
     for block in blocks:
         for k, d in enumerate(block.digraphs):
-            assert np.array_equal(block.bits[k], kernels_mod._matrix_stack(d.n, [d.out_masks])[0]), d
+            assert np.array_equal(block.bits[k], adjacency_matrix(d)), d
         seen += block.digraphs
     return seen
 
@@ -781,12 +781,17 @@ class TestCorpusStacks:
         assert want[1] == text
 
     def test_only_walk_rowsum_reads_the_arcs(self, monkeypatch):
+        # An Analysis builds its one stack from the arcs, with one call.
+        arc_route, calls = oracle_mod.adjacency_matrices, []
+        monkeypatch.setattr(oracle_mod, "adjacency_matrices", lambda ds: calls.append(list(ds)) or arc_route(ds))
+        two_digons = Digraph(4, [(0, 1), (1, 0), (2, 3), (3, 2)])  # x^4 - 2x^2 + 1, repeated roots
+        assert Analysis(two_digons).to_dict()["spectrum"]["rho"] == 1.0
+        assert calls == [[two_digons]]
+
         def forbidden(digraphs):
             raise AssertionError("the arcs read outside walk_rowsum")
 
         monkeypatch.setattr(oracle_mod, "adjacency_matrices", forbidden)
-        two_digons = Digraph(4, [(0, 1), (1, 0), (2, 3), (3, 2)])  # x^4 - 2x^2 + 1, repeated roots
-        assert Analysis(two_digons).to_dict()["spectrum"]["rho"] == 1.0
         others = [c for c in CHECK_NAMES if c != "walk_rowsum"]
         report = verify_all(4, checks=others)
         assert report.ok and report.digraphs_checked == 4096

@@ -155,23 +155,23 @@ def _transitive_tournament(n):
     return Digraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
-def _kernel_run(monkeypatch, n, rows):
-    """The block kernel's coefficients on ``rows``, and whether it moved
-    to Python ints."""
+def _kernel_run(monkeypatch, ds):
+    """The block kernel's coefficients on the digraphs ``ds``, and whether
+    it moved to Python ints."""
     dtypes = []
     traces = kernels_mod._traces
     monkeypatch.setattr(kernels_mod, "_traces", lambda m: dtypes.append(m.dtype) or traces(m))
-    coeffs = kernels_mod.charpoly_from_masks(kernels_mod._matrix_stack(n, rows)).tolist()
+    coeffs = kernels_mod.charpoly_from_masks(adjacency_matrices(ds)).tolist()
     monkeypatch.setattr(kernels_mod, "_traces", traces)
     return coeffs, object in dtypes
 
 
-# Orders on both sides of the int64/object switch of the charpoly recurrence,
-# which measures its values where its carried bounds reach the limit: no
-# value can leave int64 up to n = 12, whatever the digraph.  At n = 64, J - I and the transitive
-# tournament move to Python ints part way through; the directed cycle
-# stays on int64 throughout.
-CLOSED_FORM_ORDERS = (0, 1, 2, 12, 13, 16, 32, 64)
+# Orders on both sides of the int64/object switch of the charpoly recurrence:
+# no value can leave int64 up to n = 14 (``INT64_MAX_ORDER``), whatever the
+# digraph, so the kernel measures its values only from n = 15 on.  At
+# n = 64, J - I and the transitive tournament move to Python ints part way
+# through; the directed cycle stays on int64 throughout.
+CLOSED_FORM_ORDERS = (0, 1, 2, 12, 13, 14, 15, 16, 32, 64)
 
 RANDOM_CORPUS = [random_digraph(n, p, seed)
                  for n in range(1, 21) for p in (0.1, 0.3, 0.6) for seed in (1, 2)]
@@ -212,7 +212,7 @@ class TestCharPolyExactness:
         # Dense enough that the recurrence, on a block of one, leaves int64
         # part way through.
         d = random_digraph(48, 0.5, 1)
-        block, moved = _kernel_run(monkeypatch, d.n, [d.out_masks])
+        block, moved = _kernel_run(monkeypatch, [d])
         assert moved
         assert block == [_reference_charpoly(d.n, d.out_masks)]
         coeffs = characteristic_polynomial(d).coeffs
@@ -235,11 +235,11 @@ def _permutation_digraph(cycles, n):
     return Digraph(n, [(c[k], c[(k + 1) % len(c)]) for c in cycles for k in range(len(c))])
 
 
-def _switch_step(n, out_masks):
-    """The first step k of the recurrence, on Python ints, at which
+def _switch_step(d):
+    """The first step k of the recurrence on ``d``, on Python ints, at which
     max|M_{k-1}| + max|c_{k-1}| reaches 2**63 // (n r), r the largest
     out-degree: the step from which the kernel must run on Python ints."""
-    a = kernels_mod._matrix_stack(n, [out_masks])[0].astype(object)
+    n, a = d.n, adjacency_matrix(d).astype(object)
     limit = 2 ** 63 // (n * int(a.sum(axis=1).max()))
     m, c = np.zeros_like(a), 1
     for k in range(1, n + 1):
@@ -256,32 +256,31 @@ class TestBlockKernel:
     the int64 guard, which is taken over the whole block."""
 
     @staticmethod
-    def _assert_block_equals_rows(monkeypatch, n, rows):
-        block, _ = _kernel_run(monkeypatch, n, rows)
-        assert block == [kernels_mod.charpoly_from_masks(kernels_mod._matrix_stack(n, [masks])).tolist()[0]
-                         for masks in rows]
+    def _assert_block_equals_rows(monkeypatch, ds):
+        block, _ = _kernel_run(monkeypatch, ds)
+        assert block == [kernels_mod.charpoly_from_masks(adjacency_matrices([d])).tolist()[0] for d in ds]
         assert all(type(c) is int for coeffs in block for c in coeffs)
         return block
 
     def test_orders_zero_and_one(self, monkeypatch):
-        assert self._assert_block_equals_rows(monkeypatch, 0, [(), ()]) == [[1], [1]]
-        assert self._assert_block_equals_rows(monkeypatch, 1, [(0,)]) == [[0, 1]]
+        assert self._assert_block_equals_rows(monkeypatch, [Digraph(0), Digraph(0)]) == [[1], [1]]
+        assert self._assert_block_equals_rows(monkeypatch, [Digraph(1)]) == [[0, 1]]
 
     def test_all_n3_digraphs(self, monkeypatch):
         ds = list(enumerate_digraphs(3))
-        block = self._assert_block_equals_rows(monkeypatch, 3, [d.out_masks for d in ds])
+        block = self._assert_block_equals_rows(monkeypatch, ds)
         assert block == [_reference_charpoly(3, d.out_masks) for d in ds]
 
     @pytest.mark.parametrize("n", [10, 12])
     def test_random_digraphs(self, monkeypatch, n):
         ds = [random_digraph(n, p, seed) for p in (0.1, 0.3, 0.6) for seed in range(20)]
-        block = self._assert_block_equals_rows(monkeypatch, n, [d.out_masks for d in ds])
+        block = self._assert_block_equals_rows(monkeypatch, ds)
         assert block == [_reference_charpoly(n, d.out_masks) for d in ds]
 
     def test_directed_path_and_permutation_matrix(self, monkeypatch):
         # Nilpotent next to a root of unity: x^8 and (x^3 - 1)(x^2 - 1)(x^3 - 1).
         path, perm = directed_path(8), _permutation_digraph([(0, 3, 6), (1, 7), (2, 4, 5)], 8)
-        block = self._assert_block_equals_rows(monkeypatch, 8, [path.out_masks, perm.out_masks])
+        block = self._assert_block_equals_rows(monkeypatch, [path, perm])
         assert block[0] == [0] * 8 + [1]
         assert tuple(block[1]) == _poly_mul((-1, 0, 0, 1), (-1, 0, 1), (-1, 0, 0, 1))
 
@@ -293,18 +292,19 @@ class TestBlockKernel:
         dtypes = []
         traces = kernels_mod._traces
         monkeypatch.setattr(kernels_mod, "_traces", lambda m: dtypes.append(m.dtype) or traces(m))
-        kernels_mod.charpoly_from_masks(kernels_mod._matrix_stack(n, [d.out_masks]))
-        assert _switch_step(n, d.out_masks) == step
+        kernels_mod.charpoly_from_masks(adjacency_matrices([d]))
+        assert _switch_step(d) == step
         assert dtypes == [np.dtype(np.int64)] * (step - 1) + [np.dtype(object)] * (n - step + 1)
 
     @pytest.mark.parametrize("n", [13, 52])
     def test_guard_is_taken_over_the_block(self, monkeypatch, n):
         # J - I leaves int64 from n = 52 on, the directed cycle alone never
         # does; in one block both move to Python ints, and both stay exact.
-        # n = 13 lies just past the orders where no digraph can leave int64.
-        rows = [directed_cycle(n).out_masks, sym(complete_graph(n)).out_masks]
-        block, moved = _kernel_run(monkeypatch, n, rows)
-        alone = [_kernel_run(monkeypatch, n, [masks]) for masks in rows]
+        # At n = 13 no digraph can leave int64, and the kernel measures
+        # nothing.
+        ds = [directed_cycle(n), sym(complete_graph(n))]
+        block, moved = _kernel_run(monkeypatch, ds)
+        alone = [_kernel_run(monkeypatch, [d]) for d in ds]
         assert block == [coeffs[0] for coeffs, _ in alone]
         assert moved == (n == 52)
         assert [row_moved for _, row_moved in alone] == [False, n == 52]
@@ -312,66 +312,35 @@ class TestBlockKernel:
         assert tuple(block[1]) == _poly_mul(_root_power(n - 1, 1), _root_power(-1, n - 1))
 
 
-def _carried_and_measured(stack):
-    """Per step k of the kernel on ``stack``: the bounds on max|M_k| and
-    max|c_k| it carries (``_step_bounds``), and the measured maxima."""
-    carried, measured = [], []
-    step_bounds, traces = kernels_mod._step_bounds, kernels_mod._traces
-
-    def measuring(m):
-        t = traces(m)
-        k = len(measured) + 1
-        measured.append((int(abs(m).max(initial=0)), int(abs(-t // k).max(initial=0))))
-        return t
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kernels_mod, "_traces", measuring)
-        patch.setattr(kernels_mod, "_step_bounds", lambda *args: carried.append(step_bounds(*args)) or carried[-1])
-        kernels_mod.charpoly_from_masks(stack)
-    return carried, measured
+def _guard_bounds(n, r):
+    """Bounds on max|M_{k-1}| + max|c_{k-1}| before each step k = 1..n of
+    the recurrence on 0-1 matrices of order n whose rows hold at most r
+    ones: an entry of M_k = A M_{k-1} + c_{k-1} A sums at most r entries of
+    M_{k-1}, plus c_{k-1} or 0, and |c_k| = |tr M_k| / k <= n max|M_k| / k."""
+    m, c = 0, 1
+    for k in range(1, n + 1):
+        yield m + c
+        m = r * m + c
+        c = n * m // k
 
 
-@st.composite
-def zero_one_stacks(draw, max_n=16):
-    """A ``(K, n, n)`` 0-1 int64 stack, loops allowed, of one density."""
-    n, k = draw(st.integers(0, max_n)), draw(st.integers(1, 4))
-    density = draw(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    return (rng.random((k, n, n)) < density).astype(np.int64)
+def test_no_zero_one_matrix_leaves_int64_up_to_the_threshold():
+    # A step's sums stay below 2^63 while max|M| + max|c| < 2^63 // (n r).
+    # The bound recurrence keeps below that for every r <= n <= 14, loops
+    # included (r = n), and first reaches it at n = r = 15, so the kernel
+    # measures nothing up to INT64_MAX_ORDER = 14.
+    def reaches(n, r):
+        return any(b >= 2 ** 63 // max(n * r, 1) for b in _guard_bounds(n, r))
 
-
-class TestKernelBound:
-    """The int64 guard of the kernel carries bounds on max|M_k| and
-    max|c_k| instead of measuring them at every step; each carried bound is
-    at least the measured maximum at every step."""
-
-    @staticmethod
-    def _assert_bounds_hold(stack):
-        carried, measured = _carried_and_measured(stack)
-        assert len(carried) == len(measured) == stack.shape[-1]
-        for (m_bound, c_bound), (m_max, c_max) in zip(carried, measured):
-            assert m_bound >= m_max and c_bound >= c_max
-
-    @given(zero_one_stacks())
-    @settings(max_examples=80, deadline=None)
-    def test_bounds_hold_on_zero_one_stacks(self, stack):
-        self._assert_bounds_hold(stack)
-
-    @pytest.mark.parametrize("n", [13, 52])
-    def test_bounds_hold_on_j_minus_i(self, n):
-        # J - I is the densest loop-free digraph; at n = 52 the kernel
-        # moves to Python ints, and the carried bounds go on.
-        self._assert_bounds_hold(kernels_mod._matrix_stack(n, [sym(complete_graph(n)).out_masks]))
-
-    def test_full_stack_measures_where_the_bound_reaches_the_limit(self):
-        # J at n = 16: the bounds carried into step 15 reach the limit
-        # 2^63 // n^2, so the kernel measures there, stays on int64 and
-        # carries on from the measured maxima, which keep below it.
-        stack = np.ones((1, 16, 16), dtype=np.int64)
-        carried, measured = _carried_and_measured(stack)
-        limit = 2 ** 63 // 16 ** 2
-        assert [k + 1 for k, (m, c) in enumerate(carried, 1) if m + c >= limit] == [15]
-        assert all(m + c < limit for m, c in measured)
+    assert kernels_mod.INT64_MAX_ORDER == 14
+    assert not any(reaches(n, r) for n in range(15) for r in range(n + 1))
+    assert [r for r in range(16) if reaches(15, r)] == [15]
+    # The bounds hold on J, the densest 0-1 matrix, at n = 15.
+    j, m, c = np.ones((15, 15), dtype=object), np.zeros((15, 15), dtype=object), 1
+    for k, bound in enumerate(_guard_bounds(15, 15), 1):
+        assert abs(m).max() + abs(c) <= bound
+        m = j @ m + c * j
+        c = -m.trace() // k
 
 
 def _square_free_decomposition(coeffs):
