@@ -331,14 +331,9 @@ class _Block:
         return self.bits * (reach.swapaxes(1, 2) > 0)
 
     @cached_property
-    def drops_arcs(self) -> np.ndarray:
-        """Which members lose an arc to their reduction."""
-        return (self.reduced_bits != self.bits).any(axis=(1, 2))
-
-    @cached_property
     def _poly_table(self) -> tuple[list[CharPoly], np.ndarray, np.ndarray]:
         size = len(self.bits)
-        drops = np.flatnonzero(self.drops_arcs)
+        drops = np.flatnonzero((self.reduced_bits != self.bits).any(axis=(1, 2)))  # members that lose an arc
         coeffs = kernels.charpoly_from_masks(np.concatenate([self.bits, self.reduced_bits[drops]]))
         first, rows = _first_use_rows(coeffs)
         reduced = rows[:size].copy()  # a member that keeps every arc is its own reduction

@@ -596,14 +596,14 @@ class _Integrand:
         return pair
 
 
-def _level_synchronous_gl(f: _Integrand, b: float, rel_tol: float) -> list:
-    """Integral of each even integrand of ``f`` (one at least) over
-    (-b, b): twice an adaptive Gauss-Legendre quadrature over (0, b), one
-    refinement level at a time for all of them.  Returns, per polynomial,
-    the integral or the PurelyImaginaryEigenvalueError that stopped it.
+def _level_synchronous_gl(f: _Integrand, rel_tol: float) -> list:
+    """The energy of each even integrand of ``f`` (one at least): its
+    integral over (-pi/2, pi/2), twice an adaptive Gauss-Legendre quadrature
+    over (0, pi/2) run one level at a time for all of them, over pi.
+    Returns, per polynomial, the energy or the error that stopped it.
 
-    Level 0 is 16 equal panels of (0, b) per polynomial, depth 4 of a
-    binary tree whose depth-0 panels are the halves of (-b, b); their
+    Level 0 is 16 equal panels of (0, pi/2) per polynomial, depth 4 of a
+    binary tree whose depth-0 panels are the halves of (-pi/2, pi/2); their
     doubled 16-node sums estimate the integral and set the polynomial's
     tol0 = 0.25 * rel_tol * max(1, |estimate|).  A panel at depth k is
     accepted when its 8- and 16-node sums agree within tol0 / 2^k, a
@@ -636,7 +636,7 @@ def _level_synchronous_gl(f: _Integrand, b: float, rel_tol: float) -> list:
     nodes = np.concatenate([lo_nodes, hi_nodes])
     n_lo = len(lo_nodes)
     start = 2 ** _START_DEPTH
-    edges = np.linspace(0.0, b, start + 1)
+    edges = np.linspace(0.0, math.pi / 2.0, start + 1)
     # Every polynomial starts from the same 16 panels, and a chunk of level 0
     # holds whole polynomials (``_CHUNK_PANELS`` is a multiple of 16), so
     # every chunk of level 0 reads the first rows of one tiled node array.
@@ -701,7 +701,7 @@ def _level_synchronous_gl(f: _Integrand, b: float, rel_tol: float) -> list:
         total[~accepted] = sums[0::2] + sums[1::2]
         sums = total
     totals = sums.reshape(f.count, start).sum(axis=1)
-    return [2.0 * float(total) if outcome is None else outcome for total, outcome in zip(totals, outcomes)]
+    return [2.0 * float(total) / math.pi if outcome is None else outcome for total, outcome in zip(totals, outcomes)]
 
 
 def coulson_energies(spectra: Sequence[Spectrum], rel_tol: float, memo: Memo) -> list:
@@ -730,11 +730,8 @@ def coulson_energies(spectra: Sequence[Spectrum], rel_tol: float, memo: Memo) ->
     found = {c: memo.integrals[c, rel_tol] for c in polys.values() if (c, rel_tol) in memo.integrals}
     todo = [c for c in dict.fromkeys(polys.values()) if c not in found]
     if todo:
-        for c, value in zip(todo, _level_synchronous_gl(_Integrand(todo), math.pi / 2.0, rel_tol)):
-            if not isinstance(value, Exception):
-                value /= math.pi
-                memo.integrals[c, rel_tol] = value
-            found[c] = value
+        found.update(zip(todo, _level_synchronous_gl(_Integrand(todo), rel_tol)))
+    memo.integrals.update(((c, rel_tol), found[c]) for c in todo if not isinstance(found[c], Exception))
     return [found[polys[i]] if i in polys else PurelyImaginaryEigenvalueError(x) for i, x in enumerate(first)]
 
 

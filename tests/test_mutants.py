@@ -140,7 +140,7 @@ def _energy_as_sum_of_re(monkeypatch):
 
 def _coulson_sign_flipped(monkeypatch):
     _source_mutant(monkeypatch, spectrum_mod, "_level_synchronous_gl",
-                   "2.0 * float(total) if", "-2.0 * float(total) if")
+                   "2.0 * float(total) / math.pi if", "-2.0 * float(total) / math.pi if")
 
 
 def _walk_ratio_attained_negated(monkeypatch):

@@ -903,7 +903,7 @@ def _tuple_dict_table(block):
     """The table of ``block`` as a dict keyed by coefficient tuples builds
     it from the same kernel call: the distinct rows in order of first use,
     and each member's row for itself and for its reduction."""
-    size, drops = len(block.bits), np.flatnonzero(block.drops_arcs)
+    size, drops = len(block.bits), np.flatnonzero((block.reduced_bits != block.bits).any(axis=(1, 2)))
     coeffs = kernels_mod.charpoly_from_masks(np.concatenate([block.bits, block.reduced_bits[drops]])).tolist()
     table = {}
     rows = [table.setdefault(tuple(c), len(table)) for c in coeffs]

@@ -1061,8 +1061,8 @@ def _quadrature(coeffs, rel_tol=1e-6):
     """The quadrature of one polynomial, past the memo: the integral, or
     the PurelyImaginaryEigenvalueError raised."""
     f = spectrum_mod._Integrand([coeffs])
-    (outcome,) = spectrum_mod._level_synchronous_gl(f, math.pi / 2, rel_tol)
-    return spectrum_mod.unwrap(outcome) / math.pi
+    (outcome,) = spectrum_mod._level_synchronous_gl(f, rel_tol)
+    return spectrum_mod.unwrap(outcome)
 
 
 def _integral_input(d):
@@ -1250,7 +1250,7 @@ def _visited_nodes(coeffs):
     """The abscissae of every node array the quadrature of ``coeffs``
     passes to the integrand."""
     f = _Recorder([coeffs])
-    spectrum_mod._level_synchronous_gl(f, math.pi / 2, 1e-6)
+    spectrum_mod._level_synchronous_gl(f, 1e-6)
     return f.seen
 
 
@@ -1678,7 +1678,7 @@ class TestStackedCoulson:
 
     def _one_call(self, polys):
         f = spectrum_mod._Integrand(polys)
-        return [_outcome_text(o) for o in spectrum_mod._level_synchronous_gl(f, math.pi / 2, 1e-6)]
+        return [_outcome_text(o) for o in spectrum_mod._level_synchronous_gl(f, 1e-6)]
 
     def test_one_call_equals_calls_of_one(self):
         polys = STACKED_COULSON_POLYS
@@ -1742,7 +1742,7 @@ class TestStackedCoulson:
         nodes = spectrum_mod._nodes
         monkeypatch.setattr(spectrum_mod, "_nodes", lambda x: calls.append(x.copy()) or nodes(x))
         f = _Recorder(polys)
-        together = spectrum_mod._level_synchronous_gl(f, math.pi / 2, 1e-6)
+        together = spectrum_mod._level_synchronous_gl(f, 1e-6)
         monkeypatch.undo()
         assert spectrum_mod._CHUNK_PANELS % 16 == 0  # a chunk of level 0 holds whole polynomials
         level0 = -(-16 * len(polys) // spectrum_mod._CHUNK_PANELS)  # integrand calls of level 0
@@ -1755,7 +1755,7 @@ class TestStackedCoulson:
         assert np.concatenate(f.seen[:level0]).tobytes() == np.tile(calls[0], (len(polys), 1)).tobytes()
         poles = 0
         for coeffs, outcome in zip(polys, together):
-            (alone,) = spectrum_mod._level_synchronous_gl(spectrum_mod._Integrand([coeffs]), math.pi / 2, 1e-6)
+            (alone,) = spectrum_mod._level_synchronous_gl(spectrum_mod._Integrand([coeffs]), 1e-6)
             assert type(outcome) is type(alone)
             if isinstance(alone, PurelyImaginaryEigenvalueError):
                 assert outcome.x == alone.x
@@ -1779,5 +1779,5 @@ class TestStackedCoulson:
                     pole[first, [3, 7, 9]] = True
                 return np.zeros(x.shape), x, pole
 
-        outcomes = spectrum_mod._level_synchronous_gl(Poles(), math.pi / 2, 1e-6)
+        outcomes = spectrum_mod._level_synchronous_gl(Poles(), 1e-6)
         assert [o.x for o in outcomes] == [0.5, 0.75]
