@@ -2,16 +2,23 @@
 the walk-based bounds, each decided by one integer test on adjacency
 matrices that the verdicts and the verification harness share.
 
-The radius bound sqrt(sum t2^2 / sum c2^2) is attained exactly when, after
-deleting the arcs that lie on no cycle, the digraph is the symmetric digraph
-of a graph whose edge-bearing components are each r-regular or
-(r1, r2)-semiregular bipartite with r^2 = r1*r2 equal to the walk ratio q.
-One edge test decides that shape (``walk_ratio_attained``): c2_i c2_j = q
-on every edge.  The matching energy bound is attained exactly on symmetric
-digraphs of: the empty graph, the complete graph, a disjoint union of
-single edges covering every vertex, or a connected non-complete strongly
-regular graph whose two non-Perron eigenvalues share the modulus
-sqrt((a - q)/(n - 1)), that is, one with lam = mu.  One identity decides
+The radius bound sqrt(sum t2^2 / sum c2^2) is attained when, after deleting
+the arcs that lie on no cycle, the digraph is the symmetric digraph of a
+graph whose edge-bearing components are each pseudo-regular (t2/c2 = p on
+every vertex, p^2 = q) or pseudo-semiregular bipartite (t2/c2 = p1 and p2
+on the sides, p1 p2 = q), q being the walk ratio: the equality case of the
+graph bound (Yu, Lu & Tian, 2004).  This departs from the paper's
+"r-regular or (r1, r2)-semiregular bipartite with r^2 = r1 r2 = q", a
+special case that misses P5, pseudo-semiregular with (2, 3/2).  One edge
+test decides the shape (``walk_ratio_attained``): t2_i t2_j = q c2_i c2_j
+on every edge.  The bound is also attained when the strong components with
+a one-way arc hold no digon and have radius at most sqrt(q), as a digon
+beside a directed 3-cycle; that case is not predicted yet.  The matching
+energy bound is attained exactly on symmetric digraphs of: the empty
+graph, the complete graph, a disjoint union of single edges covering every
+vertex, or a connected non-complete strongly regular graph whose two
+non-Perron eigenvalues share the modulus sqrt((a - q)/(n - 1)), that is,
+one with lam = mu.  One identity decides
 that family (``energy_bound_attained``): A^2 = k I + mu (J - I).  Every
 fact here is decided in integers.
 """
@@ -54,20 +61,25 @@ def walk_ratio_attained(reduced: np.ndarray, profile: ClosedWalkProfile):
     """Does the walk-ratio radius bound hold with equality, given the 0-1
     adjacency ``reduced`` of a cycle-arc reduction and the walk profile?
 
-    True exactly when ``reduced`` is symmetric and c2_i c2_j sum c2^2 =
-    sum t2^2 on each of its arcs (i, j).  Along a path c2_i c2_j = q makes
-    vertices at even distance share a value, so a component with an odd
-    cycle is r-regular with r^2 = q and any other is bipartite with sides
-    of constant degree r1 r2 = q; a symmetric reduction keeps every digon,
-    so its degrees are c2.  Takes one ``(n, n)`` adjacency and profile, or
-    a ``(K, n, n)`` stack and a stacked profile, and returns a bool or a
-    ``(K,)`` mask.  The products stay below 3.4e10 at n = 128, so int64 is
-    exact.
+    True exactly when ``reduced`` is symmetric and t2_i t2_j sum c2^2 =
+    c2_i c2_j sum t2^2 on each of its arcs (i, j).  A symmetric reduction
+    keeps every digon, so it is the digon graph S.  Along a path
+    (t2_i / c2_i)(t2_j / c2_j) = q makes vertices at even distance share
+    t2/c2, so a component with an odd cycle is pseudo-regular with p^2 = q
+    and any other is bipartite with sides of constant ratio p1 p2 = q: the
+    equality case of rho(S) >= sqrt(q) for a graph (Yu, Lu & Tian, 2004),
+    at the one q of all components.  The paper's regular or semiregular
+    shape is the case of constant degrees, and its degree test
+    (c2_i c2_j = q) misses P5.  Takes one ``(n, n)`` adjacency and
+    profile, or a ``(K, n, n)`` stack and a stacked profile, and returns a
+    bool or a ``(K,)`` mask.  The products stay below 6e14 at n = 128, so
+    int64 is exact.
     """
     c2 = np.asarray(profile.c2_seq, dtype=np.int64)
+    t2 = np.asarray(profile.t2_seq, dtype=np.int64)
     sum_c2_sq = np.asarray(profile.sum_c2_sq, dtype=np.int64)[..., None, None]
     sum_t2_sq = np.asarray(profile.sum_t2_sq, dtype=np.int64)[..., None, None]
-    on_arc = c2[..., :, None] * c2[..., None, :] * sum_c2_sq == sum_t2_sq
+    on_arc = t2[..., :, None] * t2[..., None, :] * sum_c2_sq == c2[..., :, None] * c2[..., None, :] * sum_t2_sq
     symmetric = reduced == reduced.swapaxes(-1, -2)
     return (symmetric & ((reduced == 0) | on_arc)).all(axis=(-2, -1))
 
@@ -79,10 +91,14 @@ def equality_verdict_rho_lower(
 
     ``predicted_equality`` is ``walk_ratio_attained``: after removing the
     arcs on no cycle, the digraph is symmetric and every edge-bearing
-    component of its graph is r-regular or (r1, r2)-semiregular bipartite
-    with r^2 = r1 r2 = sum t2^2 / sum c2^2.  The kind and params name the
-    first edge-bearing component: R_REGULAR (r,), or SEMIREGULAR_BIPARTITE
-    (r1, r2) with r1 > r2; EMPTY (n,) when the reduction has no arc.
+    component of its graph is pseudo-regular (t2/c2 = p on every vertex,
+    p^2 = q) or pseudo-semiregular bipartite (p1 p2 = q), with
+    q = sum t2^2 / sum c2^2 (Yu, Lu & Tian, 2004), in place of the paper's
+    "r-regular or (r1, r2)-semiregular bipartite", which misses P5.  The
+    kind and params read the degrees at the first edge: R_REGULAR (r,)
+    when its ends share degree r, else SEMIREGULAR_BIPARTITE (r1, r2) with
+    r1 > r2 (P5 reads (2, 1)); EMPTY (n,) when the reduction has no arc.
+    On a regular or semiregular component they name its shape.
     ``adjacency`` is the digraph's 0-1 adjacency, ``profile`` its walk
     profile and ``reduced`` the 0-1 adjacency of its cycle-arc reduction
     (the digraph without the arcs that lie on no cycle).
@@ -92,9 +108,7 @@ def equality_verdict_rho_lower(
         return StructureVerdict(KIND_NONE, (), False, removed)
     degrees = reduced.sum(axis=1).tolist()
     # Components are ordered by smallest vertex, so the first edge-bearing
-    # one holds the first vertex v with an edge.  The edge test leaves its
-    # vertices one degree (regular) or two (the sides), and v's neighbour u
-    # lies on the other side.
+    # one holds the first vertex v with an edge, and (v, u) is its first edge.
     v = next((v for v, deg in enumerate(degrees) if deg), None)
     if v is None:
         return StructureVerdict(KIND_EMPTY, (len(degrees),), True, removed)

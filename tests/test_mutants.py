@@ -24,6 +24,7 @@ from digenergy import Analysis, Digraph, EigensolverError, adjacency_matrix, ver
 from digenergy import kernels as kernels_mod
 from digenergy import oracle as oracle_mod
 from digenergy import spectrum as spectrum_mod
+from digenergy import structure as structure_mod
 
 CORPORA = {
     "exhaustive-n4": lambda: verify_all(4),
@@ -148,6 +149,14 @@ def _walk_ratio_attained_negated(monkeypatch):
     monkeypatch.setattr(oracle_mod, "walk_ratio_attained", lambda reduced, profile: ~attained(reduced, profile))
 
 
+def _degree_edge_test(monkeypatch):
+    # The paper's regular / semiregular shape: c2_i c2_j = q on every arc.
+    _source_mutant(monkeypatch, structure_mod, "walk_ratio_attained",
+                   "t2[..., :, None] * t2[..., None, :] * sum_c2_sq == c2[..., :, None] * c2[..., None, :] * sum_t2_sq",
+                   "c2[..., :, None] * c2[..., None, :] * sum_c2_sq == sum_t2_sq")
+    monkeypatch.setattr(oracle_mod, "walk_ratio_attained", structure_mod.walk_ratio_attained)
+
+
 def _no_aberth_sweep(monkeypatch):
     monkeypatch.setattr(spectrum_mod, "_ABERTH_SWEEPS", 0)
 
@@ -225,6 +234,9 @@ MUTANTS = [
     Mutant("walk-ratio-attained-negated", _walk_ratio_attained_negated, "exhaustive-n4",
            {"equality_iff_rho": (4096, 4096)},
            why="every radius-equality prediction is flipped"),
+    Mutant("degree-edge-test", _degree_edge_test, "random-n10", {"equality_iff_rho": (1, 1)},
+           why="a P5 with one-way arcs on no cycle is pseudo-semiregular, not semiregular, and attains "
+               "the radius bound"),
     Mutant("no-aberth-sweep", _no_aberth_sweep, "exhaustive-n4", {}, item="item 20",
            why="the np.roots starts of the exact square-free factors move rho and the energy by at most "
                "4.4e-15 at n = 4 (1.7e-14 at random n = 10), below every tolerance"),

@@ -1,4 +1,3 @@
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -61,60 +60,43 @@ def verdict_energy(d):
     return equality_verdict_energy_upper(adjacency_matrix(d))
 
 
-def _brute_force_bipartition(g, comp):
-    """The two sides of a connected component, found by trying every
-    2-coloring with comp[0] on the first side; None if no coloring leaves
-    each edge across the sides."""
-    members = set(comp)
-    inside = [(i, j) for i, j in g.edges if i in members]
-    for bits in range(1 << (len(comp) - 1)):
-        second = {v for k, v in enumerate(comp[1:]) if (bits >> k) & 1}
-        if all((i in second) != (j in second) for i, j in inside):
-            return members - second, second
-    return None
-
-
-def _component_criterion(g, profile):
-    """The radius equality shape, component by component: every
-    edge-bearing component is r-regular with r^2 = q or bipartite with
-    sides of constant degree r1 r2 = q, where q = sum t2^2 / sum c2^2."""
-    if not g.edges:
-        return True
-    q = Fraction(profile.sum_t2_sq, profile.sum_c2_sq)
-    deg = degrees(g)
-    for comp in component_vertex_sets(g):
-        if len(comp) == 1:
-            continue
-        degs = {deg[v] for v in comp}
-        if len(degs) == 1 and Fraction(min(degs) ** 2) == q:
-            continue
-        sides = _brute_force_bipartition(g, comp)
-        if sides is None:
-            return False
-        values = [{deg[v] for v in side} for side in sides]
-        if any(len(v) != 1 for v in values) or Fraction(min(values[0]) * min(values[1])) != q:
-            return False
-    return True
+def _radius_attained(adjacency, profile):
+    """The radius equality by the numbers on a ``(K, n, n)`` stack of
+    symmetric 0-1 matrices S and their stacked profile: |rho(S) - r| <=
+    1e-9, with rho(S) the largest ``eigvalsh`` value (a nonnegative
+    symmetric matrix has its radius there) and r = sqrt(sum t2^2 /
+    sum c2^2), 0 with no edge."""
+    rho = np.linalg.eigvalsh(np.asarray(adjacency, dtype=float)).max(axis=-1, initial=0.0)
+    r = np.sqrt(np.asarray(profile.sum_t2_sq) / np.maximum(profile.sum_c2_sq, 1))
+    return np.abs(rho - r) <= 1e-9
 
 
 class TestWalkRatioAttained:
     def _check(self, gs):
         # The edge test on one adjacency, on a stack, and the verdict all
-        # agree with the component-by-component criterion.
+        # agree with the radius itself.
         ds = [sym(g) for g in gs]
         profiles = [walk_profile(d) for d in ds]
-        expect = [_component_criterion(g, p) for g, p in zip(gs, profiles)]
         adj = [adjacency_matrix(d) for d in ds]
-        assert [bool(walk_ratio_attained(a, p)) for a, p in zip(adj, profiles)] == expect
-        assert [verdict_rho(d).predicted_equality for d in ds] == expect
         stacked = ClosedWalkProfile(*(np.array([getattr(p, f) for p in profiles])
                                       for f in ("c2_seq", "t2_seq", "a", "c2_total",
                                                 "sum_c2_sq", "sum_t2_sq")))
+        expect = _radius_attained(np.array(adj), stacked).tolist()
+        assert [bool(walk_ratio_attained(a, p)) for a, p in zip(adj, profiles)] == expect
+        assert [verdict_rho(d).predicted_equality for d in ds] == expect
         assert walk_ratio_attained(np.array(adj), stacked).tolist() == expect
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_all_graphs_up_to_five(self, n):
         self._check(list(all_graphs(n)))
+
+    def test_all_graphs_on_six(self):
+        # The 32,768 labeled graphs on 6 vertices as one block: the
+        # harness's stacked prediction agrees with the radius, on 1,251
+        # equality cases, 540 of which a degree edge test misses.
+        block = _Block.from_digraphs([sym(g) for g in all_graphs(6)], Memo())
+        expect = _radius_attained(block.bits, block.profile)
+        assert block.predicted_rho.tolist() == expect.tolist() and expect.sum() == 1251
 
     @given(graphs(max_n=10))
     @settings(max_examples=100, deadline=None)
@@ -136,11 +118,14 @@ class TestRhoEqualityVerdict:
         pytest.param(star_graph(3), "SEMIREGULAR_BIPARTITE", (3, 1), True, id="K13"),
         pytest.param(Graph(4, [(1, 2), (2, 3)]), "SEMIREGULAR_BIPARTITE", (2, 1), True,
                      id="isolated+P3"),
+        # Pseudo-semiregular with t2/c2 = 2 and 3/2 but not semiregular; the
+        # params are the degrees at the first edge.
+        pytest.param(path_graph(5), "SEMIREGULAR_BIPARTITE", (2, 1), True, id="P5"),
     ])
     def test_graph_components(self, g, kind, params, predicted):
-        # Each edge-bearing component must be regular or semiregular
-        # bipartite with the walk ratio; an isolated vertex is free, and
-        # kind and params name the first edge-bearing component.
+        # Each edge-bearing component must be pseudo-regular or
+        # pseudo-semiregular bipartite with the walk ratio; an isolated
+        # vertex is free, and kind and params read the first edge.
         d = sym(g)
         v = verdict_rho(d)
         assert (v.kind, v.params, v.predicted_equality) == (kind, params, predicted)
@@ -178,6 +163,15 @@ class TestRhoEqualityVerdict:
         gap = abs(rho_lower_walk_ratio(walk_profile(d)) - spectrum_of(d).rho)
         assert v.predicted_equality == (gap <= 1e-7)
         assert v.predicted_equality is False
+
+    def test_digon_beside_directed_triangle_is_not_predicted(self):
+        # rho = 1 = r through a strong component with one-way arcs and no
+        # digon, which the edge test does not decide (ROADMAP item 1, part
+        # (b)): a known false negative, pinned until that part lands.
+        d = Digraph(5, [(0, 4), (4, 0), (1, 2), (2, 3), (3, 1)])
+        v = verdict_rho(d)
+        assert (v.kind, v.params, v.predicted_equality) == ("NONE", (), False)
+        assert abs(rho_lower_walk_ratio(walk_profile(d)) - spectrum_of(d).rho) < 1e-9
 
     def test_acyclic_is_empty_kind(self):
         d = Digraph(3, [(0, 1), (1, 2)])
