@@ -5,16 +5,14 @@ characteristic polynomial is the kernel that the verification harness and
 ``analyze`` call: it runs its matrix recurrence in numpy on a whole
 ``(K, n, n)`` stack of 0-1 matrices at once (the harness hands it the stack
 of a block's digraphs and of their cycle-arc reductions; a lone digraph is
-a block of one), on int64 while its values leave room for the next step,
-which the order alone decides up to ``INT64_MAX_ORDER`` and a measurement
-at every step decides above it, and on Python integers (``dtype=object``)
-from then on, so every result is exact at any size.  It returns the
-coefficients as one ``(K, n+1)`` array, which the harness dedupes into its
-table of distinct polynomials without a tuple per row.  The harness
-computes the stack of its corpus from the corpus's own arithmetic
-(``oracle``); a block built from digraphs, such as a lone ``analyze``,
-takes its stack from ``digraph.adjacency_matrices``, the one builder from
-arcs.  The kernel keeps the name ``charpoly_from_masks`` from when it took
+a block of one), on float64 BLAS products, exact on the integers up to
+``FLOAT64_MAX_ORDER`` and on their residues modulo primes above it, so
+every result is exact at any size.  It returns the coefficients as one
+``(K, n+1)`` array, which the harness dedupes into its table of distinct
+polynomials without a tuple per row.  The harness computes the stack of
+its corpus from the corpus's own arithmetic (``oracle``); a block built
+from digraphs, such as a lone ``analyze``, takes its stack from
+``digraph.adjacency_matrices``, the one builder from arcs.  The kernel keeps the name ``charpoly_from_masks`` from when it took
 bit rows itself, because benchmark traces name it.
 
 The exact polynomial layer lives here too, beside the charpoly it reads:
@@ -46,9 +44,18 @@ import numpy as np
 BACKEND = "pure"
 
 # The largest order at which no 0-1 matrix, loops included, can take the
-# charpoly recurrence out of int64: the bound recurrence of the kernel's
-# guard first reaches the limit at n = r = 15 (tests/test_spectrum.py).
-INT64_MAX_ORDER = 14
+# charpoly recurrence past 2^53, where float64 stops holding every integer:
+# the bound recurrence of tests/test_spectrum.py first reaches it at n = 14.
+FLOAT64_MAX_ORDER = 13
+
+# The prime modulus of the square-free certificate (a Mersenne prime): every
+# residue lies below 2^31, so the product of two fits in int64.
+_PRIME = 2 ** 31 - 1
+
+# The moduli of the charpoly recurrence above FLOAT64_MAX_ORDER, the largest
+# primes below 2^31: 12 cover every order up to 128, and a 13th checks them.
+_PRIMES = (_PRIME, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549, 2147483543,
+           2147483497, 2147483489, 2147483477, 2147483423, 2147483399, 2147483353)
 
 
 def _bits(mask: int):
@@ -105,60 +112,73 @@ def charpoly_from_masks(a: np.ndarray) -> np.ndarray:
     ``a`` is a ``(K, n, n)`` 0-1 int64 stack, and each step of the
     Faddeev-LeVerrier recurrence ``M_0 = 0``, ``c_0 = 1``,
     ``M_k = A (M_{k-1} + c_{k-1} I)``, ``c_k = -tr(M_k) / k`` is one
-    diagonal add, one stacked matmul and one exact array division.  Returns
-    a ``(K, n+1)`` array, one row of coefficients per matrix in ascending
-    order (``row[k]`` multiplies x**k; ``row[n] == 1``): int64 when the
-    block stayed on int64, else ``dtype=object`` holding plain Python ints
-    (``tolist()`` gives Python ints either way).  The verification harness
-    works in blocks and calls it once per block, on the stack of the
-    block's digraphs and of the reductions that drop an arc; a lone matrix
-    is a block of one.  The name is kept from when it took bit rows, since
-    benchmark traces name it.
+    diagonal add, one stacked float64 matmul and one division of the
+    traces.  Returns a ``(K, n+1)`` array, one row of coefficients per
+    matrix in ascending order (``row[k]`` multiplies x**k; ``row[n] == 1``):
+    int64 up to ``FLOAT64_MAX_ORDER``, else ``dtype=object`` holding plain
+    Python ints; a lone matrix is a block of one.  The name is kept from
+    when it took bit rows, since benchmark traces name it.
 
-    The recurrence runs on int64 and moves the whole block to Python ints
-    (``dtype=object``) before any value could overflow.  With r the largest
-    out-degree in the block, a row of A holds at most r ones, so every
-    partial sum of a step's sum, product and trace is at most
-    n r (max|M_{k-1}| + max|c_{k-1}|), with the maxima over the block; the
-    step runs on int64 while that is below 2^63.  Up to ``INT64_MAX_ORDER``
-    no 0-1 matrix reaches that limit, loops included, so the kernel
-    measures nothing there; above it, it measures the maxima at every step
-    until the block moves.  In practice the values stay far below the
-    limit (under 2^46 on random digraphs and tournaments up to n = 32).
+    The order alone picks the route.  Up to ``FLOAT64_MAX_ORDER`` the
+    recurrence runs on the integers, every partial sum below 2^53 (a test
+    replays the bound), and the division by k is asserted exact.  Above
+    it, it runs modulo each of ``_crt_primes(n)``, a member's matrices of
+    every prime side by side in one matmul; an entry stays below
+    n 2^32 <= 2^39, so ``m - p floor(m / p)`` reduces it exactly.  It divides
+    by k through k^-1 mod p, and ``_garner`` combines the residues.  BLAS
+    must sum each entry's n products plainly, as OpenBLAS and MKL gemm do,
+    and not by Strassen's method.
     """
     n = a.shape[-1]
-    limit = None  # None: nothing to measure, up to INT64_MAX_ORDER or on Python ints
-    if n > INT64_MAX_ORDER:
-        limit = 2 ** 63 // max(n * int(a.sum(axis=2).max(initial=0)), 1)
-    m = np.zeros_like(a)
-    c = np.ones(len(a), dtype=np.int64)
-    cs = [c]  # cs[k][row] is the coefficient of x**(n-k)
+    primes = _crt_primes(n) if n > FLOAT64_MAX_ORDER else ()
+    q = np.array(primes, dtype=np.int64)
+    inverses = np.array([[pow(k, -1, p) for p in primes] for k in range(1, n + 1)]) if primes else None
+    a = a.astype(np.float64)
+    m = np.zeros((len(a), n, len(primes) or 1, n))  # a member's M of each prime side by side
+    c = np.ones((len(a), m.shape[2]), dtype=np.int64)
+    cs = [c]  # cs[k][row, prime] is the coefficient of x**(n-k), or its residue
     for k in range(1, n + 1):
-        if limit and int(abs(m).max(initial=0)) + int(abs(c).max(initial=0)) >= limit:
-            a, m, c, limit = a.astype(object), m.astype(object), c.astype(object), None
-        diagonal = np.einsum("kii->ki", m)  # a writeable view of every diagonal
-        diagonal += c[:, None]
-        m = a @ m
-        t = _traces(m)
-        c = -t // k
-        assert not (t % k).any(), "Faddeev-LeVerrier trace not divisible"
+        diagonal = np.einsum("kipi->kpi", m)  # a writeable view of every diagonal
+        diagonal += c[..., None]
+        m = (a @ m.reshape(len(a), n, -1)).reshape(m.shape)
+        t = np.einsum("kipi->kpi", m).astype(np.int64).sum(axis=2)
+        if primes:
+            m -= q[:, None] * np.floor(m / q[:, None])
+            c = -t % q * inverses[k - 1] % q
+        else:
+            c = -t // k
+            assert not (t % k).any(), "Faddeev-LeVerrier trace not divisible"
         cs.append(c)
-    return np.stack(cs[::-1], axis=1)
+    coeffs = np.stack(cs[::-1], axis=2)
+    return _garner(coeffs.transpose(1, 0, 2), primes) if primes else coeffs[:, 0]
 
 
-def _traces(m: np.ndarray) -> np.ndarray:
-    """The trace of every matrix of a ``(K, n, n)`` stack."""
-    n = m.shape[-1]
-    return m.reshape(len(m), n * n)[:, ::n + 1].sum(axis=1)
+def _crt_primes(n: int) -> tuple[int, ...]:
+    """The fewest leading ``_PRIMES`` whose product exceeds twice the bound
+    C(n, k) (k+1)^((k+1)/2) / 2^k on |c_k|, C(n, k) principal 0-1 minors
+    within Hadamard's bound, for every k, and one more, the check prime."""
+    bound_sq = max(-(-math.comb(n, k) ** 2 * (k + 1) ** (k + 1) // 4 ** k) for k in range(n + 1))
+    for count in range(1, len(_PRIMES)):
+        if math.prod(_PRIMES[:count]) ** 2 > 4 * bound_sq:
+            return _PRIMES[:count + 1]
+    raise ValueError(f"an exact charpoly of order {n} needs more than {len(_PRIMES)} primes")
 
+
+def _garner(residues: np.ndarray, primes: Sequence[int]) -> np.ndarray:
+    """The Python ints of least absolute value with the ``(P, ...)``
+    ``residues`` modulo all but the last of ``primes``, by Garner's
+    mixed-radix Chinese remaindering, checked against the last prime."""
+    *moduli, check = primes
+    values, radix = np.zeros(residues.shape[1:], dtype=object), 1
+    for r, p in zip(residues, moduli):
+        values = values + (r - values % p) * pow(radix, -1, p) % p * radix
+        radix *= p
+    values = np.where(values > radix // 2, values - radix, values)
+    assert (values % check == residues[-1]).all(), "charpoly residues fail the check prime"
+    return values
 
 
 # --- exact polynomial arithmetic over Z and Z/P -------------------------------
-
-# The prime modulus of the square-free certificate (a Mersenne prime): every
-# residue lies below 2^31, so the product of two fits in int64.
-_PRIME = 2 ** 31 - 1
-
 
 def _trim(p: list) -> list:
     while p and p[-1] == 0:

@@ -866,6 +866,8 @@ def verify_all(
             raise ValueError(f"random mode needs 1 <= n <= {RANDOM_MAX_N}, got {n}")
         if count < 1:
             raise ValueError(f"need count >= 1, got {count}")
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"need 0 <= p <= 1, got {p}")
         blocks = _random_blocks(n, p, seed, count, memo)
         mode_desc = f"random(count={count}, p={p}, seed={seed})"
     else:

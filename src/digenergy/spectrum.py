@@ -112,8 +112,8 @@ def characteristic_polynomial(d: Digraph) -> CharPoly:
     """Exact integer characteristic polynomial of the adjacency matrix.
 
     Computed by the Faddeev-LeVerrier recurrence on a block of one (see
-    ``kernels.charpoly_from_masks``); arbitrary-precision integers make the
-    result exact at any order.
+    ``kernels.charpoly_from_masks``), on float64 integers up to n = 13 and
+    on residues modulo primes above, so the result is exact at any order.
     """
     (coeffs,) = kernels.charpoly_from_masks(adjacency_matrices([d])).tolist()
     return CharPoly(tuple(coeffs))

@@ -166,6 +166,12 @@ class TestVerifyAll:
         with pytest.raises(ValueError):
             verify_all(13, mode="random", count=1)
 
+    @pytest.mark.parametrize("p", [-0.5, 1.5, float("nan")])
+    def test_p_outside_the_unit_interval_builds_no_block(self, monkeypatch, p):
+        monkeypatch.setattr(oracle_mod, "_random_blocks", lambda *args: pytest.fail("blocks were asked for"))
+        with pytest.raises(ValueError, match=r"need 0 <= p <= 1"):
+            verify_all(3, mode="random", count=3, p=p)
+
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             verify_all(3, mode="sideways")
@@ -349,6 +355,22 @@ class TestAnalysis:
         assert abs(coulson - composed) <= 1e-13 * composed
         assert 1e-8 < abs(energy - composed) / composed < 2e-8
         assert doc["warnings"] == ["coulson integral differs from the energy by 1.460e-08 relative"]
+
+    def test_energy_gap_of_the_8_by_16_product(self):
+        # A second n = 128 Cartesian product.  Its certified energy misses
+        # the composed one by 1.35e-4 (7.8e-7 relative), the integral meets
+        # it, and the note says so; the roots' accuracy at n = 128 will move
+        # this miss to a few ulps.
+        g, h = random_digraph(8, 0.4, 3), random_digraph(16, 0.3, 7)
+        product = Digraph(128, [(u * 16 + v, w * 16 + v) for u, w in g.arcs for v in range(16)]
+                          + [(u * 16 + v, u * 16 + x) for v, x in h.arcs for u in range(8)])
+        lam, mu = (np.array(Analysis(f).spectrum.eigenvalues) for f in (g, h))
+        composed = float(np.abs((lam[:, None] + mu).real).sum())
+        doc = Analysis(product).to_dict()
+        energy, coulson = doc["spectrum"]["energy"], doc["coulson_energy"]
+        assert abs(coulson - composed) <= 1e-13 * composed
+        assert 1.3e-4 < energy - composed < 1.4e-4
+        assert doc["warnings"] == ["coulson integral differs from the energy by 7.783e-07 relative"]
 
     def test_energy_gap_note_is_the_rule(self, monkeypatch):
         # A note exactly when |coulson - energy| / max(1, energy) > 1e-9.
@@ -967,8 +989,8 @@ class TestPolyTable:
         assert len(block.polys) > 1000
 
     def test_object_block(self, monkeypatch):
-        # random 48 0.5 1 moves the kernel to Python ints, so every row of
-        # the block is an object row: the digraph, a sparse digraph, the
+        # At n = 48 the kernel combines residues into Python ints, so every
+        # row of the block is an object row: the digraph, a sparse digraph, the
         # digraph again and the sparse digraph's reduction, which drops an
         # arc and repeats its polynomial.
         d = random_digraph(48, 0.5, 1)

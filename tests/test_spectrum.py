@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from digenergy import (
 import digenergy
 from digenergy import kernels as kernels_mod
 from digenergy import spectrum as spectrum_mod
-from digenergy.digraph import adjacency_matrices
+from digenergy.digraph import MAX_VERTICES, adjacency_matrices
 from digenergy.oracle import BLOCK_SIZE, _Block
 from digenergy.spectrum import Memo, unwrap
 
@@ -109,26 +110,19 @@ class TestCharPoly:
 def _reference_charpoly(n, out_masks):
     """Faddeev-LeVerrier on nested lists of Python ints: the exact reference
     for the numpy recurrence."""
-    if n == 0:
-        return [1]
-    a = [[(out_masks[i] >> j) & 1 for j in range(n)] for i in range(n)]
     rng = range(n)
-    m = [row[:] for row in a]
-    cs = [0] * (n + 1)  # cs[k] is the coefficient of x**(n-k)
-    cs[0] = 1
-    cs[1] = -sum(m[i][i] for i in rng)
-    for k in range(2, n + 1):
-        ck = cs[k - 1]
-        t = [[m[i][j] + (ck if i == j else 0) for j in rng] for i in rng]
-        m = [
-            [sum(a[i][l] * t[l][j] for l in rng if a[i][l]) for j in rng]
-            for i in rng
-        ]
-        tr = sum(m[i][i] for i in rng)
-        q, r = divmod(-tr, k)
+    heads = [[j for j in rng if (out_masks[i] >> j) & 1] for i in rng]
+    m = [[0] * n for _ in rng]
+    cs = [1] + [0] * n  # cs[k] is the coefficient of x**(n-k)
+    for k in range(1, n + 1):
+        for i in rng:
+            m[i][i] += cs[k - 1]
+        # Row i of A M sums the rows of M at the out-neighbours of i.
+        m = [[sum(column) for column in zip(*(m[j] for j in heads[i]))] if heads[i] else [0] * n
+             for i in rng]
+        cs[k], r = divmod(-sum(m[i][i] for i in rng), k)
         assert r == 0
-        cs[k] = q
-    return [cs[n - k] for k in range(n + 1)]
+    return cs[::-1]
 
 
 def _poly_mul(*factors):
@@ -155,23 +149,15 @@ def _transitive_tournament(n):
     return Digraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
-def _kernel_run(monkeypatch, ds):
-    """The block kernel's coefficients on the digraphs ``ds``, and whether
-    it moved to Python ints."""
-    dtypes = []
-    traces = kernels_mod._traces
-    monkeypatch.setattr(kernels_mod, "_traces", lambda m: dtypes.append(m.dtype) or traces(m))
-    coeffs = kernels_mod.charpoly_from_masks(adjacency_matrices(ds)).tolist()
-    monkeypatch.setattr(kernels_mod, "_traces", traces)
-    return coeffs, object in dtypes
+def _kernel_run(ds):
+    """The block kernel's coefficients on the digraphs ``ds``."""
+    return kernels_mod.charpoly_from_masks(adjacency_matrices(ds)).tolist()
 
 
-# Orders on both sides of the int64/object switch of the charpoly recurrence:
-# no value can leave int64 up to n = 14 (``INT64_MAX_ORDER``), whatever the
-# digraph, so the kernel measures its values only from n = 15 on.  At
-# n = 64, J - I and the transitive tournament move to Python ints part way
-# through; the directed cycle stays on int64 throughout.
-CLOSED_FORM_ORDERS = (0, 1, 2, 12, 13, 14, 15, 16, 32, 64)
+# Orders on both sides of the kernel's two routes: float64 up to n = 13
+# (``FLOAT64_MAX_ORDER``), residues modulo 2 to 13 primes from n = 14 on,
+# up to the cap of 128 vertices.
+CLOSED_FORM_ORDERS = (0, 1, 2, 12, 13, 14, 15, 16, 32, 64, 96, 128)
 
 RANDOM_CORPUS = [random_digraph(n, p, seed)
                  for n in range(1, 21) for p in (0.1, 0.3, 0.6) for seed in (1, 2)]
@@ -208,21 +194,19 @@ class TestCharPolyExactness:
             assert list(coeffs) == _reference_charpoly(d.n, d.out_masks)
             assert all(type(c) is int for c in coeffs)
 
-    def test_matches_reference_after_moving_to_python_ints(self, monkeypatch):
-        # Dense enough that the recurrence, on a block of one, leaves int64
-        # part way through.
-        d = random_digraph(48, 0.5, 1)
-        block, moved = _kernel_run(monkeypatch, [d])
-        assert moved
-        assert block == [_reference_charpoly(d.n, d.out_masks)]
+    @pytest.mark.parametrize("n", [96, 128])
+    def test_matches_reference_at_large_orders(self, n):
+        # Coefficients of up to 156 and 232 bits, combined from 9 and 13
+        # primes, the most any order takes at n = 128.
+        d = random_digraph(n, 0.4, 1)
         coeffs = characteristic_polynomial(d).coeffs
-        assert list(coeffs) == block[0]
+        assert list(coeffs) == _reference_charpoly(n, d.out_masks)
         assert all(type(c) is int for c in coeffs)
 
     def test_sink_rows_after_moving_to_python_ints(self):
-        # The digraph above with two sinks added, one inside the vertex
-        # order and one last: zero rows of A in the product on Python ints,
-        # which this digraph also enters.  A sink adds a factor x to the
+        # random 48 0.5 1 with two sinks added, one inside the vertex order
+        # and one last: zero rows of A in the product modulo each prime,
+        # and Python ints out.  A sink adds a factor x to the
         # characteristic polynomial.
         d = random_digraph(48, 0.5, 1)
         arcs = [(i + (i >= 20), j + (j >= 20)) for i, j in d.arcs] + [(0, 20), (3, 20), (7, 49)]
@@ -235,79 +219,44 @@ def _permutation_digraph(cycles, n):
     return Digraph(n, [(c[k], c[(k + 1) % len(c)]) for c in cycles for k in range(len(c))])
 
 
-def _switch_step(d):
-    """The first step k of the recurrence on ``d``, on Python ints, at which
-    max|M_{k-1}| + max|c_{k-1}| reaches 2**63 // (n r), r the largest
-    out-degree: the step from which the kernel must run on Python ints."""
-    n, a = d.n, adjacency_matrix(d).astype(object)
-    limit = 2 ** 63 // (n * int(a.sum(axis=1).max()))
-    m, c = np.zeros_like(a), 1
-    for k in range(1, n + 1):
-        if int(abs(m).max()) + abs(c) >= limit:
-            return k
-        m = a @ m + c * a
-        c, r = divmod(-int(m.trace()), k)
-        assert r == 0
-    return None
-
-
 class TestBlockKernel:
-    """One kernel call on a block equals one call per row, on both sides of
-    the int64 guard, which is taken over the whole block."""
+    """One kernel call on a block equals one call per row, on both routes."""
 
     @staticmethod
-    def _assert_block_equals_rows(monkeypatch, ds):
-        block, _ = _kernel_run(monkeypatch, ds)
-        assert block == [kernels_mod.charpoly_from_masks(adjacency_matrices([d])).tolist()[0] for d in ds]
+    def _assert_block_equals_rows(ds):
+        block = _kernel_run(ds)
+        assert block == [_kernel_run([d])[0] for d in ds]
         assert all(type(c) is int for coeffs in block for c in coeffs)
         return block
 
-    def test_orders_zero_and_one(self, monkeypatch):
-        assert self._assert_block_equals_rows(monkeypatch, [Digraph(0), Digraph(0)]) == [[1], [1]]
-        assert self._assert_block_equals_rows(monkeypatch, [Digraph(1)]) == [[0, 1]]
+    def test_orders_zero_and_one(self):
+        assert self._assert_block_equals_rows([Digraph(0), Digraph(0)]) == [[1], [1]]
+        assert self._assert_block_equals_rows([Digraph(1)]) == [[0, 1]]
 
-    def test_all_n3_digraphs(self, monkeypatch):
+    def test_all_n3_digraphs(self):
         ds = list(enumerate_digraphs(3))
-        block = self._assert_block_equals_rows(monkeypatch, ds)
+        block = self._assert_block_equals_rows(ds)
         assert block == [_reference_charpoly(3, d.out_masks) for d in ds]
 
-    @pytest.mark.parametrize("n", [10, 12])
-    def test_random_digraphs(self, monkeypatch, n):
+    @pytest.mark.parametrize("n", [10, 12, 14, 20])
+    def test_random_digraphs(self, n):
         ds = [random_digraph(n, p, seed) for p in (0.1, 0.3, 0.6) for seed in range(20)]
-        block = self._assert_block_equals_rows(monkeypatch, ds)
+        block = self._assert_block_equals_rows(ds)
         assert block == [_reference_charpoly(n, d.out_masks) for d in ds]
 
-    def test_directed_path_and_permutation_matrix(self, monkeypatch):
+    def test_directed_path_and_permutation_matrix(self):
         # Nilpotent next to a root of unity: x^8 and (x^3 - 1)(x^2 - 1)(x^3 - 1).
         path, perm = directed_path(8), _permutation_digraph([(0, 3, 6), (1, 7), (2, 4, 5)], 8)
-        block = self._assert_block_equals_rows(monkeypatch, [path, perm])
+        block = self._assert_block_equals_rows([path, perm])
         assert block[0] == [0] * 8 + [1]
         assert tuple(block[1]) == _poly_mul((-1, 0, 0, 1), (-1, 0, 1), (-1, 0, 0, 1))
 
-    @pytest.mark.parametrize("n, step", [(48, 35), (64, 24)])
-    def test_moves_to_python_ints_at_the_limit(self, monkeypatch, n, step):
-        # int64 up to the first step whose measured values reach the limit,
-        # Python ints from that step on.
-        d = random_digraph(n, 0.4, 1)
-        dtypes = []
-        traces = kernels_mod._traces
-        monkeypatch.setattr(kernels_mod, "_traces", lambda m: dtypes.append(m.dtype) or traces(m))
-        kernels_mod.charpoly_from_masks(adjacency_matrices([d]))
-        assert _switch_step(d) == step
-        assert dtypes == [np.dtype(np.int64)] * (step - 1) + [np.dtype(object)] * (n - step + 1)
-
-    @pytest.mark.parametrize("n", [13, 52])
-    def test_guard_is_taken_over_the_block(self, monkeypatch, n):
-        # J - I leaves int64 from n = 52 on, the directed cycle alone never
-        # does; in one block both move to Python ints, and both stay exact.
-        # At n = 13 no digraph can leave int64, and the kernel measures
-        # nothing.
+    @pytest.mark.parametrize("n", [13, 14, 52])
+    def test_block_of_j_minus_i_and_the_cycle(self, n):
+        # The largest coefficients of their order next to the smallest, on
+        # the float64 route (n = 13) and modulo 2 and 5 primes.
         ds = [directed_cycle(n), sym(complete_graph(n))]
-        block, moved = _kernel_run(monkeypatch, ds)
-        alone = [_kernel_run(monkeypatch, [d]) for d in ds]
-        assert block == [coeffs[0] for coeffs, _ in alone]
-        assert moved == (n == 52)
-        assert [row_moved for _, row_moved in alone] == [False, n == 52]
+        block = self._assert_block_equals_rows(ds)
         assert block[0] == [-1] + [0] * (n - 1) + [1]
         assert tuple(block[1]) == _poly_mul(_root_power(n - 1, 1), _root_power(-1, n - 1))
 
@@ -324,23 +273,73 @@ def _guard_bounds(n, r):
         c = n * m // k
 
 
-def test_no_zero_one_matrix_leaves_int64_up_to_the_threshold():
-    # A step's sums stay below 2^63 while max|M| + max|c| < 2^63 // (n r).
-    # The bound recurrence keeps below that for every r <= n <= 14, loops
-    # included (r = n), and first reaches it at n = r = 15, so the kernel
-    # measures nothing up to INT64_MAX_ORDER = 14.
+def test_float64_holds_every_value_up_to_the_threshold():
+    # Every partial sum of a step's product is at most r (max|M| + max|c|),
+    # exact in float64 below 2^53.  The bound recurrence keeps below that
+    # for every r <= n <= 13, loops included (r = n), and first reaches it
+    # at n = 14, so the kernel runs on float64 up to FLOAT64_MAX_ORDER = 13.
     def reaches(n, r):
-        return any(b >= 2 ** 63 // max(n * r, 1) for b in _guard_bounds(n, r))
+        return any(r * b >= 2 ** 53 for b in _guard_bounds(n, r))
 
-    assert kernels_mod.INT64_MAX_ORDER == 14
-    assert not any(reaches(n, r) for n in range(15) for r in range(n + 1))
-    assert [r for r in range(16) if reaches(15, r)] == [15]
-    # The bounds hold on J, the densest 0-1 matrix, at n = 15.
-    j, m, c = np.ones((15, 15), dtype=object), np.zeros((15, 15), dtype=object), 1
-    for k, bound in enumerate(_guard_bounds(15, 15), 1):
+    assert kernels_mod.FLOAT64_MAX_ORDER == 13
+    assert not any(reaches(n, r) for n in range(14) for r in range(n + 1))
+    assert [r for r in range(15) if reaches(14, r)] == [13, 14]
+    # The bounds hold on J, the densest 0-1 matrix, at n = 14.
+    j, m, c = np.ones((14, 14), dtype=object), np.zeros((14, 14), dtype=object), 1
+    for k, bound in enumerate(_guard_bounds(14, 14), 1):
         assert abs(m).max() + abs(c) <= bound
         m = j @ m + c * j
         c = -m.trace() // k
+
+
+def _is_prime(p):
+    return p > 1 and all(p % f for f in range(2, math.isqrt(p) + 1))
+
+
+class TestModularRoute:
+    """The primes of the charpoly recurrence above FLOAT64_MAX_ORDER, and
+    the Chinese remaindering that combines its residues."""
+
+    def test_primes_are_distinct_and_below_2_to_31(self):
+        primes = kernels_mod._PRIMES
+        assert len(set(primes)) == len(primes)
+        assert all(p < 2 ** 31 and _is_prime(p) for p in primes)
+        assert primes[0] == kernels_mod._PRIME
+
+    def test_primes_cover_twice_the_bound_and_a_check_prime(self):
+        # |c_k| <= C(n, k) (k+1)^((k+1)/2) / 2^k: C(n, k) principal minors,
+        # each a 0-1 determinant of order k.
+        for n in range(kernels_mod.FLOAT64_MAX_ORDER + 1, MAX_VERTICES + 1):
+            *moduli, check = kernels_mod._crt_primes(n)
+            product = math.prod(moduli)
+            assert moduli and check not in moduli
+            for k in range(n + 1):
+                bound_sq = Fraction(math.comb(n, k) ** 2 * (k + 1) ** (k + 1), 4 ** k)
+                assert product ** 2 > 4 * bound_sq, (n, k)
+        assert kernels_mod._crt_primes(MAX_VERTICES) == kernels_mod._PRIMES
+        with pytest.raises(ValueError, match="needs more than 13 primes"):
+            characteristic_polynomial(directed_cycle(160))
+
+    def test_modulus_covers_j_minus_i_at_the_cap(self):
+        # (x - 127)(x + 1)^127, the densest loopless 0-1 matrix at n = 128.
+        coeffs = _poly_mul(_root_power(MAX_VERTICES - 1, 1), _root_power(-1, MAX_VERTICES - 1))
+        *moduli, _ = kernels_mod._crt_primes(MAX_VERTICES)
+        assert math.prod(moduli) > 2 * max(map(abs, coeffs))
+
+    def test_garner_recovers_signed_coefficients(self):
+        coeffs = _poly_mul(_root_power(31, 1), _root_power(-1, 31))  # J - I at n = 32
+        primes = kernels_mod._crt_primes(32)
+        residues = np.array([[[c % p for c in coeffs]] for p in primes], dtype=np.int64)
+        assert kernels_mod._garner(residues, primes).tolist() == [list(coeffs)]
+
+    @pytest.mark.parametrize("prime", [0, -1], ids=["modulus", "check"])
+    def test_one_corrupted_residue_trips_the_check_prime(self, prime):
+        coeffs = _poly_mul(_root_power(31, 1), _root_power(-1, 31))
+        primes = kernels_mod._crt_primes(32)
+        residues = np.array([[[c % p for c in coeffs]] for p in primes], dtype=np.int64)
+        residues[prime, 0, 5] = (residues[prime, 0, 5] + 1) % primes[prime]
+        with pytest.raises(AssertionError, match="check prime"):
+            kernels_mod._garner(residues, primes)
 
 
 def _square_free_decomposition(coeffs):
